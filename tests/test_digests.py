@@ -1,0 +1,80 @@
+"""Frozen sha256 digests of canonical outputs at fixed seeds.
+
+Each test drives one public command on a small fixed input and compares the
+bytes it writes with a digest recorded before any refactor.  A change that
+keeps behaviour keeps every digest; a change that means to alter an output
+re-freezes the digest and says why.  Float fields (subspace residuals, LP
+chain margins) are hashed as printed, so the digests assume IEEE float64
+with the same numpy build.
+"""
+import hashlib
+import json
+
+import pytest
+
+from ineqlab.cli import main
+from ineqlab.core import SeededRng, save_instance
+from ineqlab.polylab import verify_lp
+from ineqlab.sweep import instance_regular
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+SWEEP_DIGESTS = {
+    "exact": "9b0eab65263ca2454a748767e6593c4e7dc387b1b7e7dbe70fe76eafc89105dd",
+    "cost-model": "eb7762b46ab301e897010fd50a8772ab543fba4cb80b7c8904fec796c2958565",
+    "statevector": "d4827ec1e8d3a28840214b4b25dad9512c3ff375dced08cfa1c698bf1b1411aa",
+    "classical": "38c8628b5c14f0816fe5f223b024bd141f4f99d4e20aec10a37fdc35d2dc554e",
+}
+
+SOLVE_DIGESTS = {
+    "exact": "88a535dfa0f878a44bc52b49868713f68a6d642c1b24686f0b346f9f1b4cc382",
+    "cost-model": "17795a0bc806d1dacb7818ff15ca779061e8b41b86b0e31450deba617d8f6fc3",
+}
+
+SUBSPACE_DIGESTS = {
+    1: "e74212c4e19e353336d34b6ff988db5eb53876d8dedeea84566fd403d6c4aa4c",
+    2: "55c212e55c54f723d263e4cf8433337809bb72c0a3c019f1fd06393fa056d565",
+}
+
+LP_ROWS_DIGEST = "9e6d3a0f626f170c51cecb33cf84375b4dafac7334b7d10291087cb2ea6a8f4d"
+LP_LINES_DIGEST = "47e0aaf803aa79a778203317c80f4c3965ce82b6d9bdc9e027ebfbf045ad5c22"
+
+
+@pytest.mark.parametrize("mode", sorted(SWEEP_DIGESTS))
+def test_sweep_csv(mode, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "N": [16, 32], "t": [2], "S": 8, "modes": [mode], "seeds": 2,
+        "family": "hover-sqrt",
+    }), encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == SWEEP_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(SOLVE_DIGESTS))
+def test_solve_stdout(mode, tmp_path, capsys):
+    path = tmp_path / "instance.txt"
+    save_instance(instance_regular(SeededRng(3).spawn("demo").stream, 16, 2), path)
+    assert main(["solve", "--instance", str(path), "--space", "8",
+                 "--mode", mode, "--seed", "5"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == SOLVE_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("k", sorted(SUBSPACE_DIGESTS))
+def test_subspace_verify_json(k, tmp_path, capsys):
+    dump = tmp_path / "lines.json"
+    assert main(["subspace", "verify", "--n", "4", "--t", "2", "--k", str(k),
+                 "--runs", "3", "--json", str(dump)]) == 0
+    assert sha256(dump.read_bytes()) == SUBSPACE_DIGESTS[k]
+
+
+def test_lp_rows_and_lines():
+    cells = [(2, 16, 0), (2, 16, 1), (4, 16, 1), (4, 16, 2), (2, 32, 3), (8, 32, 1)]
+    lines, rows = verify_lp(seed=0, cells=cells, chain_cells=((8, 32, 1),),
+                            probe_n_values=(16,))
+    assert sha256(json.dumps(rows).encode("utf-8")) == LP_ROWS_DIGEST
+    assert sha256(json.dumps([line.to_dict() for line in lines]).encode("utf-8")) == LP_LINES_DIGEST
