@@ -11,14 +11,13 @@ import csv
 import json
 import sys
 
-from .core import InstanceError, SeededRng, ledger_report, load_instance
+from .core import InstanceError, SeededRng, load_instance
 from .linsys import bounded_matrix_product, classical_bounded_product
 from .polylab import POLY_SUITES, run_poly_suite
 from .subspace import verify_suite
 from .sweep import (
     CLASSICAL_MODE,
     RUN_MODES,
-    SpaceRule,
     SweepConfig,
     emit_report,
     fit_scaling,
@@ -48,7 +47,7 @@ def _cmd_solve(args) -> int:
         result = bounded_matrix_product(
             instance, args.space, args.mode, root.spawn("solve", args.mode).stream
         )
-    report = ledger_report(result.ledger)
+    ledger = result.ledger
     payload = {
         "N": result.n,
         "t": result.t,
@@ -56,49 +55,20 @@ def _cmd_solve(args) -> int:
         "mode": args.mode,
         "seed": args.seed,
         "correct": result.correct,
-        "queries_x": report.queries_x,
-        "queries_b": report.queries_b,
-        "space_high_water": report.space_high_water,
-        "per_subroutine": dict(report.by_subroutine),
+        "queries_x": ledger.queries_x,
+        "queries_b": ledger.queries_b,
+        "space_high_water": ledger.space_high_water,
+        "per_subroutine": dict(sorted(ledger.by_subroutine.items())),
     }
     print(json.dumps(payload))
     return 0 if result.correct else 1
 
 
-def _space_rule_from_config(raw) -> SpaceRule:
-    if isinstance(raw, (int, float)):
-        return SpaceRule(kind="absolute", value=float(raw))
-    if isinstance(raw, dict) and {"kind", "value"} <= set(raw):
-        return SpaceRule(kind=str(raw["kind"]), value=float(raw["value"]))
-    raise InstanceError("config key 'S' must be a number or {kind, value}")
-
-
-def _config_from_json(text: str) -> tuple[SweepConfig, str | None]:
-    raw = json.loads(text)
-    for key in ("N", "t", "S", "modes", "seeds"):
-        if key not in raw:
-            raise InstanceError(f"sweep config is missing key {key!r}")
-    modes = tuple(str(m) for m in raw["modes"])
-    for mode in modes:
-        if mode not in RUN_MODES:
-            raise InstanceError(f"unknown mode {mode!r}; choose from {RUN_MODES}")
-    config = SweepConfig(
-        n_values=tuple(int(v) for v in raw["N"]),
-        t_values=tuple(int(v) for v in raw["t"]),
-        space_rule=_space_rule_from_config(raw["S"]),
-        modes=modes,
-        seeds=int(raw["seeds"]),
-        family=str(raw.get("family", "regular")),
-        reps=None if raw.get("reps") is None else int(raw["reps"]),
-    )
-    out = raw.get("out")
-    return config, None if out is None else str(out)
-
-
 def _cmd_sweep(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        config, config_out = _config_from_json(fh.read())
-    out_path = args.out or config_out
+        raw = json.load(fh)
+    config = SweepConfig.from_dict(raw)
+    out_path = args.out or (str(raw["out"]) if raw.get("out") is not None else None)
     if not out_path:
         raise InstanceError("no output path: pass --out or set 'out' in the config")
     result = run_sweep(config)
@@ -127,7 +97,7 @@ def _cmd_poly(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             if rows:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
                 writer.writeheader()
                 writer.writerows(rows)
     return 0 if ok else 1
@@ -147,11 +117,12 @@ def _cmd_report(args) -> int:
     for regime in regimes:
         count = sum(1 for row in rows if row.regime == regime)
         print(f"regime {regime}: {count} rows")
-    for mode in sorted({row.mode for row in rows}):
-        sub = [row for row in rows if row.mode == mode]
+    for mode, t, s in sorted({(row.mode, row.t, row.s) for row in rows}):
+        sub = [row for row in rows if (row.mode, row.t, row.s) == (mode, t, s)]
         if len({row.n for row in sub}) >= 3:
             fit = fit_scaling(sub, "N")
-            print(f"mode {mode}: N-exponent {fit.exponent:.3f} +- {fit.halfwidth:.3f}")
+            print(f"mode {mode} t={t} S={s}: N-exponent "
+                  f"{fit.exponent:.3f} +- {fit.halfwidth:.3f}")
     return 0
 
 

@@ -1,11 +1,10 @@
 """Problem instances, oracle access with query accounting, and exact reference results.
 
 A problem instance is a nonnegative integer matrix A (N x N), an input vector x,
-a threshold vector b with b_i <= t, and the entry bound t.  The two reference
-results everything else is measured against:
+a threshold vector b with b_i <= t, and the entry bound t.  The reference
+result everything else is measured against:
 
     matvec_min:      y_i = min((Ax)_i, b_i)      (entrywise clamped product)
-    inequality_eval: bit_i = [ (Ax)_i >= b_i ]   (system of linear inequalities)
 
 Queries to x and b are the complexity measure.  Every read goes through a
 QueryLedger which tracks totals per target and per subroutine tag, plus a
@@ -106,37 +105,6 @@ class QueryLedger:
 
 
 @dataclass(frozen=True)
-class LedgerReport:
-    """Immutable snapshot of a ledger."""
-
-    total: int
-    queries_x: int
-    queries_b: int
-    by_subroutine: tuple[tuple[str, int], ...]
-    space_high_water: int
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "queries_x": self.queries_x,
-            "queries_b": self.queries_b,
-            "by_subroutine": dict(self.by_subroutine),
-            "space_high_water": self.space_high_water,
-        }
-
-
-def ledger_report(ledger: QueryLedger) -> LedgerReport:
-    """Snapshot with total, per-target and per-tag breakdown, space high-water."""
-    return LedgerReport(
-        total=ledger.total,
-        queries_x=ledger.queries_x,
-        queries_b=ledger.queries_b,
-        by_subroutine=tuple(sorted(ledger.by_subroutine.items())),
-        space_high_water=ledger.space_high_water,
-    )
-
-
-@dataclass(frozen=True)
 class CheckLine:
     """One named verification result, as printed by the verify CLIs."""
 
@@ -195,30 +163,10 @@ class ProblemInstance:
         return int(self.A.shape[0])
 
 
-def oracle_query(instance: ProblemInstance, target: str, i: int,
-                 ledger: QueryLedger, tag: str = TAG_CLASSICAL) -> int:
-    """Charged read of x_i or b_i.  Bounds are checked before any counter moves."""
-    n = instance.n
-    if not 0 <= i < n:
-        raise IndexError(f"oracle index {i} out of range [0, {n})")
-    ledger.charge(target, tag, 1)
-    if target == "x":
-        return int(instance.x[i])
-    if target == "b":
-        return int(instance.b[i])
-    raise ValueError(f"unknown oracle target {target!r}")
-
-
 def matvec_min(instance: ProblemInstance) -> np.ndarray:
     """Exact clamped product y_i = min((Ax)_i, b_i).  Query-free reference."""
     ax = instance.A @ instance.x  # validated against overflow
     return np.minimum(ax, instance.b)
-
-
-def inequality_eval(instance: ProblemInstance) -> np.ndarray:
-    """Bit vector [ (Ax)_i >= b_i ], computed through matvec_min."""
-    y = matvec_min(instance)
-    return (y >= instance.b).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

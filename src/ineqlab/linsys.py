@@ -35,6 +35,7 @@ from .core import (
 from .qsim import MODES, TapeOracle, collect_ones, count_median, _check_mode
 
 SEARCH_WORKSPACE_SLACK = 8   # qubits beyond the index register per subroutine
+CLASSICAL_MODE = "classical"  # result mode of the classical baseline
 
 
 class SpaceTooSmall(ValueError):
@@ -61,13 +62,6 @@ def classical_row_capacity(n: int, S: int, t: int) -> int:
 
 
 @dataclass(frozen=True)
-class BlockScan:
-    start: int       # first column of the block
-    length: int
-    estimate: float  # counting estimate that accepted this length
-
-
-@dataclass(frozen=True)
 class BlockTrace:
     start: int
     length: int
@@ -78,13 +72,9 @@ class BlockTrace:
 
 
 @dataclass(frozen=True)
-class SmallProductResult:
-    y_block: np.ndarray
-    blocks: tuple[BlockTrace, ...]
-
-
-@dataclass(frozen=True)
 class MatrixProductResult:
+    """Output of either product; the classical baseline has no block traces."""
+
     y: np.ndarray
     n: int
     t: int
@@ -96,19 +86,8 @@ class MatrixProductResult:
     group_traces: tuple[tuple[BlockTrace, ...], ...]
 
 
-@dataclass(frozen=True)
-class ClassicalProductResult:
-    y: np.ndarray
-    n: int
-    t: int
-    space_budget: int
-    s_prime: int
-    correct: bool
-    ledger: QueryLedger
-
-
 def classical_bounded_product(instance: ProblemInstance, S: int,
-                              ledger: QueryLedger | None = None) -> ClassicalProductResult:
+                              ledger: QueryLedger | None = None) -> MatrixProductResult:
     """Blocked baseline: one full x pass per group of row counters."""
     ledger = ledger if ledger is not None else QueryLedger()
     n, t = instance.n, instance.t
@@ -130,13 +109,16 @@ def classical_bounded_product(instance: ProblemInstance, S: int,
                 if a:
                     y[u] = min(bounds[u], y[u] + a * xj)
     correct = bool(np.array_equal(y, matvec_min(instance)))
-    return ClassicalProductResult(y=y, n=n, t=t, space_budget=S, s_prime=cap,
-                                  correct=correct, ledger=ledger)
+    return MatrixProductResult(y=y, n=n, t=t, space_budget=S, s_prime=cap,
+                               mode=CLASSICAL_MODE, correct=correct, ledger=ledger,
+                               group_traces=())
 
 
 def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
-                      rng: np.random.Generator, reps: int) -> BlockScan:
+                      rng: np.random.Generator, reps: int) -> tuple[int, float]:
     """Choose the next block [start, start+length) of the masked tape.
+
+    Returns the length and the counting estimate that accepted it.
 
     Doubling from s_prime grows the candidate while its mass estimate stays
     below s_prime; a binary search then takes the longest length in the last
@@ -158,7 +140,7 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
         return count_median(window, m_pts, reps, mode, rng).w
 
     if remaining <= s_prime:
-        return BlockScan(start=start, length=remaining, estimate=probe(remaining))
+        return remaining, probe(remaining)
     k = s_prime
     est = None
     while k < remaining:
@@ -168,7 +150,7 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
             break
     if est is None or est < s_prime:
         # sparse all the way to the end: take the tail
-        return BlockScan(start=start, length=remaining, estimate=float(est or 0.0))
+        return remaining, float(est or 0.0)
     lo, hi = max(1, k // 2), min(k, remaining)
     best_est = None
     while lo < hi:
@@ -181,14 +163,14 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
             hi = mid - 1
     if best_est is None:
         best_est = probe(lo)   # every bracket probe overflowed; record the floor
-    return BlockScan(start=start, length=lo, estimate=float(best_est))
+    return lo, float(best_est)
 
 
 def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray,
                          t: int, mode: str, rng: np.random.Generator,
                          ledger: QueryLedger,
-                         reps: int | None = None) -> SmallProductResult:
-    """Clamped product for one group of at most S' rows.
+                         reps: int | None = None) -> tuple[np.ndarray, tuple[BlockTrace, ...]]:
+    """Clamped product for one group of at most S' rows: (y_block, block traces).
 
     The group's open-row mask is frozen per block: the masked tape
     v_j = [any open row hits column j] * x_j is sized by counting, its
@@ -220,10 +202,10 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
     while pos < n and open_rows.any():
         mask = (A_block[open_rows] != 0).any(axis=0)
         v_tape = TapeOracle(np.where(mask, x, 0), ledger, "x")
-        scan = find_block_length(v_tape, pos, m, mode, rng, reps)
-        window = v_tape.window(scan.start, scan.start + scan.length)
+        length, estimate = find_block_length(v_tape, pos, m, mode, rng, reps)
+        window = v_tape.window(pos, pos + length)
         res = collect_ones(window, mode, rng)
-        found = sorted(scan.start + j for j in res.found)
+        found = sorted(pos + j for j in res.found)
         reads = {j: x_tape.read_value(j, TAG_CLASSICAL) for j in found}
         additions = np.zeros(m, dtype=np.int64)
         for u in np.flatnonzero(open_rows):
@@ -236,14 +218,14 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
         still_open = y < bounds
         closed_now = int(np.count_nonzero(open_rows & ~still_open))
         open_adds = int(additions[still_open].sum())
-        blocks.append(BlockTrace(start=scan.start, length=scan.length,
-                                 estimate=scan.estimate, found=len(found),
+        blocks.append(BlockTrace(start=pos, length=length,
+                                 estimate=estimate, found=len(found),
                                  rows_closed=closed_now, open_additions=open_adds))
-        ledger.record_space(base_bits + log2_ceil(scan.length)
+        ledger.record_space(base_bits + log2_ceil(length)
                             + SEARCH_WORKSPACE_SLACK + len(found) * log_n)
         open_rows = still_open
-        pos = scan.start + scan.length
-    return SmallProductResult(y_block=y, blocks=tuple(blocks))
+        pos += length
+    return y, tuple(blocks)
 
 
 def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,
@@ -259,10 +241,10 @@ def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,
     traces: list[tuple[BlockTrace, ...]] = []
     for lo in range(0, n, s_prime):
         hi = min(lo + s_prime, n)
-        out = small_matrix_product(instance.A[lo:hi], instance.x,
-                                   instance.b[lo:hi], t, mode, rng, ledger, reps)
-        y[lo:hi] = out.y_block
-        traces.append(out.blocks)
+        y[lo:hi], blocks = small_matrix_product(instance.A[lo:hi], instance.x,
+                                                instance.b[lo:hi], t, mode, rng,
+                                                ledger, reps)
+        traces.append(blocks)
     correct = bool(np.array_equal(y, matvec_min(instance)))
     return MatrixProductResult(y=y, n=n, t=t, space_budget=S, s_prime=s_prime,
                                mode=mode, correct=correct, ledger=ledger,
@@ -295,7 +277,8 @@ def check_budget(ledger: QueryLedger, n: int, t: int, S: int,
     """Ratio of measured total queries to the family's cost envelope.
 
     quantum:   T / (N^1.5 sqrt(t) (log2 N)^2.5 / sqrt(S))
-    classical: T S / (N^2 log2 t + 1)
+    classical: T S / (N^2 log2(t+1) + 1), with the counter width that
+               classical_row_capacity uses
     """
     T = ledger.total
     if family == "quantum":
@@ -303,7 +286,7 @@ def check_budget(ledger: QueryLedger, n: int, t: int, S: int,
                / math.sqrt(S))
         cap = QUANTUM_RATIO_CAP
     elif family == "classical":
-        env = (n**2 * math.log2(t) + 1.0) / S
+        env = (n**2 * math.log2(t + 1) + 1.0) / S
         cap = CLASSICAL_RATIO_CAP
     else:
         raise ValueError(f"unknown family {family!r}")

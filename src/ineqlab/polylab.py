@@ -337,6 +337,14 @@ def newton_coefficients(values, start: int) -> list[Fraction]:
     return coef
 
 
+def zero_prefix_quotient(lp: PolyLP) -> list[Fraction]:
+    """Newton coefficients, on the nodes m..D, of q = p / prod_{j<m}(x - j)."""
+    m = lp.m
+    return newton_coefficients(
+        [lp.node_values[s] / math.prod(s - j for j in range(m)) for s in range(m, lp.D + 1)], m
+    )
+
+
 def newton_eval(coef, start: int, x: np.ndarray) -> np.ndarray:
     """Horner evaluation of the Newton form at float points."""
     x = np.asarray(x, dtype=float)
@@ -384,14 +392,7 @@ def witness_chain_check(lp: PolyLP, E: int, cr_a: float, cr_b: float) -> Witness
         raise InstanceError("need 10 <= E <= N/(2m)")
     m, D, N = lp.m, lp.D, lp.N
     d = D - m
-    # quotient q = p / prod_{j<m}(x - j), known exactly at the nodes m..D
-    q_nodes = []
-    for s in range(m, D + 1):
-        denom = Fraction(1)
-        for j in range(m):
-            denom *= s - j
-        q_nodes.append(lp.node_values[s] / denom)
-    coef = newton_coefficients(q_nodes, m)
+    coef = zero_prefix_quotient(lp)
 
     def q_exact(i: int) -> Fraction:
         acc = Fraction(0)
@@ -778,9 +779,7 @@ def verify_lp(
             lp = solved.get((deg, n_dom, m)) or extremal_sigma_lp(deg, n_dom, m)
             chain_lps.append(lp)
             lo = 10 * m
-            coef = newton_coefficients(
-                [lp.node_values[s] / math.prod(s - j for j in range(m)) for s in range(m, deg + 1)], m
-            )
+            coef = zero_prefix_quotient(lp)
             xs = np.linspace(lo, n_dom, 2001)
             cap = ((10 - 1) * m) ** m
             scaled_max = float(np.abs(newton_eval(coef, m, xs)).max()) * cap

@@ -299,12 +299,7 @@ def ae_outcome_pmf(a: float, M: int) -> EstimatePmf:
     ys = np.arange(M)
     probs_y = 0.5 * (_dirichlet_kernel_sq(omega - ys / M, M)
                      + _dirichlet_kernel_sq(omega + ys / M, M))
-    folded = np.minimum(ys, M - ys)
-    n_est = M // 2 + 1
-    values = np.sin(np.pi * np.arange(n_est) / M) ** 2
-    probs = np.zeros(n_est)
-    np.add.at(probs, folded, probs_y)
-    return EstimatePmf(values=values, probs=probs)
+    return fold_count_pmf(probs_y, M)
 
 
 def counting_window(n: int, w: int, M: int) -> float:

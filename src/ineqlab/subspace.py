@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -37,24 +37,6 @@ def falling_factorial(x: int, j: int) -> int:
     for step in range(j):
         out *= x - step
     return out
-
-
-def implicit_threshold(values) -> int:
-    """Smallest t >= 0 such that the weight-indexed table is constant on [t, n-t].
-
-    `values` holds one bit per Hamming weight 0..n (length n+1).
-    """
-    table = [int(v) for v in values]
-    if len(table) < 1:
-        raise InstanceError("weight table must cover weights 0..n")
-    if any(v not in (0, 1) for v in table):
-        raise InstanceError("weight table entries must be bits")
-    n = len(table) - 1
-    for t in range(n + 2):
-        window = table[t : n - t + 1]
-        if len(set(window)) <= 1:
-            return t
-    raise InstanceError("unreachable: empty window is constant")
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +188,6 @@ class ChainLevel:
     deflated: np.ndarray      # raw states projected off the previous span, one column per tuple
     deflated_norms: np.ndarray
     closed_form_norm: float | None   # for the split family only
-    rank_consistent: bool     # dim(span_j) == dim(span_{j-1}) + dim(fresh_j)
 
 
 def deflated_norm_closed_form(n: int, t: int, j: int, a: int, b: int) -> float:
@@ -256,7 +237,6 @@ def build_subspace_chain(space: InputSpace, a: int, b: int | None = None) -> lis
             deflated=deflated,
             deflated_norms=norms,
             closed_form_norm=closed,
-            rank_consistent=True,
         )
         levels.append(level)
         prev_span = span_cols
@@ -381,18 +361,22 @@ def _kron_columns(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _product_blocks(blocks: list[np.ndarray], k: int) -> dict[int, np.ndarray]:
+    """Kronecker products of k factor blocks, grouped by the sum of the block indices.
+
+    Index tuples run in lexicographic order, so each group's columns keep that
+    order; the random draws over these columns depend on it.
+    """
+    grouped: dict[int, list[np.ndarray]] = {}
+    for idx in product(range(len(blocks)), repeat=k):
+        grouped.setdefault(sum(idx), []).append(_kron_columns([blocks[i] for i in idx]))
+    return {m: np.hstack(parts) for m, parts in sorted(grouped.items())}
+
+
 def product_level_bases(decomp: SignedDecomposition, k: int) -> dict[int, np.ndarray]:
     """Columns of each total growth level m across k factors."""
     _check_product_caps(decomp.space, k)
-    per = [basis.columns for basis in decomp.levels]
-    top = decomp.top_level
-    if k == 1:
-        return {m: per[m] for m in range(top + 1)}
-    out: dict[int, list[np.ndarray]] = {}
-    for j1 in range(top + 1):
-        for j2 in range(top + 1):
-            out.setdefault(j1 + j2, []).append(_kron_columns([per[j1], per[j2]]))
-    return {m: np.hstack(parts) for m, parts in sorted(out.items())}
+    return _product_blocks([basis.columns for basis in decomp.levels], k)
 
 
 def product_minus_bases(decomp: SignedDecomposition, k: int) -> dict[int, np.ndarray]:
@@ -400,15 +384,7 @@ def product_minus_bases(decomp: SignedDecomposition, k: int) -> dict[int, np.nda
     _check_product_caps(decomp.space, k)
     sum_side = np.hstack([basis.columns for basis in decomp.plus])
     diff_side = np.hstack([basis.columns for basis in decomp.minus])
-    if k == 1:
-        return {0: sum_side, 1: diff_side}
-    return {
-        0: _kron_columns([sum_side, sum_side]),
-        1: np.hstack(
-            [_kron_columns([sum_side, diff_side]), _kron_columns([diff_side, sum_side])]
-        ),
-        2: _kron_columns([diff_side, diff_side]),
-    }
+    return _product_blocks([sum_side, diff_side], k)
 
 
 def containment_residual(decomp: SignedDecomposition, k: int) -> float:
@@ -800,16 +776,10 @@ def _class_masks(space: InputSpace, k: int) -> dict[tuple[int, ...], np.ndarray]
     """Joint-basis masks selecting, per factor, one weight class."""
     per = {a: space.class_mask(a).astype(float).reshape(-1, 1) for a in (0, 1)}
     masks: dict[tuple[int, ...], np.ndarray] = {}
-    for answers in _all_tuples(k):
+    for answers in product((0, 1), repeat=k):
         joint = _kron_columns([per[a] for a in answers]).ravel()
         masks[answers] = joint > 0.5
     return masks
-
-
-def _all_tuples(k: int):
-    if k == 1:
-        return [(0,), (1,)]
-    return [(a1, a2) for a1 in (0, 1) for a2 in (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -890,7 +860,7 @@ def success_probability_bounds(
             factors.append((cols @ (coeff / np.linalg.norm(coeff))).reshape(-1, 1))
             levels.append(j)
         psi = _kron_columns(factors).ravel()
-        for answers in _all_tuples(k):
+        for answers in product((0, 1), repeat=k):
             blocks = [class_blocks[(a, j)] for j, a in zip(levels, answers)]
             proj = _kron_columns(blocks).T @ psi
             projection_excess = max(
@@ -935,11 +905,6 @@ def variational_distance(psi: np.ndarray, psi_prime: np.ndarray, measurement) ->
     if np.abs(total - np.eye(dim)).max() > 1e-8:
         raise InstanceError("measurement does not resolve the identity")
     return 0.5 * tv, 2.0 * float(np.linalg.norm(psi - psi_prime))
-
-
-def variational_distance_check(psi, psi_prime, measurement) -> bool:
-    tv, bound = variational_distance(psi, psi_prime, measurement)
-    return tv <= bound + 1e-12
 
 
 def random_projective_measurement(rng: SeededRng, dim: int, parts: int):

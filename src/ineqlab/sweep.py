@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemInstance, SeededRng
-from .linsys import bounded_matrix_product, classical_bounded_product
+from .linsys import CLASSICAL_MODE, bounded_matrix_product, classical_bounded_product
 from .qsim import MODES
 
-CLASSICAL_MODE = "classical"
 RUN_MODES = MODES + (CLASSICAL_MODE,)
 
 CSV_HEADER = "N,t,S,mode,seed,T,queries_x,queries_b,space,correct"
@@ -111,21 +110,32 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
-        rule = raw.get("space", {"kind": "absolute", "value": 16})
+        """The sweep config as documented in README.md.
+
+        `N`, `t`, `S`, `modes` and `seeds` are required; `S` is a number or
+        {"kind": ..., "value": ...}; `family` and `reps` are optional.
+        """
+        if not isinstance(raw, dict):
+            raise ValueError("sweep config must be a JSON object")
+        for key in ("N", "t", "S", "modes", "seeds"):
+            if key not in raw:
+                raise ValueError(f"sweep config is missing key {key!r}")
+        rule = raw["S"]
         if isinstance(rule, (int, float)):
             rule = {"kind": "absolute", "value": rule}
-        return cls(n_values=tuple(int(v) for v in raw["N"]),
-                   t_values=tuple(int(v) for v in raw["t"]),
-                   space_rule=SpaceRule(kind=str(rule["kind"]),
-                                        value=float(rule["value"])),
-                   modes=tuple(raw.get("modes", ["exact"])),
-                   seeds=int(raw.get("seeds", 1)),
-                   family=str(raw.get("family", "regular")),
-                   reps=None if raw.get("reps") is None else int(raw["reps"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepConfig":
-        return cls.from_dict(json.loads(text))
+        if not (isinstance(rule, dict) and {"kind", "value"} <= set(rule)):
+            raise ValueError("config key 'S' must be a number or {kind, value}")
+        try:
+            return cls(n_values=tuple(int(v) for v in raw["N"]),
+                       t_values=tuple(int(v) for v in raw["t"]),
+                       space_rule=SpaceRule(kind=str(rule["kind"]),
+                                            value=float(rule["value"])),
+                       modes=tuple(str(m) for m in raw["modes"]),
+                       seeds=int(raw["seeds"]),
+                       family=str(raw.get("family", "regular")),
+                       reps=None if raw.get("reps") is None else int(raw["reps"]))
+        except TypeError as exc:   # e.g. a number where a list belongs
+            raise ValueError(f"malformed sweep config: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 
 from ineqlab.cli import main
 from ineqlab.core import SeededRng, save_instance
-from ineqlab.sweep import instance_regular, rows_from_json
+from ineqlab.sweep import SweepRow, instance_regular, render_csv, rows_from_json
 
 
 @pytest.fixture()
@@ -141,7 +141,9 @@ class TestPolyVerify:
         dump = tmp_path / "blocks.csv"
         code = main(["poly", "verify", "--suite", "blocks", "--out", str(dump)])
         assert code == 0
-        lines = dump.read_text(encoding="utf-8").splitlines()
+        data = dump.read_bytes()
+        assert b"\r" not in data
+        lines = data.decode("utf-8").splitlines()
         assert lines[0].startswith("k,t,n,samples")
         assert len(lines) == 2
 
@@ -164,6 +166,21 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", "--in", str(out)]) == 0
         assert "rows: 2" in capsys.readouterr().out
+
+    def test_fit_grouped_by_mode_t_and_space(self, tmp_path, capsys):
+        # t = 1 rows grow like N^1.5 and t = 2 rows like N^2; one fit over
+        # both would blend the two exponents
+        rows = [SweepRow(n=n, t=t, s=8, mode="exact", seed=0,
+                         total_queries=round(n ** (1.5 if t == 1 else 2.0)),
+                         queries_x=1, queries_b=1, space=8, correct=True,
+                         regime="quantum")
+                for t in (1, 2) for n in (16, 64, 256)]
+        path = tmp_path / "rows.csv"
+        path.write_text(render_csv(rows), encoding="utf-8")
+        assert main(["report", "--in", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "mode exact t=1 S=8: N-exponent 1.500" in text
+        assert "mode exact t=2 S=8: N-exponent 2.000" in text
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path / "gone.csv")]) == 2

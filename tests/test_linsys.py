@@ -20,7 +20,6 @@ from ineqlab.core import (
     matvec_min,
 )
 from ineqlab.linsys import (
-    BlockScan,
     BudgetReport,
     SpaceTooSmall,
     bounded_matrix_product,
@@ -143,25 +142,24 @@ class TestFindBlockLength:
         # binary search accepts the longest block with mass <= 8
         tape = value_tape([1] * 16)
         scan = find_block_length(tape, 0, 4, MODE_EXACT, rng_for("fb1"), reps=3)
-        assert scan == BlockScan(start=0, length=8, estimate=8.0)
+        assert scan == (8, 8.0)
 
     def test_exact_range_end_variant(self):
         tape = value_tape([1] * 8)
-        scan = find_block_length(tape, 0, 4, MODE_EXACT, rng_for("fb2"), reps=3)
-        assert scan.length == 8
-        assert scan.estimate == 8.0
+        length, estimate = find_block_length(tape, 0, 4, MODE_EXACT, rng_for("fb2"), reps=3)
+        assert length == 8
+        assert estimate == 8.0
 
     def test_sparse_tail_takes_remaining_range(self):
         tape = value_tape([0] * 32)
-        scan = find_block_length(tape, 5, 3, MODE_EXACT, rng_for("fb3"), reps=3)
-        assert scan.start == 5
-        assert scan.length == 27
-        assert scan.estimate == 0.0
+        length, estimate = find_block_length(tape, 5, 3, MODE_EXACT, rng_for("fb3"), reps=3)
+        assert length == 27
+        assert estimate == 0.0
 
     def test_short_remainder_is_one_block(self):
         tape = value_tape([1, 1, 1, 1])
-        scan = find_block_length(tape, 2, 5, MODE_EXACT, rng_for("fb4"), reps=3)
-        assert scan.length == 2
+        length, _ = find_block_length(tape, 2, 5, MODE_EXACT, rng_for("fb4"), reps=3)
+        assert length == 2
 
     def test_position_past_end_rejected(self):
         tape = value_tape([1, 1])
@@ -177,10 +175,10 @@ class TestFindBlockLength:
             tape_vals = (rng.random(n) < 0.4).astype(np.int64)
             s_prime = int(rng.integers(1, 6))
             tape = value_tape(tape_vals)
-            scan = find_block_length(tape, 0, s_prime, MODE_EXACT, rng, reps=3)
-            c = int(tape_vals[:scan.length].sum())
+            length, _ = find_block_length(tape, 0, s_prime, MODE_EXACT, rng, reps=3)
+            c = int(tape_vals[:length].sum())
             assert c <= 2 * s_prime
-            if scan.length < n:  # range end not hit
+            if length < n:  # range end not hit
                 assert c >= s_prime
 
     def test_progress_guaranteed(self):
@@ -190,10 +188,10 @@ class TestFindBlockLength:
             vals = rng.integers(0, 3, size=n)
             s_prime = int(rng.integers(1, 5))
             start = int(rng.integers(0, n))
-            scan = find_block_length(value_tape(vals), start, s_prime,
-                                     MODE_COST, rng, reps=3)
-            assert scan.length >= 1
-            assert start + scan.length <= n
+            length, _ = find_block_length(value_tape(vals), start, s_prime,
+                                          MODE_COST, rng, reps=3)
+            assert length >= 1
+            assert start + length <= n
 
     def test_probes_charge_counting_queries(self):
         ledger = QueryLedger()
@@ -228,9 +226,9 @@ class TestSmallMatrixProduct:
             x = rng.integers(0, t + 1, size=n)
             b = rng.integers(0, t + 1, size=m)
             ledger = QueryLedger()
-            out = small_matrix_product(A, x, b, t, MODE_EXACT, rng, ledger)
+            y_block, _ = small_matrix_product(A, x, b, t, MODE_EXACT, rng, ledger)
             ref = np.minimum(A @ x, b)
-            assert np.array_equal(out.y_block, ref), trial
+            assert np.array_equal(y_block, ref), trial
 
     def test_block_trace_inequalities_all_modes(self):
         for mode in (MODE_COST, MODE_EXACT):
@@ -243,19 +241,19 @@ class TestSmallMatrixProduct:
                 x = rng.integers(0, t + 1, size=n)
                 b = rng.integers(1, t + 1, size=m)
                 ledger = QueryLedger()
-                out = small_matrix_product(A, x, b, t, mode, rng, ledger)
-                assert sum(blk.length for blk in out.blocks) <= n
-                assert sum(blk.rows_closed for blk in out.blocks) <= m
-                assert sum(blk.open_additions for blk in out.blocks) <= t * m
+                _, blocks = small_matrix_product(A, x, b, t, mode, rng, ledger)
+                assert sum(blk.length for blk in blocks) <= n
+                assert sum(blk.rows_closed for blk in blocks) <= m
+                assert sum(blk.open_additions for blk in blocks) <= t * m
 
     def test_zero_bounds_short_circuit(self):
         ledger = QueryLedger()
         A = np.ones((3, 10), dtype=np.int64)
-        out = small_matrix_product(A, np.ones(10, dtype=np.int64),
-                                   np.zeros(3, dtype=np.int64), 2,
-                                   MODE_EXACT, rng_for("smz"), ledger)
-        assert np.array_equal(out.y_block, np.zeros(3, dtype=np.int64))
-        assert out.blocks == ()
+        y_block, blocks = small_matrix_product(A, np.ones(10, dtype=np.int64),
+                                               np.zeros(3, dtype=np.int64), 2,
+                                               MODE_EXACT, rng_for("smz"), ledger)
+        assert np.array_equal(y_block, np.zeros(3, dtype=np.int64))
+        assert blocks == ()
         assert ledger.queries_b == 3
         assert ledger.queries_x == 0
 
@@ -390,8 +388,8 @@ class TestSampledBlockMass:
                 density = rng.uniform(0.05, 0.9)
                 vals = (rng.random(n) < density).astype(np.int64) * rng.integers(1, 3)
                 tape = value_tape(vals)
-                scan = find_block_length(tape, 0, s_prime, MODE_COST, rng, reps)
-                c = int(vals[:scan.length].sum())
+                length, _ = find_block_length(tape, 0, s_prime, MODE_COST, rng, reps)
+                c = int(vals[:length].sum())
                 if c > 2 * s_prime + 6 * math.sqrt(s_prime) + math.pi**2:
                     violations += 1
             assert violations <= 5, (n, s_prime, violations)
@@ -434,8 +432,19 @@ class TestCheckBudget:
         res = classical_bounded_product(inst, 13)
         assert res.ledger.total == 576
         report = check_budget(res.ledger, 64, 2, 13, "classical")
-        assert report.ratio == pytest.approx(576 * 13 / (64**2 * 1.0 + 1.0))
+        assert report.ratio == pytest.approx(576 * 13 / (64**2 * math.log2(3) + 1.0))
         assert 0.5 <= report.ratio <= 2.0
+        assert not report.flagged
+
+    def test_classical_t1_cell_not_flagged(self):
+        # N=64, t=1, S=13: capacity 13, five groups, T = 5*64 + 64 = 384
+        inst = ProblemInstance(A=np.zeros((64, 64), dtype=np.int64),
+                               x=np.zeros(64, dtype=np.int64),
+                               b=np.ones(64, dtype=np.int64), t=1)
+        res = classical_bounded_product(inst, 13)
+        assert res.ledger.total == 384
+        report = check_budget(res.ledger, 64, 1, 13, "classical")
+        assert report.ratio == pytest.approx(384 * 13 / (64**2 + 1.0))
         assert not report.flagged
 
     def test_quantum_zero_matrix_is_cheap(self):

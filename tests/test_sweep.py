@@ -79,7 +79,8 @@ class TestSpaceRule:
 
 class TestSweepConfig:
     def test_from_dict_defaults(self):
-        cfg = SweepConfig.from_dict({"N": [8, 16], "t": [1]})
+        cfg = SweepConfig.from_dict({"N": [8, 16], "t": [1], "S": 16,
+                                     "modes": ["exact"], "seeds": 1})
         assert cfg.n_values == (8, 16)
         assert cfg.space_rule == SpaceRule("absolute", 16)
         assert cfg.modes == ("exact",)
@@ -88,33 +89,59 @@ class TestSweepConfig:
         assert cfg.reps is None
 
     def test_from_json_with_scalar_space(self):
-        cfg = SweepConfig.from_json(
-            '{"N": [8], "t": [2], "space": 4, "modes": ["exact", "classical"],'
-            ' "seeds": 2, "family": "zero", "reps": 5}')
+        cfg = SweepConfig.from_dict(json.loads(
+            '{"N": [8], "t": [2], "S": 4, "modes": ["exact", "classical"],'
+            ' "seeds": 2, "family": "zero", "reps": 5}'))
         assert cfg.space_rule == SpaceRule("absolute", 4.0)
         assert cfg.modes == ("exact", "classical")
         assert cfg.reps == 5
 
+    def test_s_key_sets_the_budget(self):
+        cfg = SweepConfig.from_dict({"N": [8], "t": [1], "S": 4,
+                                     "modes": ["exact"], "seeds": 1})
+        assert cfg.space_rule.budget(8, 1) == 4
+        cfg = SweepConfig.from_dict({"N": [8], "t": [2], "modes": ["exact"], "seeds": 1,
+                                     "S": {"kind": "nt-fraction", "value": 0.5}})
+        assert cfg.space_rule.budget(8, 2) == 2
+
+    def test_missing_or_legacy_keys_rejected(self):
+        full = {"N": [8], "t": [1], "S": 4, "modes": ["exact"], "seeds": 1}
+        for key in full:
+            raw = {k: v for k, v in full.items() if k != key}
+            with pytest.raises(ValueError, match=f"missing key '{key}'"):
+                SweepConfig.from_dict(raw)
+        legacy = {k: v for k, v in full.items() if k != "S"}
+        with pytest.raises(ValueError):
+            SweepConfig.from_dict({**legacy, "space": 4})
+        with pytest.raises(ValueError):
+            SweepConfig.from_dict({**full, "S": {"value": 4}})
+        with pytest.raises(ValueError):
+            SweepConfig.from_dict([full])
+        with pytest.raises(ValueError):
+            SweepConfig.from_dict({**full, "N": 8})
+
     def test_invalid_configs_rejected(self):
+        base = {"N": [8], "t": [1], "S": 4, "modes": ["exact"], "seeds": 1}
         with pytest.raises(ValueError):
-            SweepConfig.from_dict({"N": [8], "t": [1], "modes": ["warp"]})
+            SweepConfig.from_dict({**base, "modes": ["warp"]})
         with pytest.raises(ValueError):
-            SweepConfig.from_dict({"N": [8], "t": [1], "family": "nope"})
+            SweepConfig.from_dict({**base, "family": "nope"})
         with pytest.raises(ValueError):
-            SweepConfig.from_dict({"N": [0], "t": [1]})
+            SweepConfig.from_dict({**base, "N": [0]})
         with pytest.raises(ValueError):
-            SweepConfig.from_dict({"N": [8], "t": [-1]})
+            SweepConfig.from_dict({**base, "t": [-1]})
 
 
 class TestRunSweep:
     def test_empty_grid_gives_empty_table(self):
-        cfg = SweepConfig.from_dict({"N": [], "t": [1], "seeds": 3})
+        cfg = SweepConfig.from_dict({"N": [], "t": [1], "S": 16,
+                                     "modes": ["exact"], "seeds": 3})
         res = run_sweep(cfg)
         assert res.rows == ()
         assert res.errors == ()
 
     def test_one_cell_three_seeds_three_rows(self):
-        cfg = SweepConfig.from_dict({"N": [12], "t": [1], "space": 6,
+        cfg = SweepConfig.from_dict({"N": [12], "t": [1], "S": 6,
                                      "modes": ["exact"], "seeds": 3,
                                      "family": "uniform"})
         res = run_sweep(cfg)
@@ -123,7 +150,7 @@ class TestRunSweep:
         assert all(r.correct for r in res.rows)
 
     def test_rows_sorted_by_cell_key(self):
-        cfg = SweepConfig.from_dict({"N": [16, 8], "t": [2, 1], "space": 4,
+        cfg = SweepConfig.from_dict({"N": [16, 8], "t": [2, 1], "S": 4,
                                      "modes": ["exact", "classical"],
                                      "seeds": 2, "family": "uniform"})
         res = run_sweep(cfg)
@@ -132,7 +159,7 @@ class TestRunSweep:
         assert len(res.rows) == 2 * 2 * 2 * 2
 
     def test_median_total_nondecreasing_in_n_exact_mode(self):
-        cfg = SweepConfig.from_dict({"N": [16, 32, 64], "t": [2], "space": 8,
+        cfg = SweepConfig.from_dict({"N": [16, 32, 64], "t": [2], "S": 8,
                                      "modes": ["exact"], "seeds": 3,
                                      "family": "hover-sqrt", "reps": 5})
         res = run_sweep(cfg)
@@ -144,7 +171,7 @@ class TestRunSweep:
 
     def test_cell_failures_recorded_and_skipped(self):
         # statevector mode rejects value-carrying x; the cell must fail soft
-        cfg = SweepConfig.from_dict({"N": [8], "t": [2], "space": 4,
+        cfg = SweepConfig.from_dict({"N": [8], "t": [2], "S": 4,
                                      "modes": ["statevector", "exact"],
                                      "seeds": 1, "family": "regular"})
         res = run_sweep(cfg)
@@ -154,7 +181,7 @@ class TestRunSweep:
         assert res.rows[0].mode == "exact"
 
     def test_deterministic_rerun_byte_identical(self):
-        cfg = SweepConfig.from_dict({"N": [8, 16], "t": [2], "space": 6,
+        cfg = SweepConfig.from_dict({"N": [8, 16], "t": [2], "S": 6,
                                      "modes": ["cost-model", "classical"],
                                      "seeds": 2, "family": "regular",
                                      "reps": 5})
@@ -211,7 +238,7 @@ class TestFitScaling:
 
 class TestReports:
     def make_rows(self):
-        cfg = SweepConfig.from_dict({"N": [8], "t": [1], "space": 4,
+        cfg = SweepConfig.from_dict({"N": [8], "t": [1], "S": 4,
                                      "modes": ["exact", "classical"],
                                      "seeds": 2, "family": "uniform",
                                      "reps": 3})
