@@ -91,15 +91,6 @@ def cheb_identity_residual(d_values=None, x_count: int = 121) -> float:
     return worst
 
 
-def cheb_growth_check(d: int, mu: float) -> bool:
-    """T_d(1+mu) <= exp(2 d sqrt(2 mu + mu^2)) for mu >= 0."""
-    if mu < 0:
-        raise InstanceError("mu must be nonnegative")
-    lhs = chebyshev_eval(d, 1.0 + mu)
-    rhs = math.exp(2.0 * d * math.sqrt(2.0 * mu + mu * mu))
-    return lhs <= rhs * (1.0 + 1e-12)
-
-
 def cheb_growth_grid(d_max: int = 50, mu_step: float = 0.01, mu_max: float = 2.0) -> float:
     """Worst signed margin lhs - rhs over the growth grid (negative = holds)."""
     mus = np.arange(0.0, mu_max + mu_step / 2, mu_step)
@@ -120,7 +111,7 @@ class ChebExtremalReport:
     degrees: tuple[int, ...]
     accepted_per_degree: int
     discarded: int
-    violations: int
+    violations: tuple[int, ...]   # per entry of degrees
     worst_margin: float   # max |q(x)| - |T_d(x)| over accepted samples (<= 0 = pass)
 
 
@@ -161,12 +152,13 @@ def cheb_extremal_check(
     dense = np.linspace(-1.0, 1.0, 2001)
     probes = np.asarray(probe_points)
     discarded = 0
-    violations = 0
+    violations = []
     worst = -math.inf
     for d in degrees:
         nodes = _lobatto_nodes(d)
         t_at_probes = np.abs(np.array([chebyshev_eval(d, float(x)) for x in probes]))
         accepted = 0
+        violations.append(0)
         while accepted < per_degree:
             values = gen.uniform(-1.0, 1.0, size=d + 1)
             interior = np.abs(_barycentric_eval(nodes, values, dense)).max()
@@ -178,12 +170,12 @@ def cheb_extremal_check(
             margin = float(np.max(outside - t_at_probes))
             worst = max(worst, margin)
             if margin > CHAIN_TOL:
-                violations += 1
+                violations[-1] += 1
     return ChebExtremalReport(
         degrees=tuple(degrees),
         accepted_per_degree=per_degree,
         discarded=discarded,
-        violations=violations,
+        violations=tuple(violations),
         worst_margin=worst,
     )
 
@@ -254,6 +246,20 @@ def _lagrange_weight(nodes: list[int], s: int, point: Fraction) -> Fraction:
     return out
 
 
+def _integer_bounded_lp(nodes: list[int], free: list[int], others, target: Fraction):
+    """(max p(target), p on `free`) over polynomials on `nodes` that vanish off
+    `free` and lie in [0, 1] on `free` and at each integer in `others`.
+    """
+    rows = [[Fraction(1) if u == s else Fraction(0) for u in free] for s in free]
+    rhs = [Fraction(1)] * len(free)
+    for i in others:
+        coeffs = [_lagrange_weight(nodes, s, Fraction(i)) for s in free]
+        rows += [coeffs, [-v for v in coeffs]]
+        rhs += [Fraction(1), Fraction(0)]
+    objective = [_lagrange_weight(nodes, s, target) for s in free]
+    return simplex_max(rows, rhs, objective)
+
+
 # ---------------------------------------------------------------------------
 # the jump LP: zero prefix, [0,1] on integers, maximize p(8m)
 
@@ -268,10 +274,6 @@ class PolyLP:
     objective_point: int
     sigma: Fraction
     node_values: tuple[Fraction, ...]   # p at 0..D; the first m entries are 0
-
-    @property
-    def degree_free(self) -> int:
-        return self.D - self.m
 
 
 def extremal_sigma_lp(D: int, N: int, m: int) -> PolyLP:
@@ -290,30 +292,11 @@ def extremal_sigma_lp(D: int, N: int, m: int) -> PolyLP:
     if D < m:
         # m roots force the zero polynomial at degree <= D < m
         return PolyLP(D, N, m, 8 * m, Fraction(0), tuple([Fraction(0)] * (D + 1)))
-    all_nodes = list(range(D + 1))
-    free = list(range(m, D + 1))
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for s in free:
-        unit = [Fraction(1) if u == s else Fraction(0) for u in free]
-        rows.append(unit)
-        rhs.append(Fraction(1))
-    for i in range(D + 1, N + 1):
-        coeffs = [_lagrange_weight(all_nodes, s, Fraction(i)) for s in free]
-        rows.append(coeffs)
-        rhs.append(Fraction(1))
-        rows.append([-v for v in coeffs])
-        rhs.append(Fraction(0))
     point = 8 * m
-    if point <= D:
-        objective = [Fraction(1) if s == point else Fraction(0) for s in free]
-    else:
-        objective = [_lagrange_weight(all_nodes, s, Fraction(point)) for s in free]
-    sigma, solution = simplex_max(rows, rhs, objective)
-    if not (0 <= sigma <= 1):
-        raise InstanceError(f"jump value {sigma} outside [0, 1]")
-    values = [Fraction(0)] * m + solution
-    return PolyLP(D, N, m, point, sigma, tuple(values))
+    sigma, solution = _integer_bounded_lp(
+        list(range(D + 1)), list(range(m, D + 1)), range(D + 1, N + 1), Fraction(point)
+    )
+    return PolyLP(D, N, m, point, sigma, tuple([Fraction(0)] * m + solution))
 
 
 def witness_integer_values(lp: PolyLP) -> list[Fraction]:
@@ -381,7 +364,6 @@ class WitnessChain:
     real_cap_margin: float     # dense max |q| on [Em, N] - fitted bound
     extremal_margin: float     # |t(1+mu)| - T_d(1+mu)
     growth_margin: float       # T_d(1+mu) - exp bound
-    passed: bool
 
 
 def witness_chain_check(lp: PolyLP, E: int, cr_a: float, cr_b: float) -> WitnessChain:
@@ -425,7 +407,6 @@ def witness_chain_check(lp: PolyLP, E: int, cr_a: float, cr_b: float) -> Witness
     extremal_margin = t_val - t_cheb
     growth_margin = t_cheb - math.exp(2.0 * d * math.sqrt(2.0 * mu + mu * mu))
 
-    margins = (jump_margin, integer_cap_margin, real_cap_margin, extremal_margin, growth_margin)
     return WitnessChain(
         D=D,
         N=N,
@@ -439,7 +420,6 @@ def witness_chain_check(lp: PolyLP, E: int, cr_a: float, cr_b: float) -> Witness
         real_cap_margin=real_cap_margin,
         extremal_margin=extremal_margin,
         growth_margin=growth_margin,
-        passed=all(v <= CHAIN_TOL for v in margins),
     )
 
 
@@ -494,20 +474,7 @@ def growth_extremal(n: int, d: int) -> float:
     if not (1 <= d <= n):
         raise InstanceError("need 1 <= d <= n")
     nodes = list(range(n - d, n + 1))
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for s in nodes:
-        rows.append([Fraction(1) if u == s else Fraction(0) for u in nodes])
-        rhs.append(Fraction(1))
-    for i in range(0, n - d):
-        coeffs = [_lagrange_weight(nodes, s, Fraction(i)) for s in nodes]
-        rows.append(coeffs)
-        rhs.append(Fraction(1))
-        rows.append([-v for v in coeffs])
-        rhs.append(Fraction(0))
-    target = Fraction(2 * n - 1, 2)
-    objective = [_lagrange_weight(nodes, s, target) for s in nodes]
-    sigma, _ = simplex_max(rows, rhs, objective)
+    sigma, _ = _integer_bounded_lp(nodes, nodes, range(0, n - d), Fraction(2 * n - 1, 2))
     return max(2.0 * float(sigma) - 1.0, 1.0)
 
 
@@ -611,7 +578,6 @@ class BlocksReport:
     p_half_halfwidth: float
     p_block_full: float       # per-block Pr[count >= t]
     p_block_halfwidth: float
-    passed: bool
 
 
 def fullness_from_counts(counts: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -623,9 +589,10 @@ def fullness_from_counts(counts: np.ndarray, t: int) -> tuple[np.ndarray, np.nda
 def full_blocks_mc(rng: SeededRng, k: int, t: int, n: int, samples: int = 10_000) -> BlocksReport:
     """Scatter 4kt ones over k blocks of n positions; estimate fullness rates.
 
-    Asserts the two tail bounds: at least half the blocks are full with
-    probability >= 1/9, and a single block is full with probability >= 5/9
-    minus the 95% confidence half-width.
+    Estimates the two rates that verify_blocks bounds: the probability that
+    at least half the blocks are full (claimed >= 1/9), and the probability
+    that a single block is full (claimed >= 5/9), each with its 95%
+    confidence half-width.
     """
     if 20 * t > n:
         raise InstanceError("need t <= n/20")
@@ -637,7 +604,6 @@ def full_blocks_mc(rng: SeededRng, k: int, t: int, n: int, samples: int = 10_000
     hw_half = 1.96 * math.sqrt(max(p_half * (1 - p_half), 1e-12) / samples)
     p_block = float(full.mean())
     hw_block = 1.96 * math.sqrt(max(p_block * (1 - p_block), 1e-12) / (samples * k))
-    passed = p_half >= 1 / 9 and p_block >= 5 / 9 - hw_block
     return BlocksReport(
         k=k,
         t=t,
@@ -647,7 +613,6 @@ def full_blocks_mc(rng: SeededRng, k: int, t: int, n: int, samples: int = 10_000
         p_half_halfwidth=hw_half,
         p_block_full=p_block,
         p_block_halfwidth=hw_block,
-        passed=passed,
     )
 
 
@@ -693,13 +658,13 @@ def verify_cheb(seed: int = 0) -> tuple[list[CheckLine], list[dict]]:
     lines.append(
         CheckLine(
             "dominance outside the interval",
-            report.violations == 0,
+            sum(report.violations) == 0,
             report.worst_margin,
             f"{report.accepted_per_degree} accepted per degree, {report.discarded} discarded",
         )
     )
-    for d in report.degrees:
-        rows.append({"check": "extremal", "degree": d, "violations": report.violations})
+    for d, count in zip(report.degrees, report.violations):
+        rows.append({"check": "extremal", "degree": d, "violations": count})
     return lines, rows
 
 
@@ -715,18 +680,15 @@ def verify_lp(
     if chain_cells is None:
         chain_cells = CHAIN_CELLS
     lines: list[CheckLine] = []
-    solved: dict[tuple[int, int, int], PolyLP] = {}
-    witness_worst = 0.0
-    for deg, n_dom, m in cells:
-        lp = extremal_sigma_lp(deg, n_dom, m)
-        solved[(deg, n_dom, m)] = lp
+    solved = {cell: extremal_sigma_lp(*cell) for cell in cells}
+    chain_lps = {cell: solved.get(cell) or extremal_sigma_lp(*cell) for cell in chain_cells}
+    # every solved LP, chain cells included, must have its witness in [0, 1]
+    checked = {**solved, **chain_lps}
+    outside = Fraction(0)
+    for lp in checked.values():
         values = witness_integer_values(lp)
-        bad = max(
-            max((-v for v in values), default=Fraction(0)),
-            max((v - 1 for v in values), default=Fraction(0)),
-        )
-        witness_worst = max(witness_worst, float(bad))
-    lines.append(CheckLine("witness stays inside [0,1]", witness_worst <= 1e-7, witness_worst, f"{len(cells)} cells"))
+        outside = max(outside, -min(values), max(values) - 1)
+    lines.append(CheckLine("witness stays inside [0,1]", outside <= 0, float(outside), f"{len(checked)} cells"))
 
     # exact comparisons along both axes: sigma cannot drop when the degree
     # budget grows, and cannot rise when the forced prefix lengthens
@@ -772,12 +734,9 @@ def verify_lp(
 
     # proof chain on one witness per domain row, with the growth constants
     # fitted over random polynomials plus these witnesses' own quotients
-    if chain_cells:
+    if chain_lps:
         extra = []
-        chain_lps = []
-        for deg, n_dom, m in chain_cells:
-            lp = solved.get((deg, n_dom, m)) or extremal_sigma_lp(deg, n_dom, m)
-            chain_lps.append(lp)
+        for (deg, n_dom, m), lp in chain_lps.items():
             lo = 10 * m
             coef = zero_prefix_quotient(lp)
             xs = np.linspace(lo, n_dom, 2001)
@@ -788,10 +747,8 @@ def verify_lp(
             rng.spawn("chain-fit"), n_values=probe_n_values, sample_count=12, extra_points=extra
         )
         chain_worst = -math.inf
-        chain_pass = True
-        for lp in chain_lps:
+        for lp in chain_lps.values():
             chain = witness_chain_check(lp, 10, probe.a, probe.b)
-            chain_pass = chain_pass and chain.passed
             chain_worst = max(
                 chain_worst,
                 chain.jump_margin,
@@ -800,7 +757,11 @@ def verify_lp(
                 chain.extremal_margin,
                 chain.growth_margin,
             )
-        lines.append(CheckLine("proof chain on witnesses", chain_pass, chain_worst, f"{len(chain_lps)} cells, E=10"))
+        lines.append(
+            CheckLine(
+                "proof chain on witnesses", chain_worst <= CHAIN_TOL, chain_worst, f"{len(chain_lps)} cells, E=10"
+            )
+        )
 
     rows = [
         {"D": deg, "N": n_dom, "m": m, "sigma": float(lp.sigma)}

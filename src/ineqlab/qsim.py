@@ -279,9 +279,6 @@ class EstimatePmf:
     values: np.ndarray   # ascending estimates in [0, 1]
     probs: np.ndarray
 
-    def to_pairs(self) -> list[tuple[float, float]]:
-        return [(float(v), float(p)) for v, p in zip(self.values, self.probs)]
-
 
 def ae_outcome_pmf(a: float, M: int) -> EstimatePmf:
     """Exact outcome distribution of M-point estimation of a fraction a.

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ineqlab import subspace
 from ineqlab.cli import main
 from ineqlab.core import SeededRng, save_instance
 from ineqlab.sweep import SweepRow, instance_regular, render_csv, rows_from_json
@@ -131,6 +132,16 @@ class TestSubspaceVerify:
         detail = json.loads(dump.read_text(encoding="utf-8"))
         assert len(detail) == 11
         assert all(entry["passed"] for entry in detail)
+
+    def test_violated_bound_is_a_fail_line(self, monkeypatch, capsys):
+        # a bound the library measures is decided by the suite line, so a
+        # violation prints FAIL and exits 1 instead of raising (exit 2)
+        monkeypatch.setattr(subspace, "BOUND_SLACK", -1.0)
+        code = main(["subspace", "verify", "--n", "4", "--t", "2", "--k", "1", "--runs", "2"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] potential tail decay along runs" in out
+        assert "[FAIL] probability bounds along runs" in out
 
     def test_infeasible_cell_is_usage_error(self, capsys):
         assert main(["subspace", "verify", "--n", "4", "--t", "3", "--k", "1"]) == 2

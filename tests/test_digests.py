@@ -4,7 +4,8 @@ Each test drives one public command on a small fixed input and compares the
 bytes it writes with a digest recorded before any refactor.  A change that
 keeps behaviour keeps every digest; a change that means to alter an output
 re-freezes the digest and says why.  Float fields (subspace residuals, LP
-chain margins) are hashed as printed, so the digests assume IEEE float64
+chain margins, Chebyshev and block-fullness residuals, growth-probe
+maxima) are hashed as printed, so the digests assume IEEE float64
 with the same numpy build.
 """
 import hashlib
@@ -14,7 +15,7 @@ import pytest
 
 from ineqlab.cli import main
 from ineqlab.core import SeededRng, save_instance
-from ineqlab.polylab import verify_lp
+from ineqlab.polylab import cr_probe, verify_lp
 from ineqlab.sweep import instance_regular
 
 
@@ -41,6 +42,16 @@ SUBSPACE_DIGESTS = {
 
 LP_ROWS_DIGEST = "9e6d3a0f626f170c51cecb33cf84375b4dafac7334b7d10291087cb2ea6a8f4d"
 LP_LINES_DIGEST = "47e0aaf803aa79a778203317c80f4c3965ce82b6d9bdc9e027ebfbf045ad5c22"
+
+POLY_SUITE_DIGESTS = {
+    # suite: (CSV digest, stdout digest)
+    "cheb": ("9ae8ea50ddb4486c3da1ef979f80eecfded4c4012c898e51b084d8f29620f52d",
+             "d71b914619083190bf4b5252fea45929ce55767cfa87407fb0573bfff1de9f0d"),
+    "blocks": ("e82a7f17b3d084b1d97ba82c6862f508e05240077d2073aa475b6afac73825f2",
+               "0eb1b0100d537b736640311ad654f2dc4076e8c4aadb8e05b87cfabd3a8518ad"),
+}
+
+CR_POINTS_DIGEST = "eea22451d7989895f1b31ea4be6c4eeb3c133b710ee5be32a51b509f006e8fc6"
 
 
 @pytest.mark.parametrize("mode", sorted(SWEEP_DIGESTS))
@@ -78,3 +89,17 @@ def test_lp_rows_and_lines():
                             probe_n_values=(16,))
     assert sha256(json.dumps(rows).encode("utf-8")) == LP_ROWS_DIGEST
     assert sha256(json.dumps([line.to_dict() for line in lines]).encode("utf-8")) == LP_LINES_DIGEST
+
+
+@pytest.mark.parametrize("suite", sorted(POLY_SUITE_DIGESTS))
+def test_poly_suite_csv_and_stdout(suite, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(["poly", "verify", "--suite", suite, "--out", str(out)]) == 0
+    csv_digest, stdout_digest = POLY_SUITE_DIGESTS[suite]
+    assert sha256(out.read_bytes()) == csv_digest
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == stdout_digest
+
+
+def test_cr_probe_points():
+    report = cr_probe(SeededRng(0).spawn("cr"), n_values=(16,), sample_count=4)
+    assert sha256(json.dumps(report.points).encode("utf-8")) == CR_POINTS_DIGEST

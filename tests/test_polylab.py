@@ -11,12 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ineqlab import polylab
 from ineqlab.core import InstanceError, SeededRng
 from ineqlab.polylab import (
     CHAIN_TOL,
     PolyLP,
     cheb_extremal_check,
-    cheb_growth_check,
     cheb_growth_grid,
     cheb_identity_residual,
     chebyshev_closed,
@@ -34,6 +34,7 @@ from ineqlab.polylab import (
     run_poly_suite,
     shape_ratio,
     simplex_max,
+    verify_cheb,
     verify_lp,
     witness_chain_check,
     witness_integer_values,
@@ -83,14 +84,6 @@ class TestChebyshevEval:
 
 
 class TestChebGrowth:
-    def test_growth_bound_holds_pointwise(self):
-        assert cheb_growth_check(50, 2.0)
-        assert cheb_growth_check(1, 0.0)
-
-    def test_negative_mu_rejected(self):
-        with pytest.raises(InstanceError):
-            cheb_growth_check(3, -0.1)
-
     def test_growth_grid_margin_nonpositive(self):
         assert cheb_growth_grid(d_max=20) <= 0.0
 
@@ -98,8 +91,28 @@ class TestChebGrowth:
 class TestChebExtremal:
     def test_no_violations_on_small_sample(self):
         report = cheb_extremal_check(rng_for("extremal"), per_degree=20, degrees=(2, 3, 5, 8))
-        assert report.violations == 0
+        assert report.violations == (0, 0, 0, 0)
         assert report.worst_margin <= CHAIN_TOL
+
+    def test_suite_rows_count_violations_per_degree(self, monkeypatch):
+        # a probe inside [-1, 1] is not covered by the dominance claim, so
+        # random candidates beat T_d there at some degrees and not others
+        reports = []
+
+        def inside_probe(rng):
+            report = cheb_extremal_check(rng, per_degree=20, degrees=(2, 3, 4, 5), probe_points=(0.5,))
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(polylab, "cheb_extremal_check", inside_probe)
+        lines, rows = verify_cheb(seed=0)
+        counts = [row["violations"] for row in rows]
+        assert [row["degree"] for row in rows] == [2, 3, 4, 5]
+        assert counts == list(reports[0].violations)
+        assert len(set(counts)) > 1
+        dominance = lines[-1]
+        assert dominance.name == "dominance outside the interval"
+        assert sum(counts) > 0 and not dominance.passed
 
     def test_node_interpolation_reproduces_chebyshev(self):
         # interpolating T_d's own node values must give back T_d, which
@@ -257,8 +270,9 @@ class TestWitnessChain:
     def test_chain_passes_with_generous_constants(self):
         lp = extremal_sigma_lp(12, 32, 1)
         chain = witness_chain_check(lp, 10, cr_a=10.0, cr_b=1.0)
-        assert chain.passed
+        assert chain.jump_margin <= CHAIN_TOL
         assert chain.integer_cap_margin <= CHAIN_TOL
+        assert chain.real_cap_margin <= CHAIN_TOL
         assert chain.extremal_margin <= CHAIN_TOL
         assert chain.growth_margin <= CHAIN_TOL
 
@@ -346,7 +360,6 @@ class TestBlocks:
 
     def test_small_mc_passes(self):
         report = full_blocks_mc(rng_for("blocks"), k=10, t=2, n=40, samples=500)
-        assert report.passed
         assert report.p_block_full >= 0.9
         assert report.p_half_full >= 1 / 9
 
@@ -380,6 +393,32 @@ class TestSuites:
         assert all(line.passed for line in lines)
         assert len(rows) == len(cells)
         assert {"D", "N", "m", "sigma"} <= set(rows[0])
+
+    def test_witness_line_covers_chain_cells(self, monkeypatch):
+        seen = []
+
+        def recording(lp):
+            seen.append((lp.D, lp.N, lp.m))
+            return witness_integer_values(lp)
+
+        monkeypatch.setattr(polylab, "witness_integer_values", recording)
+        lines, rows = verify_lp(seed=0, cells=[(2, 16, 1)], chain_cells=((8, 32, 1),),
+                                probe_n_values=(16,))
+        assert seen == [(2, 16, 1), (8, 32, 1)]
+        assert lines[0].detail == "2 cells"
+        assert len(rows) == 1
+
+    def test_witness_line_decides_exactly(self, monkeypatch):
+        # an excess far below any float tolerance still fails the line
+        def nudged(lp):
+            return witness_integer_values(lp) + [1 + Fraction(1, 10**12)]
+
+        monkeypatch.setattr(polylab, "witness_integer_values", nudged)
+        lines, _ = verify_lp(seed=0, cells=[(2, 16, 0), (2, 16, 1)], chain_cells=())
+        witness = lines[0]
+        assert witness.name == "witness stays inside [0,1]"
+        assert not witness.passed
+        assert witness.residual == float(Fraction(1, 10**12))
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(InstanceError):

@@ -1,0 +1,49 @@
+"""Property tests over arbitrary small instances (Hypothesis, derandomized).
+
+Exact mode must reproduce the query-free reference min(Ax, b) on every
+instance, and every run, in every mode, must charge each query to exactly
+one subroutine tag.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ineqlab.core import ProblemInstance, matvec_min
+from ineqlab.linsys import bounded_matrix_product, classical_bounded_product
+from ineqlab.qsim import MODE_SV, MODES
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 3))
+    A = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    x = draw(st.lists(st.integers(0, t), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(0, t), min_size=n, max_size=n))
+    return ProblemInstance(A=np.array(A), x=np.array(x), b=np.array(b), t=t)
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances(), S=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_exact_mode_equals_reference(instance, S, seed):
+    result = bounded_matrix_product(instance, S, "exact", np.random.default_rng(seed))
+    np.testing.assert_array_equal(result.y, matvec_min(instance))
+    assert result.correct
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances(), S=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_ledger_total_is_sum_over_subroutines(instance, S, seed):
+    # statevector counting reads bit tapes only, so it runs on x clipped to {0, 1}
+    bits = ProblemInstance(A=instance.A, x=np.minimum(instance.x, 1), b=instance.b, t=instance.t)
+    results = [
+        bounded_matrix_product(bits if mode == MODE_SV else instance, S, mode, np.random.default_rng(seed))
+        for mode in MODES
+    ]
+    results.append(classical_bounded_product(instance, S))
+    for result in results:
+        ledger = result.ledger
+        assert ledger.total == sum(ledger.by_subroutine.values())
+        assert ledger.total == ledger.queries_x + ledger.queries_b
