@@ -170,10 +170,11 @@ def _sample_measurement(oracle: TapeOracle, exclude, j: int, mode: str,
                         rng: np.random.Generator) -> int:
     """Measured index after j iterations, drawn from the exact distribution."""
     n = oracle.n
+    bits = oracle._bits(exclude)
     if mode == MODE_SV:
-        pmf = sv_run_grover(oracle._bits(exclude), j)
+        pmf = sv_run_grover(bits, j)
         return int(rng.choice(n, p=pmf / pmf.sum()))
-    ones = oracle._one_positions(exclude)
+    ones = np.flatnonzero(bits)
     w = int(ones.size)
     if w == 0:
         p = 0.0
@@ -184,7 +185,7 @@ def _sample_measurement(oracle: TapeOracle, exclude, j: int, mode: str,
     # so conditioned on hit/miss the measured index is uniform in its class
     if rng.random() < p:
         return int(ones[rng.integers(0, w)])
-    rest = np.setdiff1d(np.arange(n), ones, assume_unique=False)
+    rest = np.flatnonzero(~bits)
     if rest.size == 0:
         return int(ones[rng.integers(0, w)])
     return int(rest[rng.integers(0, rest.size)])

@@ -62,28 +62,13 @@ class InputSpace:
         """Boolean mask of the weight-(t-1+a) class."""
         return self.weights == self.t - 1 + a
 
-    def weight_state(self, a: int, positions: tuple[int, ...] = ()) -> np.ndarray:
-        """Uniform superposition over weight t-1+a with the given positions pinned to 1."""
-        mask = self.class_mask(a)
+    def masked_state(self, mask: np.ndarray, positions: tuple[int, ...] = ()) -> np.ndarray:
+        """Uniform superposition over the masked strings with the given positions pinned to 1."""
         if positions:
             mask = mask & self.bits[:, list(positions)].all(axis=1)
         count = int(mask.sum())
         if count == 0:
-            raise InstanceError(f"empty state family: a={a}, positions={positions}")
-        vec = np.zeros(self.dim)
-        vec[mask] = 1.0 / math.sqrt(count)
-        return vec
-
-    def split_state(self, a: int, b: int, positions: tuple[int, ...] = ()) -> np.ndarray:
-        """Like weight_state but with the split coordinate (position 0) pinned to b."""
-        if 0 in positions:
-            raise InstanceError("split-family tuples must avoid the split coordinate")
-        mask = self.class_mask(a) & (self.bits[:, 0] == b)
-        if positions:
-            mask = mask & self.bits[:, list(positions)].all(axis=1)
-        count = int(mask.sum())
-        if count == 0:
-            raise InstanceError(f"empty split family: a={a}, b={b}, positions={positions}")
+            raise InstanceError(f"empty state family: positions={positions}")
         vec = np.zeros(self.dim)
         vec[mask] = 1.0 / math.sqrt(count)
         return vec
@@ -95,11 +80,7 @@ def build_input_space(n: int, t: int) -> InputSpace:
         raise InstanceError("need 1 <= t <= n/2")
     if math.comb(n, t) > SPACE_CLASS_CAP:
         raise InstanceError("weight class too large for dense construction")
-    strings = []
-    for x in _strings_of_weights(n, (t - 1, t)):
-        strings.append(x)
-    strings.sort()
-    basis = tuple(strings)
+    basis = tuple(sorted(_strings_of_weights(n, (t - 1, t))))
     bits = np.array(basis, dtype=np.uint8)
     weights = bits.sum(axis=1).astype(np.int64)
     psi = np.zeros(len(basis))
@@ -158,18 +139,6 @@ def orthonormality_residual(columns: np.ndarray) -> float:
     return float(np.abs(gram - np.eye(columns.shape[1])).max())
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal column basis for one labeled subspace."""
-
-    label: str
-    columns: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[1]
-
-
 # ---------------------------------------------------------------------------
 # nested chains with pinned ones
 
@@ -180,8 +149,8 @@ class ChainLevel:
 
     j: int
     tuples: tuple[tuple[int, ...], ...]
-    span: SubspaceBasis       # span of all states with <= j pinned ones
-    fresh: SubspaceBasis      # directions new at level j
+    span: np.ndarray          # orthonormal columns spanning all states with <= j pinned ones
+    fresh: np.ndarray         # orthonormal columns of the directions new at level j
     deflated: np.ndarray      # raw states projected off the previous span, one column per tuple
     deflated_norms: np.ndarray
     closed_form_norm: float | None   # for the split family only
@@ -207,37 +176,41 @@ def build_subspace_chain(space: InputSpace, a: int, b: int | None = None) -> lis
     if b not in (None, 0, 1):
         raise InstanceError("b must be None, 0, or 1")
     t_a = space.t - 1 + a
+    mask = space.class_mask(a)
     if b is None:
         pool = range(space.n)
         j_max = t_a
-        make = lambda tup: space.weight_state(a, tup)
     else:
+        mask = mask & (space.bits[:, 0] == b)
         pool = range(1, space.n)
         j_max = t_a - b
-        make = lambda tup: space.split_state(a, b, tup)
     levels: list[ChainLevel] = []
     prev_span = np.zeros((space.dim, 0))
     for j in range(j_max + 1):
         tuples = tuple(combinations(pool, j))
-        raw = np.column_stack([make(tup) for tup in tuples])
+        raw = np.column_stack([space.masked_state(mask, tup) for tup in tuples])
         deflated = raw - prev_span @ (prev_span.T @ raw)
-        norms = np.linalg.norm(deflated, axis=0)
-        fresh_cols = orthonormal_columns(deflated.T, space.dim)
-        span_cols = np.hstack([prev_span, fresh_cols])
-        suffix = f"j={j},a={a}" + ("" if b is None else f",b={b}")
+        fresh = orthonormal_columns(deflated.T, space.dim)
+        span = np.hstack([prev_span, fresh])
         closed = None if b is None else deflated_norm_closed_form(space.n, space.t, j, a, b)
-        level = ChainLevel(
-            j=j,
-            tuples=tuples,
-            span=SubspaceBasis(f"span({suffix})", span_cols),
-            fresh=SubspaceBasis(f"fresh({suffix})", fresh_cols),
-            deflated=deflated,
-            deflated_norms=norms,
-            closed_form_norm=closed,
+        levels.append(
+            ChainLevel(
+                j=j,
+                tuples=tuples,
+                span=span,
+                fresh=fresh,
+                deflated=deflated,
+                deflated_norms=np.linalg.norm(deflated, axis=0),
+                closed_form_norm=closed,
+            )
         )
-        levels.append(level)
-        prev_span = span_cols
+        prev_span = span
     return levels
+
+
+def build_split_chains(space: InputSpace) -> dict[tuple[int, int], list[ChainLevel]]:
+    """The four split-family chains keyed by (a, b); a family with no level has an empty chain."""
+    return {(a, b): build_subspace_chain(space, a, b) for a in (0, 1) for b in (0, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +222,12 @@ class SignedDecomposition:
     """Phase-split blocks and the growth-level regrouping for one input register."""
 
     space: InputSpace
-    plus: tuple[SubspaceBasis, ...]     # index j = 0..t-1
-    minus: tuple[SubspaceBasis, ...]    # index j = 0..t; minus[t] is the leftover block
-    levels: tuple[SubspaceBasis, ...]   # growth levels, index 0..top_level
+    plus: tuple[np.ndarray, ...]     # orthonormal columns per block, index j = 0..t-1
+    minus: tuple[np.ndarray, ...]    # index j = 0..t; minus[t] is the leftover block
+    levels: tuple[np.ndarray, ...]   # growth levels, index 0..top_level
     top_level: int
     chain0: list[ChainLevel]
     chain1: list[ChainLevel]
-
-    def all_signed(self) -> list[SubspaceBasis]:
-        return list(self.plus) + list(self.minus)
 
 
 def build_signed_decomposition(space: InputSpace) -> SignedDecomposition:
@@ -271,8 +241,8 @@ def build_signed_decomposition(space: InputSpace) -> SignedDecomposition:
     t = space.t
     chain0 = build_subspace_chain(space, 0)
     chain1 = build_subspace_chain(space, 1)
-    plus: list[SubspaceBasis] = []
-    minus: list[SubspaceBasis] = []
+    plus: list[np.ndarray] = []
+    minus: list[np.ndarray] = []
     # blocks are orthogonal in exact arithmetic; projecting each new block
     # off the accumulated span removes only rounding-scale components but
     # keeps the joint basis orthonormal to machine precision
@@ -290,25 +260,17 @@ def build_signed_decomposition(space: InputSpace) -> SignedDecomposition:
                 raise InstanceError("degenerate deflated state in signed construction")
             sum_vecs.append(v0 / n0 + v1 / n1)
             diff_vecs.append(v0 / n0 - v1 / n1)
-        plus_cols = orthonormal_columns(sum_vecs, space.dim, against=acc)
-        acc = np.hstack([acc, plus_cols])
-        minus_cols = orthonormal_columns(diff_vecs, space.dim, against=acc)
-        acc = np.hstack([acc, minus_cols])
-        plus.append(SubspaceBasis(f"plus(j={j})", plus_cols))
-        minus.append(SubspaceBasis(f"minus(j={j})", minus_cols))
-    top_cols = orthonormal_columns(chain1[t].fresh.columns.T, space.dim, against=acc)
-    minus.append(SubspaceBasis(f"minus(j={t})", top_cols))
+        plus.append(orthonormal_columns(sum_vecs, space.dim, against=acc))
+        acc = np.hstack([acc, plus[-1]])
+        minus.append(orthonormal_columns(diff_vecs, space.dim, against=acc))
+        acc = np.hstack([acc, minus[-1]])
+    minus.append(orthonormal_columns(chain1[t].fresh.T, space.dim, against=acc))
     top = (t + 1) // 2
-    levels: list[SubspaceBasis] = []
-    for j in range(top):
-        levels.append(SubspaceBasis(f"level(j={j})", plus[j].columns))
-    tail = [basis.columns for basis in plus[top:]] + [basis.columns for basis in minus]
-    levels.append(SubspaceBasis(f"level(j={top})", np.hstack(tail)))
     return SignedDecomposition(
         space=space,
         plus=tuple(plus),
         minus=tuple(minus),
-        levels=tuple(levels),
+        levels=(*plus[:top], np.hstack(plus[top:] + minus)),
         top_level=top,
         chain0=chain0,
         chain1=chain1,
@@ -328,9 +290,9 @@ class DecompositionReport:
 
 def decomposition_report(decomp: SignedDecomposition) -> DecompositionReport:
     space = decomp.space
-    signed_cols = np.hstack([basis.columns for basis in decomp.all_signed()])
-    level_cols = np.hstack([basis.columns for basis in decomp.levels])
-    proj = decomp.plus[0].columns.T @ space.psi_one
+    signed_cols = np.hstack(decomp.plus + decomp.minus)
+    level_cols = np.hstack(decomp.levels)
+    proj = decomp.plus[0].T @ space.psi_one
     return DecompositionReport(
         dim_expected=space.dim,
         dim_signed=signed_cols.shape[1],
@@ -373,15 +335,13 @@ def _product_blocks(blocks: list[np.ndarray], k: int) -> dict[int, np.ndarray]:
 def product_level_bases(decomp: SignedDecomposition, k: int) -> dict[int, np.ndarray]:
     """Columns of each total growth level m across k factors."""
     _check_product_caps(decomp.space, k)
-    return _product_blocks([basis.columns for basis in decomp.levels], k)
+    return _product_blocks(list(decomp.levels), k)
 
 
 def product_minus_bases(decomp: SignedDecomposition, k: int) -> dict[int, np.ndarray]:
     """Columns grouped by how many factors sit on the phase-difference side."""
     _check_product_caps(decomp.space, k)
-    sum_side = np.hstack([basis.columns for basis in decomp.plus])
-    diff_side = np.hstack([basis.columns for basis in decomp.minus])
-    return _product_blocks([sum_side, diff_side], k)
+    return _product_blocks([np.hstack(decomp.plus), np.hstack(decomp.minus)], k)
 
 
 def containment_residual(decomp: SignedDecomposition, k: int) -> float:
@@ -435,50 +395,43 @@ class UnitaryMapReport:
         raise InstanceError("no (1,1) map in report")
 
 
-def check_unitary_maps(space: InputSpace, j: int) -> UnitaryMapReport:
+def check_unitary_maps(chains: dict[tuple[int, int], list[ChainLevel]], j: int) -> UnitaryMapReport:
     """Verify that tuple-wise correspondence between split-family blocks is a
     scalar times an inner-product-preserving map.
 
-    The map sends the deflated (0,0)-state of each tuple to the deflated
-    (a,b)-state of the same tuple; assembled in orthonormal bases it must have
-    all singular values equal.
+    `chains` are the split-family chains of build_split_chains; the (a,b)
+    family is present at level j when its chain reaches j.  The map sends the
+    deflated (0,0)-state of each tuple to the deflated (a,b)-state of the same
+    tuple; assembled in orthonormal bases it must have all singular values
+    equal.
     """
-    chains: dict[tuple[int, int], list[ChainLevel]] = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            if j <= space.t - 1 + a - b:
-                chains[(a, b)] = build_subspace_chain(space, a, b)
-    if (0, 0) not in chains:
+    if j >= len(chains[(0, 0)]):
         raise InstanceError("source block is empty at this level")
     source = chains[(0, 0)][j]
-    src_cols = source.fresh.columns
-    coords_src = src_cols.T @ source.deflated
+    coords_src = source.fresh.T @ source.deflated
+    dim_source = source.fresh.shape[1]
     checks: list[MapCheck] = []
-    for a in (0, 1):
-        for b in (0, 1):
-            if (a, b) == (0, 0):
-                continue
-            if (a, b) not in chains:
-                checks.append(MapCheck(a, b, False, src_cols.shape[1], 0, 0.0, 0.0, 0.0))
-                continue
-            target = chains[(a, b)][j]
-            tgt_cols = target.fresh.columns
-            coords_tgt = tgt_cols.T @ target.deflated
-            matrix = coords_tgt @ np.linalg.pinv(coords_src)
-            residual = float(np.abs(matrix @ coords_src - coords_tgt).max())
-            svals = np.linalg.svd(matrix, compute_uv=False)
-            checks.append(
-                MapCheck(
-                    a=a,
-                    b=b,
-                    present=True,
-                    dim_source=src_cols.shape[1],
-                    dim_target=tgt_cols.shape[1],
-                    constant=float(svals.mean()) if svals.size else 0.0,
-                    sv_spread=float(svals.max() - svals.min()) if svals.size else 0.0,
-                    residual=residual,
-                )
+    for a, b in ((0, 1), (1, 0), (1, 1)):
+        if j >= len(chains[(a, b)]):
+            checks.append(MapCheck(a, b, False, dim_source, 0, 0.0, 0.0, 0.0))
+            continue
+        target = chains[(a, b)][j]
+        coords_tgt = target.fresh.T @ target.deflated
+        matrix = coords_tgt @ np.linalg.pinv(coords_src)
+        residual = float(np.abs(matrix @ coords_src - coords_tgt).max())
+        svals = np.linalg.svd(matrix, compute_uv=False)
+        checks.append(
+            MapCheck(
+                a=a,
+                b=b,
+                present=True,
+                dim_source=dim_source,
+                dim_target=target.fresh.shape[1],
+                constant=float(svals.mean()) if svals.size else 0.0,
+                sv_spread=float(svals.max() - svals.min()) if svals.size else 0.0,
+                residual=residual,
             )
+        )
     return UnitaryMapReport(j=j, checks=tuple(checks))
 
 
@@ -553,8 +506,9 @@ def alpha_beta(n: int, t: int, j: int) -> AlphaBeta:
 class RecastRun:
     """Joint evolution of a work register and a k-fold input register.
 
-    states[d] is the joint state after d queries, shaped (dim_a, dim_i);
-    reduced[d] is the input-register density matrix at that depth.
+    states[d] is the joint pure state after d queries, shaped (dim_a, dim_i).
+    The input-register density matrix states[d].T @ states[d].conj() is never
+    formed: every check reads its masses off the pure state.
     """
 
     space: InputSpace
@@ -562,7 +516,6 @@ class RecastRun:
     workspace_dim: int
     query_slots: int
     states: tuple[np.ndarray, ...]
-    reduced: tuple[np.ndarray, ...]
 
     @property
     def dim_a(self) -> int:
@@ -575,10 +528,6 @@ class RecastRun:
     @property
     def depth(self) -> int:
         return len(self.states) - 1
-
-
-def _reduced_state(phi: np.ndarray) -> np.ndarray:
-    return phi.T @ phi.conj()
 
 
 def recast_run(
@@ -634,9 +583,9 @@ def recast_run(
         shaped *= phase[:, None, :]
         phi = shaped.reshape(dim_a, dim_i)
         states.append(phi.copy())
-    reduced = tuple(_reduced_state(s) for s in states)
-    for d, rho in enumerate(reduced):
-        trace = float(np.real(np.trace(rho)))
+    for d, state in enumerate(states):
+        # |phi|^2 is the trace of the reduced state
+        trace = float(np.real(np.vdot(state, state)))
         if abs(trace - 1.0) > 1e-9:
             raise InstanceError(f"reduced state at depth {d} has trace {trace}")
     return RecastRun(
@@ -645,7 +594,6 @@ def recast_run(
         workspace_dim=workspace_dim,
         query_slots=slots,
         states=tuple(states),
-        reduced=reduced,
     )
 
 
@@ -688,31 +636,23 @@ class PotentialReport:
 class LevelFrame:
     """Precomputed orthonormal frame of all growth-level columns with labels."""
 
-    space: InputSpace
-    k: int
     params: PotentialParams
     columns: np.ndarray     # (dim_i, dim_i)
     labels: np.ndarray      # level index per column
 
 
-def build_level_frame(space: InputSpace, k: int, decomp: SignedDecomposition | None = None) -> LevelFrame:
-    if decomp is None:
-        decomp = build_signed_decomposition(space)
+def build_level_frame(decomp: SignedDecomposition, k: int) -> LevelFrame:
     levels = product_level_bases(decomp, k)
-    cols = []
-    labels = []
-    for m, block in sorted(levels.items()):
-        cols.append(block)
-        labels.extend([m] * block.shape[1])
-    columns = np.hstack(cols)
+    columns = np.hstack(list(levels.values()))
     if columns.shape[0] != columns.shape[1]:
         raise InstanceError("growth levels do not fill the product space")
-    t = space.t
+    labels = np.repeat(list(levels), [block.shape[1] for block in levels.values()])
+    t = decomp.space.t
     q = Fraction(t + 1, t)
     top = decomp.top_level
     weights = tuple(float(q) ** m for m in range(k * top + 1))
     params = PotentialParams(t=t, k=k, q=q, top_level=top, weights=weights)
-    return LevelFrame(space=space, k=k, params=params, columns=columns, labels=np.array(labels))
+    return LevelFrame(params=params, columns=columns, labels=labels)
 
 
 def _masses_report(masses: np.ndarray, params: PotentialParams) -> PotentialReport:
@@ -735,10 +675,8 @@ def _masses_report(masses: np.ndarray, params: PotentialParams) -> PotentialRepo
     )
 
 
-def potential(rho: np.ndarray, space: InputSpace, k: int, frame: LevelFrame | None = None) -> PotentialReport:
+def potential(rho: np.ndarray, frame: LevelFrame) -> PotentialReport:
     """Level masses and their exponentially weighted sum for a density matrix."""
-    if frame is None:
-        frame = build_level_frame(space, k)
     rotated = frame.columns.conj().T @ rho @ frame.columns
     diag = np.real(np.diagonal(rotated))
     masses = np.zeros(len(frame.params.weights))
@@ -787,6 +725,7 @@ class SuccessBoundReport:
 
 
 def success_probability_bounds(
+    decomp: SignedDecomposition,
     run: RecastRun,
     m: int,
     rng: SeededRng | None = None,
@@ -796,17 +735,19 @@ def success_probability_bounds(
     """Three checks tying answer probabilities to the signed decomposition.
 
     (i) random unit states with difference count <= m never beat the binomial
-    bound; (ii) the run's reduced states never beat it plus the residual-mass
+    bound; (ii) the run's states never beat it plus the residual-mass
     correction 4*sqrt(mass outside the low-difference span); (iii) a unit
     vector in any signed product block projects onto any answer block with
-    squared norm at most 2^-k.
+    squared norm at most 2^-k.  `decomp` is the decomposition of one factor
+    of the run's input register.
     """
     if rng is None:
         rng = SeededRng(0)
     space, k = run.space, run.k
+    if (decomp.space.n, decomp.space.t) != (space.n, space.t):
+        raise InstanceError("decomposition and run disagree on (n, t)")
     if not (0 <= m <= k):
         raise InstanceError("difference count m must be in 0..k")
-    decomp = build_signed_decomposition(space)
     minus = product_minus_bases(decomp, k)
     masks = _class_masks(space, k)
     bound = _binomial_tail(k, m)
@@ -821,15 +762,14 @@ def success_probability_bounds(
             prob = float(np.sum(psi[mask] ** 2))
             span_excess = max(span_excess, prob - bound)
 
+    # masses read straight off the joint pure states: the reduced state's
+    # diagonal is the column mass of phi, its low-span mass |phi @ low_cols|^2
     run_excess = 0.0
-    for rho in run.reduced:
-        inside = 0.0
-        for mp in range(m + 1):
-            block = minus[mp]
-            inside += float(np.real(np.einsum("ij,ik,kj->", block.conj(), rho, block)))
+    for phi in run.states:
+        inside = float(np.sum(np.abs(phi @ low_cols) ** 2))
         residual = max(0.0, 1.0 - inside)
         corrected = bound + 4.0 * math.sqrt(residual)
-        diag = np.real(np.diagonal(rho))
+        diag = np.sum(np.abs(phi) ** 2, axis=0)
         for mask in masks.values():
             prob = float(diag[mask].sum())
             run_excess = max(run_excess, prob - corrected)
@@ -838,10 +778,10 @@ def success_probability_bounds(
     # which is every level below t (the level-t leftover block is itself a
     # weight class, so its answer projection is trivially 0 or 1)
     projection_excess = 0.0
-    signed_blocks = {("plus", j): decomp.plus[j].columns for j in range(space.t)}
-    signed_blocks.update({("minus", j): decomp.minus[j].columns for j in range(space.t)})
-    class_blocks = {(0, j): decomp.chain0[j].fresh.columns for j in range(space.t)}
-    class_blocks.update({(1, j): decomp.chain1[j].fresh.columns for j in range(space.t)})
+    signed_blocks = {("plus", j): decomp.plus[j] for j in range(space.t)}
+    signed_blocks.update({("minus", j): decomp.minus[j] for j in range(space.t)})
+    class_blocks = {(0, j): decomp.chain0[j].fresh for j in range(space.t)}
+    class_blocks.update({(1, j): decomp.chain1[j].fresh for j in range(space.t)})
     keys = sorted(signed_blocks.keys())
     for _ in range(product_trials):
         factors = []
@@ -923,23 +863,19 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     rng = SeededRng(seed)
     lines: list[CheckLine] = []
     space = build_input_space(n, t)
+    chains = build_split_chains(space)
+    decomp = build_signed_decomposition(space)
 
     worst = 0.0
-    for a in (0, 1):
-        for b in (0, 1):
-            j_hi = min((t - 1) // 2, t - 1 + a - b)
-            if j_hi < 0:
-                continue
-            chain = build_subspace_chain(space, a, b)
-            for j in range(j_hi + 1):
-                level = chain[j]
-                worst = max(worst, float(np.abs(level.deflated_norms - level.closed_form_norm).max()))
+    for chain in chains.values():
+        for level in chain[: (t - 1) // 2 + 1]:
+            worst = max(worst, float(np.abs(level.deflated_norms - level.closed_form_norm).max()))
     lines.append(CheckLine("deflated-norm closed form", worst <= ORTHO_TOL, worst, f"n={n} t={t}"))
 
     spread = 0.0
     c11_err = 0.0
     for j in range((t - 1) // 2 + 1):
-        report = check_unitary_maps(space, j)
+        report = check_unitary_maps(chains, j)
         for check in report.checks:
             if check.present:
                 spread = max(spread, check.sv_spread, check.residual)
@@ -953,7 +889,6 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     beta_excess = max(0.0, float(beta_sq) - 2 * t / n)
     lines.append(CheckLine("branch weight bound", beta_sq <= Fraction(2 * t, n), beta_excess, ""))
 
-    decomp = build_signed_decomposition(space)
     report = decomposition_report(decomp)
     dim_err = abs(report.dim_signed - report.dim_expected) + abs(report.dim_levels - report.dim_expected)
     ortho = max(report.ortho_residual, report.start_state_residual)
@@ -969,7 +904,7 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     dominance = containment_residual(decomp, k)
     lines.append(CheckLine("difference blocks sit in high levels", dominance <= ORTHO_TOL, dominance, f"k={k}"))
 
-    frame = build_level_frame(space, k, decomp)
+    frame = build_level_frame(decomp, k)
     workspace = 2
     dim_a = (k * n + 1) * workspace
     decay = 0.0
@@ -984,7 +919,7 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
             growth_max = max(growth_max, (ratio - 1.0) * math.sqrt(t * n))
         if idx < 3:
             for m in range(k + 1):
-                bounds = success_probability_bounds(run, m, rng.spawn("bounds", idx, m))
+                bounds = success_probability_bounds(decomp, run, m, rng.spawn("bounds", idx, m))
                 prob_worst = max(
                     prob_worst, bounds.span_excess, bounds.run_excess, bounds.projection_excess
                 )

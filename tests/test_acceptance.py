@@ -23,7 +23,7 @@ from ineqlab.subspace import (
     alpha_beta,
     build_input_space,
     build_signed_decomposition,
-    build_subspace_chain,
+    build_split_chains,
     check_unitary_maps,
     decomposition_report,
     random_projective_measurement,
@@ -250,19 +250,14 @@ class TestSubspaceSuite:
         for n in range(2, 11):
             for t in range(1, n // 2 + 1):
                 space = build_input_space(n, t)
-                for a in (0, 1):
-                    for b in (0, 1):
-                        j_hi = min((t - 1) // 2, t - 1 + a - b)
-                        if j_hi < 0:
-                            continue
-                        chain = build_subspace_chain(space, a, b)
-                        for j in range(j_hi + 1):
-                            lvl = chain[j]
-                            if lvl.deflated_norms.size:
-                                worst_norm = max(worst_norm, float(
-                                    np.abs(lvl.deflated_norms - lvl.closed_form_norm).max()))
+                chains = build_split_chains(space)
+                for chain in chains.values():
+                    for lvl in chain[: (t - 1) // 2 + 1]:
+                        if lvl.deflated_norms.size:
+                            worst_norm = max(worst_norm, float(
+                                np.abs(lvl.deflated_norms - lvl.closed_form_norm).max()))
                 for j in range((t - 1) // 2 + 1):
-                    report = check_unitary_maps(space, j)
+                    report = check_unitary_maps(chains, j)
                     worst_map = max(worst_map, max(
                         (max(c.sv_spread, c.residual) for c in report.checks if c.present),
                         default=0.0))

@@ -41,7 +41,7 @@ SUBSPACE_DIGESTS = {
 }
 
 LP_ROWS_DIGEST = "9e6d3a0f626f170c51cecb33cf84375b4dafac7334b7d10291087cb2ea6a8f4d"
-LP_LINES_DIGEST = "47e0aaf803aa79a778203317c80f4c3965ce82b6d9bdc9e027ebfbf045ad5c22"
+LP_LINES_DIGEST = "172a3b01d094802c89de016e641c5ec7f9f5ec1be99613837ff6bdab24a5f1ce"
 
 POLY_SUITE_DIGESTS = {
     # suite: (CSV digest, stdout digest)

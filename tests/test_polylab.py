@@ -265,6 +265,13 @@ class TestNewton:
         got = newton_eval(coef, 2, np.arange(2.0, 6.0))
         np.testing.assert_allclose(got, [float(v) for v in values], atol=1e-9)
 
+    def test_exact_at_integer_points(self):
+        values = [Fraction(1, 3), Fraction(-2), Fraction(7, 5), Fraction(0)]
+        coef = newton_coefficients(values, 2)
+        assert [newton_eval(coef, 2, x) for x in range(2, 6)] == values
+        # beyond the nodes too: q(x) = x^2 has Newton coefficients 0, 1, 1 on 0, 1, 2
+        assert newton_eval([Fraction(0), Fraction(1), Fraction(1)], 0, 10**12) == 10**24
+
 
 class TestWitnessChain:
     def test_chain_passes_with_generous_constants(self):

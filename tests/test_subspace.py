@@ -23,6 +23,7 @@ from ineqlab.subspace import (
     build_input_space,
     build_level_frame,
     build_signed_decomposition,
+    build_split_chains,
     build_subspace_chain,
     check_unitary_maps,
     containment_residual,
@@ -47,6 +48,11 @@ from ineqlab.subspace import (
 
 def rng_for(*key):
     return SeededRng(20260819).spawn(*key)
+
+
+def reduced(phi):
+    """Input-register density matrix of a joint state shaped (dim_a, dim_i)."""
+    return phi.T @ phi.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -88,25 +94,29 @@ class TestInputSpace:
     def test_weight_state_with_pins(self):
         space = build_input_space(4, 2)
         # weight-1 strings: uniform entries 1/2
-        vec = space.weight_state(0)
+        vec = space.masked_state(space.class_mask(0))
         assert np.allclose(vec[space.class_mask(0)], 0.5)
         # pinning one position of the weight-2 class leaves 3 strings
-        vec = space.weight_state(1, (0,))
+        vec = space.masked_state(space.class_mask(1), (0,))
         support = np.nonzero(vec)[0]
         assert len(support) == 3
         assert np.allclose(vec[support], 1.0 / math.sqrt(3))
 
     def test_split_state_pins_first_coordinate(self):
         space = build_input_space(4, 2)
-        vec = space.split_state(1, 1, (2,))
+        vec = space.masked_state(space.class_mask(1) & (space.bits[:, 0] == 1), (2,))
         for idx in np.nonzero(vec)[0]:
             x = space.basis[idx]
             assert x[0] == 1 and x[2] == 1 and sum(x) == 2
 
-    def test_split_state_rejects_split_coordinate_in_tuple(self):
+    def test_masked_state_rejects_empty_family(self):
         space = build_input_space(4, 2)
+        # the split coordinate cannot be both 0 and pinned to 1
         with pytest.raises(InstanceError):
-            space.split_state(1, 1, (0,))
+            space.masked_state(space.class_mask(1) & (space.bits[:, 0] == 0), (0,))
+        # so split chains pin only the other n-1 positions
+        for chain in build_split_chains(space).values():
+            assert all(0 not in tup for level in chain for tup in level.tuples)
 
     def test_preconditions(self):
         with pytest.raises(InstanceError):
@@ -172,10 +182,10 @@ class TestSubspaceChain:
         chain = build_subspace_chain(space, 0)
         for prev, cur in zip(chain[:-1], chain[1:]):
             # previous span sits inside the current one
-            proj = cur.span.columns @ (cur.span.columns.T @ prev.span.columns)
-            assert np.abs(proj - prev.span.columns).max() < 1e-9
+            proj = cur.span @ (cur.span.T @ prev.span)
+            assert np.abs(proj - prev.span).max() < 1e-9
             # fresh directions are orthogonal to the previous span
-            cross = prev.span.columns.T @ cur.fresh.columns
+            cross = prev.span.T @ cur.fresh
             assert np.abs(cross).max() < 1e-9
 
     def test_plain_chain_fresh_dims(self):
@@ -185,7 +195,7 @@ class TestSubspaceChain:
             chain = build_subspace_chain(space, a)
             for j, level in enumerate(chain):
                 expected = math.comb(6, j) - (math.comb(6, j - 1) if j else 0)
-                assert level.fresh.dim == expected
+                assert level.fresh.shape[1] == expected
 
     def test_input_validation(self):
         space = build_input_space(4, 2)
@@ -214,16 +224,16 @@ class TestSignedDecomposition:
     def test_block_dimensions_frozen(self):
         space = build_input_space(4, 2)
         decomp = build_signed_decomposition(space)
-        assert [b.dim for b in decomp.plus] == [1, 3]
-        assert [b.dim for b in decomp.minus] == [1, 3, 2]
+        assert [b.shape[1] for b in decomp.plus] == [1, 3]
+        assert [b.shape[1] for b in decomp.minus] == [1, 3, 2]
         assert decomp.top_level == 1
-        assert [b.dim for b in decomp.levels] == [1, 9]
+        assert [b.shape[1] for b in decomp.levels] == [1, 9]
 
     def test_top_level_rounds_up_for_odd_t(self):
         space = build_input_space(6, 3)
         decomp = build_signed_decomposition(space)
         assert decomp.top_level == 2
-        assert sum(b.dim for b in decomp.levels) == space.dim
+        assert sum(b.shape[1] for b in decomp.levels) == space.dim
 
     def test_containment_in_high_levels(self):
         for n, t in [(4, 2), (6, 2), (6, 3)]:
@@ -279,7 +289,7 @@ class TestSignedDecomposition:
 
 class TestUnitaryMaps:
     def test_frozen_cell(self):
-        report = check_unitary_maps(build_input_space(6, 2), 1)
+        report = check_unitary_maps(build_split_chains(build_input_space(6, 2)), 1)
         by_ab = {(c.a, c.b): c for c in report.checks}
         # the weight-(t-1), split-1 family has no room for a pinned one at j=1
         assert not by_ab[(0, 1)].present
@@ -294,9 +304,9 @@ class TestUnitaryMaps:
 
     def test_all_maps_scalar_isometry_grid(self):
         for n, t in [(6, 2), (8, 3), (10, 4)]:
-            space = build_input_space(n, t)
+            chains = build_split_chains(build_input_space(n, t))
             for j in range((t - 1) // 2 + 1):
-                report = check_unitary_maps(space, j)
+                report = check_unitary_maps(chains, j)
                 for check in report.checks:
                     if check.present:
                         assert check.sv_spread <= ORTHO_TOL
@@ -305,7 +315,7 @@ class TestUnitaryMaps:
 
     def test_level_zero_constants_are_one(self):
         # at j=0 every family state is normalized, so all ratios are 1
-        report = check_unitary_maps(build_input_space(8, 3), 0)
+        report = check_unitary_maps(build_split_chains(build_input_space(8, 3)), 0)
         for check in report.checks:
             assert check.present
             assert abs(check.constant - 1.0) < 1e-12
@@ -377,14 +387,14 @@ def small_run(n=4, t=2, k=1, workspace=2, depth=3, seed=11):
 class TestRecastRun:
     def test_initial_state_is_pure_product(self):
         run = small_run()
-        rho0 = run.reduced[0]
+        rho0 = reduced(run.states[0])
         eigs = np.linalg.eigvalsh(rho0)
         assert abs(eigs[-1] - 1.0) < 1e-9
         assert np.abs(eigs[:-1]).max() < 1e-9
 
     def test_reduced_states_are_density_matrices(self):
         run = small_run(depth=4)
-        for rho in run.reduced:
+        for rho in map(reduced, run.states):
             assert abs(np.real(np.trace(rho)) - 1.0) < 1e-9
             assert np.linalg.eigvalsh(rho).min() >= PSD_FLOOR
             assert np.abs(rho - rho.conj().T).max() < 1e-12
@@ -399,8 +409,8 @@ class TestRecastRun:
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
         run = recast_run([gate, gate, gate], n, t, k, workspace_dim=w)
-        for rho in run.reduced[1:]:
-            assert np.abs(rho - run.reduced[0]).max() < 1e-12
+        for phi in run.states[1:]:
+            assert np.abs(reduced(phi) - reduced(run.states[0])).max() < 1e-12
 
     def test_query_applies_conditional_phase(self):
         # one query from a slot targeting position p flips the sign of
@@ -450,27 +460,27 @@ class TestRecastRun:
 class TestPotential:
     def test_start_state_has_unit_potential(self):
         space = build_input_space(4, 2)
-        frame = build_level_frame(space, 1)
+        frame = build_level_frame(build_signed_decomposition(space), 1)
         assert frame.params.q == Fraction(3, 2)
         rho0 = np.outer(space.psi_one, space.psi_one)
-        report = potential(rho0, space, 1, frame)
+        report = potential(rho0, frame)
         assert abs(report.value - 1.0) < 1e-12
         assert abs(report.masses[0] - 1.0) < 1e-12
 
     def test_masses_sum_to_one_along_runs(self):
         run = small_run(depth=4, seed=5)
-        frame = build_level_frame(run.space, 1)
-        for rho in run.reduced:
-            report = potential(rho, run.space, 1, frame)
+        frame = build_level_frame(build_signed_decomposition(run.space), 1)
+        for phi in run.states:
+            report = potential(reduced(phi), frame)
             assert abs(report.mass_sum - 1.0) <= BOUND_SLACK
             assert report.decay_excess <= BOUND_SLACK
 
     def test_joint_and_reduced_paths_agree(self):
         run = small_run(n=5, t=2, k=2, workspace=1, depth=3, seed=9)
-        frame = build_level_frame(run.space, 2)
-        for phi, rho in zip(run.states, run.reduced):
+        frame = build_level_frame(build_signed_decomposition(run.space), 2)
+        for phi in run.states:
             a = potential_from_joint(phi, frame)
-            b = potential(rho, run.space, 2, frame)
+            b = potential(reduced(phi), frame)
             assert max(abs(x - y) for x, y in zip(a.masses, b.masses)) < 1e-10
 
     def test_growth_ratios_along_idle_run_are_one(self):
@@ -478,7 +488,7 @@ class TestPotential:
         dim_a = (n + 1) * w
         gate = np.eye(dim_a, dtype=complex)
         run = recast_run([gate, gate], n, t, 1, workspace_dim=w)
-        frame = build_level_frame(run.space, 1)
+        frame = build_level_frame(build_signed_decomposition(run.space), 1)
         for ratio in growth_ratios(run, frame):
             assert abs(ratio - 1.0) < 1e-12
 
@@ -487,18 +497,18 @@ class TestPotential:
         # the full weight q^(t*k/2)
         space = build_input_space(4, 2)
         decomp = build_signed_decomposition(space)
-        psi = decomp.levels[decomp.top_level].columns[:, 0]
+        psi = decomp.levels[decomp.top_level][:, 0]
         for k in (1, 2):
-            frame = build_level_frame(space, k)
+            frame = build_level_frame(decomp, k)
             vec = psi if k == 1 else np.kron(psi, psi)
-            report = potential(np.outer(vec, vec), space, k, frame)
+            report = potential(np.outer(vec, vec), frame)
             expect = float(frame.params.q) ** (space.t * k / 2)
             assert abs(report.value - expect) < 1e-9
 
     def test_seeded_runs_decay_property(self):
         for seed in range(8):
             run = small_run(n=4, t=2, k=1, depth=3, seed=seed)
-            frame = build_level_frame(run.space, 1)
+            frame = build_level_frame(build_signed_decomposition(run.space), 1)
             for phi in run.states:
                 report = potential_from_joint(phi, frame)
                 assert report.decay_excess <= BOUND_SLACK
@@ -509,10 +519,14 @@ class TestPotential:
 # probability bounds
 
 
+def decomp_of(run):
+    return build_signed_decomposition(run.space)
+
+
 class TestSuccessBounds:
     def test_single_factor_bound_is_half(self):
         run = small_run(k=1, depth=3, seed=2)
-        report = success_probability_bounds(run, 0, rng_for("bounds", 1))
+        report = success_probability_bounds(decomp_of(run), run, 0, rng_for("bounds", 1))
         assert report.binomial_bound == 0.5
         assert report.span_excess <= BOUND_SLACK
         assert report.run_excess <= BOUND_SLACK
@@ -520,14 +534,15 @@ class TestSuccessBounds:
 
     def test_two_factor_bound_is_quarter(self):
         run = small_run(n=4, t=2, k=2, workspace=1, depth=2, seed=3)
-        report = success_probability_bounds(run, 0, rng_for("bounds", 2))
+        report = success_probability_bounds(decomp_of(run), run, 0, rng_for("bounds", 2))
         assert report.binomial_bound == 0.25
         assert max(report.span_excess, report.run_excess, report.projection_excess) <= BOUND_SLACK
 
     def test_binomial_tail_values(self):
         run = small_run(n=4, t=2, k=2, workspace=1, depth=1, seed=4)
+        decomp = decomp_of(run)
         bounds = [
-            success_probability_bounds(run, m, rng_for("bounds", 3, m)).binomial_bound
+            success_probability_bounds(decomp, run, m, rng_for("bounds", 3, m)).binomial_bound
             for m in (0, 1, 2)
         ]
         assert bounds == [0.25, 0.75, 1.0]
@@ -536,13 +551,20 @@ class TestSuccessBounds:
         for seed in range(3):
             run = small_run(k=1, depth=2, seed=seed + 20)
             for m in (0, 1):
-                report = success_probability_bounds(run, m, rng_for("b", seed, m))
+                report = success_probability_bounds(decomp_of(run), run, m, rng_for("b", seed, m))
                 assert max(report.span_excess, report.run_excess, report.projection_excess) <= BOUND_SLACK
 
     def test_m_out_of_range(self):
         run = small_run(k=1, depth=1)
         with pytest.raises(InstanceError):
-            success_probability_bounds(run, 2)
+            success_probability_bounds(decomp_of(run), run, 2)
+
+    def test_rejects_decomposition_of_another_cell(self):
+        run = small_run(n=4, t=2, k=1, depth=1)
+        for n, t in [(5, 2), (6, 3), (4, 1)]:
+            other = build_signed_decomposition(build_input_space(n, t))
+            with pytest.raises(InstanceError, match="disagree"):
+                success_probability_bounds(other, run, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +636,24 @@ class TestVerifySuite:
         branch = next(line for line in lines if line.name == "branch weight bound")
         assert not branch.passed
         assert 0.0 <= branch.residual <= BOUND_SLACK
+
+    def test_suite_builds_one_decomposition(self, monkeypatch):
+        calls = {"decomp": 0, "chain": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(subspace, "build_signed_decomposition",
+                            counted("decomp", subspace.build_signed_decomposition))
+        monkeypatch.setattr(subspace, "build_subspace_chain",
+                            counted("chain", subspace.build_subspace_chain))
+        lines = verify_suite(6, 2, 2, runs=9)
+        assert all(line.passed for line in lines)
+        assert calls["decomp"] == 1
+        assert calls["chain"] <= 6
 
     def test_lines_serialize(self):
         lines = verify_suite(4, 2, 1, seed=1, runs=1, depth=1)
