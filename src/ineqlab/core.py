@@ -151,12 +151,11 @@ class ProblemInstance:
             raise InstanceError("x entries must be <= t")
         if (b > self.t).any():
             raise InstanceError("b entries must be <= t")
-        # overflow of Ax is rejected up front; checked in unbounded ints
-        worst = max(
-            sum(int(A[i, j]) * int(x[j]) for j in range(n)) for i in range(n)
-        )
-        if worst > INT64_MAX:
-            raise InstanceError("Ax overflows 64-bit integers")
+        # overflow of Ax is rejected up front: accept at once when the bound
+        # n * max(A) * max(x) fits, else take the row sums in unbounded ints
+        if n * int(A.max()) * int(x.max()) > INT64_MAX:
+            if max(A.astype(object) @ x.astype(object)) > INT64_MAX:
+                raise InstanceError("Ax overflows 64-bit integers")
 
     @property
     def n(self) -> int:

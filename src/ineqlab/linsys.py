@@ -32,7 +32,7 @@ from .core import (
     matvec_min,
     value_bits,
 )
-from .qsim import MODES, TapeOracle, collect_ones, count_median, _check_mode
+from .qsim import MODE_SV, MODES, TapeOracle, collect_ones, count_median, _check_mode
 
 SEARCH_WORKSPACE_SLACK = 8   # qubits beyond the index register per subroutine
 CLASSICAL_MODE = "classical"  # result mode of the classical baseline
@@ -234,6 +234,9 @@ def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,
                            ledger: QueryLedger | None = None) -> MatrixProductResult:
     """Clamped product min(Ax, b) under a space budget of S bits."""
     _check_mode(mode)
+    if mode == MODE_SV and (instance.x > 1).any():
+        j = int(np.argmax(instance.x > 1))
+        raise InstanceError(f"{mode} mode takes 0/1 x only; x[{j}] = {instance.x[j]}")
     ledger = ledger if ledger is not None else QueryLedger()
     n, t = instance.n, instance.t
     s_prime = quantum_row_capacity(n, S)

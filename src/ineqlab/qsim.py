@@ -13,10 +13,12 @@ followed by inversion about the uniform state.  With weight fraction
 sin^2(theta) = w/n, k iterations move the success mass to sin^2((2k+1) theta).
 Counting runs phase estimation on that iterate with an M-point grid; measuring
 y gives the estimate n * sin^2(pi y / M).  Closed-form outcome distributions
-below are exactly the distributions of those measurements.
+below are exactly the distributions of those measurements; count_median
+draws all reps of a median in one batch from one (cached) law.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -334,42 +336,55 @@ def fold_count_pmf(probs_y: np.ndarray, M: int) -> EstimatePmf:
     return EstimatePmf(values=values, probs=probs)
 
 
-def count_estimate(oracle: TapeOracle, M: int, mode: str,
-                   rng: np.random.Generator) -> CountOutcome:
-    """Single counting estimate of the tape's aggregate value, charging M queries.
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative law of a pmf, checked and built as Generator.choice does it."""
+    p = probs / probs.sum()
+    if not (np.isfinite(p).all() and (p >= 0).all()
+            and abs(p.sum() - 1.0) <= math.sqrt(np.finfo(float).eps)):
+        raise ValueError("estimate probabilities are not a probability vector")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False   # cached laws are shared by every caller
+    return cdf
 
-    The tape aggregate is treated as a mark fraction total/n saturating at 1
-    (value tapes can carry more weight than positions; the estimator then
-    reports at most n, which only accelerates threshold stops downstream).
-    """
-    _check_mode(mode)
-    n = oracle.n
-    if M < 1:
-        raise ValueError("M must be positive")
-    if mode == MODE_SV:
-        if (oracle.values > 1).any():
-            raise ValueError("statevector counting supports bit tapes only")
-        if n * M > SV_MAX_NM:
-            raise RangeTooLarge(f"n*M = {n * M} exceeds {SV_MAX_NM}")
-    oracle.charge(M, TAG_COUNTING)
-    total = oracle._total()
-    if mode == MODE_EXACT:
-        return CountOutcome(w=float(total), M=M, reps=1, mode=mode)
-    if mode == MODE_SV:
-        probs_y = sv_count_pmf(oracle.values > 0, M)
-        y = int(rng.choice(M, p=probs_y / probs_y.sum()))
-        est = math.sin(math.pi * min(y, M - y) / M) ** 2
-        return CountOutcome(w=n * est, M=M, reps=1, mode=mode)
-    a = min(1.0, total / n)
+
+@functools.lru_cache(maxsize=4096)
+def _estimate_cdf(a: float, M: int) -> tuple[np.ndarray, np.ndarray]:
     pmf = ae_outcome_pmf(a, M)
-    idx = int(rng.choice(pmf.values.size, p=pmf.probs / pmf.probs.sum()))
-    return CountOutcome(w=n * float(pmf.values[idx]), M=M, reps=1, mode=mode)
+    pmf.values.flags.writeable = False
+    return pmf.values, _choice_cdf(pmf.probs)
 
 
 def count_median(oracle: TapeOracle, M: int, reps: int, mode: str,
                  rng: np.random.Generator) -> CountOutcome:
-    """Median of reps independent estimates (odd reps; charges M*reps)."""
+    """Median of reps estimates of the tape's aggregate value (odd reps; charges M*reps).
+
+    The estimate law is got once per call, cached by (fraction, M) in cost-model
+    mode; one rng.random(reps) mapped through its cdf gives the draws and stream
+    state of reps rng.choice calls.  The aggregate is a mark fraction total/n
+    saturating at 1: an estimate is at most n, which only speeds up threshold stops.
+    """
+    _check_mode(mode)
     if reps < 1 or reps % 2 == 0:
         raise ValueError("reps must be odd and positive")
-    ws = sorted(count_estimate(oracle, M, mode, rng).w for _ in range(reps))
-    return CountOutcome(w=ws[reps // 2], M=M, reps=reps, mode=mode)
+    if M < 1:
+        raise ValueError("M must be positive")
+    if mode == MODE_SV:   # drawn over the unfolded y grid; sv_count_pmf caps n*M
+        if (oracle.values > 1).any():
+            raise ValueError("statevector counting supports bit tapes only")
+        values = np.array([math.sin(math.pi * min(y, M - y) / M) ** 2 for y in range(M)])
+        cdf = _choice_cdf(sv_count_pmf(oracle.values > 0, M))
+    oracle.charge(M * reps, TAG_COUNTING)
+    total = oracle._total()
+    if mode == MODE_EXACT:
+        return CountOutcome(w=float(total), M=M, reps=reps, mode=mode)
+    if mode == MODE_COST:
+        values, cdf = _estimate_cdf(min(1.0, total / oracle.n), M)
+    ws = np.sort(oracle.n * values[cdf.searchsorted(rng.random(reps), side="right")])
+    return CountOutcome(w=float(ws[reps // 2]), M=M, reps=reps, mode=mode)
+
+
+def count_estimate(oracle: TapeOracle, M: int, mode: str,
+                   rng: np.random.Generator) -> CountOutcome:
+    """Single counting estimate: count_median with reps = 1, charging M queries."""
+    return count_median(oracle, M, 1, mode, rng)

@@ -532,22 +532,21 @@ class RecastRun:
 
 def recast_run(
     program,
-    n: int,
-    t: int,
+    space: InputSpace,
     k: int,
     workspace_dim: int = 1,
     start: np.ndarray | None = None,
 ) -> RecastRun:
     """Run a sequence of work-register unitaries interleaved with phase queries.
 
-    The input register holds k copies of the two-weight space, initialized in
-    the product of start states.  Each program step applies its unitary to the
+    The input register holds k copies of the two-weight `space`, initialized
+    in the product of start states.  Each program step applies its unitary to the
     work register and then one query: the query slot (part of the work
     register, slot 0 idle) selects a bit of the joint input, and basis states
     with that bit set acquire phase -1.
     """
-    space = build_input_space(n, t)
     _check_product_caps(space, k)
+    n = space.n
     slots = k * n + 1
     dim_a = slots * workspace_dim
     dim_i = space.dim**k
@@ -852,10 +851,9 @@ def random_projective_measurement(rng: SeededRng, dim: int, parts: int):
 # suite driver
 
 
-def growth_ratios(run: RecastRun, frame: LevelFrame) -> list[float]:
-    """Per-query potential growth factors along a run."""
-    values = [potential_from_joint(phi, frame).value for phi in run.states]
-    return [after / before for before, after in zip(values[:-1], values[1:])]
+def growth_ratios(reports: list[PotentialReport]) -> list[float]:
+    """Per-query potential growth factors from the reports of a run's states."""
+    return [after.value / before.value for before, after in zip(reports[:-1], reports[1:])]
 
 
 def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: int = 3) -> list[CheckLine]:
@@ -912,10 +910,10 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     prob_worst = 0.0
     for idx in range(runs):
         program = random_program(rng.spawn("program", idx), dim_a, depth)
-        run = recast_run(program, n, t, k, workspace_dim=workspace)
-        for phi in run.states:
-            decay = max(decay, potential_from_joint(phi, frame).decay_excess)
-        for ratio in growth_ratios(run, frame):
+        run = recast_run(program, space, k, workspace_dim=workspace)
+        reports = [potential_from_joint(phi, frame) for phi in run.states]
+        decay = max(decay, *(report.decay_excess for report in reports))
+        for ratio in growth_ratios(reports):
             growth_max = max(growth_max, (ratio - 1.0) * math.sqrt(t * n))
         if idx < 3:
             for m in range(k + 1):

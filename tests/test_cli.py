@@ -68,6 +68,16 @@ class TestSolve:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_statevector_rejects_value_x_before_running(self, tmp_path, capsys):
+        path = tmp_path / "value-x.txt"
+        path.write_text("2 2\n1 0\n0 0\n2 0\n1 0\n", encoding="utf-8")
+        code = main(["solve", "--instance", str(path), "--space", "8",
+                     "--mode", "statevector", "--seed", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "statevector mode takes 0/1 x only; x[0] = 2" in captured.err
+
     def test_bad_mode_rejected_by_parser(self, instance_file):
         with pytest.raises(SystemExit) as info:
             main(["solve", "--instance", instance_file, "--space", "8",

@@ -111,6 +111,20 @@ class TestValidation:
         inst = ProblemInstance(a, np.array([2, 1]), np.array([1, 1]), t=2)
         assert matvec_min(inst).tolist() == [1, 1]
 
+    def test_accepted_only_by_exact_row_sums(self):
+        # n * max(A) * max(x) = 2^63 overflows, the row sums 2^62 and 1 do not
+        a = np.array([[2**62, 1], [1, 0]], dtype=np.int64)
+        x = np.array([1, 1])
+        assert 2 * int(a.max()) * int(x.max()) > 2**63 - 1
+        inst = ProblemInstance(a, x, np.array([1, 1]), t=1)
+        assert matvec_min(inst).tolist() == [1, 1]
+
+    def test_rejected_by_exact_row_sums(self):
+        # one row sums to 2^63 exactly, one past INT64_MAX
+        a = np.array([[2**62, 2**62], [0, 1]], dtype=np.int64)
+        with pytest.raises(InstanceError, match="overflows"):
+            ProblemInstance(a, np.array([1, 1]), np.array([1, 1]), t=1)
+
 
 class TestLedger:
     def test_total_is_sum_of_targets(self):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ineqlab.core import (
+    InstanceError,
     ProblemInstance,
     QueryLedger,
     SeededRng,
@@ -355,9 +356,12 @@ class TestBoundedMatrixProduct:
 
     def test_statevector_mode_rejects_value_x(self):
         inst = ProblemInstance(A=np.ones((2, 2), dtype=np.int64),
-                               x=np.array([2, 0]), b=np.array([2, 2]), t=2)
-        with pytest.raises(ValueError):
-            bounded_matrix_product(inst, 4, MODE_SV, rng_for("bsvr"))
+                               x=np.array([0, 2]), b=np.array([2, 2]), t=2)
+        ledger = QueryLedger()
+        # checked up front, before any query is charged
+        with pytest.raises(InstanceError, match=r"statevector mode takes 0/1 x only; x\[1\] = 2"):
+            bounded_matrix_product(inst, 4, MODE_SV, rng_for("bsvr"), ledger=ledger)
+        assert ledger.total == 0
 
     def test_space_budget_guard(self):
         inst = random_instance(rng_for("bsg"), 4, 1)

@@ -532,3 +532,80 @@ class TestCountMedian:
         a = count_median(make_oracle(values)[0], 8, 5, MODE_COST, rng_for("mdet"))
         b = count_median(make_oracle(values)[0], 8, 5, MODE_COST, rng_for("mdet"))
         assert a == b
+
+
+def per_rep_median(oracle, M, reps, mode, rng):
+    """Reference median: one pmf and one rng.choice per repetition."""
+    n = oracle.n
+    total = int(oracle.values.sum())
+    ws = []
+    for _ in range(reps):
+        oracle.charge(M, TAG_COUNTING)
+        if mode == MODE_EXACT:
+            ws.append(float(total))
+        elif mode == MODE_SV:
+            probs = sv_count_pmf(oracle.values > 0, M)
+            y = int(rng.choice(M, p=probs / probs.sum()))
+            ws.append(n * math.sin(math.pi * min(y, M - y) / M) ** 2)
+        else:
+            pmf = ae_outcome_pmf(min(1.0, total / n), M)
+            idx = int(rng.choice(pmf.values.size, p=pmf.probs / pmf.probs.sum()))
+            ws.append(n * float(pmf.values[idx]))
+    return sorted(ws)[reps // 2]
+
+
+# mark fractions 0, 1, interior, and a value tape saturating the fraction at 1
+EQUIVALENCE_TAPES = {
+    "zero": [0] * 8,
+    "full": [1] * 8,
+    "interior": [1, 0, 0, 1, 1, 0, 0, 0],
+    "saturating": [3, 0, 2, 2, 0, 3, 1, 2],
+}
+
+
+class TestBatchedDraw:
+    # statevector counting takes bit tapes only
+    @pytest.mark.parametrize("mode, tape", [
+        (mode, tape) for mode in MODES for tape in sorted(EQUIVALENCE_TAPES)
+        if not (mode == MODE_SV and tape == "saturating")
+    ])
+    def test_matches_per_rep_choice(self, mode, tape):
+        values = EQUIVALENCE_TAPES[tape]
+        for M in range(1, 34):
+            for reps in (1, 3, 9, 25):
+                oracle, ledger = make_oracle(values)
+                ref_oracle, ref_ledger = make_oracle(values)
+                rng, ref_rng = rng_for("batch", tape, M, reps), rng_for("batch", tape, M, reps)
+                out = count_median(oracle, M, reps, mode, rng)
+                expect = per_rep_median(ref_oracle, M, reps, mode, ref_rng)
+                assert out.w == expect, (M, reps)
+                assert (out.M, out.reps, out.mode) == (M, reps, mode)
+                assert ledger == ref_ledger
+                assert rng.random() == ref_rng.random(), (M, reps)
+
+    def test_pmf_built_once_per_fraction_and_grid(self, monkeypatch):
+        calls = []
+
+        def counted(a, M):
+            calls.append((a, M))
+            return ae_outcome_pmf(a, M)
+
+        monkeypatch.setattr(qsim, "ae_outcome_pmf", counted)
+        qsim._estimate_cdf.cache_clear()
+        # three tapes share the fraction 1/2; one is a saturating value tape
+        tapes = [[1, 0, 1, 0], [1, 1, 0, 0], [1, 0] * 4, [0, 0, 0, 1], [5, 0, 0, 0]]
+        for trial in range(3):
+            for values in tapes:
+                for M in (2, 5, 8):
+                    count_median(make_oracle(values)[0], M, 9, MODE_COST,
+                                 rng_for("once", trial))
+        assert sorted(calls) == sorted({(a, M) for a in (0.25, 0.5, 1.0) for M in (2, 5, 8)})
+
+    @pytest.mark.parametrize("probs", [[1.5, -0.5], [np.nan, 1.0]])
+    def test_rejects_a_law_that_is_not_a_probability_vector(self, monkeypatch, probs):
+        # the checks Generator.choice made on every draw, now made once per cached law
+        bad = EstimatePmf(values=np.array([0.0, 1.0]), probs=np.array(probs))
+        monkeypatch.setattr(qsim, "ae_outcome_pmf", lambda a, M: bad)
+        qsim._estimate_cdf.cache_clear()
+        with pytest.raises(ValueError, match="probability vector"):
+            count_median(make_oracle([1, 0])[0], 2, 3, MODE_COST, rng_for("bad"))

@@ -381,7 +381,7 @@ class TestAlphaBeta:
 def small_run(n=4, t=2, k=1, workspace=2, depth=3, seed=11):
     dim_a = (k * n + 1) * workspace
     program = random_program(rng_for("prog", seed), dim_a, depth)
-    return recast_run(program, n, t, k, workspace_dim=workspace)
+    return recast_run(program, build_input_space(n, t), k, workspace_dim=workspace)
 
 
 class TestRecastRun:
@@ -408,7 +408,7 @@ class TestRecastRun:
         gate[:w, :w] = np.array(
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
-        run = recast_run([gate, gate, gate], n, t, k, workspace_dim=w)
+        run = recast_run([gate, gate, gate], build_input_space(n, t), k, workspace_dim=w)
         for phi in run.states[1:]:
             assert np.abs(reduced(phi) - reduced(run.states[0])).max() < 1e-12
 
@@ -426,7 +426,7 @@ class TestRecastRun:
         gate[0, 0] = gate[q, 0] = 1 / math.sqrt(2)
         gate[0, q] = -1 / math.sqrt(2)
         gate[q, q] = 1 / math.sqrt(2)
-        run = recast_run([gate], n, t, 1)
+        run = recast_run([gate], space, 1)
         phi = run.states[1]
         signs = 1.0 - 2.0 * space.bits[:, pos].astype(float)
         expect = np.outer(
@@ -442,15 +442,15 @@ class TestRecastRun:
 
     def test_rejects_bad_programs(self):
         with pytest.raises(InstanceError):
-            recast_run([np.eye(3)], 4, 2, 1)  # wrong shape (dim_a is 5)
+            recast_run([np.eye(3)], build_input_space(4, 2), 1)  # wrong shape (dim_a is 5)
         bad = np.eye(5, dtype=complex)
         bad[0, 0] = 2.0
         with pytest.raises(InstanceError):
-            recast_run([bad], 4, 2, 1)
+            recast_run([bad], build_input_space(4, 2), 1)
 
     def test_rejects_oversized_joint_space(self):
         with pytest.raises(InstanceError):
-            recast_run([], 6, 2, 2, workspace_dim=60)
+            recast_run([], build_input_space(6, 2), 2, workspace_dim=60)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +487,9 @@ class TestPotential:
         n, t, w = 4, 2, 2
         dim_a = (n + 1) * w
         gate = np.eye(dim_a, dtype=complex)
-        run = recast_run([gate, gate], n, t, 1, workspace_dim=w)
+        run = recast_run([gate, gate], build_input_space(n, t), 1, workspace_dim=w)
         frame = build_level_frame(build_signed_decomposition(run.space), 1)
-        for ratio in growth_ratios(run, frame):
+        for ratio in growth_ratios([potential_from_joint(phi, frame) for phi in run.states]):
             assert abs(ratio - 1.0) < 1e-12
 
     def test_top_level_eigencase(self):
@@ -654,6 +654,34 @@ class TestVerifySuite:
         assert all(line.passed for line in lines)
         assert calls["decomp"] == 1
         assert calls["chain"] <= 6
+
+    def test_suite_shares_its_input_space_and_potential_reports(self, monkeypatch):
+        # one InputSpace per suite, one potential report per run state
+        calls = {"space": 0, "potential": 0}
+        spaces = set()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def recast(program, space, *args, **kwargs):
+            spaces.add(id(space))
+            return run_recast(program, space, *args, **kwargs)
+
+        run_recast = subspace.recast_run
+        monkeypatch.setattr(subspace, "build_input_space",
+                            counted("space", subspace.build_input_space))
+        monkeypatch.setattr(subspace, "potential_from_joint",
+                            counted("potential", subspace.potential_from_joint))
+        monkeypatch.setattr(subspace, "recast_run", recast)
+        runs, depth = 4, 3
+        lines = verify_suite(4, 2, 2, runs=runs, depth=depth)
+        assert all(line.passed for line in lines)
+        assert calls["space"] == 1
+        assert len(spaces) == 1
+        assert calls["potential"] == runs * (depth + 1)
 
     def test_lines_serialize(self):
         lines = verify_suite(4, 2, 1, seed=1, runs=1, depth=1)
