@@ -8,13 +8,15 @@ with a forced zero prefix, the proof chain that caps that jump via Chebyshev
 growth, a probe of the bounded-at-integers interior-growth constants, and a
 Monte-Carlo check of the hypergeometric block-fullness bound.
 
-The LP runs in exact rational arithmetic (dense simplex, Bland's rule), so
+The LP runs in exact rational arithmetic (Bland's rule over integer rows), so
 every sigma value and witness below is exact; floats appear only in reports
 and dense real-line scans.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -185,79 +187,95 @@ def cheb_extremal_check(
 
 
 def simplex_max(rows, rhs, objective) -> tuple[Fraction, list[Fraction]]:
-    """Dense primal simplex with Bland's rule over exact rationals.
+    """Primal simplex with Bland's rule, exact over integer rows.
 
-    Requires every right-hand side to be nonnegative so the slack basis is
-    feasible; that holds for all programs built in this module.
+    The tableau keeps the nonbasic columns and the right-hand side; each row,
+    the objective row last, holds Python-int numerators over one positive
+    denominator, so every sign and ratio test, and so every pivot, is the one
+    of the Fraction tableau.  Requires every right-hand side to be nonnegative
+    so the slack basis is feasible; that holds for all programs built here.
     """
     m = len(rows)
     n = len(objective)
     for value in rhs:
         if value < 0:
             raise InstanceError("simplex needs nonnegative right-hand sides")
-    tab = [
-        [Fraction(v) for v in row]
-        + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        + [Fraction(rhs[i])]
-        for i, row in enumerate(rows)
-    ]
-    zrow = [-Fraction(v) for v in objective] + [Fraction(0)] * (m + 1)
-    basis = list(range(n, n + m))
+    tab = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
+    tab.append(_integer_row([-Fraction(v) for v in objective] + [0]))
+    cols = list(range(n))            # variable held by each tableau column
+    basis = list(range(n, n + m))    # variable held by each row
     for _ in range(SIMPLEX_PIVOT_CAP):
-        enter = next((j for j in range(n + m) if zrow[j] < 0), None)
-        if enter is None:
+        entering = [(cols[j], j) for j in range(n) if tab[m][0][j] < 0]
+        if not entering:
             break
+        c = min(entering)[1]   # Bland: the lowest-index variable
         leave = -1
-        best = None
         for i in range(m):
-            coef = tab[i][enter]
-            if coef > 0:
-                ratio = tab[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            row = tab[i][0]
+            # b / a against the best ratio, both a > 0: the denominators cancel
+            if row[c] > 0 and (leave < 0 or row[-1] * best[c] < best[-1] * row[c] or (
+                    row[-1] * best[c] == best[-1] * row[c] and basis[i] < basis[leave])):
+                leave, best = i, row
         if leave < 0:
             raise InstanceError("unbounded linear program")
-        pivot = tab[leave][enter]
-        tab[leave] = [v / pivot for v in tab[leave]]
-        prow = tab[leave]
-        for i in range(m):
-            factor = tab[i][enter]
-            if i != leave and factor != 0:
-                tab[i] = [v - factor * w for v, w in zip(tab[i], prow)]
-        factor = zrow[enter]
-        if factor != 0:
-            zrow = [v - factor * w for v, w in zip(zrow, prow)]
-        basis[leave] = enter
+        # over its entry p, the pivot row holds 1/p in column c, now the leaving variable's
+        prow, p = list(best), best[c]
+        prow[c] = tab[leave][1]
+        for i, (row, den) in enumerate(tab):
+            f = row[c]
+            if i != leave and f:
+                new = [p * v - f * w for v, w in zip(row, prow)]
+                new[c] = -f * prow[c]
+                tab[i] = _reduced(new, den * p)
+        tab[leave] = _reduced(prow, p)
+        cols[c], basis[leave] = basis[leave], cols[c]
     else:
         raise InstanceError("simplex pivot budget exhausted")
     solution = [Fraction(0)] * n
-    for i, var in enumerate(basis):
+    for (row, den), var in zip(tab, basis):
         if var < n:
-            solution[var] = tab[i][-1]
-    return zrow[-1], solution
+            solution[var] = Fraction(row[-1], den)
+    return Fraction(tab[m][0][-1], tab[m][1]), solution
 
 
-def _lagrange_weight(nodes: list[int], s: int, point: Fraction) -> Fraction:
-    out = Fraction(1)
-    for u in nodes:
-        if u != s:
-            out *= Fraction(point - u, s - u)
-    return out
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    g = math.gcd(den, *nums)
+    return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
 
 
-def _integer_bounded_lp(nodes: list[int], free: list[int], others, target: Fraction):
-    """(max p(target), p on `free`) over polynomials on `nodes` that vanish off
-    `free` and lie in [0, 1] on `free` and at each integer in `others`.
-    """
-    rows = [[Fraction(1) if u == s else Fraction(0) for u in free] for s in free]
-    rhs = [Fraction(1)] * len(free)
+def _integer_row(values) -> tuple[list[int], int]:
+    """Numerators over one denominator, the least common one reduced by the gcd."""
+    values = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return _reduced([v.numerator * (den // v.denominator) for v in values], den)
+
+
+def _lagrange_row(nodes: range, x) -> tuple[list[int], int]:
+    """Lagrange weights at x on consecutive integer nodes as integers w over one
+    denominator: L_s(x) = w[k] / den for the k-th node s.  For x = a/q and d + 1
+    nodes, L_s(x) = (-1)^(d-k) C(d, k) prod_{u != s} (a - u q) / (d! q^d), the
+    products over u != s taken from prefix and suffix products."""
+    x = Fraction(x)
+    d = len(nodes) - 1
+    factors = [x.numerator - u * x.denominator for u in nodes]
+    prefix = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
+    suffix = list(itertools.accumulate(reversed(factors[1:]), operator.mul, initial=1))[::-1]
+    w = [(-1) ** (d - k) * math.comb(d, k) * prefix[k] * suffix[k] for k in range(d + 1)]
+    return w, math.factorial(d) * x.denominator**d
+
+
+def _integer_bounded_lp(nodes: range, m: int, others, target: Fraction):
+    """(max p(target), p on nodes[m:]) over polynomials on `nodes` that vanish at
+    the first m nodes and lie in [0, 1] on the rest and at each integer in `others`."""
+    free = len(nodes) - m
+    rows = [[int(u == s) for u in range(free)] for s in range(free)]
+    rhs = [1] * free
     for i in others:
-        coeffs = [_lagrange_weight(nodes, s, Fraction(i)) for s in free]
-        rows += [coeffs, [-v for v in coeffs]]
-        rhs += [Fraction(1), Fraction(0)]
-    objective = [_lagrange_weight(nodes, s, target) for s in free]
-    return simplex_max(rows, rhs, objective)
+        w, den = _lagrange_row(nodes, i)
+        rows += [[Fraction(v, den) for v in w[m:]], [Fraction(-v, den) for v in w[m:]]]
+        rhs += [1, 0]
+    w, den = _lagrange_row(nodes, target)
+    return simplex_max(rows, rhs, [Fraction(v, den) for v in w[m:]])
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +311,17 @@ def extremal_sigma_lp(D: int, N: int, m: int) -> PolyLP:
         # m roots force the zero polynomial at degree <= D < m
         return PolyLP(D, N, m, 8 * m, Fraction(0), tuple([Fraction(0)] * (D + 1)))
     point = 8 * m
-    sigma, solution = _integer_bounded_lp(
-        list(range(D + 1)), list(range(m, D + 1)), range(D + 1, N + 1), Fraction(point)
-    )
+    sigma, solution = _integer_bounded_lp(range(D + 1), m, range(D + 1, N + 1), Fraction(point))
     return PolyLP(D, N, m, point, sigma, tuple([Fraction(0)] * m + solution))
 
 
 def witness_integer_values(lp: PolyLP) -> list[Fraction]:
     """Exact witness values at every integer 0..N."""
-    all_nodes = list(range(lp.D + 1))
+    scaled, q = _integer_row(lp.node_values)
     out = list(lp.node_values)
     for i in range(lp.D + 1, lp.N + 1):
-        acc = Fraction(0)
-        for s in range(lp.m, lp.D + 1):
-            acc += _lagrange_weight(all_nodes, s, Fraction(i)) * lp.node_values[s]
-        out.append(acc)
+        w, den = _lagrange_row(range(lp.D + 1), i)
+        out.append(Fraction(sum(a * b for a, b in zip(w, scaled)), den * q))
     return out
 
 
@@ -472,8 +486,8 @@ def growth_extremal(n: int, d: int) -> float:
     """
     if not (1 <= d <= n):
         raise InstanceError("need 1 <= d <= n")
-    nodes = list(range(n - d, n + 1))
-    sigma, _ = _integer_bounded_lp(nodes, nodes, range(0, n - d), Fraction(2 * n - 1, 2))
+    nodes = range(n - d, n + 1)
+    sigma, _ = _integer_bounded_lp(nodes, 0, range(0, n - d), Fraction(2 * n - 1, 2))
     return max(2.0 * float(sigma) - 1.0, 1.0)
 
 

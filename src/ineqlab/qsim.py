@@ -99,9 +99,6 @@ class TapeOracle:
             bits[list(exclude)] = False
         return bits
 
-    def _one_positions(self, exclude=frozenset()) -> np.ndarray:
-        return np.flatnonzero(self._bits(exclude))
-
     def _total(self) -> int:
         return int(self.values.sum())
 
@@ -168,15 +165,13 @@ def sv_run_grover(bits, k: int) -> np.ndarray:
     return state**2
 
 
-def _sample_measurement(oracle: TapeOracle, exclude, j: int, mode: str,
-                        rng: np.random.Generator) -> int:
-    """Measured index after j iterations, drawn from the exact distribution."""
-    n = oracle.n
-    bits = oracle._bits(exclude)
+def _sample_measurement(bits, ones, rest, j: int, mode: str, rng: np.random.Generator) -> int:
+    """Measured index after j iterations on the bit tape `bits` (1-positions
+    `ones`, 0-positions `rest`), drawn from the exact distribution."""
+    n = bits.size
     if mode == MODE_SV:
         pmf = sv_run_grover(bits, j)
         return int(rng.choice(n, p=pmf / pmf.sum()))
-    ones = np.flatnonzero(bits)
     w = int(ones.size)
     if w == 0:
         p = 0.0
@@ -187,7 +182,6 @@ def _sample_measurement(oracle: TapeOracle, exclude, j: int, mode: str,
     # so conditioned on hit/miss the measured index is uniform in its class
     if rng.random() < p:
         return int(ones[rng.integers(0, w)])
-    rest = np.flatnonzero(~bits)
     if rest.size == 0:
         return int(ones[rng.integers(0, w)])
     return int(rest[rng.integers(0, rest.size)])
@@ -212,6 +206,9 @@ def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator,
     n = oracle.n
     if n < 1:
         raise ValueError("range must be nonempty")
+    bits = oracle._bits(exclude)   # fixed for the whole search
+    ones = np.flatnonzero(bits)
+    rest = np.flatnonzero(~bits)
     budget = RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(n))
     charged = 0
     found = None
@@ -228,16 +225,14 @@ def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator,
             j = int(rng.integers(0, max(1, math.ceil(cap))))
             cap = min(cap * CAP_GROWTH, math.sqrt(n))
         oracle.charge(j, TAG_GROVER)
-        idx = _sample_measurement(oracle, exclude, j, mode, rng)
+        idx = _sample_measurement(bits, ones, rest, j, mode, rng)
         bit = oracle.read_bit(idx, exclude, TAG_GROVER)   # verification query
         charged += j + 1
         if bit:
             found = idx
             break
-    if found is None and mode == MODE_EXACT:
-        ones = oracle._one_positions(exclude)
-        if ones.size:
-            found = int(ones[rng.integers(0, ones.size)])
+    if found is None and mode == MODE_EXACT and ones.size:
+        found = int(ones[rng.integers(0, ones.size)])
     return SearchOutcome(found=found, queries_charged=charged, mode=mode)
 
 
@@ -250,15 +245,19 @@ def collect_ones(oracle: TapeOracle, mode: str, rng: np.random.Generator,
     """
     _check_mode(mode)
     found: list[int] = []
+    # each found position is cleared on one private copy of the tape, which the
+    # searches read and charge like the original
+    live = TapeOracle(oracle.values.copy(), oracle.ledger, oracle.target)
     searches = 0
     exhausted = False
     while cap is None or len(found) < cap:
-        out = grover_search(oracle, mode, rng, exclude=frozenset(found))
+        out = grover_search(live, mode, rng)
         searches += 1
         if out.found is None:
             exhausted = True
             break
         found.append(out.found)
+        live.values[out.found] = 0
     return CollectResult(found=tuple(found), searches=searches, exhausted=exhausted)
 
 

@@ -7,9 +7,12 @@ independent floating-point LP cross-check.
 """
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ineqlab import polylab
 from ineqlab.core import InstanceError, SeededRng
@@ -127,6 +130,80 @@ class TestChebExtremal:
         )
 
 
+def reference_simplex_max(rows, rhs, objective):
+    """Dense Fraction tableau with Bland's rule over all n + m columns: the
+    reference for simplex_max's pivots, values and raises."""
+    m = len(rows)
+    n = len(objective)
+    for value in rhs:
+        if value < 0:
+            raise InstanceError("simplex needs nonnegative right-hand sides")
+    tab = [
+        [Fraction(v) for v in row]
+        + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        + [Fraction(rhs[i])]
+        for i, row in enumerate(rows)
+    ]
+    zrow = [-Fraction(v) for v in objective] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    for _ in range(polylab.SIMPLEX_PIVOT_CAP):
+        enter = next((j for j in range(n + m) if zrow[j] < 0), None)
+        if enter is None:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            coef = tab[i][enter]
+            if coef > 0:
+                ratio = tab[i][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise InstanceError("unbounded linear program")
+        pivot = tab[leave][enter]
+        tab[leave] = [v / pivot for v in tab[leave]]
+        prow = tab[leave]
+        for i in range(m):
+            factor = tab[i][enter]
+            if i != leave and factor != 0:
+                tab[i] = [v - factor * w for v, w in zip(tab[i], prow)]
+        factor = zrow[enter]
+        if factor != 0:
+            zrow = [v - factor * w for v, w in zip(zrow, prow)]
+        basis[leave] = enter
+    else:
+        raise InstanceError("simplex pivot budget exhausted")
+    solution = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = tab[i][-1]
+    return zrow[-1], solution
+
+
+def lp_outcome(solver, rows, rhs, objective):
+    """(value, solution), or (exception type, message) for a raise."""
+    try:
+        return solver(rows, rhs, objective)
+    except InstanceError as exc:
+        return type(exc), str(exc)
+
+
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def small_lps(draw):
+    """Small programs whose right-hand sides are often zero, so ratio ties and
+    degenerate pivots occur, and whose columns may be unbounded."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(SMALL_FRACTIONS, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.sampled_from([0, 0, 1, 2, Fraction(1, 2), 3]), min_size=m, max_size=m))
+    objective = draw(st.lists(SMALL_FRACTIONS, min_size=n, max_size=n))
+    return rows, rhs, objective
+
+
 class TestSimplex:
     def test_small_program_exact_value(self):
         value, sol = simplex_max(
@@ -143,12 +220,76 @@ class TestSimplex:
         assert sol == [Fraction(0)]
 
     def test_unbounded_detected(self):
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError, match="^unbounded linear program$"):
             simplex_max([[-1]], [0], [1])
 
     def test_negative_rhs_rejected(self):
         with pytest.raises(InstanceError):
             simplex_max([[1]], [-1], [1])
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(small_lps(), st.sampled_from([None, None, None, 0, 1, 2, 3]))
+    def test_matches_fraction_reference(self, lp, cap):
+        # same value, same solution, same raise and message, also when the
+        # pivot budget runs out part way
+        budget = polylab.SIMPLEX_PIVOT_CAP if cap is None else cap
+        with mock.patch.object(polylab, "SIMPLEX_PIVOT_CAP", budget):
+            assert lp_outcome(simplex_max, *lp) == lp_outcome(reference_simplex_max, *lp)
+
+    def test_matches_reference_on_jump_and_growth_programs(self, monkeypatch):
+        captured = []
+        monkeypatch.setattr(polylab, "simplex_max", lambda *lp: captured.append(lp) or simplex_max(*lp))
+        extremal_sigma_lp(8, 32, 1)
+        extremal_sigma_lp(2, 16, 2)
+        growth_extremal(16, 4)
+        assert len(captured) == 3
+        for lp in captured:
+            assert simplex_max(*lp) == reference_simplex_max(*lp)
+
+    def test_pivot_budget_exhausted_below_the_pivot_count(self, monkeypatch):
+        # max x0 + 2 x1 with x0 <= 2, x1 <= 3, x0 + x1 <= 4: Bland's rule
+        # enters x0, then x1, then the first slack; the cap also counts the
+        # final optimality check, so three pivots need a cap of four
+        lp = ([[1, 0], [0, 1], [1, 1]], [2, 3, 4], [1, 2])
+        for solver in (simplex_max, reference_simplex_max):
+            monkeypatch.setattr(polylab, "SIMPLEX_PIVOT_CAP", 4)
+            assert solver(*lp) == (Fraction(7), [Fraction(1), Fraction(3)])
+            monkeypatch.setattr(polylab, "SIMPLEX_PIVOT_CAP", 3)
+            with pytest.raises(InstanceError, match="^simplex pivot budget exhausted$"):
+                solver(*lp)
+
+
+def product_formula(nodes, s, x):
+    out = Fraction(1)
+    for u in nodes:
+        if u != s:
+            out *= Fraction(x - u) / (s - u)
+    return out
+
+
+class TestLagrangeRow:
+    @pytest.mark.parametrize("nodes", [range(1), range(3), range(13), range(25), range(40, 49)])
+    def test_matches_product_formula(self, nodes):
+        lo, hi = nodes[0], nodes[-1]
+        points = [Fraction(x) for x in range(lo - 3, hi + 4)]          # outside and at the nodes
+        points += [Fraction(2 * x + 1, 2) for x in range(lo - 3, hi + 3)]   # half-integers
+        for x in points:
+            w, den = polylab._lagrange_row(nodes, x)
+            assert den > 0
+            assert len(w) == len(nodes)
+            assert [Fraction(v, den) for v in w] == [product_formula(nodes, s, x) for s in nodes], x
+
+    def test_node_gives_unit_vector(self):
+        nodes = range(5, 12)
+        for k, s in enumerate(nodes):
+            w, den = polylab._lagrange_row(nodes, s)
+            assert [Fraction(v, den) for v in w] == [int(j == k) for j in range(len(nodes))]
+
+    def test_integer_point_denominator_is_d_factorial(self):
+        # D! L_s(i) = (-1)^(D-s) C(D, s) prod_{u != s} (i - u) is an integer
+        w, den = polylab._lagrange_row(range(9), 20)
+        assert den == math.factorial(8)
+        assert w[3] == (-1) ** 5 * math.comb(8, 3) * math.prod(20 - u for u in range(9) if u != 3)
 
 
 class TestJumpLP:
@@ -216,7 +357,13 @@ class TestJumpLP:
         assert len(cells) == 99
         assert all(deg <= n_dom and 8 * m <= n_dom for deg, n_dom, m in cells)
 
-    @pytest.mark.parametrize("cell", [(4, 64, 3), (8, 32, 1)])
+    @pytest.mark.parametrize(
+        "cell",
+        # a deep prefix at N = 64, then every grid cell with N <= 32, D <= 12 and
+        # a nonzero program (D >= m); HiGHS loses accuracy in this basis once N >= 48
+        [(4, 64, 3), (8, 32, 1)]
+        + [c for c in lp_grid_cells() if c[1] <= 32 and c[2] <= c[0] <= 12 and c != (8, 32, 1)],
+    )
     def test_float_lp_cross_check(self, cell):
         # same program through an independent floating-point solver
         linprog = pytest.importorskip("scipy.optimize").linprog

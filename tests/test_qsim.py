@@ -100,8 +100,8 @@ class TestTapeOracle:
     def test_uncharged_internals_do_not_touch_ledger(self):
         oracle, ledger = make_oracle([0, 1, 2, 0])
         assert oracle._total() == 3
-        assert list(oracle._one_positions()) == [1, 2]
-        assert list(oracle._one_positions(frozenset({1}))) == [2]
+        assert list(np.flatnonzero(oracle._bits())) == [1, 2]
+        assert list(np.flatnonzero(oracle._bits(frozenset({1})))) == [2]
         assert ledger.total == 0
 
 
@@ -298,6 +298,27 @@ class TestGroverSearch:
                 assert out.found == 23
         assert misses <= 15  # ~2% expected under the retry budget
 
+    def test_one_mask_build_per_search(self, monkeypatch):
+        # with its only mark excluded, the search runs its whole budget of
+        # attempts in every mode; the derived bit tape and its two position
+        # lists are still built once
+        builds, scans, attempts = [], [], []
+        real_bits, real_scan, real_sample = TapeOracle._bits, np.flatnonzero, qsim._sample_measurement
+        monkeypatch.setattr(TapeOracle, "_bits", lambda self, *a: builds.append(1) or real_bits(self, *a))
+        monkeypatch.setattr(qsim.np, "flatnonzero", lambda a: scans.append(1) or real_scan(a))
+        monkeypatch.setattr(qsim, "_sample_measurement", lambda *a: attempts.append(1) or real_sample(*a))
+        values = np.zeros(64, dtype=np.int64)
+        values[23] = 1
+        for mode in MODES:
+            builds.clear()
+            scans.clear()
+            attempts.clear()
+            oracle, _ = make_oracle(values)
+            out = grover_search(oracle, mode, rng_for("masks", mode), exclude=frozenset({23}))
+            assert out.found is None
+            assert len(attempts) > 5, mode
+            assert (len(builds), len(scans)) == (1, 2), mode
+
 
 class TestCollectOnes:
     def test_exact_mode_recovers_full_support(self):
@@ -354,6 +375,32 @@ class TestCollectOnes:
         a = collect_ones(make_oracle(values)[0], MODE_COST, rng_for("cdet"))
         b = collect_ones(make_oracle(values)[0], MODE_COST, rng_for("cdet"))
         assert a == b
+
+    def test_live_tape_matches_searches_with_exclusion_sets(self, monkeypatch):
+        # one mask build per search, and the same draws and charges as one
+        # search per find with the found positions passed as `exclude`
+        builds = []
+        real_bits = TapeOracle._bits
+        monkeypatch.setattr(TapeOracle, "_bits", lambda self, *a: builds.append(1) or real_bits(self, *a))
+        values = np.zeros(48, dtype=np.int64)
+        values[[2, 3, 11, 30, 31, 44]] = [1, 2, 1, 3, 1, 1]
+        for mode in MODES:
+            for trial in range(5):
+                oracle, ledger = make_oracle(values)
+                builds.clear()
+                res = collect_ones(oracle, mode, rng_for("live", mode, trial))
+                assert len(builds) == res.searches
+                ref_oracle, ref_ledger = make_oracle(values)
+                rng = rng_for("live", mode, trial)
+                found = []
+                while True:
+                    out = grover_search(ref_oracle, mode, rng, exclude=frozenset(found))
+                    if out.found is None:
+                        break
+                    found.append(out.found)
+                assert res.found == tuple(found)
+                assert res.searches == len(found) + 1
+                assert ledger == ref_ledger
 
 
 # ---------------------------------------------------------------------------
