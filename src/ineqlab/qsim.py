@@ -188,15 +188,13 @@ def _sample_measurement(bits, ones, rest, j: int, mode: str, rng: np.random.Gene
 
 
 def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator,
-                  weight_hint: int | None = None,
                   exclude=frozenset()) -> SearchOutcome:
-    """One search for a 1-position of the derived bit tape.
+    """One search for a 1-position of the derived bit tape, of unknown weight.
 
-    Known weight: fixed schedule from grover_schedule, retried within budget.
-    Unknown weight: iteration caps grow by 6/5 per attempt up to sqrt(n), the
-    attempt count j is drawn uniformly below the cap, and the whole search is
-    cut off after RETRY_BUDGET_FACTOR * ceil(sqrt(n)) charged queries, after
-    which NoSolution is reported (found = None).
+    Iteration caps grow by 6/5 per attempt up to sqrt(n), the attempt count j
+    is drawn uniformly below the cap, and the whole search is cut off after
+    RETRY_BUDGET_FACTOR * ceil(sqrt(n)) charged queries, after which
+    NoSolution is reported (found = None).
 
     Exact mode follows the identical control flow and charges, but if the
     sampled path ends empty-handed while a 1-position exists, a uniformly
@@ -213,17 +211,9 @@ def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator,
     charged = 0
     found = None
     cap = 1.0
-    known_k = None
-    if weight_hint is not None:
-        if weight_hint == 0:
-            raise WeightZero("weight hint 0 is not searchable")
-        known_k, _ = grover_schedule(n, weight_hint)
     while charged < budget:
-        if known_k is not None:
-            j = known_k
-        else:
-            j = int(rng.integers(0, max(1, math.ceil(cap))))
-            cap = min(cap * CAP_GROWTH, math.sqrt(n))
+        j = int(rng.integers(0, max(1, math.ceil(cap))))
+        cap = min(cap * CAP_GROWTH, math.sqrt(n))
         oracle.charge(j, TAG_GROVER)
         idx = _sample_measurement(bits, ones, rest, j, mode, rng)
         bit = oracle.read_bit(idx, exclude, TAG_GROVER)   # verification query

@@ -29,14 +29,7 @@ SPACE_CLASS_CAP = 10**4       # on C(n, t)
 PRODUCT_FACTORS_CAP = 2       # k-fold tensor spaces
 PRODUCT_ONE_DIM_CAP = 32      # per-factor dimension for k >= 2
 RUN_JOINT_DIM_CAP = 2**14     # dim(work register) * dim(input register)
-
-
-def falling_factorial(x: int, j: int) -> int:
-    """x (x-1) ... (x-j+1); empty product is 1."""
-    out = 1
-    for step in range(j):
-        out *= x - step
-    return out
+SAMPLE_TRIALS = 50            # random states per sampled probability check
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +152,7 @@ class ChainLevel:
 def deflated_norm_closed_form(n: int, t: int, j: int, a: int, b: int) -> float:
     """Norm of a level-j deflated split-family state, as an exact ratio of falling factorials."""
     t_a = t - 1 + a
-    num = falling_factorial(n - t_a - 1 + b, j)
-    den = falling_factorial(n - j, j)
-    return math.sqrt(num / den)
+    return math.sqrt(math.perm(n - t_a - 1 + b, j) / math.perm(n - j, j))
 
 
 def build_subspace_chain(space: InputSpace, a: int, b: int | None = None) -> list[ChainLevel]:
@@ -248,21 +239,16 @@ def build_signed_decomposition(space: InputSpace) -> SignedDecomposition:
     # keeps the joint basis orthonormal to machine precision
     acc = np.zeros((space.dim, 0))
     for j in range(t):
-        sum_vecs = []
-        diff_vecs = []
-        for idx, tup in enumerate(chain0[j].tuples):
-            v0 = chain0[j].deflated[:, idx]
-            n0 = chain0[j].deflated_norms[idx]
-            pos = chain1[j].tuples.index(tup)
-            v1 = chain1[j].deflated[:, pos]
-            n1 = chain1[j].deflated_norms[pos]
-            if n0 < DEPENDENCE_TOL or n1 < DEPENDENCE_TOL:
-                raise InstanceError("degenerate deflated state in signed construction")
-            sum_vecs.append(v0 / n0 + v1 / n1)
-            diff_vecs.append(v0 / n0 - v1 / n1)
-        plus.append(orthonormal_columns(sum_vecs, space.dim, against=acc))
+        # both chains pin the tuples of combinations(range(n), j), so column i
+        # of either level belongs to the same tuple
+        lo, hi = chain0[j], chain1[j]
+        if min(lo.deflated_norms.min(), hi.deflated_norms.min()) < DEPENDENCE_TOL:
+            raise InstanceError("degenerate deflated state in signed construction")
+        u0 = lo.deflated / lo.deflated_norms
+        u1 = hi.deflated / hi.deflated_norms
+        plus.append(orthonormal_columns((u0 + u1).T, space.dim, against=acc))
         acc = np.hstack([acc, plus[-1]])
-        minus.append(orthonormal_columns(diff_vecs, space.dim, against=acc))
+        minus.append(orthonormal_columns((u0 - u1).T, space.dim, against=acc))
         acc = np.hstack([acc, minus[-1]])
     minus.append(orthonormal_columns(chain1[t].fresh.T, space.dim, against=acc))
     top = (t + 1) // 2
@@ -332,37 +318,72 @@ def _product_blocks(blocks: list[np.ndarray], k: int) -> dict[int, np.ndarray]:
     return {m: np.hstack(parts) for m, parts in sorted(grouped.items())}
 
 
-def product_level_bases(decomp: SignedDecomposition, k: int) -> dict[int, np.ndarray]:
-    """Columns of each total growth level m across k factors."""
-    _check_product_caps(decomp.space, k)
-    return _product_blocks(list(decomp.levels), k)
+def _class_masks(space: InputSpace, k: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Joint-basis masks selecting, per factor, one weight class."""
+    per = {a: space.class_mask(a).astype(float).reshape(-1, 1) for a in (0, 1)}
+    return {answers: _kron_columns([per[a] for a in answers]).ravel() > 0.5
+            for answers in product((0, 1), repeat=k)}
 
 
-def product_minus_bases(decomp: SignedDecomposition, k: int) -> dict[int, np.ndarray]:
-    """Columns grouped by how many factors sit on the phase-difference side."""
-    _check_product_caps(decomp.space, k)
-    return _product_blocks([np.hstack(decomp.plus), np.hstack(decomp.minus)], k)
+@dataclass(eq=False)
+class LevelFrame:
+    """The k-fold product structure of one signed decomposition, built once.
+
+    answer_blocks[js] lists, over answer tuples in lexicographic order, the
+    product of the answer-class fresh blocks at the factor levels js.
+    """
+
+    params: PotentialParams
+    decomp: SignedDecomposition
+    columns: np.ndarray     # (dim_i, dim_i) growth-level columns
+    labels: np.ndarray      # level index per column
+    minus: dict[int, np.ndarray]    # columns by count of phase-difference factors
+    masks: dict[tuple[int, ...], np.ndarray]   # joint weight classes per answer tuple
+    answer_blocks: dict[tuple[int, ...], list[np.ndarray]]
 
 
-def containment_residual(decomp: SignedDecomposition, k: int) -> float:
+def build_level_frame(decomp: SignedDecomposition, k: int) -> LevelFrame:
+    space = decomp.space
+    _check_product_caps(space, k)
+    levels = _product_blocks(list(decomp.levels), k)
+    columns = np.hstack(list(levels.values()))
+    if columns.shape[0] != columns.shape[1]:
+        raise InstanceError("growth levels do not fill the product space")
+    labels = np.repeat(list(levels), [block.shape[1] for block in levels.values()])
+    del levels  # free the per-level copies before the signed sides are built
+    t = space.t
+    q = Fraction(t + 1, t)
+    top = decomp.top_level
+    weights = tuple(float(q) ** m for m in range(k * top + 1))
+    chains = (decomp.chain0, decomp.chain1)
+    answers = list(product((0, 1), repeat=k))
+    return LevelFrame(
+        params=PotentialParams(t=t, k=k, q=q, top_level=top, weights=weights),
+        decomp=decomp,
+        columns=columns,
+        labels=labels,
+        minus=_product_blocks([np.hstack(decomp.plus), np.hstack(decomp.minus)], k),
+        masks=_class_masks(space, k),
+        answer_blocks={
+            js: [_kron_columns([chains[a][j].fresh for j, a in zip(js, ans)]) for ans in answers]
+            for js in product(range(t), repeat=k)
+        },
+    )
+
+
+def containment_residual(frame: LevelFrame) -> float:
     """Projector-dominance residual: each m-difference block must sit inside
     the union of growth levels at or above t*m/2.
 
     Returns the largest eigenvalue of (P_minus - P_levels), which must be <= 0
     up to tolerance.
     """
-    t = decomp.space.t
-    minus = product_minus_bases(decomp, k)
-    levels = product_level_bases(decomp, k)
     worst = 0.0
-    for m, cols in minus.items():
-        threshold = math.ceil(t * m / 2)
-        high = [c for lvl, c in levels.items() if lvl >= threshold]
-        p_minus = cols @ cols.T
-        stacked = np.hstack(high)
-        p_levels = stacked @ stacked.T
-        top_eig = float(np.linalg.eigvalsh(p_minus - p_levels).max())
-        worst = max(worst, top_eig)
+    for m, cols in frame.minus.items():
+        high = frame.columns[:, frame.labels >= math.ceil(frame.params.t * m / 2)]
+        gap = cols @ cols.T
+        gap -= high @ high.T
+        worst = max(worst, float(np.linalg.eigvalsh(gap).max()))
     return worst
 
 
@@ -375,8 +396,6 @@ class MapCheck:
     a: int
     b: int
     present: bool
-    dim_source: int
-    dim_target: int
     constant: float     # common singular value (0 when absent)
     sv_spread: float    # max - min singular value
     residual: float     # worst defect of the defining correspondence
@@ -409,11 +428,10 @@ def check_unitary_maps(chains: dict[tuple[int, int], list[ChainLevel]], j: int) 
         raise InstanceError("source block is empty at this level")
     source = chains[(0, 0)][j]
     coords_src = source.fresh.T @ source.deflated
-    dim_source = source.fresh.shape[1]
     checks: list[MapCheck] = []
     for a, b in ((0, 1), (1, 0), (1, 1)):
         if j >= len(chains[(a, b)]):
-            checks.append(MapCheck(a, b, False, dim_source, 0, 0.0, 0.0, 0.0))
+            checks.append(MapCheck(a, b, False, 0.0, 0.0, 0.0))
             continue
         target = chains[(a, b)][j]
         coords_tgt = target.fresh.T @ target.deflated
@@ -425,8 +443,6 @@ def check_unitary_maps(chains: dict[tuple[int, int], list[ChainLevel]], j: int) 
                 a=a,
                 b=b,
                 present=True,
-                dim_source=dim_source,
-                dim_target=target.fresh.shape[1],
                 constant=float(svals.mean()) if svals.size else 0.0,
                 sv_spread=float(svals.max() - svals.min()) if svals.size else 0.0,
                 residual=residual,
@@ -470,12 +486,8 @@ def alpha_beta(n: int, t: int, j: int) -> AlphaBeta:
     beta_sq: list[Fraction] = []
     for a in (0, 1):
         t_a = t - 1 + a
-        norm0_sq = Fraction(
-            falling_factorial(n - t_a - 1, j), falling_factorial(n - j, j)
-        )
-        norm1_sq = Fraction(
-            falling_factorial(n - t_a, j), falling_factorial(n - j, j)
-        )
+        norm0_sq = Fraction(math.perm(n - t_a - 1, j), math.perm(n - j, j))
+        norm1_sq = Fraction(math.perm(n - t_a, j), math.perm(n - j, j))
         a_sq = Fraction(n - t_a, n - j) * norm0_sq
         b_sq = Fraction(t_a - j, n - j) * norm1_sq
         total = a_sq + b_sq
@@ -518,10 +530,6 @@ class RecastRun:
     states: tuple[np.ndarray, ...]
 
     @property
-    def dim_a(self) -> int:
-        return self.query_slots * self.workspace_dim
-
-    @property
     def dim_i(self) -> int:
         return self.space.dim**self.k
 
@@ -535,15 +543,15 @@ def recast_run(
     space: InputSpace,
     k: int,
     workspace_dim: int = 1,
-    start: np.ndarray | None = None,
 ) -> RecastRun:
     """Run a sequence of work-register unitaries interleaved with phase queries.
 
-    The input register holds k copies of the two-weight `space`, initialized
-    in the product of start states.  Each program step applies its unitary to the
-    work register and then one query: the query slot (part of the work
-    register, slot 0 idle) selects a bit of the joint input, and basis states
-    with that bit set acquire phase -1.
+    The work register starts in basis state 0; the input register holds k
+    copies of the two-weight `space`, initialized in the product of start
+    states.  Each program step applies its unitary to the work register and
+    then one query: the query slot (part of the work register, slot 0 idle)
+    selects a bit of the joint input, and basis states with that bit set
+    acquire phase -1.
     """
     _check_product_caps(space, k)
     n = space.n
@@ -560,15 +568,8 @@ def recast_run(
         parts = [ones_i] * k
         parts[inst] = signs[:, pos]
         phase[q] = _kron_columns([p.reshape(-1, 1) for p in parts]).ravel()
-    if start is None:
-        start = np.zeros(dim_a)
-        start[0] = 1.0
-    start = np.asarray(start, dtype=complex)
-    if start.shape != (dim_a,) or abs(np.linalg.norm(start) - 1.0) > ORTHO_TOL:
-        raise InstanceError("start state must be a unit vector on the work register")
-    psi0 = space.psi_one.reshape(-1, 1)
-    joint_start = _kron_columns([psi0] * k).ravel()
-    phi = np.outer(start, joint_start).astype(complex)
+    phi = np.zeros((dim_a, dim_i), dtype=complex)
+    phi[0] = _kron_columns([space.psi_one.reshape(-1, 1)] * k).ravel()
     states = [phi.copy()]
     for step, gate in enumerate(program):
         gate = np.asarray(gate, dtype=complex)
@@ -631,29 +632,6 @@ class PotentialReport:
     decay_excess: float   # worst violation of the tail-decay inequality
 
 
-@dataclass(eq=False)
-class LevelFrame:
-    """Precomputed orthonormal frame of all growth-level columns with labels."""
-
-    params: PotentialParams
-    columns: np.ndarray     # (dim_i, dim_i)
-    labels: np.ndarray      # level index per column
-
-
-def build_level_frame(decomp: SignedDecomposition, k: int) -> LevelFrame:
-    levels = product_level_bases(decomp, k)
-    columns = np.hstack(list(levels.values()))
-    if columns.shape[0] != columns.shape[1]:
-        raise InstanceError("growth levels do not fill the product space")
-    labels = np.repeat(list(levels), [block.shape[1] for block in levels.values()])
-    t = decomp.space.t
-    q = Fraction(t + 1, t)
-    top = decomp.top_level
-    weights = tuple(float(q) ** m for m in range(k * top + 1))
-    params = PotentialParams(t=t, k=k, q=q, top_level=top, weights=weights)
-    return LevelFrame(params=params, columns=columns, labels=labels)
-
-
 def _masses_report(masses: np.ndarray, params: PotentialParams) -> PotentialReport:
     value = float(np.dot(masses, params.weights))
     qf = float(params.q)
@@ -703,16 +681,6 @@ def _binomial_tail(k: int, m: int) -> float:
     return sum(math.comb(k, mp) for mp in range(m + 1)) / 2**k
 
 
-def _class_masks(space: InputSpace, k: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Joint-basis masks selecting, per factor, one weight class."""
-    per = {a: space.class_mask(a).astype(float).reshape(-1, 1) for a in (0, 1)}
-    masks: dict[tuple[int, ...], np.ndarray] = {}
-    for answers in product((0, 1), repeat=k):
-        joint = _kron_columns([per[a] for a in answers]).ravel()
-        masks[answers] = joint > 0.5
-    return masks
-
-
 @dataclass(frozen=True)
 class SuccessBoundReport:
     k: int
@@ -724,12 +692,7 @@ class SuccessBoundReport:
 
 
 def success_probability_bounds(
-    decomp: SignedDecomposition,
-    run: RecastRun,
-    m: int,
-    rng: SeededRng | None = None,
-    state_trials: int = 50,
-    product_trials: int = 50,
+    frame: LevelFrame, run: RecastRun, m: int, rng: SeededRng
 ) -> SuccessBoundReport:
     """Three checks tying answer probabilities to the signed decomposition.
 
@@ -737,27 +700,23 @@ def success_probability_bounds(
     bound; (ii) the run's states never beat it plus the residual-mass
     correction 4*sqrt(mass outside the low-difference span); (iii) a unit
     vector in any signed product block projects onto any answer block with
-    squared norm at most 2^-k.  `decomp` is the decomposition of one factor
-    of the run's input register.
+    squared norm at most 2^-k.  `frame` must be built for the run's (n, t, k).
     """
-    if rng is None:
-        rng = SeededRng(0)
-    space, k = run.space, run.k
-    if (decomp.space.n, decomp.space.t) != (space.n, space.t):
-        raise InstanceError("decomposition and run disagree on (n, t)")
+    decomp, k = frame.decomp, frame.params.k
+    space = decomp.space
+    if (space.n, space.t, k) != (run.space.n, run.space.t, run.k):
+        raise InstanceError("frame and run disagree on (n, t, k)")
     if not (0 <= m <= k):
         raise InstanceError("difference count m must be in 0..k")
-    minus = product_minus_bases(decomp, k)
-    masks = _class_masks(space, k)
     bound = _binomial_tail(k, m)
     gen = rng.stream
 
-    low_cols = np.hstack([minus[mp] for mp in range(m + 1)])
+    low_cols = np.hstack([frame.minus[mp] for mp in range(m + 1)])
     span_excess = 0.0
-    for _ in range(state_trials):
+    for _ in range(SAMPLE_TRIALS):
         coeff = gen.standard_normal(low_cols.shape[1])
         psi = low_cols @ (coeff / np.linalg.norm(coeff))
-        for mask in masks.values():
+        for mask in frame.masks.values():
             prob = float(np.sum(psi[mask] ** 2))
             span_excess = max(span_excess, prob - bound)
 
@@ -769,7 +728,7 @@ def success_probability_bounds(
         residual = max(0.0, 1.0 - inside)
         corrected = bound + 4.0 * math.sqrt(residual)
         diag = np.sum(np.abs(phi) ** 2, axis=0)
-        for mask in masks.values():
+        for mask in frame.masks.values():
             prob = float(diag[mask].sum())
             run_excess = max(run_excess, prob - corrected)
 
@@ -779,10 +738,8 @@ def success_probability_bounds(
     projection_excess = 0.0
     signed_blocks = {("plus", j): decomp.plus[j] for j in range(space.t)}
     signed_blocks.update({("minus", j): decomp.minus[j] for j in range(space.t)})
-    class_blocks = {(0, j): decomp.chain0[j].fresh for j in range(space.t)}
-    class_blocks.update({(1, j): decomp.chain1[j].fresh for j in range(space.t)})
     keys = sorted(signed_blocks.keys())
-    for _ in range(product_trials):
+    for _ in range(SAMPLE_TRIALS):
         factors = []
         levels = []
         for _ in range(k):
@@ -792,9 +749,8 @@ def success_probability_bounds(
             factors.append((cols @ (coeff / np.linalg.norm(coeff))).reshape(-1, 1))
             levels.append(j)
         psi = _kron_columns(factors).ravel()
-        for answers in product((0, 1), repeat=k):
-            blocks = [class_blocks[(a, j)] for j, a in zip(levels, answers)]
-            proj = _kron_columns(blocks).T @ psi
+        for block in frame.answer_blocks[tuple(levels)]:
+            proj = block.T @ psi
             projection_excess = max(
                 projection_excess, float(proj @ proj) - 1.0 / 2**k
             )
@@ -858,6 +814,8 @@ def growth_ratios(reports: list[PotentialReport]) -> list[float]:
 
 def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: int = 3) -> list[CheckLine]:
     """Full check battery at one (n, t, k) cell; returns one line per claim."""
+    if runs < 1 or depth < 1:
+        raise InstanceError("runs and depth must be at least 1")
     rng = SeededRng(seed)
     lines: list[CheckLine] = []
     space = build_input_space(n, t)
@@ -899,10 +857,10 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
         )
     )
 
-    dominance = containment_residual(decomp, k)
+    frame = build_level_frame(decomp, k)
+    dominance = containment_residual(frame)
     lines.append(CheckLine("difference blocks sit in high levels", dominance <= ORTHO_TOL, dominance, f"k={k}"))
 
-    frame = build_level_frame(decomp, k)
     workspace = 2
     dim_a = (k * n + 1) * workspace
     decay = 0.0
@@ -917,7 +875,7 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
             growth_max = max(growth_max, (ratio - 1.0) * math.sqrt(t * n))
         if idx < 3:
             for m in range(k + 1):
-                bounds = success_probability_bounds(decomp, run, m, rng.spawn("bounds", idx, m))
+                bounds = success_probability_bounds(frame, run, m, rng.spawn("bounds", idx, m))
                 prob_worst = max(
                     prob_worst, bounds.span_excess, bounds.run_excess, bounds.projection_excess
                 )

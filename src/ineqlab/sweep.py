@@ -101,6 +101,8 @@ class SweepConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.seeds < 0:
             raise ValueError("seeds must be nonnegative")
+        if self.reps is not None and (self.reps < 1 or self.reps % 2 == 0):
+            raise ValueError("reps must be odd and positive")
         for n in self.n_values:
             if n < 1:
                 raise ValueError("N values must be positive")

@@ -130,6 +130,14 @@ class TestSweep:
         assert main(["sweep", "--config", config, "--out",
                      str(tmp_path / "x.csv")]) == 2
 
+    def test_even_reps_is_usage_error(self, tmp_path, capsys):
+        # rejected with the config, before any cell runs and fails
+        config = write_config(tmp_path, modes=["cost-model"], reps=2)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert "reps must be odd and positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSubspaceVerify:
     def test_small_cell_passes_and_dumps_json(self, tmp_path, capsys):
@@ -155,6 +163,14 @@ class TestSubspaceVerify:
 
     def test_infeasible_cell_is_usage_error(self, capsys):
         assert main(["subspace", "verify", "--n", "4", "--t", "3", "--k", "1"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--runs", "-3"), ("--runs", "0"), ("--depth", "0")])
+    def test_no_runs_or_queries_is_usage_error(self, flag, value, capsys):
+        # an along-run line over no run or no query would pass vacuously
+        assert main(["subspace", "verify", "--n", "4", "--t", "2", "--k", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out
+        assert "at least 1" in captured.err
 
 
 class TestPolyVerify:

@@ -29,14 +29,11 @@ from ineqlab.subspace import (
     containment_residual,
     decomposition_report,
     deflated_norm_closed_form,
-    falling_factorial,
     growth_ratios,
     orthonormal_columns,
     orthonormality_residual,
     potential,
     potential_from_joint,
-    product_level_bases,
-    product_minus_bases,
     random_program,
     random_projective_measurement,
     recast_run,
@@ -60,16 +57,26 @@ def reduced(phi):
 
 
 class TestFallingFactorial:
+    """The closed forms read falling factorials x (x-1) ... (x-j+1) off math.perm."""
+
     def test_small_values(self):
-        assert falling_factorial(5, 0) == 1
-        assert falling_factorial(5, 1) == 5
-        assert falling_factorial(5, 3) == 60
-        assert falling_factorial(3, 3) == 6
+        # n=4, t=2, a=1, b=0 pins from x = 1 free slot: sqrt(1/3) at j = 1,
+        # and at j = 2 the falling product has a zero factor
+        assert deflated_norm_closed_form(4, 2, 1, 1, 0) == math.sqrt(1 / 3)
+        assert deflated_norm_closed_form(4, 2, 2, 1, 0) == 0.0
 
     def test_matches_comb_scaling(self):
-        for n in range(1, 12):
-            for j in range(n + 1):
-                assert falling_factorial(n, j) == math.comb(n, j) * math.factorial(j)
+        # the squared norm is the falling-factorial ratio, that is
+        # C(x, j) / C(n-j, j) with x = n - t_a - 1 + b, at every chain level
+        for n in range(2, 12):
+            for t in range(1, n // 2 + 1):
+                for a in (0, 1):
+                    for b in (0, 1):
+                        x = n - (t - 1 + a) - 1 + b
+                        for j in range(t - 1 + a - b + 1):
+                            expect = math.comb(x, j) / math.comb(n - j, j)
+                            got = deflated_norm_closed_form(n, t, j, a, b) ** 2
+                            assert got == pytest.approx(expect, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +245,26 @@ class TestSignedDecomposition:
     def test_containment_in_high_levels(self):
         for n, t in [(4, 2), (6, 2), (6, 3)]:
             decomp = build_signed_decomposition(build_input_space(n, t))
-            assert containment_residual(decomp, 1) <= ORTHO_TOL
+            assert containment_residual(build_level_frame(decomp, 1)) <= ORTHO_TOL
         decomp = build_signed_decomposition(build_input_space(4, 2))
-        assert containment_residual(decomp, 2) <= ORTHO_TOL
+        assert containment_residual(build_level_frame(decomp, 2)) <= ORTHO_TOL
 
     def test_product_bases_fill_space(self):
         space = build_input_space(4, 2)
         decomp = build_signed_decomposition(space)
         for k in (1, 2):
-            levels = product_level_bases(decomp, k)
-            assert sum(b.shape[1] for b in levels.values()) == space.dim**k
-            minus = product_minus_bases(decomp, k)
-            assert sum(b.shape[1] for b in minus.values()) == space.dim**k
+            frame = build_level_frame(decomp, k)
+            assert frame.columns.shape == (space.dim**k, space.dim**k)
+            assert np.bincount(frame.labels).sum() == space.dim**k
+            assert sum(b.shape[1] for b in frame.minus.values()) == space.dim**k
+            # one answer block per answer tuple at every tuple of levels below t
+            assert len(frame.answer_blocks) == space.t**k
+            assert all(len(blocks) == 2**k for blocks in frame.answer_blocks.values())
 
     def test_minus_basis_dims_are_binomial_products(self):
         space = build_input_space(4, 2)
         decomp = build_signed_decomposition(space)
-        minus = product_minus_bases(decomp, 2)
+        minus = build_level_frame(decomp, 2).minus
         low, high = math.comb(4, 1), math.comb(4, 2)  # per-factor side dims
         assert minus[0].shape[1] == low * low
         assert minus[1].shape[1] == 2 * low * high
@@ -277,10 +287,10 @@ class TestSignedDecomposition:
     def test_product_caps(self):
         decomp = build_signed_decomposition(build_input_space(4, 2))
         with pytest.raises(InstanceError):
-            product_level_bases(decomp, 3)
+            build_level_frame(decomp, 3)
         big = build_signed_decomposition(build_input_space(10, 3))
         with pytest.raises(InstanceError):
-            product_minus_bases(big, 2)  # per-factor dim 165 > cap
+            build_level_frame(big, 2)  # per-factor dim 165 > cap
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +529,14 @@ class TestPotential:
 # probability bounds
 
 
-def decomp_of(run):
-    return build_signed_decomposition(run.space)
+def frame_of(run):
+    return build_level_frame(build_signed_decomposition(run.space), run.k)
 
 
 class TestSuccessBounds:
     def test_single_factor_bound_is_half(self):
         run = small_run(k=1, depth=3, seed=2)
-        report = success_probability_bounds(decomp_of(run), run, 0, rng_for("bounds", 1))
+        report = success_probability_bounds(frame_of(run), run, 0, rng_for("bounds", 1))
         assert report.binomial_bound == 0.5
         assert report.span_excess <= BOUND_SLACK
         assert report.run_excess <= BOUND_SLACK
@@ -534,15 +544,15 @@ class TestSuccessBounds:
 
     def test_two_factor_bound_is_quarter(self):
         run = small_run(n=4, t=2, k=2, workspace=1, depth=2, seed=3)
-        report = success_probability_bounds(decomp_of(run), run, 0, rng_for("bounds", 2))
+        report = success_probability_bounds(frame_of(run), run, 0, rng_for("bounds", 2))
         assert report.binomial_bound == 0.25
         assert max(report.span_excess, report.run_excess, report.projection_excess) <= BOUND_SLACK
 
     def test_binomial_tail_values(self):
         run = small_run(n=4, t=2, k=2, workspace=1, depth=1, seed=4)
-        decomp = decomp_of(run)
+        frame = frame_of(run)
         bounds = [
-            success_probability_bounds(decomp, run, m, rng_for("bounds", 3, m)).binomial_bound
+            success_probability_bounds(frame, run, m, rng_for("bounds", 3, m)).binomial_bound
             for m in (0, 1, 2)
         ]
         assert bounds == [0.25, 0.75, 1.0]
@@ -551,20 +561,26 @@ class TestSuccessBounds:
         for seed in range(3):
             run = small_run(k=1, depth=2, seed=seed + 20)
             for m in (0, 1):
-                report = success_probability_bounds(decomp_of(run), run, m, rng_for("b", seed, m))
+                report = success_probability_bounds(frame_of(run), run, m, rng_for("b", seed, m))
                 assert max(report.span_excess, report.run_excess, report.projection_excess) <= BOUND_SLACK
 
     def test_m_out_of_range(self):
         run = small_run(k=1, depth=1)
         with pytest.raises(InstanceError):
-            success_probability_bounds(decomp_of(run), run, 2)
+            success_probability_bounds(frame_of(run), run, 2, rng_for("bounds", 4))
 
     def test_rejects_decomposition_of_another_cell(self):
         run = small_run(n=4, t=2, k=1, depth=1)
         for n, t in [(5, 2), (6, 3), (4, 1)]:
-            other = build_signed_decomposition(build_input_space(n, t))
+            other = build_level_frame(build_signed_decomposition(build_input_space(n, t)), 1)
             with pytest.raises(InstanceError, match="disagree"):
-                success_probability_bounds(other, run, 0)
+                success_probability_bounds(other, run, 0, rng_for("bounds", 5))
+
+    def test_rejects_frame_of_another_k(self):
+        run = small_run(n=4, t=2, k=1, depth=1)
+        other = build_level_frame(build_signed_decomposition(run.space), 2)
+        with pytest.raises(InstanceError, match="disagree"):
+            success_probability_bounds(other, run, 0, rng_for("bounds", 6))
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +670,24 @@ class TestVerifySuite:
         assert all(line.passed for line in lines)
         assert calls["decomp"] == 1
         assert calls["chain"] <= 6
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_suite_builds_one_product_frame(self, k, monkeypatch):
+        # the growth levels and the signed sides: two product builds per
+        # suite, however many checks and runs read them
+        builds = []
+        real = subspace._product_blocks
+        monkeypatch.setattr(subspace, "_product_blocks",
+                            lambda *args: builds.append(1) or real(*args))
+        lines = verify_suite(4, 2, k, runs=4, depth=2)
+        assert all(line.passed for line in lines)
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("runs, depth", [(0, 3), (-3, 3), (2, 0)])
+    def test_rejects_runs_or_depth_below_one(self, runs, depth):
+        # no run, or no query, would leave the along-run lines vacuous
+        with pytest.raises(InstanceError, match="at least 1"):
+            verify_suite(4, 2, 1, runs=runs, depth=depth)
 
     def test_suite_shares_its_input_space_and_potential_reports(self, monkeypatch):
         # one InputSpace per suite, one potential report per run state

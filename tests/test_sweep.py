@@ -130,6 +130,9 @@ class TestSweepConfig:
             SweepConfig.from_dict({**base, "N": [0]})
         with pytest.raises(ValueError):
             SweepConfig.from_dict({**base, "t": [-1]})
+        for reps in (2, 0, -3):
+            with pytest.raises(ValueError, match="reps must be odd and positive"):
+                SweepConfig.from_dict({**base, "reps": reps})
 
 
 class TestRunSweep:
