@@ -52,6 +52,9 @@ class SeededRng:
     stream: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
+        # spawn feeds the seed to SeedSequence as one uint32 word
+        if not 0 <= self.seed < 2**32:
+            raise ValueError(f"seed {self.seed} outside [0, 2^32)")
         self.stream = np.random.default_rng(self.seed)
 
     def spawn(self, *key) -> "SeededRng":
@@ -63,7 +66,7 @@ class SeededRng:
             else:
                 digest = hashlib.sha256(str(part).encode("utf-8")).digest()
                 parts.append(int.from_bytes(digest[:4], "big"))
-        seq = np.random.SeedSequence([self.seed & 0xFFFFFFFF, *parts])
+        seq = np.random.SeedSequence([self.seed, *parts])
         return SeededRng(int(seq.generate_state(1)[0]))
 
 
@@ -94,14 +97,6 @@ class QueryLedger:
     @property
     def total(self) -> int:
         return self.queries_x + self.queries_b
-
-    def merge(self, other: "QueryLedger") -> None:
-        """Fold a sub-ledger in: query counts add, space takes the max."""
-        self.queries_x += other.queries_x
-        self.queries_b += other.queries_b
-        for tag, count in other.by_subroutine.items():
-            self.by_subroutine[tag] = self.by_subroutine.get(tag, 0) + count
-        self.space_high_water = max(self.space_high_water, other.space_high_water)
 
 
 @dataclass(frozen=True)

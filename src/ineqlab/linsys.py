@@ -78,7 +78,6 @@ class MatrixProductResult:
     y: np.ndarray
     n: int
     t: int
-    space_budget: int
     s_prime: int
     mode: str
     correct: bool
@@ -86,10 +85,9 @@ class MatrixProductResult:
     group_traces: tuple[tuple[BlockTrace, ...], ...]
 
 
-def classical_bounded_product(instance: ProblemInstance, S: int,
-                              ledger: QueryLedger | None = None) -> MatrixProductResult:
+def classical_bounded_product(instance: ProblemInstance, S: int) -> MatrixProductResult:
     """Blocked baseline: one full x pass per group of row counters."""
-    ledger = ledger if ledger is not None else QueryLedger()
+    ledger = QueryLedger()
     n, t = instance.n, instance.t
     cap = classical_row_capacity(n, S, t)
     x_tape = TapeOracle(instance.x, ledger, "x")
@@ -109,7 +107,7 @@ def classical_bounded_product(instance: ProblemInstance, S: int,
                 if a:
                     y[u] = min(bounds[u], y[u] + a * xj)
     correct = bool(np.array_equal(y, matvec_min(instance)))
-    return MatrixProductResult(y=y, n=n, t=t, space_budget=S, s_prime=cap,
+    return MatrixProductResult(y=y, n=n, t=t, s_prime=cap,
                                mode=CLASSICAL_MODE, correct=correct, ledger=ledger,
                                group_traces=())
 
@@ -137,7 +135,7 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
     def probe(length: int) -> float:
         window = tape.window(start, start + length)
         m_pts = math.ceil(math.sqrt(length))
-        return count_median(window, m_pts, reps, mode, rng).w
+        return count_median(window, m_pts, reps, mode, rng)
 
     if remaining <= s_prime:
         return remaining, probe(remaining)
@@ -230,14 +228,13 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
 
 def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,
                            rng: np.random.Generator,
-                           reps: int | None = None,
-                           ledger: QueryLedger | None = None) -> MatrixProductResult:
+                           reps: int | None = None) -> MatrixProductResult:
     """Clamped product min(Ax, b) under a space budget of S bits."""
     _check_mode(mode)
     if mode == MODE_SV and (instance.x > 1).any():
         j = int(np.argmax(instance.x > 1))
         raise InstanceError(f"{mode} mode takes 0/1 x only; x[{j}] = {instance.x[j]}")
-    ledger = ledger if ledger is not None else QueryLedger()
+    ledger = QueryLedger()
     n, t = instance.n, instance.t
     s_prime = quantum_row_capacity(n, S)
     y = np.zeros(n, dtype=np.int64)
@@ -249,7 +246,7 @@ def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,
                                                 ledger, reps)
         traces.append(blocks)
     correct = bool(np.array_equal(y, matvec_min(instance)))
-    return MatrixProductResult(y=y, n=n, t=t, space_budget=S, s_prime=s_prime,
+    return MatrixProductResult(y=y, n=n, t=t, s_prime=s_prime,
                                mode=mode, correct=correct, ledger=ledger,
                                group_traces=tuple(traces))
 

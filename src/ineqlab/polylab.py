@@ -70,17 +70,16 @@ def chebyshev_cosine(d: int, x) -> np.ndarray | float:
     return out if out.shape else float(out)
 
 
-def cheb_identity_residual(d_values=None, x_count: int = 121) -> float:
+def cheb_identity_residual() -> float:
     """Worst relative disagreement between the three evaluation routes.
 
-    Recurrence vs closed form on |x| <= 10; cosine joins in on [-1, 1].
+    Recurrence vs closed form on |x| <= 10; cosine joins in on [-1, 1];
+    degrees 0, 7, ..., 98 and 100.
     """
-    if d_values is None:
-        d_values = list(range(0, 101, 7)) + [100]
-    xs = np.linspace(-10.0, 10.0, x_count)
-    inner = np.linspace(-1.0, 1.0, x_count)
+    xs = np.linspace(-10.0, 10.0, 121)
+    inner = np.linspace(-1.0, 1.0, 121)
     worst = 0.0
-    for d in d_values:
+    for d in [*range(0, 101, 7), 100]:
         rec = chebyshev_eval(d, xs)
         clo = chebyshev_closed(d, xs)
         scale = np.maximum(1.0, np.abs(rec))
@@ -289,7 +288,6 @@ class PolyLP:
     D: int
     N: int
     m: int
-    objective_point: int
     sigma: Fraction
     node_values: tuple[Fraction, ...]   # p at 0..D; the first m entries are 0
 
@@ -309,10 +307,9 @@ def extremal_sigma_lp(D: int, N: int, m: int) -> PolyLP:
         raise InstanceError(f"need N <= {LP_DOMAIN_CAP}")
     if D < m:
         # m roots force the zero polynomial at degree <= D < m
-        return PolyLP(D, N, m, 8 * m, Fraction(0), tuple([Fraction(0)] * (D + 1)))
-    point = 8 * m
-    sigma, solution = _integer_bounded_lp(range(D + 1), m, range(D + 1, N + 1), Fraction(point))
-    return PolyLP(D, N, m, point, sigma, tuple([Fraction(0)] * m + solution))
+        return PolyLP(D, N, m, Fraction(0), tuple([Fraction(0)] * (D + 1)))
+    sigma, solution = _integer_bounded_lp(range(D + 1), m, range(D + 1, N + 1), Fraction(8 * m))
+    return PolyLP(D, N, m, sigma, tuple([Fraction(0)] * m + solution))
 
 
 def witness_integer_values(lp: PolyLP) -> list[Fraction]:
@@ -375,13 +372,6 @@ class WitnessChain:
     nonpositive means the step holds.
     """
 
-    D: int
-    N: int
-    m: int
-    E: int
-    sigma: float
-    d: int
-    mu: float
     jump_margin: float        # sigma/(8m)^m - |q(8m)|
     integer_cap_margin: float  # max |q| on {Em..N} - 1/((E-1)m)^m
     real_cap_margin: float     # dense max |q| on [Em, N] - fitted bound
@@ -421,13 +411,6 @@ def witness_chain_check(lp: PolyLP, E: int, cr_a: float, cr_b: float) -> Witness
     growth_margin = t_cheb - math.exp(2.0 * d * math.sqrt(2.0 * mu + mu * mu))
 
     return WitnessChain(
-        D=D,
-        N=N,
-        m=m,
-        E=E,
-        sigma=float(lp.sigma),
-        d=d,
-        mu=mu,
         jump_margin=jump_margin,
         integer_cap_margin=integer_cap_margin,
         real_cap_margin=real_cap_margin,
@@ -448,12 +431,12 @@ def shape_ratio(lp: PolyLP, E: int) -> float | None:
     return (math.log2(float(lp.sigma)) + lp.m * math.log2(E)) / shape
 
 
-def fit_shape_constant(lps, e_values=(8, 10)) -> tuple[float, int]:
-    """Smallest single constant making the shape bound hold on every cell."""
+def fit_shape_constant(lps) -> tuple[float, int]:
+    """Smallest single constant making the shape bound hold on every cell, E in {8, 10}."""
     best = -math.inf
     used = 0
     for lp in lps:
-        for E in e_values:
+        for E in (8, 10):
             ratio = shape_ratio(lp, E)
             if ratio is not None:
                 best = max(best, ratio)
@@ -593,12 +576,6 @@ class BlocksReport:
     p_block_halfwidth: float
 
 
-def fullness_from_counts(counts: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample full-block counts F and the per-block fullness mask."""
-    full = counts >= t
-    return full.sum(axis=1), full
-
-
 def full_blocks_mc(rng: SeededRng, k: int, t: int, n: int, samples: int = 10_000) -> BlocksReport:
     """Scatter 4kt ones over k blocks of n positions; estimate fullness rates.
 
@@ -612,8 +589,8 @@ def full_blocks_mc(rng: SeededRng, k: int, t: int, n: int, samples: int = 10_000
     if 4 * k * t > k * n:
         raise InstanceError("more ones than positions")
     counts = rng.stream.multivariate_hypergeometric([n] * k, 4 * k * t, size=samples)
-    f_counts, full = fullness_from_counts(counts, t)
-    p_half = float(np.mean(f_counts >= k / 2))
+    full = counts >= t
+    p_half = float(np.mean(full.sum(axis=1) >= k / 2))
     hw_half = 1.96 * math.sqrt(max(p_half * (1 - p_half), 1e-12) / samples)
     p_block = float(full.mean())
     hw_block = 1.96 * math.sqrt(max(p_block * (1 - p_block), 1e-12) / (samples * k))

@@ -107,26 +107,12 @@ class TapeOracle:
 class SearchOutcome:
     found: int | None
     queries_charged: int
-    mode: str
-
-
-@dataclass(frozen=True)
-class CountOutcome:
-    w: float
-    M: int
-    reps: int
-    mode: str
 
 
 @dataclass(frozen=True)
 class CollectResult:
     found: tuple[int, ...]      # discovery order
     searches: int
-    exhausted: bool             # ended on NoSolution (not on the cap)
-
-    @property
-    def as_set(self) -> frozenset:
-        return frozenset(self.found)
 
 
 def grover_schedule(n: int, w: int) -> tuple[int, float]:
@@ -223,15 +209,13 @@ def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator,
             break
     if found is None and mode == MODE_EXACT and ones.size:
         found = int(ones[rng.integers(0, ones.size)])
-    return SearchOutcome(found=found, queries_charged=charged, mode=mode)
+    return SearchOutcome(found=found, queries_charged=charged)
 
 
-def collect_ones(oracle: TapeOracle, mode: str, rng: np.random.Generator,
-                 cap: int | None = None) -> CollectResult:
-    """Repeated search with found positions masked out.
-
-    Stops when a search reports NoSolution or when cap positions were found.
-    In exact mode the result is exactly the support of the derived bit tape.
+def collect_ones(oracle: TapeOracle, mode: str, rng: np.random.Generator) -> CollectResult:
+    """Repeated search with found positions masked out, until a search reports
+    NoSolution.  In exact mode the result is exactly the support of the derived
+    bit tape.
     """
     _check_mode(mode)
     found: list[int] = []
@@ -239,16 +223,13 @@ def collect_ones(oracle: TapeOracle, mode: str, rng: np.random.Generator,
     # searches read and charge like the original
     live = TapeOracle(oracle.values.copy(), oracle.ledger, oracle.target)
     searches = 0
-    exhausted = False
-    while cap is None or len(found) < cap:
+    while True:
         out = grover_search(live, mode, rng)
         searches += 1
         if out.found is None:
-            exhausted = True
-            break
+            return CollectResult(found=tuple(found), searches=searches)
         found.append(out.found)
         live.values[out.found] = 0
-    return CollectResult(found=tuple(found), searches=searches, exhausted=exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +326,7 @@ def _estimate_cdf(a: float, M: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def count_median(oracle: TapeOracle, M: int, reps: int, mode: str,
-                 rng: np.random.Generator) -> CountOutcome:
+                 rng: np.random.Generator) -> float:
     """Median of reps estimates of the tape's aggregate value (odd reps; charges M*reps).
 
     The estimate law is got once per call, cached by (fraction, M) in cost-model
@@ -366,14 +347,8 @@ def count_median(oracle: TapeOracle, M: int, reps: int, mode: str,
     oracle.charge(M * reps, TAG_COUNTING)
     total = oracle._total()
     if mode == MODE_EXACT:
-        return CountOutcome(w=float(total), M=M, reps=reps, mode=mode)
+        return float(total)
     if mode == MODE_COST:
         values, cdf = _estimate_cdf(min(1.0, total / oracle.n), M)
     ws = np.sort(oracle.n * values[cdf.searchsorted(rng.random(reps), side="right")])
-    return CountOutcome(w=float(ws[reps // 2]), M=M, reps=reps, mode=mode)
-
-
-def count_estimate(oracle: TapeOracle, M: int, mode: str,
-                   rng: np.random.Generator) -> CountOutcome:
-    """Single counting estimate: count_median with reps = 1, charging M queries."""
-    return count_median(oracle, M, 1, mode, rng)
+    return float(ws[reps // 2])

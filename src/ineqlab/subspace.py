@@ -140,7 +140,6 @@ def orthonormality_residual(columns: np.ndarray) -> float:
 class ChainLevel:
     """Level j of a nested chain: cumulative span, fresh directions, deflated states."""
 
-    j: int
     tuples: tuple[tuple[int, ...], ...]
     span: np.ndarray          # orthonormal columns spanning all states with <= j pinned ones
     fresh: np.ndarray         # orthonormal columns of the directions new at level j
@@ -186,7 +185,6 @@ def build_subspace_chain(space: InputSpace, a: int, b: int | None = None) -> lis
         closed = None if b is None else deflated_norm_closed_form(space.n, space.t, j, a, b)
         levels.append(
             ChainLevel(
-                j=j,
                 tuples=tuples,
                 span=span,
                 fresh=fresh,
@@ -403,7 +401,6 @@ class MapCheck:
 
 @dataclass(frozen=True)
 class UnitaryMapReport:
-    j: int
     checks: tuple[MapCheck, ...]
 
     @property
@@ -448,7 +445,7 @@ def check_unitary_maps(chains: dict[tuple[int, int], list[ChainLevel]], j: int) 
                 residual=residual,
             )
         )
-    return UnitaryMapReport(j=j, checks=tuple(checks))
+    return UnitaryMapReport(checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +456,6 @@ def check_unitary_maps(chains: dict[tuple[int, int], list[ChainLevel]], j: int) 
 class AlphaBeta:
     """Mixing coefficients between the split-coordinate branches of a level."""
 
-    n: int
-    t: int
-    j: int
     alpha_sq: tuple[Fraction, Fraction]   # exact squares, index a = 0, 1
     beta_sq: tuple[Fraction, Fraction]
     alpha: tuple[float, float]
@@ -498,9 +492,6 @@ def alpha_beta(n: int, t: int, j: int) -> AlphaBeta:
     beta = tuple(math.sqrt(float(v)) for v in beta_sq)
     cross = abs(alpha[0] * beta[1] - alpha[1] * beta[0])
     return AlphaBeta(
-        n=n,
-        t=t,
-        j=j,
         alpha_sq=(alpha_sq[0], alpha_sq[1]),
         beta_sq=(beta_sq[0], beta_sq[1]),
         alpha=alpha,
@@ -525,7 +516,6 @@ class RecastRun:
 
     space: InputSpace
     k: int
-    workspace_dim: int
     query_slots: int
     states: tuple[np.ndarray, ...]
 
@@ -588,13 +578,7 @@ def recast_run(
         trace = float(np.real(np.vdot(state, state)))
         if abs(trace - 1.0) > 1e-9:
             raise InstanceError(f"reduced state at depth {d} has trace {trace}")
-    return RecastRun(
-        space=space,
-        k=k,
-        workspace_dim=workspace_dim,
-        query_slots=slots,
-        states=tuple(states),
-    )
+    return RecastRun(space=space, k=k, query_slots=slots, states=tuple(states))
 
 
 def random_program(rng: SeededRng, dim: int, depth: int) -> tuple[np.ndarray, ...]:

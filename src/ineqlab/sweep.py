@@ -75,12 +75,16 @@ class SpaceRule:
     kind: str     # "absolute" | "nt-fraction"
     value: float
 
+    def __post_init__(self):
+        if self.kind not in ("absolute", "nt-fraction"):
+            raise ValueError(f"unknown space rule kind {self.kind!r}")
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"space rule value {self.value} must be finite and > 0")
+
     def budget(self, n: int, t: int) -> int:
         if self.kind == "absolute":
             return max(1, int(self.value))
-        if self.kind == "nt-fraction":
-            return max(1, int(self.value * n / t))
-        raise ValueError(f"unknown space rule kind {self.kind!r}")
+        return max(1, int(self.value * n / t))
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,10 @@ class SweepRow:
     queries_b: int
     space: int
     correct: bool
-    regime: str   # "quantum" when S <= N/t, else "classical"
+
+    @property
+    def regime(self) -> str:
+        return regime_label(self.n, self.t, self.s)
 
     def sort_key(self):
         return (self.n, self.t, self.s, self.mode, self.seed)
@@ -165,6 +172,7 @@ class SweepResult:
 
 
 def regime_label(n: int, t: int, S: int) -> str:
+    """Quantum when S <= N/t, else classical."""
     return "classical" if S > n / t else "quantum"
 
 
@@ -183,7 +191,7 @@ def run_cell(family: str, n: int, t: int, S: int, mode: str, seed: int,
     return SweepRow(n=n, t=t, s=S, mode=mode, seed=seed,
                     total_queries=ledger.total, queries_x=ledger.queries_x,
                     queries_b=ledger.queries_b, space=ledger.space_high_water,
-                    correct=res.correct, regime=regime_label(n, t, S))
+                    correct=res.correct)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -212,7 +220,6 @@ _AXES = {"N": "n", "t": "t", "S": "s"}
 
 @dataclass(frozen=True)
 class ScalingFit:
-    axis: str
     exponent: float
     halfwidth: float      # 2 standard errors of the fitted slope
     points: tuple[tuple[float, float], ...]   # (axis value, median T)
@@ -237,7 +244,7 @@ def fit_scaling(rows, axis: str) -> ScalingFit:
     resid = ys - (ym + slope * (xs - xm))
     dof = len(pts) - 2
     stderr = math.sqrt(float((resid**2).sum()) / dof / sxx) if dof > 0 else 0.0
-    return ScalingFit(axis=axis, exponent=slope, halfwidth=2 * stderr,
+    return ScalingFit(exponent=slope, halfwidth=2 * stderr,
                       points=tuple(pts))
 
 
@@ -274,8 +281,7 @@ def rows_from_json(text: str) -> tuple[SweepRow, ...]:
                             queries_x=int(raw["queries_x"]),
                             queries_b=int(raw["queries_b"]),
                             space=int(raw["space"]),
-                            correct=bool(raw["correct"]),
-                            regime=str(raw["regime"])))
+                            correct=bool(raw["correct"])))
     return tuple(out)
 
 
@@ -288,12 +294,11 @@ def rows_from_csv(text: str) -> tuple[SweepRow, ...]:
         parts = ln.split(",")
         if len(parts) != 10:
             raise ValueError(f"bad report line: {ln!r}")
-        n, t, s = int(parts[0]), int(parts[1]), int(parts[2])
-        out.append(SweepRow(n=n, t=t, s=s, mode=parts[3], seed=int(parts[4]),
+        out.append(SweepRow(n=int(parts[0]), t=int(parts[1]), s=int(parts[2]),
+                            mode=parts[3], seed=int(parts[4]),
                             total_queries=int(parts[5]),
                             queries_x=int(parts[6]), queries_b=int(parts[7]),
-                            space=int(parts[8]), correct=parts[9] == "true",
-                            regime=regime_label(n, t, s)))
+                            space=int(parts[8]), correct=parts[9] == "true"))
     return tuple(out)
 
 

@@ -18,7 +18,7 @@ from ineqlab.linsys import (
     classical_bounded_product,
 )
 from ineqlab.polylab import run_poly_suite, verify_lp
-from ineqlab.qsim import TapeOracle, count_estimate, counting_window, grover_schedule, sv_run_grover
+from ineqlab.qsim import TapeOracle, count_median, counting_window, grover_schedule, sv_run_grover
 from ineqlab.subspace import (
     alpha_beta,
     build_input_space,
@@ -36,7 +36,6 @@ from ineqlab.sweep import (
     SweepConfig,
     SweepRow,
     fit_scaling,
-    regime_label,
     render_csv,
     render_json,
     run_sweep,
@@ -157,7 +156,7 @@ class TestScalingExponents:
                     n=n, t=2, s=16, mode="exact", seed=seed,
                     total_queries=res.ledger.total, queries_x=res.ledger.queries_x,
                     queries_b=res.ledger.queries_b, space=res.ledger.space_high_water,
-                    correct=res.correct, regime=regime_label(n, 2, 16)))
+                    correct=res.correct))
                 res_c = classical_bounded_product(inst, 16)
                 assert res_c.correct
                 classical_flagged += check_budget(res_c.ledger, n, 2, 16, "classical").flagged
@@ -165,7 +164,7 @@ class TestScalingExponents:
                     n=n, t=2, s=16, mode="classical", seed=seed,
                     total_queries=res_c.ledger.total, queries_x=res_c.ledger.queries_x,
                     queries_b=res_c.ledger.queries_b, space=res_c.ledger.space_high_water,
-                    correct=res_c.correct, regime=regime_label(n, 2, 16)))
+                    correct=res_c.correct))
         fit_q = fit_scaling(rows_q, "N")
         fit_c = fit_scaling(rows_c, "N")
         elapsed = time.time() - start
@@ -224,7 +223,7 @@ class TestSubroutineFidelity:
             hits = 0
             for _ in range(10_000):
                 oracle = TapeOracle(bits, QueryLedger())
-                if abs(count_estimate(oracle, M, "cost-model", rng).w - w) <= window:
+                if abs(count_median(oracle, M, 1, "cost-model", rng) - w) <= window:
                     hits += 1
             freqs.append(hits / 10_000)
             counting_ok = counting_ok and freqs[-1] >= floor

@@ -78,6 +78,15 @@ class TestSolve:
         assert captured.out == ""
         assert "statevector mode takes 0/1 x only; x[0] = 2" in captured.err
 
+    def test_seed_beyond_uint32_is_usage_error(self, instance_file, capsys):
+        # 2^32 would otherwise replay the stream of seed 0
+        code = main(["solve", "--instance", instance_file, "--space", "8",
+                     "--mode", "cost-model", "--seed", "4294967296"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside [0, 2^32)" in captured.err
+
     def test_bad_mode_rejected_by_parser(self, instance_file):
         with pytest.raises(SystemExit) as info:
             main(["solve", "--instance", instance_file, "--space", "8",
@@ -118,7 +127,8 @@ class TestSweep:
 
     def test_missing_key_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        raw = json.loads(open(config, encoding="utf-8").read())
+        with open(config, encoding="utf-8") as fh:
+            raw = json.load(fh)
         del raw["seeds"]
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(raw), encoding="utf-8")
@@ -129,6 +139,15 @@ class TestSweep:
         config = write_config(tmp_path, modes=["warp"])
         assert main(["sweep", "--config", config, "--out",
                      str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("space", [0, -5, {"kind": "nt-fraction", "value": 0}])
+    def test_nonpositive_space_is_usage_error(self, space, tmp_path, capsys):
+        # rejected with the config, before any cell runs
+        config = write_config(tmp_path, S=space)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_even_reps_is_usage_error(self, tmp_path, capsys):
         # rejected with the config, before any cell runs and fails
@@ -209,8 +228,7 @@ class TestReport:
         # both would blend the two exponents
         rows = [SweepRow(n=n, t=t, s=8, mode="exact", seed=0,
                          total_queries=round(n ** (1.5 if t == 1 else 2.0)),
-                         queries_x=1, queries_b=1, space=8, correct=True,
-                         regime="quantum")
+                         queries_x=1, queries_b=1, space=8, correct=True)
                 for t in (1, 2) for n in (16, 64, 256)]
         path = tmp_path / "rows.csv"
         path.write_text(render_csv(rows), encoding="utf-8")

@@ -135,37 +135,6 @@ class TestLedger:
         assert led.total == 10 == led.queries_x + led.queries_b
         assert sum(led.by_subroutine.values()) == led.total
 
-    def test_merge_adds_counts_and_maxes_space(self):
-        a, b = QueryLedger(), QueryLedger()
-        a.charge("x", TAG_GROVER, 4)
-        a.record_space(100)
-        b.charge("x", TAG_GROVER, 6)
-        b.charge("b", TAG_CLASSICAL, 1)
-        b.record_space(70)
-        a.merge(b)
-        assert a.queries_x == 10 and a.queries_b == 1
-        assert a.by_subroutine == {TAG_GROVER: 10, TAG_CLASSICAL: 1}
-        assert a.space_high_water == 100
-
-    def test_sequential_equals_componentwise_sum(self):
-        # run two subroutines on one ledger vs separately and merge
-        def sub1(led):
-            led.charge("x", TAG_GROVER, 3)
-            led.charge("x", TAG_COUNTING, 7)
-
-        def sub2(led):
-            led.charge("b", TAG_CLASSICAL, 2)
-            led.charge("x", TAG_GROVER, 1)
-
-        joint = QueryLedger()
-        sub1(joint)
-        sub2(joint)
-        l1, l2 = QueryLedger(), QueryLedger()
-        sub1(l1)
-        sub2(l2)
-        l1.merge(l2)
-        assert joint == l1
-
     def test_negative_charge_rejected(self):
         led = QueryLedger()
         with pytest.raises(ValueError):
@@ -185,6 +154,19 @@ class TestSeededRng:
         s1 = a1.stream.integers(0, 10**9, size=8).tolist()
         assert s1 == a2.stream.integers(0, 10**9, size=8).tolist()
         assert s1 != b.stream.integers(0, 10**9, size=8).tolist()
+
+    def test_spawned_seed_is_the_uint32_seed_sequence_word(self):
+        want = int(np.random.SeedSequence([5, 1, 2]).generate_state(1)[0])
+        assert SeededRng(5).spawn(1, 2).seed == want
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 5 + 2**32])
+    def test_seed_outside_uint32_rejected(self, seed):
+        # a masked seed would replay the stream of seed mod 2^32
+        with pytest.raises(ValueError, match="outside"):
+            SeededRng(seed)
+
+    def test_largest_seed_accepted(self):
+        assert 0 <= SeededRng(2**32 - 1).spawn("run", 2**40).seed < 2**32
 
 
 class TestInstanceFile:

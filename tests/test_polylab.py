@@ -29,7 +29,6 @@ from ineqlab.polylab import (
     extremal_sigma_lp,
     fit_shape_constant,
     full_blocks_mc,
-    fullness_from_counts,
     growth_extremal,
     lp_grid_cells,
     newton_coefficients,
@@ -326,7 +325,7 @@ class TestJumpLP:
         values = witness_integer_values(lp)
         assert len(values) == 33
         assert all(0 <= v <= 1 for v in values)
-        assert values[lp.objective_point] == lp.sigma
+        assert values[8 * lp.m] == lp.sigma   # the objective point 8m
         assert values[0] == 0
 
     def test_prefix_is_zero(self):
@@ -506,12 +505,6 @@ class TestCrProbe:
 
 
 class TestBlocks:
-    def test_fullness_from_counts_by_hand(self):
-        counts = np.array([[2, 0], [3, 3]])
-        f_counts, full = fullness_from_counts(counts, 2)
-        np.testing.assert_array_equal(f_counts, [1, 2])
-        np.testing.assert_array_equal(full, [[True, False], [True, True]])
-
     def test_small_mc_passes(self):
         report = full_blocks_mc(rng_for("blocks"), k=10, t=2, n=40, samples=500)
         assert report.p_block_full >= 0.9

@@ -36,8 +36,7 @@ def planted_rows(law, n_values, seeds=3, jitter=None):
                 T *= jitter  # single outlier; medians must shrug it off
             rows.append(SweepRow(n=n, t=2, s=16, mode="exact", seed=seed,
                                  total_queries=T, queries_x=T, queries_b=0,
-                                 space=10, correct=True,
-                                 regime=regime_label(n, 2, 16)))
+                                 space=10, correct=True))
     return rows
 
 
@@ -73,8 +72,17 @@ class TestSpaceRule:
         assert SpaceRule("nt-fraction", 0.001).budget(8, 2) == 1  # floor at 1
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SpaceRule("relative", 1.0).budget(8, 1)
+        with pytest.raises(ValueError, match="unknown space rule kind"):
+            SpaceRule("relative", 1.0)
+
+    @pytest.mark.parametrize("kind, value", [
+        ("absolute", 0), ("absolute", -5), ("nt-fraction", 0.0),
+        ("nt-fraction", -0.5), ("absolute", math.inf), ("nt-fraction", math.nan),
+    ])
+    def test_nonpositive_or_nonfinite_value_rejected(self, kind, value):
+        # budget() floors at 1, so such a value would run silently at S = 1
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            SpaceRule(kind, value)
 
 
 class TestSweepConfig:
@@ -233,8 +241,7 @@ class TestFitScaling:
         for s in (4, 8, 16, 32):
             rows.append(SweepRow(n=64, t=2, s=s, mode="exact", seed=0,
                                  total_queries=10000 // s, queries_x=1,
-                                 queries_b=1, space=s, correct=True,
-                                 regime="quantum"))
+                                 queries_b=1, space=s, correct=True))
         fit = fit_scaling(rows, "S")
         assert fit.exponent == pytest.approx(-1.0, abs=0.01)
 
@@ -264,6 +271,15 @@ class TestReports:
     def test_json_round_trip(self):
         rows = self.make_rows()
         assert rows_from_json(render_json(rows)) == rows
+
+    def test_json_regime_follows_the_cell_not_the_stored_label(self):
+        # S = 16 <= N/t = 32 is the quantum regime whatever the file says
+        raw = [{"N": 64, "t": 2, "S": 16, "mode": "exact", "seed": 0, "T": 9,
+                "queries_x": 9, "queries_b": 0, "space": 16, "correct": True,
+                "regime": "classical"}]
+        row, = rows_from_json(json.dumps(raw))
+        assert row.regime == "quantum"
+        assert json.loads(render_json([row]))[0]["regime"] == "quantum"
 
     def test_emit_report_writes_lf_file(self, tmp_path):
         rows = self.make_rows()
