@@ -12,17 +12,16 @@ import json
 import sys
 
 from .core import InstanceError, SeededRng, load_instance
-from .linsys import bounded_matrix_product, classical_bounded_product
 from .polylab import POLY_SUITES, run_poly_suite
 from .subspace import verify_suite
 from .sweep import (
-    CLASSICAL_MODE,
     RUN_MODES,
     SweepConfig,
     emit_report,
     fit_scaling,
     rows_from_csv,
     rows_from_json,
+    run_product,
     run_sweep,
 )
 
@@ -40,13 +39,7 @@ def _print_lines(lines) -> bool:
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    root = SeededRng(args.seed)
-    if args.mode == CLASSICAL_MODE:
-        result = classical_bounded_product(instance, args.space)
-    else:
-        result = bounded_matrix_product(
-            instance, args.space, args.mode, root.spawn("solve", args.mode).stream
-        )
+    result = run_product(instance, args.space, args.mode, SeededRng(args.seed).spawn("solve", args.mode))
     ledger = result.ledger
     payload = {
         "N": result.n,

@@ -95,17 +95,11 @@ def classical_bounded_product(instance: ProblemInstance, S: int) -> MatrixProduc
     vb = value_bits(t)
     y = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, cap):
-        rows = range(lo, min(lo + cap, n))
-        bounds = {u: b_tape.read_value(u, TAG_CLASSICAL) for u in rows}
+        hi = min(lo + cap, n)
+        bounds = np.array([b_tape.read_value(u, TAG_CLASSICAL) for u in range(lo, hi)])
         ledger.record_space(2 * len(bounds) * vb + len(bounds) + 2 * log2_ceil(n))
-        for j in range(n):
-            xj = x_tape.read_value(j, TAG_CLASSICAL)
-            if xj == 0:
-                continue
-            for u in rows:
-                a = int(instance.A[u, j])
-                if a:
-                    y[u] = min(bounds[u], y[u] + a * xj)
+        xs = np.array([x_tape.read_value(j, TAG_CLASSICAL) for j in range(n)])
+        y[lo:hi] = np.minimum(bounds, instance.A[lo:hi] @ xs)
     correct = bool(np.array_equal(y, matvec_min(instance)))
     return MatrixProductResult(y=y, n=n, t=t, s_prime=cap,
                                mode=CLASSICAL_MODE, correct=correct, ledger=ledger,
@@ -140,16 +134,15 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
     if remaining <= s_prime:
         return remaining, probe(remaining)
     k = s_prime
-    est = None
-    while k < remaining:
+    while k < remaining:   # runs at least once, as remaining > s_prime
         k = min(2 * k, remaining)
         est = probe(k)
         if est >= s_prime:
             break
-    if est is None or est < s_prime:
+    if est < s_prime:
         # sparse all the way to the end: take the tail
-        return remaining, float(est or 0.0)
-    lo, hi = max(1, k // 2), min(k, remaining)
+        return remaining, est
+    lo, hi = k // 2, k
     best_est = None
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -161,7 +154,7 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
             hi = mid - 1
     if best_est is None:
         best_est = probe(lo)   # every bracket probe overflowed; record the floor
-    return lo, float(best_est)
+    return lo, best_est
 
 
 def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray,
@@ -204,18 +197,13 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
         window = v_tape.window(pos, pos + length)
         res = collect_ones(window, mode, rng)
         found = sorted(pos + j for j in res.found)
-        reads = {j: x_tape.read_value(j, TAG_CLASSICAL) for j in found}
-        additions = np.zeros(m, dtype=np.int64)
-        for u in np.flatnonzero(open_rows):
-            for j in found:
-                a = int(A_block[u, j])
-                contrib = a * reads[j]
-                if contrib > 0:
-                    y[u] = min(int(bounds[u]), int(y[u]) + contrib)
-                    additions[u] += 1
+        reads = np.array([x_tape.read_value(j, TAG_CLASSICAL) for j in found], dtype=np.int64)
+        # every contribution is >= 0, so one clamp per block leaves closed rows at b
+        contrib = A_block[:, found] * reads
+        y = np.minimum(bounds, y + contrib.sum(axis=1))
         still_open = y < bounds
         closed_now = int(np.count_nonzero(open_rows & ~still_open))
-        open_adds = int(additions[still_open].sum())
+        open_adds = int(np.count_nonzero(contrib[still_open]))
         blocks.append(BlockTrace(start=pos, length=length,
                                  estimate=estimate, found=len(found),
                                  rows_closed=closed_now, open_additions=open_adds))

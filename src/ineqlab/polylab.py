@@ -14,6 +14,7 @@ and dense real-line scans.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -461,6 +462,7 @@ class CrProbeReport:
     stability: float   # max relative deviation of per-n slopes from their median
 
 
+@functools.lru_cache(maxsize=None)
 def growth_extremal(n: int, d: int) -> float:
     """Interior growth of the LP-extremal polynomial bounded at integers 0..n.
 

@@ -115,6 +115,12 @@ class CollectResult:
     searches: int
 
 
+def grover_success(n: int, w: int, j: int) -> float:
+    """Success mass sin^2((2j+1) theta) after j iterations, with sin^2(theta) = w/n."""
+    theta = math.asin(math.sqrt(w / n))
+    return math.sin((2 * j + 1) * theta) ** 2
+
+
 def grover_schedule(n: int, w: int) -> tuple[int, float]:
     """Known-weight iteration count and success probability.
 
@@ -126,10 +132,14 @@ def grover_schedule(n: int, w: int) -> tuple[int, float]:
         raise WeightZero("schedule undefined for weight 0")
     if not 0 < w <= n:
         raise ValueError(f"weight {w} out of range [1, {n}]")
-    theta = math.asin(math.sqrt(w / n))
-    k = int(math.pi / (4 * theta))
-    p = math.sin((2 * k + 1) * theta) ** 2
-    return k, p
+    k = int(math.pi / (4 * math.asin(math.sqrt(w / n))))
+    return k, grover_success(n, w, k)
+
+
+def _grover_iterate(state: np.ndarray, bits: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One statevector iterate: oracle sign flip, then inversion about the uniform u."""
+    state = np.where(bits, -state, state)
+    return 2.0 * u * (u @ state) - state
 
 
 def sv_run_grover(bits, k: int) -> np.ndarray:
@@ -143,8 +153,7 @@ def sv_run_grover(bits, k: int) -> np.ndarray:
     state = np.full(n, 1.0 / math.sqrt(n))
     u = state.copy()
     for _ in range(k):
-        state = np.where(bits, -state, state)     # oracle sign flip
-        state = 2.0 * u * (u @ state) - state     # inversion about the mean
+        state = _grover_iterate(state, bits, u)
         norm = float(state @ state)
         if abs(norm - 1.0) > 1e-12:
             raise AssertionError(f"statevector norm drifted: {norm}")
@@ -159,11 +168,7 @@ def _sample_measurement(bits, ones, rest, j: int, mode: str, rng: np.random.Gene
         pmf = sv_run_grover(bits, j)
         return int(rng.choice(n, p=pmf / pmf.sum()))
     w = int(ones.size)
-    if w == 0:
-        p = 0.0
-    else:
-        theta = math.asin(math.sqrt(w / n))
-        p = math.sin((2 * j + 1) * theta) ** 2
+    p = grover_success(n, w, j) if w else 0.0
     # the iterate keeps the state in span{uniform over ones, uniform over rest},
     # so conditioned on hit/miss the measured index is uniform in its class
     if rng.random() < p:
@@ -288,8 +293,7 @@ def sv_count_pmf(bits, M: int) -> np.ndarray:
     state = u.copy()
     for j in range(M):
         states[j] = state
-        state = np.where(bits, -state, state)
-        state = 2.0 * u * (u @ state) - state
+        state = _grover_iterate(state, bits, u)
     # inverse Fourier transform over the control register, then measure it
     amps = np.fft.fft(states, axis=0) / M
     return (np.abs(amps) ** 2).sum(axis=1)

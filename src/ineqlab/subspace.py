@@ -26,9 +26,8 @@ PSD_FLOOR = -1e-10
 BOUND_SLACK = 1e-9
 # caps keeping every construction dense and fast
 SPACE_CLASS_CAP = 10**4       # on C(n, t)
-PRODUCT_FACTORS_CAP = 2       # k-fold tensor spaces
-PRODUCT_ONE_DIM_CAP = 32      # per-factor dimension for k >= 2
-RUN_JOINT_DIM_CAP = 2**14     # dim(work register) * dim(input register)
+RUN_JOINT_DIM_CAP = 2**15     # dim(work register) * dim(input register)
+SUITE_WORKSPACE = 2           # work-register dimension per query slot in verify_suite
 SAMPLE_TRIALS = 50            # random states per sampled probability check
 
 
@@ -290,11 +289,15 @@ def decomposition_report(decomp: SignedDecomposition) -> DecompositionReport:
 # k-fold products
 
 
-def _check_product_caps(space: InputSpace, k: int) -> None:
-    if not (1 <= k <= PRODUCT_FACTORS_CAP):
-        raise InstanceError(f"k must be in 1..{PRODUCT_FACTORS_CAP}")
-    if k >= 2 and space.dim > PRODUCT_ONE_DIM_CAP:
-        raise InstanceError("per-factor dimension too large for tensor products")
+def _check_joint_dim(space: InputSpace, k: int, workspace_dim: int = SUITE_WORKSPACE) -> None:
+    """The one size rule: a run's joint register (k n + 1) * workspace * dim^k
+    must fit RUN_JOINT_DIM_CAP; frames are admitted at the suite's workspace."""
+    if k < 1:
+        raise InstanceError("k must be at least 1")
+    # dim >= 2, so this power alone passes the cap and a huge k needs no huge power
+    top = RUN_JOINT_DIM_CAP.bit_length()
+    if (k * space.n + 1) * workspace_dim * space.dim ** min(k, top) > RUN_JOINT_DIM_CAP:
+        raise InstanceError(f"joint dimension exceeds the dense-run cap {RUN_JOINT_DIM_CAP}")
 
 
 def _kron_columns(blocks: list[np.ndarray]) -> np.ndarray:
@@ -342,7 +345,7 @@ class LevelFrame:
 
 def build_level_frame(decomp: SignedDecomposition, k: int) -> LevelFrame:
     space = decomp.space
-    _check_product_caps(space, k)
+    _check_joint_dim(space, k)
     levels = _product_blocks(list(decomp.levels), k)
     columns = np.hstack(list(levels.values()))
     if columns.shape[0] != columns.shape[1]:
@@ -543,13 +546,11 @@ def recast_run(
     selects a bit of the joint input, and basis states with that bit set
     acquire phase -1.
     """
-    _check_product_caps(space, k)
+    _check_joint_dim(space, k, workspace_dim)
     n = space.n
     slots = k * n + 1
     dim_a = slots * workspace_dim
     dim_i = space.dim**k
-    if dim_a * dim_i > RUN_JOINT_DIM_CAP:
-        raise InstanceError("joint dimension exceeds the dense-run cap")
     signs = 1.0 - 2.0 * space.bits.astype(float)  # (dim_one, n): +1 for bit 0, -1 for bit 1
     phase = np.ones((slots, dim_i))
     ones_i = np.ones(space.dim)
@@ -803,6 +804,7 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     rng = SeededRng(seed)
     lines: list[CheckLine] = []
     space = build_input_space(n, t)
+    _check_joint_dim(space, k)
     chains = build_split_chains(space)
     decomp = build_signed_decomposition(space)
 
@@ -845,14 +847,13 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     dominance = containment_residual(frame)
     lines.append(CheckLine("difference blocks sit in high levels", dominance <= ORTHO_TOL, dominance, f"k={k}"))
 
-    workspace = 2
-    dim_a = (k * n + 1) * workspace
+    dim_a = (k * n + 1) * SUITE_WORKSPACE
     decay = 0.0
     growth_max = 0.0
     prob_worst = 0.0
     for idx in range(runs):
         program = random_program(rng.spawn("program", idx), dim_a, depth)
-        run = recast_run(program, space, k, workspace_dim=workspace)
+        run = recast_run(program, space, k, workspace_dim=SUITE_WORKSPACE)
         reports = [potential_from_joint(phi, frame) for phi in run.states]
         decay = max(decay, *(report.decay_excess for report in reports))
         for ratio in growth_ratios(reports):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemInstance, SeededRng
-from .linsys import CLASSICAL_MODE, bounded_matrix_product, classical_bounded_product
+from .linsys import (CLASSICAL_MODE, MatrixProductResult, bounded_matrix_product,
+                     classical_bounded_product)
 from .qsim import MODES
 
 RUN_MODES = MODES + (CLASSICAL_MODE,)
@@ -80,10 +81,12 @@ class SpaceRule:
             raise ValueError(f"unknown space rule kind {self.kind!r}")
         if not (math.isfinite(self.value) and self.value > 0):
             raise ValueError(f"space rule value {self.value} must be finite and > 0")
+        if self.kind == "absolute" and self.value != int(self.value):
+            raise ValueError(f"absolute space budget {self.value} must be a whole number")
 
     def budget(self, n: int, t: int) -> int:
         if self.kind == "absolute":
-            return max(1, int(self.value))
+            return int(self.value)
         return max(1, int(self.value * n / t))
 
 
@@ -129,7 +132,9 @@ class SweepConfig:
         rule = raw["S"]
         if isinstance(rule, (int, float)):
             rule = {"kind": "absolute", "value": rule}
-        if not (isinstance(rule, dict) and {"kind", "value"} <= set(rule)):
+        # a JSON true would pass as the number 1
+        if (not (isinstance(rule, dict) and {"kind", "value"} <= set(rule))
+                or isinstance(rule["value"], bool)):
             raise ValueError("config key 'S' must be a number or {kind, value}")
         try:
             return cls(n_values=tuple(int(v) for v in raw["N"]),
@@ -176,17 +181,20 @@ def regime_label(n: int, t: int, S: int) -> str:
     return "classical" if S > n / t else "quantum"
 
 
+def run_product(instance: ProblemInstance, S: int, mode: str, rng: SeededRng,
+                reps: int | None = None) -> MatrixProductResult:
+    """The classical baseline (which draws nothing), or the quantum product in `mode`."""
+    if mode == CLASSICAL_MODE:
+        return classical_bounded_product(instance, S)
+    return bounded_matrix_product(instance, S, mode, rng.stream, reps=reps)
+
+
 def run_cell(family: str, n: int, t: int, S: int, mode: str, seed: int,
              reps: int | None = None) -> SweepRow:
     """One deterministic run; the instance and the run stream derive from seed."""
     root = SeededRng(seed)
     inst = FAMILIES[family](root.spawn("instance", family, n, t).stream, n, t)
-    if mode == CLASSICAL_MODE:
-        res = classical_bounded_product(inst, S)
-    else:
-        res = bounded_matrix_product(inst, S, mode,
-                                     root.spawn("run", mode, n, t, S).stream,
-                                     reps=reps)
+    res = run_product(inst, S, mode, root.spawn("run", mode, n, t, S), reps)
     ledger = res.ledger
     return SweepRow(n=n, t=t, s=S, mode=mode, seed=seed,
                     total_queries=ledger.total, queries_x=ledger.queries_x,

@@ -267,12 +267,11 @@ class TestSubspaceSuite:
                 worst_decomp = max(worst_decomp, rep.ortho_residual, rep.start_state_residual)
 
         # potential decay, containment, probability bounds, distance bound
-        # along random recast runs (9 runs x 6 cells = 54 runs)
+        # along random recast runs (9 runs x 7 cells = 63 runs), three copies at (4, 2)
         suite_ok = True
-        for n in (4, 5, 6):
-            for k in (1, 2):
-                lines = verify_suite(n, 2, k, seed=0, runs=9, depth=3)
-                suite_ok = suite_ok and all(line.passed for line in lines)
+        for n, k in [(n, k) for n in (4, 5, 6) for k in (1, 2)] + [(4, 3)]:
+            lines = verify_suite(n, 2, k, seed=0, runs=9, depth=3)
+            suite_ok = suite_ok and all(line.passed for line in lines)
 
         # distance inequality on 1000 standalone random cases
         rng = SeededRng(2).spawn("criterion-6")

@@ -149,6 +149,17 @@ class TestSweep:
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("space, message", [
+        (16.9, "whole number"), (0.5, "whole number"), (True, "must be a number"),
+    ])
+    def test_fractional_or_boolean_space_is_usage_error(self, space, message, tmp_path, capsys):
+        # a truncated budget would run the cells at another S
+        config = write_config(tmp_path, S=space)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_even_reps_is_usage_error(self, tmp_path, capsys):
         # rejected with the config, before any cell runs and fails
         config = write_config(tmp_path, modes=["cost-model"], reps=2)
@@ -182,6 +193,18 @@ class TestSubspaceVerify:
 
     def test_infeasible_cell_is_usage_error(self, capsys):
         assert main(["subspace", "verify", "--n", "4", "--t", "3", "--k", "1"]) == 2
+
+    def test_three_copies_pass(self, capsys):
+        assert main(["subspace", "verify", "--n", "4", "--t", "2", "--k", "3", "--runs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 11 and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("k, message", [("0", "k must be at least 1"), ("4", "joint dimension")])
+    def test_copies_outside_the_size_rule_are_usage_errors(self, k, message, capsys):
+        assert main(["subspace", "verify", "--n", "4", "--t", "2", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out
+        assert message in captured.err
 
     @pytest.mark.parametrize("flag, value", [("--runs", "-3"), ("--runs", "0"), ("--depth", "0")])
     def test_no_runs_or_queries_is_usage_error(self, flag, value, capsys):

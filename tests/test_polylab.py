@@ -240,6 +240,7 @@ class TestSimplex:
         monkeypatch.setattr(polylab, "simplex_max", lambda *lp: captured.append(lp) or simplex_max(*lp))
         extremal_sigma_lp(8, 32, 1)
         extremal_sigma_lp(2, 16, 2)
+        growth_extremal.cache_clear()   # an earlier test may have solved (16, 4)
         growth_extremal(16, 4)
         assert len(captured) == 3
         for lp in captured:
@@ -480,6 +481,16 @@ class TestGrowthExtremal:
             growth_extremal(8, 0)
         with pytest.raises(InstanceError):
             growth_extremal(8, 9)
+
+    def test_each_cell_solved_once_per_process(self, monkeypatch):
+        # the LP depends on (n, d) alone, so repeated probes reuse its value
+        solved = []
+        monkeypatch.setattr(polylab, "simplex_max", lambda *lp: solved.append(1) or simplex_max(*lp))
+        growth_extremal.cache_clear()
+        probes = [cr_probe(rng_for("probe", i), n_values=(16,), d_factors=(1, 2), sample_count=2)
+                 for i in range(2)]
+        assert len(solved) == 2   # (16, 4) and (16, 8), not once per probe
+        assert probes[0].points[0] == probes[1].points[0]
 
 
 class TestCrProbe:

@@ -271,8 +271,7 @@ class TestSignedDecomposition:
         assert minus[2].shape[1] == high * high
 
     def test_product_blocks_generic_in_k(self):
-        # k = 3 is past the cap for the public builders; the grouping itself
-        # must still give C(k, m) lexicographic kron terms per group m
+        # the grouping must give C(k, m) lexicographic kron terms per group m
         gen = rng_for("blocks").stream
         sides = [gen.standard_normal((2, 1)), gen.standard_normal((2, 2))]
         grouped = _product_blocks(sides, 3)
@@ -285,12 +284,20 @@ class TestSignedDecomposition:
         assert np.array_equal(grouped[1], expect)
 
     def test_product_caps(self):
+        # one size rule: the suite's joint register (k n + 1) * 2 * dim^k must
+        # fit RUN_JOINT_DIM_CAP, whatever k is
         decomp = build_signed_decomposition(build_input_space(4, 2))
-        with pytest.raises(InstanceError):
-            build_level_frame(decomp, 3)
+        frame = build_level_frame(decomp, 3)  # 13 * 2 * 10^3 = 26,000
+        assert frame.columns.shape == (1000, 1000)
+        assert sorted(frame.minus) == [0, 1, 2, 3]
+        assert len(frame.masks) == 8
+        with pytest.raises(InstanceError, match="joint dimension"):
+            build_level_frame(decomp, 4)  # 17 * 2 * 10^4
         big = build_signed_decomposition(build_input_space(10, 3))
-        with pytest.raises(InstanceError):
-            build_level_frame(big, 2)  # per-factor dim 165 > cap
+        with pytest.raises(InstanceError, match="joint dimension"):
+            build_level_frame(big, 2)  # 21 * 2 * 165^2
+        with pytest.raises(InstanceError, match="k must be at least 1"):
+            build_level_frame(decomp, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +678,7 @@ class TestVerifySuite:
         assert calls["decomp"] == 1
         assert calls["chain"] <= 6
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_suite_builds_one_product_frame(self, k, monkeypatch):
         # the growth levels and the signed sides: two product builds per
         # suite, however many checks and runs read them
@@ -682,6 +689,20 @@ class TestVerifySuite:
         lines = verify_suite(4, 2, k, runs=4, depth=2)
         assert all(line.passed for line in lines)
         assert len(builds) == 2
+
+    @pytest.mark.parametrize("n, t, k", [(4, 2, 3), (6, 1, 3), (4, 1, 4)])
+    def test_cells_past_two_copies_pass(self, n, t, k):
+        lines = verify_suite(n, t, k, runs=3)
+        assert all(line.passed for line in lines)
+        assert f"k={k}" in {line.detail for line in lines}
+
+    @pytest.mark.parametrize("n, t, k", [(4, 2, 4), (10, 3, 2), (4, 2, 0), (4, 2, 10**9)])
+    def test_cell_over_the_size_rule_is_rejected_before_any_build(self, n, t, k, monkeypatch):
+        built = []
+        monkeypatch.setattr(subspace, "build_split_chains", lambda *args: built.append(1))
+        with pytest.raises(InstanceError):
+            verify_suite(n, t, k)
+        assert built == []
 
     @pytest.mark.parametrize("runs, depth", [(0, 3), (-3, 3), (2, 0)])
     def test_rejects_runs_or_depth_below_one(self, runs, depth):

@@ -84,6 +84,15 @@ class TestSpaceRule:
         with pytest.raises(ValueError, match="must be finite and > 0"):
             SpaceRule(kind, value)
 
+    @pytest.mark.parametrize("value", [16.9, 0.5])
+    def test_fractional_absolute_value_rejected(self, value):
+        # budget() would truncate it to another S without a word
+        with pytest.raises(ValueError, match="whole number"):
+            SpaceRule("absolute", value)
+
+    def test_whole_float_absolute_value_accepted(self):
+        assert SpaceRule("absolute", 16.0).budget(8, 2) == 16
+
 
 class TestSweepConfig:
     def test_from_dict_defaults(self):
@@ -141,6 +150,16 @@ class TestSweepConfig:
         for reps in (2, 0, -3):
             with pytest.raises(ValueError, match="reps must be odd and positive"):
                 SweepConfig.from_dict({**base, "reps": reps})
+
+    @pytest.mark.parametrize("space, message", [
+        (16.9, "whole number"), (0.5, "whole number"),
+        ({"kind": "absolute", "value": 7.2}, "whole number"),
+        (True, "must be a number"), ({"kind": "nt-fraction", "value": True}, "must be a number"),
+    ])
+    def test_fractional_or_boolean_space_rejected(self, space, message):
+        base = {"N": [8], "t": [1], "modes": ["exact"], "seeds": 1}
+        with pytest.raises(ValueError, match=message):
+            SweepConfig.from_dict({**base, "S": space})
 
 
 class TestRunSweep:
