@@ -27,7 +27,6 @@ from .core import (
     InstanceError,
     ProblemInstance,
     QueryLedger,
-    TAG_CLASSICAL,
     log2_ceil,
     matvec_min,
     value_bits,
@@ -96,9 +95,9 @@ def classical_bounded_product(instance: ProblemInstance, S: int) -> MatrixProduc
     y = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, cap):
         hi = min(lo + cap, n)
-        bounds = np.array([b_tape.read_value(u, TAG_CLASSICAL) for u in range(lo, hi)])
+        bounds = b_tape.read_values(np.arange(lo, hi))
         ledger.record_space(2 * len(bounds) * vb + len(bounds) + 2 * log2_ceil(n))
-        xs = np.array([x_tape.read_value(j, TAG_CLASSICAL) for j in range(n)])
+        xs = x_tape.read_values(np.arange(n))
         y[lo:hi] = np.minimum(bounds, instance.A[lo:hi] @ xs)
     correct = bool(np.array_equal(y, matvec_min(instance)))
     return MatrixProductResult(y=y, n=n, t=t, s_prime=cap,
@@ -180,8 +179,7 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
         reps = default_reps(n)
     x_tape = TapeOracle(x, ledger, "x")
     b_tape = TapeOracle(np.asarray(b_block, dtype=np.int64), ledger, "b")
-    bounds = np.array([b_tape.read_value(u, TAG_CLASSICAL) for u in range(m)],
-                      dtype=np.int64)
+    bounds = b_tape.read_values(np.arange(m))
     y = np.zeros(m, dtype=np.int64)
     open_rows = y < bounds
     vb = value_bits(t)
@@ -197,7 +195,7 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
         window = v_tape.window(pos, pos + length)
         res = collect_ones(window, mode, rng)
         found = sorted(pos + j for j in res.found)
-        reads = np.array([x_tape.read_value(j, TAG_CLASSICAL) for j in found], dtype=np.int64)
+        reads = x_tape.read_values(found)
         # every contribution is >= 0, so one clamp per block leaves closed rows at b
         contrib = A_block[:, found] * reads
         y = np.minimum(bounds, y + contrib.sum(axis=1))

@@ -2,7 +2,8 @@
 
 Modes:
     cost-model   outcomes sampled from closed-form distributions, every oracle
-                 call charged to the ledger; the workhorse for large sweeps.
+                 call charged to the ledger (a search books the iterations and
+                 verification reads of its attempts at once); the workhorse.
     statevector  exact simulation of the actual iterate (small sizes only),
                  used to cross-validate the closed forms.
     exact        forced success: same control flow and charges as cost-model,
@@ -80,15 +81,15 @@ class TapeOracle:
     def charge(self, count: int, tag: str) -> None:
         self.ledger.charge(self.target, tag, count)
 
-    def read_value(self, i: int, tag: str = TAG_CLASSICAL) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"tape index {i} out of range")
-        self.ledger.charge(self.target, tag, 1)
-        return int(self.values[i])
-
-    def read_bit(self, i: int, exclude=frozenset(), tag: str = TAG_GROVER) -> int:
-        v = self.read_value(i, tag)
-        return int(v > 0 and i not in exclude)
+    def read_values(self, idx, tag: str = TAG_CLASSICAL) -> np.ndarray:
+        """The one charged-read path: every index is checked, then len(idx) charged at once."""
+        idx = np.asarray(idx, dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= self.n)]
+        if bad.size:
+            raise IndexError(f"tape index {bad[0]} out of range")
+        if idx.size:   # an empty read adds no tag to the ledger
+            self.ledger.charge(self.target, tag, int(idx.size))
+        return self.values[idx]
 
     # -- uncharged simulation internals --
 
@@ -160,24 +161,6 @@ def sv_run_grover(bits, k: int) -> np.ndarray:
     return state**2
 
 
-def _sample_measurement(bits, ones, rest, j: int, mode: str, rng: np.random.Generator) -> int:
-    """Measured index after j iterations on the bit tape `bits` (1-positions
-    `ones`, 0-positions `rest`), drawn from the exact distribution."""
-    n = bits.size
-    if mode == MODE_SV:
-        pmf = sv_run_grover(bits, j)
-        return int(rng.choice(n, p=pmf / pmf.sum()))
-    w = int(ones.size)
-    p = grover_success(n, w, j) if w else 0.0
-    # the iterate keeps the state in span{uniform over ones, uniform over rest},
-    # so conditioned on hit/miss the measured index is uniform in its class
-    if rng.random() < p:
-        return int(ones[rng.integers(0, w)])
-    if rest.size == 0:
-        return int(ones[rng.integers(0, w)])
-    return int(rest[rng.integers(0, rest.size)])
-
-
 def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator,
                   exclude=frozenset()) -> SearchOutcome:
     """One search for a 1-position of the derived bit tape, of unknown weight.
@@ -185,7 +168,9 @@ def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator,
     Iteration caps grow by 6/5 per attempt up to sqrt(n), the attempt count j
     is drawn uniformly below the cap, and the whole search is cut off after
     RETRY_BUDGET_FACTOR * ceil(sqrt(n)) charged queries, after which
-    NoSolution is reported (found = None).
+    NoSolution is reported (found = None).  An attempt costs its j iterations
+    plus the verification read of the measured index; the charges of all
+    attempts are booked on the ledger once, when the search ends.
 
     Exact mode follows the identical control flow and charges, but if the
     sampled path ends empty-handed while a 1-position exists, a uniformly
@@ -197,23 +182,33 @@ def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator,
         raise ValueError("range must be nonempty")
     bits = oracle._bits(exclude)   # fixed for the whole search
     ones = np.flatnonzero(bits)
-    rest = np.flatnonzero(~bits)
+    w = int(ones.size)
+    theta = math.asin(math.sqrt(w / n))   # success mass sin^2((2j+1) theta), as grover_success
     budget = RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(n))
     charged = 0
     found = None
     cap = 1.0
     while charged < budget:
-        j = int(rng.integers(0, max(1, math.ceil(cap))))
+        high = math.ceil(cap)
+        j = int(rng.integers(0, high)) if high > 1 else 0   # integers(0, 1) draws nothing
         cap = min(cap * CAP_GROWTH, math.sqrt(n))
-        oracle.charge(j, TAG_GROVER)
-        idx = _sample_measurement(bits, ones, rest, j, mode, rng)
-        bit = oracle.read_bit(idx, exclude, TAG_GROVER)   # verification query
         charged += j + 1
-        if bit:
-            found = idx
+        if mode == MODE_SV:
+            pmf = sv_run_grover(bits, j)
+            idx = int(rng.choice(n, p=pmf / pmf.sum()))
+            if bits[idx]:
+                found = idx
+                break
+        # the state stays in span{uniform over ones, uniform over the rest}, so given
+        # hit or miss the index is uniform in its class; with w = n every index is a 1
+        elif rng.random() < math.sin((2 * j + 1) * theta) ** 2 or w == n:
+            found = int(ones[rng.integers(0, w)])
             break
-    if found is None and mode == MODE_EXACT and ones.size:
-        found = int(ones[rng.integers(0, ones.size)])
+        else:
+            rng.integers(0, n - w)   # the measured 0-position, which fails verification
+    oracle.charge(charged, TAG_GROVER)
+    if found is None and mode == MODE_EXACT and w:
+        found = int(ones[rng.integers(0, w)])
     return SearchOutcome(found=found, queries_charged=charged)
 
 

@@ -90,6 +90,13 @@ class SpaceRule:
         return max(1, int(self.value * n / t))
 
 
+def _whole(key: str, value) -> int:
+    """A whole-number config value; a fraction or a JSON true is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"config key {key!r} takes whole numbers, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     n_values: tuple[int, ...]
@@ -137,14 +144,14 @@ class SweepConfig:
                 or isinstance(rule["value"], bool)):
             raise ValueError("config key 'S' must be a number or {kind, value}")
         try:
-            return cls(n_values=tuple(int(v) for v in raw["N"]),
-                       t_values=tuple(int(v) for v in raw["t"]),
+            return cls(n_values=tuple(_whole("N", v) for v in raw["N"]),
+                       t_values=tuple(_whole("t", v) for v in raw["t"]),
                        space_rule=SpaceRule(kind=str(rule["kind"]),
                                             value=float(rule["value"])),
                        modes=tuple(str(m) for m in raw["modes"]),
-                       seeds=int(raw["seeds"]),
+                       seeds=_whole("seeds", raw["seeds"]),
                        family=str(raw.get("family", "regular")),
-                       reps=None if raw.get("reps") is None else int(raw["reps"]))
+                       reps=None if raw.get("reps") is None else _whole("reps", raw["reps"]))
         except TypeError as exc:   # e.g. a number where a list belongs
             raise ValueError(f"malformed sweep config: {exc}") from exc
 

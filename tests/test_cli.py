@@ -160,6 +160,14 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fractional_size_is_usage_error(self, tmp_path, capsys):
+        # a truncated N would run the cells at another size
+        config = write_config(tmp_path, N=[16.9])
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert "takes whole numbers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_even_reps_is_usage_error(self, tmp_path, capsys):
         # rejected with the config, before any cell runs and fails
         config = write_config(tmp_path, modes=["cost-model"], reps=2)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ineqlab import qsim
-from ineqlab.core import QueryLedger, SeededRng, TAG_COUNTING, TAG_GROVER
+from ineqlab.core import QueryLedger, SeededRng, TAG_CLASSICAL, TAG_COUNTING, TAG_GROVER
 from ineqlab.qsim import (
     MODE_COST,
     MODE_EXACT,
@@ -42,43 +42,105 @@ def rng_for(*key):
     return SeededRng(20260819).spawn(*key).stream
 
 
+class CountingRng:
+    """A Generator that counts its random() draws."""
+
+    def __init__(self, rng):
+        self.rng, self.randoms = rng, 0
+
+    def random(self, *args):
+        self.randoms += 1
+        return self.rng.random(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def reference_sample_measurement(bits, ones, rest, j, mode, rng):
+    """Measured index after j iterations, drawn per attempt as grover_search once did."""
+    n = bits.size
+    if mode == MODE_SV:
+        pmf = sv_run_grover(bits, j)
+        return int(rng.choice(n, p=pmf / pmf.sum()))
+    w = int(ones.size)
+    p = qsim.grover_success(n, w, j) if w else 0.0
+    if rng.random() < p:
+        return int(ones[rng.integers(0, w)])
+    if rest.size == 0:
+        return int(ones[rng.integers(0, w)])
+    return int(rest[rng.integers(0, rest.size)])
+
+
+def reference_grover_search(oracle, mode, rng, exclude=frozenset()):
+    """The per-attempt search: each attempt charges its j iterations, then its
+    verification read, one query at a time."""
+    n = oracle.n
+    bits = oracle._bits(exclude)
+    ones = np.flatnonzero(bits)
+    rest = np.flatnonzero(~bits)
+    budget = qsim.RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(n))
+    charged = 0
+    found = None
+    cap = 1.0
+    while charged < budget:
+        j = int(rng.integers(0, max(1, math.ceil(cap))))
+        cap = min(cap * qsim.CAP_GROWTH, math.sqrt(n))
+        oracle.charge(j, TAG_GROVER)
+        idx = reference_sample_measurement(bits, ones, rest, j, mode, rng)
+        oracle.charge(1, TAG_GROVER)
+        bit = int(oracle.values[idx] > 0 and idx not in exclude)
+        charged += j + 1
+        if bit:
+            found = idx
+            break
+    if found is None and mode == MODE_EXACT and ones.size:
+        found = int(ones[rng.integers(0, ones.size)])
+    return qsim.SearchOutcome(found=found, queries_charged=charged)
+
+
 # ---------------------------------------------------------------------------
 # tape oracle
 
 
 class TestTapeOracle:
-    def test_read_value_charges_and_returns(self):
+    def test_read_values_charges_and_returns(self):
         oracle, ledger = make_oracle([0, 3, 0, 1])
-        assert oracle.read_value(1) == 3
-        assert oracle.read_value(0) == 0
-        assert ledger.queries_x == 2
+        assert oracle.read_values([1, 0, 3]).tolist() == [3, 0, 1]
+        assert (ledger.queries_x, ledger.queries_b) == (3, 0)
+        assert ledger.by_subroutine == {TAG_CLASSICAL: 3}
+        assert oracle.read_values(np.arange(2), TAG_GROVER).tolist() == [0, 3]
+        assert ledger.by_subroutine == {TAG_CLASSICAL: 3, TAG_GROVER: 2}
 
-    def test_read_bit_thresholds_values(self):
-        oracle, ledger = make_oracle([0, 3, 0, 1])
-        assert oracle.read_bit(1) == 1
-        assert oracle.read_bit(0) == 0
-        assert oracle.read_bit(3) == 1
-        assert ledger.queries_x == 3
+    def test_read_values_is_one_ledger_charge(self, monkeypatch):
+        charges = []
+        real_charge = QueryLedger.charge
+        monkeypatch.setattr(QueryLedger, "charge",
+                            lambda self, *a: charges.append(a) or real_charge(self, *a))
+        oracle, ledger = make_oracle(np.arange(10), target="b")
+        assert oracle.read_values(np.arange(10)).tolist() == list(range(10))
+        assert charges == [("b", TAG_CLASSICAL, 10)]
+        assert ledger.queries_b == 10
 
-    def test_read_bit_exclusion_masks_found_positions(self):
-        oracle, _ = make_oracle([0, 3, 0, 1])
-        assert oracle.read_bit(1, exclude=frozenset({1})) == 0
-        assert oracle.read_bit(3, exclude=frozenset({1})) == 1
+    def test_empty_read_charges_nothing(self):
+        oracle, ledger = make_oracle([0, 3])
+        out = oracle.read_values([])
+        assert out.size == 0 and out.dtype == np.int64
+        assert ledger.total == 0
+        assert ledger.by_subroutine == {}
 
     def test_out_of_range_read_raises_before_charging(self):
         oracle, ledger = make_oracle([1, 0])
-        with pytest.raises(IndexError):
-            oracle.read_value(2)
-        with pytest.raises(IndexError):
-            oracle.read_value(-1)
+        for idx in ([2], [-1], [0, 2], [1, -1]):
+            with pytest.raises(IndexError):
+                oracle.read_values(idx)
         assert ledger.total == 0
+        assert ledger.by_subroutine == {}
 
     def test_window_shares_ledger_and_relabels_indices(self):
         oracle, ledger = make_oracle([0, 0, 5, 0, 7])
         win = oracle.window(2, 5)
         assert win.n == 3
-        assert win.read_value(0) == 5
-        assert win.read_value(2) == 7
+        assert win.read_values([0, 2]).tolist() == [5, 7]
         assert ledger.queries_x == 2
         win.charge(4, TAG_GROVER)
         assert ledger.queries_x == 6
@@ -92,7 +154,7 @@ class TestTapeOracle:
 
     def test_target_b_charges_other_counter(self):
         oracle, ledger = make_oracle([2, 0], target="b")
-        oracle.read_value(0)
+        oracle.read_values([0])
         assert ledger.queries_b == 1
         assert ledger.queries_x == 0
 
@@ -245,7 +307,10 @@ class TestGroverSearch:
                 assert out_c.found == out_e.found
 
     def test_first_attempt_success_rate_matches_schedule(self):
-        # n=8, w=1: k=2, p = sin^2(5 asin(sqrt(1/8))) ~ 0.9459
+        # n=8, w=1: k=2, p = sin^2(5 asin(sqrt(1/8))) ~ 0.9459, drawn by the
+        # per-attempt sampler that the stream-equivalence test below ties to
+        # grover_search draw for draw; grover_search's own first attempt has
+        # j = 0, so it hits with mass w/n
         n, w = 8, 1
         k, p = grover_schedule(n, w)
         assert k == 2
@@ -255,10 +320,15 @@ class TestGroverSearch:
         for mode in (MODE_COST, MODE_SV):
             trials = 600
             hits = sum(
-                qsim._sample_measurement(bits, ones, rest, k, mode, rng_for("rate", mode, trial)) == 5
+                reference_sample_measurement(bits, ones, rest, k, mode, rng_for("rate", mode, trial)) == 5
                 for trial in range(trials)
             )
             assert abs(hits / trials - p) < 0.05, mode
+            first = sum(
+                grover_search(make_oracle(bits)[0], mode, rng_for("first", mode, trial)).queries_charged == 1
+                for trial in range(trials)
+            )
+            assert abs(first / trials - w / n) < 0.05, mode
 
     def test_unknown_weight_single_mark_found_reliably(self):
         values = np.zeros(64, dtype=np.int64)
@@ -275,24 +345,54 @@ class TestGroverSearch:
 
     def test_one_mask_build_per_search(self, monkeypatch):
         # with its only mark excluded, the search runs its whole budget of
-        # attempts in every mode; the derived bit tape and its two position
-        # lists are still built once
-        builds, scans, attempts = [], [], []
-        real_bits, real_scan, real_sample = TapeOracle._bits, np.flatnonzero, qsim._sample_measurement
+        # attempts in every mode; the derived bit tape and its 1-positions are
+        # still built once, and the attempts are booked in one ledger charge
+        builds, scans, charges = [], [], []
+        real_bits, real_scan, real_charge = TapeOracle._bits, np.flatnonzero, QueryLedger.charge
         monkeypatch.setattr(TapeOracle, "_bits", lambda self, *a: builds.append(1) or real_bits(self, *a))
         monkeypatch.setattr(qsim.np, "flatnonzero", lambda a: scans.append(1) or real_scan(a))
-        monkeypatch.setattr(qsim, "_sample_measurement", lambda *a: attempts.append(1) or real_sample(*a))
+        monkeypatch.setattr(QueryLedger, "charge",
+                            lambda self, *a: charges.append(a) or real_charge(self, *a))
         values = np.zeros(64, dtype=np.int64)
         values[23] = 1
         for mode in MODES:
             builds.clear()
             scans.clear()
-            attempts.clear()
+            charges.clear()
             oracle, _ = make_oracle(values)
-            out = grover_search(oracle, mode, rng_for("masks", mode), exclude=frozenset({23}))
+            rng = CountingRng(rng_for("masks", mode))
+            out = grover_search(oracle, mode, rng, exclude=frozenset({23}))
             assert out.found is None
-            assert len(attempts) > 5, mode
-            assert (len(builds), len(scans)) == (1, 2), mode
+            assert charges == [("x", TAG_GROVER, out.queries_charged)], mode
+            assert len(builds) == 1 and len(scans) <= 1, mode
+            if mode != MODE_SV:   # one uniform draw per attempt decides hit or miss
+                assert rng.randoms > 5, mode
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stream_matches_per_attempt_reference(self, mode):
+        # same outcome, charges and random stream as the per-attempt search,
+        # over tapes of every weight from 0 to n (n = 1 included)
+        gen = rng_for("tapes", mode)
+        cases = []
+        for n in (1, 1, 2, 3, 5, 8, 13, 32, 64):
+            for density in (0.0, 0.1, 0.5, 1.0):
+                values = np.where(gen.random(n) < density, gen.integers(1, 3, size=n), 0)
+                exclude = frozenset(int(i) for i in np.flatnonzero(gen.random(n) < 0.1))
+                cases.append((values, exclude))
+        weights = set()
+        for case, (values, exclude) in enumerate(cases):
+            for target in ("x", "b"):
+                oracle, ledger = make_oracle(values, target)
+                ref_oracle, ref_ledger = make_oracle(values, target)
+                rng, ref_rng = rng_for("stream", mode, case), rng_for("stream", mode, case)
+                out = grover_search(oracle, mode, rng, exclude)
+                ref = reference_grover_search(ref_oracle, mode, ref_rng, exclude)
+                assert out == ref, (case, target)
+                assert ledger == ref_ledger, (case, target)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, (case, target)
+            bits = (values > 0) & ~np.isin(np.arange(values.size), list(exclude))
+            weights.add((int(bits.sum()) > 0) + (int(bits.sum()) == values.size))
+        assert weights == {0, 1, 2}   # weight 0, partial weight and full weight all occur
 
 
 class TestCollectOnes:

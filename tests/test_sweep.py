@@ -161,6 +161,23 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=message):
             SweepConfig.from_dict({**base, "S": space})
 
+    @pytest.mark.parametrize("override", [
+        {"N": [16.9, True], "t": [2.7], "seeds": 2.5, "reps": 5.9},
+        {"N": [16.9]}, {"N": [8, True]}, {"N": ["8"]}, {"t": [2.7]}, {"t": [False]},
+        {"seeds": 2.5}, {"seeds": True}, {"reps": 5.9}, {"reps": True},
+    ])
+    def test_fractional_or_boolean_counts_rejected(self, override):
+        # int() would truncate each of these to another grid without a word
+        base = {"N": [8], "t": [1], "S": 4, "modes": ["exact"], "seeds": 1}
+        with pytest.raises(ValueError, match="takes whole numbers"):
+            SweepConfig.from_dict({**base, **override})
+
+    def test_whole_floats_accepted_as_counts(self):
+        cfg = SweepConfig.from_dict({"N": [16.0, 8], "t": [2.0], "S": 4, "modes": ["exact"],
+                                     "seeds": 2.0, "reps": 5.0})
+        assert (cfg.n_values, cfg.t_values, cfg.seeds, cfg.reps) == ((16, 8), (2,), 2, 5)
+        assert all(type(v) is int for v in (*cfg.n_values, *cfg.t_values, cfg.seeds, cfg.reps))
+
 
 class TestRunSweep:
     def test_empty_grid_gives_empty_table(self):
