@@ -68,6 +68,8 @@ class BlockTrace:
     found: int           # nonzero positions collected in the block
     rows_closed: int     # rows of the group saturating during the block
     open_additions: int  # additions landing on rows still open at block end
+    counting_queries: int  # charged while sizing the block
+    grover_queries: int    # charged while collecting its nonzero positions
 
 
 @dataclass(frozen=True)
@@ -191,9 +193,11 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
     while pos < n and open_rows.any():
         mask = (A_block[open_rows] != 0).any(axis=0)
         v_tape = TapeOracle(np.where(mask, x, 0), ledger, "x")
+        before = ledger.total
         length, estimate = find_block_length(v_tape, pos, m, mode, rng, reps)
-        window = v_tape.window(pos, pos + length)
-        res = collect_ones(window, mode, rng)
+        sized = ledger.total
+        res = collect_ones(v_tape.window(pos, pos + length), mode, rng)
+        searched = ledger.total
         found = sorted(pos + j for j in res.found)
         reads = x_tape.read_values(found)
         # every contribution is >= 0, so one clamp per block leaves closed rows at b
@@ -204,7 +208,9 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
         open_adds = int(np.count_nonzero(contrib[still_open]))
         blocks.append(BlockTrace(start=pos, length=length,
                                  estimate=estimate, found=len(found),
-                                 rows_closed=closed_now, open_additions=open_adds))
+                                 rows_closed=closed_now, open_additions=open_adds,
+                                 counting_queries=sized - before,
+                                 grover_queries=searched - sized))
         ledger.record_space(base_bits + log2_ceil(length)
                             + SEARCH_WORKSPACE_SLACK + len(found) * log_n)
         open_rows = still_open
@@ -262,17 +268,22 @@ def check_budget(ledger: QueryLedger, n: int, t: int, S: int,
                  family: str) -> BudgetReport:
     """Ratio of measured total queries to the family's cost envelope.
 
-    quantum:   T / (N^1.5 sqrt(t) (log2 N)^2.5 / sqrt(S))
-    classical: T S / (N^2 log2(t+1) + 1), with the counter width that
+    quantum:   T / (N^1.5 sqrt(t) (log2 N)^2.5 / sqrt(U))
+    classical: T U / (N^2 log2(t+1) + 1), with the counter width that
                classical_row_capacity uses
+    U is the budget the rows can use: min(S, N ceil(log2 N)) for quantum and
+    min(S, N log2(t+1)) for classical, past which the row capacity holds all
+    N rows and a larger S buys nothing.
     """
     T = ledger.total
     if family == "quantum":
+        usable = min(S, n * log2_ceil(n))
         env = (n**1.5 * math.sqrt(t) * _log2_at_least_one(n)**2.5
-               / math.sqrt(S))
+               / math.sqrt(usable))
         cap = QUANTUM_RATIO_CAP
     elif family == "classical":
-        env = (n**2 * math.log2(t + 1) + 1.0) / S
+        usable = min(S, n * math.log2(t + 1))
+        env = (n**2 * math.log2(t + 1) + 1.0) / usable
         cap = CLASSICAL_RATIO_CAP
     else:
         raise ValueError(f"unknown family {family!r}")

@@ -15,7 +15,9 @@ sin^2(theta) = w/n, k iterations move the success mass to sin^2((2k+1) theta).
 Counting runs phase estimation on that iterate with an M-point grid; measuring
 y gives the estimate n * sin^2(pi y / M).  Closed-form outcome distributions
 below are exactly the distributions of those measurements; count_median
-draws all reps of a median in one batch from one (cached) law.
+draws all reps of a median in one batch from one (cached) law.  The search's
+scalar draws are made at C speed on the stream that Generator.integers and
+Generator.random would give (_scalar_draws).
 """
 from __future__ import annotations
 
@@ -54,11 +56,11 @@ def _check_mode(mode: str) -> None:
 class TapeOracle:
     """Nonnegative integer tape with query charging.
 
-    Search subroutines see the derived bit (value > 0, minus excluded
-    positions); counting sees the aggregate value.  Methods prefixed with an
-    underscore inspect the tape without charging: they exist so sampled modes
-    can draw outcomes from the correct distributions, and are never used to
-    shortcut an algorithm's decisions.
+    Search subroutines see the derived bit (value > 0); counting sees the
+    aggregate value.  Methods prefixed with an underscore inspect the tape
+    without charging: they exist so sampled modes can draw outcomes from the
+    correct distributions, and are never used to shortcut an algorithm's
+    decisions.
     """
 
     def __init__(self, values, ledger: QueryLedger, target: str = "x"):
@@ -93,12 +95,8 @@ class TapeOracle:
 
     # -- uncharged simulation internals --
 
-    def _bits(self, exclude=frozenset()) -> np.ndarray:
-        bits = self.values > 0
-        if exclude:
-            bits = bits.copy()
-            bits[list(exclude)] = False
-        return bits
+    def _bits(self) -> np.ndarray:
+        return self.values > 0
 
     def _total(self) -> int:
         return int(self.values.sum())
@@ -161,8 +159,45 @@ def sv_run_grover(bits, k: int) -> np.ndarray:
     return state**2
 
 
-def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator,
-                  exclude=frozenset()) -> SearchOutcome:
+def _scalar_draws(rng: np.random.Generator):
+    """(below, uniform): rng.integers(0, high) and rng.random() without the Generator.
+
+    Both call the bit generator's C entry points, so they give the values and
+    leave the stream state that the Generator calls would: below(high), for a
+    Python int high, runs numpy's 32-bit Lemire rejection loop over
+    next_uint32, and uniform() is next_double.  numpy bounds ranges above
+    2**32 on a 64-bit path, which below refuses.
+    """
+    c = rng.bit_generator.ctypes
+    next_uint32 = functools.partial(c.next_uint32, c.state)
+
+    def below(high: int) -> int:
+        if high <= 1:
+            return 0   # integers(0, 1) draws nothing
+        if high > 2**32:
+            raise ValueError(f"range {high} exceeds 2**32")
+        m = next_uint32() * high
+        if m & 0xFFFFFFFF < high:   # high bounds the rejection threshold
+            threshold = (2**32 - high) % high
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32() * high
+        return m >> 32
+
+    return below, functools.partial(c.next_double, c.state)
+
+
+@functools.lru_cache(maxsize=1024)
+def _attempt_highs(n: int, budget: int) -> tuple[int, ...]:
+    """Ceilings of the first `budget` iteration caps, enough for a search that
+    charges at least one query per attempt."""
+    highs, cap = [], 1.0
+    for _ in range(budget):
+        highs.append(math.ceil(cap))
+        cap = min(cap * CAP_GROWTH, math.sqrt(n))
+    return tuple(highs)
+
+
+def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator) -> SearchOutcome:
     """One search for a 1-position of the derived bit tape, of unknown weight.
 
     Iteration caps grow by 6/5 per attempt up to sqrt(n), the attempt count j
@@ -180,18 +215,18 @@ def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator,
     n = oracle.n
     if n < 1:
         raise ValueError("range must be nonempty")
-    bits = oracle._bits(exclude)   # fixed for the whole search
+    bits = oracle._bits()   # fixed for the whole search
     ones = np.flatnonzero(bits)
     w = int(ones.size)
     theta = math.asin(math.sqrt(w / n))   # success mass sin^2((2j+1) theta), as grover_success
     budget = RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(n))
+    below, uniform = _scalar_draws(rng)
     charged = 0
     found = None
-    cap = 1.0
-    while charged < budget:
-        high = math.ceil(cap)
-        j = int(rng.integers(0, high)) if high > 1 else 0   # integers(0, 1) draws nothing
-        cap = min(cap * CAP_GROWTH, math.sqrt(n))
+    for high in _attempt_highs(n, budget):
+        if charged >= budget:
+            break
+        j = below(high)
         charged += j + 1
         if mode == MODE_SV:
             pmf = sv_run_grover(bits, j)
@@ -201,14 +236,14 @@ def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator,
                 break
         # the state stays in span{uniform over ones, uniform over the rest}, so given
         # hit or miss the index is uniform in its class; with w = n every index is a 1
-        elif rng.random() < math.sin((2 * j + 1) * theta) ** 2 or w == n:
-            found = int(ones[rng.integers(0, w)])
+        elif uniform() < math.sin((2 * j + 1) * theta) ** 2 or w == n:
+            found = int(ones[below(w)])
             break
         else:
-            rng.integers(0, n - w)   # the measured 0-position, which fails verification
+            below(n - w)   # the measured 0-position, which fails verification
     oracle.charge(charged, TAG_GROVER)
     if found is None and mode == MODE_EXACT and w:
-        found = int(ones[rng.integers(0, w)])
+        found = int(ones[below(w)])
     return SearchOutcome(found=found, queries_charged=charged)
 
 

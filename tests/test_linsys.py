@@ -331,6 +331,19 @@ class TestBoundedMatrixProduct:
         assert TAG_GROVER in tags
         assert TAG_CLASSICAL in tags
 
+    def test_block_query_split_sums_to_ledger_tags(self):
+        # the blocks' counting and grover queries, one b read per row and one x
+        # read per found position add up to the ledger's three tags
+        inst = random_instance(rng_for("split-data"), 24, 1)
+        for mode in MODES:
+            res = bounded_matrix_product(inst, 10, mode, rng_for("split", mode))
+            blocks = [blk for group in res.group_traces for blk in group]
+            tags = res.ledger.by_subroutine
+            assert sum(blk.counting_queries for blk in blocks) == tags[TAG_COUNTING], mode
+            assert sum(blk.grover_queries for blk in blocks) == tags[TAG_GROVER], mode
+            assert 24 + sum(blk.found for blk in blocks) == tags[TAG_CLASSICAL], mode
+            assert sum(tags.values()) == res.ledger.total, mode
+
     def test_space_high_water_recorded(self):
         inst = random_instance(rng_for("bs-data"), 16, 2)
         res = bounded_matrix_product(inst, 8, MODE_EXACT, rng_for("bs"))
@@ -451,6 +464,34 @@ class TestCheckBudget:
         report = check_budget(res.ledger, 64, 1, 13, "classical")
         assert report.ratio == pytest.approx(384 * 13 / (64**2 + 1.0))
         assert not report.flagged
+
+    def test_classical_envelope_stops_at_capacity_edge(self):
+        # N=16, t=1: all 16 rows fit from S=16 up, so S=1000 runs the same one
+        # group, T = 16 + 16; the envelope takes the 16 bits the rows can use
+        # (with S itself the ratio would read 124.5)
+        inst = ProblemInstance(A=np.zeros((16, 16), dtype=np.int64),
+                               x=np.zeros(16, dtype=np.int64),
+                               b=np.ones(16, dtype=np.int64), t=1)
+        for S in (16, 1000):
+            res = classical_bounded_product(inst, S)
+            assert res.ledger.total == 32
+            report = check_budget(res.ledger, 16, 1, S, "classical")
+            assert report.ratio == pytest.approx(32 * 16 / (16**2 + 1.0))
+            assert not report.flagged
+
+    def test_quantum_envelope_stops_at_capacity_edge(self):
+        # N=16: s' = 16 from S = 16 * 4 = 64 up, so S = 10^6 runs the same
+        # product; the envelope takes the 64 bits the rows can use (with S itself
+        # the ratio would read 125 times higher)
+        inst = random_instance(rng_for("edge"), 16, 1)
+        reports = []
+        for S in (64, 10**6):
+            res = bounded_matrix_product(inst, S, MODE_EXACT, rng_for("edge-run"))
+            assert res.correct and res.s_prime == 16
+            reports.append(check_budget(res.ledger, 16, 1, S, "quantum"))
+        assert reports[0].envelope == reports[1].envelope == 16**1.5 * 4**2.5 / 8
+        assert reports[0].ratio == reports[1].ratio
+        assert not reports[1].flagged
 
     def test_quantum_zero_matrix_is_cheap(self):
         inst = ProblemInstance(A=np.zeros((32, 32), dtype=np.int64),

@@ -42,6 +42,13 @@ def rng_for(*key):
     return SeededRng(20260819).spawn(*key).stream
 
 
+def zeroed(values, positions):
+    """A copy of the tape with the given positions set to 0."""
+    values = np.array(values, dtype=np.int64)
+    values[list(positions)] = 0
+    return values
+
+
 class CountingRng:
     """A Generator that counts its random() draws."""
 
@@ -71,11 +78,11 @@ def reference_sample_measurement(bits, ones, rest, j, mode, rng):
     return int(rest[rng.integers(0, rest.size)])
 
 
-def reference_grover_search(oracle, mode, rng, exclude=frozenset()):
+def reference_grover_search(oracle, mode, rng):
     """The per-attempt search: each attempt charges its j iterations, then its
-    verification read, one query at a time."""
+    verification read, one query at a time; every draw is a Generator call."""
     n = oracle.n
-    bits = oracle._bits(exclude)
+    bits = oracle._bits()
     ones = np.flatnonzero(bits)
     rest = np.flatnonzero(~bits)
     budget = qsim.RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(n))
@@ -88,7 +95,7 @@ def reference_grover_search(oracle, mode, rng, exclude=frozenset()):
         oracle.charge(j, TAG_GROVER)
         idx = reference_sample_measurement(bits, ones, rest, j, mode, rng)
         oracle.charge(1, TAG_GROVER)
-        bit = int(oracle.values[idx] > 0 and idx not in exclude)
+        bit = int(oracle.values[idx] > 0)
         charged += j + 1
         if bit:
             found = idx
@@ -162,8 +169,10 @@ class TestTapeOracle:
         oracle, ledger = make_oracle([0, 1, 2, 0])
         assert oracle._total() == 3
         assert list(np.flatnonzero(oracle._bits())) == [1, 2]
-        assert list(np.flatnonzero(oracle._bits(frozenset({1})))) == [2]
-        assert ledger.total == 0
+        masked, masked_ledger = make_oracle(zeroed(oracle.values, {1}))
+        assert list(np.flatnonzero(masked._bits())) == [2]
+        assert list(np.flatnonzero(oracle._bits())) == [1, 2]   # the copy was zeroed
+        assert ledger.total == 0 and masked_ledger.total == 0
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +246,51 @@ class TestSvRunGrover:
 # search
 
 
+class TestScalarDraws:
+    @pytest.mark.parametrize("high", [1, 2, 17, 2**31 + 1, 2**32])
+    def test_draws_match_generator_calls(self, high):
+        # interleaved with Generator calls on the same stream, the helper gives
+        # the values and leaves the state of integers(0, high) and random()
+        rng, ref = rng_for("draws", high), rng_for("draws", high)
+        below, uniform = qsim._scalar_draws(rng)
+        p = [0.1, 0.2, 0.3, 0.4]
+        for step in range(300):
+            assert below(high) == int(ref.integers(0, high)), step
+            assert uniform() == ref.random(), step
+            if step % 7 == 0:
+                assert rng.choice(4, p=p) == ref.choice(4, p=p)
+            if step % 11 == 0:
+                assert np.array_equal(rng.random(3), ref.random(3))
+            if step % 13 == 0:
+                assert rng.integers(0, high) == ref.integers(0, high)
+            assert rng.bit_generator.state == ref.bit_generator.state, step
+
+    def test_rejection_loop_reads_one_word_per_try(self):
+        # at high = 2**31 + 1 about half the 32-bit words are rejected; replaying
+        # the stream one raw word at a time (integers(0, 2**32) is one
+        # next_uint32) finds the helper's state after about two words per draw
+        rng, words = rng_for("reject"), rng_for("reject")
+        below, _ = qsim._scalar_draws(rng)
+        draws = 400
+        for _ in range(draws):
+            below(2**31 + 1)
+        used = 0
+        while words.bit_generator.state != rng.bit_generator.state and used < 10 * draws:
+            words.integers(0, 2**32)
+            used += 1
+        assert 1.6 * draws < used < 2.4 * draws
+
+    def test_one_value_range_draws_nothing_and_wide_range_refused(self):
+        rng = rng_for("edges")
+        below, _ = qsim._scalar_draws(rng)
+        state = rng.bit_generator.state
+        assert below(1) == 0 and below(0) == 0
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError):
+            below(2**32 + 1)   # numpy bounds this range on its 64-bit path
+        assert rng.bit_generator.state == state
+
+
 class TestGroverSearch:
     def test_bad_mode_rejected(self):
         oracle, _ = make_oracle([1])
@@ -264,11 +318,10 @@ class TestGroverSearch:
                 assert out.found in (4, 9, 20)
 
     def test_exclusion_restricts_search_support(self):
-        values = [0, 1, 0, 1, 0, 0, 0, 0]
+        values = zeroed([0, 1, 0, 1, 0, 0, 0, 0], {1})
         for trial in range(30):
             oracle, _ = make_oracle(values)
-            out = grover_search(oracle, MODE_EXACT, rng_for("excl", trial),
-                                exclude=frozenset({1}))
+            out = grover_search(oracle, MODE_EXACT, rng_for("excl", trial))
             assert out.found == 3
 
     def test_exact_mode_forces_success_when_budget_lapses(self, monkeypatch):
@@ -344,7 +397,7 @@ class TestGroverSearch:
         assert misses <= 15  # ~2% expected under the retry budget
 
     def test_one_mask_build_per_search(self, monkeypatch):
-        # with its only mark excluded, the search runs its whole budget of
+        # with its only mark zeroed, the search runs its whole budget of
         # attempts in every mode; the derived bit tape and its 1-positions are
         # still built once, and the attempts are booked in one ledger charge
         builds, scans, charges = [], [], []
@@ -355,18 +408,24 @@ class TestGroverSearch:
                             lambda self, *a: charges.append(a) or real_charge(self, *a))
         values = np.zeros(64, dtype=np.int64)
         values[23] = 1
+        values = zeroed(values, {23})
         for mode in MODES:
             builds.clear()
             scans.clear()
             charges.clear()
             oracle, _ = make_oracle(values)
-            rng = CountingRng(rng_for("masks", mode))
-            out = grover_search(oracle, mode, rng, exclude=frozenset({23}))
+            rng = rng_for("masks", mode)
+            out = grover_search(oracle, mode, rng)
             assert out.found is None
             assert charges == [("x", TAG_GROVER, out.queries_charged)], mode
             assert len(builds) == 1 and len(scans) <= 1, mode
-            if mode != MODE_SV:   # one uniform draw per attempt decides hit or miss
-                assert rng.randoms > 5, mode
+            # the reference draws one Generator uniform per attempt to decide hit
+            # or miss; the search leaves the stream where those draws leave it
+            ref_rng = CountingRng(rng_for("masks", mode))
+            assert reference_grover_search(make_oracle(values)[0], mode, ref_rng) == out
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, mode
+            if mode != MODE_SV:
+                assert ref_rng.randoms > 5, mode
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stream_matches_per_attempt_reference(self, mode):
@@ -377,20 +436,19 @@ class TestGroverSearch:
         for n in (1, 1, 2, 3, 5, 8, 13, 32, 64):
             for density in (0.0, 0.1, 0.5, 1.0):
                 values = np.where(gen.random(n) < density, gen.integers(1, 3, size=n), 0)
-                exclude = frozenset(int(i) for i in np.flatnonzero(gen.random(n) < 0.1))
-                cases.append((values, exclude))
+                cases.append(zeroed(values, np.flatnonzero(gen.random(n) < 0.1)))
         weights = set()
-        for case, (values, exclude) in enumerate(cases):
+        for case, values in enumerate(cases):
             for target in ("x", "b"):
                 oracle, ledger = make_oracle(values, target)
                 ref_oracle, ref_ledger = make_oracle(values, target)
                 rng, ref_rng = rng_for("stream", mode, case), rng_for("stream", mode, case)
-                out = grover_search(oracle, mode, rng, exclude)
-                ref = reference_grover_search(ref_oracle, mode, ref_rng, exclude)
+                out = grover_search(oracle, mode, rng)
+                ref = reference_grover_search(ref_oracle, mode, ref_rng)
                 assert out == ref, (case, target)
                 assert ledger == ref_ledger, (case, target)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state, (case, target)
-            bits = (values > 0) & ~np.isin(np.arange(values.size), list(exclude))
+            bits = values > 0
             weights.add((int(bits.sum()) > 0) + (int(bits.sum()) == values.size))
         assert weights == {0, 1, 2}   # weight 0, partial weight and full weight all occur
 
@@ -443,7 +501,7 @@ class TestCollectOnes:
 
     def test_live_tape_matches_searches_with_exclusion_sets(self, monkeypatch):
         # one mask build per search, and the same draws and charges as one
-        # search per find with the found positions passed as `exclude`
+        # search per find on a tape copy with the found positions zeroed
         builds = []
         real_bits = TapeOracle._bits
         monkeypatch.setattr(TapeOracle, "_bits", lambda self, *a: builds.append(1) or real_bits(self, *a))
@@ -455,11 +513,12 @@ class TestCollectOnes:
                 builds.clear()
                 res = collect_ones(oracle, mode, rng_for("live", mode, trial))
                 assert len(builds) == res.searches
-                ref_oracle, ref_ledger = make_oracle(values)
+                ref_ledger = QueryLedger()
                 rng = rng_for("live", mode, trial)
                 found = []
                 while True:
-                    out = grover_search(ref_oracle, mode, rng, exclude=frozenset(found))
+                    ref_oracle = TapeOracle(zeroed(values, found), ref_ledger)
+                    out = grover_search(ref_oracle, mode, rng)
                     if out.found is None:
                         break
                     found.append(out.found)
