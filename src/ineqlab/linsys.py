@@ -64,7 +64,6 @@ def classical_row_capacity(n: int, S: int, t: int) -> int:
 class BlockTrace:
     start: int
     length: int
-    estimate: float
     found: int           # nonzero positions collected in the block
     rows_closed: int     # rows of the group saturating during the block
     open_additions: int  # additions landing on rows still open at block end
@@ -108,16 +107,16 @@ def classical_bounded_product(instance: ProblemInstance, S: int) -> MatrixProduc
 
 
 def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
-                      rng: np.random.Generator, reps: int) -> tuple[int, float]:
-    """Choose the next block [start, start+length) of the masked tape.
-
-    Returns the length and the counting estimate that accepted it.
+                      rng: np.random.Generator, reps: int) -> int:
+    """Length of the next block [start, start+length) of the masked tape.
 
     Doubling from s_prime grows the candidate while its mass estimate stays
     below s_prime; a binary search then takes the longest length in the last
-    bracket whose estimate is at most 2*s_prime.  Every probe is a fresh
-    median-of-reps counting call with M = ceil(sqrt(candidate length)).
-    If the range end is reached while still sparse, the tail is the block.
+    bracket whose estimate is at most 2*s_prime, or the bracket's floor if
+    none is.  Every probe is a fresh median-of-reps counting call with
+    M = ceil(sqrt(candidate length)).  If the range end is reached while
+    still sparse, the tail is the block; a tail of at most s_prime columns
+    is taken without a probe.
     """
     _check_mode(mode)
     n = tape.n
@@ -132,30 +131,21 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
         m_pts = math.ceil(math.sqrt(length))
         return count_median(window, m_pts, reps, mode, rng)
 
-    if remaining <= s_prime:
-        return remaining, probe(remaining)
     k = s_prime
-    while k < remaining:   # runs at least once, as remaining > s_prime
+    while k < remaining:
         k = min(2 * k, remaining)
-        est = probe(k)
-        if est >= s_prime:
+        if probe(k) >= s_prime:
             break
-    if est < s_prime:
-        # sparse all the way to the end: take the tail
-        return remaining, est
+    else:   # sparse all the way to the end: take the tail
+        return remaining
     lo, hi = k // 2, k
-    best_est = None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        e = probe(mid)
-        if e <= 2 * s_prime:
+        if probe(mid) <= 2 * s_prime:
             lo = mid
-            best_est = e
         else:
             hi = mid - 1
-    if best_est is None:
-        best_est = probe(lo)   # every bracket probe overflowed; record the floor
-    return lo, best_est
+    return lo
 
 
 def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray,
@@ -194,7 +184,7 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
         mask = (A_block[open_rows] != 0).any(axis=0)
         v_tape = TapeOracle(np.where(mask, x, 0), ledger, "x")
         before = ledger.total
-        length, estimate = find_block_length(v_tape, pos, m, mode, rng, reps)
+        length = find_block_length(v_tape, pos, m, mode, rng, reps)
         sized = ledger.total
         res = collect_ones(v_tape.window(pos, pos + length), mode, rng)
         searched = ledger.total
@@ -206,8 +196,7 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
         still_open = y < bounds
         closed_now = int(np.count_nonzero(open_rows & ~still_open))
         open_adds = int(np.count_nonzero(contrib[still_open]))
-        blocks.append(BlockTrace(start=pos, length=length,
-                                 estimate=estimate, found=len(found),
+        blocks.append(BlockTrace(start=pos, length=length, found=len(found),
                                  rows_closed=closed_now, open_additions=open_adds,
                                  counting_queries=sized - before,
                                  grover_queries=searched - sized))

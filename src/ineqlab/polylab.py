@@ -488,16 +488,13 @@ def cr_probe(
     n_values=(16, 32, 64),
     d_factors=(1, 2, 3),
     sample_count: int = 24,
-    extra_points=(),
 ) -> CrProbeReport:
     """Fit the interior-growth envelope over random and extremal polynomials.
 
     Samples are normalized to max 1 over the integers of [0, n]; the envelope
-    records the dense real max per (n, d) cell.  extra_points lets callers add
-    (n, d, log max) triples (for example rescaled LP witnesses) so the fit
-    covers them too.  The stability figure compares slopes fitted to the
-    extremal cells alone: random series rarely grow between integers, so
-    including them would drown the trend in noise.
+    records the dense real max per (n, d) cell.  The stability figure compares
+    slopes fitted to the extremal cells alone: random series rarely grow
+    between integers, so including them would drown the trend in noise.
     """
     gen = rng.stream
     points: list[tuple[int, int, float]] = []
@@ -519,7 +516,6 @@ def cr_probe(
                     continue
                 coeffs = coeffs / scale
                 points.append((n, d, math.log(max(_interior_max_of_series(coeffs, n), 1.0))))
-    points.extend((int(n), int(d), float(v)) for n, d, v in extra_points)
 
     cell_max: dict[tuple[int, int], float] = {}
     for n, d, v in points:
@@ -714,20 +710,10 @@ def verify_lp(
         CheckLine("shape bound constant (report only)", True, c_fit, f"fitted c = {c_fit:.4f} over {used} cells")
     )
 
-    # proof chain on one witness per domain row, with the growth constants
-    # fitted over random polynomials plus these witnesses' own quotients
+    # proof chain on one witness per domain row, with growth constants fitted
+    # independently of the witnesses, over random and extremal polynomials
     if chain_lps:
-        extra = []
-        for (deg, n_dom, m), lp in chain_lps.items():
-            lo = 10 * m
-            coef = zero_prefix_quotient(lp)
-            xs = np.linspace(lo, n_dom, 2001)
-            cap = ((10 - 1) * m) ** m
-            scaled_max = float(np.abs(newton_eval(coef, m, xs)).max()) * cap
-            extra.append((n_dom - lo, deg - m, math.log(max(scaled_max, 1.0))))
-        probe = cr_probe(
-            rng.spawn("chain-fit"), n_values=probe_n_values, sample_count=12, extra_points=extra
-        )
+        probe = cr_probe(rng.spawn("chain-fit"), n_values=probe_n_values, sample_count=12)
         chain_worst = -math.inf
         for lp in chain_lps.values():
             chain = witness_chain_check(lp, 10, probe.a, probe.b)

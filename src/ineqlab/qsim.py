@@ -363,21 +363,22 @@ def count_median(oracle: TapeOracle, M: int, reps: int, mode: str,
                  rng: np.random.Generator) -> float:
     """Median of reps estimates of the tape's aggregate value (odd reps; charges M*reps).
 
-    The estimate law is got once per call, cached by (fraction, M) in cost-model
-    mode; one rng.random(reps) mapped through its cdf gives the draws and stream
-    state of reps rng.choice calls.  The aggregate is a mark fraction total/n
-    saturating at 1: an estimate is at most n, which only speeds up threshold stops.
+    The estimate law, folded onto the representable estimates, is got once per
+    call, cached by (fraction, M) in cost-model mode; one rng.random(reps)
+    mapped through its cdf gives the draws and stream state of reps rng.choice
+    calls.  The aggregate is a mark fraction total/n saturating at 1: an
+    estimate is at most n, which only speeds up threshold stops.
     """
     _check_mode(mode)
     if reps < 1 or reps % 2 == 0:
         raise ValueError("reps must be odd and positive")
     if M < 1:
         raise ValueError("M must be positive")
-    if mode == MODE_SV:   # drawn over the unfolded y grid; sv_count_pmf caps n*M
+    if mode == MODE_SV:   # sv_count_pmf caps n*M
         if (oracle.values > 1).any():
             raise ValueError("statevector counting supports bit tapes only")
-        values = np.array([math.sin(math.pi * min(y, M - y) / M) ** 2 for y in range(M)])
-        cdf = _choice_cdf(sv_count_pmf(oracle.values > 0, M))
+        pmf = fold_count_pmf(sv_count_pmf(oracle.values > 0, M), M)
+        values, cdf = pmf.values, _choice_cdf(pmf.probs)
     oracle.charge(M * reps, TAG_COUNTING)
     total = oracle._total()
     if mode == MODE_EXACT:

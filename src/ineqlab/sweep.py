@@ -20,7 +20,11 @@ from .qsim import MODES
 
 RUN_MODES = MODES + (CLASSICAL_MODE,)
 
-CSV_HEADER = "N,t,S,mode,seed,T,queries_x,queries_b,space,correct"
+# (report key, SweepRow field) in CSV column order; JSON adds the derived "regime"
+REPORT_COLUMNS = (("N", "n"), ("t", "t"), ("S", "s"), ("mode", "mode"), ("seed", "seed"),
+                  ("T", "total_queries"), ("queries_x", "queries_x"),
+                  ("queries_b", "queries_b"), ("space", "space"), ("correct", "correct"))
+CSV_HEADER = ",".join(key for key, _ in REPORT_COLUMNS)
 
 REGULAR_ROW_NNZ = 12  # nonzeros per row of the row-regular family
 
@@ -91,9 +95,9 @@ class SpaceRule:
 
 
 def _whole(key: str, value) -> int:
-    """A whole-number config value; a fraction or a JSON true is refused, not truncated."""
+    """A whole-number config or report value; a fraction or a JSON true is refused, not truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise ValueError(f"config key {key!r} takes whole numbers, not {value!r}")
+        raise ValueError(f"key {key!r} takes whole numbers, not {value!r}")
     return int(value)
 
 
@@ -269,35 +273,56 @@ def fit_scaling(rows, axis: str) -> ScalingFit:
 def render_csv(rows) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(f"{row.n},{row.t},{row.s},{row.mode},{row.seed},"
-                     f"{row.total_queries},{row.queries_x},{row.queries_b},"
-                     f"{row.space},{'true' if row.correct else 'false'}")
+        cells = (getattr(row, field) for _, field in REPORT_COLUMNS)
+        lines.append(",".join(json.dumps(c) if isinstance(c, bool) else str(c) for c in cells))
     return "\n".join(lines) + "\n"
 
 
-def _row_dict(row: SweepRow) -> dict:
-    return {"N": row.n, "t": row.t, "S": row.s, "mode": row.mode,
-            "seed": row.seed, "T": row.total_queries,
-            "queries_x": row.queries_x, "queries_b": row.queries_b,
-            "space": row.space, "correct": row.correct, "regime": row.regime}
-
-
 def render_json(rows) -> str:
-    return json.dumps([_row_dict(r) for r in rows], indent=2,
-                      sort_keys=True) + "\n"
+    raw = [{**{key: getattr(row, field) for key, field in REPORT_COLUMNS},
+            "regime": row.regime} for row in rows]
+    return json.dumps(raw, indent=2, sort_keys=True) + "\n"
+
+
+def _row_from(raw) -> SweepRow:
+    """One report row from its key -> value object, every value checked, none coerced.
+
+    The stored "regime" is not read: it follows from N, t and S.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"report row must be an object, not {raw!r}")
+    fields = {}
+    for key, field in REPORT_COLUMNS:
+        if key not in raw:
+            raise ValueError(f"report row is missing key {key!r}")
+        value = raw[key]
+        if key == "mode":
+            if value not in RUN_MODES:
+                raise ValueError(f"report key 'mode' takes one of {RUN_MODES}, not {value!r}")
+        elif key == "correct":
+            if not isinstance(value, bool):
+                raise ValueError(f"report key 'correct' takes true or false, not {value!r}")
+        else:
+            value = _whole(key, value)
+        fields[field] = value
+    return SweepRow(**fields)
 
 
 def rows_from_json(text: str) -> tuple[SweepRow, ...]:
-    out = []
-    for raw in json.loads(text):
-        out.append(SweepRow(n=int(raw["N"]), t=int(raw["t"]), s=int(raw["S"]),
-                            mode=str(raw["mode"]), seed=int(raw["seed"]),
-                            total_queries=int(raw["T"]),
-                            queries_x=int(raw["queries_x"]),
-                            queries_b=int(raw["queries_b"]),
-                            space=int(raw["space"]),
-                            correct=bool(raw["correct"])))
-    return tuple(out)
+    raw = json.loads(text)
+    if not isinstance(raw, list):
+        raise ValueError("a JSON report must be a list of rows")
+    return tuple(_row_from(r) for r in raw)
+
+
+def _csv_cell(key: str, text: str):
+    """A CSV cell as the JSON value it spells; mode is the one bare string."""
+    if key == "mode":
+        return text
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise ValueError(f"report key {key!r} has unreadable value {text!r}") from None
 
 
 def rows_from_csv(text: str) -> tuple[SweepRow, ...]:
@@ -307,13 +332,10 @@ def rows_from_csv(text: str) -> tuple[SweepRow, ...]:
     out = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 10:
+        if len(parts) != len(REPORT_COLUMNS):
             raise ValueError(f"bad report line: {ln!r}")
-        out.append(SweepRow(n=int(parts[0]), t=int(parts[1]), s=int(parts[2]),
-                            mode=parts[3], seed=int(parts[4]),
-                            total_queries=int(parts[5]),
-                            queries_x=int(parts[6]), queries_b=int(parts[7]),
-                            space=int(parts[8]), correct=parts[9] == "true"))
+        out.append(_row_from({key: _csv_cell(key, cell)
+                              for (key, _), cell in zip(REPORT_COLUMNS, parts)}))
     return tuple(out)
 
 

@@ -271,6 +271,38 @@ class TestReport:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path / "gone.csv")]) == 2
 
+    GOOD_ROW = {"N": 16, "t": 2, "S": 8, "mode": "exact", "seed": 0, "T": 90,
+                "queries_x": 74, "queries_b": 16, "space": 40, "correct": True}
+
+    @pytest.mark.parametrize("payload, message", [
+        ([{}], "missing key 'N'"),
+        ({"N": 1}, "list of rows"),
+        ([{**GOOD_ROW, "N": 16.9}], "whole numbers"),
+        ([{**GOOD_ROW, "t": True}], "whole numbers"),
+        ([{**GOOD_ROW, "mode": "bogus"}], "'mode' takes one of"),
+        ([{**GOOD_ROW, "correct": "false"}], "true or false"),
+    ])
+    def test_malformed_json_report_is_usage_error(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["report", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_good_json_row_is_read(self, tmp_path, capsys):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps([self.GOOD_ROW]), encoding="utf-8")
+        assert main(["report", "--in", str(path)]) == 0
+        assert "correct: 1/1" in capsys.readouterr().out
+
+    def test_python_bool_in_csv_is_usage_error(self, tmp_path, capsys):
+        row = SweepRow(n=16, t=2, s=8, mode="exact", seed=0, total_queries=90,
+                       queries_x=74, queries_b=16, space=40, correct=True)
+        path = tmp_path / "rows.csv"
+        path.write_text(render_csv([row]).replace(",true", ",True"), encoding="utf-8")
+        assert main(["report", "--in", str(path)]) == 2
+        assert "'correct' has unreadable value 'True'" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self):

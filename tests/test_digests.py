@@ -25,8 +25,8 @@ def sha256(data: bytes) -> str:
 
 SWEEP_DIGESTS = {
     "exact": "9b0eab65263ca2454a748767e6593c4e7dc387b1b7e7dbe70fe76eafc89105dd",
-    "cost-model": "eb7762b46ab301e897010fd50a8772ab543fba4cb80b7c8904fec796c2958565",
-    "statevector": "d4827ec1e8d3a28840214b4b25dad9512c3ff375dced08cfa1c698bf1b1411aa",
+    "cost-model": "f5e55e3d62e033ba8eb5ad143f5a050e764350d99f9b81143bb5f839e9348d24",
+    "statevector": "ff58595d0b89bee2b79d75440e144691d2e88b4132fc965bb52825d88f6fb5b3",
     "classical": "38c8628b5c14f0816fe5f223b024bd141f4f99d4e20aec10a37fdc35d2dc554e",
 }
 

@@ -142,25 +142,19 @@ class TestFindBlockLength:
         # unit mass everywhere, capacity 4: probe at 8 breaks the doubling,
         # binary search accepts the longest block with mass <= 8
         tape = value_tape([1] * 16)
-        scan = find_block_length(tape, 0, 4, MODE_EXACT, rng_for("fb1"), reps=3)
-        assert scan == (8, 8.0)
+        assert find_block_length(tape, 0, 4, MODE_EXACT, rng_for("fb1"), reps=3) == 8
 
     def test_exact_range_end_variant(self):
         tape = value_tape([1] * 8)
-        length, estimate = find_block_length(tape, 0, 4, MODE_EXACT, rng_for("fb2"), reps=3)
-        assert length == 8
-        assert estimate == 8.0
+        assert find_block_length(tape, 0, 4, MODE_EXACT, rng_for("fb2"), reps=3) == 8
 
     def test_sparse_tail_takes_remaining_range(self):
         tape = value_tape([0] * 32)
-        length, estimate = find_block_length(tape, 5, 3, MODE_EXACT, rng_for("fb3"), reps=3)
-        assert length == 27
-        assert estimate == 0.0
+        assert find_block_length(tape, 5, 3, MODE_EXACT, rng_for("fb3"), reps=3) == 27
 
     def test_short_remainder_is_one_block(self):
         tape = value_tape([1, 1, 1, 1])
-        length, _ = find_block_length(tape, 2, 5, MODE_EXACT, rng_for("fb4"), reps=3)
-        assert length == 2
+        assert find_block_length(tape, 2, 5, MODE_EXACT, rng_for("fb4"), reps=3) == 2
 
     def test_position_past_end_rejected(self):
         tape = value_tape([1, 1])
@@ -176,7 +170,7 @@ class TestFindBlockLength:
             tape_vals = (rng.random(n) < 0.4).astype(np.int64)
             s_prime = int(rng.integers(1, 6))
             tape = value_tape(tape_vals)
-            length, _ = find_block_length(tape, 0, s_prime, MODE_EXACT, rng, reps=3)
+            length = find_block_length(tape, 0, s_prime, MODE_EXACT, rng, reps=3)
             c = int(tape_vals[:length].sum())
             assert c <= 2 * s_prime
             if length < n:  # range end not hit
@@ -189,9 +183,9 @@ class TestFindBlockLength:
             vals = rng.integers(0, 3, size=n)
             s_prime = int(rng.integers(1, 5))
             start = int(rng.integers(0, n))
-            length, _ = find_block_length(value_tape(vals), start, s_prime,
-                                          MODE_COST, rng, reps=3)
-            assert length >= 1
+            length = find_block_length(value_tape(vals), start, s_prime,
+                                       MODE_COST, rng, reps=3)
+            assert type(length) is int and length >= 1
             assert start + length <= n
 
     def test_probes_charge_counting_queries(self):
@@ -201,6 +195,24 @@ class TestFindBlockLength:
         assert ledger.queries_x > 0
         assert set(ledger.by_subroutine) == {TAG_COUNTING}
         assert ledger.by_subroutine[TAG_COUNTING] % 3 == 0  # reps per probe
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_short_tail_charges_no_probe(self, mode):
+        # at most s' columns left: the tail is the block without a counting call
+        ledger = QueryLedger()
+        tape = TapeOracle(np.ones(10, dtype=np.int64), ledger, "x")
+        for start, s_prime in ((6, 4), (6, 5), (9, 1)):
+            assert find_block_length(tape, start, s_prime, mode, rng_for("fbt"), reps=3) == 10 - start
+        assert ledger.total == 0
+
+    def test_overflowing_bracket_takes_its_floor_without_a_probe(self):
+        # s' = 2 and a mass of 9 at column 2: doubling probes 4 (mass 10, stops),
+        # bisection probes 3 (mass 10 > 4); every bracket probe overflowed, so the
+        # block is the floor 2, after 2 probes of M = 2 at reps 3 = 12 queries
+        ledger = QueryLedger()
+        tape = TapeOracle(np.array([0, 1, 9, 0, 1, 0, 0, 0]), ledger, "x")
+        assert find_block_length(tape, 0, 2, MODE_EXACT, rng_for("fbf"), reps=3) == 2
+        assert ledger.by_subroutine == {TAG_COUNTING: 12}
 
     def test_deterministic_per_seed(self):
         vals = rng_for("fbd-data").integers(0, 2, size=50)
@@ -406,7 +418,7 @@ class TestSampledBlockMass:
                 density = rng.uniform(0.05, 0.9)
                 vals = (rng.random(n) < density).astype(np.int64) * rng.integers(1, 3)
                 tape = value_tape(vals)
-                length, _ = find_block_length(tape, 0, s_prime, MODE_COST, rng, reps)
+                length = find_block_length(tape, 0, s_prime, MODE_COST, rng, reps)
                 c = int(vals[:length].sum())
                 if c > 2 * s_prime + 6 * math.sqrt(s_prime) + math.pi**2:
                     violations += 1

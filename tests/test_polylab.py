@@ -502,13 +502,6 @@ class TestCrProbe:
         assert len(report.per_n_slopes) == 1
         assert len(report.points) >= 10
 
-    def test_extra_points_enter_the_envelope(self):
-        extra = [(16, 4, 50.0)]   # absurdly large: must lift the intercept
-        report = cr_probe(rng_for("probe"), n_values=(16,), d_factors=(1,), sample_count=2,
-                          extra_points=extra)
-        assert (16, 4, 50.0) in report.points
-        assert report.a * math.exp(report.b * 1.0) >= math.exp(50.0) * 0.99
-
     def test_deterministic_under_seed(self):
         one = cr_probe(rng_for("probe"), n_values=(16,), d_factors=(1, 2), sample_count=4)
         two = cr_probe(rng_for("probe"), n_values=(16,), d_factors=(1, 2), sample_count=4)

@@ -713,12 +713,11 @@ def per_rep_median(oracle, M, reps, mode, rng):
         oracle.charge(M, TAG_COUNTING)
         if mode == MODE_EXACT:
             ws.append(float(total))
-        elif mode == MODE_SV:
-            probs = sv_count_pmf(oracle.values > 0, M)
-            y = int(rng.choice(M, p=probs / probs.sum()))
-            ws.append(n * math.sin(math.pi * min(y, M - y) / M) ** 2)
         else:
-            pmf = ae_outcome_pmf(min(1.0, total / n), M)
+            if mode == MODE_SV:
+                pmf = fold_count_pmf(sv_count_pmf(oracle.values > 0, M), M)
+            else:
+                pmf = ae_outcome_pmf(min(1.0, total / n), M)
             idx = int(rng.choice(pmf.values.size, p=pmf.probs / pmf.probs.sum()))
             ws.append(n * float(pmf.values[idx]))
     return sorted(ws)[reps // 2]

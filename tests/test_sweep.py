@@ -338,3 +338,38 @@ class TestReports:
     def test_bad_csv_rejected(self):
         with pytest.raises(ValueError):
             rows_from_csv("not,a,header\n1,2,3\n")
+
+    def test_render_writes_the_column_table(self):
+        row = SweepRow(n=16, t=2, s=8, mode="cost-model", seed=3, total_queries=90,
+                       queries_x=74, queries_b=16, space=40, correct=False)
+        assert render_csv([row]).split("\n")[1] == "16,2,8,cost-model,3,90,74,16,40,false"
+        assert json.loads(render_json([row])) == [{
+            "N": 16, "t": 2, "S": 8, "mode": "cost-model", "seed": 3, "T": 90,
+            "queries_x": 74, "queries_b": 16, "space": 40, "correct": False,
+            "regime": "quantum"}]
+
+    @pytest.mark.parametrize("cell, value", [
+        ("N", "16.9"), ("N", "0x10"), ("seed", "-"), ("T", '"90"'), ("t", "true"),
+        ("mode", "bogus"), ("correct", "True"), ("correct", "1"), ("correct", ""),
+    ])
+    def test_csv_cells_read_strictly(self, cell, value):
+        rows = self.make_rows()
+        cells = render_csv(rows[:1]).split("\n")[1].split(",")
+        cells[CSV_HEADER.split(",").index(cell)] = value
+        with pytest.raises(ValueError):
+            rows_from_csv(CSV_HEADER + "\n" + ",".join(cells) + "\n")
+
+    # the cases of TestReport in test_cli.py, which checks their exit code, are not repeated
+    @pytest.mark.parametrize("override", [
+        {"seed": None}, {"space": "40"}, {"T": float("nan")}, {"mode": 3}, {"correct": 0},
+    ])
+    def test_json_values_read_strictly(self, override):
+        raw = json.loads(render_json(self.make_rows()[:1]))
+        raw[0].update(override)
+        with pytest.raises(ValueError):
+            rows_from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("text", ["[1]", "3", '[{"N": 16}]'])
+    def test_json_shape_read_strictly(self, text):
+        with pytest.raises(ValueError):
+            rows_from_json(text)
