@@ -304,6 +304,9 @@ def _row_from(raw) -> SweepRow:
                 raise ValueError(f"report key 'correct' takes true or false, not {value!r}")
         else:
             value = _whole(key, value)
+            low = 1 if key in ("N", "t", "S") else 0
+            if value < low:
+                raise ValueError(f"report key {key!r} takes values >= {low}, not {value}")
         fields[field] = value
     return SweepRow(**fields)
 

@@ -280,13 +280,13 @@ class TestSubspaceSuite:
         for _ in range(1000):
             dim = int(gen.integers(2, 33))
             parts = int(gen.integers(2, min(dim, 4) + 1))
-            meas = random_projective_measurement(rng, dim, parts)
+            (q,), (cuts,) = random_projective_measurement([rng], dim, parts)
             psi = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
             psi /= np.linalg.norm(psi)
             phi = psi + 0.1 * (gen.standard_normal(dim) + 1j * gen.standard_normal(dim))
             phi /= np.linalg.norm(phi)
-            tv, bound = variational_distance(psi, phi, meas)
-            tv_excess = max(tv_excess, tv - bound)
+            tv, bound = variational_distance(psi, phi, (q, cuts))
+            tv_excess = max(tv_excess, float(tv - bound))
 
         elapsed = time.time() - start
         ok = (worst_norm <= 1e-9 and worst_map <= 1e-9 and beta_ok

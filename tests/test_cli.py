@@ -281,6 +281,8 @@ class TestReport:
         ([{**GOOD_ROW, "t": True}], "whole numbers"),
         ([{**GOOD_ROW, "mode": "bogus"}], "'mode' takes one of"),
         ([{**GOOD_ROW, "correct": "false"}], "true or false"),
+        ([{**GOOD_ROW, "N": -16}, {**GOOD_ROW, "N": 0}, {**GOOD_ROW, "N": 32}],
+         "'N' takes values >= 1"),
     ])
     def test_malformed_json_report_is_usage_error(self, tmp_path, capsys, payload, message):
         path = tmp_path / "rows.json"

@@ -17,7 +17,6 @@ from ineqlab.subspace import (
     AlphaBeta,
     BOUND_SLACK,
     ORTHO_TOL,
-    PSD_FLOOR,
     _product_blocks,
     alpha_beta,
     build_input_space,
@@ -29,10 +28,10 @@ from ineqlab.subspace import (
     containment_residual,
     decomposition_report,
     deflated_norm_closed_form,
+    distance_cases,
     growth_ratios,
     orthonormal_columns,
     orthonormality_residual,
-    potential,
     potential_from_joint,
     random_program,
     random_projective_measurement,
@@ -50,6 +49,19 @@ def rng_for(*key):
 def reduced(phi):
     """Input-register density matrix of a joint state shaped (dim_a, dim_i)."""
     return phi.T @ phi.conj()
+
+
+PSD_FLOOR = -1e-10   # smallest eigenvalue a reduced state may show in float64
+
+
+def potential(rho, frame):
+    """Level masses of a density matrix: the reference for potential_from_joint."""
+    rotated = frame.columns.conj().T @ rho @ frame.columns
+    masses = np.zeros(len(frame.params.weights))
+    np.add.at(masses, frame.labels, np.real(np.diagonal(rotated)))
+    if masses.min() < -1e-9:
+        raise InstanceError("negative level mass")
+    return subspace._masses_report(np.clip(masses, 0.0, None), frame.params)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +465,9 @@ class TestRecastRun:
 
     def test_two_factor_run_dimensions(self):
         run = small_run(n=4, t=2, k=2, workspace=1, depth=2)
-        assert run.dim_i == 100
+        assert run.states[0].shape[1] == 100
         assert run.query_slots == 9
-        assert run.depth == 2
+        assert len(run.states) - 1 == 2
 
     def test_rejects_bad_programs(self):
         with pytest.raises(InstanceError):
@@ -594,10 +606,37 @@ class TestSuccessBounds:
 # outcome-distribution distance
 
 
+def reference_distance_cases(seed):
+    """The distance line's per-case loop before batching: one projector list per case."""
+    rng = SeededRng(seed)
+    out = []
+    for idx in range(200):
+        sub = rng.spawn("tv", idx)
+        gen = sub.stream
+        dim = int(gen.integers(2, 17))
+        vec = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+        vec2 = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+        psi = vec / np.linalg.norm(vec)
+        psi2 = vec2 / np.linalg.norm(vec2)
+        meas = sub.spawn("meas").stream
+        z = meas.standard_normal((dim, dim)) + 1j * meas.standard_normal((dim, dim))
+        q, _ = np.linalg.qr(z)
+        cuts = sorted(meas.choice(np.arange(1, dim), size=min(3, dim) - 1, replace=False))
+        bounds = [0, *cuts, dim]
+        tv = 0.0
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            proj = q[:, lo:hi] @ q[:, lo:hi].conj().T
+            p = float(np.real(psi.conj() @ proj @ psi))
+            p_prime = float(np.real(psi2.conj() @ proj @ psi2))
+            tv += abs(p - p_prime)
+        out.append((dim, 0.5 * tv, 2.0 * float(np.linalg.norm(psi - psi2))))
+    return out
+
+
 class TestVariationalDistance:
     def test_identical_states_have_zero_distance(self):
         psi = np.array([1.0, 0.0, 0.0])
-        measurement = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])]
+        measurement = (np.eye(3), np.array([0, 1, 3]))
         tv, bound = variational_distance(psi, psi, measurement)
         assert tv == 0.0
         assert bound == 0.0
@@ -605,7 +644,7 @@ class TestVariationalDistance:
     def test_orthogonal_states_reach_one(self):
         psi = np.array([1.0, 0.0])
         phi = np.array([0.0, 1.0])
-        measurement = [np.diag([1.0, 0]), np.diag([0, 1.0])]
+        measurement = (np.eye(2), np.array([0, 1, 2]))
         tv, bound = variational_distance(psi, phi, measurement)
         assert abs(tv - 1.0) < 1e-12
         assert bound > tv
@@ -619,21 +658,70 @@ class TestVariationalDistance:
             v2 = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
             psi, phi = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
             parts = int(gen.integers(2, min(5, dim) + 1))
-            measurement = random_projective_measurement(rng.spawn("m"), dim, parts)
-            tv, bound = variational_distance(psi, phi, measurement)
+            (q,), (cuts,) = random_projective_measurement([rng.spawn("m")], dim, parts)
+            tv, bound = variational_distance(psi, phi, (q, cuts))
             assert tv <= bound + 1e-12
 
     def test_rejects_non_measurements(self):
         psi = np.array([1.0, 0.0])
+        # parts that are not projectors, then parts that miss a direction
         with pytest.raises(InstanceError):
-            variational_distance(psi, psi, [np.array([[0.5, 0], [0, 0.5]])])
+            variational_distance(psi, psi, (np.sqrt(0.5) * np.eye(2), np.array([0, 2])))
         with pytest.raises(InstanceError):
-            variational_distance(psi, psi, [np.diag([1.0, 0.0])])
+            variational_distance(psi, psi, (np.diag([1.0, 0.0]), np.array([0, 1, 2])))
+        with pytest.raises(InstanceError):
+            variational_distance(psi, psi, (np.eye(2), np.array([0, 1])))
 
     def test_measurement_resolves_identity(self):
-        projs = random_projective_measurement(rng_for("meas"), 8, 3)
-        total = sum(projs)
+        (q,), (cuts,) = random_projective_measurement([rng_for("meas")], 8, 3)
+        total = sum(q[:, lo:hi] @ q[:, lo:hi].conj().T for lo, hi in zip(cuts[:-1], cuts[1:]))
         assert np.abs(total - np.eye(8)).max() < 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 7919])
+    def test_batched_cases_match_the_per_case_loop(self, seed):
+        dims, tv, bound = distance_cases(SeededRng(seed))
+        ref_dims, ref_tv, ref_bound = zip(*reference_distance_cases(seed))
+        assert dims.tolist() == list(ref_dims)
+        assert np.abs(tv - ref_tv).max() <= 1e-12
+        assert np.abs(bound - ref_bound).max() <= 1e-12
+
+    def test_stack_with_one_non_unitary_basis_is_rejected(self):
+        q, cuts = random_projective_measurement([rng_for("stack", i) for i in range(4)], 5, 3)
+        psi = np.tile(np.eye(5)[0], (4, 1))
+        variational_distance(psi, psi, (q, cuts))
+        q[2, :, 1] *= 1.0 + 1e-6
+        with pytest.raises(InstanceError, match="not unitary"):
+            variational_distance(psi, psi, (q, cuts))
+
+    def test_distance_line_can_fail(self, monkeypatch):
+        real = subspace.variational_distance
+
+        def above_bound(*args):
+            _, bound = real(*args)
+            return bound + 1e-6, bound
+
+        monkeypatch.setattr(subspace, "variational_distance", above_bound)
+        lines = verify_suite(4, 2, 1, seed=1, runs=1, depth=1)
+        line = next(line for line in lines if line.name == "outcome-distribution distance bound")
+        assert not line.passed
+        assert line.residual > 0.0
+
+
+class TestKronColumns:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("one_column", [True, False])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equals_np_kron_bit_for_bit(self, k, one_column, dtype):
+        gen = rng_for("kron", k, one_column, str(dtype)).stream
+        blocks = []
+        for _ in range(k):
+            shape = (int(gen.integers(1, 7)), 1 if one_column else int(gen.integers(2, 5)))
+            block = gen.standard_normal(shape)
+            blocks.append(block + 1j * gen.standard_normal(shape) if dtype is complex else block)
+        expect = blocks[0]
+        for block in blocks[1:]:
+            expect = np.kron(expect, block)
+        assert np.array_equal(subspace._kron_columns(blocks), expect)
 
 
 # ---------------------------------------------------------------------------

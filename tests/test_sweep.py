@@ -369,6 +369,33 @@ class TestReports:
         with pytest.raises(ValueError):
             rows_from_json(json.dumps(raw))
 
+    # N, t and S count from 1, the seed and the counts from 0: a whole number
+    # below its floor is refused, not passed on to the log2 of the fits
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("key, value", [
+        ("N", 0), ("N", -16), ("t", 0), ("S", 0), ("seed", -1), ("T", -1),
+        ("queries_x", -1), ("queries_b", -1), ("space", -1),
+    ])
+    def test_values_below_their_floor_are_refused(self, fmt, key, value):
+        row = SweepRow(n=16, t=2, s=8, mode="exact", seed=0, total_queries=90,
+                       queries_x=74, queries_b=16, space=40, correct=True)
+        if fmt == "json":
+            raw = json.loads(render_json([row]))
+            raw[0][key] = value
+            read, text = rows_from_json, json.dumps(raw)
+        else:
+            cells = render_csv([row]).split("\n")[1].split(",")
+            cells[CSV_HEADER.split(",").index(key)] = str(value)
+            read, text = rows_from_csv, CSV_HEADER + "\n" + ",".join(cells) + "\n"
+        with pytest.raises(ValueError, match=f"'{key}' takes values >= "):
+            read(text)
+
+    def test_values_at_their_floor_are_read(self):
+        rows = (SweepRow(n=1, t=1, s=1, mode="exact", seed=0, total_queries=0,
+                         queries_x=0, queries_b=0, space=0, correct=True),)
+        assert rows_from_json(render_json(rows)) == rows
+        assert rows_from_csv(render_csv(rows)) == rows
+
     @pytest.mark.parametrize("text", ["[1]", "3", '[{"N": 16}]'])
     def test_json_shape_read_strictly(self, text):
         with pytest.raises(ValueError):
