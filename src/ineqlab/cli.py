@@ -113,9 +113,12 @@ def _cmd_report(args) -> int:
     for mode, t, s in sorted({(row.mode, row.t, row.s) for row in rows}):
         sub = [row for row in rows if (row.mode, row.t, row.s) == (mode, t, s)]
         if len({row.n for row in sub}) >= 3:
-            fit = fit_scaling(sub, "N")
-            print(f"mode {mode} t={t} S={s}: N-exponent "
-                  f"{fit.exponent:.3f} +- {fit.halfwidth:.3f}")
+            try:
+                fit = fit_scaling(sub, "N")
+                exponent = f"{fit.exponent:.3f} +- {fit.halfwidth:.3f}"
+            except ValueError as exc:   # a median T of 0
+                exponent = f"undefined ({exc})"
+            print(f"mode {mode} t={t} S={s}: N-exponent {exponent}")
     return 0
 
 

@@ -18,6 +18,7 @@ the respective cost envelopes.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from .core import (
     matvec_min,
     value_bits,
 )
-from .qsim import MODE_SV, MODES, TapeOracle, collect_ones, count_median, _check_mode
+from .qsim import MODE_SV, MODES, StreamDraws, TapeOracle, collect_ones, count_median, _check_mode
 
 SEARCH_WORKSPACE_SLACK = 8   # qubits beyond the index register per subroutine
 CLASSICAL_MODE = "classical"  # result mode of the classical baseline
@@ -107,7 +108,7 @@ def classical_bounded_product(instance: ProblemInstance, S: int) -> MatrixProduc
 
 
 def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
-                      rng: np.random.Generator, reps: int) -> int:
+                      rng: np.random.Generator | StreamDraws, reps: int) -> int:
     """Length of the next block [start, start+length) of the masked tape.
 
     Doubling from s_prime grows the candidate while its mass estimate stays
@@ -149,7 +150,7 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
 
 
 def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray,
-                         t: int, mode: str, rng: np.random.Generator,
+                         t: int, mode: str, rng: np.random.Generator | StreamDraws,
                          ledger: QueryLedger,
                          reps: int | None = None) -> tuple[np.ndarray, tuple[BlockTrace, ...]]:
     """Clamped product for one group of at most S' rows: (y_block, block traces).
@@ -180,9 +181,11 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
     ledger.record_space(base_bits)
     blocks: list[BlockTrace] = []
     pos = 0
+    closed_now = 1   # builds the first masked tape
     while pos < n and open_rows.any():
-        mask = (A_block[open_rows] != 0).any(axis=0)
-        v_tape = TapeOracle(np.where(mask, x, 0), ledger, "x")
+        if closed_now:   # the masked tape changes only when a block closes a row
+            mask = (A_block[open_rows] != 0).any(axis=0)
+            v_tape = TapeOracle(np.where(mask, x, 0), ledger, "x")
         before = ledger.total
         length = find_block_length(v_tape, pos, m, mode, rng, reps)
         sized = ledger.total
@@ -210,7 +213,7 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
 def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,
                            rng: np.random.Generator,
                            reps: int | None = None) -> MatrixProductResult:
-    """Clamped product min(Ax, b) under a space budget of S bits."""
+    """Clamped product min(Ax, b) under a space budget of S bits, drawn through one StreamDraws."""
     _check_mode(mode)
     if mode == MODE_SV and (instance.x > 1).any():
         j = int(np.argmax(instance.x > 1))
@@ -220,12 +223,12 @@ def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,
     s_prime = quantum_row_capacity(n, S)
     y = np.zeros(n, dtype=np.int64)
     traces: list[tuple[BlockTrace, ...]] = []
-    for lo in range(0, n, s_prime):
-        hi = min(lo + s_prime, n)
-        y[lo:hi], blocks = small_matrix_product(instance.A[lo:hi], instance.x,
-                                                instance.b[lo:hi], t, mode, rng,
-                                                ledger, reps)
-        traces.append(blocks)
+    with contextlib.closing(StreamDraws(rng)) as draws:
+        for lo in range(0, n, s_prime):
+            hi = min(lo + s_prime, n)
+            y[lo:hi], blocks = small_matrix_product(instance.A[lo:hi], instance.x, instance.b[lo:hi],
+                                                    t, mode, draws, ledger, reps)
+            traces.append(blocks)
     correct = bool(np.array_equal(y, matvec_min(instance)))
     return MatrixProductResult(y=y, n=n, t=t, s_prime=s_prime,
                                mode=mode, correct=correct, ledger=ledger,

@@ -15,12 +15,13 @@ sin^2(theta) = w/n, k iterations move the success mass to sin^2((2k+1) theta).
 Counting runs phase estimation on that iterate with an M-point grid; measuring
 y gives the estimate n * sin^2(pi y / M).  Closed-form outcome distributions
 below are exactly the distributions of those measurements; count_median
-draws all reps of a median in one batch from one (cached) law.  The search's
-scalar draws are made at C speed on the stream that Generator.integers and
-Generator.random would give (_scalar_draws).
+draws all reps of a median from one (cached) law.  Every draw is read in bulk
+from a PCG64 Generator's raw words by a StreamDraws (one per product), with the
+values and stream state that Generator calls would give.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ SV_MAX_N = 2**14          # statevector search refuses larger ranges
 SV_MAX_NM = 2**12         # statevector counting refuses n*M beyond this
 RETRY_BUDGET_FACTOR = 8   # unknown-weight retry budget: factor * ceil(sqrt(n)) queries
 CAP_GROWTH = 6 / 5        # growth rate of the unknown-weight iteration caps
+RAW_CHUNK = 1024          # raw PCG64 words a StreamDraws fetches per refill
 
 
 class WeightZero(ValueError):
@@ -78,7 +80,9 @@ class TapeOracle:
         """Sub-range view sharing the ledger; indices become window-local."""
         if not 0 <= lo <= hi <= self.n:
             raise IndexError(f"window [{lo}, {hi}) out of range")
-        return TapeOracle(self.values[lo:hi], self.ledger, self.target)
+        view = object.__new__(TapeOracle)   # a slice of a checked tape needs no re-check
+        view.values, view.ledger, view.target = self.values[lo:hi], self.ledger, self.target
+        return view
 
     def charge(self, count: int, tag: str) -> None:
         self.ledger.charge(self.target, tag, count)
@@ -159,31 +163,65 @@ def sv_run_grover(bits, k: int) -> np.ndarray:
     return state**2
 
 
-def _scalar_draws(rng: np.random.Generator):
-    """(below, uniform): rng.integers(0, high) and rng.random() without the Generator.
+class StreamDraws:
+    """The draws of a PCG64 Generator, read from its raw 64-bit words in bulk.
 
-    Both call the bit generator's C entry points, so they give the values and
-    leave the stream state that the Generator calls would: below(high), for a
-    Python int high, runs numpy's 32-bit Lemire rejection loop over
-    next_uint32, and uniform() is next_double.  numpy bounds ranges above
-    2**32 on a 64-bit path, which below refuses.
+    Words are fetched RAW_CHUNK at a time into words and read from pos.  As in
+    numpy's next_uint32, half is the high half buffered by the last 32-bit draw
+    that split a word, or ~half once served (numpy keeps it as a stale
+    uinteger).  close() leaves the Generator where per-draw calls would; nothing
+    else may draw from it while a reader is open.
     """
-    c = rng.bit_generator.ctypes
-    next_uint32 = functools.partial(c.next_uint32, c.state)
 
-    def below(high: int) -> int:
+    def __init__(self, rng: np.random.Generator):
+        self.bit_generator = bg = rng.bit_generator
+        if type(bg) is not np.random.PCG64:
+            raise TypeError(f"stream draws read PCG64 words, not {type(bg).__name__}")
+        self.opened = state = bg.state
+        self.half = state["uinteger"] if state["has_uint32"] else ~state["uinteger"]
+        self.words, self.pos, self.dropped = [], 0, 0   # dropped: read words cut from the list's front
+
+    def reserve(self, count: int) -> None:
+        """Make count unread words readable, in the same list object."""
+        if len(self.words) - self.pos < count:
+            del self.words[:self.pos]
+            self.dropped, self.pos = self.dropped + self.pos, 0
+            self.words += self.bit_generator.random_raw(max(count, RAW_CHUNK)).tolist()
+
+    def below(self, high: int) -> int:
+        """integers(0, high): numpy's 32-bit Lemire loop over next_uint32."""
+        if high > 2**32:   # numpy bounds wider ranges on a 64-bit path
+            raise ValueError(f"range {high} exceeds 2**32")
         if high <= 1:
             return 0   # integers(0, 1) draws nothing
-        if high > 2**32:
-            raise ValueError(f"range {high} exceeds 2**32")
-        m = next_uint32() * high
-        if m & 0xFFFFFFFF < high:   # high bounds the rejection threshold
-            threshold = (2**32 - high) % high
-            while m & 0xFFFFFFFF < threshold:
-                m = next_uint32() * high
-        return m >> 32
+        threshold = (2**32 - high) % high
+        while True:
+            self.reserve(1)
+            half, words, pos = self.half, self.words, self.pos
+            x, self.half, self.pos = ((half, ~half, pos) if half >= 0
+                                      else (words[pos] & 0xFFFFFFFF, words[pos] >> 32, pos + 1))
+            if x * high & 0xFFFFFFFF >= threshold:
+                return x * high >> 32
 
-    return below, functools.partial(c.next_double, c.state)
+    def draw(self, high: int, pos: int, half: int, need: int) -> tuple[int, int, int]:
+        """below(high) from a caller's locals (pos, half): value, new (pos, half), need words readable."""
+        self.pos, self.half = pos, half
+        value = self.below(high)
+        self.reserve(need)
+        return value, self.pos, self.half
+
+    def median_uniform(self, reps: int) -> float:
+        """Median of random(reps), odd reps: random() is (word >> 11) * 2**-53, monotone in the word."""
+        self.reserve(reps)
+        self.pos += reps
+        return (sorted(self.words[self.pos - reps:self.pos])[reps // 2] >> 11) * 2**-53
+
+    def close(self) -> None:
+        bg = self.bit_generator
+        bg.state = self.opened
+        bg.advance(self.dropped + self.pos)   # also clears the 32-bit buffer
+        # max(half, ~half) is the buffered value, live or served
+        bg.state = {**bg.state, "has_uint32": int(self.half >= 0), "uinteger": max(self.half, ~self.half)}
 
 
 @functools.lru_cache(maxsize=1024)
@@ -197,7 +235,13 @@ def _attempt_highs(n: int, budget: int) -> tuple[int, ...]:
     return tuple(highs)
 
 
-def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator) -> SearchOutcome:
+@functools.lru_cache(maxsize=1024)
+def _hit_masses(n: int, w: int) -> tuple[float, ...]:
+    """grover_success(n, w, j) for every attempt count j below a cap (caps stay within ceil(sqrt(n)))."""
+    return tuple(grover_success(n, w, j) for j in range(math.ceil(math.sqrt(n))))
+
+
+def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator | StreamDraws) -> SearchOutcome:
     """One search for a 1-position of the derived bit tape, of unknown weight.
 
     Iteration caps grow by 6/5 per attempt up to sqrt(n), the attempt count j
@@ -212,42 +256,59 @@ def grover_search(oracle: TapeOracle, mode: str, rng: np.random.Generator) -> Se
     random valid position is returned anyway.
     """
     _check_mode(mode)
+    if not isinstance(rng, StreamDraws):
+        with contextlib.closing(StreamDraws(rng)) as draws:
+            return grover_search(oracle, mode, draws)
     n = oracle.n
     if n < 1:
         raise ValueError("range must be nonempty")
     bits = oracle._bits()   # fixed for the whole search
-    ones = np.flatnonzero(bits)
+    ones = bits.nonzero()[0]
     w = int(ones.size)
-    theta = math.asin(math.sqrt(w / n))   # success mass sin^2((2j+1) theta), as grover_success
+    zeros = n - w
     budget = RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(n))
-    below, uniform = _scalar_draws(rng)
-    charged = 0
-    found = None
-    for high in _attempt_highs(n, budget):
-        if charged >= budget:
-            break
-        j = below(high)
-        charged += j + 1
-        if mode == MODE_SV:
-            pmf = sv_run_grover(bits, j)
-            idx = int(rng.choice(n, p=pmf / pmf.sum()))
-            if bits[idx]:
-                found = idx
+    hit_mass = _hit_masses(n, w)
+    need = 2 * budget + 2   # an attempt reads at most 2 words, unless Lemire rejects
+    rng.reserve(need)
+    # the attempts read the reserved words through locals, handed back even on a raise
+    words, pos, half = rng.words, rng.pos, rng.half
+    charged, found, hit = 0, None, False
+    try:
+        for high in _attempt_highs(n, budget):
+            if charged >= budget:
                 break
-        # the state stays in span{uniform over ones, uniform over the rest}, so given
-        # hit or miss the index is uniform in its class; with w = n every index is a 1
-        elif uniform() < math.sin((2 * j + 1) * theta) ** 2 or w == n:
-            found = int(ones[below(w)])
-            break
-        else:
-            below(n - w)   # the measured 0-position, which fails verification
+            x, h, p = (half, ~half, pos) if half >= 0 else (words[pos] & 0xFFFFFFFF, words[pos] >> 32, pos + 1)
+            # integers(0, 1) draws nothing, and a product Lemire might reject takes the checked path
+            j, pos, half = ((x * high >> 32, p, h) if high > 1 and x * high & 0xFFFFFFFF >= high
+                            else (0, pos, half) if high == 1 else rng.draw(high, pos, half, need))
+            charged += j + 1
+            if mode == MODE_SV:   # the law is checked before its one draw, as in Generator.choice
+                cdf = _choice_cdf(sv_run_grover(bits, j))
+            u = (words[pos] >> 11) * 2**-53
+            pos += 1
+            if mode == MODE_SV:
+                idx = int(cdf.searchsorted(u, side="right"))
+                if bits[idx]:
+                    found = idx
+                    break
+            # the state stays in span{uniform over ones, uniform over the rest}, so given
+            # hit or miss the index is uniform in its class; with w = n every index is a 1
+            elif u < hit_mass[j] or not zeros:
+                hit = True
+                break
+            else:   # the measured 0-position, which fails verification
+                x, h, p = (half, ~half, pos) if half >= 0 else (words[pos] & 0xFFFFFFFF, words[pos] >> 32, pos + 1)
+                _, pos, half = ((0, p, h) if zeros > 1 and x * zeros & 0xFFFFFFFF >= zeros
+                                else rng.draw(zeros, pos, half, need))
+    finally:
+        rng.pos, rng.half = pos, half
     oracle.charge(charged, TAG_GROVER)
-    if found is None and mode == MODE_EXACT and w:
-        found = int(ones[below(w)])
+    if hit or (found is None and mode == MODE_EXACT and w):
+        found = int(ones[rng.below(w)])
     return SearchOutcome(found=found, queries_charged=charged)
 
 
-def collect_ones(oracle: TapeOracle, mode: str, rng: np.random.Generator) -> CollectResult:
+def collect_ones(oracle: TapeOracle, mode: str, rng: np.random.Generator | StreamDraws) -> CollectResult:
     """Repeated search with found positions masked out, until a search reports
     NoSolution.  In exact mode the result is exactly the support of the derived
     bit tape.
@@ -360,20 +421,23 @@ def _estimate_cdf(a: float, M: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def count_median(oracle: TapeOracle, M: int, reps: int, mode: str,
-                 rng: np.random.Generator) -> float:
+                 rng: np.random.Generator | StreamDraws) -> float:
     """Median of reps estimates of the tape's aggregate value (odd reps; charges M*reps).
 
     The estimate law, folded onto the representable estimates, is got once per
-    call, cached by (fraction, M) in cost-model mode; one rng.random(reps)
-    mapped through its cdf gives the draws and stream state of reps rng.choice
-    calls.  The aggregate is a mark fraction total/n saturating at 1: an
-    estimate is at most n, which only speeds up threshold stops.
+    call, cached by (fraction, M) in cost-model mode.  As the estimates ascend,
+    the one at the median of reps uniforms is the median of reps
+    Generator.choice draws.  The aggregate is a mark fraction total/n
+    saturating at 1: an estimate is at most n, which only speeds up threshold stops.
     """
     _check_mode(mode)
     if reps < 1 or reps % 2 == 0:
         raise ValueError("reps must be odd and positive")
     if M < 1:
         raise ValueError("M must be positive")
+    if not isinstance(rng, StreamDraws):
+        with contextlib.closing(StreamDraws(rng)) as draws:
+            return count_median(oracle, M, reps, mode, draws)
     if mode == MODE_SV:   # sv_count_pmf caps n*M
         if (oracle.values > 1).any():
             raise ValueError("statevector counting supports bit tapes only")
@@ -385,5 +449,4 @@ def count_median(oracle: TapeOracle, M: int, reps: int, mode: str,
         return float(total)
     if mode == MODE_COST:
         values, cdf = _estimate_cdf(min(1.0, total / oracle.n), M)
-    ws = np.sort(oracle.n * values[cdf.searchsorted(rng.random(reps), side="right")])
-    return float(ws[reps // 2])
+    return float(oracle.n * values[cdf.searchsorted(rng.median_uniform(reps), side="right")])

@@ -245,7 +245,7 @@ class ScalingFit:
 
 
 def fit_scaling(rows, axis: str) -> ScalingFit:
-    """Least-squares slope of log2(median T) against log2(axis value)."""
+    """Least-squares slope of log2(median T) against log2(axis value); every median T must be positive."""
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {sorted(_AXES)}")
     attr = _AXES[axis]
@@ -255,6 +255,9 @@ def fit_scaling(rows, axis: str) -> ScalingFit:
     if len(groups) < 3:
         raise ValueError("need at least 3 distinct axis values")
     pts = sorted((float(v), float(np.median(ts))) for v, ts in groups.items())
+    for v, median in pts:
+        if median <= 0:   # T = 0 is a legal row, but has no logarithm
+            raise ValueError(f"median T is {median:g} at {axis}={v:g}")
     xs = np.log2([p[0] for p in pts])
     ys = np.log2([p[1] for p in pts])
     xm, ym = xs.mean(), ys.mean()

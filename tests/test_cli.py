@@ -6,7 +6,7 @@ import pytest
 from ineqlab import subspace
 from ineqlab.cli import main
 from ineqlab.core import SeededRng, save_instance
-from ineqlab.sweep import SweepRow, instance_regular, render_csv, rows_from_json
+from ineqlab.sweep import SweepRow, instance_regular, render_csv, render_json, rows_from_json
 
 
 @pytest.fixture()
@@ -296,6 +296,21 @@ class TestReport:
         path.write_text(json.dumps([self.GOOD_ROW]), encoding="utf-8")
         assert main(["report", "--in", str(path)]) == 0
         assert "correct: 1/1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    def test_zero_median_group_prints_undefined_exponent(self, tmp_path, capsys, suffix):
+        # T = 0 is a legal row: the group's exponent is undefined, the report exits 0
+        rows = [SweepRow(n=n, t=2, s=8, mode="exact", seed=0, total_queries=0,
+                         queries_x=0, queries_b=0, space=8, correct=True) for n in (16, 32, 64)]
+        rows += [SweepRow(n=n, t=1, s=8, mode="exact", seed=0, total_queries=n * n,
+                          queries_x=1, queries_b=1, space=8, correct=True) for n in (16, 32, 64)]
+        path = tmp_path / f"rows.{suffix}"
+        path.write_text(render_json(rows) if suffix == "json" else render_csv(rows), encoding="utf-8")
+        assert main(["report", "--in", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "mode exact t=2 S=8: N-exponent undefined (median T is 0 at N=16)\n" in text
+        assert "mode exact t=1 S=8: N-exponent 2.000 +- 0.000" in text
+        assert "nan" not in text
 
     def test_python_bool_in_csv_is_usage_error(self, tmp_path, capsys):
         row = SweepRow(n=16, t=2, s=8, mode="exact", seed=0, total_queries=90,

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from ineqlab import linsys
 from ineqlab.core import (
     InstanceError,
     ProblemInstance,
@@ -32,7 +33,7 @@ from ineqlab.linsys import (
     quantum_row_capacity,
     small_matrix_product,
 )
-from ineqlab.qsim import MODE_COST, MODE_EXACT, MODE_SV, MODES, TapeOracle
+from ineqlab.qsim import MODE_COST, MODE_EXACT, MODE_SV, MODES, TapeOracle, collect_ones
 
 
 def rng_for(*key):
@@ -404,6 +405,68 @@ class TestBoundedMatrixProduct:
             if not res.correct:
                 wrong += 1
         assert wrong <= 6
+
+
+# The next four rng.random() values and two integers(0, 2**32) after a product
+# (the second pair reads the 32-bit buffer), frozen from per-draw Generator
+# calls before the product read its stream in bulk: (x_max, after the product,
+# after a product whose third collect_ones call raised).
+STREAM_AFTER_PRODUCT = {
+    MODE_EXACT: (None,
+                 ([0.0014746769369509138, 0.5666564969231863, 0.45741978204150946, 0.18426791721213587],
+                  [2223645852, 2806667441]),
+                 ([0.8565434096662679, 0.7997144436006081, 0.12705131678024306, 0.753926397832298],
+                  [2642859013, 2280536563])),
+    MODE_COST: (None,
+                ([0.10926049384743886, 0.07452583115510758, 0.3267478133231476, 0.3543579514962113],
+                 [7428778, 19432590]),
+                ([0.4227140481757703, 0.9964022794772772, 0.30034639390276374, 0.4088767594599547],
+                 [1655748433, 2134930067])),
+    MODE_SV: (1,
+              ([0.717505033477706, 0.6248247914890344, 0.9365557341097198, 0.5791983343097317],
+               [2760572004, 968574119]),
+              ([0.28286771268881694, 0.2300688393672229, 0.7022244443682167, 0.4045894064945281],
+               [1007035400, 3643418238])),
+}
+
+
+class TestStreamAfterProduct:
+    @staticmethod
+    def next_draws(rng):
+        return rng.random(4).tolist(), rng.integers(0, 2**32, size=2).tolist()
+
+    @pytest.mark.parametrize("mode", sorted(STREAM_AFTER_PRODUCT))
+    def test_generator_ends_where_per_draw_calls_left_it(self, mode):
+        x_max, after, _ = STREAM_AFTER_PRODUCT[mode]
+        inst = random_instance(rng_for("after-inst", mode), 64 if x_max is None else 32, 2, x_max)
+        rng = rng_for("after", mode)
+        assert bounded_matrix_product(inst, 8, mode, rng).correct
+        assert self.next_draws(rng) == after
+
+    @pytest.mark.parametrize("mode", sorted(STREAM_AFTER_PRODUCT))
+    def test_a_raising_product_closes_its_reader(self, mode, monkeypatch):
+        # the reader is closed in a finally: the Generator is left where the
+        # draws made before the failure left it, not a fetched chunk ahead
+        x_max, _, after_raise = STREAM_AFTER_PRODUCT[mode]
+        inst = random_instance(rng_for("after-inst", mode), 64 if x_max is None else 32, 2, x_max)
+        calls = []
+
+        def collect_then_fail(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("third collect")
+            return collect_ones(*args)
+
+        monkeypatch.setattr(linsys, "collect_ones", collect_then_fail)
+        rng = rng_for("after", mode)
+        with pytest.raises(RuntimeError, match="third collect"):
+            bounded_matrix_product(inst, 8, mode, rng)
+        assert self.next_draws(rng) == after_raise
+
+    def test_other_bit_generators_refused(self):
+        inst = random_instance(rng_for("mt-inst"), 8, 2)
+        with pytest.raises(TypeError, match="PCG64"):
+            bounded_matrix_product(inst, 8, MODE_EXACT, np.random.Generator(np.random.MT19937(0)))
 
 
 class TestSampledBlockMass:

@@ -4,6 +4,7 @@ Closed-form expected values in here were computed by hand or with the oracle
 formulas directly (arcsin/sin arithmetic), independently of the module code,
 and then frozen.
 """
+import contextlib
 import math
 
 import numpy as np
@@ -152,6 +153,19 @@ class TestTapeOracle:
         win.charge(4, TAG_GROVER)
         assert ledger.queries_x == 6
 
+    def test_windows_of_windows_total_their_slice(self):
+        # a window is built without re-checking its parent; every window, and
+        # every window of one of its windows, totals exactly its slice
+        values = rng_for("windows").integers(0, 4, size=23)
+        oracle, ledger = make_oracle(values)
+        for lo in range(24):
+            for hi in range(lo, 24):
+                win = oracle.window(lo, hi)
+                assert type(win) is TapeOracle and win.ledger is ledger and win.target == "x"
+                assert win.n == hi - lo and win._total() == int(values[lo:hi].sum()), (lo, hi)
+                if hi - lo >= 3:
+                    assert win.window(1, hi - lo - 1)._total() == int(values[lo + 1:hi - 1].sum())
+
     def test_window_bounds_checked(self):
         oracle, _ = make_oracle([1, 2, 3])
         with pytest.raises(IndexError):
@@ -246,34 +260,62 @@ class TestSvRunGrover:
 # search
 
 
-class TestScalarDraws:
+class TestStreamDraws:
     @pytest.mark.parametrize("high", [1, 2, 17, 2**31 + 1, 2**32])
     def test_draws_match_generator_calls(self, high):
-        # interleaved with Generator calls on the same stream, the helper gives
-        # the values and leaves the state of integers(0, high) and random()
+        # a reader and a twin Generator give the same integers(0, high), random()
+        # and median of random(reps); direct Generator calls are interleaved by
+        # closing the reader first, and each close leaves the twin's whole state
         rng, ref = rng_for("draws", high), rng_for("draws", high)
-        below, uniform = qsim._scalar_draws(rng)
+        draws = qsim.StreamDraws(rng)
         p = [0.1, 0.2, 0.3, 0.4]
         for step in range(300):
-            assert below(high) == int(ref.integers(0, high)), step
-            assert uniform() == ref.random(), step
+            assert draws.below(high) == int(ref.integers(0, high)), step
+            assert draws.median_uniform(1) == ref.random(), step
+            if step % 5 == 0:
+                reps = (3, 5, 25)[step % 3]
+                assert draws.median_uniform(reps) == sorted(ref.random(reps))[reps // 2], step
             if step % 7 == 0:
+                draws.close()
+                assert rng.bit_generator.state == ref.bit_generator.state, step
                 assert rng.choice(4, p=p) == ref.choice(4, p=p)
-            if step % 11 == 0:
                 assert np.array_equal(rng.random(3), ref.random(3))
-            if step % 13 == 0:
                 assert rng.integers(0, high) == ref.integers(0, high)
-            assert rng.bit_generator.state == ref.bit_generator.state, step
+                draws = qsim.StreamDraws(rng)
+        draws.close()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_close_keeps_the_stale_32_bit_buffer(self):
+        # a served high half stays in numpy's state as uinteger with has_uint32 = 0
+        rng, ref = rng_for("stale"), rng_for("stale")
+        with contextlib.closing(qsim.StreamDraws(rng)) as draws:
+            draws.below(17)
+            draws.below(17)
+        ref.integers(0, 17)
+        ref.integers(0, 17)
+        state = ref.bit_generator.state
+        assert state["has_uint32"] == 0 and state["uinteger"] != 0
+        assert rng.bit_generator.state == state
+
+    def test_draw_run_across_chunk_refills(self):
+        # one open reader over several RAW_CHUNK fetches, medians straddling them
+        rng, ref = rng_for("refill"), rng_for("refill")
+        with contextlib.closing(qsim.StreamDraws(rng)) as draws:
+            for step in range(3 * qsim.RAW_CHUNK // 4):
+                assert draws.below(1000) == ref.integers(0, 1000), step
+                assert draws.median_uniform(1) == ref.random(), step
+                assert draws.median_uniform(9) == sorted(ref.random(9))[4], step
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_rejection_loop_reads_one_word_per_try(self):
         # at high = 2**31 + 1 about half the 32-bit words are rejected; replaying
         # the stream one raw word at a time (integers(0, 2**32) is one
-        # next_uint32) finds the helper's state after about two words per draw
+        # next_uint32) finds the reader's state after about two words per draw
         rng, words = rng_for("reject"), rng_for("reject")
-        below, _ = qsim._scalar_draws(rng)
         draws = 400
-        for _ in range(draws):
-            below(2**31 + 1)
+        with contextlib.closing(qsim.StreamDraws(rng)) as reader:
+            for _ in range(draws):
+                reader.below(2**31 + 1)
         used = 0
         while words.bit_generator.state != rng.bit_generator.state and used < 10 * draws:
             words.integers(0, 2**32)
@@ -282,13 +324,70 @@ class TestScalarDraws:
 
     def test_one_value_range_draws_nothing_and_wide_range_refused(self):
         rng = rng_for("edges")
-        below, _ = qsim._scalar_draws(rng)
         state = rng.bit_generator.state
-        assert below(1) == 0 and below(0) == 0
+        with contextlib.closing(qsim.StreamDraws(rng)) as draws:
+            assert draws.below(1) == 0 and draws.below(0) == 0
+            with pytest.raises(ValueError):
+                draws.below(2**32 + 1)   # numpy bounds this range on its 64-bit path
         assert rng.bit_generator.state == state
-        with pytest.raises(ValueError):
-            below(2**32 + 1)   # numpy bounds this range on its 64-bit path
-        assert rng.bit_generator.state == state
+
+    def test_other_bit_generators_refused(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="PCG64"):
+            qsim.StreamDraws(rng)
+        with pytest.raises(TypeError, match="PCG64"):
+            grover_search(make_oracle([0, 1])[0], MODE_COST, rng)
+        with pytest.raises(TypeError, match="PCG64"):
+            count_median(make_oracle([0, 1])[0], 2, 3, MODE_COST, rng)
+
+    @pytest.mark.parametrize("mode", [MODE_COST, MODE_EXACT])
+    def test_lemire_rejection_inside_a_search_takes_the_checked_path(self, mode, monkeypatch):
+        # a word whose low half is 0 makes x * high = 0, which integers(0, 3) and
+        # integers(0, 9) reject (thresholds 1 and 4).  Over words with many such
+        # zeros, fetched a few at a time so that refills land inside searches,
+        # the search's local loop and the per-attempt reference, reading the same
+        # words through the reader's checked below(), agree
+        class CraftedWords:
+            """Raw words of a PCG64 stream with the low half of every third word zeroed."""
+
+            def __init__(self):
+                self.source, self.count = rng_for("crafted", mode).bit_generator, 0
+
+            def random_raw(self, size):
+                words = self.source.random_raw(size)
+                words[(self.count + np.arange(size)) % 3 == 0] &= np.uint64(0xFFFFFFFF00000000)
+                self.count += size
+                return words
+
+        monkeypatch.setattr(qsim, "RAW_CHUNK", 4)
+        fast, checked = qsim.StreamDraws(rng_for("fast")), qsim.StreamDraws(rng_for("checked"))
+        fast.bit_generator, checked.bit_generator = CraftedWords(), CraftedWords()
+        fast.half = checked.half = ~0
+
+        class CheckedRng:
+            def integers(self, low, high):
+                return checked.below(high)
+
+            def random(self):
+                return checked.median_uniform(1)
+
+        def read(draws):   # words read so far
+            return draws.bit_generator.count - (len(draws.words) - draws.pos)
+
+        checked_highs = []
+        real_draw = qsim.StreamDraws.draw
+        monkeypatch.setattr(qsim.StreamDraws, "draw", lambda self, high, *rest:
+                            checked_highs.append(high) or real_draw(self, high, *rest))
+        for case in range(60):
+            values = np.zeros(9, dtype=np.int64)
+            values[:case % 4] = 1
+            oracle, ledger = make_oracle(values)
+            ref_oracle, ref_ledger = make_oracle(values)
+            out = grover_search(oracle, mode, fast)
+            assert out == reference_grover_search(ref_oracle, mode, CheckedRng()), case
+            assert ledger == ref_ledger, case
+            assert (fast.half, read(fast)) == (checked.half, read(checked)), case
+        assert {3, 9} <= set(checked_highs)   # an attempt count and a missed index
 
 
 class TestGroverSearch:
@@ -451,6 +550,39 @@ class TestGroverSearch:
             bits = values > 0
             weights.add((int(bits.sum()) > 0) + (int(bits.sum()) == values.size))
         assert weights == {0, 1, 2}   # weight 0, partial weight and full weight all occur
+
+    @pytest.mark.parametrize("failure", ["norm drift", "bad law"])
+    def test_a_failing_attempt_leaves_the_stream_where_per_attempt_draws_did(self, failure,
+                                                                            monkeypatch):
+        # the second statevector attempt fails, in the run itself or in the
+        # check of its law, before its measurement draw; the search's reader,
+        # closed on the way out, leaves the Generator where the per-attempt
+        # search leaves its twin
+        def failing_second_run(runs, real=sv_run_grover):
+            def run(bits, k):
+                runs.append(k)
+                pmf = real(bits, k)
+                if len(runs) == 2 and failure == "norm drift":
+                    raise AssertionError("statevector norm drifted")
+                if len(runs) == 2:
+                    pmf[0] = np.nan
+                return pmf
+            return run
+
+        values = np.zeros(64, dtype=np.int64)
+        values[5] = 1
+        runs, ref_runs = [], []
+        monkeypatch.setattr(qsim, "sv_run_grover", failing_second_run(runs))
+        monkeypatch.setitem(globals(), "sv_run_grover", failing_second_run(ref_runs))
+        rng, ref_rng = rng_for("failing", failure), rng_for("failing", failure)
+        error = AssertionError if failure == "norm drift" else ValueError
+        with pytest.raises(error):
+            grover_search(make_oracle(values)[0], MODE_SV, rng)
+        with pytest.raises(error):
+            reference_grover_search(make_oracle(values)[0], MODE_SV, ref_rng)
+        assert len(runs) == len(ref_runs) == 2
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.bit_generator.state != rng_for("failing", failure).bit_generator.state
 
 
 class TestCollectOnes:

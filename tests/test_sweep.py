@@ -268,6 +268,12 @@ class TestFitScaling:
         with pytest.raises(ValueError):
             fit_scaling(planted_rows(lambda n: n, [16, 32]), "N")
 
+    def test_zero_median_refused_naming_its_axis_value(self):
+        # T = 0 is a legal row, but log2 of a zero median would fit nan
+        rows = planted_rows(lambda n: 0 if n == 32 else n, [16, 32, 64])
+        with pytest.raises(ValueError, match="median T is 0 at N=32"):
+            fit_scaling(rows, "N")
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
             fit_scaling(planted_rows(lambda n: n, [8, 16, 32]), "Q")
