@@ -59,9 +59,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    config = SweepConfig.from_dict(raw)
-    out_path = args.out or (str(raw["out"]) if raw.get("out") is not None else None)
+        config = SweepConfig.from_dict(json.load(fh))
+    out_path = args.out or config.out
     if not out_path:
         raise InstanceError("no output path: pass --out or set 'out' in the config")
     result = run_sweep(config)

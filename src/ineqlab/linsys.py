@@ -108,7 +108,7 @@ def classical_bounded_product(instance: ProblemInstance, S: int) -> MatrixProduc
 
 
 def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
-                      rng: np.random.Generator | StreamDraws, reps: int) -> int:
+                      draws: StreamDraws, reps: int) -> int:
     """Length of the next block [start, start+length) of the masked tape.
 
     Doubling from s_prime grows the candidate while its mass estimate stays
@@ -130,7 +130,7 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
     def probe(length: int) -> float:
         window = tape.window(start, start + length)
         m_pts = math.ceil(math.sqrt(length))
-        return count_median(window, m_pts, reps, mode, rng)
+        return count_median(window, m_pts, reps, mode, draws)
 
     k = s_prime
     while k < remaining:
@@ -150,7 +150,7 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
 
 
 def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray,
-                         t: int, mode: str, rng: np.random.Generator | StreamDraws,
+                         t: int, mode: str, draws: StreamDraws,
                          ledger: QueryLedger,
                          reps: int | None = None) -> tuple[np.ndarray, tuple[BlockTrace, ...]]:
     """Clamped product for one group of at most S' rows: (y_block, block traces).
@@ -187,9 +187,9 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
             mask = (A_block[open_rows] != 0).any(axis=0)
             v_tape = TapeOracle(np.where(mask, x, 0), ledger, "x")
         before = ledger.total
-        length = find_block_length(v_tape, pos, m, mode, rng, reps)
+        length = find_block_length(v_tape, pos, m, mode, draws, reps)
         sized = ledger.total
-        res = collect_ones(v_tape.window(pos, pos + length), mode, rng)
+        res = collect_ones(v_tape.window(pos, pos + length), mode, draws)
         searched = ledger.total
         found = sorted(pos + j for j in res.found)
         reads = x_tape.read_values(found)

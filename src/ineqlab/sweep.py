@@ -27,6 +27,7 @@ REPORT_COLUMNS = (("N", "n"), ("t", "t"), ("S", "s"), ("mode", "mode"), ("seed",
 CSV_HEADER = ",".join(key for key, _ in REPORT_COLUMNS)
 
 REGULAR_ROW_NNZ = 12  # nonzeros per row of the row-regular family
+CONFIG_KEYS = ("N", "t", "S", "modes", "seeds", "family", "reps", "out")
 
 
 def instance_regular(rng: np.random.Generator, n: int, t: int) -> ProblemInstance:
@@ -110,6 +111,7 @@ class SweepConfig:
     seeds: int
     family: str = "regular"
     reps: int | None = None
+    out: str | None = None   # report path, used when the command line gives none
 
     def __post_init__(self):
         for mode in self.modes:
@@ -132,19 +134,29 @@ class SweepConfig:
     def from_dict(cls, raw: dict) -> "SweepConfig":
         """The sweep config as documented in README.md.
 
-        `N`, `t`, `S`, `modes` and `seeds` are required; `S` is a number or
-        {"kind": ..., "value": ...}; `family` and `reps` are optional.
+        `N`, `t`, `S`, `modes` and `seeds` are required, `N`, `t` and `modes`
+        as lists; `S` is a number or {"kind": ..., "value": ...}; `family`,
+        `reps` and `out` are optional.  Any other key is refused.
         """
         if not isinstance(raw, dict):
             raise ValueError("sweep config must be a JSON object")
+        for key in raw:
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"sweep config has unknown key {key!r}; keys are {' '.join(CONFIG_KEYS)}")
         for key in ("N", "t", "S", "modes", "seeds"):
             if key not in raw:
                 raise ValueError(f"sweep config is missing key {key!r}")
+        for key in ("N", "t", "modes"):   # a string would be read letter by letter
+            if not isinstance(raw[key], list):
+                raise ValueError(f"config key {key!r} takes a list, not {raw[key]!r}")
+        out = raw.get("out")
+        if out is not None and not (isinstance(out, str) and out):
+            raise ValueError(f"config key 'out' takes a non-empty path, not {out!r}")
         rule = raw["S"]
         if isinstance(rule, (int, float)):
             rule = {"kind": "absolute", "value": rule}
         # a JSON true would pass as the number 1
-        if (not (isinstance(rule, dict) and {"kind", "value"} <= set(rule))
+        if (not (isinstance(rule, dict) and set(rule) == {"kind", "value"})
                 or isinstance(rule["value"], bool)):
             raise ValueError("config key 'S' must be a number or {kind, value}")
         try:
@@ -155,8 +167,9 @@ class SweepConfig:
                        modes=tuple(str(m) for m in raw["modes"]),
                        seeds=_whole("seeds", raw["seeds"]),
                        family=str(raw.get("family", "regular")),
-                       reps=None if raw.get("reps") is None else _whole("reps", raw["reps"]))
-        except TypeError as exc:   # e.g. a number where a list belongs
+                       reps=None if raw.get("reps") is None else _whole("reps", raw["reps"]),
+                       out=out)
+        except TypeError as exc:   # e.g. a list as the value of S
             raise ValueError(f"malformed sweep config: {exc}") from exc
 
 

@@ -121,6 +121,26 @@ class TestSweep:
         assert main(["sweep", "--config", config]) == 0
         assert out.exists()
 
+    def test_out_flag_wins_over_config_out(self, tmp_path, capsys):
+        from_config, from_flag = tmp_path / "from-config.csv", tmp_path / "from-flag.csv"
+        config = write_config(tmp_path, out=str(from_config))
+        assert main(["sweep", "--config", config, "--out", str(from_flag)]) == 0
+        assert from_flag.exists() and not from_config.exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"famly": "uniform"}, "unknown key 'famly'"),
+        ({"out": {"a": 1}}, "'out' takes a non-empty path"),
+        ({"modes": "exact"}, "'modes' takes a list"),
+    ])
+    def test_malformed_config_is_usage_error(self, override, message, tmp_path, capsys,
+                                             monkeypatch):
+        # refused with the config: exit 2 and no report under any name
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, **{"out": "rows.csv", **override})
+        assert main(["sweep", "--config", config]) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_missing_out_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["sweep", "--config", config]) == 2

@@ -4,6 +4,7 @@ Frozen traces were derived by hand from the blocked-loop structure before
 implementation; statistical constants follow the calibration notes in tests
 that mention them.
 """
+import contextlib
 import math
 
 import numpy as np
@@ -33,11 +34,16 @@ from ineqlab.linsys import (
     quantum_row_capacity,
     small_matrix_product,
 )
-from ineqlab.qsim import MODE_COST, MODE_EXACT, MODE_SV, MODES, TapeOracle, collect_ones
+from ineqlab.qsim import MODE_COST, MODE_EXACT, MODE_SV, MODES, StreamDraws, TapeOracle, collect_ones
 
 
 def rng_for(*key):
     return SeededRng(77001).spawn(*key).stream
+
+
+def draws_for(*key):
+    """A reader of rng_for(*key)'s stream, closed when its with-block ends."""
+    return contextlib.closing(StreamDraws(rng_for(*key)))
 
 
 def random_instance(rng, n, t, x_max=None, density=0.5):
@@ -143,24 +149,28 @@ class TestFindBlockLength:
         # unit mass everywhere, capacity 4: probe at 8 breaks the doubling,
         # binary search accepts the longest block with mass <= 8
         tape = value_tape([1] * 16)
-        assert find_block_length(tape, 0, 4, MODE_EXACT, rng_for("fb1"), reps=3) == 8
+        with draws_for("fb1") as draws:
+            assert find_block_length(tape, 0, 4, MODE_EXACT, draws, reps=3) == 8
 
     def test_exact_range_end_variant(self):
         tape = value_tape([1] * 8)
-        assert find_block_length(tape, 0, 4, MODE_EXACT, rng_for("fb2"), reps=3) == 8
+        with draws_for("fb2") as draws:
+            assert find_block_length(tape, 0, 4, MODE_EXACT, draws, reps=3) == 8
 
     def test_sparse_tail_takes_remaining_range(self):
         tape = value_tape([0] * 32)
-        assert find_block_length(tape, 5, 3, MODE_EXACT, rng_for("fb3"), reps=3) == 27
+        with draws_for("fb3") as draws:
+            assert find_block_length(tape, 5, 3, MODE_EXACT, draws, reps=3) == 27
 
     def test_short_remainder_is_one_block(self):
         tape = value_tape([1, 1, 1, 1])
-        assert find_block_length(tape, 2, 5, MODE_EXACT, rng_for("fb4"), reps=3) == 2
+        with draws_for("fb4") as draws:
+            assert find_block_length(tape, 2, 5, MODE_EXACT, draws, reps=3) == 2
 
     def test_position_past_end_rejected(self):
         tape = value_tape([1, 1])
-        with pytest.raises(ValueError):
-            find_block_length(tape, 2, 1, MODE_EXACT, rng_for("fb5"), reps=3)
+        with draws_for("fb5") as draws, pytest.raises(ValueError):
+            find_block_length(tape, 2, 1, MODE_EXACT, draws, reps=3)
 
     def test_exact_mode_mass_window_boolean_tapes(self):
         # with unit values the chosen block carries mass in [S', 2S']
@@ -171,7 +181,8 @@ class TestFindBlockLength:
             tape_vals = (rng.random(n) < 0.4).astype(np.int64)
             s_prime = int(rng.integers(1, 6))
             tape = value_tape(tape_vals)
-            length = find_block_length(tape, 0, s_prime, MODE_EXACT, rng, reps=3)
+            with contextlib.closing(StreamDraws(rng)) as draws:
+                length = find_block_length(tape, 0, s_prime, MODE_EXACT, draws, reps=3)
             c = int(tape_vals[:length].sum())
             assert c <= 2 * s_prime
             if length < n:  # range end not hit
@@ -184,15 +195,16 @@ class TestFindBlockLength:
             vals = rng.integers(0, 3, size=n)
             s_prime = int(rng.integers(1, 5))
             start = int(rng.integers(0, n))
-            length = find_block_length(value_tape(vals), start, s_prime,
-                                       MODE_COST, rng, reps=3)
+            with contextlib.closing(StreamDraws(rng)) as draws:
+                length = find_block_length(value_tape(vals), start, s_prime, MODE_COST, draws, reps=3)
             assert type(length) is int and length >= 1
             assert start + length <= n
 
     def test_probes_charge_counting_queries(self):
         ledger = QueryLedger()
         tape = TapeOracle(np.ones(64, dtype=np.int64), ledger, "x")
-        find_block_length(tape, 0, 4, MODE_EXACT, rng_for("fbq"), reps=3)
+        with draws_for("fbq") as draws:
+            find_block_length(tape, 0, 4, MODE_EXACT, draws, reps=3)
         assert ledger.queries_x > 0
         assert set(ledger.by_subroutine) == {TAG_COUNTING}
         assert ledger.by_subroutine[TAG_COUNTING] % 3 == 0  # reps per probe
@@ -202,8 +214,9 @@ class TestFindBlockLength:
         # at most s' columns left: the tail is the block without a counting call
         ledger = QueryLedger()
         tape = TapeOracle(np.ones(10, dtype=np.int64), ledger, "x")
-        for start, s_prime in ((6, 4), (6, 5), (9, 1)):
-            assert find_block_length(tape, start, s_prime, mode, rng_for("fbt"), reps=3) == 10 - start
+        with draws_for("fbt") as draws:
+            for start, s_prime in ((6, 4), (6, 5), (9, 1)):
+                assert find_block_length(tape, start, s_prime, mode, draws, reps=3) == 10 - start
         assert ledger.total == 0
 
     def test_overflowing_bracket_takes_its_floor_without_a_probe(self):
@@ -212,15 +225,16 @@ class TestFindBlockLength:
         # block is the floor 2, after 2 probes of M = 2 at reps 3 = 12 queries
         ledger = QueryLedger()
         tape = TapeOracle(np.array([0, 1, 9, 0, 1, 0, 0, 0]), ledger, "x")
-        assert find_block_length(tape, 0, 2, MODE_EXACT, rng_for("fbf"), reps=3) == 2
+        with draws_for("fbf") as draws:
+            assert find_block_length(tape, 0, 2, MODE_EXACT, draws, reps=3) == 2
         assert ledger.by_subroutine == {TAG_COUNTING: 12}
 
     def test_deterministic_per_seed(self):
         vals = rng_for("fbd-data").integers(0, 2, size=50)
-        a = find_block_length(value_tape(vals), 0, 3, MODE_COST,
-                              rng_for("fbd"), reps=5)
-        b = find_block_length(value_tape(vals), 0, 3, MODE_COST,
-                              rng_for("fbd"), reps=5)
+        with draws_for("fbd") as draws:
+            a = find_block_length(value_tape(vals), 0, 3, MODE_COST, draws, reps=5)
+        with draws_for("fbd") as draws:
+            b = find_block_length(value_tape(vals), 0, 3, MODE_COST, draws, reps=5)
         assert a == b
 
 
@@ -240,7 +254,8 @@ class TestSmallMatrixProduct:
             x = rng.integers(0, t + 1, size=n)
             b = rng.integers(0, t + 1, size=m)
             ledger = QueryLedger()
-            y_block, _ = small_matrix_product(A, x, b, t, MODE_EXACT, rng, ledger)
+            with contextlib.closing(StreamDraws(rng)) as draws:
+                y_block, _ = small_matrix_product(A, x, b, t, MODE_EXACT, draws, ledger)
             ref = np.minimum(A @ x, b)
             assert np.array_equal(y_block, ref), trial
 
@@ -255,7 +270,8 @@ class TestSmallMatrixProduct:
                 x = rng.integers(0, t + 1, size=n)
                 b = rng.integers(1, t + 1, size=m)
                 ledger = QueryLedger()
-                _, blocks = small_matrix_product(A, x, b, t, mode, rng, ledger)
+                with contextlib.closing(StreamDraws(rng)) as draws:
+                    _, blocks = small_matrix_product(A, x, b, t, mode, draws, ledger)
                 assert sum(blk.length for blk in blocks) <= n
                 assert sum(blk.rows_closed for blk in blocks) <= m
                 assert sum(blk.open_additions for blk in blocks) <= t * m
@@ -263,9 +279,10 @@ class TestSmallMatrixProduct:
     def test_zero_bounds_short_circuit(self):
         ledger = QueryLedger()
         A = np.ones((3, 10), dtype=np.int64)
-        y_block, blocks = small_matrix_product(A, np.ones(10, dtype=np.int64),
-                                               np.zeros(3, dtype=np.int64), 2,
-                                               MODE_EXACT, rng_for("smz"), ledger)
+        with draws_for("smz") as draws:
+            y_block, blocks = small_matrix_product(A, np.ones(10, dtype=np.int64),
+                                                   np.zeros(3, dtype=np.int64), 2,
+                                                   MODE_EXACT, draws, ledger)
         assert np.array_equal(y_block, np.zeros(3, dtype=np.int64))
         assert blocks == ()
         assert ledger.queries_b == 3
@@ -276,16 +293,17 @@ class TestSmallMatrixProduct:
         A = np.ones((1, 6), dtype=np.int64)
         x = np.array([0, 1, 0, 0, 1, 0], dtype=np.int64)
         b = np.array([2], dtype=np.int64)
-        small_matrix_product(A, x, b, 2, MODE_EXACT, rng_for("smr"), ledger)
+        with draws_for("smr") as draws:
+            small_matrix_product(A, x, b, 2, MODE_EXACT, draws, ledger)
         # one classical b read plus one classical x read per found position
         assert ledger.by_subroutine[TAG_CLASSICAL] == 1 + 2
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(Exception):
+        with draws_for("smx") as draws, pytest.raises(Exception):
             small_matrix_product(np.ones((2, 5), dtype=np.int64),
                                  np.ones(4, dtype=np.int64),
                                  np.ones(2, dtype=np.int64), 1,
-                                 MODE_EXACT, rng_for("smx"), QueryLedger())
+                                 MODE_EXACT, draws, QueryLedger())
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +487,29 @@ class TestStreamAfterProduct:
             bounded_matrix_product(inst, 8, MODE_EXACT, np.random.Generator(np.random.MT19937(0)))
 
 
+class TestOneReaderPerProduct:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_product_opens_exactly_one_reader(self, mode, monkeypatch):
+        # every search and counting draw of a product goes through the one reader
+        # it opens; the classical baseline draws nothing and opens none
+        opened = []
+
+        class CountingDraws(StreamDraws):
+            def __init__(self, rng):
+                opened.append(rng)
+                super().__init__(rng)
+
+        monkeypatch.setattr(linsys, "StreamDraws", CountingDraws)
+        inst = random_instance(rng_for("one-reader-inst", mode), 32, 2, 1 if mode == MODE_SV else None)
+        rng = rng_for("one-reader", mode)
+        res = bounded_matrix_product(inst, 8, mode, rng)
+        assert opened == [rng]
+        assert res.ledger.by_subroutine[TAG_COUNTING] > 0 and res.ledger.by_subroutine[TAG_GROVER] > 0
+        assert sum(len(blocks) for blocks in res.group_traces) > 1
+        classical_bounded_product(inst, 8)
+        assert opened == [rng]
+
+
 class TestSampledBlockMass:
     def test_overshoot_bounded_with_default_amplification(self):
         # accepted block mass can exceed 2S' only by the counting window;
@@ -481,7 +522,8 @@ class TestSampledBlockMass:
                 density = rng.uniform(0.05, 0.9)
                 vals = (rng.random(n) < density).astype(np.int64) * rng.integers(1, 3)
                 tape = value_tape(vals)
-                length = find_block_length(tape, 0, s_prime, MODE_COST, rng, reps)
+                with contextlib.closing(StreamDraws(rng)) as draws:
+                    length = find_block_length(tape, 0, s_prime, MODE_COST, draws, reps)
                 c = int(vals[:length].sum())
                 if c > 2 * s_prime + 6 * math.sqrt(s_prime) + math.pi**2:
                     violations += 1

@@ -43,6 +43,11 @@ def rng_for(*key):
     return SeededRng(20260819).spawn(*key).stream
 
 
+def draws_for(*key):
+    """A reader of rng_for(*key)'s stream, closed when its with-block ends."""
+    return contextlib.closing(qsim.StreamDraws(rng_for(*key)))
+
+
 def zeroed(values, positions):
     """A copy of the tape with the given positions set to 0."""
     values = np.array(values, dtype=np.int64)
@@ -335,10 +340,6 @@ class TestStreamDraws:
         rng = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(TypeError, match="PCG64"):
             qsim.StreamDraws(rng)
-        with pytest.raises(TypeError, match="PCG64"):
-            grover_search(make_oracle([0, 1])[0], MODE_COST, rng)
-        with pytest.raises(TypeError, match="PCG64"):
-            count_median(make_oracle([0, 1])[0], 2, 3, MODE_COST, rng)
 
     @pytest.mark.parametrize("mode", [MODE_COST, MODE_EXACT])
     def test_lemire_rejection_inside_a_search_takes_the_checked_path(self, mode, monkeypatch):
@@ -393,45 +394,49 @@ class TestStreamDraws:
 class TestGroverSearch:
     def test_bad_mode_rejected(self):
         oracle, _ = make_oracle([1])
-        with pytest.raises(ValueError):
-            grover_search(oracle, "quantum", rng_for("bad"))
+        with draws_for("bad") as draws, pytest.raises(ValueError):
+            grover_search(oracle, "quantum", draws)
 
     def test_empty_tape_reports_no_solution_all_modes(self):
         budget = qsim.RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(16))
         for mode in MODES:
             oracle, ledger = make_oracle([0] * 16)
-            out = grover_search(oracle, mode, rng_for("empty", mode))
+            with draws_for("empty", mode) as draws:
+                out = grover_search(oracle, mode, draws)
             assert out.found is None
             assert out.queries_charged == ledger.total
             # last attempt may overshoot by at most its own cap
             assert out.queries_charged <= budget + math.ceil(math.sqrt(16)) + 1
 
     def test_found_position_is_always_verified_mark(self):
-        rng = rng_for("verified")
         values = np.zeros(32, dtype=np.int64)
         values[[4, 9, 20]] = 1
-        for trial in range(50):
-            oracle, _ = make_oracle(values)
-            out = grover_search(oracle, MODE_COST, rng)
-            if out.found is not None:
-                assert out.found in (4, 9, 20)
+        with draws_for("verified") as draws:
+            for trial in range(50):
+                oracle, _ = make_oracle(values)
+                out = grover_search(oracle, MODE_COST, draws)
+                if out.found is not None:
+                    assert out.found in (4, 9, 20)
 
     def test_exclusion_restricts_search_support(self):
         values = zeroed([0, 1, 0, 1, 0, 0, 0, 0], {1})
         for trial in range(30):
             oracle, _ = make_oracle(values)
-            out = grover_search(oracle, MODE_EXACT, rng_for("excl", trial))
+            with draws_for("excl", trial) as draws:
+                out = grover_search(oracle, MODE_EXACT, draws)
             assert out.found == 3
 
     def test_exact_mode_forces_success_when_budget_lapses(self, monkeypatch):
         monkeypatch.setattr(qsim, "RETRY_BUDGET_FACTOR", 0)
         oracle, ledger = make_oracle([0] * 15 + [1])
-        out = grover_search(oracle, MODE_EXACT, rng_for("forced"))
+        with draws_for("forced") as draws:
+            out = grover_search(oracle, MODE_EXACT, draws)
         assert out.found == 15
         assert out.queries_charged == 0
         assert ledger.total == 0
         oracle2, _ = make_oracle([0] * 15 + [1])
-        out2 = grover_search(oracle2, MODE_COST, rng_for("forced"))
+        with draws_for("forced") as draws:
+            out2 = grover_search(oracle2, MODE_COST, draws)
         assert out2.found is None
 
     def test_same_seed_reproduces_outcome(self):
@@ -441,7 +446,8 @@ class TestGroverSearch:
             runs = []
             for _ in range(2):
                 oracle, ledger = make_oracle(values)
-                out = grover_search(oracle, mode, rng_for("det", mode))
+                with draws_for("det", mode) as draws:
+                    out = grover_search(oracle, mode, draws)
                 runs.append((out, ledger.total))
             assert runs[0] == runs[1]
 
@@ -451,8 +457,10 @@ class TestGroverSearch:
         for trial in range(40):
             oc, lc = make_oracle(values)
             oe, le = make_oracle(values)
-            out_c = grover_search(oc, MODE_COST, rng_for("pair", trial))
-            out_e = grover_search(oe, MODE_EXACT, rng_for("pair", trial))
+            with draws_for("pair", trial) as draws:
+                out_c = grover_search(oc, MODE_COST, draws)
+            with draws_for("pair", trial) as draws:
+                out_e = grover_search(oe, MODE_EXACT, draws)
             assert out_c.queries_charged == out_e.queries_charged
             assert lc.total == le.total
             if out_c.found is not None:
@@ -476,10 +484,10 @@ class TestGroverSearch:
                 for trial in range(trials)
             )
             assert abs(hits / trials - p) < 0.05, mode
-            first = sum(
-                grover_search(make_oracle(bits)[0], mode, rng_for("first", mode, trial)).queries_charged == 1
-                for trial in range(trials)
-            )
+            first = 0
+            for trial in range(trials):
+                with draws_for("first", mode, trial) as draws:
+                    first += grover_search(make_oracle(bits)[0], mode, draws).queries_charged == 1
             assert abs(first / trials - w / n) < 0.05, mode
 
     def test_unknown_weight_single_mark_found_reliably(self):
@@ -488,7 +496,8 @@ class TestGroverSearch:
         misses = 0
         for trial in range(300):
             oracle, _ = make_oracle(values)
-            out = grover_search(oracle, MODE_COST, rng_for("bbht", trial))
+            with draws_for("bbht", trial) as draws:
+                out = grover_search(oracle, MODE_COST, draws)
             if out.found is None:
                 misses += 1
             else:
@@ -514,7 +523,8 @@ class TestGroverSearch:
             charges.clear()
             oracle, _ = make_oracle(values)
             rng = rng_for("masks", mode)
-            out = grover_search(oracle, mode, rng)
+            with contextlib.closing(qsim.StreamDraws(rng)) as draws:
+                out = grover_search(oracle, mode, draws)
             assert out.found is None
             assert charges == [("x", TAG_GROVER, out.queries_charged)], mode
             assert len(builds) == 1 and len(scans) <= 1, mode
@@ -542,7 +552,8 @@ class TestGroverSearch:
                 oracle, ledger = make_oracle(values, target)
                 ref_oracle, ref_ledger = make_oracle(values, target)
                 rng, ref_rng = rng_for("stream", mode, case), rng_for("stream", mode, case)
-                out = grover_search(oracle, mode, rng)
+                with contextlib.closing(qsim.StreamDraws(rng)) as draws:
+                    out = grover_search(oracle, mode, draws)
                 ref = reference_grover_search(ref_oracle, mode, ref_rng)
                 assert out == ref, (case, target)
                 assert ledger == ref_ledger, (case, target)
@@ -576,8 +587,8 @@ class TestGroverSearch:
         monkeypatch.setitem(globals(), "sv_run_grover", failing_second_run(ref_runs))
         rng, ref_rng = rng_for("failing", failure), rng_for("failing", failure)
         error = AssertionError if failure == "norm drift" else ValueError
-        with pytest.raises(error):
-            grover_search(make_oracle(values)[0], MODE_SV, rng)
+        with pytest.raises(error), contextlib.closing(qsim.StreamDraws(rng)) as draws:
+            grover_search(make_oracle(values)[0], MODE_SV, draws)
         with pytest.raises(error):
             reference_grover_search(make_oracle(values)[0], MODE_SV, ref_rng)
         assert len(runs) == len(ref_runs) == 2
@@ -588,17 +599,20 @@ class TestGroverSearch:
 class TestCollectOnes:
     def test_exact_mode_recovers_full_support(self):
         values = [3, 1, 0, 2, 0, 0, 1, 5]
-        res = collect_ones(make_oracle(values)[0], MODE_EXACT, rng_for("cexact"))
+        with draws_for("cexact") as draws:
+            res = collect_ones(make_oracle(values)[0], MODE_EXACT, draws)
         assert frozenset(res.found) == {0, 1, 3, 6, 7}
         assert res.searches == 6  # five finds plus the closing empty probe
 
     def test_all_marks_tape_collects_everything(self):
-        res = collect_ones(make_oracle([1, 1, 1, 1])[0], MODE_EXACT, rng_for("full"))
+        with draws_for("full") as draws:
+            res = collect_ones(make_oracle([1, 1, 1, 1])[0], MODE_EXACT, draws)
         assert frozenset(res.found) == {0, 1, 2, 3}
 
     def test_empty_tape_is_single_probe(self):
         for mode in MODES:
-            res = collect_ones(make_oracle([0] * 9)[0], mode, rng_for("cempty", mode))
+            with draws_for("cempty", mode) as draws:
+                res = collect_ones(make_oracle([0] * 9)[0], mode, draws)
             assert res.found == ()
             assert res.searches == 1
 
@@ -607,8 +621,8 @@ class TestCollectOnes:
         support = {2, 3, 11, 30, 31, 44}
         values[list(support)] = 1
         for trial in range(25):
-            res = collect_ones(make_oracle(values)[0], MODE_COST,
-                               rng_for("dist", trial))
+            with draws_for("dist", trial) as draws:
+                res = collect_ones(make_oracle(values)[0], MODE_COST, draws)
             assert len(set(res.found)) == len(res.found)
             assert set(res.found) <= support
 
@@ -618,8 +632,8 @@ class TestCollectOnes:
         values[list(support)] = 1
         complete = 0
         for trial in range(100):
-            res = collect_ones(make_oracle(values)[0], MODE_COST,
-                               rng_for("cstat", trial))
+            with draws_for("cstat", trial) as draws:
+                res = collect_ones(make_oracle(values)[0], MODE_COST, draws)
             if frozenset(res.found) == support:
                 complete += 1
         assert complete >= 90
@@ -627,8 +641,10 @@ class TestCollectOnes:
     def test_deterministic_given_seed(self):
         values = np.zeros(32, dtype=np.int64)
         values[[4, 5, 6]] = 1
-        a = collect_ones(make_oracle(values)[0], MODE_COST, rng_for("cdet"))
-        b = collect_ones(make_oracle(values)[0], MODE_COST, rng_for("cdet"))
+        with draws_for("cdet") as draws:
+            a = collect_ones(make_oracle(values)[0], MODE_COST, draws)
+        with draws_for("cdet") as draws:
+            b = collect_ones(make_oracle(values)[0], MODE_COST, draws)
         assert a == b
 
     def test_live_tape_matches_searches_with_exclusion_sets(self, monkeypatch):
@@ -643,17 +659,18 @@ class TestCollectOnes:
             for trial in range(5):
                 oracle, ledger = make_oracle(values)
                 builds.clear()
-                res = collect_ones(oracle, mode, rng_for("live", mode, trial))
+                with draws_for("live", mode, trial) as draws:
+                    res = collect_ones(oracle, mode, draws)
                 assert len(builds) == res.searches
                 ref_ledger = QueryLedger()
-                rng = rng_for("live", mode, trial)
                 found = []
-                while True:
-                    ref_oracle = TapeOracle(zeroed(values, found), ref_ledger)
-                    out = grover_search(ref_oracle, mode, rng)
-                    if out.found is None:
-                        break
-                    found.append(out.found)
+                with draws_for("live", mode, trial) as draws:
+                    while True:
+                        ref_oracle = TapeOracle(zeroed(values, found), ref_ledger)
+                        out = grover_search(ref_oracle, mode, draws)
+                        if out.found is None:
+                            break
+                        found.append(out.found)
                 assert res.found == tuple(found)
                 assert res.searches == len(found) + 1
                 assert ledger == ref_ledger
@@ -731,13 +748,15 @@ class TestSvCountPmf:
 class TestCountEstimate:
     def test_charges_m_queries_with_counting_tag(self):
         oracle, ledger = make_oracle([1, 0, 1, 1])
-        count_median(oracle, 8, 1, MODE_COST, rng_for("charge"))
+        with draws_for("charge") as draws:
+            count_median(oracle, 8, 1, MODE_COST, draws)
         assert ledger.queries_x == 8
         assert ledger.by_subroutine == {TAG_COUNTING: 8}
 
     def test_exact_mode_returns_true_total(self):
         oracle, _ = make_oracle([0, 3, 2, 0])
-        out = count_median(oracle, 4, 1, MODE_EXACT, rng_for("exact"))
+        with draws_for("exact") as draws:
+            out = count_median(oracle, 4, 1, MODE_EXACT, draws)
         assert out == 5.0
 
     def test_estimates_live_on_representable_grid(self):
@@ -746,13 +765,15 @@ class TestCountEstimate:
         grid = {round(16 * math.sin(math.pi * y / 8) ** 2, 9) for y in range(5)}
         for trial in range(40):
             oracle, _ = make_oracle(values)
-            out = count_median(oracle, 8, 1, MODE_COST, rng_for("grid", trial))
+            with draws_for("grid", trial) as draws:
+                out = count_median(oracle, 8, 1, MODE_COST, draws)
             assert round(out, 9) in grid
 
     def test_zero_tape_estimates_zero_all_modes(self):
         for mode in MODES:
             oracle, _ = make_oracle([0] * 8)
-            out = count_median(oracle, 4, 1, mode, rng_for("zero", mode))
+            with draws_for("zero", mode) as draws:
+                out = count_median(oracle, 4, 1, mode, draws)
             assert out == 0.0
 
     def test_saturating_value_tape_estimates_at_most_n(self):
@@ -760,10 +781,12 @@ class TestCountEstimate:
         values = [3, 3, 3, 3]
         for trial in range(20):
             oracle, _ = make_oracle(values)
-            out = count_median(oracle, 8, 1, MODE_COST, rng_for("sat", trial))
+            with draws_for("sat", trial) as draws:
+                out = count_median(oracle, 8, 1, MODE_COST, draws)
             assert out <= 4.0 + 1e-12
         oracle, _ = make_oracle(values)
-        assert count_median(oracle, 8, 1, MODE_EXACT, rng_for("sat-x")) == 12.0
+        with draws_for("sat-x") as draws:
+            assert count_median(oracle, 8, 1, MODE_EXACT, draws) == 12.0
 
     def test_statevector_agrees_with_cost_model_statistically(self):
         bits = np.zeros(16, dtype=np.int64)
@@ -771,45 +794,48 @@ class TestCountEstimate:
         trials = 400
         sums = {}
         for mode in (MODE_COST, MODE_SV):
-            draws = []
+            estimates = []
             for trial in range(trials):
                 oracle, _ = make_oracle(bits)
-                draws.append(count_median(oracle, 8, 1, mode, rng_for("agree", mode, trial)))
-            sums[mode] = np.mean(draws)
+                with draws_for("agree", mode, trial) as draws:
+                    estimates.append(count_median(oracle, 8, 1, mode, draws))
+            sums[mode] = np.mean(estimates)
         assert abs(sums[MODE_COST] - sums[MODE_SV]) < 0.6
 
     def test_statevector_rejects_value_tapes(self):
         oracle, ledger = make_oracle([2, 0])
-        with pytest.raises(ValueError):
-            count_median(oracle, 4, 1, MODE_SV, rng_for("rej"))
+        with draws_for("rej") as draws, pytest.raises(ValueError):
+            count_median(oracle, 4, 1, MODE_SV, draws)
         assert ledger.total == 0
 
     def test_statevector_rejects_oversize_product(self):
         oracle, ledger = make_oracle([1] * 1024)
-        with pytest.raises(RangeTooLarge):
-            count_median(oracle, 8, 1, MODE_SV, rng_for("rej2"))
+        with draws_for("rej2") as draws, pytest.raises(RangeTooLarge):
+            count_median(oracle, 8, 1, MODE_SV, draws)
         assert ledger.total == 0
 
 
 class TestCountMedian:
     def test_even_reps_rejected(self):
         oracle, _ = make_oracle([1, 0])
-        with pytest.raises(ValueError):
-            count_median(oracle, 4, 2, MODE_COST, rng_for("even"))
-        with pytest.raises(ValueError):
-            count_median(oracle, 4, 0, MODE_COST, rng_for("evenz"))
+        with draws_for("even") as draws:
+            with pytest.raises(ValueError):
+                count_median(oracle, 4, 2, MODE_COST, draws)
+            with pytest.raises(ValueError):
+                count_median(oracle, 4, 0, MODE_COST, draws)
 
     def test_charges_m_times_reps(self):
         oracle, ledger = make_oracle([1, 0, 1, 0])
-        count_median(oracle, 4, 5, MODE_COST, rng_for("mcharge"))
+        with draws_for("mcharge") as draws:
+            count_median(oracle, 4, 5, MODE_COST, draws)
         assert ledger.queries_x == 20
 
     def test_median_is_an_observed_estimate(self):
         values = np.zeros(16, dtype=np.int64)
         values[:7] = 1
         grid = {round(16 * math.sin(math.pi * y / 8) ** 2, 9) for y in range(5)}
-        out = count_median(make_oracle(values)[0], 8, 9, MODE_COST,
-                           rng_for("member"))
+        with draws_for("member") as draws:
+            out = count_median(make_oracle(values)[0], 8, 9, MODE_COST, draws)
         assert round(out, 9) in grid
 
     def test_out_of_window_rate_small(self):
@@ -823,7 +849,8 @@ class TestCountMedian:
         trials = 2000
         for trial in range(trials):
             oracle, _ = make_oracle(values)
-            out = count_median(oracle, M, reps, MODE_COST, rng_for("win", trial))
+            with draws_for("win", trial) as draws:
+                out = count_median(oracle, M, reps, MODE_COST, draws)
             if abs(out - w) > window:
                 bad += 1
         assert bad / trials <= 0.05
@@ -831,8 +858,10 @@ class TestCountMedian:
     def test_deterministic_given_seed(self):
         values = np.zeros(32, dtype=np.int64)
         values[:9] = 1
-        a = count_median(make_oracle(values)[0], 8, 5, MODE_COST, rng_for("mdet"))
-        b = count_median(make_oracle(values)[0], 8, 5, MODE_COST, rng_for("mdet"))
+        with draws_for("mdet") as draws:
+            a = count_median(make_oracle(values)[0], 8, 5, MODE_COST, draws)
+        with draws_for("mdet") as draws:
+            b = count_median(make_oracle(values)[0], 8, 5, MODE_COST, draws)
         assert a == b
 
 
@@ -877,7 +906,8 @@ class TestBatchedDraw:
                 oracle, ledger = make_oracle(values)
                 ref_oracle, ref_ledger = make_oracle(values)
                 rng, ref_rng = rng_for("batch", tape, M, reps), rng_for("batch", tape, M, reps)
-                out = count_median(oracle, M, reps, mode, rng)
+                with contextlib.closing(qsim.StreamDraws(rng)) as draws:
+                    out = count_median(oracle, M, reps, mode, draws)
                 expect = per_rep_median(ref_oracle, M, reps, mode, ref_rng)
                 assert type(out) is float and out == expect, (M, reps)
                 assert ledger == ref_ledger
@@ -897,8 +927,8 @@ class TestBatchedDraw:
         for trial in range(3):
             for values in tapes:
                 for M in (2, 5, 8):
-                    count_median(make_oracle(values)[0], M, 9, MODE_COST,
-                                 rng_for("once", trial))
+                    with draws_for("once", trial) as draws:
+                        count_median(make_oracle(values)[0], M, 9, MODE_COST, draws)
         assert sorted(calls) == sorted({(a, M) for a in (0.25, 0.5, 1.0) for M in (2, 5, 8)})
 
     @pytest.mark.parametrize("probs", [[1.5, -0.5], [np.nan, 1.0]])
@@ -907,5 +937,5 @@ class TestBatchedDraw:
         bad = EstimatePmf(values=np.array([0.0, 1.0]), probs=np.array(probs))
         monkeypatch.setattr(qsim, "ae_outcome_pmf", lambda a, M: bad)
         qsim._estimate_cdf.cache_clear()
-        with pytest.raises(ValueError, match="probability vector"):
-            count_median(make_oracle([1, 0])[0], 2, 3, MODE_COST, rng_for("bad"))
+        with draws_for("bad") as draws, pytest.raises(ValueError, match="probability vector"):
+            count_median(make_oracle([1, 0])[0], 2, 3, MODE_COST, draws)

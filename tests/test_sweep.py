@@ -104,14 +104,16 @@ class TestSweepConfig:
         assert cfg.seeds == 1
         assert cfg.family == "regular"
         assert cfg.reps is None
+        assert cfg.out is None
 
     def test_from_json_with_scalar_space(self):
         cfg = SweepConfig.from_dict(json.loads(
             '{"N": [8], "t": [2], "S": 4, "modes": ["exact", "classical"],'
-            ' "seeds": 2, "family": "zero", "reps": 5}'))
+            ' "seeds": 2, "family": "zero", "reps": 5, "out": "rows.csv"}'))
         assert cfg.space_rule == SpaceRule("absolute", 4.0)
         assert cfg.modes == ("exact", "classical")
         assert cfg.reps == 5
+        assert cfg.out == "rows.csv"
 
     def test_s_key_sets_the_budget(self):
         cfg = SweepConfig.from_dict({"N": [8], "t": [1], "S": 4,
@@ -132,6 +134,8 @@ class TestSweepConfig:
             SweepConfig.from_dict({**legacy, "space": 4})
         with pytest.raises(ValueError):
             SweepConfig.from_dict({**full, "S": {"value": 4}})
+        with pytest.raises(ValueError, match="number or {kind, value}"):
+            SweepConfig.from_dict({**full, "S": {"kind": "absolute", "value": 4, "knd": "nt-fraction"}})
         with pytest.raises(ValueError):
             SweepConfig.from_dict([full])
         with pytest.raises(ValueError):
@@ -171,6 +175,30 @@ class TestSweepConfig:
         base = {"N": [8], "t": [1], "S": 4, "modes": ["exact"], "seeds": 1}
         with pytest.raises(ValueError, match="takes whole numbers"):
             SweepConfig.from_dict({**base, **override})
+
+    @pytest.mark.parametrize("extra", [{"famly": "uniform"}, {"space": 4}, {"seed": 0}])
+    def test_unknown_keys_refused(self, extra):
+        # a misspelt optional key would otherwise leave its default in force
+        base = {"N": [8], "t": [1], "S": 4, "modes": ["exact"], "seeds": 1}
+        (key,) = extra
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            SweepConfig.from_dict({**base, **extra})
+
+    @pytest.mark.parametrize("override", [
+        {"modes": "exact"}, {"N": "8"}, {"N": 8}, {"t": 2}, {"N": {"8": 1}}, {"modes": None},
+    ])
+    def test_list_keys_take_lists(self, override):
+        # "exact" would otherwise be read as the modes 'e', 'x', ...
+        base = {"N": [8], "t": [1], "S": 4, "modes": ["exact"], "seeds": 1}
+        (key,) = override
+        with pytest.raises(ValueError, match=f"key '{key}' takes a list"):
+            SweepConfig.from_dict({**base, **override})
+
+    @pytest.mark.parametrize("out", [{"a": 1}, "", 7, ["rows.csv"], True])
+    def test_out_takes_a_path(self, out):
+        base = {"N": [8], "t": [1], "S": 4, "modes": ["exact"], "seeds": 1}
+        with pytest.raises(ValueError, match="'out' takes a non-empty path"):
+            SweepConfig.from_dict({**base, "out": out})
 
     def test_whole_floats_accepted_as_counts(self):
         cfg = SweepConfig.from_dict({"N": [16.0, 8], "t": [2.0], "S": 4, "modes": ["exact"],
