@@ -84,7 +84,7 @@ def _cmd_subspace(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    lines, rows = run_poly_suite(args.suite, seed=args.seed)
+    lines, rows = run_poly_suite(args.suite)
     ok = _print_lines(lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -157,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     poly_sub = p_poly.add_subparsers(dest="subcommand", required=True)
     p_poly_verify = poly_sub.add_parser("verify", help="run one suite")
     p_poly_verify.add_argument("--suite", required=True, choices=sorted(POLY_SUITES))
-    p_poly_verify.add_argument("--seed", type=int, default=0)
     p_poly_verify.add_argument("--out", help="dump the suite's table as CSV to this path")
     p_poly_verify.set_defaults(func=_cmd_poly)
 

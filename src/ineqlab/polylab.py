@@ -1,16 +1,18 @@
 """Polynomial laboratory: Chebyshev bounds, an extremal LP oracle, and the
-block-fullness tail estimate.
+block-fullness rates.
 
 The degree-vs-growth facts behind the classical lower bound are checked
 numerically: the Chebyshev growth and extremality inequalities, a linear
 program that finds the largest possible "jump" of a [0,1]-bounded polynomial
 with a forced zero prefix, the proof chain that caps that jump via Chebyshev
-growth, a probe of the bounded-at-integers interior-growth constants, and a
-Monte-Carlo check of the hypergeometric block-fullness bound.
+growth, a probe of the bounded-at-integers interior-growth constants, and the
+hypergeometric block-fullness bounds.  Nothing here draws a random number:
+each check takes its worst case in closed form or from an extremal LP.
 
 The LP runs in exact rational arithmetic (Bland's rule over integer rows), so
-every sigma value and witness below is exact; floats appear only in reports
-and dense real-line scans.
+every sigma value and witness below is exact, as is the per-block fullness
+rate; floats appear only in reports, dense real-line scans, the Lagrange
+basis and the half-full rate.
 """
 from __future__ import annotations
 
@@ -22,9 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
-from .core import CheckLine, InstanceError, SeededRng
+from .core import CheckLine, InstanceError
 
 CHAIN_TOL = 1e-6
 IDENTITY_RTOL = 1e-10
@@ -108,78 +109,34 @@ def cheb_growth_grid(d_max: int = 50, mu_step: float = 0.01, mu_max: float = 2.0
 # extremal dominance outside [-1, 1]
 
 
-@dataclass(frozen=True)
-class ChebExtremalReport:
-    degrees: tuple[int, ...]
-    accepted_per_degree: int
-    discarded: int
-    violations: tuple[int, ...]   # per entry of degrees
-    worst_margin: float   # max |q(x)| - |T_d(x)| over accepted samples (<= 0 = pass)
-
-
 def _lobatto_nodes(d: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(d + 1) / d)
 
 
-def _barycentric_eval(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Lobatto weights: (-1)^k, halved at the endpoints
-    d = len(nodes) - 1
-    w = np.where(np.arange(d + 1) % 2 == 0, 1.0, -1.0)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+def lagrange_basis(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Lagrange basis values: entry (i, k) is l_k(x[i]) = prod_{j != k} (x[i] - x_j) / (x_k - x_j)."""
+    off = ~np.eye(len(nodes), dtype=bool)
+    spread = np.where(off, nodes[:, None] - nodes[None, :], 1.0).prod(axis=1)
     diff = x[:, None] - nodes[None, :]
-    exact = np.isclose(diff, 0.0, atol=1e-14)
-    diff = np.where(exact, 1.0, diff)
-    terms = w[None, :] / diff
-    out = (terms @ values) / terms.sum(axis=1)
-    hit = exact.any(axis=1)
-    if hit.any():
-        out[hit] = values[exact[hit].argmax(axis=1)]
-    return out
+    return np.where(off, diff[:, None, :], 1.0).prod(axis=2) / spread
 
 
-def cheb_extremal_check(
-    rng: SeededRng,
-    per_degree: int = 100,
-    degrees=tuple(range(2, 13)),
-    probe_points=(1.01, 1.1, 1.5, 2.0),
-) -> ChebExtremalReport:
-    """Random interior-bounded polynomials never beat T_d outside [-1, 1].
+def cheb_dominance_excess(degrees=range(2, 13), probe_points=(1.01, 1.1, 1.5, 2.0)) -> dict[int, float]:
+    """Per degree, the worst relative excess over |T_d| at the probes of any
+    polynomial with |p| <= 1 at the d+1 Chebyshev-Lobatto nodes.
 
-    Candidates interpolate uniform values at the d+1 Chebyshev nodes; a
-    candidate whose dense interior max exceeds 1 + 1e-6 is discarded (the
-    node values bound it only at the nodes), not counted as a violation.
+    The largest |p(x)| over node values in [-1, 1] is sum_k |l_k(x)|.  Outside
+    [-1, 1] the l_k alternate in sign at the Lobatto nodes, where T_d takes
+    the values (-1)^k, so the sum equals |T_d(x)| and the excess is float
+    noise; any other nodes, or a probe inside the interval, leave a real one.
     """
-    gen = rng.stream
-    dense = np.linspace(-1.0, 1.0, 2001)
-    probes = np.asarray(probe_points)
-    discarded = 0
-    violations = []
-    worst = -math.inf
+    probes = np.asarray(probe_points, dtype=float)
+    excess = {}
     for d in degrees:
-        nodes = _lobatto_nodes(d)
-        t_at_probes = np.abs(np.array([chebyshev_eval(d, float(x)) for x in probes]))
-        accepted = 0
-        violations.append(0)
-        while accepted < per_degree:
-            values = gen.uniform(-1.0, 1.0, size=d + 1)
-            interior = np.abs(_barycentric_eval(nodes, values, dense)).max()
-            if interior > 1.0 + CHAIN_TOL:
-                discarded += 1
-                continue
-            accepted += 1
-            outside = np.abs(_barycentric_eval(nodes, values, probes))
-            margin = float(np.max(outside - t_at_probes))
-            worst = max(worst, margin)
-            if margin > CHAIN_TOL:
-                violations[-1] += 1
-    return ChebExtremalReport(
-        degrees=tuple(degrees),
-        accepted_per_degree=per_degree,
-        discarded=discarded,
-        violations=tuple(violations),
-        worst_margin=worst,
-    )
+        worst = np.abs(lagrange_basis(_lobatto_nodes(d), probes)).sum(axis=1)
+        cheb = np.abs(chebyshev_eval(d, probes))
+        excess[d] = float(np.max((worst - cheb) / cheb))
+    return excess
 
 
 # ---------------------------------------------------------------------------
@@ -476,71 +433,38 @@ def growth_extremal(n: int, d: int) -> float:
     return max(2.0 * float(sigma) - 1.0, 1.0)
 
 
-def _interior_max_of_series(coeffs: np.ndarray, n: int) -> float:
-    """Dense real max over [0, n] of a [-1,1]-rescaled Chebyshev series."""
-    xs = np.linspace(0.0, float(n), 4001)
-    vals = npcheb.chebval(2.0 * xs / n - 1.0, coeffs)
-    return float(np.abs(vals).max())
+def cr_probe(n_values=(16, 32, 64), d_factors=(1, 2, 3)) -> CrProbeReport:
+    """Fit the interior-growth envelope to the LP-extremal polynomials.
 
-
-def cr_probe(
-    rng: SeededRng,
-    n_values=(16, 32, 64),
-    d_factors=(1, 2, 3),
-    sample_count: int = 24,
-) -> CrProbeReport:
-    """Fit the interior-growth envelope over random and extremal polynomials.
-
-    Samples are normalized to max 1 over the integers of [0, n]; the envelope
-    records the dense real max per (n, d) cell.  The stability figure compares
-    slopes fitted to the extremal cells alone: random series rarely grow
-    between integers, so including them would drown the trend in noise.
+    Each (n, d) cell contributes the log growth of its extremal polynomial,
+    the largest that any polynomial bounded at the integers of [0, n]
+    reaches.  The stability figure compares the slopes fitted to each domain
+    size alone.
     """
-    gen = rng.stream
-    points: list[tuple[int, int, float]] = []
-    extremal: list[tuple[int, int, float]] = []
+    cells: dict[tuple[int, int], float] = {}
     for n in n_values:
-        ints = np.arange(n + 1, dtype=float)
         for factor in d_factors:
             d = min(factor * math.isqrt(n), n)
-            # deterministic LP extremal for this cell
-            v_ext = math.log(growth_extremal(n, d))
-            extremal.append((n, d, v_ext))
-            points.append((n, d, v_ext))
-            for _ in range(sample_count):
-                coeffs = gen.standard_normal(d + 1)
-                coeffs[-1] = math.copysign(max(abs(coeffs[-1]), 0.5), coeffs[-1])
-                at_ints = npcheb.chebval(2.0 * ints / n - 1.0, coeffs)
-                scale = np.abs(at_ints).max()
-                if scale == 0:
-                    continue
-                coeffs = coeffs / scale
-                points.append((n, d, math.log(max(_interior_max_of_series(coeffs, n), 1.0))))
-
-    cell_max: dict[tuple[int, int], float] = {}
-    for n, d, v in points:
-        key = (n, d)
-        if key not in cell_max or v > cell_max[key]:
-            cell_max[key] = v
-    us = np.array([d * d / n for n, d in cell_max])
-    vs = np.array(list(cell_max.values()))
-    if len(cell_max) >= 2:
+            cells[n, d] = math.log(growth_extremal(n, d))
+    us = np.array([d * d / n for n, d in cells])
+    vs = np.array(list(cells.values()))
+    if len(cells) >= 2:
         slope, _ = np.polyfit(us, vs, 1)
         slope = max(float(slope), 0.0)
     else:
         slope = 0.0
-    # lift the intercept so the line dominates every cell envelope
+    # lift the intercept so the line dominates every cell
     intercept = float(np.max(vs - slope * us))
     a = math.exp(intercept)
     b = slope
 
     per_n: list[tuple[int, float]] = []
     for n in n_values:
-        sel = [p for p in extremal if p[0] == n]
+        sel = [(d, v) for (n_cell, d), v in cells.items() if n_cell == n]
         if len(sel) < 2:
             continue
-        u_n = np.array([d * d / n for _, d, _ in sel])
-        v_n = np.array([v for _, _, v in sel])
+        u_n = np.array([d * d / n for d, _ in sel])
+        v_n = np.array([v for _, v in sel])
         s_n, _ = np.polyfit(u_n, v_n, 1)
         per_n.append((n, max(float(s_n), 0.0)))
     if per_n:
@@ -552,56 +476,60 @@ def cr_probe(
     return CrProbeReport(
         a=a,
         b=b,
-        points=tuple(points),
+        points=tuple((n, d, v) for (n, d), v in cells.items()),
         per_n_slopes=tuple(per_n),
         stability=stability,
     )
 
 
 # ---------------------------------------------------------------------------
-# block fullness
+# block fullness: 4kt ones scattered uniformly over k blocks of n positions
 
 
-@dataclass(frozen=True)
-class BlocksReport:
-    k: int
-    t: int
-    n: int
-    samples: int
-    p_half_full: float        # Pr[at least k/2 blocks are full]
-    p_half_halfwidth: float
-    p_block_full: float       # per-block Pr[count >= t]
-    p_block_halfwidth: float
+HALF_FULL_FLOOR = Fraction(1, 9)    # Pr[at least half the blocks are full]
+BLOCK_FULL_FLOOR = Fraction(5, 9)   # Pr[a given block is full]
+BLOCKS_GRID = tuple(
+    (k, t, n) for k in (1, 2, 3, 5, 10, 20, 50) for t in (1, 2, 3) for n in (20, 32, 64) if 20 * t <= n
+)
 
 
-def full_blocks_mc(rng: SeededRng, k: int, t: int, n: int, samples: int = 10_000) -> BlocksReport:
-    """Scatter 4kt ones over k blocks of n positions; estimate fullness rates.
+def _check_block_cell(k: int, t: int, n: int) -> None:
+    if not (k >= 1 and 1 <= t and 20 * t <= n):
+        raise InstanceError("need k >= 1 and 1 <= t <= n/20")
 
-    Estimates the two rates that verify_blocks bounds: the probability that
-    at least half the blocks are full (claimed >= 1/9), and the probability
-    that a single block is full (claimed >= 5/9), each with its 95%
-    confidence half-width.
+
+def block_full_rate(k: int, t: int, n: int) -> Fraction:
+    """Pr[a given block holds at least t ones], exact: the hypergeometric tail
+    of n positions drawn from the kn that hold 4kt ones."""
+    _check_block_cell(k, t, n)
+    ones, total = 4 * k * t, k * n
+    short = sum(math.comb(ones, j) * math.comb(total - ones, n - j) for j in range(t))
+    return 1 - Fraction(short, math.comb(total, n))
+
+
+def half_full_rate(k: int, t: int, n: int) -> float:
+    """Pr[at least ceil(k/2) blocks hold t or more ones].
+
+    Every position is tilted to an independent one of rate p = 4t/n, so the
+    block counts are independent Binomial(n, p).  The tilt gives every
+    scatter of 4kt ones the same weight, so conditioning on 4kt ones in all
+    gives back the uniform scatter.  Split the block pmf at t into lo(z) and
+    hi(z); then C(k, m) [z^4kt] hi^m lo^(k-m) weighs m full blocks, and the
+    powers grow one block at a time, cut at degree 4kt.
     """
-    if 20 * t > n:
-        raise InstanceError("need t <= n/20")
-    if 4 * k * t > k * n:
-        raise InstanceError("more ones than positions")
-    counts = rng.stream.multivariate_hypergeometric([n] * k, 4 * k * t, size=samples)
-    full = counts >= t
-    p_half = float(np.mean(full.sum(axis=1) >= k / 2))
-    hw_half = 1.96 * math.sqrt(max(p_half * (1 - p_half), 1e-12) / samples)
-    p_block = float(full.mean())
-    hw_block = 1.96 * math.sqrt(max(p_block * (1 - p_block), 1e-12) / (samples * k))
-    return BlocksReport(
-        k=k,
-        t=t,
-        n=n,
-        samples=samples,
-        p_half_full=p_half,
-        p_half_halfwidth=hw_half,
-        p_block_full=p_block,
-        p_block_halfwidth=hw_block,
-    )
+    _check_block_cell(k, t, n)
+    ones, p = 4 * k * t, 4 * t / n
+    pmf = np.array([math.comb(n, c) * p**c * (1 - p) ** (n - c) for c in range(min(n, ones) + 1)])
+
+    def powers(poly: np.ndarray) -> list[np.ndarray]:
+        out = [np.eye(1, ones + 1)[0]]
+        for _ in range(k):
+            out.append(np.convolve(out[-1], poly)[: ones + 1])
+        return out
+
+    hi, lo = powers(np.where(np.arange(len(pmf)) >= t, pmf, 0.0)), powers(pmf[:t])
+    weights = [math.comb(k, m) * float(hi[m] @ lo[k - m][::-1]) for m in range(k + 1)]
+    return sum(weights[(k + 1) // 2:]) / sum(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +556,8 @@ def lp_grid_cells() -> list[tuple[int, int, int]]:
 CHAIN_CELLS = ((12, 32, 1), (16, 48, 2), (20, 64, 3))   # one per domain row, E=10 feasible
 
 
-def verify_cheb(seed: int = 0) -> tuple[list[CheckLine], list[dict]]:
-    rng = SeededRng(seed).spawn("cheb")
+def verify_cheb() -> tuple[list[CheckLine], list[dict]]:
     lines: list[CheckLine] = []
-    rows: list[dict] = []
 
     resid = cheb_identity_residual()
     lines.append(CheckLine("evaluation routes agree", resid <= IDENTITY_RTOL, resid, "recurrence/closed/cosine"))
@@ -642,27 +568,25 @@ def verify_cheb(seed: int = 0) -> tuple[list[CheckLine], list[dict]]:
     margin = cheb_growth_grid()
     lines.append(CheckLine("growth bound on the grid", margin <= 0.0, margin, "d <= 50, mu <= 2"))
 
-    report = cheb_extremal_check(rng)
+    excess = cheb_dominance_excess()
+    worst = max(excess.values())
     lines.append(
         CheckLine(
             "dominance outside the interval",
-            sum(report.violations) == 0,
-            report.worst_margin,
-            f"{report.accepted_per_degree} accepted per degree, {report.discarded} discarded",
+            worst <= IDENTITY_RTOL,
+            worst,
+            f"exact worst case over node values, d = {min(excess)}..{max(excess)}",
         )
     )
-    for d, count in zip(report.degrees, report.violations):
-        rows.append({"check": "extremal", "degree": d, "violations": count})
+    rows = [{"check": "extremal", "degree": d, "excess": e} for d, e in excess.items()]
     return lines, rows
 
 
 def verify_lp(
-    seed: int = 0,
     cells=None,
     chain_cells=None,
     probe_n_values=(16, 32, 64),
 ) -> tuple[list[CheckLine], list[dict]]:
-    rng = SeededRng(seed).spawn("lp")
     if cells is None:
         cells = lp_grid_cells()
     if chain_cells is None:
@@ -711,9 +635,9 @@ def verify_lp(
     )
 
     # proof chain on one witness per domain row, with growth constants fitted
-    # independently of the witnesses, over random and extremal polynomials
+    # independently of the witnesses, to the growth-extremal polynomials
     if chain_lps:
-        probe = cr_probe(rng.spawn("chain-fit"), n_values=probe_n_values, sample_count=12)
+        probe = cr_probe(n_values=probe_n_values)
         chain_worst = -math.inf
         for lp in chain_lps.values():
             chain = witness_chain_check(lp, 10, probe.a, probe.b)
@@ -738,9 +662,8 @@ def verify_lp(
     return lines, rows
 
 
-def verify_cr(seed: int = 0) -> tuple[list[CheckLine], list[dict]]:
-    rng = SeededRng(seed).spawn("cr")
-    report = cr_probe(rng)
+def verify_cr() -> tuple[list[CheckLine], list[dict]]:
+    report = cr_probe()
     lines = [
         CheckLine(
             "interior growth constants (report only)",
@@ -759,32 +682,28 @@ def verify_cr(seed: int = 0) -> tuple[list[CheckLine], list[dict]]:
     return lines, rows
 
 
-def verify_blocks(seed: int = 0) -> tuple[list[CheckLine], list[dict]]:
-    rng = SeededRng(seed).spawn("blocks")
-    report = full_blocks_mc(rng, k=50, t=2, n=64, samples=10_000)
+def verify_blocks() -> tuple[list[CheckLine], list[dict]]:
+    half = {cell: half_full_rate(*cell) for cell in BLOCKS_GRID}
+    block = {cell: block_full_rate(*cell) for cell in BLOCKS_GRID}
+    half_cell, block_cell = min(half, key=half.get), min(block, key=block.get)
+    grid = f"minimum over {len(BLOCKS_GRID)} cells with 20t <= n"
     lines = [
         CheckLine(
             "half the blocks are full",
-            report.p_half_full >= 1 / 9,
-            report.p_half_full,
-            f"95% halfwidth {report.p_half_halfwidth:.4f}",
+            half[half_cell] >= HALF_FULL_FLOOR,
+            half[half_cell],
+            f"{grid}, at (k, t, n) = {half_cell}, floor {HALF_FULL_FLOOR}",
         ),
         CheckLine(
             "single block fullness rate",
-            report.p_block_full >= 5 / 9 - report.p_block_halfwidth,
-            report.p_block_full,
-            f"95% halfwidth {report.p_block_halfwidth:.4f}",
+            block[block_cell] >= BLOCK_FULL_FLOOR,
+            float(block[block_cell]),
+            f"{grid}, at (k, t, n) = {block_cell}, floor {BLOCK_FULL_FLOOR}",
         ),
     ]
     rows = [
-        {
-            "k": report.k,
-            "t": report.t,
-            "n": report.n,
-            "samples": report.samples,
-            "p_half_full": report.p_half_full,
-            "p_block_full": report.p_block_full,
-        }
+        {"k": k, "t": t, "n": n, "p_half_full": half[k, t, n], "p_block_full": float(block[k, t, n])}
+        for k, t, n in BLOCKS_GRID
     ]
     return lines, rows
 
@@ -797,7 +716,7 @@ POLY_SUITES = {
 }
 
 
-def run_poly_suite(suite: str, seed: int = 0) -> tuple[list[CheckLine], list[dict]]:
+def run_poly_suite(suite: str) -> tuple[list[CheckLine], list[dict]]:
     if suite not in POLY_SUITES:
         raise InstanceError(f"unknown suite: {suite}")
-    return POLY_SUITES[suite](seed)
+    return POLY_SUITES[suite]()

@@ -129,6 +129,10 @@ class SweepConfig:
         for t in self.t_values:
             if t < 1:
                 raise ValueError("t values must be positive")
+        # a repeated entry would run its cells twice and weight the report's medians
+        for key, values in (("N", self.n_values), ("t", self.t_values), ("modes", self.modes)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"config key {key!r} repeats an entry: {list(values)}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -136,7 +140,8 @@ class SweepConfig:
 
         `N`, `t`, `S`, `modes` and `seeds` are required, `N`, `t` and `modes`
         as lists; `S` is a number or {"kind": ..., "value": ...}; `family`,
-        `reps` and `out` are optional.  Any other key is refused.
+        `reps` and `out` are optional.  Any other key, and a repeated entry
+        of `N`, `t` or `modes`, is refused.
         """
         if not isinstance(raw, dict):
             raise ValueError("sweep config must be a JSON object")

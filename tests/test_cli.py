@@ -1,9 +1,12 @@
 """Tests for the command-line surface: output shapes and exit codes."""
+import functools
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ineqlab import subspace
+from ineqlab import polylab, subspace
 from ineqlab.cli import main
 from ineqlab.core import SeededRng, save_instance
 from ineqlab.sweep import SweepRow, instance_regular, render_csv, render_json, rows_from_json
@@ -131,6 +134,7 @@ class TestSweep:
         ({"famly": "uniform"}, "unknown key 'famly'"),
         ({"out": {"a": 1}}, "'out' takes a non-empty path"),
         ({"modes": "exact"}, "'modes' takes a list"),
+        ({"N": [8, 8], "modes": ["exact", "exact"]}, "'N' repeats an entry"),
     ])
     def test_malformed_config_is_usage_error(self, override, message, tmp_path, capsys,
                                              monkeypatch):
@@ -251,8 +255,42 @@ class TestPolyVerify:
         data = dump.read_bytes()
         assert b"\r" not in data
         lines = data.decode("utf-8").splitlines()
-        assert lines[0].startswith("k,t,n,samples")
-        assert len(lines) == 2
+        assert lines[0] == "k,t,n,p_half_full,p_block_full"
+        assert len(lines) == 1 + len(polylab.BLOCKS_GRID)
+
+    def test_seed_option_is_gone(self, capsys):
+        # no suite draws, so a seed would change nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "verify", "--suite", "cheb", "--seed", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("patch", [
+        # equispaced nodes: their Lebesgue sum grows far past |T_d| outside [-1, 1]
+        lambda mp: mp.setattr(polylab, "_lobatto_nodes", lambda d: np.linspace(-1.0, 1.0, d + 1)),
+        # a probe inside [-1, 1], where the claim does not hold
+        lambda mp: mp.setattr(polylab, "cheb_dominance_excess",
+                              functools.partial(polylab.cheb_dominance_excess, probe_points=(0.5,))),
+    ])
+    def test_dominance_fails_on_wrong_input(self, patch, monkeypatch, capsys):
+        patch(monkeypatch)
+        assert main(["poly", "verify", "--suite", "cheb"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] dominance outside the interval" in out
+        assert out.count("[PASS]") == 3
+
+    @pytest.mark.parametrize("floor, rate, name", [
+        ("HALF_FULL_FLOOR", polylab.half_full_rate, "half the blocks are full"),
+        ("BLOCK_FULL_FLOOR", polylab.block_full_rate, "single block fullness rate"),
+    ])
+    def test_blocks_fail_just_above_the_grid_minimum(self, floor, rate, name, monkeypatch, capsys):
+        worst = Fraction(min(rate(*cell) for cell in polylab.BLOCKS_GRID))
+        monkeypatch.setattr(polylab, floor, worst)
+        assert main(["poly", "verify", "--suite", "blocks"]) == 0
+        monkeypatch.setattr(polylab, floor, worst + Fraction(1, 10**15))
+        assert main(["poly", "verify", "--suite", "blocks"]) == 1
+        out = capsys.readouterr().out
+        assert out.count(f"[FAIL] {name}") == 1
+        assert out.count("[FAIL]") == 1
 
 
 class TestReport:

@@ -5,6 +5,8 @@ arguments for the degree-2 jump programs, the banded quadratic for the
 interior-growth extremal) or pinned from exact-rational runs after an
 independent floating-point LP cross-check.
 """
+import functools
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -15,11 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ineqlab import polylab
-from ineqlab.core import InstanceError, SeededRng
+from ineqlab.core import InstanceError
 from ineqlab.polylab import (
+    BLOCKS_GRID,
     CHAIN_TOL,
+    IDENTITY_RTOL,
     PolyLP,
-    cheb_extremal_check,
+    _lobatto_nodes,
+    block_full_rate,
+    cheb_dominance_excess,
     cheb_growth_grid,
     cheb_identity_residual,
     chebyshev_closed,
@@ -28,8 +34,9 @@ from ineqlab.polylab import (
     cr_probe,
     extremal_sigma_lp,
     fit_shape_constant,
-    full_blocks_mc,
     growth_extremal,
+    half_full_rate,
+    lagrange_basis,
     lp_grid_cells,
     newton_coefficients,
     newton_eval,
@@ -41,10 +48,6 @@ from ineqlab.polylab import (
     witness_chain_check,
     witness_integer_values,
 )
-
-
-def rng_for(name: str, seed: int = 7) -> SeededRng:
-    return SeededRng(seed).spawn(name)
 
 
 class TestChebyshevEval:
@@ -92,41 +95,41 @@ class TestChebGrowth:
 
 class TestChebExtremal:
     def test_no_violations_on_small_sample(self):
-        report = cheb_extremal_check(rng_for("extremal"), per_degree=20, degrees=(2, 3, 5, 8))
-        assert report.violations == (0, 0, 0, 0)
-        assert report.worst_margin <= CHAIN_TOL
+        excess = cheb_dominance_excess(degrees=(2, 3, 5, 8))
+        assert list(excess) == [2, 3, 5, 8]
+        assert max(excess.values()) <= IDENTITY_RTOL
+
+    def test_basis_alternates_outside_the_interval(self):
+        # sign l_k(x) = (-1)^k right of 1 and (-1)^(d+k) left of -1, so the
+        # worst node values are T_d's own, (-1)^k
+        for d in (2, 5, 12):
+            basis = lagrange_basis(_lobatto_nodes(d), np.array([1.01, 2.0, -1.01, -2.0]))
+            alternating = (-1.0) ** np.arange(d + 1)
+            assert (np.sign(basis[:2]) == alternating).all()
+            assert (np.sign(basis[2:]) == (-1.0) ** d * alternating).all()
 
     def test_suite_rows_count_violations_per_degree(self, monkeypatch):
-        # a probe inside [-1, 1] is not covered by the dominance claim, so
-        # random candidates beat T_d there at some degrees and not others
-        reports = []
-
-        def inside_probe(rng):
-            report = cheb_extremal_check(rng, per_degree=20, degrees=(2, 3, 4, 5), probe_points=(0.5,))
-            reports.append(report)
-            return report
-
-        monkeypatch.setattr(polylab, "cheb_extremal_check", inside_probe)
-        lines, rows = verify_cheb(seed=0)
-        counts = [row["violations"] for row in rows]
-        assert [row["degree"] for row in rows] == [2, 3, 4, 5]
-        assert counts == list(reports[0].violations)
-        assert len(set(counts)) > 1
+        # inside [-1, 1] the claim does not hold: the worst node-bounded value
+        # at 0.5 is above 1 except where 0.5 is itself a node (3 | d), and
+        # |T_d(0.5)| is at most 1
+        monkeypatch.setattr(polylab, "cheb_dominance_excess",
+                            functools.partial(cheb_dominance_excess, probe_points=(0.5,)))
+        lines, rows = verify_cheb()
+        assert [row["degree"] for row in rows] == list(range(2, 13))
+        assert [row["degree"] for row in rows if row["excess"] > IDENTITY_RTOL] == [
+            d for d in range(2, 13) if d % 3]
         dominance = lines[-1]
         assert dominance.name == "dominance outside the interval"
-        assert sum(counts) > 0 and not dominance.passed
+        assert not dominance.passed
+        assert dominance.residual == max(row["excess"] for row in rows)
 
     def test_node_interpolation_reproduces_chebyshev(self):
         # interpolating T_d's own node values must give back T_d, which
         # meets the comparison with equality at the probe points
-        from ineqlab.polylab import _barycentric_eval, _lobatto_nodes
-
         nodes = _lobatto_nodes(5)
         values = np.asarray(chebyshev_eval(5, nodes))
         dense = np.linspace(-1.0, 1.0, 501)
-        np.testing.assert_allclose(
-            _barycentric_eval(nodes, values, dense), chebyshev_eval(5, dense), atol=1e-10
-        )
+        np.testing.assert_allclose(lagrange_basis(nodes, dense) @ values, chebyshev_eval(5, dense), atol=1e-10)
 
 
 def reference_simplex_max(rows, rhs, objective):
@@ -487,58 +490,87 @@ class TestGrowthExtremal:
         solved = []
         monkeypatch.setattr(polylab, "simplex_max", lambda *lp: solved.append(1) or simplex_max(*lp))
         growth_extremal.cache_clear()
-        probes = [cr_probe(rng_for("probe", i), n_values=(16,), d_factors=(1, 2), sample_count=2)
-                 for i in range(2)]
+        probes = [cr_probe(n_values=(16,), d_factors=(1, 2)) for _ in range(2)]
         assert len(solved) == 2   # (16, 4) and (16, 8), not once per probe
-        assert probes[0].points[0] == probes[1].points[0]
+        assert probes[0] == probes[1]
 
 
 class TestCrProbe:
     def test_small_probe_structure(self):
-        report = cr_probe(rng_for("probe"), n_values=(16,), d_factors=(1, 2), sample_count=4)
+        report = cr_probe(n_values=(16,), d_factors=(1, 2))
         assert report.a > 0
         assert report.b >= 0
         assert report.stability == 0.0   # single domain size, single slope
         assert len(report.per_n_slopes) == 1
-        assert len(report.points) >= 10
+        assert report.points == tuple((16, d, math.log(growth_extremal(16, d))) for d in (4, 8))
 
-    def test_deterministic_under_seed(self):
-        one = cr_probe(rng_for("probe"), n_values=(16,), d_factors=(1, 2), sample_count=4)
-        two = cr_probe(rng_for("probe"), n_values=(16,), d_factors=(1, 2), sample_count=4)
-        assert one == two
+    def test_envelope_dominates_every_cell(self):
+        report = cr_probe(n_values=(16, 32), d_factors=(1, 2, 3))
+        assert len(report.points) == 6
+        for n, d, v in report.points:
+            assert v <= math.log(report.a) + report.b * d * d / n + 1e-12
+
+
+def hypergeometric_half_rate(k, t, n):
+    """Pr[at least ceil(k/2) blocks full] by enumerating every count vector."""
+    ones = 4 * k * t
+    favourable = sum(
+        math.prod(math.comb(n, c) for c in counts)
+        for counts in itertools.product(range(n + 1), repeat=k)
+        if sum(counts) == ones and sum(c >= t for c in counts) >= (k + 1) // 2
+    )
+    return Fraction(favourable, math.comb(k * n, ones))
 
 
 class TestBlocks:
-    def test_small_mc_passes(self):
-        report = full_blocks_mc(rng_for("blocks"), k=10, t=2, n=40, samples=500)
-        assert report.p_block_full >= 0.9
-        assert report.p_half_full >= 1 / 9
+    def test_small_cell_passes(self):
+        assert block_full_rate(10, 2, 40) >= 0.9
+        assert half_full_rate(10, 2, 40) >= 1 / 9
 
-    def test_deterministic_under_seed(self):
-        one = full_blocks_mc(rng_for("blocks"), k=5, t=2, n=40, samples=200)
-        two = full_blocks_mc(rng_for("blocks"), k=5, t=2, n=40, samples=200)
-        assert one == two
+    def test_rates_at_the_paper_cell(self):
+        # k = 50 blocks, t = 2, n = 64: every block is full but with a tiny
+        # chance, and half of them fail to be full with a chance below float
+        assert abs(float(block_full_rate(50, 2, 64)) - 0.9981637) <= 1e-7
+        assert half_full_rate(50, 2, 64) == 1.0
+
+    def test_block_rate_matches_scipy(self):
+        hypergeom = pytest.importorskip("scipy.stats").hypergeom
+        for k, t, n in BLOCKS_GRID:
+            expected = hypergeom.sf(t - 1, k * n, 4 * k * t, n)
+            assert abs(float(block_full_rate(k, t, n)) - expected) <= 1e-12, (k, t, n)
+
+    @pytest.mark.parametrize("cell", [(3, 1, 20), (3, 1, 32), (3, 2, 40), (4, 1, 20)])
+    def test_half_rate_matches_enumeration(self, cell):
+        exact = hypergeometric_half_rate(*cell)
+        assert abs(half_full_rate(*cell) - float(exact)) <= 1e-14
+        assert exact < 1   # the cell can fail, so the agreement is not vacuous
 
     def test_sparse_blocks_rejected(self):
-        with pytest.raises(InstanceError):
-            full_blocks_mc(rng_for("blocks"), k=5, t=3, n=40, samples=100)
+        for rate in (block_full_rate, half_full_rate):
+            with pytest.raises(InstanceError):
+                rate(5, 3, 40)
+            with pytest.raises(InstanceError):
+                rate(0, 1, 20)
 
 
 class TestSuites:
     def test_cheb_suite_all_pass(self):
-        lines, rows = run_poly_suite("cheb", seed=0)
+        lines, rows = run_poly_suite("cheb")
         assert len(lines) == 4
         assert all(line.passed for line in lines)
         assert rows
 
     def test_blocks_suite_all_pass(self):
-        lines, rows = run_poly_suite("blocks", seed=0)
+        lines, rows = run_poly_suite("blocks")
         assert all(line.passed for line in lines)
-        assert rows[0]["k"] == 50 and rows[0]["n"] == 64
+        assert len(rows) == len(BLOCKS_GRID) == 35
+        assert (50, 2, 64) in {(row["k"], row["t"], row["n"]) for row in rows}
+        assert lines[0].residual == min(row["p_half_full"] for row in rows)
+        assert lines[1].residual == min(row["p_block_full"] for row in rows)
 
     def test_lp_suite_small_grid(self):
         cells = [(2, 16, 0), (2, 16, 1), (4, 16, 1), (4, 16, 2), (2, 32, 3), (8, 32, 1)]
-        lines, rows = verify_lp(seed=0, cells=cells, chain_cells=((8, 32, 1),),
+        lines, rows = verify_lp(cells=cells, chain_cells=((8, 32, 1),),
                                 probe_n_values=(16,))
         assert len(lines) == 6
         assert all(line.passed for line in lines)
@@ -553,7 +585,7 @@ class TestSuites:
             return witness_integer_values(lp)
 
         monkeypatch.setattr(polylab, "witness_integer_values", recording)
-        lines, rows = verify_lp(seed=0, cells=[(2, 16, 1)], chain_cells=((8, 32, 1),),
+        lines, rows = verify_lp(cells=[(2, 16, 1)], chain_cells=((8, 32, 1),),
                                 probe_n_values=(16,))
         assert seen == [(2, 16, 1), (8, 32, 1)]
         assert lines[0].detail == "2 cells"
@@ -565,7 +597,7 @@ class TestSuites:
             return witness_integer_values(lp) + [1 + Fraction(1, 10**12)]
 
         monkeypatch.setattr(polylab, "witness_integer_values", nudged)
-        lines, _ = verify_lp(seed=0, cells=[(2, 16, 0), (2, 16, 1)], chain_cells=())
+        lines, _ = verify_lp(cells=[(2, 16, 0), (2, 16, 1)], chain_cells=())
         witness = lines[0]
         assert witness.name == "witness stays inside [0,1]"
         assert not witness.passed

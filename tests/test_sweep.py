@@ -185,6 +185,16 @@ class TestSweepConfig:
             SweepConfig.from_dict({**base, **extra})
 
     @pytest.mark.parametrize("override", [
+        {"N": [8, 8]}, {"N": [8, 16, 8.0]}, {"t": [1, 1]}, {"modes": ["exact", "classical", "exact"]},
+    ])
+    def test_repeated_entries_refused(self, override):
+        # a repeated entry would run its cells twice and weight the report's medians
+        base = {"N": [8], "t": [1], "S": 4, "modes": ["exact"], "seeds": 1}
+        (key,) = override
+        with pytest.raises(ValueError, match=f"key '{key}' repeats an entry"):
+            SweepConfig.from_dict({**base, **override})
+
+    @pytest.mark.parametrize("override", [
         {"modes": "exact"}, {"N": "8"}, {"N": 8}, {"t": 2}, {"N": {"8": 1}}, {"modes": None},
     ])
     def test_list_keys_take_lists(self, override):
