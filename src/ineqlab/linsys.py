@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,12 @@ from .core import (
     InstanceError,
     ProblemInstance,
     QueryLedger,
+    TAG_COUNTING,
     log2_ceil,
     matvec_min,
     value_bits,
 )
-from .qsim import MODE_SV, MODES, StreamDraws, TapeOracle, collect_ones, count_median, _check_mode
+from .qsim import MODE_EXACT, MODE_SV, MODES, StreamDraws, TapeOracle, collect_ones, count_median, _check_mode
 
 SEARCH_WORKSPACE_SLACK = 8   # qubits beyond the index register per subroutine
 CLASSICAL_MODE = "classical"  # result mode of the classical baseline
@@ -114,38 +116,45 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
     Doubling from s_prime grows the candidate while its mass estimate stays
     below s_prime; a binary search then takes the longest length in the last
     bracket whose estimate is at most 2*s_prime, or the bracket's floor if
-    none is.  Every probe is a fresh median-of-reps counting call with
-    M = ceil(sqrt(candidate length)).  If the range end is reached while
-    still sparse, the tail is the block; a tail of at most s_prime columns
-    is taken without a probe.
+    none is.  Every probe is a median-of-reps count charged M*reps, with
+    M = ceil(sqrt(candidate length)); an exact count draws nothing and returns
+    the window's total, so exact probes read the tape's running sums and are
+    charged at once.  If the range end is reached while still sparse, the tail
+    is the block; a tail of at most s_prime columns is taken without a probe.
     """
     _check_mode(mode)
+    if reps < 1 or reps % 2 == 0:
+        raise ValueError("reps must be odd and positive")
     n = tape.n
     remaining = n - start
     if remaining <= 0:
         raise ValueError(f"no columns left at position {start}")
     if s_prime < 1:
         raise ValueError("row capacity must be at least 1")
+    sums, at, charged = tape._sums(), tape.offset + start, []   # charged: M*reps of each exact probe
 
     def probe(length: int) -> float:
-        window = tape.window(start, start + length)
         m_pts = math.ceil(math.sqrt(length))
-        return count_median(window, m_pts, reps, mode, draws)
+        if mode == MODE_EXACT:   # an exact count draws nothing and returns the window's total
+            charged.append(m_pts * reps)
+            return sums[at + length] - sums[at]
+        return count_median(tape.window(start, start + length), m_pts, reps, mode, draws)
 
+    lo = hi = remaining   # sparse all the way to the end: the tail is the block
     k = s_prime
     while k < remaining:
         k = min(2 * k, remaining)
         if probe(k) >= s_prime:
+            lo, hi = k // 2, k
             break
-    else:   # sparse all the way to the end: take the tail
-        return remaining
-    lo, hi = k // 2, k
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if probe(mid) <= 2 * s_prime:
             lo = mid
         else:
             hi = mid - 1
+    if charged:   # the ledger keeps sums only, so one charge books every exact probe
+        tape.charge(sum(charged), TAG_COUNTING)
     return lo
 
 
@@ -172,9 +181,10 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
         reps = default_reps(n)
     x_tape = TapeOracle(x, ledger, "x")
     b_tape = TapeOracle(np.asarray(b_block, dtype=np.int64), ledger, "b")
-    bounds = b_tape.read_values(np.arange(m))
-    y = np.zeros(m, dtype=np.int64)
-    open_rows = y < bounds
+    # at most S' rows: the counters, bounds and open rows are plain ints and lists
+    bounds = b_tape.read_values(np.arange(m)).tolist()
+    y = [0] * m
+    open_rows = [i for i in range(m) if bounds[i] > 0]
     vb = value_bits(t)
     log_n = log2_ceil(n)
     base_bits = m * (1 + 2 * vb) + 4 * log_n
@@ -182,9 +192,9 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
     blocks: list[BlockTrace] = []
     pos = 0
     closed_now = 1   # builds the first masked tape
-    while pos < n and open_rows.any():
+    while pos < n and open_rows:
         if closed_now:   # the masked tape changes only when a block closes a row
-            mask = (A_block[open_rows] != 0).any(axis=0)
+            mask = np.logical_or.reduce(A_block.take(open_rows, axis=0))
             v_tape = TapeOracle(np.where(mask, x, 0), ledger, "x")
         before = ledger.total
         length = find_block_length(v_tape, pos, m, mode, draws, reps)
@@ -192,13 +202,16 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
         res = collect_ones(v_tape.window(pos, pos + length), mode, draws)
         searched = ledger.total
         found = sorted(pos + j for j in res.found)
-        reads = x_tape.read_values(found)
-        # every contribution is >= 0, so one clamp per block leaves closed rows at b
-        contrib = A_block[:, found] * reads
-        y = np.minimum(bounds, y + contrib.sum(axis=1))
-        still_open = y < bounds
-        closed_now = int(np.count_nonzero(open_rows & ~still_open))
-        open_adds = int(np.count_nonzero(contrib[still_open]))
+        reads = x_tape.read_values(found).tolist()
+        columns = A_block.take(found, axis=1).tolist()
+        # contributions are >= 0, so closed rows stay at b; x > 0 where found, so nonzero A entries are additions
+        still_open, open_adds = [], 0
+        for i in open_rows:
+            y[i] = min(bounds[i], y[i] + sum(map(operator.mul, columns[i], reads)))
+            if y[i] < bounds[i]:
+                still_open.append(i)
+                open_adds += len(found) - columns[i].count(0)
+        closed_now = len(open_rows) - len(still_open)
         blocks.append(BlockTrace(start=pos, length=length, found=len(found),
                                  rows_closed=closed_now, open_additions=open_adds,
                                  counting_queries=sized - before,
@@ -207,7 +220,7 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
                             + SEARCH_WORKSPACE_SLACK + len(found) * log_n)
         open_rows = still_open
         pos += length
-    return y, tuple(blocks)
+    return np.array(y, dtype=np.int64), tuple(blocks)
 
 
 def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,

@@ -60,8 +60,8 @@ class TapeOracle:
     Search subroutines see the derived bit (value > 0); counting sees the
     aggregate value.  Methods prefixed with an underscore inspect the tape
     without charging: they exist so sampled modes can draw outcomes from the
-    correct distributions, and are never used to shortcut an algorithm's
-    decisions.
+    correct distributions or read the totals exact counts return, and are never
+    used to shortcut an algorithm's decisions.
     """
 
     def __init__(self, values, ledger: QueryLedger, target: str = "x"):
@@ -70,6 +70,7 @@ class TapeOracle:
             raise ValueError("tape must be one-dimensional")
         self.ledger = ledger
         self.target = target
+        self.root, self.offset, self._prefix = None, 0, None   # a window reads its root tape's running sums
 
     @property
     def n(self) -> int:
@@ -81,6 +82,7 @@ class TapeOracle:
             raise IndexError(f"window [{lo}, {hi}) out of range")
         view = object.__new__(TapeOracle)   # a slice of a checked tape needs no re-check
         view.values, view.ledger, view.target = self.values[lo:hi], self.ledger, self.target
+        view.root, view.offset = self.root or self, self.offset + lo
         return view
 
     def charge(self, count: int, tag: str) -> None:
@@ -101,8 +103,17 @@ class TapeOracle:
     def _bits(self) -> np.ndarray:
         return self.values > 0
 
+    def _sums(self) -> list[int]:
+        """Running sums of the root tape, built once (a tape is not written once summed);
+        this tape totals sums[offset + n] - sums[offset]."""
+        root = self.root or self
+        if root._prefix is None:
+            root._prefix = [0, *root.values.cumsum().tolist()]
+        return root._prefix
+
     def _total(self) -> int:
-        return int(self.values.sum())
+        sums = self._sums()
+        return sums[self.offset + self.n] - sums[self.offset]
 
 
 @dataclass(frozen=True)
@@ -323,6 +334,7 @@ def collect_ones(oracle: TapeOracle, mode: str, draws: StreamDraws) -> CollectRe
             return CollectResult(found=tuple(found), searches=searches)
         found.append(out.found)
         live.values[out.found] = 0
+        live._prefix = None   # the written copy is summed afresh if ever asked
 
 
 # ---------------------------------------------------------------------------

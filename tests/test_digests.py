@@ -1,13 +1,15 @@
 """Frozen sha256 digests of canonical outputs at fixed seeds.
 
 Each test drives one public command on a small fixed input and compares the
-bytes it writes with a digest recorded before any refactor.  A change that
-keeps behaviour keeps every digest; a change that means to alter an output
-re-freezes the digest and says why.  Float fields (subspace residuals, LP
+bytes it writes with a digest recorded before any refactor; the block-trace
+digests hash what bounded_matrix_product returns and leaves behind instead.
+A change that keeps behaviour keeps every digest; a change that means to
+alter an output re-freezes the digest and says why.  Float fields (subspace residuals, LP
 chain margins, Chebyshev residuals and dominance excesses, the half-full
 block rates, growth-probe maxima) are hashed as printed, so the digests
 assume IEEE float64 with the same numpy build.
 """
+import dataclasses
 import hashlib
 import json
 
@@ -15,8 +17,9 @@ import pytest
 
 from ineqlab.cli import main
 from ineqlab.core import SeededRng, save_instance
+from ineqlab.linsys import bounded_matrix_product
 from ineqlab.polylab import cr_probe, verify_lp
-from ineqlab.sweep import instance_regular
+from ineqlab.sweep import FAMILIES, instance_regular
 
 
 def sha256(data: bytes) -> str:
@@ -49,6 +52,15 @@ POLY_SUITE_DIGESTS = {
              "04f8beaaaa2b180de19450758e77c80c8f06ccfb7e7c801e06ba7594fc901a4e"),
     "blocks": ("19d26d2ff479c73f2b342b0e38c6a0835e36074dbb51c656dd04fe69d572ce13",
                "12bef25e16beffdb04fa2ad0636e60be8ccfd065101bb1fb6c3ef793035474ee"),
+}
+
+# (family, N, t, S, mode): every BlockTrace field of every group, the ledger's
+# by_subroutine and space high water, and the run Generator's end state, at seeds 0 and 1
+TRACE_DIGESTS = {
+    ("hover-sqrt", 64, 2, 16, "exact"): "59287f9b8fb027432f4b112650b034f44297abc30a4bb3ac960103b9ada20037",
+    ("hover-sqrt", 64, 2, 16, "cost-model"): "dab05b68042c0f35d37c62f584c235909fa0c2f1b0ee21952d5ca6f8c387f328",
+    ("regular", 128, 2, 32, "exact"): "41fbd7335d40eb2e6ca8d02963a072e1c9f8728ccaf91c8587645928054c077d",
+    ("regular", 128, 2, 32, "cost-model"): "1ac3fe0c7e6d6e3f6b82fce16703d85130b5e37b5ec6e1237f37c050f288ea2f",
 }
 
 CR_POINTS_DIGEST = "eeb1abc94893ae2f3281cc1bdbd4d03fb21bccb3de85028da9f2a2052f7914ee"
@@ -103,3 +115,21 @@ def test_poly_suite_csv_and_stdout(suite, tmp_path, capsys):
 def test_cr_probe_points():
     report = cr_probe(n_values=(16,))
     assert sha256(json.dumps(report.points).encode("utf-8")) == CR_POINTS_DIGEST
+
+
+@pytest.mark.parametrize("cell", sorted(TRACE_DIGESTS))
+def test_block_traces(cell):
+    family, n, t, S, mode = cell
+    runs = []
+    for seed in (0, 1):
+        root = SeededRng(seed)
+        inst = FAMILIES[family](root.spawn("instance", family, n, t).stream, n, t)
+        rng = root.spawn("run", mode, n, t, S).stream
+        res = bounded_matrix_product(inst, S, mode, rng)
+        runs.append({
+            "traces": [[dataclasses.astuple(block) for block in group] for group in res.group_traces],
+            "by_subroutine": res.ledger.by_subroutine,
+            "space_high_water": res.ledger.space_high_water,
+            "rng_state": rng.bit_generator.state,
+        })
+    assert sha256(json.dumps(runs).encode("utf-8")) == TRACE_DIGESTS[cell]

@@ -237,6 +237,98 @@ class TestFindBlockLength:
             b = find_block_length(value_tape(vals), 0, 3, MODE_COST, draws, reps=5)
         assert a == b
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("reps", (2, 0, -4))
+    def test_even_or_nonpositive_reps_refused_before_any_charge(self, mode, reps):
+        # a short tail takes no probe, so the refusal must not wait for one
+        ledger = QueryLedger()
+        tape = TapeOracle(np.ones(10, dtype=np.int64), ledger, "x")
+        rng = rng_for("fbr", mode, reps)
+        state = rng.bit_generator.state
+        with contextlib.closing(StreamDraws(rng)) as draws:
+            for start, s_prime in ((6, 4), (0, 2)):
+                with pytest.raises(ValueError, match="reps"):
+                    find_block_length(tape, start, s_prime, mode, draws, reps)
+        assert ledger.total == 0 and ledger.by_subroutine == {}
+        assert rng.bit_generator.state == state
+
+
+def reference_block_length(tape, start, s_prime, mode, draws, reps):
+    """Block sizing as it was before exact probes read running sums: every
+    probe, in every mode, is one count_median call on a fresh window."""
+    n = tape.n
+    remaining = n - start
+
+    def probe(length):
+        window = tape.window(start, start + length)
+        return linsys.count_median(window, math.ceil(math.sqrt(length)), reps, mode, draws)
+
+    k = s_prime
+    while k < remaining:
+        k = min(2 * k, remaining)
+        if probe(k) >= s_prime:
+            break
+    else:
+        return remaining
+    lo, hi = k // 2, k
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if probe(mid) <= 2 * s_prime:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def random_sizing_case(rng):
+    """A (values, start, s', reps) case: sparse to dense tapes, small to wide capacities."""
+    n = int(rng.integers(1, 120))
+    density = rng.uniform(0.0, 1.0)
+    values = (rng.random(n) < density).astype(np.int64) * rng.integers(1, 4, size=n)
+    return values, int(rng.integers(0, n)), int(rng.integers(1, 9)), int(rng.choice([1, 3, 5, 7]))
+
+
+class TestBlockLengthMatchesReference:
+    def test_exact_mode_same_length_and_charges(self):
+        for trial in range(240):
+            values, start, s_prime, reps = random_sizing_case(rng_for("fbref", trial))
+            results = []
+            for sizer in (find_block_length, reference_block_length):
+                ledger = QueryLedger()
+                with draws_for("fbref-draws", trial) as draws:
+                    length = sizer(TapeOracle(values, ledger, "x"), start, s_prime, MODE_EXACT, draws, reps)
+                results.append((length, ledger.by_subroutine, ledger.queries_x, ledger.queries_b))
+            assert results[0] == results[1], trial
+
+    def test_exact_mode_window_of_a_tape(self):
+        # a window's running sums are its root's, read from the window's offset
+        for trial in range(40):
+            values, start, s_prime, reps = random_sizing_case(rng_for("fbwin", trial))
+            pad = rng_for("fbwin-pad", trial).integers(0, 4, size=7)
+            padded = np.concatenate([pad, values, pad])
+            ledger, ref_ledger = QueryLedger(), QueryLedger()
+            with draws_for("fbwin-draws") as draws:
+                root = TapeOracle(padded, ledger, "x")
+                root._total()   # the root's sums are built before the window is taken
+                length = find_block_length(root.window(7, 7 + values.size), start, s_prime,
+                                           MODE_EXACT, draws, reps)
+                ref = reference_block_length(TapeOracle(values, ref_ledger, "x"), start, s_prime,
+                                             MODE_EXACT, draws, reps)
+            assert (length, ledger.by_subroutine) == (ref, ref_ledger.by_subroutine), trial
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cost_model_same_length_charges_and_stream(self, seed):
+        for trial in range(20):
+            values, start, s_prime, reps = random_sizing_case(rng_for("fbcost", seed, trial))
+            results = []
+            for sizer in (find_block_length, reference_block_length):
+                ledger = QueryLedger()
+                rng = rng_for("fbcost-draws", seed, trial)
+                with contextlib.closing(StreamDraws(rng)) as draws:
+                    length = sizer(TapeOracle(values, ledger, "x"), start, s_prime, MODE_COST, draws, reps)
+                results.append((length, ledger.by_subroutine, ledger.total, rng.bit_generator.state))
+            assert results[0] == results[1], (seed, trial)
+
 
 # ---------------------------------------------------------------------------
 # one row group

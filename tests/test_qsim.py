@@ -159,17 +159,24 @@ class TestTapeOracle:
         assert ledger.queries_x == 6
 
     def test_windows_of_windows_total_their_slice(self):
-        # a window is built without re-checking its parent; every window, and
-        # every window of one of its windows, totals exactly its slice
+        # a window is built without re-checking its parent; once the tape's running
+        # sums are built, every window, and every window of one of its windows,
+        # reads those same sums and totals exactly its slice
         values = rng_for("windows").integers(0, 4, size=23)
         oracle, ledger = make_oracle(values)
+        assert oracle._total() == int(values.sum())
+        sums = oracle._sums()
         for lo in range(24):
             for hi in range(lo, 24):
                 win = oracle.window(lo, hi)
                 assert type(win) is TapeOracle and win.ledger is ledger and win.target == "x"
                 assert win.n == hi - lo and win._total() == int(values[lo:hi].sum()), (lo, hi)
-                if hi - lo >= 3:
-                    assert win.window(1, hi - lo - 1)._total() == int(values[lo + 1:hi - 1].sum())
+                assert win._sums() is sums
+                for a in range(hi - lo + 1):
+                    for b in range(a, hi - lo + 1):
+                        inner = win.window(a, b)
+                        assert inner._sums() is sums and inner._total() == int(values[lo + a:lo + b].sum())
+        assert ledger.total == 0
 
     def test_window_bounds_checked(self):
         oracle, _ = make_oracle([1, 2, 3])
@@ -603,6 +610,26 @@ class TestCollectOnes:
             res = collect_ones(make_oracle(values)[0], MODE_EXACT, draws)
         assert frozenset(res.found) == {0, 1, 3, 6, 7}
         assert res.searches == 6  # five finds plus the closing empty probe
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_private_copy_never_reads_stale_sums(self, mode, monkeypatch):
+        # the copy a collection searches is written as positions are found: every
+        # search must total the copy as written, even with the source's sums built
+        seen = []
+
+        def checked_search(oracle, mode, draws):
+            seen.append((oracle._total(), int(oracle.values.sum())))
+            return grover_search(oracle, mode, draws)
+
+        monkeypatch.setattr(qsim, "grover_search", checked_search)
+        values = [3, 1, 0, 2, 0, 0, 1, 5, 0, 1]
+        oracle, _ = make_oracle(values)
+        assert oracle._total() == sum(values)
+        with draws_for("cstale", mode) as draws:
+            res = collect_ones(oracle.window(1, 10), mode, draws)
+        assert len(seen) == res.searches and len(set(seen)) > 1
+        assert all(total == exact for total, exact in seen), seen
+        assert oracle.values.tolist() == values and oracle._total() == sum(values)
 
     def test_all_marks_tape_collects_everything(self):
         with draws_for("full") as draws:
