@@ -37,7 +37,7 @@ from .core import (
 from .qsim import MODE_EXACT, MODE_SV, MODES, StreamDraws, TapeOracle, collect_ones, count_median, _check_mode
 
 SEARCH_WORKSPACE_SLACK = 8   # qubits beyond the index register per subroutine
-CLASSICAL_MODE = "classical"  # result mode of the classical baseline
+CLASSICAL_MODE = "classical"  # run mode of the classical baseline
 
 
 class SpaceTooSmall(ValueError):
@@ -82,7 +82,6 @@ class MatrixProductResult:
     n: int
     t: int
     s_prime: int
-    mode: str
     correct: bool
     ledger: QueryLedger
     group_traces: tuple[tuple[BlockTrace, ...], ...]
@@ -105,8 +104,7 @@ def classical_bounded_product(instance: ProblemInstance, S: int) -> MatrixProduc
         y[lo:hi] = np.minimum(bounds, instance.A[lo:hi] @ xs)
     correct = bool(np.array_equal(y, matvec_min(instance)))
     return MatrixProductResult(y=y, n=n, t=t, s_prime=cap,
-                               mode=CLASSICAL_MODE, correct=correct, ledger=ledger,
-                               group_traces=())
+                               correct=correct, ledger=ledger, group_traces=())
 
 
 def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
@@ -199,9 +197,9 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
         before = ledger.total
         length = find_block_length(v_tape, pos, m, mode, draws, reps)
         sized = ledger.total
-        res = collect_ones(v_tape.window(pos, pos + length), mode, draws)
+        hits = collect_ones(v_tape.window(pos, pos + length), mode, draws)
         searched = ledger.total
-        found = sorted(pos + j for j in res.found)
+        found = sorted(pos + j for j in hits)
         reads = x_tape.read_values(found).tolist()
         columns = A_block.take(found, axis=1).tolist()
         # contributions are >= 0, so closed rows stay at b; x > 0 where found, so nonzero A entries are additions
@@ -244,8 +242,7 @@ def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,
             traces.append(blocks)
     correct = bool(np.array_equal(y, matvec_min(instance)))
     return MatrixProductResult(y=y, n=n, t=t, s_prime=s_prime,
-                               mode=mode, correct=correct, ledger=ledger,
-                               group_traces=tuple(traces))
+                               correct=correct, ledger=ledger, group_traces=tuple(traces))
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +273,19 @@ def check_budget(ledger: QueryLedger, n: int, t: int, S: int,
     quantum:   T / (N^1.5 sqrt(t) (log2 N)^2.5 / sqrt(U))
     classical: T U / (N^2 log2(t+1) + 1), with the counter width that
                classical_row_capacity uses
-    U is the budget the rows can use: min(S, N ceil(log2 N)) for quantum and
-    min(S, N log2(t+1)) for classical, past which the row capacity holds all
-    N rows and a larger S buys nothing.
+    U is the budget the rows can use: S clamped to [ceil(log2 N), N ceil(log2 N)]
+    for quantum and to [log2(t+1), N log2(t+1)] for classical.  Below the lower
+    edge the row capacity is already one row and past the upper one it holds
+    all N rows, so S beyond either edge changes nothing.
     """
     T = ledger.total
     if family == "quantum":
-        usable = min(S, n * log2_ceil(n))
+        usable = min(max(S, log2_ceil(n)), n * log2_ceil(n))
         env = (n**1.5 * math.sqrt(t) * _log2_at_least_one(n)**2.5
                / math.sqrt(usable))
         cap = QUANTUM_RATIO_CAP
     elif family == "classical":
-        usable = min(S, n * math.log2(t + 1))
+        usable = min(max(S, math.log2(t + 1)), n * math.log2(t + 1))
         env = (n**2 * math.log2(t + 1) + 1.0) / usable
         cap = CLASSICAL_RATIO_CAP
     else:

@@ -68,13 +68,10 @@ class TapeOracle:
         self.values = np.asarray(values, dtype=np.int64)
         if self.values.ndim != 1:
             raise ValueError("tape must be one-dimensional")
+        self.n = self.values.size   # a tape is never resized
         self.ledger = ledger
         self.target = target
         self.root, self.offset, self._prefix = None, 0, None   # a window reads its root tape's running sums
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
 
     def window(self, lo: int, hi: int) -> "TapeOracle":
         """Sub-range view sharing the ledger; indices become window-local."""
@@ -82,6 +79,7 @@ class TapeOracle:
             raise IndexError(f"window [{lo}, {hi}) out of range")
         view = object.__new__(TapeOracle)   # a slice of a checked tape needs no re-check
         view.values, view.ledger, view.target = self.values[lo:hi], self.ledger, self.target
+        view.n = hi - lo
         view.root, view.offset = self.root or self, self.offset + lo
         return view
 
@@ -118,14 +116,7 @@ class TapeOracle:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    found: int | None
-    queries_charged: int
-
-
-@dataclass(frozen=True)
-class CollectResult:
-    found: tuple[int, ...]      # discovery order
-    searches: int
+    found: int | None   # the search's charge is on the ledger
 
 
 def grover_success(n: int, w: int, j: int) -> float:
@@ -314,27 +305,23 @@ def grover_search(oracle: TapeOracle, mode: str, draws: StreamDraws) -> SearchOu
     oracle.charge(charged, TAG_GROVER)
     if hit or (found is None and mode == MODE_EXACT and w):
         found = int(ones[draws.below(w)])
-    return SearchOutcome(found=found, queries_charged=charged)
+    return SearchOutcome(found=found)
 
 
-def collect_ones(oracle: TapeOracle, mode: str, draws: StreamDraws) -> CollectResult:
-    """Repeated search with found positions masked out, until a search reports
-    NoSolution.  In exact mode the result is exactly the support of the derived
-    bit tape.
+def collect_ones(oracle: TapeOracle, mode: str, draws: StreamDraws) -> tuple[int, ...]:
+    """Found positions in discovery order, from repeated search with found positions
+    masked out until a search reports NoSolution (len(found) + 1 searches).  In
+    exact mode the result is exactly the support of the derived bit tape.
     """
     found: list[int] = []
     # each found position is cleared on one private copy of the tape, which the
     # searches read and charge like the original
     live = TapeOracle(oracle.values.copy(), oracle.ledger, oracle.target)
-    searches = 0
-    while True:
-        out = grover_search(live, mode, draws)
-        searches += 1
-        if out.found is None:
-            return CollectResult(found=tuple(found), searches=searches)
-        found.append(out.found)
-        live.values[out.found] = 0
+    while (hit := grover_search(live, mode, draws).found) is not None:
+        found.append(hit)
+        live.values[hit] = 0
         live._prefix = None   # the written copy is summed afresh if ever asked
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

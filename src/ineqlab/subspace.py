@@ -633,7 +633,7 @@ def _masses_report(masses: np.ndarray, params: PotentialParams) -> PotentialRepo
 
 def potential_from_joint(phi: np.ndarray, frame: LevelFrame) -> PotentialReport:
     """Level masses and their exponentially weighted sum, read off a joint pure state."""
-    overlaps = phi @ frame.columns.conj()
+    overlaps = phi @ frame.columns
     weights_per_col = np.abs(overlaps) ** 2
     per_col = weights_per_col.sum(axis=0)
     masses = np.zeros(len(frame.params.weights))

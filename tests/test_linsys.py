@@ -35,6 +35,7 @@ from ineqlab.linsys import (
     small_matrix_product,
 )
 from ineqlab.qsim import MODE_COST, MODE_EXACT, MODE_SV, MODES, StreamDraws, TapeOracle, collect_ones
+from ineqlab.sweep import FAMILIES
 
 
 def rng_for(*key):
@@ -701,6 +702,31 @@ class TestCheckBudget:
         assert reports[0].envelope == reports[1].envelope == 16**1.5 * 4**2.5 / 8
         assert reports[0].ratio == reports[1].ratio
         assert not reports[1].flagged
+
+    def test_envelopes_stop_at_the_one_row_edge(self):
+        # below ceil(log2 N) bits (quantum) or log2(t+1) bits (classical) the row
+        # capacity is already 1, so a smaller S runs the same product; the
+        # envelope takes the bits one row uses (with S itself, 0.29 and 0.34
+        # at S = 1)
+        inst = FAMILIES["regular"](rng_for("one-row"), 256, 2)
+        ledgers, reports = [], []
+        for S in (1, 4, 8):
+            res = bounded_matrix_product(inst, S, MODE_EXACT, rng_for("one-row-run"))
+            assert res.correct and res.s_prime == 1
+            ledgers.append(res.ledger)
+            reports.append(check_budget(res.ledger, 256, 2, S, "quantum"))
+        assert ledgers[0] == ledgers[1] == ledgers[2]
+        assert len({(r.envelope, r.ratio) for r in reports}) == 1
+        assert reports[0].envelope == 256**1.5 * math.sqrt(2) * 8**2.5 / math.sqrt(8)
+        inst = FAMILIES["regular"](rng_for("one-row-classical"), 64, 7)
+        reports = []
+        for S in (1, 2, 3):
+            res = classical_bounded_product(inst, S)
+            assert res.s_prime == 1 and res.ledger.total == 64 * 64 + 64
+            reports.append(check_budget(res.ledger, 64, 7, S, "classical"))
+        assert len({(r.envelope, r.ratio) for r in reports}) == 1
+        assert reports[0].envelope == pytest.approx((64**2 * 3 + 1.0) / 3)
+        assert not reports[0].flagged
 
     def test_quantum_zero_matrix_is_cheap(self):
         inst = ProblemInstance(A=np.zeros((32, 32), dtype=np.int64),

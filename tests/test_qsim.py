@@ -17,7 +17,6 @@ from ineqlab.qsim import (
     MODE_EXACT,
     MODE_SV,
     MODES,
-    CollectResult,
     EstimatePmf,
     RangeTooLarge,
     TapeOracle,
@@ -46,6 +45,13 @@ def rng_for(*key):
 def draws_for(*key):
     """A reader of rng_for(*key)'s stream, closed when its with-block ends."""
     return contextlib.closing(qsim.StreamDraws(rng_for(*key)))
+
+
+def counted_searches(monkeypatch):
+    """The outcome of every qsim.grover_search call from here on, in call order."""
+    outcomes, real = [], qsim.grover_search
+    monkeypatch.setattr(qsim, "grover_search", lambda *a: outcomes.append(real(*a)) or outcomes[-1])
+    return outcomes
 
 
 def zeroed(values, positions):
@@ -86,7 +92,8 @@ def reference_sample_measurement(bits, ones, rest, j, mode, rng):
 
 def reference_grover_search(oracle, mode, rng):
     """The per-attempt search: each attempt charges its j iterations, then its
-    verification read, one query at a time; every draw is a Generator call."""
+    verification read, one query at a time, on the oracle's ledger; every draw
+    is a Generator call."""
     n = oracle.n
     bits = oracle._bits()
     ones = np.flatnonzero(bits)
@@ -108,7 +115,7 @@ def reference_grover_search(oracle, mode, rng):
             break
     if found is None and mode == MODE_EXACT and ones.size:
         found = int(ones[rng.integers(0, ones.size)])
-    return qsim.SearchOutcome(found=found, queries_charged=charged)
+    return qsim.SearchOutcome(found=found)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +184,22 @@ class TestTapeOracle:
                         inner = win.window(a, b)
                         assert inner._sums() is sums and inner._total() == int(values[lo + a:lo + b].sum())
         assert ledger.total == 0
+
+    def test_length_is_fixed_at_construction(self, monkeypatch):
+        # n is set once per tape: a tape, its windows, their windows and the
+        # private copy that collect_ones searches each keep n == values.size
+        oracle, _ = make_oracle(np.arange(11) % 3)
+        win = oracle.window(2, 9)
+        inner = win.window(1, 5)
+        for tape, size in ((oracle, 11), (win, 7), (inner, 4), (inner.window(2, 2), 0)):
+            assert type(tape.n) is int and tape.n == tape.values.size == size
+        seen = []
+        real = qsim.grover_search
+        monkeypatch.setattr(qsim, "grover_search",
+                            lambda live, *a: seen.append((live.n, live.values.size)) or real(live, *a))
+        with draws_for("live-n") as draws:
+            found = collect_ones(win, MODE_EXACT, draws)
+        assert len(seen) == len(found) + 1 and set(seen) == {(7, 7)}
 
     def test_window_bounds_checked(self):
         oracle, _ = make_oracle([1, 2, 3])
@@ -411,9 +434,9 @@ class TestGroverSearch:
             with draws_for("empty", mode) as draws:
                 out = grover_search(oracle, mode, draws)
             assert out.found is None
-            assert out.queries_charged == ledger.total
-            # last attempt may overshoot by at most its own cap
-            assert out.queries_charged <= budget + math.ceil(math.sqrt(16)) + 1
+            assert ledger.by_subroutine == {TAG_GROVER: ledger.total}
+            # the attempts run the whole budget; the last may overshoot by at most its own cap
+            assert budget <= ledger.total <= budget + math.ceil(math.sqrt(16)) + 1
 
     def test_found_position_is_always_verified_mark(self):
         values = np.zeros(32, dtype=np.int64)
@@ -439,7 +462,6 @@ class TestGroverSearch:
         with draws_for("forced") as draws:
             out = grover_search(oracle, MODE_EXACT, draws)
         assert out.found == 15
-        assert out.queries_charged == 0
         assert ledger.total == 0
         oracle2, _ = make_oracle([0] * 15 + [1])
         with draws_for("forced") as draws:
@@ -468,8 +490,7 @@ class TestGroverSearch:
                 out_c = grover_search(oc, MODE_COST, draws)
             with draws_for("pair", trial) as draws:
                 out_e = grover_search(oe, MODE_EXACT, draws)
-            assert out_c.queries_charged == out_e.queries_charged
-            assert lc.total == le.total
+            assert lc == le
             if out_c.found is not None:
                 assert out_c.found == out_e.found
 
@@ -493,8 +514,10 @@ class TestGroverSearch:
             assert abs(hits / trials - p) < 0.05, mode
             first = 0
             for trial in range(trials):
+                oracle, ledger = make_oracle(bits)
                 with draws_for("first", mode, trial) as draws:
-                    first += grover_search(make_oracle(bits)[0], mode, draws).queries_charged == 1
+                    grover_search(oracle, mode, draws)
+                first += ledger.total == 1
             assert abs(first / trials - w / n) < 0.05, mode
 
     def test_unknown_weight_single_mark_found_reliably(self):
@@ -528,17 +551,20 @@ class TestGroverSearch:
             builds.clear()
             scans.clear()
             charges.clear()
-            oracle, _ = make_oracle(values)
+            oracle, ledger = make_oracle(values)
             rng = rng_for("masks", mode)
             with contextlib.closing(qsim.StreamDraws(rng)) as draws:
                 out = grover_search(oracle, mode, draws)
             assert out.found is None
-            assert charges == [("x", TAG_GROVER, out.queries_charged)], mode
+            assert charges == [("x", TAG_GROVER, ledger.total)], mode
             assert len(builds) == 1 and len(scans) <= 1, mode
             # the reference draws one Generator uniform per attempt to decide hit
-            # or miss; the search leaves the stream where those draws leave it
+            # or miss; the search leaves the stream, and charges the ledger, as
+            # those draws and per-attempt charges do
             ref_rng = CountingRng(rng_for("masks", mode))
-            assert reference_grover_search(make_oracle(values)[0], mode, ref_rng) == out
+            ref_oracle, ref_ledger = make_oracle(values)
+            assert reference_grover_search(ref_oracle, mode, ref_rng) == out
+            assert ref_ledger == ledger, mode
             assert rng.bit_generator.state == ref_rng.bit_generator.state, mode
             if mode != MODE_SV:
                 assert ref_rng.randoms > 5, mode
@@ -604,12 +630,13 @@ class TestGroverSearch:
 
 
 class TestCollectOnes:
-    def test_exact_mode_recovers_full_support(self):
+    def test_exact_mode_recovers_full_support(self, monkeypatch):
+        searches = counted_searches(monkeypatch)
         values = [3, 1, 0, 2, 0, 0, 1, 5]
         with draws_for("cexact") as draws:
-            res = collect_ones(make_oracle(values)[0], MODE_EXACT, draws)
-        assert frozenset(res.found) == {0, 1, 3, 6, 7}
-        assert res.searches == 6  # five finds plus the closing empty probe
+            found = collect_ones(make_oracle(values)[0], MODE_EXACT, draws)
+        assert type(found) is tuple and frozenset(found) == {0, 1, 3, 6, 7}
+        assert len(searches) == 6  # five finds plus the closing empty probe
 
     @pytest.mark.parametrize("mode", MODES)
     def test_private_copy_never_reads_stale_sums(self, mode, monkeypatch):
@@ -626,22 +653,38 @@ class TestCollectOnes:
         oracle, _ = make_oracle(values)
         assert oracle._total() == sum(values)
         with draws_for("cstale", mode) as draws:
-            res = collect_ones(oracle.window(1, 10), mode, draws)
-        assert len(seen) == res.searches and len(set(seen)) > 1
+            found = collect_ones(oracle.window(1, 10), mode, draws)
+        assert len(seen) == len(found) + 1 and len(set(seen)) > 1
         assert all(total == exact for total, exact in seen), seen
         assert oracle.values.tolist() == values and oracle._total() == sum(values)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_search_per_find_and_one_to_close(self, mode, monkeypatch):
+        # the searches are not counted in the result: there are len(found) + 1,
+        # one per find and the closing one that reports NoSolution
+        searches = counted_searches(monkeypatch)
+        gen = rng_for("count-searches", mode)
+        for trial in range(12):
+            values = np.where(gen.random(24) < 0.3, gen.integers(1, 4, size=24), 0)
+            searches.clear()
+            with draws_for("count-searches", mode, trial) as draws:
+                found = collect_ones(make_oracle(values)[0], mode, draws)
+            assert len(searches) == len(found) + 1, trial
+            assert [out.found for out in searches] == [*found, None], trial
+
     def test_all_marks_tape_collects_everything(self):
         with draws_for("full") as draws:
-            res = collect_ones(make_oracle([1, 1, 1, 1])[0], MODE_EXACT, draws)
-        assert frozenset(res.found) == {0, 1, 2, 3}
+            found = collect_ones(make_oracle([1, 1, 1, 1])[0], MODE_EXACT, draws)
+        assert frozenset(found) == {0, 1, 2, 3}
 
-    def test_empty_tape_is_single_probe(self):
+    def test_empty_tape_is_single_probe(self, monkeypatch):
+        searches = counted_searches(monkeypatch)
         for mode in MODES:
+            searches.clear()
             with draws_for("cempty", mode) as draws:
-                res = collect_ones(make_oracle([0] * 9)[0], mode, draws)
-            assert res.found == ()
-            assert res.searches == 1
+                found = collect_ones(make_oracle([0] * 9)[0], mode, draws)
+            assert found == ()
+            assert len(searches) == 1
 
     def test_found_positions_distinct_and_marked(self):
         values = np.zeros(48, dtype=np.int64)
@@ -649,9 +692,9 @@ class TestCollectOnes:
         values[list(support)] = 1
         for trial in range(25):
             with draws_for("dist", trial) as draws:
-                res = collect_ones(make_oracle(values)[0], MODE_COST, draws)
-            assert len(set(res.found)) == len(res.found)
-            assert set(res.found) <= support
+                found = collect_ones(make_oracle(values)[0], MODE_COST, draws)
+            assert len(set(found)) == len(found)
+            assert set(found) <= support
 
     def test_cost_mode_usually_exhausts_support(self):
         values = np.zeros(64, dtype=np.int64)
@@ -660,19 +703,20 @@ class TestCollectOnes:
         complete = 0
         for trial in range(100):
             with draws_for("cstat", trial) as draws:
-                res = collect_ones(make_oracle(values)[0], MODE_COST, draws)
-            if frozenset(res.found) == support:
+                found = collect_ones(make_oracle(values)[0], MODE_COST, draws)
+            if frozenset(found) == support:
                 complete += 1
         assert complete >= 90
 
     def test_deterministic_given_seed(self):
         values = np.zeros(32, dtype=np.int64)
         values[[4, 5, 6]] = 1
+        (oracle_a, ledger_a), (oracle_b, ledger_b) = make_oracle(values), make_oracle(values)
         with draws_for("cdet") as draws:
-            a = collect_ones(make_oracle(values)[0], MODE_COST, draws)
+            a = collect_ones(oracle_a, MODE_COST, draws)
         with draws_for("cdet") as draws:
-            b = collect_ones(make_oracle(values)[0], MODE_COST, draws)
-        assert a == b
+            b = collect_ones(oracle_b, MODE_COST, draws)
+        assert a == b and ledger_a == ledger_b
 
     def test_live_tape_matches_searches_with_exclusion_sets(self, monkeypatch):
         # one mask build per search, and the same draws and charges as one
@@ -688,7 +732,7 @@ class TestCollectOnes:
                 builds.clear()
                 with draws_for("live", mode, trial) as draws:
                     res = collect_ones(oracle, mode, draws)
-                assert len(builds) == res.searches
+                assert len(builds) == len(res) + 1
                 ref_ledger = QueryLedger()
                 found = []
                 with draws_for("live", mode, trial) as draws:
@@ -698,8 +742,7 @@ class TestCollectOnes:
                         if out.found is None:
                             break
                         found.append(out.found)
-                assert res.found == tuple(found)
-                assert res.searches == len(found) + 1
+                assert res == tuple(found)
                 assert ledger == ref_ledger
 
 

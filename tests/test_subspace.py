@@ -267,6 +267,8 @@ class TestSignedDecomposition:
         for k in (1, 2):
             frame = build_level_frame(decomp, k)
             assert frame.columns.shape == (space.dim**k, space.dim**k)
+            # real, so potential_from_joint takes overlaps with the columns unconjugated
+            assert frame.columns.dtype == np.float64
             assert np.bincount(frame.labels).sum() == space.dim**k
             assert sum(b.shape[1] for b in frame.minus.values()) == space.dim**k
             # one answer block per answer tuple at every tuple of levels below t
