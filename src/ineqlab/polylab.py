@@ -433,6 +433,12 @@ def growth_extremal(n: int, d: int) -> float:
     return max(2.0 * float(sigma) - 1.0, 1.0)
 
 
+def _floored_slope(us: np.ndarray, vs: np.ndarray) -> float:
+    """Least-squares slope of vs against us, floored at zero."""
+    slope, _ = np.polyfit(us, vs, 1)
+    return max(float(slope), 0.0)
+
+
 def cr_probe(n_values=(16, 32, 64), d_factors=(1, 2, 3)) -> CrProbeReport:
     """Fit the interior-growth envelope to the LP-extremal polynomials.
 
@@ -448,11 +454,7 @@ def cr_probe(n_values=(16, 32, 64), d_factors=(1, 2, 3)) -> CrProbeReport:
             cells[n, d] = math.log(growth_extremal(n, d))
     us = np.array([d * d / n for n, d in cells])
     vs = np.array(list(cells.values()))
-    if len(cells) >= 2:
-        slope, _ = np.polyfit(us, vs, 1)
-        slope = max(float(slope), 0.0)
-    else:
-        slope = 0.0
+    slope = _floored_slope(us, vs) if len(cells) >= 2 else 0.0
     # lift the intercept so the line dominates every cell
     intercept = float(np.max(vs - slope * us))
     a = math.exp(intercept)
@@ -460,13 +462,9 @@ def cr_probe(n_values=(16, 32, 64), d_factors=(1, 2, 3)) -> CrProbeReport:
 
     per_n: list[tuple[int, float]] = []
     for n in n_values:
-        sel = [(d, v) for (n_cell, d), v in cells.items() if n_cell == n]
-        if len(sel) < 2:
-            continue
-        u_n = np.array([d * d / n for d, _ in sel])
-        v_n = np.array([v for _, v in sel])
-        s_n, _ = np.polyfit(u_n, v_n, 1)
-        per_n.append((n, max(float(s_n), 0.0)))
+        sel = [i for i, (n_cell, _) in enumerate(cells) if n_cell == n]
+        if len(sel) >= 2:
+            per_n.append((n, _floored_slope(us[sel], vs[sel])))
     if per_n:
         slopes = sorted(s for _, s in per_n)
         med = slopes[len(slopes) // 2]
@@ -605,17 +603,13 @@ def verify_lp(
     # exact comparisons along both axes: sigma cannot drop when the degree
     # budget grows, and cannot rise when the forced prefix lengthens
     mono_bad = 0
-    by_deg_axis: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    by_m_axis: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for (deg, n_dom, m), lp in solved.items():
-        by_deg_axis.setdefault((n_dom, m), []).append((deg, lp.sigma))
-        by_m_axis.setdefault((deg, n_dom), []).append((m, lp.sigma))
-    for pairs in by_deg_axis.values():
-        pairs.sort()
-        mono_bad += sum(1 for (_, s0), (_, s1) in zip(pairs, pairs[1:]) if s1 < s0)
-    for pairs in by_m_axis.values():
-        pairs.sort()
-        mono_bad += sum(1 for (_, s0), (_, s1) in zip(pairs, pairs[1:]) if s1 > s0)
+    for axis, sign in ((0, 1), (2, -1)):   # (D, N, m) cells: D up, m down
+        along: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        for cell, lp in solved.items():
+            along.setdefault(cell[:axis] + cell[axis + 1 :], []).append((cell[axis], lp.sigma))
+        for pairs in along.values():
+            pairs.sort()
+            mono_bad += sum(1 for (_, s0), (_, s1) in zip(pairs, pairs[1:]) if sign * (s1 - s0) < 0)
     lines.append(CheckLine("jump value monotone in m and D", mono_bad == 0, float(mono_bad), ""))
 
     m0 = [lp for (_, _, m), lp in solved.items() if m == 0]

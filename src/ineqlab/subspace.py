@@ -321,19 +321,13 @@ def _product_blocks(blocks: list[np.ndarray], k: int) -> dict[int, np.ndarray]:
     return {m: np.hstack(parts) for m, parts in sorted(grouped.items())}
 
 
-def _class_masks(space: InputSpace, k: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Joint-basis masks selecting, per factor, one weight class."""
-    per = {a: space.class_mask(a).astype(float).reshape(-1, 1) for a in (0, 1)}
-    return {answers: _kron_columns([per[a] for a in answers]).ravel() > 0.5
-            for answers in product((0, 1), repeat=k)}
-
-
 @dataclass(eq=False)
 class LevelFrame:
     """The k-fold product structure of one signed decomposition, built once.
 
-    answer_blocks[js] lists, over answer tuples in lexicographic order, the
-    product of the answer-class fresh blocks at the factor levels js.
+    classes holds one 0/1 column per answer tuple, in lexicographic order, and
+    answer_blocks[js] lists, over the same tuples, the product of the
+    answer-class fresh blocks at the factor levels js.
     """
 
     params: PotentialParams
@@ -341,7 +335,7 @@ class LevelFrame:
     columns: np.ndarray     # (dim_i, dim_i) growth-level columns
     labels: np.ndarray      # level index per column
     minus: dict[int, np.ndarray]    # columns by count of phase-difference factors
-    masks: dict[tuple[int, ...], np.ndarray]   # joint weight classes per answer tuple
+    classes: np.ndarray     # (dim_i, 2^k) joint weight classes per answer tuple
     answer_blocks: dict[tuple[int, ...], list[np.ndarray]]
 
 
@@ -360,13 +354,14 @@ def build_level_frame(decomp: SignedDecomposition, k: int) -> LevelFrame:
     weights = tuple(float(q) ** m for m in range(k * top + 1))
     chains = (decomp.chain0, decomp.chain1)
     answers = list(product((0, 1), repeat=k))
+    one_copy = np.column_stack([space.class_mask(0), space.class_mask(1)]).astype(float)
     return LevelFrame(
         params=PotentialParams(t=t, k=k, q=q, top_level=top, weights=weights),
         decomp=decomp,
         columns=columns,
         labels=labels,
         minus=_product_blocks([np.hstack(decomp.plus), np.hstack(decomp.minus)], k),
-        masks=_class_masks(space, k),
+        classes=_kron_columns([one_copy] * k),
         answer_blocks={
             js: [_kron_columns([chains[a][j].fresh for j, a in zip(js, ans)]) for ans in answers]
             for js in product(range(t), repeat=k)
@@ -546,13 +541,11 @@ def recast_run(
     dim_a = slots * workspace_dim
     dim_i = space.dim**k
     signs = 1.0 - 2.0 * space.bits.astype(float)  # (dim_one, n): +1 for bit 0, -1 for bit 1
-    phase = np.ones((slots, dim_i))
-    ones_i = np.ones(space.dim)
-    for q in range(1, slots):
-        inst, pos = divmod(q - 1, n)
-        parts = [ones_i] * k
-        parts[inst] = signs[:, pos]
-        phase[q] = _kron_columns([p.reshape(-1, 1) for p in parts]).ravel()
+    ones = np.ones((space.dim, 1))
+    # slot q = 1 + inst * n + pos reads bit pos of copy inst; slot 0 is idle
+    phase = np.vstack([np.ones((1, dim_i))] + [
+        _kron_columns([ones] * inst + [signs] + [ones] * (k - 1 - inst)).T for inst in range(k)
+    ])
     phi = np.zeros((dim_a, dim_i), dtype=complex)
     phi[0] = _kron_columns([space.psi_one.reshape(-1, 1)] * k).ravel()
     states = [phi.copy()]
@@ -680,25 +673,18 @@ def success_probability_bounds(
     gen = rng.stream
 
     low_cols = np.hstack([frame.minus[mp] for mp in range(m + 1)])
-    span_excess = 0.0
-    for _ in range(SAMPLE_TRIALS):
-        coeff = gen.standard_normal(low_cols.shape[1])
-        psi = low_cols @ (coeff / np.linalg.norm(coeff))
-        for mask in frame.masks.values():
-            prob = float(np.sum(psi[mask] ** 2))
-            span_excess = max(span_excess, prob - bound)
+    # one coefficient row per sample: the same draws as one call per sample
+    coeff = gen.standard_normal((SAMPLE_TRIALS, low_cols.shape[1]))
+    psi = (coeff / np.linalg.norm(coeff, axis=1, keepdims=True)) @ low_cols.T
+    span_excess = max(0.0, float(((psi**2) @ frame.classes).max()) - bound)
 
     # masses read straight off the joint pure states: the reduced state's
     # diagonal is the column mass of phi, its low-span mass |phi @ low_cols|^2
-    run_excess = 0.0
-    for phi in run.states:
-        inside = float(np.sum(np.abs(phi @ low_cols) ** 2))
-        residual = max(0.0, 1.0 - inside)
-        corrected = bound + 4.0 * math.sqrt(residual)
-        diag = np.sum(np.abs(phi) ** 2, axis=0)
-        for mask in frame.masks.values():
-            prob = float(diag[mask].sum())
-            run_excess = max(run_excess, prob - corrected)
+    states = np.stack(run.states)
+    inside = (np.abs(states @ low_cols) ** 2).sum(axis=(1, 2))
+    corrected = bound + 4.0 * np.sqrt(np.maximum(0.0, 1.0 - inside))
+    probs = (np.abs(states) ** 2).sum(axis=1) @ frame.classes
+    run_excess = max(0.0, float((probs - corrected[:, None]).max()))
 
     # the per-block projection claim applies where both sign blocks exist,
     # which is every level below t (the level-t leftover block is itself a

@@ -5,6 +5,8 @@ constants) were derived by hand from the falling-factorial formulas and
 binomial identities, then frozen here.
 """
 import dataclasses
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -62,6 +64,13 @@ def potential(rho, frame):
     if masses.min() < -1e-9:
         raise InstanceError("negative level mass")
     return subspace._masses_report(np.clip(masses, 0.0, None), frame.params)
+
+
+def reference_classes(space, k):
+    """Per answer tuple, in lexicographic order, the np.kron of the per-copy class masks."""
+    per_copy = {a: space.class_mask(a).astype(float) for a in (0, 1)}
+    return [functools.reduce(np.kron, [per_copy[a] for a in ans])
+            for ans in itertools.product((0, 1), repeat=k)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +306,17 @@ class TestSignedDecomposition:
                             np.kron(np.kron(d, s), s)])
         assert np.array_equal(grouped[1], expect)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_answer_classes_are_products_of_per_copy_masks(self, k):
+        space = build_input_space(4, 2)
+        frame = build_level_frame(build_signed_decomposition(space), k)
+        expect = reference_classes(space, k)
+        assert frame.classes.shape == (space.dim**k, 2**k)
+        for col, ref in zip(frame.classes.T, expect):
+            assert np.array_equal(col, ref)
+        # every joint string sits in exactly one answer class
+        assert np.array_equal(frame.classes.sum(axis=1), np.ones(space.dim**k))
+
     def test_product_caps(self):
         # one size rule: the suite's joint register (k n + 1) * 2 * dim^k must
         # fit RUN_JOINT_DIM_CAP, whatever k is
@@ -304,7 +324,7 @@ class TestSignedDecomposition:
         frame = build_level_frame(decomp, 3)  # 13 * 2 * 10^3 = 26,000
         assert frame.columns.shape == (1000, 1000)
         assert sorted(frame.minus) == [0, 1, 2, 3]
-        assert len(frame.masks) == 8
+        assert frame.classes.shape == (1000, 8)
         with pytest.raises(InstanceError, match="joint dimension"):
             build_level_frame(decomp, 4)  # 17 * 2 * 10^4
         big = build_signed_decomposition(build_input_space(10, 3))
@@ -465,6 +485,26 @@ class TestRecastRun:
         ) + np.outer(np.eye(dim_a)[q] / math.sqrt(2), signs * space.psi_one)
         assert np.abs(phi - expect).max() < 1e-12
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_phase_table_matches_per_slot_products(self, k):
+        # a one-gate program moves slot 0 to slot q, whose query then multiplies
+        # the start state by the product of +-1 signs of bit pos in copy inst
+        n, t = 4, 2
+        space = build_input_space(n, t)
+        slots = k * n + 1
+        signs = 1.0 - 2.0 * space.bits.astype(float)
+        for q in range(slots):
+            gate = np.eye(slots, dtype=complex)
+            gate[[0, q]] = gate[[q, 0]]
+            parts = [np.ones(space.dim)] * k
+            if q:
+                inst, pos = divmod(q - 1, n)
+                parts[inst] = signs[:, pos]
+            expect = np.zeros((slots, space.dim**k), dtype=complex)
+            run = recast_run([gate], space, k)
+            expect[q] = functools.reduce(np.kron, parts) * run.states[0][0]
+            assert np.array_equal(run.states[1], expect)
+
     def test_two_factor_run_dimensions(self):
         run = small_run(n=4, t=2, k=2, workspace=1, depth=2)
         assert run.states[0].shape[1] == 100
@@ -554,7 +594,77 @@ def frame_of(run):
     return build_level_frame(build_signed_decomposition(run.space), run.k)
 
 
+def reference_bounds(frame, run, m, rng):
+    """The three probability checks as one loop per sample and per answer mask."""
+    decomp, k = frame.decomp, frame.params.k
+    space = decomp.space
+    bound = subspace._binomial_tail(k, m)
+    gen = rng.stream
+    masks = [ref > 0.5 for ref in reference_classes(space, k)]
+    low_cols = np.hstack([frame.minus[mp] for mp in range(m + 1)])
+    span_excess = 0.0
+    for _ in range(subspace.SAMPLE_TRIALS):
+        coeff = gen.standard_normal(low_cols.shape[1])
+        psi = low_cols @ (coeff / np.linalg.norm(coeff))
+        for mask in masks:
+            span_excess = max(span_excess, float(np.sum(psi[mask] ** 2)) - bound)
+    run_excess = 0.0
+    for phi in run.states:
+        inside = float(np.sum(np.abs(phi @ low_cols) ** 2))
+        corrected = bound + 4.0 * math.sqrt(max(0.0, 1.0 - inside))
+        diag = np.sum(np.abs(phi) ** 2, axis=0)
+        for mask in masks:
+            run_excess = max(run_excess, float(diag[mask].sum()) - corrected)
+    projection_excess = 0.0
+    signed_blocks = {("plus", j): decomp.plus[j] for j in range(space.t)}
+    signed_blocks.update({("minus", j): decomp.minus[j] for j in range(space.t)})
+    keys = sorted(signed_blocks.keys())
+    for _ in range(subspace.SAMPLE_TRIALS):
+        factors, levels = [], []
+        for _ in range(k):
+            side, j = keys[int(gen.integers(len(keys)))]
+            cols = signed_blocks[(side, j)]
+            coeff = gen.standard_normal(cols.shape[1])
+            factors.append((cols @ (coeff / np.linalg.norm(coeff))).reshape(-1, 1))
+            levels.append(j)
+        psi = subspace._kron_columns(factors).ravel()
+        for block in frame.answer_blocks[tuple(levels)]:
+            proj = block.T @ psi
+            projection_excess = max(projection_excess, float(proj @ proj) - 1.0 / 2**k)
+    return span_excess, run_excess, projection_excess
+
+
 class TestSuccessBounds:
+    # the shift lowers the binomial bound by 10, so every span and run excess
+    # is positive and carries the largest answer-class mass it saw; random
+    # joint states leave mass outside the low span at every depth, so the
+    # run check's residual correction decides which depth is the worst
+    @pytest.mark.parametrize("shift", [0.0, 10.0])
+    @pytest.mark.parametrize("random_states", [False, True])
+    @pytest.mark.parametrize("n,k,m,seed", [(4, 1, 0, 0), (4, 1, 1, 1), (5, 2, 0, 2),
+                                            (5, 2, 1, 3), (4, 2, 2, 4), (4, 3, 1, 5)])
+    def test_matrix_checks_match_the_per_sample_loops(self, n, k, m, seed, random_states, shift,
+                                                      monkeypatch):
+        tail = subspace._binomial_tail
+        monkeypatch.setattr(subspace, "_binomial_tail", lambda k, m: tail(k, m) - shift)
+        run = small_run(n=n, t=2, k=k, workspace=1, depth=2, seed=seed)
+        if random_states:
+            gen = rng_for("states", seed).stream
+            shape = (len(run.states),) + run.states[0].shape
+            z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+            z /= np.sqrt((np.abs(z) ** 2).sum(axis=(1, 2), keepdims=True))
+            run = dataclasses.replace(run, states=tuple(z))
+        frame = frame_of(run)
+        rng, ref_rng = rng_for("matrix", seed), rng_for("matrix", seed)
+        report = success_probability_bounds(frame, run, m, rng)
+        span, run_excess, projection = reference_bounds(frame, run, m, ref_rng)
+        if shift:
+            assert min(span, run_excess) > 0.0
+        assert abs(report.span_excess - span) <= 1e-12
+        assert abs(report.run_excess - run_excess) <= 1e-12
+        assert report.projection_excess == projection
+        assert rng.stream.bit_generator.state == ref_rng.stream.bit_generator.state
+
     def test_single_factor_bound_is_half(self):
         run = small_run(k=1, depth=3, seed=2)
         report = success_probability_bounds(frame_of(run), run, 0, rng_for("bounds", 1))
