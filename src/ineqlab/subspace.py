@@ -485,9 +485,8 @@ def alpha_beta(n: int, t: int, j: int) -> AlphaBeta:
         a_sq = Fraction(n - t_a, n - j) * norm0_sq
         b_sq = Fraction(t_a - j, n - j) * norm1_sq
         total = a_sq + b_sq
-        a_sq, b_sq = a_sq / total, b_sq / total
-        alpha_sq.append(a_sq)
-        beta_sq.append(b_sq)
+        alpha_sq.append(a_sq / total)
+        beta_sq.append(b_sq / total)
     alpha = tuple(math.sqrt(float(v)) for v in alpha_sq)
     beta = tuple(math.sqrt(float(v)) for v in beta_sq)
     cross = abs(alpha[0] * beta[1] - alpha[1] * beta[0])
@@ -577,8 +576,7 @@ def random_program(rng: SeededRng, dim: int, depth: int) -> tuple[np.ndarray, ..
         z = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
         q, r = np.linalg.qr(z)
         diag = np.diagonal(r)
-        q = q * (diag / np.abs(diag))
-        out.append(q)
+        out.append(q * (diag / np.abs(diag)))
     return tuple(out)
 
 
@@ -744,43 +742,34 @@ def variational_distance(psi, psi_prime, measurement) -> tuple[np.ndarray, np.nd
     return tv, 2.0 * np.linalg.norm(psi - psi_prime, axis=-1)
 
 
-def random_projective_measurement(rngs: list[SeededRng], dim: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Random orthonormal bases of C^dim, one per stream, each cut into `parts` column blocks.
+def random_projective_measurement(gen, cases: int, dim: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """`cases` random orthonormal bases of C^dim from one batched QR, each cut into `parts` column blocks.
 
-    Each stream draws its complex normal matrix, then its cuts; one batched QR
-    gives q (cases, dim, dim), and cuts (cases, parts + 1) rise from 0 to dim.
+    Inner cuts: a uniform subset of 1..dim-1, the first parts - 1 places of a random permutation, sorted.
     """
-    z = np.empty((len(rngs), dim, dim), dtype=complex)
-    cuts = np.full((len(rngs), parts + 1), dim)
-    cuts[:, 0] = 0
-    for i, rng in enumerate(rngs):
-        gen = rng.stream
-        z[i] = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-        if parts > 1:
-            cuts[i, 1:-1] = np.sort(gen.choice(np.arange(1, dim), size=parts - 1, replace=False))
-    return np.linalg.qr(z)[0], cuts
+    if cases < 1 or not 1 <= parts <= dim:
+        raise InstanceError(f"need cases >= 1 and 1 <= parts <= dim, got {cases}, {parts}, {dim}")
+    z = gen.standard_normal((cases, 2, dim, dim))
+    inner = np.sort(np.argsort(gen.random((cases, dim - 1)), axis=-1)[:, : parts - 1], axis=-1)
+    cuts = np.pad(inner + 1, ((0, 0), (1, 1)), constant_values=(0, dim))
+    return np.linalg.qr(z[:, 0] + 1j * z[:, 1])[0], cuts
 
 
 def distance_cases(rng: SeededRng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distance line's cases in draw order: dimension, total variation, bound.
 
-    Case idx draws its dimension and two states from rng.spawn("tv", idx), its
-    measurement from that stream's spawn("meas"); each dimension is one stack.
+    Every draw comes from rng.stream: the dimensions first, then, for each
+    dimension in ascending order, its stack of state pairs and measurements.
     """
-    dims = np.empty(DISTANCE_CASES, dtype=np.int64)
-    pairs, streams = [], []
-    for idx in range(DISTANCE_CASES):
-        sub = rng.spawn("tv", idx)
-        gen = sub.stream
-        dims[idx] = dim = int(gen.integers(2, 17))
-        pairs.append([gen.standard_normal(dim) + 1j * gen.standard_normal(dim) for _ in range(2)])
-        streams.append(sub.spawn("meas"))
+    gen = rng.stream
+    dims = gen.integers(2, 17, size=DISTANCE_CASES)
     tv, bound = np.empty((2, DISTANCE_CASES))
     for dim in np.unique(dims).tolist():
         at = np.flatnonzero(dims == dim)
-        states = np.array([pairs[i] for i in at])
+        z = gen.standard_normal((len(at), 2, 2, dim))
+        states = z[:, :, 0] + 1j * z[:, :, 1]
         states /= np.linalg.norm(states, axis=-1, keepdims=True)
-        measurement = random_projective_measurement([streams[i] for i in at], dim, min(3, dim))
+        measurement = random_projective_measurement(gen, len(at), dim, min(3, dim))
         tv[at], bound[at] = variational_distance(states[:, 0], states[:, 1], measurement)
     return dims, tv, bound
 
@@ -870,7 +859,7 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
         CheckLine("branch cross-term constant (report only)", True, cross_scaled, "scaled by sqrt(t n)")
     )
 
-    _, tv, bound = distance_cases(rng)
+    _, tv, bound = distance_cases(rng.spawn("tv", n, t, k))
     margin = max(0.0, float((tv - bound).max()))
     lines.append(CheckLine("outcome-distribution distance bound", bool(np.all(tv <= bound + 1e-12)), margin,
                            f"{DISTANCE_CASES} random cases"))

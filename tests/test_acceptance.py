@@ -275,13 +275,12 @@ class TestSubspaceSuite:
             suite_ok = suite_ok and all(line.passed for line in lines)
 
         # distance inequality on 1000 standalone random cases
-        rng = SeededRng(2).spawn("criterion-6")
-        gen = rng.stream
+        gen = SeededRng(2).spawn("criterion-6").stream
         tv_excess = 0.0
         for _ in range(1000):
             dim = int(gen.integers(2, 33))
             parts = int(gen.integers(2, min(dim, 4) + 1))
-            (q,), (cuts,) = random_projective_measurement([rng], dim, parts)
+            (q,), (cuts,) = random_projective_measurement(gen, 1, dim, parts)
             psi = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
             psi /= np.linalg.norm(psi)
             phi = psi + 0.1 * (gen.standard_normal(dim) + 1j * gen.standard_normal(dim))

@@ -719,29 +719,29 @@ class TestSuccessBounds:
 
 
 def reference_distance_cases(seed):
-    """The distance line's per-case loop before batching: one projector list per case."""
-    rng = SeededRng(seed)
-    out = []
-    for idx in range(200):
-        sub = rng.spawn("tv", idx)
-        gen = sub.stream
-        dim = int(gen.integers(2, 17))
-        vec = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-        vec2 = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-        psi = vec / np.linalg.norm(vec)
-        psi2 = vec2 / np.linalg.norm(vec2)
-        meas = sub.spawn("meas").stream
-        z = meas.standard_normal((dim, dim)) + 1j * meas.standard_normal((dim, dim))
-        q, _ = np.linalg.qr(z)
-        cuts = sorted(meas.choice(np.arange(1, dim), size=min(3, dim) - 1, replace=False))
-        bounds = [0, *cuts, dim]
-        tv = 0.0
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            proj = q[:, lo:hi] @ q[:, lo:hi].conj().T
-            p = float(np.real(psi.conj() @ proj @ psi))
-            p_prime = float(np.real(psi2.conj() @ proj @ psi2))
-            tv += abs(p - p_prime)
-        out.append((dim, 0.5 * tv, 2.0 * float(np.linalg.norm(psi - psi2))))
+    """The distance line's draws replayed one case at a time: one projector list per case."""
+    gen = SeededRng(seed).stream
+    dims = gen.integers(2, 17, size=200)
+    out = [None] * 200
+    for dim in sorted(set(dims.tolist())):
+        at = [i for i in range(200) if dims[i] == dim]
+        states = gen.standard_normal((len(at), 2, 2, dim))
+        bases = gen.standard_normal((len(at), 2, dim, dim))
+        order = gen.random((len(at), dim - 1))
+        for row, idx in enumerate(at):
+            vec, vec2 = (states[row, s, 0] + 1j * states[row, s, 1] for s in (0, 1))
+            psi = vec / np.linalg.norm(vec)
+            psi2 = vec2 / np.linalg.norm(vec2)
+            q, _ = np.linalg.qr(bases[row, 0] + 1j * bases[row, 1])
+            cuts = sorted(int(c) + 1 for c in np.argsort(order[row])[: min(3, dim) - 1])
+            bounds = [0, *cuts, dim]
+            tv = 0.0
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                proj = q[:, lo:hi] @ q[:, lo:hi].conj().T
+                p = float(np.real(psi.conj() @ proj @ psi))
+                p_prime = float(np.real(psi2.conj() @ proj @ psi2))
+                tv += abs(p - p_prime)
+            out[idx] = (dim, 0.5 * tv, 2.0 * float(np.linalg.norm(psi - psi2)))
     return out
 
 
@@ -770,7 +770,7 @@ class TestVariationalDistance:
             v2 = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
             psi, phi = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
             parts = int(gen.integers(2, min(5, dim) + 1))
-            (q,), (cuts,) = random_projective_measurement([rng.spawn("m")], dim, parts)
+            (q,), (cuts,) = random_projective_measurement(rng.spawn("m").stream, 1, dim, parts)
             tv, bound = variational_distance(psi, phi, (q, cuts))
             assert tv <= bound + 1e-12
 
@@ -785,7 +785,7 @@ class TestVariationalDistance:
             variational_distance(psi, psi, (np.eye(2), np.array([0, 1])))
 
     def test_measurement_resolves_identity(self):
-        (q,), (cuts,) = random_projective_measurement([rng_for("meas")], 8, 3)
+        (q,), (cuts,) = random_projective_measurement(rng_for("meas").stream, 1, 8, 3)
         total = sum(q[:, lo:hi] @ q[:, lo:hi].conj().T for lo, hi in zip(cuts[:-1], cuts[1:]))
         assert np.abs(total - np.eye(8)).max() < 1e-9
 
@@ -797,8 +797,43 @@ class TestVariationalDistance:
         assert np.abs(tv - ref_tv).max() <= 1e-12
         assert np.abs(bound - ref_bound).max() <= 1e-12
 
+    def test_cuts_are_uniform_subsets(self):
+        _, cuts = random_projective_measurement(rng_for("cuts").stream, 6000, 5, 3)
+        assert (cuts[:, 0] == 0).all() and (cuts[:, -1] == 5).all()
+        inner = cuts[:, 1:-1]
+        assert (np.diff(inner, axis=1) > 0).all()
+        assert inner.min() >= 1 and inner.max() <= 4
+        pairs = list(itertools.combinations(range(1, 5), 2))
+        counts = np.array([np.all(inner == pair, axis=1).sum() for pair in pairs])
+        assert counts.sum() == 6000
+        expected = 6000 / len(pairs)
+        assert ((counts - expected) ** 2 / expected).sum() < 20.5
+
+    @pytest.mark.parametrize("cases, dim, parts", [(0, 4, 2), (-1, 4, 2), (3, 4, 0), (3, 4, 5), (1, 1, 2)])
+    def test_rejects_bad_shapes_before_any_draw(self, cases, dim, parts):
+        gen = rng_for("bad-shape").stream
+        before = gen.bit_generator.state
+        with pytest.raises(InstanceError):
+            random_projective_measurement(gen, cases, dim, parts)
+        assert gen.bit_generator.state == before
+
+    def test_each_cell_draws_its_own_cases(self, monkeypatch):
+        real = subspace.distance_cases
+        dims = []
+
+        def recording(rng):
+            out = real(rng)
+            dims.append(out[0])
+            return out
+
+        monkeypatch.setattr(subspace, "distance_cases", recording)
+        for n in (4, 5):
+            verify_suite(n, 2, 1, seed=0, runs=1, depth=1)
+        assert len(dims) == 2
+        assert not np.array_equal(dims[0], dims[1])
+
     def test_stack_with_one_non_unitary_basis_is_rejected(self):
-        q, cuts = random_projective_measurement([rng_for("stack", i) for i in range(4)], 5, 3)
+        q, cuts = random_projective_measurement(rng_for("stack").stream, 4, 5, 3)
         psi = np.tile(np.eye(5)[0], (4, 1))
         variational_distance(psi, psi, (q, cuts))
         q[2, :, 1] *= 1.0 + 1e-6
