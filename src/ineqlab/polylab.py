@@ -146,53 +146,82 @@ def cheb_dominance_excess(degrees=range(2, 13), probe_points=(1.01, 1.1, 1.5, 2.
 def simplex_max(rows, rhs, objective) -> tuple[Fraction, list[Fraction]]:
     """Primal simplex with Bland's rule, exact over integer rows.
 
-    The tableau keeps the nonbasic columns and the right-hand side; each row,
-    the objective row last, holds Python-int numerators over one positive
-    denominator, so every sign and ratio test, and so every pivot, is the one
-    of the Fraction tableau.  Requires every right-hand side to be nonnegative
-    so the slack basis is feasible; that holds for all programs built here.
+    Keeps only the objective row and the basic structural variables' rows, as
+    Python-int numerators over one positive denominator; a basic slack
+    s_i = b_i - a_i x is read off its constraint, and its full row is built
+    only when it leaves.  Every row is a positive multiple of the Fraction
+    tableau's, so every sign and ratio test, and so every pivot, is the same.
+    Needs nonnegative right-hand sides, so the slack basis is feasible; every
+    program built here has them.
     """
-    m = len(rows)
-    n = len(objective)
-    for value in rhs:
-        if value < 0:
-            raise InstanceError("simplex needs nonnegative right-hand sides")
-    tab = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
-    tab.append(_integer_row([-Fraction(v) for v in objective] + [0]))
-    cols = list(range(n))            # variable held by each tableau column
-    basis = list(range(n, n + m))    # variable held by each row
+    m, n = len(rows), len(objective)
+    if len(rhs) != m or any(len(row) != n for row in rows):
+        raise InstanceError("simplex needs one right-hand side per row and every row as long as the objective")
+    if any(value < 0 for value in rhs):
+        raise InstanceError("simplex needs nonnegative right-hand sides")
+    # each constraint in coprime integers (a gcd over denominator 0): a positive scale of its slack
+    cons = [_reduced(_integer_row([*row, b])[0], 0)[0] for row, b in zip(rows, rhs)]
+    obj = _integer_row([-Fraction(v) for v in objective] + [0])
+    cols = list(range(n))        # variable held by each tableau column
+    stored = {}                  # basic structural variable -> its row
+    slacks = list(range(m))      # constraints whose slack is basic
     for _ in range(SIMPLEX_PIVOT_CAP):
-        entering = [(cols[j], j) for j in range(n) if tab[m][0][j] < 0]
+        entering = [(cols[j], j) for j in range(n) if obj[0][j] < 0]
         if not entering:
             break
-        c = min(entering)[1]   # Bland: the lowest-index variable
-        leave = -1
-        for i in range(m):
-            row = tab[i][0]
-            # b / a against the best ratio, both a > 0: the denominators cancel
-            if row[c] > 0 and (leave < 0 or row[-1] * best[c] < best[-1] * row[c] or (
-                    row[-1] * best[c] == best[-1] * row[c] and basis[i] < basis[leave])):
-                leave, best = i, row
-        if leave < 0:
+        var, c = min(entering)   # Bland: the lowest-index variable
+        scale = math.lcm(*(den for _, den in stored.values()))
+        step, vertex = [scale * (j == var) for j in range(n)], [0] * n
+        for v, (row, den) in stored.items():
+            step[v], vertex[v] = -row[c] * (scale // den), row[-1] * (scale // den)
+        # (variable, entry a, right-hand side b) of each basic variable with a > 0;
+        # over scale, a slack's a is a_i times the structural step, its b is b_i less a_i times the vertex
+        candidates = [(v, row[c], row[-1]) for v, (row, _) in stored.items() if row[c] > 0]
+        for i in slacks:
+            a = sum(map(operator.mul, cons[i], step))
+            if a > 0:
+                candidates.append((n + i, a, cons[i][-1] * scale - sum(map(operator.mul, cons[i], vertex))))
+        if not candidates:
             raise InstanceError("unbounded linear program")
+        # the least ratio b / a, ties to the lowest variable; each row's positive scale cancels
+        leave, best_a, best_b = candidates[0]
+        for v, a, b in candidates[1:]:
+            if b * best_a < best_b * a or (b * best_a == best_b * a and v < leave):
+                leave, best_a, best_b = v, a, b
+        if leave < n:
+            prow, pden = stored.pop(leave)
+        else:
+            # s_i = b_i - a_i x: over scale, a_i on the nonbasic structural
+            # columns and b_i on the right, less a_i[v] times each basic x_v's row
+            a_row = cons[leave - n]
+            base = [a_row[col] * scale if col < n else 0 for col in cols] + [a_row[-1] * scale]
+            weights = [1] + [-a_row[v] * (scale // den) for v, (_, den) in stored.items()]
+            columns = zip(base, *(row for row, _ in stored.values()))
+            prow, pden = _reduced([sum(map(operator.mul, weights, col)) for col in columns], scale)
+            slacks.remove(leave - n)
         # over its entry p, the pivot row holds 1/p in column c, now the leaving variable's
-        prow, p = list(best), best[c]
-        prow[c] = tab[leave][1]
-        for i, (row, den) in enumerate(tab):
-            f = row[c]
-            if i != leave and f:
-                new = [p * v - f * w for v, w in zip(row, prow)]
-                new[c] = -f * prow[c]
-                tab[i] = _reduced(new, den * p)
-        tab[leave] = _reduced(prow, p)
-        cols[c], basis[leave] = basis[leave], cols[c]
+        prow, p = [*prow[:c], pden, *prow[c + 1:]], prow[c]
+        stored = {v: _eliminated(*row, prow, p, c) for v, row in stored.items()}
+        obj = _eliminated(*obj, prow, p, c)
+        if var < n:
+            stored[var] = _reduced(prow, p)
+        else:
+            slacks.append(var - n)
+        cols[c] = leave
     else:
         raise InstanceError("simplex pivot budget exhausted")
-    solution = [Fraction(0)] * n
-    for (row, den), var in zip(tab, basis):
-        if var < n:
-            solution[var] = Fraction(row[-1], den)
-    return Fraction(tab[m][0][-1], tab[m][1]), solution
+    solution = [Fraction(stored[v][0][-1], stored[v][1]) if v in stored else Fraction(0) for v in range(n)]
+    return Fraction(obj[0][-1], obj[1]), solution
+
+
+def _eliminated(row: list[int], den: int, prow: list[int], p: int, c: int) -> tuple[list[int], int]:
+    """row / den less row[c] times the pivot row prow / p, whose place c holds the leaving variable's."""
+    f = row[c]
+    if not f:
+        return row, den
+    new = [p * v - f * w for v, w in zip(row, prow)]
+    new[c] = -f * prow[c]
+    return _reduced(new, den * p)
 
 
 def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -202,7 +231,7 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
 
 def _integer_row(values) -> tuple[list[int], int]:
     """Numerators over one denominator, the least common one reduced by the gcd."""
-    values = [Fraction(v) for v in values]
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return _reduced([v.numerator * (den // v.denominator) for v in values], den)
 
@@ -228,9 +257,10 @@ def _integer_bounded_lp(nodes: range, m: int, others, target: Fraction):
     rows = [[int(u == s) for u in range(free)] for s in range(free)]
     rhs = [1] * free
     for i in others:
+        # 0 <= w . p / den <= 1, each side times den
         w, den = _lagrange_row(nodes, i)
-        rows += [[Fraction(v, den) for v in w[m:]], [Fraction(-v, den) for v in w[m:]]]
-        rhs += [1, 0]
+        rows += [w[m:], [-v for v in w[m:]]]
+        rhs += [den, 0]
     w, den = _lagrange_row(nodes, target)
     return simplex_max(rows, rhs, [Fraction(v, den) for v in w[m:]])
 

@@ -20,6 +20,7 @@ from ineqlab import polylab
 from ineqlab.core import InstanceError
 from ineqlab.polylab import (
     BLOCKS_GRID,
+    CHAIN_CELLS,
     CHAIN_TOL,
     IDENTITY_RTOL,
     PolyLP,
@@ -183,6 +184,115 @@ def reference_simplex_max(rows, rhs, objective):
     return zrow[-1], solution
 
 
+def tableau_simplex_max(rows, rhs, objective):
+    """Primal simplex with Bland's rule, exact over integer rows.
+
+    The tableau keeps the nonbasic columns and the right-hand side; each row,
+    the objective row last, holds Python-int numerators over one positive
+    denominator, so every sign and ratio test, and so every pivot, is the one
+    of the Fraction tableau.  Requires every right-hand side to be nonnegative
+    so the slack basis is feasible; that holds for all programs built here.
+    """
+    # the full m + 1 row integer tableau that simplex_max replaced, kept
+    # verbatim (the pivot cap read from polylab) as the reference for its pivots
+    m = len(rows)
+    n = len(objective)
+    for value in rhs:
+        if value < 0:
+            raise InstanceError("simplex needs nonnegative right-hand sides")
+    tab = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
+    tab.append(_integer_row([-Fraction(v) for v in objective] + [0]))
+    cols = list(range(n))            # variable held by each tableau column
+    basis = list(range(n, n + m))    # variable held by each row
+    for _ in range(polylab.SIMPLEX_PIVOT_CAP):
+        entering = [(cols[j], j) for j in range(n) if tab[m][0][j] < 0]
+        if not entering:
+            break
+        c = min(entering)[1]   # Bland: the lowest-index variable
+        leave = -1
+        for i in range(m):
+            row = tab[i][0]
+            # b / a against the best ratio, both a > 0: the denominators cancel
+            if row[c] > 0 and (leave < 0 or row[-1] * best[c] < best[-1] * row[c] or (
+                    row[-1] * best[c] == best[-1] * row[c] and basis[i] < basis[leave])):
+                leave, best = i, row
+        if leave < 0:
+            raise InstanceError("unbounded linear program")
+        # over its entry p, the pivot row holds 1/p in column c, now the leaving variable's
+        prow, p = list(best), best[c]
+        prow[c] = tab[leave][1]
+        for i, (row, den) in enumerate(tab):
+            f = row[c]
+            if i != leave and f:
+                new = [p * v - f * w for v, w in zip(row, prow)]
+                new[c] = -f * prow[c]
+                tab[i] = _reduced(new, den * p)
+        tab[leave] = _reduced(prow, p)
+        cols[c], basis[leave] = basis[leave], cols[c]
+    else:
+        raise InstanceError("simplex pivot budget exhausted")
+    solution = [Fraction(0)] * n
+    for (row, den), var in zip(tab, basis):
+        if var < n:
+            solution[var] = Fraction(row[-1], den)
+    return Fraction(tab[m][0][-1], tab[m][1]), solution
+
+
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    g = math.gcd(den, *nums)
+    return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
+
+
+def _integer_row(values) -> tuple[list[int], int]:
+    """Numerators over one denominator, the least common one reduced by the gcd."""
+    values = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return _reduced([v.numerator * (den // v.denominator) for v in values], den)
+
+
+@pytest.fixture(scope="module")
+def captured_lps():
+    """Every program the LP suite solves, with simplex_max's answer: the 99
+    grid cells (96 reach the solver), the three chain cells again and the
+    nine growth cells of cr_probe, 108 in all."""
+    captured = []
+    solve = polylab.simplex_max
+
+    def recording(*lp):
+        captured.append((lp, solve(*lp)))
+        return captured[-1][1]
+
+    with mock.patch.object(polylab, "simplex_max", recording):
+        for cell in [*lp_grid_cells(), *CHAIN_CELLS]:
+            extremal_sigma_lp(*cell)
+        growth_extremal.cache_clear()   # an earlier test may have solved some cells
+        cr_probe()
+    return captured
+
+
+EXHAUSTED = (InstanceError, "simplex pivot budget exhausted")
+
+
+def pivot_cap_outcomes(solver, lp, cap):
+    with mock.patch.object(polylab, "SIMPLEX_PIVOT_CAP", cap):
+        return lp_outcome(solver, *lp)
+
+
+def least_cap(lp):
+    """The least pivot cap under which simplex_max solves lp: one more than its
+    pivot count, since the cap also counts the final optimality check."""
+    lo, hi = 0, 1   # a cap of lo fails (a cap of 0 always does), hi is tried next
+    while pivot_cap_outcomes(simplex_max, lp, hi) == EXHAUSTED:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pivot_cap_outcomes(simplex_max, lp, mid) == EXHAUSTED:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def lp_outcome(solver, rows, rhs, objective):
     """(value, solution), or (exception type, message) for a raise."""
     try:
@@ -229,6 +339,17 @@ class TestSimplex:
         with pytest.raises(InstanceError):
             simplex_max([[1]], [-1], [1])
 
+    # each ragged program is refused before any pivot, so also under a pivot cap of 0
+    @pytest.mark.parametrize("lp, message", [
+        (([[1, 2]], [1], [1]), "every row as long as the objective"),        # was value 2 at x = [1]
+        (([[1]], [1], [1, 1]), "every row as long as the objective"),        # was (0, [1, 0]), unbounded
+        (([[1]], [1, 5], [1]), "one right-hand side per row"),               # the 5 was dropped
+    ])
+    def test_ragged_program_rejected(self, monkeypatch, lp, message):
+        monkeypatch.setattr(polylab, "SIMPLEX_PIVOT_CAP", 0)
+        with pytest.raises(InstanceError, match=message):
+            simplex_max(*lp)
+
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(small_lps(), st.sampled_from([None, None, None, 0, 1, 2, 3]))
     def test_matches_fraction_reference(self, lp, cap):
@@ -248,6 +369,25 @@ class TestSimplex:
         assert len(captured) == 3
         for lp in captured:
             assert simplex_max(*lp) == reference_simplex_max(*lp)
+
+    def test_matches_tableau_on_suite_programs(self, captured_lps):
+        assert len(captured_lps) == 108
+        for lp, answer in captured_lps:
+            assert tableau_simplex_max(*lp) == answer
+
+    # the poly-lp benchmark cells with D >= m, then the chain cells
+    @pytest.mark.parametrize("cell", [
+        (2, 32, 2), (24, 32, 2), (4, 48, 3), (2, 48, 1), (4, 48, 1), (20, 48, 2), *CHAIN_CELLS,
+    ])
+    def test_same_pivot_count_as_tableau(self, monkeypatch, cell):
+        captured = []
+        monkeypatch.setattr(polylab, "simplex_max", lambda *lp: captured.append(lp) or simplex_max(*lp))
+        extremal_sigma_lp(*cell)
+        (lp,) = captured
+        cap = least_cap(lp)
+        for solver in (simplex_max, tableau_simplex_max):
+            assert pivot_cap_outcomes(solver, lp, cap - 1) == EXHAUSTED
+            assert pivot_cap_outcomes(solver, lp, cap) == simplex_max(*lp)
 
     def test_pivot_budget_exhausted_below_the_pivot_count(self, monkeypatch):
         # max x0 + 2 x1 with x0 <= 2, x1 <= 3, x0 + x1 <= 4: Bland's rule
