@@ -2,8 +2,9 @@
 
 Modes:
     cost-model   outcomes sampled from closed-form distributions, every oracle
-                 call charged to the ledger (a search books the iterations and
-                 verification reads of its attempts at once); the workhorse.
+                 call charged to the ledger (a window's searches book the
+                 iterations and verification reads of their attempts at once);
+                 the workhorse.
     statevector  exact simulation of the actual iterate (small sizes only),
                  used to cross-validate the closed forms.
     exact        forced success: same control flow and charges as cost-model,
@@ -237,9 +238,123 @@ def _attempt_highs(n: int, budget: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _hit_masses(n: int, w: int) -> tuple[float, ...]:
-    """grover_success(n, w, j) for every attempt count j below a cap (caps stay within ceil(sqrt(n)))."""
-    return tuple(grover_success(n, w, j) for j in range(math.ceil(math.sqrt(n))))
+def _hit_thresholds(n: int, w: int) -> tuple[int, ...]:
+    """Raw-word hit thresholds for every attempt count j below a cap (caps stay
+    within ceil(sqrt(n))): thr[j] = ceil(grover_success(n, w, j) * 2**53) << 11, so
+    word < thr[j] exactly when the uniform (word >> 11) * 2**-53 falls below that
+    mass.  With w = n every index is a 1, and every word hits."""
+    caps = math.ceil(math.sqrt(n))
+    if w == n:
+        return (2**64,) * caps
+    return tuple(math.ceil(grover_success(n, w, j) * 2**53) << 11 for j in range(caps))
+
+
+def _searches(oracle: TapeOracle, mode: str, draws: StreamDraws, once: bool) -> list[int]:
+    """grover_search run back to back, each search as if the positions found before
+    it were 0, until one reports NoSolution (or after the first, with once): the
+    found positions in discovery order.  The support is scanned once into an
+    ascending list, a find is popped from it at its drawn rank, and the charges of
+    all the searches are booked in one ledger charge when the last one ends.
+    """
+    _check_mode(mode)
+    n = oracle.n
+    if n < 1:
+        raise ValueError("range must be nonempty")
+    bits = oracle._bits()   # the one scan of the support; statevector attempts read it
+    ones = bits.nonzero()[0].tolist()   # ascending: a find is popped at its drawn rank
+    budget = RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(n))
+    highs = _attempt_highs(n, budget)
+    need = 2 * budget + 2   # a search reads at most 2 words per attempt, unless Lemire rejects
+    sv, forced = mode == MODE_SV, mode == MODE_EXACT
+    found, charged = [], 0
+    # the attempts read the reserved words through locals, handed back even on a raise:
+    # a below() or uniform-read method call per draw ran product-exact 12-16% slower
+    # (median ops_per_s 29.6 -> 24.9, five alternating 10 s pairs at seed 0, 2 cores)
+    words, pos, half = draws.words, draws.pos, draws.half
+    try:
+        while True:
+            w = len(ones)
+            zeros = n - w
+            thr = _hit_thresholds(n, w)
+            if len(words) - pos < need:
+                draws.pos = pos
+                draws.reserve(need)   # refills the same list
+                pos = draws.pos
+            spent, rank = 0, -1   # rank: the find's place in ones
+            for high in highs:
+                if spent >= budget:
+                    break
+                # j = integers(0, high): the next 32-bit half, a fresh word's low half
+                # unless a high half is buffered; integers(0, 1) draws nothing, and a
+                # product Lemire might reject takes the checked path
+                if high == 1:
+                    j = 0
+                elif half >= 0:
+                    m = half * high
+                    if m & 0xFFFFFFFF < high:
+                        j, pos, half = draws.draw(high, pos, half, need)
+                    else:
+                        j = m >> 32
+                        half = ~half
+                else:
+                    word = words[pos]
+                    m = (word & 0xFFFFFFFF) * high
+                    if m & 0xFFFFFFFF < high:
+                        j, pos, half = draws.draw(high, pos, half, need)
+                    else:
+                        j = m >> 32
+                        half = word >> 32
+                        pos += 1
+                spent += j + 1
+                if sv:   # the law is checked before its one draw, as in Generator.choice
+                    cdf = _choice_cdf(sv_run_grover(bits, j))
+                    idx = int(cdf.searchsorted((words[pos] >> 11) * 2**-53, side="right"))
+                    pos += 1
+                    if bits[idx]:
+                        rank = ones.index(idx)
+                        bits[idx] = False
+                        break
+                    continue
+                # the state stays in span{uniform over ones, uniform over the rest}, so given
+                # hit or miss the index is uniform in its class: a hit draws its rank among
+                # the ones, a miss the measured 0-position, which fails verification, each
+                # drawn as j is
+                hit = words[pos] < thr[j]
+                pos += 1
+                high = w if hit else zeros
+                if high == 1:
+                    r = 0
+                elif half >= 0:
+                    m = half * high
+                    if m & 0xFFFFFFFF < high:
+                        r, pos, half = draws.draw(high, pos, half, need)
+                    else:
+                        r = m >> 32
+                        half = ~half
+                else:
+                    word = words[pos]
+                    m = (word & 0xFFFFFFFF) * high
+                    if m & 0xFFFFFFFF < high:
+                        r, pos, half = draws.draw(high, pos, half, need)
+                    else:
+                        r = m >> 32
+                        half = word >> 32
+                        pos += 1
+                if hit:
+                    rank = r
+                    break
+            charged += spent
+            if rank < 0 and forced and w:
+                rank, pos, half = draws.draw(w, pos, half, need)
+            if rank < 0:
+                break
+            found.append(ones.pop(rank))
+            if once:
+                break
+    finally:
+        draws.pos, draws.half = pos, half
+    oracle.charge(charged, TAG_GROVER)
+    return found
 
 
 def grover_search(oracle: TapeOracle, mode: str, draws: StreamDraws) -> SearchOutcome:
@@ -256,72 +371,17 @@ def grover_search(oracle: TapeOracle, mode: str, draws: StreamDraws) -> SearchOu
     sampled path ends empty-handed while a 1-position exists, a uniformly
     random valid position is returned anyway.
     """
-    _check_mode(mode)
-    n = oracle.n
-    if n < 1:
-        raise ValueError("range must be nonempty")
-    bits = oracle._bits()   # fixed for the whole search
-    ones = bits.nonzero()[0]
-    w = int(ones.size)
-    zeros = n - w
-    budget = RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(n))
-    hit_mass = _hit_masses(n, w)
-    need = 2 * budget + 2   # an attempt reads at most 2 words, unless Lemire rejects
-    draws.reserve(need)
-    # the attempts read the reserved words through locals, handed back even on a raise:
-    # a below() or uniform-read method call per draw ran product-exact 12-16% slower
-    # (median ops_per_s 29.6 -> 24.9, five alternating 10 s pairs at seed 0, 2 cores)
-    words, pos, half = draws.words, draws.pos, draws.half
-    charged, found, hit = 0, None, False
-    try:
-        for high in _attempt_highs(n, budget):
-            if charged >= budget:
-                break
-            x, h, p = (half, ~half, pos) if half >= 0 else (words[pos] & 0xFFFFFFFF, words[pos] >> 32, pos + 1)
-            # integers(0, 1) draws nothing, and a product Lemire might reject takes the checked path
-            j, pos, half = ((x * high >> 32, p, h) if high > 1 and x * high & 0xFFFFFFFF >= high
-                            else (0, pos, half) if high == 1 else draws.draw(high, pos, half, need))
-            charged += j + 1
-            if mode == MODE_SV:   # the law is checked before its one draw, as in Generator.choice
-                cdf = _choice_cdf(sv_run_grover(bits, j))
-            u = (words[pos] >> 11) * 2**-53
-            pos += 1
-            if mode == MODE_SV:
-                idx = int(cdf.searchsorted(u, side="right"))
-                if bits[idx]:
-                    found = idx
-                    break
-            # the state stays in span{uniform over ones, uniform over the rest}, so given
-            # hit or miss the index is uniform in its class; with w = n every index is a 1
-            elif u < hit_mass[j] or not zeros:
-                hit = True
-                break
-            else:   # the measured 0-position, which fails verification
-                x, h, p = (half, ~half, pos) if half >= 0 else (words[pos] & 0xFFFFFFFF, words[pos] >> 32, pos + 1)
-                _, pos, half = ((0, p, h) if zeros > 1 and x * zeros & 0xFFFFFFFF >= zeros
-                                else draws.draw(zeros, pos, half, need))
-    finally:
-        draws.pos, draws.half = pos, half
-    oracle.charge(charged, TAG_GROVER)
-    if hit or (found is None and mode == MODE_EXACT and w):
-        found = int(ones[draws.below(w)])
-    return SearchOutcome(found=found)
+    found = _searches(oracle, mode, draws, once=True)
+    return SearchOutcome(found=found[0] if found else None)
 
 
 def collect_ones(oracle: TapeOracle, mode: str, draws: StreamDraws) -> tuple[int, ...]:
     """Found positions in discovery order, from repeated search with found positions
-    masked out until a search reports NoSolution (len(found) + 1 searches).  In
-    exact mode the result is exactly the support of the derived bit tape.
+    masked out until a search reports NoSolution (len(found) + 1 searches), run in
+    one loop over the tape's support and booked in one charge.  In exact mode the
+    result is exactly the support of the derived bit tape.
     """
-    found: list[int] = []
-    # each found position is cleared on one private copy of the tape, which the
-    # searches read and charge like the original
-    live = TapeOracle(oracle.values.copy(), oracle.ledger, oracle.target)
-    while (hit := grover_search(live, mode, draws).found) is not None:
-        found.append(hit)
-        live.values[hit] = 0
-        live._prefix = None   # the written copy is summed afresh if ever asked
-    return tuple(found)
+    return tuple(_searches(oracle, mode, draws, once=False))
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,23 @@ def draws_for(*key):
 
 
 def counted_searches(monkeypatch):
-    """The outcome of every qsim.grover_search call from here on, in call order."""
-    outcomes, real = [], qsim.grover_search
-    monkeypatch.setattr(qsim, "grover_search", lambda *a: outcomes.append(real(*a)) or outcomes[-1])
-    return outcomes
+    """(n, w) of every search from here on, in call order: each search takes the hit
+    thresholds of its range length n and its live weight w once, as it starts."""
+    seen, real = [], qsim._hit_thresholds
+    monkeypatch.setattr(qsim, "_hit_thresholds", lambda n, w: seen.append((n, w)) or real(n, w))
+    return seen
+
+
+def searches_of_zeroed_copies(values, mode, key):
+    """Outcomes of one grover_search per find, each on a copy of the tape with the
+    positions found before it zeroed, until one reports NoSolution; and their ledger."""
+    ledger, outcomes = QueryLedger(), []
+    with draws_for(*key) as draws:
+        while True:
+            hit = grover_search(TapeOracle(zeroed(values, outcomes), ledger), mode, draws).found
+            outcomes.append(hit)
+            if hit is None:
+                return outcomes, ledger
 
 
 def zeroed(values, positions):
@@ -59,6 +72,52 @@ def zeroed(values, positions):
     values = np.array(values, dtype=np.int64)
     values[list(positions)] = 0
     return values
+
+
+class CraftedWords:
+    """Raw words of a PCG64 stream with the low half of every third word zeroed: a
+    32-bit value of 0 makes x * high = 0, which integers(0, 3) and integers(0, 9)
+    reject (thresholds 1 and 4)."""
+
+    def __init__(self, *key):
+        self.source, self.count = rng_for("crafted", *key).bit_generator, 0
+
+    def random_raw(self, size):
+        words = self.source.random_raw(size)
+        words[(self.count + np.arange(size)) % 3 == 0] &= np.uint64(0xFFFFFFFF00000000)
+        self.count += size
+        return words
+
+
+def crafted_reader(key, live_half):
+    """A reader of CraftedWords(*key), opened on a Generator whose 32-bit buffer holds
+    a live high half (numpy's has_uint32 = 1) or a served one."""
+    rng = rng_for("opened", *key)
+    if live_half:
+        rng.integers(0, 17)   # one 32-bit draw buffers its word's high half
+    reader = qsim.StreamDraws(rng)
+    assert (reader.half >= 0) == bool(live_half)
+    reader.bit_generator = CraftedWords(*key)
+    return reader
+
+
+def words_read(draws):
+    """Raw words a reader over CraftedWords has read so far."""
+    return draws.bit_generator.count - (len(draws.words) - draws.pos)
+
+
+class CheckedRng:
+    """Generator calls answered, one draw each, by a reader's checked below() and
+    uniform read."""
+
+    def __init__(self, reader):
+        self.reader = reader
+
+    def integers(self, low, high):
+        return self.reader.below(high)
+
+    def random(self):
+        return self.reader.median_uniform(1)
 
 
 class CountingRng:
@@ -186,20 +245,18 @@ class TestTapeOracle:
         assert ledger.total == 0
 
     def test_length_is_fixed_at_construction(self, monkeypatch):
-        # n is set once per tape: a tape, its windows, their windows and the
-        # private copy that collect_ones searches each keep n == values.size
+        # n is set once per tape: a tape, its windows and their windows each
+        # keep n == values.size, and every search of a collection runs on the
+        # collected window's n
         oracle, _ = make_oracle(np.arange(11) % 3)
         win = oracle.window(2, 9)
         inner = win.window(1, 5)
         for tape, size in ((oracle, 11), (win, 7), (inner, 4), (inner.window(2, 2), 0)):
             assert type(tape.n) is int and tape.n == tape.values.size == size
-        seen = []
-        real = qsim.grover_search
-        monkeypatch.setattr(qsim, "grover_search",
-                            lambda live, *a: seen.append((live.n, live.values.size)) or real(live, *a))
+        seen = counted_searches(monkeypatch)
         with draws_for("live-n") as draws:
             found = collect_ones(win, MODE_EXACT, draws)
-        assert len(seen) == len(found) + 1 and set(seen) == {(7, 7)}
+        assert len(seen) == len(found) + 1 and {n for n, _ in seen} == {win.values.size} == {7}
 
     def test_window_bounds_checked(self):
         oracle, _ = make_oracle([1, 2, 3])
@@ -378,33 +435,8 @@ class TestStreamDraws:
         # zeros, fetched a few at a time so that refills land inside searches,
         # the search's local loop and the per-attempt reference, reading the same
         # words through the reader's checked below(), agree
-        class CraftedWords:
-            """Raw words of a PCG64 stream with the low half of every third word zeroed."""
-
-            def __init__(self):
-                self.source, self.count = rng_for("crafted", mode).bit_generator, 0
-
-            def random_raw(self, size):
-                words = self.source.random_raw(size)
-                words[(self.count + np.arange(size)) % 3 == 0] &= np.uint64(0xFFFFFFFF00000000)
-                self.count += size
-                return words
-
         monkeypatch.setattr(qsim, "RAW_CHUNK", 4)
-        fast, checked = qsim.StreamDraws(rng_for("fast")), qsim.StreamDraws(rng_for("checked"))
-        fast.bit_generator, checked.bit_generator = CraftedWords(), CraftedWords()
-        fast.half = checked.half = ~0
-
-        class CheckedRng:
-            def integers(self, low, high):
-                return checked.below(high)
-
-            def random(self):
-                return checked.median_uniform(1)
-
-        def read(draws):   # words read so far
-            return draws.bit_generator.count - (len(draws.words) - draws.pos)
-
+        fast, checked = crafted_reader((mode,), live_half=False), crafted_reader((mode,), live_half=False)
         checked_highs = []
         real_draw = qsim.StreamDraws.draw
         monkeypatch.setattr(qsim.StreamDraws, "draw", lambda self, high, *rest:
@@ -415,9 +447,9 @@ class TestStreamDraws:
             oracle, ledger = make_oracle(values)
             ref_oracle, ref_ledger = make_oracle(values)
             out = grover_search(oracle, mode, fast)
-            assert out == reference_grover_search(ref_oracle, mode, CheckedRng()), case
+            assert out == reference_grover_search(ref_oracle, mode, CheckedRng(checked)), case
             assert ledger == ref_ledger, case
-            assert (fast.half, read(fast)) == (checked.half, read(checked)), case
+            assert (fast.half, words_read(fast)) == (checked.half, words_read(checked)), case
         assert {3, 9} <= set(checked_highs)   # an attempt count and a missed index
 
 
@@ -568,6 +600,19 @@ class TestGroverSearch:
             assert rng.bit_generator.state == ref_rng.bit_generator.state, mode
             if mode != MODE_SV:
                 assert ref_rng.randoms > 5, mode
+        # a whole collection, len(found) + 1 searches, also scans the support once
+        # and books the attempts of all its searches in one charge
+        values[[3, 23, 40]] = [1, 2, 1]
+        for mode in MODES:
+            builds.clear()
+            scans.clear()
+            charges.clear()
+            oracle, ledger = make_oracle(values)
+            with draws_for("masks-collect", mode) as draws:
+                found = collect_ones(oracle, mode, draws)
+            assert found, mode
+            assert charges == [("x", TAG_GROVER, ledger.total)], mode
+            assert len(builds) == 1 and len(scans) <= 1, mode
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stream_matches_per_attempt_reference(self, mode):
@@ -639,24 +684,21 @@ class TestCollectOnes:
         assert len(searches) == 6  # five finds plus the closing empty probe
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_private_copy_never_reads_stale_sums(self, mode, monkeypatch):
-        # the copy a collection searches is written as positions are found: every
-        # search must total the copy as written, even with the source's sums built
-        seen = []
-
-        def checked_search(oracle, mode, draws):
-            seen.append((oracle._total(), int(oracle.values.sum())))
-            return grover_search(oracle, mode, draws)
-
-        monkeypatch.setattr(qsim, "grover_search", checked_search)
+    def test_searches_never_read_stale_sums(self, mode, monkeypatch):
+        # nothing is written while a window is collected, even with the tape's sums
+        # built: every search takes the live weight, the window's support less the
+        # positions found before it, and the tape keeps its values and its sums
+        seen = counted_searches(monkeypatch)
         values = [3, 1, 0, 2, 0, 0, 1, 5, 0, 1]
         oracle, _ = make_oracle(values)
         assert oracle._total() == sum(values)
+        sums, win = oracle._sums(), oracle.window(1, 10)
         with draws_for("cstale", mode) as draws:
-            found = collect_ones(oracle.window(1, 10), mode, draws)
+            found = collect_ones(win, mode, draws)
         assert len(seen) == len(found) + 1 and len(set(seen)) > 1
-        assert all(total == exact for total, exact in seen), seen
-        assert oracle.values.tolist() == values and oracle._total() == sum(values)
+        live = [(win.n, int((zeroed(win.values, found[:i]) > 0).sum())) for i in range(len(found) + 1)]
+        assert seen == live, seen
+        assert oracle.values.tolist() == values and oracle._sums() is sums and oracle._total() == sum(values)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_search_per_find_and_one_to_close(self, mode, monkeypatch):
@@ -670,7 +712,10 @@ class TestCollectOnes:
             with draws_for("count-searches", mode, trial) as draws:
                 found = collect_ones(make_oracle(values)[0], mode, draws)
             assert len(searches) == len(found) + 1, trial
-            assert [out.found for out in searches] == [*found, None], trial
+            weight = int((values > 0).sum())
+            assert [w for _, w in searches] == [weight - i for i in range(len(found) + 1)], trial
+            outcomes, _ = searches_of_zeroed_copies(values, mode, ("count-searches", mode, trial))
+            assert outcomes == [*found, None], trial
 
     def test_all_marks_tape_collects_everything(self):
         with draws_for("full") as draws:
@@ -719,7 +764,7 @@ class TestCollectOnes:
         assert a == b and ledger_a == ledger_b
 
     def test_live_tape_matches_searches_with_exclusion_sets(self, monkeypatch):
-        # one mask build per search, and the same draws and charges as one
+        # one support scan per collection, and the same draws and charges as one
         # search per find on a tape copy with the found positions zeroed
         builds = []
         real_bits = TapeOracle._bits
@@ -732,18 +777,66 @@ class TestCollectOnes:
                 builds.clear()
                 with draws_for("live", mode, trial) as draws:
                     res = collect_ones(oracle, mode, draws)
-                assert len(builds) == len(res) + 1
-                ref_ledger = QueryLedger()
-                found = []
-                with draws_for("live", mode, trial) as draws:
-                    while True:
-                        ref_oracle = TapeOracle(zeroed(values, found), ref_ledger)
-                        out = grover_search(ref_oracle, mode, draws)
-                        if out.found is None:
-                            break
-                        found.append(out.found)
-                assert res == tuple(found)
+                assert len(builds) == 1
+                outcomes, ref_ledger = searches_of_zeroed_copies(values, mode, ("live", mode, trial))
+                assert [*res, None] == outcomes
                 assert ledger == ref_ledger
+
+    @pytest.mark.parametrize("mode", [MODE_COST, MODE_EXACT])
+    def test_matches_per_attempt_searches_of_zeroed_copies_draw_for_draw(self, mode, monkeypatch):
+        # a collection against a loop of per-attempt reference searches on copies
+        # with the found positions zeroed, whose every draw is one checked below()
+        # or uniform read of a twin reader: the same finds, charges, 32-bit buffer
+        # and words read.  Weights 0, 1, n - 1 and n at n = 1 and up, readers opened
+        # with a live or a served high half, words fetched a few at a time so that
+        # refills land inside searches, and crafted words on which Lemire rejects
+        monkeypatch.setattr(qsim, "RAW_CHUNK", 4)
+        highs = []
+        real_draw = qsim.StreamDraws.draw
+        monkeypatch.setattr(qsim.StreamDraws, "draw", lambda self, high, *rest:
+                            highs.append(high) or real_draw(self, high, *rest))
+        gen = rng_for("zeroed-copies", mode)
+        checked_empty_nine = set()
+        for n in (1, 2, 9, 16):
+            for weight in sorted({0, 1, n - 1, n}):
+                for trial in range(6):
+                    key = (mode, n, weight, trial)
+                    fast, checked = crafted_reader(key, trial % 2), crafted_reader(key, trial % 2)
+                    values = np.zeros(n, dtype=np.int64)
+                    values[gen.permutation(n)[:weight]] = gen.integers(1, 4, size=weight)
+                    oracle, ledger = make_oracle(values)
+                    highs.clear()
+                    found = collect_ones(oracle, mode, fast)
+                    if (n, weight) == (9, 0):
+                        checked_empty_nine.update(highs)
+                    ref_ledger, ref_found, rng = QueryLedger(), [], CheckedRng(checked)
+                    while (hit := reference_grover_search(TapeOracle(zeroed(values, ref_found), ref_ledger),
+                                                          mode, rng).found) is not None:
+                        ref_found.append(hit)
+                    assert found == tuple(ref_found), key
+                    assert ledger == ref_ledger, key
+                    assert (fast.half, words_read(fast)) == (checked.half, words_read(checked)), key
+        # with no 1-positions among 9, an attempt count (cap 3) and a missed index
+        # (9 zeros) each took the checked path
+        assert {3, 9} <= checked_empty_nine
+
+
+    def test_hit_thresholds_decide_as_the_uniform_does(self):
+        # the raw-word rule word < thr[j] against (word >> 11) * 2**-53 < mass at
+        # both sides of every threshold and at the ends of the word range
+        for n in range(1, 65):
+            for w in range(n + 1):
+                thr = qsim._hit_thresholds(n, w)
+                assert len(thr) == math.ceil(math.sqrt(n)), (n, w)
+                for j, t in enumerate(thr):
+                    mass = qsim.grover_success(n, w, j)
+                    for word in {t - 1, t, 0, 2**64 - 1}:
+                        if 0 <= word < 2**64:
+                            assert (word < t) == ((word >> 11) * 2**-53 < mass), (n, w, j, word)
+                if w == 0:
+                    assert set(thr) == {0}
+                if w == n:
+                    assert set(thr) == {2**64}
 
 
 # ---------------------------------------------------------------------------
