@@ -22,6 +22,7 @@ in bulk and gives the values and stream state that Generator calls would give.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -204,6 +205,33 @@ class StreamDraws:
                                       else (words[pos] & 0xFFFFFFFF, words[pos] >> 32, pos + 1))
             if x * high & 0xFFFFFFFF >= threshold:
                 return x * high >> 32
+
+    def uint32s(self, count: int) -> np.ndarray:
+        """The next count values next_uint32 would serve, as uint64: a live high half
+        first, then the low and high halves of fresh words.  pos and half advance as
+        count below() calls that never reject would."""
+        live = int(count > 0 and self.half >= 0)
+        fresh = (count - live + 1) // 2
+        take = min(fresh, len(self.words) - self.pos)
+        words = np.array(self.words[self.pos:self.pos + take], dtype=np.uint64)
+        if take < fresh:   # past the fetched words: read the rest straight off the bit generator
+            words = np.concatenate([words, self.bit_generator.random_raw(fresh - take)])
+            self.dropped += len(self.words) + fresh - take
+            del self.words[:]
+            self.pos = 0
+        else:
+            self.pos += fresh
+        out = np.empty(live + 2 * fresh, dtype=np.uint64)
+        if live:
+            out[0] = self.half
+        out[live::2] = words & 0xFFFFFFFF
+        out[live + 1::2] = words >> 32
+        if fresh:   # the last word's high half is live unless it was served
+            last = int(words[-1] >> 32)
+            self.half = last if (count - live) % 2 else ~last
+        elif live:
+            self.half = ~self.half
+        return out[:count]
 
     def draw(self, high: int, pos: int, half: int, need: int) -> tuple[int, int, int]:
         """below(high) from a caller's locals (pos, half): value, new (pos, half), need words readable."""
@@ -465,15 +493,19 @@ def _choice_cdf(probs: np.ndarray) -> np.ndarray:
         raise ValueError("estimate probabilities are not a probability vector")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    cdf.flags.writeable = False   # cached laws are shared by every caller
     return cdf
 
 
+def _estimate_law(pmf: EstimatePmf) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A folded law as (estimates, cdf) tuples of floats: bisect_right(cdf, u) is the
+    index cdf.searchsorted(u, side="right") gives on the same float64 values, without
+    numpy's per-call overhead."""
+    return tuple(pmf.values.tolist()), tuple(_choice_cdf(pmf.probs).tolist())
+
+
 @functools.lru_cache(maxsize=4096)
-def _estimate_cdf(a: float, M: int) -> tuple[np.ndarray, np.ndarray]:
-    pmf = ae_outcome_pmf(a, M)
-    pmf.values.flags.writeable = False
-    return pmf.values, _choice_cdf(pmf.probs)
+def _estimate_cdf(a: float, M: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    return _estimate_law(ae_outcome_pmf(a, M))
 
 
 def count_median(oracle: TapeOracle, M: int, reps: int, mode: str,
@@ -481,9 +513,9 @@ def count_median(oracle: TapeOracle, M: int, reps: int, mode: str,
     """Median of reps estimates of the tape's aggregate value (odd reps; charges M*reps).
 
     The estimate law, folded onto the representable estimates, is got once per
-    call, cached by (fraction, M) in cost-model mode.  As the estimates ascend,
-    the one at the median of reps uniforms is the median of reps
-    Generator.choice draws.  The aggregate is a mark fraction total/n
+    call, cached by (fraction, M) in cost-model mode, and looked up by bisect.
+    As the estimates ascend, the one at the median of reps uniforms is the
+    median of reps Generator.choice draws.  The aggregate is a mark fraction total/n
     saturating at 1: an estimate is at most n, which only speeds up threshold stops.
     """
     _check_mode(mode)
@@ -494,12 +526,11 @@ def count_median(oracle: TapeOracle, M: int, reps: int, mode: str,
     if mode == MODE_SV:   # sv_count_pmf caps n*M
         if (oracle.values > 1).any():
             raise ValueError("statevector counting supports bit tapes only")
-        pmf = fold_count_pmf(sv_count_pmf(oracle.values > 0, M), M)
-        values, cdf = pmf.values, _choice_cdf(pmf.probs)
+        values, cdf = _estimate_law(fold_count_pmf(sv_count_pmf(oracle.values > 0, M), M))
     oracle.charge(M * reps, TAG_COUNTING)
     total = oracle._total()
     if mode == MODE_EXACT:
         return float(total)
     if mode == MODE_COST:
         values, cdf = _estimate_cdf(min(1.0, total / oracle.n), M)
-    return float(oracle.n * values[cdf.searchsorted(draws.median_uniform(reps), side="right")])
+    return float(oracle.n * values[bisect.bisect_right(cdf, draws.median_uniform(reps))])

@@ -4,11 +4,14 @@ Closed-form expected values in here were computed by hand or with the oracle
 formulas directly (arcsin/sin arithmetic), independently of the module code,
 and then frozen.
 """
+import bisect
 import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ineqlab import qsim
 from ineqlab.core import QueryLedger, SeededRng, TAG_CLASSICAL, TAG_COUNTING, TAG_GROVER
@@ -422,6 +425,24 @@ class TestStreamDraws:
             with pytest.raises(ValueError):
                 draws.below(2**32 + 1)   # numpy bounds this range on its 64-bit path
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("live_half", [False, True])
+    def test_uint32s_serve_next_uint32_values(self, monkeypatch, live_half):
+        # integers(0, 2**32) is one next_uint32; reads of every parity, some within
+        # the fetched words and some past them, leave pos and half where below()
+        # would, so a below() after each read and the state at close agree
+        monkeypatch.setattr(qsim, "RAW_CHUNK", 8)
+        rng, ref = rng_for("uint32s", live_half), rng_for("uint32s", live_half)
+        if live_half:
+            rng.integers(0, 17)
+            ref.integers(0, 17)
+        with contextlib.closing(qsim.StreamDraws(rng)) as draws:
+            for step, count in enumerate([0, 1, 2, 3, 5, 0, 4, 7, 30, 1, 2, 9]):
+                got = draws.uint32s(count)
+                assert got.dtype == np.uint64 and got.shape == (count,), step
+                assert got.tolist() == [int(ref.integers(0, 2**32)) for _ in range(count)], step
+                assert draws.below(1000) == ref.integers(0, 1000), step
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_other_bit_generators_refused(self):
         rng = np.random.Generator(np.random.MT19937(0))
@@ -1054,6 +1075,49 @@ EQUIVALENCE_TAPES = {
     "interior": [1, 0, 0, 1, 1, 0, 0, 0],
     "saturating": [3, 0, 2, 2, 0, 3, 1, 2],
 }
+
+
+@st.composite
+def laws_and_points(draw):
+    """A pmf with zero-mass stretches (repeated cdf entries) and points to look up:
+    0.0, every cdf entry, the float just below 1 and arbitrary uniforms."""
+    probs = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=12))
+    probs[draw(st.integers(0, len(probs) - 1))] += 0.5   # the mass is positive
+    cdf = qsim._choice_cdf(np.array(probs))
+    points = [0.0, *cdf.tolist(), math.nextafter(1.0, 0.0)]
+    points += draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+    return np.array(probs), points
+
+
+class TestEstimateLaw:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(law=laws_and_points())
+    def test_bisect_index_is_searchsorted_right(self, law):
+        probs, points = law
+        values = np.arange(probs.size) / 7.0
+        estimates, cdf = qsim._estimate_law(EstimatePmf(values=values, probs=probs))
+        ref = qsim._choice_cdf(probs)
+        assert cdf == tuple(ref.tolist()) and estimates == tuple(values.tolist())
+        for u in points:
+            i = bisect.bisect_right(cdf, u)
+            assert i == int(ref.searchsorted(u, side="right")), u
+            if i < len(cdf):   # only u = 1.0, the last entry, is past every estimate
+                assert 16 * estimates[i] == 16 * values[i]
+
+    def test_count_median_looks_up_ties_on_the_right(self, monkeypatch):
+        # zero-mass stretches repeat cdf entries; a median uniform equal to one
+        # takes the estimate after the whole stretch, as searchsorted(side="right")
+        law = EstimatePmf(values=np.linspace(0.0, 1.0, 6), probs=np.array([0.2, 0.0, 0.0, 0.3, 0.0, 0.5]))
+        monkeypatch.setattr(qsim, "ae_outcome_pmf", lambda a, M: law)
+        qsim._estimate_cdf.cache_clear()
+        cdf = qsim._choice_cdf(law.probs)
+        try:
+            for u in [0.0, *cdf[:-1].tolist(), math.nextafter(1.0, 0.0)]:
+                draws = type("FixedMedian", (), {"median_uniform": lambda self, reps: u})()
+                out = count_median(make_oracle([1, 0, 1, 0])[0], 4, 3, MODE_COST, draws)
+                assert out == 4 * law.values[cdf.searchsorted(u, side="right")], u
+        finally:   # later tests must not read the stand-in law from the cache
+            qsim._estimate_cdf.cache_clear()
 
 
 class TestBatchedDraw:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ineqlab import qsim, sweep
 from ineqlab.core import SeededRng, matvec_min
 from ineqlab.sweep import (
     CSV_HEADER,
@@ -16,6 +17,7 @@ from ineqlab.sweep import (
     emit_report,
     fit_scaling,
     instance_hover_sqrt,
+    instance_regular,
     instance_zero,
     regime_label,
     render_csv,
@@ -40,6 +42,14 @@ def planted_rows(law, n_values, seeds=3, jitter=None):
     return rows
 
 
+def reference_regular(rng, n, t):
+    """The regular family drawn row by row with Generator.choice."""
+    A = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        A[u, rng.choice(n, size=min(n, sweep.REGULAR_ROW_NNZ), replace=False)] = 1
+    return A, rng.integers(0, t + 1, size=n), rng.integers(1, t + 1, size=n)
+
+
 class TestFamilies:
     def test_all_families_produce_valid_instances(self):
         for name, make in FAMILIES.items():
@@ -55,6 +65,62 @@ class TestFamilies:
             rng = SeededRng(12).spawn("hov", n).stream
             inst = instance_hover_sqrt(rng, n, 2)
             assert int((inst.x > 0).sum()) == math.isqrt(n - 1) + 1
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 12, 13, 16, 128])
+    @pytest.mark.parametrize("live_half", [False, True])
+    def test_regular_rows_match_per_row_choice(self, n, live_half):
+        # the rows decoded in bulk are the supports of the per-row choice loop, and
+        # x, b and the Generator's state afterwards are the same
+        for seed in range(20):
+            rng, ref = (SeededRng(seed).spawn("regular", n).stream for _ in range(2))
+            if live_half:   # one 32-bit draw buffers its word's high half
+                rng.integers(0, 17)
+                ref.integers(0, 17)
+            inst = instance_regular(rng, n, 3)
+            A, x, b = reference_regular(ref, n, 3)
+            assert np.array_equal(inst.A, A), seed
+            assert np.array_equal(inst.x, x) and np.array_equal(inst.b, b), seed
+            assert rng.bit_generator.state == ref.bit_generator.state, seed
+            assert (inst.A.sum(axis=1) == min(n, sweep.REGULAR_ROW_NNZ)).all()
+
+    @pytest.mark.parametrize("live_half", [False, True])
+    def test_regular_rows_fall_back_on_a_flagged_draw(self, monkeypatch, live_half):
+        # a crafted 0 makes x * high = 0, which fails the fast accept: the bulk
+        # read leaves the Generator as it was opened and the per-row loop draws
+        real = qsim.StreamDraws.uint32s
+        crafted = []
+
+        def zero_one(self, count):
+            out = real(self, count)
+            out[count // 2] = 0
+            crafted.append(count)
+            return out
+
+        monkeypatch.setattr(qsim.StreamDraws, "uint32s", zero_one)
+        rng, ref = (SeededRng(5).spawn("fallback").stream for _ in range(2))
+        if live_half:
+            rng.integers(0, 17)
+            ref.integers(0, 17)
+        inst = instance_regular(rng, 16, 2)
+        A, x, b = reference_regular(ref, 16, 2)
+        assert crafted == [16 * (12 + 11)]
+        assert np.array_equal(inst.A, A) and np.array_equal(inst.x, x) and np.array_equal(inst.b, b)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_flagged_stream_read_leaves_the_generator_as_opened(self):
+        # a draw of range r fails the fast accept with chance r / 2**32; at n = 4096
+        # the ranges of all rows sum to about 2e8, so about one seed in 20 flags one
+        n = 4096
+        for seed in range(100):
+            rng = SeededRng(seed).spawn("flagged").stream
+            opened = rng.bit_generator.state
+            A = np.zeros((n, n), dtype=np.uint8)
+            if not sweep._regular_rows(rng, A, sweep.REGULAR_ROW_NNZ):
+                break
+        else:
+            pytest.fail("no seed below 100 flags a draw")
+        assert rng.bit_generator.state == opened
+        assert not A.any()
 
     def test_zero_family_is_empty(self):
         inst = instance_zero(SeededRng(13).stream, 8, 2)
