@@ -48,6 +48,15 @@ def rng_for(*key):
     return SeededRng(20260819).spawn(*key)
 
 
+@pytest.fixture(autouse=True)
+def cold_suite_cells():
+    """Every test starts with no cached suite cell and leaves none behind, so a
+    builder it patches is seen by verify_suite and never leaks into a later test."""
+    subspace._suite_cell.cache_clear()
+    yield
+    subspace._suite_cell.cache_clear()
+
+
 def reduced(phi):
     """Input-register density matrix of a joint state shaped (dim_a, dim_i)."""
     return phi.T @ phi.conj()
@@ -745,6 +754,83 @@ def reference_distance_cases(seed):
     return out
 
 
+def reference_variational_distance(psi, psi_prime, measurement):
+    """variational_distance before its cuts, masses and norms were trimmed, kept verbatim."""
+    psi = np.asarray(psi, dtype=complex)
+    psi_prime = np.asarray(psi_prime, dtype=complex)
+    q, cuts = measurement
+    if np.abs(np.swapaxes(q, -1, -2).conj() @ q - np.eye(q.shape[-1])).max() > 1e-8:
+        raise InstanceError("measurement basis is not unitary")
+    if (cuts[..., 0] != 0).any() or (cuts[..., -1] != q.shape[-1]).any() or (np.diff(cuts) < 0).any():
+        raise InstanceError("measurement cuts do not run from 0 to dim")
+    mass = np.abs(np.stack([psi, psi_prime], axis=-2) @ q.conj()) ** 2   # |q^H psi|^2 per column
+    upto = np.cumsum(np.insert(mass[..., 0, :] - mass[..., 1, :], 0, 0.0, axis=-1), axis=-1)
+    tv = 0.5 * np.abs(np.diff(np.take_along_axis(upto, cuts, axis=-1), axis=-1)).sum(axis=-1)
+    return tv, 2.0 * np.linalg.norm(psi - psi_prime, axis=-1)
+
+
+def reference_random_projective_measurement(gen, cases, dim, parts):
+    """random_projective_measurement before its cuts and bases were built in place, kept verbatim."""
+    if cases < 1 or not 1 <= parts <= dim:
+        raise InstanceError(f"need cases >= 1 and 1 <= parts <= dim, got {cases}, {parts}, {dim}")
+    z = gen.standard_normal((cases, 2, dim, dim))
+    inner = np.sort(np.argsort(gen.random((cases, dim - 1)), axis=-1)[:, : parts - 1], axis=-1)
+    cuts = np.pad(inner + 1, ((0, 0), (1, 1)), constant_values=(0, dim))
+    return np.linalg.qr(z[:, 0] + 1j * z[:, 1])[0], cuts
+
+
+class TestDistanceAgainstReference:
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_same_draws_cuts_bases_and_distances(self, dim):
+        for parts in range(1, min(3, dim) + 1):
+            gen, ref_gen = (rng_for("tv-ref", dim, parts).stream for _ in range(2))
+            q, cuts = random_projective_measurement(gen, 7, dim, parts)
+            ref_q, ref_cuts = reference_random_projective_measurement(ref_gen, 7, dim, parts)
+            assert cuts.dtype == ref_cuts.dtype and np.array_equal(cuts, ref_cuts)
+            assert np.array_equal(q, ref_q)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+            z = gen.standard_normal((2, 7, dim)) + 1j * gen.standard_normal((2, 7, dim))
+            psi, psi_prime = z / np.linalg.norm(z, axis=-1, keepdims=True)
+            for case in (slice(None), 0):   # the batched stack and one unbatched case
+                got = variational_distance(psi[case], psi_prime[case], (q[case], cuts[case]))
+                want = reference_variational_distance(psi[case], psi_prime[case], (q[case], cuts[case]))
+                for value, ref in zip(got, want):
+                    assert value.shape == ref.shape
+                    assert np.abs(value - ref).max() <= 1e-12
+
+    def test_same_refusals(self):
+        psi = np.array([1.0, 0.0])
+        bad = [
+            (np.sqrt(0.5) * np.eye(2), np.array([0, 2])),     # basis not unitary
+            (np.eye(2), np.array([0, 1])),                      # cuts stop short of dim
+            (np.eye(2), np.array([1, 2])),                      # cuts start past 0
+            (np.eye(2), np.array([0, 2, 1, 2])),                # cuts go back
+        ]
+        for measurement in bad:
+            for fn in (variational_distance, reference_variational_distance):
+                with pytest.raises(InstanceError):
+                    fn(psi, psi, measurement)
+        for cases, dim, parts in [(0, 4, 2), (-1, 4, 2), (3, 4, 5), (1, 1, 2)]:
+            for fn in (random_projective_measurement, reference_random_projective_measurement):
+                gen = rng_for("tv-ref-bad").stream
+                before = gen.bit_generator.state
+                with pytest.raises(InstanceError):
+                    fn(gen, cases, dim, parts)
+                assert gen.bit_generator.state == before
+
+    def test_sum_of_squares_norm_is_bit_equal_at_bench_block_widths(self):
+        # every signed block width of the bench cells (n = 4, 5, 6 at t = 2)
+        widths = sorted({block.shape[1]
+                         for n in (4, 5, 6)
+                         for decomp in [build_signed_decomposition(build_input_space(n, 2))]
+                         for block in decomp.plus[:2] + decomp.minus[:2]})
+        for width in widths:
+            gen = rng_for("norm", width).stream
+            for _ in range(200):
+                coeff = gen.standard_normal(width)
+                assert math.sqrt(coeff @ coeff) == np.linalg.norm(coeff)
+
+
 class TestVariationalDistance:
     def test_identical_states_have_zero_distance(self):
         psi = np.array([1.0, 0.0, 0.0])
@@ -912,6 +998,10 @@ class TestVerifySuite:
         assert all(line.passed for line in lines)
         assert calls["decomp"] == 1
         assert calls["chain"] <= 6
+        # a second suite at the same cell, at another seed, builds nothing
+        first = dict(calls)
+        assert all(line.passed for line in verify_suite(6, 2, 2, seed=1, runs=9))
+        assert calls == first
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_suite_builds_one_product_frame(self, k, monkeypatch):
@@ -923,6 +1013,9 @@ class TestVerifySuite:
                             lambda *args: builds.append(1) or real(*args))
         lines = verify_suite(4, 2, k, runs=4, depth=2)
         assert all(line.passed for line in lines)
+        assert len(builds) == 2
+        # a second suite at the same cell, at another seed, builds nothing
+        assert all(line.passed for line in verify_suite(4, 2, k, seed=1, runs=4, depth=2))
         assert len(builds) == 2
 
     @pytest.mark.parametrize("n, t, k", [(4, 2, 3), (6, 1, 3), (4, 1, 4)])
@@ -938,6 +1031,7 @@ class TestVerifySuite:
         with pytest.raises(InstanceError):
             verify_suite(n, t, k)
         assert built == []
+        assert subspace._suite_cell.cache_info().currsize == 0
 
     @pytest.mark.parametrize("runs, depth", [(0, 3), (-3, 3), (2, 0)])
     def test_rejects_runs_or_depth_below_one(self, runs, depth):
@@ -972,9 +1066,48 @@ class TestVerifySuite:
         assert calls["space"] == 1
         assert len(spaces) == 1
         assert calls["potential"] == runs * (depth + 1)
+        # a second suite at the same cell, at another seed, builds nothing:
+        # its runs read the same InputSpace, and only the potentials are new
+        assert all(line.passed for line in verify_suite(4, 2, 2, seed=1, runs=runs, depth=depth))
+        assert calls["space"] == 1
+        assert len(spaces) == 1
+        assert calls["potential"] == 2 * runs * (depth + 1)
 
     def test_lines_serialize(self):
         lines = verify_suite(4, 2, 1, seed=1, runs=1, depth=1)
         for line in lines:
             d = line.to_dict()
             assert set(d) == {"name", "passed", "residual", "detail"}
+
+
+class TestSuiteCellCache:
+    @pytest.mark.parametrize("n, t, k", [(4, 2, 1), (5, 2, 2), (4, 2, 3)])
+    def test_warm_lines_equal_cold_lines(self, n, t, k):
+        for seed in (0, 1, 7919):
+            subspace._suite_cell.cache_clear()
+            cold = [line.to_dict() for line in verify_suite(n, t, k, seed=seed, runs=2, depth=2)]
+            verify_suite(n, t, k, seed=seed + 1000, runs=2, depth=2)
+            warm = [line.to_dict() for line in verify_suite(n, t, k, seed=seed, runs=2, depth=2)]
+            assert warm == cold
+            assert subspace._suite_cell.cache_info().hits == 2
+
+    @pytest.mark.parametrize("array", [
+        pytest.param(lambda frame: frame.columns, id="columns"),
+        pytest.param(lambda frame: frame.labels, id="labels"),
+        pytest.param(lambda frame: frame.minus[1], id="minus"),
+        pytest.param(lambda frame: frame.classes, id="classes"),
+        pytest.param(lambda frame: frame.answer_blocks[(0, 0)][0], id="answer-block"),
+        pytest.param(lambda frame: frame.decomp.plus[0], id="decomp-plus"),
+        pytest.param(lambda frame: frame.decomp.levels[-1], id="decomp-level"),
+        pytest.param(lambda frame: frame.decomp.chain1[1].span, id="chain-span"),
+        pytest.param(lambda frame: frame.decomp.space.bits, id="space-bits"),
+        pytest.param(lambda frame: frame.decomp.space.psi_one, id="space-psi"),
+    ])
+    def test_cached_arrays_are_read_only(self, array):
+        verify_suite(4, 2, 2, runs=1, depth=1)
+        frame = subspace._suite_cell(4, 2, 2).frame
+        with pytest.raises(ValueError, match="read-only"):
+            array(frame)[0] = 0
+
+    def test_holds_at_most_its_maxsize(self):
+        assert subspace._suite_cell.cache_info().maxsize == subspace.CELL_CACHE_SIZE == 8
