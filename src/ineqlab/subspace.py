@@ -571,15 +571,15 @@ def recast_run(
 
 
 def random_program(rng: SeededRng, dim: int, depth: int) -> tuple[np.ndarray, ...]:
-    """Haar-style random unitaries for driving recast runs."""
-    gen = rng.stream
-    out = []
-    for _ in range(depth):
-        z = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r)
-        out.append(q * (diag / np.abs(diag)))
-    return tuple(out)
+    """Haar-style random unitaries for driving recast runs, from one batched QR.
+
+    One draw of (depth, 2, dim, dim) reads the stream of a real and then an
+    imaginary (dim, dim) draw per step.
+    """
+    z = rng.stream.standard_normal((depth, 2, dim, dim))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return tuple(q * (diag / np.abs(diag))[:, None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -624,14 +624,18 @@ def _masses_report(masses: np.ndarray, params: PotentialParams) -> PotentialRepo
     )
 
 
-def potential_from_joint(phi: np.ndarray, frame: LevelFrame) -> PotentialReport:
-    """Level masses and their exponentially weighted sum, read off a joint pure state."""
-    overlaps = phi @ frame.columns
-    weights_per_col = np.abs(overlaps) ** 2
-    per_col = weights_per_col.sum(axis=0)
-    masses = np.zeros(len(frame.params.weights))
-    np.add.at(masses, frame.labels, per_col)
-    return _masses_report(np.clip(masses, 0.0, None), frame.params)
+def potential_from_joint(states, frame: LevelFrame) -> list[PotentialReport]:
+    """Level masses and their exponentially weighted sum, one report per joint pure state.
+
+    `states` is one run's stack (depth + 1, dim_a, dim_i); the stacked matmul
+    makes each state's own gemm, and bincount adds each state's column
+    masses into its levels in column order, as np.add.at does.
+    """
+    per_col = (np.abs(np.asarray(states) @ frame.columns) ** 2).sum(axis=1)
+    width = len(frame.params.weights)
+    bins = frame.labels + width * np.arange(len(per_col))[:, None]
+    masses = np.bincount(bins.ravel(), weights=per_col.ravel(), minlength=per_col.shape[0] * width)
+    return [_masses_report(row, frame.params) for row in np.clip(masses, 0.0, None).reshape(-1, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -688,27 +692,37 @@ def success_probability_bounds(
 
     # the per-block projection claim applies where both sign blocks exist,
     # which is every level below t (the level-t leftover block is itself a
-    # weight class, so its answer projection is trivially 0 or 1)
-    projection_excess = 0.0
+    # weight class, so its answer projection is trivially 0 or 1).  The draws
+    # are one block pick and one coefficient draw per trial and factor; the
+    # floats are stacked per signed block, then per level tuple, as stacked
+    # matmuls that make each trial's own dot and gemv (a gemm across trials
+    # would round differently), and max(x) - 2^-k is the max of x - 2^-k
     signed_blocks = {("plus", j): decomp.plus[j] for j in range(space.t)}
     signed_blocks.update({("minus", j): decomp.minus[j] for j in range(space.t)})
     keys = sorted(signed_blocks.keys())
-    for _ in range(SAMPLE_TRIALS):
-        factors = []
-        levels = []
-        for _ in range(k):
-            side, j = keys[int(gen.integers(len(keys)))]
-            cols = signed_blocks[(side, j)]
-            coeff = gen.standard_normal(cols.shape[1])
-            # math.sqrt(c @ c) is np.linalg.norm(c) bit for bit on a 1-D float64 array
-            factors.append((cols @ (coeff / math.sqrt(coeff @ coeff))).reshape(-1, 1))
-            levels.append(j)
-        psi = _kron_columns(factors).ravel()
-        for block in frame.answer_blocks[tuple(levels)]:
-            proj = block.T @ psi
-            projection_excess = max(
-                projection_excess, float(proj @ proj) - 1.0 / 2**k
-            )
+    picks, coeffs = [], []
+    for _ in range(SAMPLE_TRIALS * k):
+        picks.append(int(gen.integers(len(keys))))
+        coeffs.append(gen.standard_normal(signed_blocks[keys[picks[-1]]].shape[1]))
+    picks = np.array(picks)
+    factors = np.empty((len(picks), space.dim))
+    for pick in set(picks.tolist()):
+        at = np.flatnonzero(picks == pick)
+        coeff = np.stack([coeffs[i] for i in at])
+        unit = coeff / np.sqrt(coeff[:, None, :] @ coeff[:, :, None])[:, 0]
+        factors[at] = (signed_blocks[keys[pick]] @ unit[:, :, None])[:, :, 0]
+    factors = factors.reshape(SAMPLE_TRIALS, k, space.dim)
+    levels = np.array([j for _, j in keys])[picks].reshape(SAMPLE_TRIALS, k)
+    worst = -math.inf
+    for js in set(map(tuple, levels.tolist())):
+        at = np.flatnonzero((levels == js).all(axis=1))
+        psi = factors[at, 0]
+        for i in range(1, k):
+            psi = (psi[:, :, None] * factors[at, i][:, None, :]).reshape(len(at), -1)
+        for block in frame.answer_blocks[js]:
+            proj = block.T @ psi[:, :, None]
+            worst = max(worst, float((np.swapaxes(proj, 1, 2) @ proj).max()))
+    projection_excess = max(0.0, worst - 1.0 / 2**k)
 
     return SuccessBoundReport(
         k=k,
@@ -903,7 +917,7 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     for idx in range(runs):
         program = random_program(rng.spawn("program", idx), dim_a, depth)
         run = recast_run(program, space, k, workspace_dim=SUITE_WORKSPACE)
-        reports = [potential_from_joint(phi, frame) for phi in run.states]
+        reports = potential_from_joint(run.states, frame)
         decay = max(decay, *(report.decay_excess for report in reports))
         for ratio in growth_ratios(reports):
             growth_max = max(growth_max, (ratio - 1.0) * math.sqrt(t * n))

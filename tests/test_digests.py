@@ -7,7 +7,13 @@ A change that keeps behaviour keeps every digest; a change that means to
 alter an output re-freezes the digest and says why.  Float fields (subspace residuals, LP
 chain margins, Chebyshev residuals and dominance excesses, the half-full
 block rates, growth-probe maxima) are hashed as printed, so the digests
-assume IEEE float64 with the same numpy build.
+assume IEEE float64 with the same numpy build.  They also assume the same
+BLAS thread count from n = 6 or k = 3 on, where the products and
+eigensolves are large enough for OpenBLAS to split across threads:
+`subspace verify --n 6 --t 2 --k 2 --runs 3` prints a containment residual
+of 1.4018e-15 on one thread and 1.2745e-15 on two.  So a digest frozen at
+such a cell must pin the thread count; the subspace cells frozen here are
+(4, 2, 1) and (4, 2, 2).
 """
 import dataclasses
 import hashlib

@@ -558,8 +558,9 @@ class TestPotential:
     def test_joint_and_reduced_paths_agree(self):
         run = small_run(n=5, t=2, k=2, workspace=1, depth=3, seed=9)
         frame = build_level_frame(build_signed_decomposition(run.space), 2)
-        for phi in run.states:
-            a = potential_from_joint(phi, frame)
+        reports = potential_from_joint(run.states, frame)
+        assert len(reports) == len(run.states)
+        for a, phi in zip(reports, run.states):
             b = potential(reduced(phi), frame)
             assert max(abs(x - y) for x, y in zip(a.masses, b.masses)) < 1e-10
 
@@ -569,7 +570,7 @@ class TestPotential:
         gate = np.eye(dim_a, dtype=complex)
         run = recast_run([gate, gate], build_input_space(n, t), 1, workspace_dim=w)
         frame = build_level_frame(build_signed_decomposition(run.space), 1)
-        for ratio in growth_ratios([potential_from_joint(phi, frame) for phi in run.states]):
+        for ratio in growth_ratios(potential_from_joint(run.states, frame)):
             assert abs(ratio - 1.0) < 1e-12
 
     def test_top_level_eigencase(self):
@@ -589,8 +590,7 @@ class TestPotential:
         for seed in range(8):
             run = small_run(n=4, t=2, k=1, depth=3, seed=seed)
             frame = build_level_frame(build_signed_decomposition(run.space), 1)
-            for phi in run.states:
-                report = potential_from_joint(phi, frame)
+            for report in potential_from_joint(run.states, frame):
                 assert report.decay_excess <= BOUND_SLACK
                 assert abs(report.mass_sum - 1.0) <= BOUND_SLACK
 
@@ -624,10 +624,17 @@ def reference_bounds(frame, run, m, rng):
         diag = np.sum(np.abs(phi) ** 2, axis=0)
         for mask in masks:
             run_excess = max(run_excess, float(diag[mask].sum()) - corrected)
-    projection_excess = 0.0
-    signed_blocks = {("plus", j): decomp.plus[j] for j in range(space.t)}
-    signed_blocks.update({("minus", j): decomp.minus[j] for j in range(space.t)})
+    return span_excess, run_excess, per_trial_projection(frame, gen)
+
+
+def per_trial_projection(frame, gen):
+    """The projection check as one loop per trial: per factor one block pick, one
+    coefficient draw and one gemv, then one gemv and one dot per answer block."""
+    decomp, k = frame.decomp, frame.params.k
+    signed_blocks = {("plus", j): decomp.plus[j] for j in range(decomp.space.t)}
+    signed_blocks.update({("minus", j): decomp.minus[j] for j in range(decomp.space.t)})
     keys = sorted(signed_blocks.keys())
+    projection_excess = 0.0
     for _ in range(subspace.SAMPLE_TRIALS):
         factors, levels = [], []
         for _ in range(k):
@@ -640,7 +647,85 @@ def reference_bounds(frame, run, m, rng):
         for block in frame.answer_blocks[tuple(levels)]:
             proj = block.T @ psi
             projection_excess = max(projection_excess, float(proj @ proj) - 1.0 / 2**k)
-    return span_excess, run_excess, projection_excess
+    return projection_excess
+
+
+def per_trial_bounds(frame, run, m, rng):
+    """success_probability_bounds with its projection check as one loop per trial:
+    the reference the stacked check must match bit for bit."""
+    k = frame.params.k
+    bound = subspace._binomial_tail(k, m)
+    gen = rng.stream
+    low_cols = np.hstack([frame.minus[mp] for mp in range(m + 1)])
+    coeff = gen.standard_normal((subspace.SAMPLE_TRIALS, low_cols.shape[1]))
+    psi = (coeff / np.linalg.norm(coeff, axis=1, keepdims=True)) @ low_cols.T
+    span_excess = max(0.0, float(((psi**2) @ frame.classes).max()) - bound)
+    states = np.stack(run.states)
+    inside = (np.abs(states @ low_cols) ** 2).sum(axis=(1, 2))
+    corrected = bound + 4.0 * np.sqrt(np.maximum(0.0, 1.0 - inside))
+    probs = (np.abs(states) ** 2).sum(axis=1) @ frame.classes
+    run_excess = max(0.0, float((probs - corrected[:, None]).max()))
+    return subspace.SuccessBoundReport(k=k, m=m, binomial_bound=bound, span_excess=span_excess,
+                                       run_excess=run_excess,
+                                       projection_excess=per_trial_projection(frame, gen))
+
+
+def per_step_program(rng, dim, depth):
+    """random_program as two draws and one QR per step."""
+    gen = rng.stream
+    out = []
+    for _ in range(depth):
+        z = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r)
+        out.append(q * (diag / np.abs(diag)))
+    return tuple(out)
+
+
+def per_state_potential(phi, frame):
+    """potential_from_joint for one joint state: one matmul and one np.add.at."""
+    per_col = (np.abs(phi @ frame.columns) ** 2).sum(axis=0)
+    masses = np.zeros(len(frame.params.weights))
+    np.add.at(masses, frame.labels, per_col)
+    return subspace._masses_report(np.clip(masses, 0.0, None), frame.params)
+
+
+def hexed(report):
+    """A report's fields with every float as float.hex, so equality is bit for bit."""
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        return tuple(map(bits, value)) if isinstance(value, tuple) else value
+    return {f.name: bits(getattr(report, f.name)) for f in dataclasses.fields(report)}
+
+
+class TestStackedMatchesPerItem:
+    """The stacked program draw, potentials and projection check against their
+    per-step, per-state and per-trial forms, on the streams verify_suite reads:
+    every float bit for bit and every Generator end state."""
+
+    @pytest.mark.parametrize("n, t, k", [(4, 2, 1), (5, 2, 2), (6, 2, 2), (4, 2, 3)])
+    def test_suite_streams(self, n, t, k):
+        frame = build_level_frame(build_signed_decomposition(build_input_space(n, t)), k)
+        dim_a = (k * n + 1) * subspace.SUITE_WORKSPACE
+        depth = 3
+        for seed in (0, 1, 7919):
+            for idx in range(3):
+                rng, ref = (SeededRng(seed).spawn("program", idx) for _ in range(2))
+                program = random_program(rng, dim_a, depth)
+                expect = per_step_program(ref, dim_a, depth)
+                assert len(program) == depth
+                assert all(np.array_equal(a, b) for a, b in zip(program, expect))
+                assert rng.stream.bit_generator.state == ref.stream.bit_generator.state
+                run = recast_run(program, frame.decomp.space, k, workspace_dim=subspace.SUITE_WORKSPACE)
+                reports = potential_from_joint(run.states, frame)
+                assert [hexed(r) for r in reports] == [hexed(per_state_potential(phi, frame))
+                                                       for phi in run.states]
+                for m in range(k + 1):
+                    rng, ref = (SeededRng(seed).spawn("bounds", idx, m) for _ in range(2))
+                    assert (hexed(success_probability_bounds(frame, run, m, rng))
+                            == hexed(per_trial_bounds(frame, run, m, ref)))
+                    assert rng.stream.bit_generator.state == ref.stream.bit_generator.state
 
 
 class TestSuccessBounds:
@@ -1040,9 +1125,10 @@ class TestVerifySuite:
             verify_suite(4, 2, 1, runs=runs, depth=depth)
 
     def test_suite_shares_its_input_space_and_potential_reports(self, monkeypatch):
-        # one InputSpace per suite, one potential report per run state
+        # one InputSpace per suite, one potential call per run and one report per run state
         calls = {"space": 0, "potential": 0}
         spaces = set()
+        reports = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -1050,28 +1136,34 @@ class TestVerifySuite:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def potentials(states, frame):
+            out = run_potential(states, frame)
+            reports.extend(out)
+            return out
+
         def recast(program, space, *args, **kwargs):
             spaces.add(id(space))
             return run_recast(program, space, *args, **kwargs)
 
-        run_recast = subspace.recast_run
+        run_recast, run_potential = subspace.recast_run, subspace.potential_from_joint
         monkeypatch.setattr(subspace, "build_input_space",
                             counted("space", subspace.build_input_space))
-        monkeypatch.setattr(subspace, "potential_from_joint",
-                            counted("potential", subspace.potential_from_joint))
+        monkeypatch.setattr(subspace, "potential_from_joint", counted("potential", potentials))
         monkeypatch.setattr(subspace, "recast_run", recast)
         runs, depth = 4, 3
         lines = verify_suite(4, 2, 2, runs=runs, depth=depth)
         assert all(line.passed for line in lines)
         assert calls["space"] == 1
         assert len(spaces) == 1
-        assert calls["potential"] == runs * (depth + 1)
+        assert calls["potential"] == runs
+        assert len(reports) == runs * (depth + 1)
         # a second suite at the same cell, at another seed, builds nothing:
         # its runs read the same InputSpace, and only the potentials are new
         assert all(line.passed for line in verify_suite(4, 2, 2, seed=1, runs=runs, depth=depth))
         assert calls["space"] == 1
         assert len(spaces) == 1
-        assert calls["potential"] == 2 * runs * (depth + 1)
+        assert calls["potential"] == 2 * runs
+        assert len(reports) == 2 * runs * (depth + 1)
 
     def test_lines_serialize(self):
         lines = verify_suite(4, 2, 1, seed=1, runs=1, depth=1)
