@@ -18,6 +18,7 @@ the respective cost envelopes.
 """
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import operator
@@ -115,10 +116,11 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
     below s_prime; a binary search then takes the longest length in the last
     bracket whose estimate is at most 2*s_prime, or the bracket's floor if
     none is.  Every probe is a median-of-reps count charged M*reps, with
-    M = ceil(sqrt(candidate length)); an exact count draws nothing and returns
-    the window's total, so exact probes read the tape's running sums and are
-    charged at once.  If the range end is reached while still sparse, the tail
-    is the block; a tail of at most s_prime columns is taken without a probe.
+    M = ceil(sqrt(candidate length)).  An exact count draws nothing and returns the
+    window's total; as the tape's running sums ascend (values >= 0), two bisects decide
+    every exact probe, reach (the first length totalling at least s_prime) and keep (the
+    last totalling at most 2*s_prime), and exact probes are charged at once.  The tail is
+    the block if the range end is reached while sparse, unprobed if at most s_prime long.
     """
     _check_mode(mode)
     if reps < 1 or reps % 2 == 0:
@@ -129,30 +131,34 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
         raise ValueError(f"no columns left at position {start}")
     if s_prime < 1:
         raise ValueError("row capacity must be at least 1")
-    sums, at, charged = tape._sums(), tape.offset + start, []   # charged: M*reps of each exact probe
+    exact = mode == MODE_EXACT
+    if exact:
+        sums, at = tape._sums(), tape.offset + start
+        reach = bisect.bisect_left(sums, sums[at] + s_prime, at, at + remaining + 1) - at
+        keep = bisect.bisect_right(sums, sums[at] + 2 * s_prime, at, at + remaining + 1) - 1 - at
 
-    def probe(length: int) -> float:
-        m_pts = math.ceil(math.sqrt(length))
-        if mode == MODE_EXACT:   # an exact count draws nothing and returns the window's total
-            charged.append(m_pts * reps)
-            return sums[at + length] - sums[at]
-        return count_median(tape.window(start, start + length), m_pts, reps, mode, draws)
+    def estimate(length: int) -> float:
+        return count_median(tape.window(start, start + length), math.ceil(math.sqrt(length)),
+                            reps, mode, draws)
 
+    charged = 0   # M of every probe; only exact probes are booked here, count_median books its own
     lo = hi = remaining   # sparse all the way to the end: the tail is the block
     k = s_prime
     while k < remaining:
         k = min(2 * k, remaining)
-        if probe(k) >= s_prime:
+        charged += math.ceil(math.sqrt(k))
+        if (k >= reach if exact else estimate(k) >= s_prime):
             lo, hi = k // 2, k
             break
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if probe(mid) <= 2 * s_prime:
+        charged += math.ceil(math.sqrt(mid))
+        if (mid <= keep if exact else estimate(mid) <= 2 * s_prime):
             lo = mid
         else:
             hi = mid - 1
-    if charged:   # the ledger keeps sums only, so one charge books every exact probe
-        tape.charge(sum(charged), TAG_COUNTING)
+    if exact and charged:   # the ledger keeps sums only, so one charge books every exact probe
+        tape.charge(charged * reps, TAG_COUNTING)
     return lo
 
 
@@ -180,7 +186,7 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
     x_tape = TapeOracle(x, ledger, "x")
     b_tape = TapeOracle(np.asarray(b_block, dtype=np.int64), ledger, "b")
     # at most S' rows: the counters, bounds and open rows are plain ints and lists
-    bounds = b_tape.read_values(np.arange(m)).tolist()
+    bounds = b_tape.read_values(list(range(m))).tolist()
     y = [0] * m
     open_rows = [i for i in range(m) if bounds[i] > 0]
     vb = value_bits(t)
@@ -192,8 +198,9 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
     closed_now = 1   # builds the first masked tape
     while pos < n and open_rows:
         if closed_now:   # the masked tape changes only when a block closes a row
-            mask = np.logical_or.reduce(A_block.take(open_rows, axis=0))
-            v_tape = TapeOracle(np.where(mask, x, 0), ledger, "x")
+            mask = (A_block[open_rows[0]] != 0 if len(open_rows) == 1
+                    else np.logical_or.reduce(A_block.take(open_rows, axis=0)))
+            v_tape = TapeOracle(x * mask, ledger, "x")
         before = ledger.total
         length = find_block_length(v_tape, pos, m, mode, draws, reps)
         sized = ledger.total

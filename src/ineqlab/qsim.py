@@ -43,10 +43,6 @@ CAP_GROWTH = 6 / 5        # growth rate of the unknown-weight iteration caps
 RAW_CHUNK = 1024          # raw PCG64 words a StreamDraws fetches per refill
 
 
-class WeightZero(ValueError):
-    """Known-weight schedule requested for an empty range."""
-
-
 class RangeTooLarge(ValueError):
     """Statevector path asked to simulate beyond its size cap."""
 
@@ -89,13 +85,24 @@ class TapeOracle:
         self.ledger.charge(self.target, tag, count)
 
     def read_values(self, idx, tag: str = TAG_CLASSICAL) -> np.ndarray:
-        """The one charged-read path: every index is checked, then len(idx) charged at once."""
-        idx = np.asarray(idx, dtype=np.int64)
-        bad = idx[(idx < 0) | (idx >= self.n)]
-        if bad.size:
+        """The one charged-read path: every index is checked to be an integer (a bool is not)
+        in range, then len(idx) charged at once.  A list or tuple is checked in Python."""
+        if isinstance(idx, (list, tuple)):
+            if not all(type(i) is int or isinstance(i, np.integer) for i in idx):
+                raise IndexError(f"tape indices {idx!r} are not all integers")
+            inside = not idx or (min(idx) >= 0 and max(idx) < self.n)
+            bad = () if inside else [i for i in idx if not 0 <= i < self.n]
+            idx, count = list(idx), len(idx)   # a tuple would index axes, not positions
+        else:
+            idx = np.asarray(idx)
+            if idx.size and idx.dtype.kind not in "iu":
+                raise IndexError(f"tape indices of dtype {idx.dtype} are not integers")
+            idx = idx.astype(np.int64, copy=False)
+            bad, count = idx[(idx < 0) | (idx >= self.n)], idx.size
+        if len(bad):
             raise IndexError(f"tape index {bad[0]} out of range")
-        if idx.size:   # an empty read adds no tag to the ledger
-            self.ledger.charge(self.target, tag, int(idx.size))
+        if count:   # an empty read adds no tag to the ledger
+            self.ledger.charge(self.target, tag, count)
         return self.values[idx]
 
     # -- uncharged simulation internals --
@@ -125,21 +132,6 @@ def grover_success(n: int, w: int, j: int) -> float:
     """Success mass sin^2((2j+1) theta) after j iterations, with sin^2(theta) = w/n."""
     theta = math.asin(math.sqrt(w / n))
     return math.sin((2 * j + 1) * theta) ** 2
-
-
-def grover_schedule(n: int, w: int) -> tuple[int, float]:
-    """Known-weight iteration count and success probability.
-
-    theta = arcsin(sqrt(w/n)), k = floor(pi / (4 theta)), p = sin^2((2k+1) theta).
-    """
-    if n < 1:
-        raise ValueError("range must be nonempty")
-    if w == 0:
-        raise WeightZero("schedule undefined for weight 0")
-    if not 0 < w <= n:
-        raise ValueError(f"weight {w} out of range [1, {n}]")
-    k = int(math.pi / (4 * math.asin(math.sqrt(w / n))))
-    return k, grover_success(n, w, k)
 
 
 def _grover_iterate(state: np.ndarray, bits: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -288,12 +280,12 @@ def _searches(oracle: TapeOracle, mode: str, draws: StreamDraws, once: bool) -> 
     n = oracle.n
     if n < 1:
         raise ValueError("range must be nonempty")
-    bits = oracle._bits()   # the one scan of the support; statevector attempts read it
-    ones = bits.nonzero()[0].tolist()   # ascending: a find is popped at its drawn rank
+    ones = oracle.values.nonzero()[0].tolist()   # the support (values >= 0), ascending: finds pop by rank
     budget = RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(n))
     highs = _attempt_highs(n, budget)
     need = 2 * budget + 2   # a search reads at most 2 words per attempt, unless Lemire rejects
     sv, forced = mode == MODE_SV, mode == MODE_EXACT
+    bits = oracle._bits() if sv else None   # statevector attempts read and clear the bit tape
     found, charged = [], 0
     # the attempts read the reserved words through locals, handed back even on a raise:
     # a below() or uniform-read method call per draw ran product-exact 12-16% slower

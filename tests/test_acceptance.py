@@ -19,7 +19,7 @@ from ineqlab.linsys import (
     classical_bounded_product,
 )
 from ineqlab.polylab import run_poly_suite, verify_lp
-from ineqlab.qsim import StreamDraws, TapeOracle, count_median, counting_window, grover_schedule, sv_run_grover
+from ineqlab.qsim import StreamDraws, TapeOracle, count_median, counting_window, grover_success, sv_run_grover
 from ineqlab.subspace import (
     alpha_beta,
     build_input_space,
@@ -210,7 +210,8 @@ class TestSubroutineFidelity:
             bits = np.zeros(n, dtype=bool)
             for w in range(1, n + 1):
                 bits[w - 1] = True
-                k, p = grover_schedule(n, w)
+                k = int(math.pi / (4 * math.asin(math.sqrt(w / n))))   # the known-weight schedule
+                p = grover_success(n, w, k)
                 pmf = sv_run_grover(bits, k)
                 worst = max(worst, abs(float(pmf[:w].sum()) - p))
         counting_ok = True

@@ -25,7 +25,7 @@ from ineqlab.cli import main
 from ineqlab.core import SeededRng, save_instance
 from ineqlab.linsys import bounded_matrix_product
 from ineqlab.polylab import cr_probe, verify_lp
-from ineqlab.sweep import FAMILIES, instance_regular
+from ineqlab.sweep import FAMILIES, instance_regular, run_cell, run_product
 
 
 def sha256(data: bytes) -> str:
@@ -68,6 +68,10 @@ TRACE_DIGESTS = {
     ("regular", 128, 2, 32, "exact"): "41fbd7335d40eb2e6ca8d02963a072e1c9f8728ccaf91c8587645928054c077d",
     ("regular", 128, 2, 32, "cost-model"): "1ac3fe0c7e6d6e3f6b82fce16703d85130b5e37b5ec6e1237f37c050f288ea2f",
 }
+
+# the product-exact bench cell: hover-sqrt (256, 2, 16) in exact mode at reps 5
+# and its classical run, at seeds 0 and 7919
+BENCH_EXACT_DIGEST = "30ad91ed0f847f722f2a396aeb6c6098c5d20b35eff4080bd340095c71c1164f"
 
 CR_POINTS_DIGEST = "eeb1abc94893ae2f3281cc1bdbd4d03fb21bccb3de85028da9f2a2052f7914ee"
 
@@ -139,3 +143,20 @@ def test_block_traces(cell):
             "rng_state": rng.bit_generator.state,
         })
     assert sha256(json.dumps(runs).encode("utf-8")) == TRACE_DIGESTS[cell]
+
+
+def test_bench_exact_cell():
+    # each run's sweep row, ledger tags and every BlockTrace of every group
+    family, n, t, S = "hover-sqrt", 256, 2, 16
+    runs = []
+    for seed in (0, 7919):
+        for mode, reps in (("exact", 5), ("classical", None)):
+            root = SeededRng(seed)
+            inst = FAMILIES[family](root.spawn("instance", family, n, t).stream, n, t)
+            res = run_product(inst, S, mode, root.spawn("run", mode, n, t, S), reps)
+            runs.append({
+                "row": dataclasses.astuple(run_cell(family, n, t, S, mode, seed, reps)),
+                "by_subroutine": res.ledger.by_subroutine,
+                "traces": [[dataclasses.astuple(block) for block in group] for group in res.group_traces],
+            })
+    assert sha256(json.dumps(runs).encode("utf-8")) == BENCH_EXACT_DIGEST

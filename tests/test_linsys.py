@@ -5,6 +5,7 @@ implementation; statistical constants follow the calibration notes in tests
 that mention them.
 """
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -329,6 +330,111 @@ class TestBlockLengthMatchesReference:
                     length = sizer(TapeOracle(values, ledger, "x"), start, s_prime, MODE_COST, draws, reps)
                 results.append((length, ledger.by_subroutine, ledger.total, rng.bit_generator.state))
             assert results[0] == results[1], (seed, trial)
+
+
+def exact_pair(values, start, s_prime, reps=3, pad=()):
+    """(length, by_subroutine) of find_block_length, on a window of values padded by
+    pad on both sides of its root, and of reference_block_length on values alone;
+    exact sizing draws nothing, so neither is given a reader."""
+    values, pad = np.asarray(values, dtype=np.int64), np.asarray(pad, dtype=np.int64)
+    out = []
+    for sizer, tape in ((find_block_length, np.concatenate([pad, values, pad])),
+                        (reference_block_length, values)):
+        ledger = QueryLedger()
+        oracle = TapeOracle(tape, ledger, "x")
+        if sizer is find_block_length:
+            oracle = oracle.window(pad.size, pad.size + values.size)
+        out.append((sizer(oracle, start, s_prime, MODE_EXACT, None, reps), ledger.by_subroutine))
+    return out
+
+
+def reach_and_keep(values, start, s_prime):
+    """First length from start whose total reaches s', last whose total is at most 2s'."""
+    totals = np.concatenate([[0], np.cumsum(values[start:])])
+    reached = np.flatnonzero(totals >= s_prime)
+    return (int(reached[0]) if reached.size else None), int(np.flatnonzero(totals <= 2 * s_prime)[-1])
+
+
+class TestExactSizingEdges:
+    """Exact sizing decides its probes by two bisects on the running sums; these tapes put
+    reach (first length reaching s') and keep (last length within 2s') on the edges that an
+    off-by-one or a bisect_left / bisect_right swap would move."""
+
+    def check(self, values, start, s_prime, reps=3, pad=()):
+        ours, ref = exact_pair(values, start, s_prime, reps, pad)
+        assert ours == ref, (values, start, s_prime, reps, pad)
+        return ours
+
+    def test_total_never_reaches_s_prime(self):
+        for values, start, s_prime in (([0] * 12, 0, 1), ([0, 1, 0, 0, 0, 0, 0, 0, 0, 0], 0, 2),
+                                       ([5, 0, 0, 1, 0, 0, 0, 1, 0, 0], 1, 3)):
+            assert reach_and_keep(np.array(values), start, s_prime)[0] is None
+            length, charges = self.check(values, start, s_prime)
+            assert length == len(values) - start and charges[TAG_COUNTING] > 0
+
+    @pytest.mark.parametrize("s_prime", (1, 2, 3))
+    def test_one_column_jumps_past_s_prime_or_twice_it(self, s_prime):
+        # a single nonzero column at every position, worth s' + 1 (past s' but within
+        # 2s' when s' > 1) or 2s' + 1 (past 2s': keep stops just before it)
+        for value in (s_prime, s_prime + 1, 2 * s_prime, 2 * s_prime + 1, 3 * s_prime):
+            for col in range(20):
+                values = [0] * 20
+                values[col] = value
+                self.check(values, 0, s_prime)
+                self.check(values, min(col, 3), s_prime)
+
+    def test_reach_on_a_doubling_length(self):
+        # s' = 2 doubles to 4, 8, 16: mass 2 completed at lengths 3..17, so reach sits on,
+        # just before and just after each doubling length
+        hits = set()
+        for last in range(2, 17):
+            for first in range(last):
+                values = [0] * 24
+                values[first] += 1
+                values[last] += 1
+                reach, _ = reach_and_keep(np.array(values), 0, 2)
+                hits.add(reach)
+                self.check(values, 0, 2)
+        assert {3, 4, 5, 7, 8, 9, 15, 16, 17} <= hits
+
+    def test_keep_on_the_bracket_floor(self):
+        # s' = 2 doubles to 4, 8, 16; a column of 5 at index f ends the doubling at 2f,
+        # in the bracket [f, 2f], with keep on its floor f (length f holds nothing and
+        # f + 1 holds 5 > 2s'); at index f + 1, keep is one above the floor
+        for f in (2, 4, 8):
+            for col, want in ((f, f), (f + 1, f + 1)):
+                values = [0] * 20
+                values[col] = 5
+                assert reach_and_keep(np.array(values), 0, 2)[1] == want
+                assert self.check(values, 0, 2)[0] == want
+        # a total of exactly 2s' held over a run of zeros: keep is the run's last length
+        values = [1, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0]
+        assert reach_and_keep(np.array(values), 0, 2)[1] == 14
+        assert self.check(values, 0, 2)[0] == 8
+
+    def test_s_prime_at_least_remaining_takes_the_tail_unprobed(self):
+        for start, s_prime in ((6, 4), (6, 5), (9, 1), (0, 10), (0, 12)):
+            length, charges = self.check([3] * 10, start, s_prime)
+            assert length == 10 - start and charges == {}
+
+    def test_window_of_a_padded_root(self):
+        # the window reads its root's sums from its offset; heavy padding on both sides
+        # would move reach and keep if the offset were dropped or misplaced
+        for pad in ((9,), (1, 1, 1), (0, 4, 0, 4, 0)):
+            for col in range(10):
+                for value in (1, 2, 3, 5):
+                    values = [0] * 10
+                    values[col] = value
+                    values[(col + 3) % 10] += 1
+                    self.check(values, col % 4, 2, pad=pad)
+
+    def test_every_small_tape(self):
+        # every tape of up to 6 columns over {0, 1, 3}, every start, s' in 1..3 and reps 1 or 5
+        for n in range(1, 7):
+            for values in itertools.product((0, 1, 3), repeat=n):
+                for start in range(n):
+                    for s_prime in (1, 2, 3):
+                        self.check(values, start, s_prime, reps=1 + 4 * (sum(values) % 2))
 
 
 # ---------------------------------------------------------------------------

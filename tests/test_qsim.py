@@ -23,13 +23,11 @@ from ineqlab.qsim import (
     EstimatePmf,
     RangeTooLarge,
     TapeOracle,
-    WeightZero,
     ae_outcome_pmf,
     collect_ones,
     count_median,
     counting_window,
     fold_count_pmf,
-    grover_schedule,
     grover_search,
     sv_count_pmf,
     sv_run_grover,
@@ -39,6 +37,16 @@ from ineqlab.qsim import (
 def make_oracle(values, target="x"):
     ledger = QueryLedger()
     return TapeOracle(np.asarray(values, dtype=np.int64), ledger, target), ledger
+
+
+def count_scans(oracle, scans):
+    """Make each nonzero() scan of the oracle's values (or of a slice of them) append to scans."""
+    class Scanned(np.ndarray):
+        def nonzero(self):
+            scans.append(1)
+            return super().nonzero()
+    oracle.values = oracle.values.view(Scanned)
+    return oracle
 
 
 def rng_for(*key):
@@ -218,6 +226,33 @@ class TestTapeOracle:
         assert ledger.total == 0
         assert ledger.by_subroutine == {}
 
+    @pytest.mark.parametrize("idx", (
+        [1.7], [0, 1.0], [np.float64(1)], [True, False], [0, np.True_], ["1"], [None],
+        (1.7,), (True,), (1, True),
+        np.array([1.7]), np.array([True, False]), np.array([0, 1], dtype=object),
+    ), ids=repr)
+    def test_non_integer_index_refused_before_charging(self, idx):
+        # a float is not truncated and a bool is not an index (nor a mask)
+        oracle, ledger = make_oracle([4, 5, 6])
+        with pytest.raises(IndexError, match="are not (all )?integers"):
+            oracle.read_values(idx)
+        assert ledger.total == 0 and ledger.by_subroutine == {}
+
+    def test_python_and_numpy_integers_read(self):
+        oracle, ledger = make_oracle([4, 5, 6])
+        for idx in ([2, 0], [np.int64(2), np.int32(0)], [np.uint8(2), 0], (2, 0),
+                    np.array([2, 0]), np.array([2, 0], dtype=np.uint16), np.array([2, 0], dtype=np.int8)):
+            out = oracle.read_values(idx)
+            assert out.tolist() == [6, 4] and out.dtype == np.int64, idx
+        assert ledger.by_subroutine == {TAG_CLASSICAL: 14}
+
+    def test_out_of_range_message_names_the_first_bad_index(self):
+        oracle, ledger = make_oracle([1, 0])
+        for idx in ([0, 5, -1], (0, 5, -1), [np.int64(0), np.int64(5)], np.array([0, 5, -1])):
+            with pytest.raises(IndexError, match=r"^tape index 5 out of range$"):
+                oracle.read_values(idx)
+        assert ledger.total == 0 and ledger.by_subroutine == {}
+
     def test_window_shares_ledger_and_relabels_indices(self):
         oracle, ledger = make_oracle([0, 0, 5, 0, 7])
         win = oracle.window(2, 5)
@@ -286,6 +321,26 @@ class TestTapeOracle:
 
 # ---------------------------------------------------------------------------
 # known-weight schedule
+
+
+class WeightZero(ValueError):
+    """Known-weight schedule requested for an empty range."""
+
+
+def grover_schedule(n, w):
+    """Known-weight iteration count and success probability, the reference the
+    unknown-weight search and the statevector iterate are checked against.
+
+    theta = arcsin(sqrt(w/n)), k = floor(pi / (4 theta)), p = sin^2((2k+1) theta).
+    """
+    if n < 1:
+        raise ValueError("range must be nonempty")
+    if w == 0:
+        raise WeightZero("schedule undefined for weight 0")
+    if not 0 < w <= n:
+        raise ValueError(f"weight {w} out of range [1, {n}]")
+    k = int(math.pi / (4 * math.asin(math.sqrt(w / n))))
+    return k, qsim.grover_success(n, w, k)
 
 
 class TestGroverSchedule:
@@ -589,12 +644,13 @@ class TestGroverSearch:
 
     def test_one_mask_build_per_search(self, monkeypatch):
         # with its only mark zeroed, the search runs its whole budget of
-        # attempts in every mode; the derived bit tape and its 1-positions are
-        # still built once, and the attempts are booked in one ledger charge
+        # attempts in every mode; its 1-positions are still scanned once, the
+        # derived bit tape is built once in statevector mode and never in the
+        # others (they read the support off the values, which are >= 0), and
+        # the attempts are booked in one ledger charge
         builds, scans, charges = [], [], []
-        real_bits, real_scan, real_charge = TapeOracle._bits, np.flatnonzero, QueryLedger.charge
+        real_bits, real_charge = TapeOracle._bits, QueryLedger.charge
         monkeypatch.setattr(TapeOracle, "_bits", lambda self, *a: builds.append(1) or real_bits(self, *a))
-        monkeypatch.setattr(qsim.np, "flatnonzero", lambda a: scans.append(1) or real_scan(a))
         monkeypatch.setattr(QueryLedger, "charge",
                             lambda self, *a: charges.append(a) or real_charge(self, *a))
         values = np.zeros(64, dtype=np.int64)
@@ -607,10 +663,10 @@ class TestGroverSearch:
             oracle, ledger = make_oracle(values)
             rng = rng_for("masks", mode)
             with contextlib.closing(qsim.StreamDraws(rng)) as draws:
-                out = grover_search(oracle, mode, draws)
+                out = grover_search(count_scans(oracle, scans), mode, draws)
             assert out.found is None
             assert charges == [("x", TAG_GROVER, ledger.total)], mode
-            assert len(builds) == 1 and len(scans) <= 1, mode
+            assert len(builds) == (mode == MODE_SV) and len(scans) == 1, mode
             # the reference draws one Generator uniform per attempt to decide hit
             # or miss; the search leaves the stream, and charges the ledger, as
             # those draws and per-attempt charges do
@@ -630,10 +686,10 @@ class TestGroverSearch:
             charges.clear()
             oracle, ledger = make_oracle(values)
             with draws_for("masks-collect", mode) as draws:
-                found = collect_ones(oracle, mode, draws)
+                found = collect_ones(count_scans(oracle, scans), mode, draws)
             assert found, mode
             assert charges == [("x", TAG_GROVER, ledger.total)], mode
-            assert len(builds) == 1 and len(scans) <= 1, mode
+            assert len(builds) == (mode == MODE_SV) and len(scans) == 1, mode
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stream_matches_per_attempt_reference(self, mode):
@@ -785,9 +841,10 @@ class TestCollectOnes:
         assert a == b and ledger_a == ledger_b
 
     def test_live_tape_matches_searches_with_exclusion_sets(self, monkeypatch):
-        # one support scan per collection, and the same draws and charges as one
-        # search per find on a tape copy with the found positions zeroed
-        builds = []
+        # one support scan per collection (and one bit tape, in statevector mode
+        # only), and the same draws and charges as one search per find on a tape
+        # copy with the found positions zeroed
+        builds, scans = [], []
         real_bits = TapeOracle._bits
         monkeypatch.setattr(TapeOracle, "_bits", lambda self, *a: builds.append(1) or real_bits(self, *a))
         values = np.zeros(48, dtype=np.int64)
@@ -796,9 +853,10 @@ class TestCollectOnes:
             for trial in range(5):
                 oracle, ledger = make_oracle(values)
                 builds.clear()
+                scans.clear()
                 with draws_for("live", mode, trial) as draws:
-                    res = collect_ones(oracle, mode, draws)
-                assert len(builds) == 1
+                    res = collect_ones(count_scans(oracle, scans), mode, draws)
+                assert len(builds) == (mode == MODE_SV) and len(scans) == 1, mode
                 outcomes, ref_ledger = searches_of_zeroed_copies(values, mode, ("live", mode, trial))
                 assert [*res, None] == outcomes
                 assert ledger == ref_ledger
