@@ -149,22 +149,28 @@ def simplex_max(rows, rhs, objective) -> tuple[Fraction, list[Fraction]]:
     Keeps only the objective row and the basic structural variables' rows, as
     Python-int numerators over one positive denominator; a basic slack
     s_i = b_i - a_i x is read off its constraint, and its full row is built
-    only when it leaves.  Every row is a positive multiple of the Fraction
-    tableau's, so every sign and ratio test, and so every pivot, is the same.
-    Needs nonnegative right-hand sides, so the slack basis is feasible; every
-    program built here has them.
+    only when it leaves.  The ratio test runs over constraint directions:
+    each nonzero constraint, in coprime integers, is a_i = lam_i u with u
+    primitive, its first nonzero entry positive, and lam_i a nonzero integer.
+    A pivot takes d = u . step once per direction (a read when u is a unit
+    vector), then e = u . vertex once if a member has lam_i d > 0; that
+    member's entry and right-hand side over scale are lam_i d = a_i . step
+    and b_i scale - lam_i e.  A slack out of the basis is never a candidate:
+    it stays at 0 along the step, so a_i . step = 0 (and < 0 for the
+    entering slack), and a zero constraint never bounds a step.  Every row is
+    a positive multiple of the Fraction tableau's, so every sign and ratio
+    test, and so every pivot, is the same.  Needs nonnegative right-hand
+    sides, so the slack basis is feasible; every program built here has them.
     """
     m, n = len(rows), len(objective)
     if len(rhs) != m or any(len(row) != n for row in rows):
         raise InstanceError("simplex needs one right-hand side per row and every row as long as the objective")
     if any(value < 0 for value in rhs):
         raise InstanceError("simplex needs nonnegative right-hand sides")
-    # each constraint in coprime integers (a gcd over denominator 0): a positive scale of its slack
-    cons = [_reduced(_integer_row([*row, b])[0], 0)[0] for row, b in zip(rows, rhs)]
-    obj = _integer_row([-Fraction(v) for v in objective] + [0])
+    cons, directions = _directions(rows, rhs)
+    obj = _integer_row([-v for v in objective] + [0])
     cols = list(range(n))        # variable held by each tableau column
     stored = {}                  # basic structural variable -> its row
-    slacks = list(range(m))      # constraints whose slack is basic
     for _ in range(SIMPLEX_PIVOT_CAP):
         entering = [(cols[j], j) for j in range(n) if obj[0][j] < 0]
         if not entering:
@@ -177,10 +183,13 @@ def simplex_max(rows, rhs, objective) -> tuple[Fraction, list[Fraction]]:
         # (variable, entry a, right-hand side b) of each basic variable with a > 0;
         # over scale, a slack's a is a_i times the structural step, its b is b_i less a_i times the vertex
         candidates = [(v, row[c], row[-1]) for v, (row, _) in stored.items() if row[c] > 0]
-        for i in slacks:
-            a = sum(map(operator.mul, cons[i], step))
-            if a > 0:
-                candidates.append((n + i, a, cons[i][-1] * scale - sum(map(operator.mul, cons[i], vertex))))
+        for col, u, sides in directions:
+            d = step[col] if u is None else sum(map(operator.mul, u, step))
+            members = sides[d < 0] if d else ()   # those with lam d > 0
+            if members:
+                e = vertex[col] if u is None else sum(map(operator.mul, u, vertex))
+                for i, lam, b in members:
+                    candidates.append((n + i, lam * d, b * scale - lam * e))
         if not candidates:
             raise InstanceError("unbounded linear program")
         # the least ratio b / a, ties to the lowest variable; each row's positive scale cancels
@@ -193,25 +202,53 @@ def simplex_max(rows, rhs, objective) -> tuple[Fraction, list[Fraction]]:
         else:
             # s_i = b_i - a_i x: over scale, a_i on the nonbasic structural
             # columns and b_i on the right, less a_i[v] times each basic x_v's row
-            a_row = cons[leave - n]
-            base = [a_row[col] * scale if col < n else 0 for col in cols] + [a_row[-1] * scale]
+            u, lam, b = cons[leave - n]
+            a_row = [lam * v for v in u]
+            base = [a_row[col] * scale if col < n else 0 for col in cols] + [b * scale]
             weights = [1] + [-a_row[v] * (scale // den) for v, (_, den) in stored.items()]
             columns = zip(base, *(row for row, _ in stored.values()))
             prow, pden = _reduced([sum(map(operator.mul, weights, col)) for col in columns], scale)
-            slacks.remove(leave - n)
         # over its entry p, the pivot row holds 1/p in column c, now the leaving variable's
         prow, p = [*prow[:c], pden, *prow[c + 1:]], prow[c]
         stored = {v: _eliminated(*row, prow, p, c) for v, row in stored.items()}
         obj = _eliminated(*obj, prow, p, c)
         if var < n:
             stored[var] = _reduced(prow, p)
-        else:
-            slacks.append(var - n)
         cols[c] = leave
     else:
         raise InstanceError("simplex pivot budget exhausted")
     solution = [Fraction(stored[v][0][-1], stored[v][1]) if v in stored else Fraction(0) for v in range(n)]
     return Fraction(obj[0][-1], obj[1]), solution
+
+
+def _directions(rows, rhs) -> tuple[list, list]:
+    """Each constraint as lam u <= b in coprime integers, the nonzero ones grouped by u.
+
+    u is primitive with its first nonzero entry positive and lam a nonzero
+    integer, so each slack is a positive scale of the Fraction tableau's.
+    cons[i] is (u, lam, b), or None for a zero row; each direction is
+    (col, u, (members with lam > 0, members with lam < 0)), a member being
+    (i, lam, b), and a unit u is read at column col, with u None.
+    """
+    cons, groups = [], {}
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        *coef, b = _integer_row([*row, b])[0]
+        g = math.gcd(*coef)
+        if not g:
+            cons.append(None)
+            continue
+        if next(filter(None, coef)) < 0:
+            g = -g
+        u = tuple(map(operator.floordiv, coef, itertools.repeat(g)))
+        h = math.gcd(g, b)
+        lam, b = g // h, b // h
+        cons.append((u, lam, b))
+        groups.setdefault(u, ([], []))[lam < 0].append((i, lam, b))
+    directions = [
+        (u.index(1), None, sides) if len(u) - u.count(0) == 1 else (-1, u, sides)
+        for u, sides in groups.items()
+    ]
+    return cons, directions
 
 
 def _eliminated(row: list[int], den: int, prow: list[int], p: int, c: int) -> tuple[list[int], int]:
@@ -231,38 +268,50 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
 
 def _integer_row(values) -> tuple[list[int], int]:
     """Numerators over one denominator, the least common one reduced by the gcd."""
+    if set(map(type, values)) <= {int}:
+        return values, 1
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return _reduced([v.numerator * (den // v.denominator) for v in values], den)
 
 
 def _lagrange_row(nodes: range, x) -> tuple[list[int], int]:
-    """Lagrange weights at x on consecutive integer nodes as integers w over one
-    denominator: L_s(x) = w[k] / den for the k-th node s.  For x = a/q and d + 1
-    nodes, L_s(x) = (-1)^(d-k) C(d, k) prod_{u != s} (a - u q) / (d! q^d), the
-    products over u != s taken from prefix and suffix products."""
-    x = Fraction(x)
+    """Lagrange weights at an int or Fraction x on consecutive integer nodes as
+    integers w over one denominator: L_s(x) = w[k] / den for the k-th node s.
+    At a node the row is a unit vector.  Elsewhere, for x = a/q, d + 1 nodes
+    and P = prod_u (a - u q), L_s(x) = (-1)^(d-k) C(d, k) P / (a - s q) over
+    d! q^d."""
+    a, q = x.numerator, x.denominator
+    if q == 1 and a in nodes:
+        return [int(u == a) for u in nodes], 1
     d = len(nodes) - 1
-    factors = [x.numerator - u * x.denominator for u in nodes]
-    prefix = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
-    suffix = list(itertools.accumulate(reversed(factors[1:]), operator.mul, initial=1))[::-1]
-    w = [(-1) ** (d - k) * math.comb(d, k) * prefix[k] * suffix[k] for k in range(d + 1)]
-    return w, math.factorial(d) * x.denominator**d
+    factors = [a - u * q for u in nodes]
+    full = math.prod(factors)
+    w, c = [], (-1) ** d   # c = (-1)^(d-k) C(d, k)
+    for k, f in enumerate(factors):
+        w.append(c * full // f)
+        c = c * (k - d) // (k + 1)
+    return w, math.factorial(d) * q**d
 
 
-def _integer_bounded_lp(nodes: range, m: int, others, target: Fraction):
-    """(max p(target), p on nodes[m:]) over polynomials on `nodes` that vanish at
-    the first m nodes and lie in [0, 1] on the rest and at each integer in `others`."""
+def _integer_bounded_lp(nodes: range, m: int, others, target):
+    """(max p(target), p on nodes[m:], p at each integer in `others`) over
+    polynomials on `nodes` that vanish at the first m nodes and lie in [0, 1]
+    on the rest and at each integer in `others`."""
     free = len(nodes) - m
     rows = [[int(u == s) for u in range(free)] for s in range(free)]
     rhs = [1] * free
-    for i in others:
+    outside = [(w[m:], den) for w, den in (_lagrange_row(nodes, i) for i in others)]
+    for w, den in outside:
         # 0 <= w . p / den <= 1, each side times den
-        w, den = _lagrange_row(nodes, i)
-        rows += [w[m:], [-v for v in w[m:]]]
+        rows += [w, [-v for v in w]]
         rhs += [den, 0]
-    w, den = _lagrange_row(nodes, target)
-    return simplex_max(rows, rhs, [Fraction(v, den) for v in w[m:]])
+    # maximize w . p and divide by den after: a positive scale of the objective moves no pivot
+    top, top_den = _lagrange_row(nodes, target)
+    value, solution = simplex_max(rows, rhs, top[m:])
+    scaled, q = _integer_row(solution)
+    values = [Fraction(sum(map(operator.mul, w, scaled)), den * q) for w, den in outside]
+    return value / top_den, solution, values
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +327,7 @@ class PolyLP:
     m: int
     sigma: Fraction
     node_values: tuple[Fraction, ...]   # p at 0..D; the first m entries are 0
+    beyond: tuple[Fraction, ...]        # p at D+1..N, from the program's own rows
 
 
 def extremal_sigma_lp(D: int, N: int, m: int) -> PolyLP:
@@ -295,19 +345,14 @@ def extremal_sigma_lp(D: int, N: int, m: int) -> PolyLP:
         raise InstanceError(f"need N <= {LP_DOMAIN_CAP}")
     if D < m:
         # m roots force the zero polynomial at degree <= D < m
-        return PolyLP(D, N, m, Fraction(0), tuple([Fraction(0)] * (D + 1)))
-    sigma, solution = _integer_bounded_lp(range(D + 1), m, range(D + 1, N + 1), Fraction(8 * m))
-    return PolyLP(D, N, m, sigma, tuple([Fraction(0)] * m + solution))
+        return PolyLP(D, N, m, Fraction(0), (Fraction(0),) * (D + 1), (Fraction(0),) * (N - D))
+    sigma, solution, beyond = _integer_bounded_lp(range(D + 1), m, range(D + 1, N + 1), 8 * m)
+    return PolyLP(D, N, m, sigma, tuple([Fraction(0)] * m + solution), tuple(beyond))
 
 
 def witness_integer_values(lp: PolyLP) -> list[Fraction]:
     """Exact witness values at every integer 0..N."""
-    scaled, q = _integer_row(lp.node_values)
-    out = list(lp.node_values)
-    for i in range(lp.D + 1, lp.N + 1):
-        w, den = _lagrange_row(range(lp.D + 1), i)
-        out.append(Fraction(sum(a * b for a, b in zip(w, scaled)), den * q))
-    return out
+    return [*lp.node_values, *lp.beyond]
 
 
 def newton_coefficients(values, start: int) -> list[Fraction]:
@@ -459,7 +504,7 @@ def growth_extremal(n: int, d: int) -> float:
     if not (1 <= d <= n):
         raise InstanceError("need 1 <= d <= n")
     nodes = range(n - d, n + 1)
-    sigma, _ = _integer_bounded_lp(nodes, 0, range(0, n - d), Fraction(2 * n - 1, 2))
+    sigma, _, _ = _integer_bounded_lp(nodes, 0, range(0, n - d), Fraction(2 * n - 1, 2))
     return max(2.0 * float(sigma) - 1.0, 1.0)
 
 

@@ -58,6 +58,12 @@ POLY_SUITE_DIGESTS = {
              "04f8beaaaa2b180de19450758e77c80c8f06ccfb7e7c801e06ba7594fc901a4e"),
     "blocks": ("19d26d2ff479c73f2b342b0e38c6a0835e36074dbb51c656dd04fe69d572ce13",
                "12bef25e16beffdb04fa2ad0636e60be8ccfd065101bb1fb6c3ef793035474ee"),
+    # the two suites that run the exact simplex: the 99 grid cells with their
+    # witnesses and chain, and the nine growth-extremal cells
+    "lp": ("e75dbfa179fccad2f0ff6584ae693d7f4091b4e252d8f9cc87e1c9dab369e0ed",
+           "968f083d183bafa958515c8e0cf3e4cf3859856dcc66ad252d62433b898c7b24"),
+    "cr": ("9d59b344b73904db105a177911af1151de8df4bcc43ad69f60973dfd93c9e18f",
+           "225136e73a86135b3b85eadb64f0726b854ca5fe26e2bc7b3a7fd690862c1541"),
 }
 
 # (family, N, t, S, mode): every BlockTrace field of every group, the ledger's

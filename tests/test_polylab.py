@@ -8,6 +8,7 @@ independent floating-point LP cross-check.
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -251,11 +252,11 @@ def _integer_row(values) -> tuple[list[int], int]:
 
 
 @pytest.fixture(scope="module")
-def captured_lps():
+def suite_solves():
     """Every program the LP suite solves, with simplex_max's answer: the 99
     grid cells (96 reach the solver), the three chain cells again and the
-    nine growth cells of cr_probe, 108 in all."""
-    captured = []
+    nine growth cells of cr_probe, 108 in all; and each grid cell's PolyLP."""
+    captured, solved = [], {}
     solve = polylab.simplex_max
 
     def recording(*lp):
@@ -264,10 +265,21 @@ def captured_lps():
 
     with mock.patch.object(polylab, "simplex_max", recording):
         for cell in [*lp_grid_cells(), *CHAIN_CELLS]:
-            extremal_sigma_lp(*cell)
+            solved[cell] = extremal_sigma_lp(*cell)
         growth_extremal.cache_clear()   # an earlier test may have solved some cells
         cr_probe()
-    return captured
+    return captured, solved
+
+
+@pytest.fixture(scope="module")
+def captured_lps(suite_solves):
+    return suite_solves[0]
+
+
+@pytest.fixture(scope="module")
+def grid_lps(suite_solves):
+    """The solved program of every grid cell, by cell; the chain cells are among them."""
+    return suite_solves[1]
 
 
 EXHAUSTED = (InstanceError, "simplex pivot budget exhausted")
@@ -316,6 +328,31 @@ def small_lps(draw):
     return rows, rhs, objective
 
 
+MULTIPLIERS = st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(3, 2)])
+
+
+@st.composite
+def structured_lps(draw):
+    """Programs shaped like the jump and growth LPs, in shuffled row order: unit
+    rows, rows along one direction with different multipliers of both signs
+    (a two-sided bound is an opposite-sign pair) or of one sign, and zero rows."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, n + 1))):
+        j = draw(st.integers(0, n - 1))
+        lam = draw(MULTIPLIERS) * draw(st.sampled_from([1, -1]))
+        rows.append([lam if k == j else 0 for k in range(n)])
+    for _ in range(draw(st.integers(1, 3))):
+        u = draw(st.lists(SMALL_FRACTIONS, min_size=n, max_size=n))
+        signs = draw(st.sampled_from([(1, -1), (-1, 1), (1, -1, -1), (1, 1), (-1, -1), (1, 1, -1, -1)]))
+        rows += [[sign * draw(MULTIPLIERS) * v for v in u] for sign in signs]
+    rows += [[0] * n for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.permutations(rows))
+    rhs = draw(st.lists(st.sampled_from([0, 0, 1, 2, Fraction(1, 2), 3]), min_size=len(rows), max_size=len(rows)))
+    objective = draw(st.lists(SMALL_FRACTIONS, min_size=n, max_size=n))
+    return rows, rhs, objective
+
+
 class TestSimplex:
     def test_small_program_exact_value(self):
         value, sol = simplex_max(
@@ -355,6 +392,15 @@ class TestSimplex:
     def test_matches_fraction_reference(self, lp, cap):
         # same value, same solution, same raise and message, also when the
         # pivot budget runs out part way
+        budget = polylab.SIMPLEX_PIVOT_CAP if cap is None else cap
+        with mock.patch.object(polylab, "SIMPLEX_PIVOT_CAP", budget):
+            assert lp_outcome(simplex_max, *lp) == lp_outcome(reference_simplex_max, *lp)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(structured_lps(), st.sampled_from([None, None, None, 0, 1, 2, 3]))
+    def test_structured_programs_match_fraction_reference(self, lp, cap):
+        # rows that share a direction share one dot product per pivot in
+        # simplex_max, and each is its own row of the reference tableau
         budget = polylab.SIMPLEX_PIVOT_CAP if cap is None else cap
         with mock.patch.object(polylab, "SIMPLEX_PIVOT_CAP", budget):
             assert lp_outcome(simplex_max, *lp) == lp_outcome(reference_simplex_max, *lp)
@@ -410,6 +456,33 @@ def product_formula(nodes, s, x):
     return out
 
 
+def integer_product_formula(nodes, s, x):
+    """L_s(x) at an integer x as one quotient of two integer products."""
+    return Fraction(math.prod(x - u for u in nodes if u != s), math.prod(s - u for u in nodes if u != s))
+
+
+def prefix_suffix_row(nodes, x):
+    """The Lagrange row in the prefix and suffix product form that _lagrange_row replaced."""
+    x = Fraction(x)
+    d = len(nodes) - 1
+    factors = [x.numerator - u * x.denominator for u in nodes]
+    prefix = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
+    suffix = list(itertools.accumulate(reversed(factors[1:]), operator.mul, initial=1))[::-1]
+    w = [(-1) ** (d - k) * math.comb(d, k) * prefix[k] * suffix[k] for k in range(d + 1)]
+    return w, math.factorial(d) * x.denominator**d
+
+
+def rebuilt_witness(lp):
+    """Witness values at 0..N as witness_integer_values built them before the
+    LP kept its own: each row at D+1..N built again, per call."""
+    scaled, q = _integer_row(lp.node_values)
+    out = list(lp.node_values)
+    for i in range(lp.D + 1, lp.N + 1):
+        w, den = prefix_suffix_row(range(lp.D + 1), i)
+        out.append(Fraction(sum(a * b for a, b in zip(w, scaled)), den * q))
+    return out
+
+
 class TestLagrangeRow:
     @pytest.mark.parametrize("nodes", [range(1), range(3), range(13), range(25), range(40, 49)])
     def test_matches_product_formula(self, nodes):
@@ -433,6 +506,23 @@ class TestLagrangeRow:
         w, den = polylab._lagrange_row(range(9), 20)
         assert den == math.factorial(8)
         assert w[3] == (-1) ** 5 * math.comb(8, 3) * math.prod(20 - u for u in range(9) if u != 3)
+
+    @pytest.mark.parametrize("d", range(polylab.LP_DEGREE_CAP + 1))
+    def test_every_integer_of_the_jump_domain(self, d):
+        # the nodes 0..d give unit vectors, every other integer up to 64 a row over d!
+        nodes = range(d + 1)
+        for x in range(polylab.LP_DOMAIN_CAP + 1):
+            w, den = polylab._lagrange_row(nodes, x)
+            assert [Fraction(v, den) for v in w] == [integer_product_formula(nodes, s, x) for s in nodes], x
+            assert den == (1 if x <= d else math.factorial(d))
+
+    @pytest.mark.parametrize("n, d", [(n, min(f * math.isqrt(n), n)) for n in (16, 32, 64) for f in (1, 2, 3)])
+    def test_growth_program_points(self, n, d):
+        # the shifted nodes n-d..n of the growth LPs, at 0..n-d-1 and the target n - 1/2
+        nodes = range(n - d, n + 1)
+        for x in [*range(n - d), Fraction(2 * n - 1, 2)]:
+            w, den = polylab._lagrange_row(nodes, x)
+            assert [Fraction(v, den) for v in w] == [product_formula(nodes, s, x) for s in nodes], x
 
 
 class TestJumpLP:
@@ -476,6 +566,21 @@ class TestJumpLP:
         lp = extremal_sigma_lp(12, 32, 3)
         values = witness_integer_values(lp)
         assert values[0] == values[1] == values[2] == 0
+
+    def test_witness_matches_rows_rebuilt_per_call(self, grid_lps):
+        assert len(grid_lps) == 99   # the chain cells are grid cells
+        for cell, lp in grid_lps.items():
+            assert witness_integer_values(lp) == rebuilt_witness(lp), cell
+
+    def test_each_row_built_once(self, monkeypatch):
+        # one row per integer D+1..N and one at 8m; the witness builds none
+        built = []
+        row = polylab._lagrange_row
+        monkeypatch.setattr(polylab, "_lagrange_row", lambda *args: built.append(args[1]) or row(*args))
+        lp = extremal_sigma_lp(12, 32, 1)
+        assert built == [*range(13, 33), 8]
+        assert witness_integer_values(lp) == rebuilt_witness(lp)
+        assert len(built) == 21
 
     def test_monotone_in_degree(self):
         sigmas = [extremal_sigma_lp(deg, 32, 1).sigma for deg in (2, 4, 8)]
