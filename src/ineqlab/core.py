@@ -58,14 +58,23 @@ class SeededRng:
         self.stream = np.random.default_rng(self.seed)
 
     def spawn(self, *key) -> "SeededRng":
-        """Child stream derived from the seed and a key path (ints or strings)."""
+        """Child stream derived from the seed and a key path (ints or strings).
+
+        An int in [0, 2^32) is its own word.  Any other int is hashed as a
+        string is, under a 0xFF prefix that no UTF-8 string begins with, so
+        -1 and "-1" differ and no int aliases its residue mod 2^32.
+        """
         parts = []
         for part in key:
             if isinstance(part, (int, np.integer)):
-                parts.append(int(part) & 0xFFFFFFFF)
+                part = int(part)
+                if 0 <= part < 2**32:
+                    parts.append(part)
+                    continue
+                data = b"\xff" + str(part).encode("ascii")
             else:
-                digest = hashlib.sha256(str(part).encode("utf-8")).digest()
-                parts.append(int.from_bytes(digest[:4], "big"))
+                data = str(part).encode("utf-8")
+            parts.append(int.from_bytes(hashlib.sha256(data).digest()[:4], "big"))
         seq = np.random.SeedSequence([self.seed, *parts])
         return SeededRng(int(seq.generate_state(1)[0]))
 

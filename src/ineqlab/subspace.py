@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -508,78 +508,83 @@ def alpha_beta(n: int, t: int, j: int) -> AlphaBeta:
 
 @dataclass(eq=False)
 class RecastRun:
-    """Joint evolution of a work register and a k-fold input register.
+    """Joint evolution of a work register and a k-fold input register, for a stack of runs.
 
-    states[d] is the joint pure state after d queries, shaped (dim_a, dim_i).
-    The input-register density matrix states[d].T @ states[d].conj() is never
-    formed: every check reads its masses off the pure state.
+    states[r, d] is run r's joint pure state after d queries, shaped (dim_a, dim_i).
+    The input-register density matrix state.T @ state.conj() is never formed:
+    every check reads its masses off the pure states.
     """
 
     space: InputSpace
     k: int
     query_slots: int
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray      # (runs, depth + 1, dim_a, dim_i)
 
 
 def recast_run(
-    program,
+    programs,
     space: InputSpace,
     k: int,
     workspace_dim: int = 1,
 ) -> RecastRun:
-    """Run a sequence of work-register unitaries interleaved with phase queries.
+    """Run stacks of work-register unitaries interleaved with phase queries.
 
-    The work register starts in basis state 0; the input register holds k
-    copies of the two-weight `space`, initialized in the product of start
-    states.  Each program step applies its unitary to the work register and
-    then one query: the query slot (part of the work register, slot 0 idle)
-    selects a bit of the joint input, and basis states with that bit set
-    acquire phase -1.
+    `programs` is (runs, depth, dim_a, dim_a): one program per run.  The work
+    register starts in basis state 0; the input register holds k copies of the
+    two-weight `space`, initialized in the product of start states.  Each
+    program step applies its unitary to the work register and then one query:
+    the query slot (part of the work register, slot 0 idle) selects a bit of
+    the joint input, and basis states with that bit set acquire phase -1.
+    Depth by depth, one stacked matmul makes each run's own gemm.
     """
     _check_joint_dim(space, k, workspace_dim)
     n = space.n
     slots = k * n + 1
     dim_a = slots * workspace_dim
     dim_i = space.dim**k
+    gates = np.asarray(programs, dtype=complex)
+    if gates.ndim != 4 or gates.shape[2:] != (dim_a, dim_a):
+        raise InstanceError(f"programs have shape {gates.shape}, not (runs, depth, {dim_a}, {dim_a})")
+    defect = np.abs(np.swapaxes(gates, -1, -2).conj() @ gates - np.eye(dim_a)).max(axis=(-2, -1))
+    # a NaN fails every comparison, so the guards ask for "not within" and refuse it
+    for run, step in np.argwhere(~(defect <= 1e-9))[:1]:
+        raise InstanceError(f"run {run} step {step} is not unitary (defect {defect[run, step]:.2e})")
     signs = 1.0 - 2.0 * space.bits.astype(float)  # (dim_one, n): +1 for bit 0, -1 for bit 1
     ones = np.ones((space.dim, 1))
     # slot q = 1 + inst * n + pos reads bit pos of copy inst; slot 0 is idle
     phase = np.vstack([np.ones((1, dim_i))] + [
         _kron_columns([ones] * inst + [signs] + [ones] * (k - 1 - inst)).T for inst in range(k)
     ])
-    phi = np.zeros((dim_a, dim_i), dtype=complex)
-    phi[0] = _kron_columns([space.psi_one.reshape(-1, 1)] * k).ravel()
-    states = [phi.copy()]
-    for step, gate in enumerate(program):
-        gate = np.asarray(gate, dtype=complex)
-        if gate.shape != (dim_a, dim_a):
-            raise InstanceError(f"program step {step} has wrong shape")
-        defect = np.abs(gate.conj().T @ gate - np.eye(dim_a)).max()
-        if defect > 1e-9:
-            raise InstanceError(f"program step {step} is not unitary (defect {defect:.2e})")
-        phi = gate @ phi
-        shaped = phi.reshape(slots, workspace_dim, dim_i)
-        shaped *= phase[:, None, :]
-        phi = shaped.reshape(dim_a, dim_i)
-        states.append(phi.copy())
-    for d, state in enumerate(states):
-        # |phi|^2 is the trace of the reduced state
-        trace = float(np.real(np.vdot(state, state)))
-        if abs(trace - 1.0) > 1e-9:
-            raise InstanceError(f"reduced state at depth {d} has trace {trace}")
-    return RecastRun(space=space, k=k, query_slots=slots, states=tuple(states))
+    runs, depth = gates.shape[:2]
+    shaped = np.empty((runs, depth + 1, slots, workspace_dim, dim_i), dtype=complex)
+    states = shaped.reshape(runs, depth + 1, dim_a, dim_i)
+    states[:, 0] = 0.0
+    states[:, 0, 0] = _kron_columns([space.psi_one.reshape(-1, 1)] * k).ravel()
+    for d in range(depth):
+        np.matmul(gates[:, d], states[:, d], out=states[:, d + 1])
+        shaped[:, d + 1] *= phase[:, None, :]
+    # |phi|^2 is the trace of the reduced state
+    flat = states.reshape(runs, depth + 1, -1)
+    trace = np.vecdot(flat, flat).real
+    for run, d in np.argwhere(~(np.abs(trace - 1.0) <= 1e-9))[:1]:
+        raise InstanceError(f"run {run}: reduced state at depth {d} has trace {trace[run, d]}")
+    return RecastRun(space=space, k=k, query_slots=slots, states=states)
 
 
-def random_program(rng: SeededRng, dim: int, depth: int) -> tuple[np.ndarray, ...]:
-    """Haar-style random unitaries for driving recast runs, from one batched QR.
+def random_program(rngs, dim: int, depth: int) -> np.ndarray:
+    """Haar-style random unitaries for a stack of recast runs, from one batched QR.
 
-    One draw of (depth, 2, dim, dim) reads the stream of a real and then an
-    imaginary (dim, dim) draw per step.
+    Each run reads its own stream: one draw of (depth, 2, dim, dim), a real and
+    then an imaginary (dim, dim) draw per step.  Returns (runs, depth, dim, dim).
     """
-    z = rng.stream.standard_normal((depth, 2, dim, dim))
-    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    z = np.empty((len(rngs), depth, 2, dim, dim))
+    for row, rng in zip(z, rngs):
+        rng.stream.standard_normal(out=row)
+    basis = np.empty((len(rngs), depth, dim, dim), dtype=complex)
+    basis.real, basis.imag = z[:, :, 0], z[:, :, 1]
+    q, r = np.linalg.qr(basis)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return tuple(q * (diag / np.abs(diag))[:, None, :])
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -604,31 +609,36 @@ class PotentialReport:
     decay_excess: float   # worst violation of the tail-decay inequality
 
 
+def _worst(*excesses: float) -> float:
+    """The largest excess, or NaN if any is NaN: Python's max drops a NaN that
+    follows a number, and a NaN excess must fail its line."""
+    return math.nan if any(math.isnan(v) for v in excesses) else max(excesses)
+
+
 def _masses_report(masses: np.ndarray, params: PotentialParams) -> PotentialReport:
     value = float(np.dot(masses, params.weights))
     qf = float(params.q)
-    worst = 0.0
     # tail-decay inequality: total mass at or above level t*m/2 is at most
     # the potential discounted by q^{t*m/2}, for every difference count m
+    excesses = []
     for m in range(params.k + 1):
         threshold = params.t * m / 2.0
         tail = float(masses[math.ceil(threshold) :].sum())
-        bound = value * qf ** (-threshold)
-        worst = max(worst, tail - bound)
+        excesses.append(tail - value * qf ** (-threshold))
     return PotentialReport(
         params=params,
         masses=tuple(float(v) for v in masses),
         value=value,
         mass_sum=float(masses.sum()),
-        decay_excess=worst,
+        decay_excess=_worst(0.0, *excesses),
     )
 
 
 def potential_from_joint(states, frame: LevelFrame) -> list[PotentialReport]:
     """Level masses and their exponentially weighted sum, one report per joint pure state.
 
-    `states` is one run's stack (depth + 1, dim_a, dim_i); the stacked matmul
-    makes each state's own gemm, and bincount adds each state's column
+    `states` is a stack (count, dim_a, dim_i); the stacked matmul makes each
+    state's own gemm, and bincount adds each state's column
     masses into its levels in column order, as np.add.at does.
     """
     per_col = (np.abs(np.asarray(states) @ frame.columns) ** 2).sum(axis=1)
@@ -662,7 +672,7 @@ def success_probability_bounds(
     """Three checks tying answer probabilities to the signed decomposition.
 
     (i) random unit states with difference count <= m never beat the binomial
-    bound; (ii) the run's states never beat it plus the residual-mass
+    bound; (ii) the states of every run in `run` never beat it plus the residual-mass
     correction 4*sqrt(mass outside the low-difference span); (iii) a unit
     vector in any signed product block projects onto any answer block with
     squared norm at most 2^-k.  `frame` must be built for the run's (n, t, k).
@@ -680,15 +690,15 @@ def success_probability_bounds(
     # one coefficient row per sample: the same draws as one call per sample
     coeff = gen.standard_normal((SAMPLE_TRIALS, low_cols.shape[1]))
     psi = (coeff / np.linalg.norm(coeff, axis=1, keepdims=True)) @ low_cols.T
-    span_excess = max(0.0, float(((psi**2) @ frame.classes).max()) - bound)
+    span_excess = _worst(0.0, float(((psi**2) @ frame.classes).max()) - bound)
 
     # masses read straight off the joint pure states: the reduced state's
     # diagonal is the column mass of phi, its low-span mass |phi @ low_cols|^2
-    states = np.stack(run.states)
+    states = run.states.reshape(-1, *run.states.shape[2:])
     inside = (np.abs(states @ low_cols) ** 2).sum(axis=(1, 2))
     corrected = bound + 4.0 * np.sqrt(np.maximum(0.0, 1.0 - inside))
     probs = (np.abs(states) ** 2).sum(axis=1) @ frame.classes
-    run_excess = max(0.0, float((probs - corrected[:, None]).max()))
+    run_excess = _worst(0.0, float((probs - corrected[:, None]).max()))
 
     # the per-block projection claim applies where both sign blocks exist,
     # which is every level below t (the level-t leftover block is itself a
@@ -713,7 +723,7 @@ def success_probability_bounds(
         factors[at] = (signed_blocks[keys[pick]] @ unit[:, :, None])[:, :, 0]
     factors = factors.reshape(SAMPLE_TRIALS, k, space.dim)
     levels = np.array([j for _, j in keys])[picks].reshape(SAMPLE_TRIALS, k)
-    worst = -math.inf
+    tops = []
     for js in set(map(tuple, levels.tolist())):
         at = np.flatnonzero((levels == js).all(axis=1))
         psi = factors[at, 0]
@@ -721,8 +731,8 @@ def success_probability_bounds(
             psi = (psi[:, :, None] * factors[at, i][:, None, :]).reshape(len(at), -1)
         for block in frame.answer_blocks[js]:
             proj = block.T @ psi[:, :, None]
-            worst = max(worst, float((np.swapaxes(proj, 1, 2) @ proj).max()))
-    projection_excess = max(0.0, worst - 1.0 / 2**k)
+            tops.append(float((np.swapaxes(proj, 1, 2) @ proj).max()))
+    projection_excess = _worst(0.0, _worst(*tops) - 1.0 / 2**k)
 
     return SuccessBoundReport(
         k=k,
@@ -900,7 +910,10 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     """Full check battery at one (n, t, k) cell; returns one line per claim.
 
     The seed-free structure and its six lines come from _suite_cell, so a
-    process builds them once per cell however many seeds it runs.
+    process builds them once per cell however many seeds it runs.  Each run
+    draws its program from its own stream; the runs go through recast_run and
+    potential_from_joint in stacks whose every depth holds at most the joint
+    states the size rule admits for one run.
     """
     if runs < 1 or depth < 1:
         raise InstanceError("runs and depth must be at least 1")
@@ -911,22 +924,27 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     lines = list(cell.structural)
 
     dim_a = (k * n + 1) * SUITE_WORKSPACE
+    stack = max(1, RUN_JOINT_DIM_CAP // (dim_a * space.dim**k))
     decay = 0.0
     growth_max = 0.0
     prob_worst = 0.0
-    for idx in range(runs):
-        program = random_program(rng.spawn("program", idx), dim_a, depth)
-        run = recast_run(program, space, k, workspace_dim=SUITE_WORKSPACE)
-        reports = potential_from_joint(run.states, frame)
-        decay = max(decay, *(report.decay_excess for report in reports))
-        for ratio in growth_ratios(reports):
-            growth_max = max(growth_max, (ratio - 1.0) * math.sqrt(t * n))
-        if idx < 3:
-            for m in range(k + 1):
-                bounds = success_probability_bounds(frame, run, m, rng.spawn("bounds", idx, m))
-                prob_worst = max(
-                    prob_worst, bounds.span_excess, bounds.run_excess, bounds.projection_excess
-                )
+    for start in range(0, runs, stack):
+        idxs = range(start, min(start + stack, runs))
+        programs = random_program([rng.spawn("program", idx) for idx in idxs], dim_a, depth)
+        run = recast_run(programs, space, k, workspace_dim=SUITE_WORKSPACE)
+        by_depth = [potential_from_joint(run.states[:, d], frame) for d in range(depth + 1)]
+        for i, idx in enumerate(idxs):
+            reports = [row[i] for row in by_depth]
+            decay = _worst(decay, *(report.decay_excess for report in reports))
+            for ratio in growth_ratios(reports):
+                growth_max = max(growth_max, (ratio - 1.0) * math.sqrt(t * n))
+            if idx < 3:
+                one = replace(run, states=run.states[i : i + 1])
+                for m in range(k + 1):
+                    bounds = success_probability_bounds(frame, one, m, rng.spawn("bounds", idx, m))
+                    prob_worst = _worst(
+                        prob_worst, bounds.span_excess, bounds.run_excess, bounds.projection_excess
+                    )
     lines.append(CheckLine("potential tail decay along runs", decay <= BOUND_SLACK, decay, f"{runs} runs"))
     lines.append(
         CheckLine("probability bounds along runs", prob_worst <= BOUND_SLACK, prob_worst, "low-span, corrected, block")

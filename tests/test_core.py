@@ -1,6 +1,8 @@
 """Core model: instances, ledger accounting, exact references, file format."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,22 @@ class TestSeededRng:
 
     def test_largest_seed_accepted(self):
         assert 0 <= SeededRng(2**32 - 1).spawn("run", 2**40).seed < 2**32
+
+    @pytest.mark.parametrize("part, other", [(-1, 2**32 - 1), (2**32, 0), (2**32 + 5, 5),
+                                             (-1, "-1"), (2**32, str(2**32)), (-(2**40), 2**40)])
+    def test_out_of_range_int_keys_do_not_alias(self, part, other):
+        # masking to 32 bits would give -1 the word of 2^32 - 1 and 2^32 that of 0
+        assert SeededRng(5).spawn("x", part).seed != SeededRng(5).spawn("x", other).seed
+
+    def test_out_of_range_int_key_is_a_prefixed_hash(self):
+        digest = hashlib.sha256(b"\xff-1").digest()
+        want = int(np.random.SeedSequence([5, int.from_bytes(digest[:4], "big")]).generate_state(1)[0])
+        assert SeededRng(5).spawn(-1).seed == SeededRng(5).spawn(np.int64(-1)).seed == want
+
+    def test_in_range_int_keys_keep_their_word(self):
+        for part in (0, 1, 2**31, 2**32 - 1, np.uint32(7), np.int64(2**32 - 1)):
+            want = int(np.random.SeedSequence([5, int(part)]).generate_state(1)[0])
+            assert SeededRng(5).spawn(part).seed == want
 
 
 class TestInstanceFile:

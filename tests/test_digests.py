@@ -12,15 +12,22 @@ BLAS thread count from n = 6 or k = 3 on, where the products and
 eigensolves are large enough for OpenBLAS to split across threads:
 `subspace verify --n 6 --t 2 --k 2 --runs 3` prints a containment residual
 of 1.4018e-15 on one thread and 1.2745e-15 on two.  So a digest frozen at
-such a cell must pin the thread count; the subspace cells frozen here are
-(4, 2, 1) and (4, 2, 2).
+such a cell must pin the thread count; the subspace cells frozen in process
+are (4, 2, 1) and (4, 2, 2), and the two frozen where verify_suite splits its
+runs into stacks, (5, 2, 2) at 10 runs and (6, 2, 2) at 3, run in a
+subprocess with OPENBLAS_NUM_THREADS=1.
 """
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ineqlab
 from ineqlab.cli import main
 from ineqlab.core import SeededRng, save_instance
 from ineqlab.linsys import bounded_matrix_product
@@ -47,6 +54,13 @@ SOLVE_DIGESTS = {
 SUBSPACE_DIGESTS = {
     1: "e74212c4e19e353336d34b6ff988db5eb53876d8dedeea84566fd403d6c4aa4c",
     2: "55c212e55c54f723d263e4cf8433337809bb72c0a3c019f1fd06393fa056d565",
+}
+
+# (n, t, k, runs) -> JSON digest on one BLAS thread: the runs split into stacks
+# of 6 and 4 at (5, 2, 2) and of 2 and 1 at (6, 2, 2)
+SPLIT_SUBSPACE_DIGESTS = {
+    (5, 2, 2, 10): "46ab17b1f7b0a6f14ecbfce0a043dad30a7cec039916f29cfeb594790a375ff8",
+    (6, 2, 2, 3): "b5b79a61d2344d3174d525df6ae10832c35a671ae45de5546d9bbb3f3ee2c6cb",
 }
 
 LP_ROWS_DIGEST = "9e6d3a0f626f170c51cecb33cf84375b4dafac7334b7d10291087cb2ea6a8f4d"
@@ -109,6 +123,22 @@ def test_subspace_verify_json(k, tmp_path, capsys):
     assert main(["subspace", "verify", "--n", "4", "--t", "2", "--k", str(k),
                  "--runs", "3", "--json", str(dump)]) == 0
     assert sha256(dump.read_bytes()) == SUBSPACE_DIGESTS[k]
+
+
+@pytest.mark.parametrize("cell", sorted(SPLIT_SUBSPACE_DIGESTS))
+def test_subspace_verify_json_split_stacks(cell, tmp_path):
+    # BLAS reads its thread count at import, so the suite runs in a fresh process
+    n, t, k, runs = cell
+    dump = tmp_path / "lines.json"
+    src = str(Path(ineqlab.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ineqlab.cli", "subspace", "verify", "--n", str(n), "--t", str(t),
+         "--k", str(k), "--runs", str(runs), "--json", str(dump)],
+        env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert sha256(dump.read_bytes()) == SPLIT_SUBSPACE_DIGESTS[cell]
 
 
 def test_lp_rows_and_lines():

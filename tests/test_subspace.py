@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from ineqlab import subspace
-from ineqlab.core import InstanceError, SeededRng
+from ineqlab.cli import main
+from ineqlab.core import CheckLine, InstanceError, SeededRng
 from ineqlab.subspace import (
     AlphaBeta,
     BOUND_SLACK,
@@ -439,22 +440,23 @@ class TestAlphaBeta:
 
 
 def small_run(n=4, t=2, k=1, workspace=2, depth=3, seed=11):
+    """A stack of one recast run."""
     dim_a = (k * n + 1) * workspace
-    program = random_program(rng_for("prog", seed), dim_a, depth)
-    return recast_run(program, build_input_space(n, t), k, workspace_dim=workspace)
+    programs = random_program([rng_for("prog", seed)], dim_a, depth)
+    return recast_run(programs, build_input_space(n, t), k, workspace_dim=workspace)
 
 
 class TestRecastRun:
     def test_initial_state_is_pure_product(self):
         run = small_run()
-        rho0 = reduced(run.states[0])
+        rho0 = reduced(run.states[0, 0])
         eigs = np.linalg.eigvalsh(rho0)
         assert abs(eigs[-1] - 1.0) < 1e-9
         assert np.abs(eigs[:-1]).max() < 1e-9
 
     def test_reduced_states_are_density_matrices(self):
         run = small_run(depth=4)
-        for rho in map(reduced, run.states):
+        for rho in map(reduced, run.states[0]):
             assert abs(np.real(np.trace(rho)) - 1.0) < 1e-9
             assert np.linalg.eigvalsh(rho).min() >= PSD_FLOOR
             assert np.abs(rho - rho.conj().T).max() < 1e-12
@@ -468,9 +470,9 @@ class TestRecastRun:
         gate[:w, :w] = np.array(
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
-        run = recast_run([gate, gate, gate], build_input_space(n, t), k, workspace_dim=w)
-        for phi in run.states[1:]:
-            assert np.abs(reduced(phi) - reduced(run.states[0])).max() < 1e-12
+        run = recast_run([[gate, gate, gate]], build_input_space(n, t), k, workspace_dim=w)
+        for phi in run.states[0, 1:]:
+            assert np.abs(reduced(phi) - reduced(run.states[0, 0])).max() < 1e-12
 
     def test_query_applies_conditional_phase(self):
         # one query from a slot targeting position p flips the sign of
@@ -486,8 +488,8 @@ class TestRecastRun:
         gate[0, 0] = gate[q, 0] = 1 / math.sqrt(2)
         gate[0, q] = -1 / math.sqrt(2)
         gate[q, q] = 1 / math.sqrt(2)
-        run = recast_run([gate], space, 1)
-        phi = run.states[1]
+        run = recast_run([[gate]], space, 1)
+        phi = run.states[0, 1]
         signs = 1.0 - 2.0 * space.bits[:, pos].astype(float)
         expect = np.outer(
             np.eye(dim_a)[0] / math.sqrt(2), space.psi_one
@@ -510,27 +512,45 @@ class TestRecastRun:
                 inst, pos = divmod(q - 1, n)
                 parts[inst] = signs[:, pos]
             expect = np.zeros((slots, space.dim**k), dtype=complex)
-            run = recast_run([gate], space, k)
-            expect[q] = functools.reduce(np.kron, parts) * run.states[0][0]
-            assert np.array_equal(run.states[1], expect)
+            run = recast_run([[gate]], space, k)
+            expect[q] = functools.reduce(np.kron, parts) * run.states[0, 0, 0]
+            assert np.array_equal(run.states[0, 1], expect)
 
     def test_two_factor_run_dimensions(self):
         run = small_run(n=4, t=2, k=2, workspace=1, depth=2)
-        assert run.states[0].shape[1] == 100
+        assert run.states.shape == (1, 3, 9, 100)
         assert run.query_slots == 9
-        assert len(run.states) - 1 == 2
 
     def test_rejects_bad_programs(self):
         with pytest.raises(InstanceError):
-            recast_run([np.eye(3)], build_input_space(4, 2), 1)  # wrong shape (dim_a is 5)
+            recast_run([[np.eye(3)]], build_input_space(4, 2), 1)  # wrong shape (dim_a is 5)
+        with pytest.raises(InstanceError):
+            recast_run([np.eye(5)], build_input_space(4, 2), 1)  # one program, not a stack
         bad = np.eye(5, dtype=complex)
         bad[0, 0] = 2.0
         with pytest.raises(InstanceError):
-            recast_run([bad], build_input_space(4, 2), 1)
+            recast_run([[bad]], build_input_space(4, 2), 1)
+        # the bad gate is step 1 of run 1 in a stack of two
+        with pytest.raises(InstanceError, match="run 1 step 1 "):
+            recast_run([[np.eye(5)] * 2, [np.eye(5), bad]], build_input_space(4, 2), 1)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (3, 1)])
+    def test_rejects_nan_programs(self, entry):
+        # every comparison with NaN is false, so a "defect > tol" guard would admit it
+        gate = np.eye(5, dtype=complex)
+        gate[entry] = np.nan
+        with pytest.raises(InstanceError, match="not unitary"):
+            recast_run([[np.eye(5), gate]], build_input_space(4, 2), 1)
+
+    def test_rejects_nan_start_state(self):
+        space = build_input_space(4, 2)
+        space = dataclasses.replace(space, psi_one=np.full(space.dim, np.nan))
+        with pytest.raises(InstanceError, match="trace nan"):
+            recast_run([[np.eye(5)]], space, 1)
 
     def test_rejects_oversized_joint_space(self):
         with pytest.raises(InstanceError):
-            recast_run([], build_input_space(6, 2), 2, workspace_dim=60)
+            recast_run([[]], build_input_space(6, 2), 2, workspace_dim=60)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +570,7 @@ class TestPotential:
     def test_masses_sum_to_one_along_runs(self):
         run = small_run(depth=4, seed=5)
         frame = build_level_frame(build_signed_decomposition(run.space), 1)
-        for phi in run.states:
+        for phi in run.states[0]:
             report = potential(reduced(phi), frame)
             assert abs(report.mass_sum - 1.0) <= BOUND_SLACK
             assert report.decay_excess <= BOUND_SLACK
@@ -558,9 +578,9 @@ class TestPotential:
     def test_joint_and_reduced_paths_agree(self):
         run = small_run(n=5, t=2, k=2, workspace=1, depth=3, seed=9)
         frame = build_level_frame(build_signed_decomposition(run.space), 2)
-        reports = potential_from_joint(run.states, frame)
-        assert len(reports) == len(run.states)
-        for a, phi in zip(reports, run.states):
+        reports = potential_from_joint(run.states[0], frame)
+        assert len(reports) == run.states.shape[1]
+        for a, phi in zip(reports, run.states[0]):
             b = potential(reduced(phi), frame)
             assert max(abs(x - y) for x, y in zip(a.masses, b.masses)) < 1e-10
 
@@ -568,9 +588,9 @@ class TestPotential:
         n, t, w = 4, 2, 2
         dim_a = (n + 1) * w
         gate = np.eye(dim_a, dtype=complex)
-        run = recast_run([gate, gate], build_input_space(n, t), 1, workspace_dim=w)
+        run = recast_run([[gate, gate]], build_input_space(n, t), 1, workspace_dim=w)
         frame = build_level_frame(build_signed_decomposition(run.space), 1)
-        for ratio in growth_ratios(potential_from_joint(run.states, frame)):
+        for ratio in growth_ratios(potential_from_joint(run.states[0], frame)):
             assert abs(ratio - 1.0) < 1e-12
 
     def test_top_level_eigencase(self):
@@ -586,11 +606,19 @@ class TestPotential:
             expect = float(frame.params.q) ** (space.t * k / 2)
             assert abs(report.value - expect) < 1e-9
 
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_nan_mass_fails_the_decay_check(self, level):
+        # Python's max(0.0, nan) is 0.0, so a plain fold would report no excess
+        frame = build_level_frame(build_signed_decomposition(build_input_space(4, 2)), 2)
+        masses = np.full(len(frame.params.weights), 0.2)
+        masses[level] = np.nan
+        assert math.isnan(subspace._masses_report(masses, frame.params).decay_excess)
+
     def test_seeded_runs_decay_property(self):
         for seed in range(8):
             run = small_run(n=4, t=2, k=1, depth=3, seed=seed)
             frame = build_level_frame(build_signed_decomposition(run.space), 1)
-            for report in potential_from_joint(run.states, frame):
+            for report in potential_from_joint(run.states[0], frame):
                 assert report.decay_excess <= BOUND_SLACK
                 assert abs(report.mass_sum - 1.0) <= BOUND_SLACK
 
@@ -618,7 +646,7 @@ def reference_bounds(frame, run, m, rng):
         for mask in masks:
             span_excess = max(span_excess, float(np.sum(psi[mask] ** 2)) - bound)
     run_excess = 0.0
-    for phi in run.states:
+    for phi in run.states.reshape(-1, *run.states.shape[2:]):
         inside = float(np.sum(np.abs(phi @ low_cols) ** 2))
         corrected = bound + 4.0 * math.sqrt(max(0.0, 1.0 - inside))
         diag = np.sum(np.abs(phi) ** 2, axis=0)
@@ -660,7 +688,7 @@ def per_trial_bounds(frame, run, m, rng):
     coeff = gen.standard_normal((subspace.SAMPLE_TRIALS, low_cols.shape[1]))
     psi = (coeff / np.linalg.norm(coeff, axis=1, keepdims=True)) @ low_cols.T
     span_excess = max(0.0, float(((psi**2) @ frame.classes).max()) - bound)
-    states = np.stack(run.states)
+    states = np.concatenate(run.states)
     inside = (np.abs(states @ low_cols) ** 2).sum(axis=(1, 2))
     corrected = bound + 4.0 * np.sqrt(np.maximum(0.0, 1.0 - inside))
     probs = (np.abs(states) ** 2).sum(axis=1) @ frame.classes
@@ -682,6 +710,65 @@ def per_step_program(rng, dim, depth):
     return tuple(out)
 
 
+def per_run_states(program, space, k, workspace_dim):
+    """recast_run for one program: one gemm and one phase multiply per step."""
+    slots = k * space.n + 1
+    dim_a, dim_i = slots * workspace_dim, space.dim**k
+    signs = 1.0 - 2.0 * space.bits.astype(float)
+    ones = np.ones((space.dim, 1))
+    phase = np.vstack([np.ones((1, dim_i))] + [
+        subspace._kron_columns([ones] * inst + [signs] + [ones] * (k - 1 - inst)).T for inst in range(k)
+    ])
+    phi = np.zeros((dim_a, dim_i), dtype=complex)
+    phi[0] = subspace._kron_columns([space.psi_one.reshape(-1, 1)] * k).ravel()
+    states = [phi.copy()]
+    for gate in program:
+        phi = gate @ phi
+        shaped = phi.reshape(slots, workspace_dim, dim_i)
+        shaped *= phase[:, None, :]
+        phi = shaped.reshape(dim_a, dim_i)
+        states.append(phi.copy())
+    return np.stack(states)
+
+
+def per_run_suite(n, t, k, seed, runs, depth):
+    """verify_suite with its runs drawn, recast and weighed one at a time:
+    its lines, and every run's states and potential reports."""
+    rng = SeededRng(seed)
+    cell = subspace._suite_cell(n, t, k)
+    frame = cell.frame
+    space = frame.decomp.space
+    lines = list(cell.structural)
+    dim_a = (k * n + 1) * subspace.SUITE_WORKSPACE
+    decay = growth_max = prob_worst = 0.0
+    all_states, all_reports = [], []
+    for idx in range(runs):
+        program = per_step_program(rng.spawn("program", idx), dim_a, depth)
+        states = per_run_states(program, space, k, subspace.SUITE_WORKSPACE)
+        reports = potential_from_joint(states, frame)
+        all_states.append(states)
+        all_reports.append(reports)
+        decay = max(decay, *(report.decay_excess for report in reports))
+        for ratio in growth_ratios(reports):
+            growth_max = max(growth_max, (ratio - 1.0) * math.sqrt(t * n))
+        if idx < 3:
+            run = subspace.RecastRun(space=space, k=k, query_slots=k * n + 1, states=states[None])
+            for m in range(k + 1):
+                bounds = success_probability_bounds(frame, run, m, rng.spawn("bounds", idx, m))
+                prob_worst = max(prob_worst, bounds.span_excess, bounds.run_excess, bounds.projection_excess)
+    lines.append(CheckLine("potential tail decay along runs", decay <= BOUND_SLACK, decay,
+                                    f"{runs} runs"))
+    lines.append(CheckLine("probability bounds along runs", prob_worst <= BOUND_SLACK, prob_worst,
+                                    "low-span, corrected, block"))
+    lines.append(CheckLine("one-query growth constant (report only)", True, growth_max,
+                                    "scaled by sqrt(t n)"))
+    lines.append(cell.cross_term)
+    _, tv, bound = distance_cases(rng.spawn("tv", n, t, k))
+    lines.append(CheckLine("outcome-distribution distance bound", bool(np.all(tv <= bound + 1e-12)),
+                                    max(0.0, float((tv - bound).max())), f"{subspace.DISTANCE_CASES} random cases"))
+    return lines, all_states, all_reports
+
+
 def per_state_potential(phi, frame):
     """potential_from_joint for one joint state: one matmul and one np.add.at."""
     per_col = (np.abs(phi @ frame.columns) ** 2).sum(axis=0)
@@ -701,8 +788,9 @@ def hexed(report):
 
 class TestStackedMatchesPerItem:
     """The stacked program draw, potentials and projection check against their
-    per-step, per-state and per-trial forms, on the streams verify_suite reads:
-    every float bit for bit and every Generator end state."""
+    per-step, per-state and per-trial forms, on the streams verify_suite reads,
+    and verify_suite's stacks of runs against its per-run loop: every float bit
+    for bit and every Generator end state."""
 
     @pytest.mark.parametrize("n, t, k", [(4, 2, 1), (5, 2, 2), (6, 2, 2), (4, 2, 3)])
     def test_suite_streams(self, n, t, k):
@@ -712,20 +800,53 @@ class TestStackedMatchesPerItem:
         for seed in (0, 1, 7919):
             for idx in range(3):
                 rng, ref = (SeededRng(seed).spawn("program", idx) for _ in range(2))
-                program = random_program(rng, dim_a, depth)
+                programs = random_program([rng], dim_a, depth)
                 expect = per_step_program(ref, dim_a, depth)
-                assert len(program) == depth
-                assert all(np.array_equal(a, b) for a, b in zip(program, expect))
+                assert programs.shape == (1, depth, dim_a, dim_a)
+                assert all(np.array_equal(a, b) for a, b in zip(programs[0], expect))
                 assert rng.stream.bit_generator.state == ref.stream.bit_generator.state
-                run = recast_run(program, frame.decomp.space, k, workspace_dim=subspace.SUITE_WORKSPACE)
-                reports = potential_from_joint(run.states, frame)
+                run = recast_run(programs, frame.decomp.space, k, workspace_dim=subspace.SUITE_WORKSPACE)
+                reports = potential_from_joint(run.states[0], frame)
                 assert [hexed(r) for r in reports] == [hexed(per_state_potential(phi, frame))
-                                                       for phi in run.states]
+                                                       for phi in run.states[0]]
                 for m in range(k + 1):
                     rng, ref = (SeededRng(seed).spawn("bounds", idx, m) for _ in range(2))
                     assert (hexed(success_probability_bounds(frame, run, m, rng))
                             == hexed(per_trial_bounds(frame, run, m, ref)))
                     assert rng.stream.bit_generator.state == ref.stream.bit_generator.state
+
+
+    @pytest.mark.parametrize("stack", ["one", "two", "all"])
+    @pytest.mark.parametrize("runs", [1, 9, 10])
+    @pytest.mark.parametrize("n, t, k", [(4, 2, 1), (4, 2, 2), (5, 2, 2), (6, 2, 2)])
+    def test_suite_stacks_match_the_per_run_loop(self, n, t, k, runs, stack, monkeypatch):
+        # the cap is the one size rule: a cell whose joint register is exactly
+        # dim_a * dim_i admits stacks of cap // (dim_a * dim_i) runs
+        depth, seed = 3, 7919
+        joint = (k * n + 1) * subspace.SUITE_WORKSPACE * build_input_space(n, t).dim ** k
+        size = {"one": 1, "two": 2, "all": runs}[stack]
+        monkeypatch.setattr(subspace, "RUN_JOINT_DIM_CAP", size * joint)
+        stacks, reports = [], []
+
+        def spy(fn, seen):
+            def wrapper(*args, **kwargs):
+                seen.append(fn(*args, **kwargs))
+                return seen[-1]
+            return wrapper
+
+        monkeypatch.setattr(subspace, "recast_run", spy(subspace.recast_run, stacks))
+        monkeypatch.setattr(subspace, "potential_from_joint", spy(subspace.potential_from_joint, reports))
+        lines = verify_suite(n, t, k, seed=seed, runs=runs, depth=depth)
+        expect_lines, expect_states, expect_reports = per_run_suite(n, t, k, seed, runs, depth)
+        assert [len(run.states) for run in stacks] == [min(size, runs - start) for start in range(0, runs, size)]
+        assert np.array_equal(np.concatenate([run.states for run in stacks]), np.stack(expect_states))
+        # one potential call per depth of each stack, each reporting on the stack's runs
+        assert len(reports) == len(stacks) * (depth + 1)
+        by_run = []
+        for at, run in zip(range(0, len(reports), depth + 1), stacks):
+            by_run += [[hexed(row[i]) for row in reports[at : at + depth + 1]] for i in range(len(run.states))]
+        assert by_run == [[hexed(r) for r in run_reports] for run_reports in expect_reports]
+        assert [hexed(line) for line in lines] == [hexed(line) for line in expect_lines]
 
 
 class TestSuccessBounds:
@@ -744,10 +865,10 @@ class TestSuccessBounds:
         run = small_run(n=n, t=2, k=k, workspace=1, depth=2, seed=seed)
         if random_states:
             gen = rng_for("states", seed).stream
-            shape = (len(run.states),) + run.states[0].shape
+            shape = run.states.shape
             z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-            z /= np.sqrt((np.abs(z) ** 2).sum(axis=(1, 2), keepdims=True))
-            run = dataclasses.replace(run, states=tuple(z))
+            z /= np.sqrt((np.abs(z) ** 2).sum(axis=(2, 3), keepdims=True))
+            run = dataclasses.replace(run, states=z)
         frame = frame_of(run)
         rng, ref_rng = rng_for("matrix", seed), rng_for("matrix", seed)
         report = success_probability_bounds(frame, run, m, rng)
@@ -758,6 +879,24 @@ class TestSuccessBounds:
         assert abs(report.run_excess - run_excess) <= 1e-12
         assert report.projection_excess == projection
         assert rng.stream.bit_generator.state == ref_rng.stream.bit_generator.state
+
+    @pytest.mark.parametrize("field", ["span_excess", "run_excess", "projection_excess"])
+    def test_nan_excess_is_reported(self, field, monkeypatch):
+        # each NaN reaches its excess, which a NaN-dropping max would report as 0.0
+        run = small_run(n=4, t=2, k=2, workspace=1, depth=2, seed=6)
+        frame = frame_of(run)
+        if field == "span_excess":
+            monkeypatch.setattr(subspace, "_binomial_tail", lambda k, m: math.nan)
+        elif field == "run_excess":
+            states = run.states.copy()
+            states[0, -1] = np.nan
+            run = dataclasses.replace(run, states=states)
+        else:
+            frame = dataclasses.replace(frame, answer_blocks={
+                js: [np.full_like(block, np.nan) for block in blocks] for js, blocks in frame.answer_blocks.items()
+            })
+        report = success_probability_bounds(frame, run, 1, rng_for("bounds", 7))
+        assert math.isnan(getattr(report, field))
 
     def test_single_factor_bound_is_half(self):
         run = small_run(k=1, depth=3, seed=2)
@@ -1125,7 +1264,8 @@ class TestVerifySuite:
             verify_suite(4, 2, 1, runs=runs, depth=depth)
 
     def test_suite_shares_its_input_space_and_potential_reports(self, monkeypatch):
-        # one InputSpace per suite, one potential call per run and one report per run state
+        # one InputSpace per suite, and one report per run state: the cell's runs
+        # fit one stack, so one potential call per depth reports on all of them
         calls = {"space": 0, "potential": 0}
         spaces = set()
         reports = []
@@ -1150,20 +1290,37 @@ class TestVerifySuite:
                             counted("space", subspace.build_input_space))
         monkeypatch.setattr(subspace, "potential_from_joint", counted("potential", potentials))
         monkeypatch.setattr(subspace, "recast_run", recast)
-        runs, depth = 4, 3
+        runs, depth = 5, 3
         lines = verify_suite(4, 2, 2, runs=runs, depth=depth)
         assert all(line.passed for line in lines)
         assert calls["space"] == 1
         assert len(spaces) == 1
-        assert calls["potential"] == runs
+        assert calls["potential"] == depth + 1
         assert len(reports) == runs * (depth + 1)
         # a second suite at the same cell, at another seed, builds nothing:
         # its runs read the same InputSpace, and only the potentials are new
         assert all(line.passed for line in verify_suite(4, 2, 2, seed=1, runs=runs, depth=depth))
         assert calls["space"] == 1
         assert len(spaces) == 1
-        assert calls["potential"] == 2 * runs
+        assert calls["potential"] == 2 * (depth + 1)
         assert len(reports) == 2 * runs * (depth + 1)
+
+    def test_nan_states_fail_their_lines_and_exit_1(self, monkeypatch, capsys):
+        # one run's last state turns NaN after the recast's own checks
+        def recast(*args, **kwargs):
+            run = real(*args, **kwargs)
+            run.states[-1, -1] = np.nan
+            return run
+
+        real = subspace.recast_run
+        monkeypatch.setattr(subspace, "recast_run", recast)
+        lines = {line.name: line for line in verify_suite(4, 2, 1, runs=2)}
+        for name in ("potential tail decay along runs", "probability bounds along runs"):
+            assert not lines[name].passed
+            assert math.isnan(lines[name].residual)
+        capsys.readouterr()
+        assert main(["subspace", "verify", "--n", "4", "--t", "2", "--k", "1", "--runs", "2"]) == 1
+        assert "[FAIL] potential tail decay along runs: residual=nan" in capsys.readouterr().out
 
     def test_lines_serialize(self):
         lines = verify_suite(4, 2, 1, seed=1, runs=1, depth=1)
