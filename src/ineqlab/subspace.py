@@ -311,15 +311,25 @@ def _kron_columns(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _product_blocks(blocks: list[np.ndarray], k: int) -> dict[int, np.ndarray]:
+def _kron_codes(parts: list[np.ndarray], base: int) -> np.ndarray:
+    """_kron_columns over one-copy column numbers: the product of columns c_1..c_k
+    is column sum_i c_i base^(k-i) of _kron_columns([one_copy] * k), base wide."""
+    out = parts[0]
+    for part in parts[1:]:
+        out = (out[:, None] * base + part[None, :]).ravel()
+    return out
+
+
+def _product_blocks(blocks: list[np.ndarray], k: int, kron=_kron_columns) -> dict[int, np.ndarray]:
     """Kronecker products of k factor blocks, grouped by the sum of the block indices.
 
     Index tuples run in lexicographic order, so each group's columns keep that
-    order; the random draws over these columns depend on it.
+    order; the random draws over these columns depend on it.  With kron=_kron_codes
+    the blocks are one-copy column numbers and the products k-fold column numbers.
     """
     grouped: dict[int, list[np.ndarray]] = {}
     for idx in product(range(len(blocks)), repeat=k):
-        grouped.setdefault(sum(idx), []).append(_kron_columns([blocks[i] for i in idx]))
+        grouped.setdefault(sum(idx), []).append(kron([blocks[i] for i in idx]))
     return {m: np.hstack(parts) for m, parts in sorted(grouped.items())}
 
 
@@ -327,16 +337,19 @@ def _product_blocks(blocks: list[np.ndarray], k: int) -> dict[int, np.ndarray]:
 class LevelFrame:
     """The k-fold product structure of one signed decomposition, built once.
 
-    classes holds one 0/1 column per answer tuple, in lexicographic order, and
-    answer_blocks[js] lists, over the same tuples, the product of the
-    answer-class fresh blocks at the factor levels js.
+    minus[m] numbers, in the order of the signed-side products, the columns with
+    m phase-difference factors: every such product is, bit for bit, a column of
+    the growth levels, so each is stored once.  classes holds one 0/1 column per
+    answer tuple, in lexicographic order, and answer_blocks[js] lists, over the
+    same tuples, the product of the answer-class fresh blocks at the factor
+    levels js.
     """
 
     params: PotentialParams
     decomp: SignedDecomposition
     columns: np.ndarray     # (dim_i, dim_i) growth-level columns
     labels: np.ndarray      # level index per column
-    minus: dict[int, np.ndarray]    # columns by count of phase-difference factors
+    minus: dict[int, np.ndarray]    # indices into columns by count of phase-difference factors
     classes: np.ndarray     # (dim_i, 2^k) joint weight classes per answer tuple
     answer_blocks: dict[tuple[int, ...], list[np.ndarray]]
 
@@ -344,12 +357,24 @@ class LevelFrame:
 def build_level_frame(decomp: SignedDecomposition, k: int) -> LevelFrame:
     space = decomp.space
     _check_joint_dim(space, k)
-    levels = _product_blocks(list(decomp.levels), k)
-    columns = np.hstack(list(levels.values()))
-    if columns.shape[0] != columns.shape[1]:
+    # the one-copy columns np.hstack(decomp.levels) run plus blocks, then minus
+    # blocks, as the signed sides do; each k-fold column is the same product of
+    # one-copy columns, multiplied left to right, wherever it is taken, so the
+    # growth levels and the signed sides are numbered into one full product:
+    # the levels are gathered from it, the difference blocks index the levels
+    level_cols = np.hstack(decomp.levels)
+    if level_cols.shape[0] != level_cols.shape[1]:
         raise InstanceError("growth levels do not fill the product space")
-    labels = np.repeat(list(levels), [block.shape[1] for block in levels.values()])
-    del levels  # free the per-level copies before the signed sides are built
+    codes = functools.partial(_kron_codes, base=space.dim)
+    cuts = np.cumsum([block.shape[1] for block in decomp.levels])[:-1]
+    levels = _product_blocks(np.split(np.arange(space.dim), cuts), k, codes)
+    order = np.concatenate(list(levels.values()))
+    columns = np.take(_kron_columns([level_cols] * k), order, axis=1)
+    labels = np.repeat(list(levels), [len(block) for block in levels.values()])
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    width = sum(block.shape[1] for block in decomp.plus)
+    sides = [np.arange(width), np.arange(width, space.dim)]
     t = space.t
     q = Fraction(t + 1, t)
     top = decomp.top_level
@@ -362,7 +387,7 @@ def build_level_frame(decomp: SignedDecomposition, k: int) -> LevelFrame:
         decomp=decomp,
         columns=columns,
         labels=labels,
-        minus=_product_blocks([np.hstack(decomp.plus), np.hstack(decomp.minus)], k),
+        minus={m: at[block] for m, block in _product_blocks(sides, k, codes).items()},
         classes=_kron_columns([one_copy] * k),
         answer_blocks={
             js: [_kron_columns([chains[a][j].fresh for j, a in zip(js, ans)]) for ans in answers]
@@ -379,8 +404,9 @@ def containment_residual(frame: LevelFrame) -> float:
     up to tolerance.
     """
     worst = 0.0
-    for m, cols in frame.minus.items():
+    for m, at in frame.minus.items():
         high = frame.columns[:, frame.labels >= math.ceil(frame.params.t * m / 2)]
+        cols = np.take(frame.columns, at, axis=1)
         gap = cols @ cols.T
         gap -= high @ high.T
         worst = max(worst, float(np.linalg.eigvalsh(gap).max()))
@@ -634,14 +660,23 @@ def _masses_report(masses: np.ndarray, params: PotentialParams) -> PotentialRepo
     )
 
 
-def potential_from_joint(states, frame: LevelFrame) -> list[PotentialReport]:
+def _column_masses(states: np.ndarray, frame: LevelFrame, out: np.ndarray | None = None) -> np.ndarray:
+    """|phi @ frame.columns|^2 per joint state phi of the stack, written to `out` if given."""
+    masses = np.abs(states @ frame.columns, out=out)
+    np.square(masses, out=masses)
+    return masses
+
+
+def potential_from_joint(states, frame: LevelFrame, column_masses=None) -> list[PotentialReport]:
     """Level masses and their exponentially weighted sum, one report per joint pure state.
 
     `states` is a stack (count, dim_a, dim_i); the stacked matmul makes each
     state's own gemm, and bincount adds each state's column
-    masses into its levels in column order, as np.add.at does.
+    masses into its levels in column order, as np.add.at does.  A float
+    `column_masses` shaped like `states` receives the masses |phi @ frame.columns|^2
+    before they are summed over the work register, for the along-run check.
     """
-    per_col = (np.abs(np.asarray(states) @ frame.columns) ** 2).sum(axis=1)
+    per_col = _column_masses(np.asarray(states), frame, column_masses).sum(axis=1)
     width = len(frame.params.weights)
     bins = frame.labels + width * np.arange(len(per_col))[:, None]
     masses = np.bincount(bins.ravel(), weights=per_col.ravel(), minlength=per_col.shape[0] * width)
@@ -657,6 +692,66 @@ def _binomial_tail(k: int, m: int) -> float:
 
 
 @dataclass(frozen=True)
+class RunMasses:
+    """What the along-run check reads off a run's joint states, the same for every m."""
+
+    columns: np.ndarray   # (states, dim_a, dim_i) |phi @ frame.columns|^2, as potential_from_joint weighs them
+    classes: np.ndarray   # (states, 2^k) mass per answer class: the reduced state's diagonal, summed
+
+    def inside(self, at: np.ndarray) -> np.ndarray:
+        """Each state's mass in the frame columns `at`, summed as |phi @ those columns|^2
+        would be: np.take gathers the C-contiguous block that product makes (a
+        fancy-index view in another memory order would sum in another order)."""
+        return np.take(self.columns, at, axis=2).sum(axis=(1, 2))
+
+
+def run_masses(run: RecastRun, frame: LevelFrame, columns: np.ndarray | None = None) -> RunMasses:
+    """The masses of every state of `run`, in run then depth order; `columns`, if
+    given, are the column masses potential_from_joint wrote for those states."""
+    states = run.states.reshape(-1, *run.states.shape[2:])
+    columns = _column_masses(states, frame) if columns is None else columns.reshape(states.shape)
+    return RunMasses(columns=columns,
+                     classes=(np.abs(states) ** 2).sum(axis=1) @ frame.classes)
+
+
+def _block_draws(gen: np.random.Generator, widths: list[int], count: int) -> tuple[list[int], list[np.ndarray]]:
+    """count block picks, each int(gen.integers(len(widths))) followed by its
+    gen.standard_normal(widths[pick]), read as those calls read the stream.
+
+    numpy serves a pick by Lemire's rule on next_uint32: the low half of a fresh
+    word, whose high half it buffers for the next pick.  So two picks read one raw
+    word, low half then high half, and their coefficients are one normal draw.  A
+    buffered half, an odd last pick and a word with a half that fails Lemire's
+    fast accept (and so might be rejected) go through gen.integers, and uinteger
+    ends as numpy's calls would leave it.  gen is PCG64, as every SeededRng stream is.
+    """
+    size = len(widths)
+    bitgen = gen.bit_generator
+    picks: list[int] = []
+    coeffs: list[np.ndarray] = []
+    buffered = bitgen.state["has_uint32"]
+    served = None   # the high half of the last word read raw, if nothing drew after it
+    while len(picks) < count:
+        if not buffered and len(picks) + 1 < count:
+            word = bitgen.random_raw()
+            low, high = (word & 0xFFFFFFFF) * size, (word >> 32) * size
+            if low & 0xFFFFFFFF >= size and high & 0xFFFFFFFF >= size:
+                a, b = low >> 32, high >> 32
+                pair = gen.standard_normal(widths[a] + widths[b])
+                picks += [a, b]
+                coeffs += [pair[: widths[a]], pair[widths[a] :]]
+                served = word >> 32
+                continue
+            bitgen.advance(-1)   # gen.integers reads the word again; advance clears the buffer
+        picks.append(int(gen.integers(size)))
+        coeffs.append(gen.standard_normal(widths[picks[-1]]))
+        buffered, served = bitgen.state["has_uint32"], None
+    if served is not None:
+        bitgen.state = {**bitgen.state, "uinteger": served}
+    return picks, coeffs
+
+
+@dataclass(frozen=True)
 class SuccessBoundReport:
     k: int
     m: int
@@ -667,7 +762,7 @@ class SuccessBoundReport:
 
 
 def success_probability_bounds(
-    frame: LevelFrame, run: RecastRun, m: int, rng: SeededRng
+    frame: LevelFrame, run: RecastRun, m: int, rng: SeededRng, masses: RunMasses | None = None
 ) -> SuccessBoundReport:
     """Three checks tying answer probabilities to the signed decomposition.
 
@@ -676,6 +771,8 @@ def success_probability_bounds(
     correction 4*sqrt(mass outside the low-difference span); (iii) a unit
     vector in any signed product block projects onto any answer block with
     squared norm at most 2^-k.  `frame` must be built for the run's (n, t, k).
+    `masses`, if given, are run_masses(run, frame, ...) read off the potential's
+    product, so a caller checking several m makes neither again.
     """
     decomp, k = frame.decomp, frame.params.k
     space = decomp.space
@@ -686,7 +783,8 @@ def success_probability_bounds(
     bound = _binomial_tail(k, m)
     gen = rng.stream
 
-    low_cols = np.hstack([frame.minus[mp] for mp in range(m + 1)])
+    low = np.concatenate([frame.minus[mp] for mp in range(m + 1)])
+    low_cols = np.take(frame.columns, low, axis=1)
     # one coefficient row per sample: the same draws as one call per sample
     coeff = gen.standard_normal((SAMPLE_TRIALS, low_cols.shape[1]))
     psi = (coeff / np.linalg.norm(coeff, axis=1, keepdims=True)) @ low_cols.T
@@ -694,11 +792,11 @@ def success_probability_bounds(
 
     # masses read straight off the joint pure states: the reduced state's
     # diagonal is the column mass of phi, its low-span mass |phi @ low_cols|^2
-    states = run.states.reshape(-1, *run.states.shape[2:])
-    inside = (np.abs(states @ low_cols) ** 2).sum(axis=(1, 2))
+    if masses is None:
+        masses = run_masses(run, frame)
+    inside = masses.inside(low)
     corrected = bound + 4.0 * np.sqrt(np.maximum(0.0, 1.0 - inside))
-    probs = (np.abs(states) ** 2).sum(axis=1) @ frame.classes
-    run_excess = _worst(0.0, float((probs - corrected[:, None]).max()))
+    run_excess = _worst(0.0, float((masses.classes - corrected[:, None]).max()))
 
     # the per-block projection claim applies where both sign blocks exist,
     # which is every level below t (the level-t leftover block is itself a
@@ -710,10 +808,7 @@ def success_probability_bounds(
     signed_blocks = {("plus", j): decomp.plus[j] for j in range(space.t)}
     signed_blocks.update({("minus", j): decomp.minus[j] for j in range(space.t)})
     keys = sorted(signed_blocks.keys())
-    picks, coeffs = [], []
-    for _ in range(SAMPLE_TRIALS * k):
-        picks.append(int(gen.integers(len(keys))))
-        coeffs.append(gen.standard_normal(signed_blocks[keys[picks[-1]]].shape[1]))
+    picks, coeffs = _block_draws(gen, [signed_blocks[key].shape[1] for key in keys], SAMPLE_TRIALS * k)
     picks = np.array(picks)
     factors = np.empty((len(picks), space.dim))
     for pick in set(picks.tolist()):
@@ -913,7 +1008,8 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     process builds them once per cell however many seeds it runs.  Each run
     draws its program from its own stream; the runs go through recast_run and
     potential_from_joint in stacks whose every depth holds at most the joint
-    states the size rule admits for one run.
+    states the size rule admits for one run.  The probability bounds of runs
+    0-2 read the column masses of the potential's product, kept for their stack.
     """
     if runs < 1 or depth < 1:
         raise InstanceError("runs and depth must be at least 1")
@@ -932,16 +1028,20 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
         idxs = range(start, min(start + stack, runs))
         programs = random_program([rng.spawn("program", idx) for idx in idxs], dim_a, depth)
         run = recast_run(programs, space, k, workspace_dim=SUITE_WORKSPACE)
-        by_depth = [potential_from_joint(run.states[:, d], frame) for d in range(depth + 1)]
+        keep = start < 3   # the stack holds a run whose bounds read the potential's column masses
+        columns = np.empty(run.states.shape) if keep else None
+        by_depth = [potential_from_joint(run.states[:, d], frame, columns[:, d] if keep else None)
+                    for d in range(depth + 1)]
         for i, idx in enumerate(idxs):
             reports = [row[i] for row in by_depth]
             decay = _worst(decay, *(report.decay_excess for report in reports))
-            for ratio in growth_ratios(reports):
-                growth_max = max(growth_max, (ratio - 1.0) * math.sqrt(t * n))
+            scaled = ((ratio - 1.0) * math.sqrt(t * n) for ratio in growth_ratios(reports))
+            growth_max = _worst(growth_max, *scaled)
             if idx < 3:
                 one = replace(run, states=run.states[i : i + 1])
+                masses = run_masses(one, frame, columns[i])
                 for m in range(k + 1):
-                    bounds = success_probability_bounds(frame, one, m, rng.spawn("bounds", idx, m))
+                    bounds = success_probability_bounds(frame, one, m, rng.spawn("bounds", idx, m), masses)
                     prob_worst = _worst(
                         prob_worst, bounds.span_excess, bounds.run_excess, bounds.projection_excess
                     )

@@ -289,7 +289,8 @@ class TestSignedDecomposition:
             # real, so potential_from_joint takes overlaps with the columns unconjugated
             assert frame.columns.dtype == np.float64
             assert np.bincount(frame.labels).sum() == space.dim**k
-            assert sum(b.shape[1] for b in frame.minus.values()) == space.dim**k
+            # the difference blocks number every column once
+            assert np.array_equal(np.sort(np.concatenate(list(frame.minus.values()))), np.arange(space.dim**k))
             # one answer block per answer tuple at every tuple of levels below t
             assert len(frame.answer_blocks) == space.t**k
             assert all(len(blocks) == 2**k for blocks in frame.answer_blocks.values())
@@ -299,9 +300,9 @@ class TestSignedDecomposition:
         decomp = build_signed_decomposition(space)
         minus = build_level_frame(decomp, 2).minus
         low, high = math.comb(4, 1), math.comb(4, 2)  # per-factor side dims
-        assert minus[0].shape[1] == low * low
-        assert minus[1].shape[1] == 2 * low * high
-        assert minus[2].shape[1] == high * high
+        assert len(minus[0]) == low * low
+        assert len(minus[1]) == 2 * low * high
+        assert len(minus[2]) == high * high
 
     def test_product_blocks_generic_in_k(self):
         # the grouping must give C(k, m) lexicographic kron terms per group m
@@ -631,6 +632,15 @@ def frame_of(run):
     return build_level_frame(build_signed_decomposition(run.space), run.k)
 
 
+@functools.lru_cache(maxsize=2)
+def dense_minus(frame):
+    """The difference blocks as dense products of the one-copy signed sides, grouped
+    by their count of difference factors: the reference for LevelFrame.minus.
+    Cached per frame, since the references read them once per run and m."""
+    decomp = frame.decomp
+    return _product_blocks([np.hstack(decomp.plus), np.hstack(decomp.minus)], frame.params.k)
+
+
 def reference_bounds(frame, run, m, rng):
     """The three probability checks as one loop per sample and per answer mask."""
     decomp, k = frame.decomp, frame.params.k
@@ -638,7 +648,7 @@ def reference_bounds(frame, run, m, rng):
     bound = subspace._binomial_tail(k, m)
     gen = rng.stream
     masks = [ref > 0.5 for ref in reference_classes(space, k)]
-    low_cols = np.hstack([frame.minus[mp] for mp in range(m + 1)])
+    low_cols = np.hstack([dense_minus(frame)[mp] for mp in range(m + 1)])
     span_excess = 0.0
     for _ in range(subspace.SAMPLE_TRIALS):
         coeff = gen.standard_normal(low_cols.shape[1])
@@ -684,7 +694,7 @@ def per_trial_bounds(frame, run, m, rng):
     k = frame.params.k
     bound = subspace._binomial_tail(k, m)
     gen = rng.stream
-    low_cols = np.hstack([frame.minus[mp] for mp in range(m + 1)])
+    low_cols = np.hstack([dense_minus(frame)[mp] for mp in range(m + 1)])
     coeff = gen.standard_normal((subspace.SAMPLE_TRIALS, low_cols.shape[1]))
     psi = (coeff / np.linalg.norm(coeff, axis=1, keepdims=True)) @ low_cols.T
     span_excess = max(0.0, float(((psi**2) @ frame.classes).max()) - bound)
@@ -847,6 +857,149 @@ class TestStackedMatchesPerItem:
             by_run += [[hexed(row[i]) for row in reports[at : at + depth + 1]] for i in range(len(run.states))]
         assert by_run == [[hexed(r) for r in run_reports] for run_reports in expect_reports]
         assert [hexed(line) for line in lines] == [hexed(line) for line in expect_lines]
+
+
+class TestAlongRunCheck:
+    """verify_suite's along-run check against its direct form, for runs 0-2 and
+    every m: the run's states times the dense low-span blocks, then |.|^2 summed
+    per state, with every report field and the Generator's end state equal."""
+
+    @pytest.mark.parametrize("n, t, k", [(4, 2, 1), (4, 2, 2), (5, 2, 2), (6, 2, 2), (4, 2, 3)])
+    def test_matches_the_direct_product(self, n, t, k, monkeypatch):
+        seen = []
+        real = subspace.success_probability_bounds
+
+        def spy(frame, run, m, rng, masses):
+            report = real(frame, run, m, rng, masses)
+            seen.append((frame, run, m, masses, report, rng.stream.bit_generator.state))
+            return report
+
+        monkeypatch.setattr(subspace, "success_probability_bounds", spy)
+        dim_a, depth = (k * n + 1) * subspace.SUITE_WORKSPACE, 3
+        # the bench's 9 runs; (4, 2, 3) takes stacks of one run, so 3 runs give runs 0-2 the same stacks
+        runs = 9 if k < 3 else 3
+        for seed in (0, 7919):
+            seen.clear()
+            verify_suite(n, t, k, seed=seed, runs=runs, depth=depth)
+            assert [m for _, _, m, *_ in seen] == list(range(k + 1)) * 3
+            for at, (frame, run, m, masses, report, end) in enumerate(seen):
+                idx = at // (k + 1)
+                program = per_step_program(SeededRng(seed).spawn("program", idx), dim_a, depth)
+                assert np.array_equal(run.states, per_run_states(program, frame.decomp.space, k,
+                                                                 subspace.SUITE_WORKSPACE)[None])
+                # the excesses hide the low-span masses of states far from the
+                # bound, so every state's mass is compared too
+                low_cols = np.hstack([dense_minus(frame)[mp] for mp in range(m + 1)])
+                direct = (np.abs(np.concatenate(run.states) @ low_cols) ** 2).sum(axis=(1, 2))
+                low = np.concatenate([frame.minus[mp] for mp in range(m + 1)])
+                assert list(map(float.hex, masses.inside(low))) == list(map(float.hex, direct))
+                ref = SeededRng(seed).spawn("bounds", idx, m)
+                assert hexed(report) == hexed(per_trial_bounds(frame, run, m, ref))
+                assert end == ref.stream.bit_generator.state
+
+
+def dense_containment_residual(frame):
+    """containment_residual over the dense difference blocks."""
+    worst = 0.0
+    for m, cols in dense_minus(frame).items():
+        high = frame.columns[:, frame.labels >= math.ceil(frame.params.t * m / 2)]
+        gap = cols @ cols.T
+        gap -= high @ high.T
+        worst = max(worst, float(np.linalg.eigvalsh(gap).max()))
+    return worst
+
+
+class TestDifferenceIndices:
+    """LevelFrame.minus as indices into frame.columns against the dense products of
+    the signed sides, which the frame no longer stores."""
+
+    @pytest.mark.parametrize("n, t, k", [(4, 2, 1), (5, 2, 2), (6, 2, 2), (4, 2, 3), (6, 3, 1), (6, 3, 2)])
+    def test_gathers_equal_the_dense_blocks(self, n, t, k):
+        decomp = build_signed_decomposition(build_input_space(n, t))
+        frame = build_level_frame(decomp, k)
+        dense = dense_minus(frame)
+        assert sorted(frame.minus) == sorted(dense) == list(range(k + 1))
+        for m, block in dense.items():
+            assert frame.minus[m].dtype == np.intp
+            assert np.array_equal(np.take(frame.columns, frame.minus[m], axis=1), block)
+        # the growth-level columns, gathered from one full product, are the per-level products
+        expect = np.hstack(list(_product_blocks(list(decomp.levels), k).values()))
+        assert np.array_equal(frame.columns, expect)
+        assert containment_residual(frame).hex() == dense_containment_residual(frame).hex()
+
+    def test_swapped_indices_are_caught(self):
+        frame = build_level_frame(build_signed_decomposition(build_input_space(4, 2)), 2)
+        dense = dense_minus(frame)
+        swapped = frame.minus[1].copy()
+        swapped[[0, 5]] = swapped[[5, 0]]
+        assert not np.array_equal(np.take(frame.columns, swapped, axis=1), dense[1])
+
+
+def per_pick_draws(gen, widths, count):
+    """_block_draws as one integers and one standard_normal call per pick."""
+    picks, coeffs = [], []
+    for _ in range(count):
+        picks.append(int(gen.integers(len(widths))))
+        coeffs.append(gen.standard_normal(widths[picks[-1]]))
+    return picks, coeffs
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def next_word_is(gen, word):
+    """Set gen's PCG64 state so that its next raw word is `word`: XSL-RR outputs
+    rotr64(hi ^ lo, hi >> 58) of the stepped 128-bit state, so pick hi, solve for
+    lo, and step the LCG back once."""
+    inc = gen.bit_generator.state["state"]["inc"]
+    hi = 0x9E3779B97F4A7C15
+    rot = hi >> 58
+    x = ((word << rot) | (word >> (64 - rot))) & (2**64 - 1) if rot else word
+    stepped = hi << 64 | (x ^ hi)
+    state = (stepped - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+
+
+class TestBlockDraws:
+    """The projection check's block picks, two per raw word, against one integers
+    and one standard_normal call per pick: picks, coefficients and the whole
+    bit-generator state, uinteger included."""
+
+    @pytest.mark.parametrize("t", [2, 3])   # 2t = 4 never rejects, 2t = 6 can
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("count", [1, 2, 99, 100, 150])
+    def test_match_the_per_pick_calls(self, t, buffered, count):
+        decomp = build_signed_decomposition(build_input_space(6, t))
+        # the signed blocks below level t in the check's key order: minus, then plus
+        widths = [block.shape[1] for block in decomp.minus[:t] + decomp.plus[:t]]
+        for seed in range(8):
+            gen, ref = (rng_for("draws", t, count, seed).stream for _ in range(2))
+            if buffered:   # one 32-bit draw buffers its word's high half
+                gen.integers(17)
+                ref.integers(17)
+            picks, coeffs = subspace._block_draws(gen, widths, count)
+            expect_picks, expect_coeffs = per_pick_draws(ref, widths, count)
+            assert picks == expect_picks
+            assert len(coeffs) == len(expect_coeffs)
+            assert all(np.array_equal(a, b) for a, b in zip(coeffs, expect_coeffs))
+            assert gen.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("size", [4, 6])
+    @pytest.mark.parametrize("word", [0xDEADBEEF00000000, 0x00000000DEADBEEF, 0, 0x0000000100000001])
+    def test_crafted_word_that_fails_the_fast_accept(self, size, word):
+        # a zero half makes x * size = 0 (a half of 1 gives size): below size, so
+        # Lemire's fast accept fails, and at size 6 the threshold 4 rejects it
+        widths = [1, 3, 2, 5, 4, 6][:size]
+        for count in (2, 7, 40):
+            gen, ref = (rng_for("crafted-pick", size, count).stream for _ in range(2))
+            next_word_is(gen, word)
+            next_word_is(ref, word)
+            picks, coeffs = subspace._block_draws(gen, widths, count)
+            expect_picks, expect_coeffs = per_pick_draws(ref, widths, count)
+            assert picks == expect_picks
+            assert len(coeffs) == count and all(np.array_equal(a, b) for a, b in zip(coeffs, expect_coeffs))
+            assert gen.bit_generator.state == ref.bit_generator.state
 
 
 class TestSuccessBounds:
@@ -1276,8 +1429,8 @@ class TestVerifySuite:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def potentials(states, frame):
-            out = run_potential(states, frame)
+        def potentials(states, frame, *column_masses):
+            out = run_potential(states, frame, *column_masses)
             reports.extend(out)
             return out
 
@@ -1321,6 +1474,23 @@ class TestVerifySuite:
         capsys.readouterr()
         assert main(["subspace", "verify", "--n", "4", "--t", "2", "--k", "1", "--runs", "2"]) == 1
         assert "[FAIL] potential tail decay along runs: residual=nan" in capsys.readouterr().out
+
+    def test_nan_growth_ratio_is_reported(self, monkeypatch):
+        # run 1's last state turns NaN, so its last growth ratio is NaN after run 0's
+        # finite ones: Python's max would drop it and report a finite growth
+        def recast(*args, **kwargs):
+            run = real(*args, **kwargs)
+            run.states[-1, -1] = np.nan
+            return run
+
+        real = subspace.recast_run
+        monkeypatch.setattr(subspace, "recast_run", recast)
+        lines = {line.name: line for line in verify_suite(4, 2, 1, runs=2)}
+        assert math.isnan(lines["one-query growth constant (report only)"].residual)
+        # finite runs report a finite growth
+        monkeypatch.setattr(subspace, "recast_run", real)
+        lines = {line.name: line for line in verify_suite(4, 2, 1, runs=2)}
+        assert math.isfinite(lines["one-query growth constant (report only)"].residual)
 
     def test_lines_serialize(self):
         lines = verify_suite(4, 2, 1, seed=1, runs=1, depth=1)
