@@ -444,11 +444,6 @@ def ae_outcome_pmf(a: float, M: int) -> EstimatePmf:
     return fold_count_pmf(probs_y, M)
 
 
-def counting_window(n: int, w: int, M: int) -> float:
-    """Absolute error within which the estimate lands with mass >= 8/pi^2."""
-    return 2 * math.pi * math.sqrt(w * (n - w)) / M + math.pi**2 * n / M**2
-
-
 def sv_count_pmf(bits, M: int) -> np.ndarray:
     """Phase-register marginal from exact simulation of M-point estimation."""
     bits = np.asarray(bits, dtype=bool)

@@ -409,7 +409,7 @@ def containment_residual(frame: LevelFrame) -> float:
         cols = np.take(frame.columns, at, axis=1)
         gap = cols @ cols.T
         gap -= high @ high.T
-        worst = max(worst, float(np.linalg.eigvalsh(gap).max()))
+        worst = _worst(worst, float(np.linalg.eigvalsh(gap).max()))
     return worst
 
 
@@ -628,11 +628,11 @@ class PotentialParams:
 
 @dataclass(frozen=True)
 class PotentialReport:
-    params: PotentialParams
-    masses: tuple[float, ...]
-    value: float
-    mass_sum: float
-    decay_excess: float   # worst violation of the tail-decay inequality
+    """Level masses, potentials and tail-decay excesses of a stack of joint states, one row each."""
+
+    masses: np.ndarray         # (states, levels) mass per growth level
+    values: np.ndarray         # (states,) masses weighted by q**level
+    decay_excess: np.ndarray   # (states,) worst violation of the tail-decay inequality, at least 0
 
 
 def _worst(*excesses: float) -> float:
@@ -642,22 +642,17 @@ def _worst(*excesses: float) -> float:
 
 
 def _masses_report(masses: np.ndarray, params: PotentialParams) -> PotentialReport:
-    value = float(np.dot(masses, params.weights))
-    qf = float(params.q)
+    """The report on level masses shaped (states, levels).  np.vecdot makes each
+    state's own np.dot with the weights (a gemv would round differently), and
+    each tail is its row's own sum."""
+    values = np.vecdot(masses, np.array(params.weights))
     # tail-decay inequality: total mass at or above level t*m/2 is at most
     # the potential discounted by q^{t*m/2}, for every difference count m
-    excesses = []
-    for m in range(params.k + 1):
-        threshold = params.t * m / 2.0
-        tail = float(masses[math.ceil(threshold) :].sum())
-        excesses.append(tail - value * qf ** (-threshold))
-    return PotentialReport(
-        params=params,
-        masses=tuple(float(v) for v in masses),
-        value=value,
-        mass_sum=float(masses.sum()),
-        decay_excess=_worst(0.0, *excesses),
-    )
+    thresholds = [params.t * m / 2.0 for m in range(params.k + 1)]
+    tails = np.column_stack([masses[:, math.ceil(h) :].sum(axis=1) for h in thresholds])
+    discount = np.array([float(params.q) ** -h for h in thresholds])
+    excesses = tails - values[:, None] * discount
+    return PotentialReport(masses=masses, values=values, decay_excess=np.maximum(0.0, excesses.max(axis=1)))
 
 
 def _column_masses(states: np.ndarray, frame: LevelFrame, out: np.ndarray | None = None) -> np.ndarray:
@@ -667,20 +662,24 @@ def _column_masses(states: np.ndarray, frame: LevelFrame, out: np.ndarray | None
     return masses
 
 
-def potential_from_joint(states, frame: LevelFrame, column_masses=None) -> list[PotentialReport]:
-    """Level masses and their exponentially weighted sum, one report per joint pure state.
+def potential_from_joint(states, frame: LevelFrame, column_masses=None) -> PotentialReport:
+    """Level masses and their exponentially weighted sum for a stack (count, dim_a, dim_i)
+    of joint pure states, one row per state.
 
-    `states` is a stack (count, dim_a, dim_i); the stacked matmul makes each
-    state's own gemm, and bincount adds each state's column
-    masses into its levels in column order, as np.add.at does.  A float
-    `column_masses` shaped like `states` receives the masses |phi @ frame.columns|^2
-    before they are summed over the work register, for the along-run check.
+    The stacked matmul makes each state's own gemm, and bincount adds each state's
+    column masses into its levels in column order, as np.add.at does.  A float
+    `column_masses` (kept, dim_a, dim_i) receives the masses |phi @ frame.columns|^2
+    of the first `kept` states, before they are summed over the work register, for
+    the along-run check; the product is split there, so the buffer holds only those.
     """
-    per_col = _column_masses(np.asarray(states), frame, column_masses).sum(axis=1)
+    states = np.asarray(states)
+    kept = 0 if column_masses is None else len(column_masses)
+    parts = ((states[:kept], column_masses), (states[kept:], None))
+    per_col = np.concatenate([_column_masses(part, frame, out).sum(axis=1) for part, out in parts if len(part)])
     width = len(frame.params.weights)
     bins = frame.labels + width * np.arange(len(per_col))[:, None]
     masses = np.bincount(bins.ravel(), weights=per_col.ravel(), minlength=per_col.shape[0] * width)
-    return [_masses_report(row, frame.params) for row in np.clip(masses, 0.0, None).reshape(-1, width)]
+    return _masses_report(np.clip(masses, 0.0, None).reshape(-1, width), frame.params)
 
 
 # ---------------------------------------------------------------------------
@@ -691,27 +690,35 @@ def _binomial_tail(k: int, m: int) -> float:
     return sum(math.comb(k, mp) for mp in range(m + 1)) / 2**k
 
 
+def _low_span(frame: LevelFrame, m: int) -> np.ndarray:
+    """Indices into frame.columns of the products with at most m phase-difference factors."""
+    return np.concatenate([frame.minus[mp] for mp in range(m + 1)])
+
+
 @dataclass(frozen=True)
 class RunMasses:
-    """What the along-run check reads off a run's joint states, the same for every m."""
+    """What the along-run check reads off a run's joint states."""
 
-    columns: np.ndarray   # (states, dim_a, dim_i) |phi @ frame.columns|^2, as potential_from_joint weighs them
+    inside: np.ndarray    # (k + 1, states) mass in the low span of each difference count m
     classes: np.ndarray   # (states, 2^k) mass per answer class: the reduced state's diagonal, summed
-
-    def inside(self, at: np.ndarray) -> np.ndarray:
-        """Each state's mass in the frame columns `at`, summed as |phi @ those columns|^2
-        would be: np.take gathers the C-contiguous block that product makes (a
-        fancy-index view in another memory order would sum in another order)."""
-        return np.take(self.columns, at, axis=2).sum(axis=(1, 2))
 
 
 def run_masses(run: RecastRun, frame: LevelFrame, columns: np.ndarray | None = None) -> RunMasses:
     """The masses of every state of `run`, in run then depth order; `columns`, if
-    given, are the column masses potential_from_joint wrote for those states."""
+    given, are the column masses potential_from_joint wrote for those states.
+
+    Each low-span mass is summed as |phi @ low columns|^2 would be: np.take gathers
+    the C-contiguous block that product makes (a fancy-index view in another
+    memory order would sum in another order)."""
+    if (frame.decomp.space.n, frame.decomp.space.t, frame.params.k) != (run.space.n, run.space.t, run.k):
+        raise InstanceError("frame and run disagree on (n, t, k)")
     states = run.states.reshape(-1, *run.states.shape[2:])
     columns = _column_masses(states, frame) if columns is None else columns.reshape(states.shape)
-    return RunMasses(columns=columns,
-                     classes=(np.abs(states) ** 2).sum(axis=1) @ frame.classes)
+    return RunMasses(
+        inside=np.array([np.take(columns, _low_span(frame, m), axis=2).sum(axis=(1, 2))
+                         for m in range(frame.params.k + 1)]),
+        classes=(np.abs(states) ** 2).sum(axis=1) @ frame.classes,
+    )
 
 
 def _block_draws(gen: np.random.Generator, widths: list[int], count: int) -> tuple[list[int], list[np.ndarray]]:
@@ -753,71 +760,77 @@ def _block_draws(gen: np.random.Generator, widths: list[int], count: int) -> tup
 
 @dataclass(frozen=True)
 class SuccessBoundReport:
-    k: int
-    m: int
-    binomial_bound: float
+    """The worst of each excess over the cases of one call."""
+
     span_excess: float          # random states confined to low difference counts
     run_excess: float           # along the run, with the residual-mass correction
     projection_excess: float    # product-block squared projections vs 2^-k
 
 
-def success_probability_bounds(
-    frame: LevelFrame, run: RecastRun, m: int, rng: SeededRng, masses: RunMasses | None = None
-) -> SuccessBoundReport:
-    """Three checks tying answer probabilities to the signed decomposition.
+def success_probability_bounds(frame: LevelFrame, cases) -> SuccessBoundReport:
+    """Three checks tying answer probabilities to the signed decomposition, over many cases.
 
-    (i) random unit states with difference count <= m never beat the binomial
-    bound; (ii) the states of every run in `run` never beat it plus the residual-mass
-    correction 4*sqrt(mass outside the low-difference span); (iii) a unit
-    vector in any signed product block projects onto any answer block with
-    squared norm at most 2^-k.  `frame` must be built for the run's (n, t, k).
-    `masses`, if given, are run_masses(run, frame, ...) read off the potential's
-    product, so a caller checking several m makes neither again.
+    A case is (masses, m, rng): the RunMasses of a run's states, a difference
+    count m and the stream the case draws from.  (i) random unit states with
+    difference count <= m never beat the binomial bound; (ii) the run's states
+    never beat it plus the residual-mass correction 4*sqrt(mass outside the
+    low-difference span); (iii) a unit vector in any signed product block
+    projects onto any answer block with squared norm at most 2^-k.  Each case
+    reads its stream as a call of its own would: the span coefficients, then
+    the block draws.  Each m's low span is gathered once, and every case's
+    floats are the ones a call per case makes, so each excess is the max of
+    the per-case excesses.
     """
     decomp, k = frame.decomp, frame.params.k
     space = decomp.space
-    if (space.n, space.t, k) != (run.space.n, run.space.t, run.k):
-        raise InstanceError("frame and run disagree on (n, t, k)")
-    if not (0 <= m <= k):
+    if not cases:
+        raise InstanceError("need at least one case")
+    if not all(0 <= m <= k for _, m, _ in cases):
         raise InstanceError("difference count m must be in 0..k")
-    bound = _binomial_tail(k, m)
-    gen = rng.stream
+    signed_blocks = {("plus", j): decomp.plus[j] for j in range(space.t)}
+    signed_blocks.update({("minus", j): decomp.minus[j] for j in range(space.t)})
+    keys = sorted(signed_blocks.keys())
+    widths = [signed_blocks[key].shape[1] for key in keys]
 
-    low = np.concatenate([frame.minus[mp] for mp in range(m + 1)])
-    low_cols = np.take(frame.columns, low, axis=1)
-    # one coefficient row per sample: the same draws as one call per sample
-    coeff = gen.standard_normal((SAMPLE_TRIALS, low_cols.shape[1]))
-    psi = (coeff / np.linalg.norm(coeff, axis=1, keepdims=True)) @ low_cols.T
-    span_excess = _worst(0.0, float(((psi**2) @ frame.classes).max()) - bound)
-
-    # masses read straight off the joint pure states: the reduced state's
-    # diagonal is the column mass of phi, its low-span mass |phi @ low_cols|^2
-    if masses is None:
-        masses = run_masses(run, frame)
-    inside = masses.inside(low)
-    corrected = bound + 4.0 * np.sqrt(np.maximum(0.0, 1.0 - inside))
-    run_excess = _worst(0.0, float((masses.classes - corrected[:, None]).max()))
+    span_excess = run_excess = 0.0
+    picks: list[int] = []
+    draws: list[np.ndarray] = []
+    for m in sorted({m for _, m, _ in cases}):
+        group = [(masses, rng.stream) for masses, mp, rng in cases if mp == m]
+        bound = _binomial_tail(k, m)
+        low = _low_span(frame, m)
+        # one coefficient row per sample, one stack of rows per case
+        coeffs = np.empty((len(group), SAMPLE_TRIALS, len(low)))
+        for row, (masses, gen) in zip(coeffs, group):
+            gen.standard_normal(out=row)
+            case_picks, case_draws = _block_draws(gen, widths, SAMPLE_TRIALS * k)
+            picks += case_picks
+            draws += case_draws
+            # masses read straight off the joint pure states: the reduced state's
+            # diagonal is the column mass of phi, its low-span mass |phi @ low_cols|^2
+            corrected = bound + 4.0 * np.sqrt(np.maximum(0.0, 1.0 - masses.inside[m]))
+            run_excess = _worst(run_excess, float((masses.classes - corrected[:, None]).max()))
+        # a stacked matmul: each case's own gemm
+        psi = (coeffs / np.linalg.norm(coeffs, axis=2, keepdims=True)) @ np.take(frame.columns, low, axis=1).T
+        span_excess = _worst(span_excess, float(((psi**2) @ frame.classes).max()) - bound)
 
     # the per-block projection claim applies where both sign blocks exist,
     # which is every level below t (the level-t leftover block is itself a
     # weight class, so its answer projection is trivially 0 or 1).  The draws
     # are one block pick and one coefficient draw per trial and factor; the
-    # floats are stacked per signed block, then per level tuple, as stacked
-    # matmuls that make each trial's own dot and gemv (a gemm across trials
-    # would round differently), and max(x) - 2^-k is the max of x - 2^-k
-    signed_blocks = {("plus", j): decomp.plus[j] for j in range(space.t)}
-    signed_blocks.update({("minus", j): decomp.minus[j] for j in range(space.t)})
-    keys = sorted(signed_blocks.keys())
-    picks, coeffs = _block_draws(gen, [signed_blocks[key].shape[1] for key in keys], SAMPLE_TRIALS * k)
+    # floats of every case's trials are pooled per signed block, then per level
+    # tuple, as stacked matmuls that make each trial's own dot and gemv (a gemm
+    # across trials would round differently), and max(x) - 2^-k is the max of x - 2^-k
     picks = np.array(picks)
+    trials = len(picks) // k
     factors = np.empty((len(picks), space.dim))
     for pick in set(picks.tolist()):
         at = np.flatnonzero(picks == pick)
-        coeff = np.stack([coeffs[i] for i in at])
+        coeff = np.stack([draws[i] for i in at])
         unit = coeff / np.sqrt(coeff[:, None, :] @ coeff[:, :, None])[:, 0]
         factors[at] = (signed_blocks[keys[pick]] @ unit[:, :, None])[:, :, 0]
-    factors = factors.reshape(SAMPLE_TRIALS, k, space.dim)
-    levels = np.array([j for _, j in keys])[picks].reshape(SAMPLE_TRIALS, k)
+    factors = factors.reshape(trials, k, space.dim)
+    levels = np.array([j for _, j in keys])[picks].reshape(trials, k)
     tops = []
     for js in set(map(tuple, levels.tolist())):
         at = np.flatnonzero((levels == js).all(axis=1))
@@ -827,15 +840,10 @@ def success_probability_bounds(
         for block in frame.answer_blocks[js]:
             proj = block.T @ psi[:, :, None]
             tops.append(float((np.swapaxes(proj, 1, 2) @ proj).max()))
-    projection_excess = _worst(0.0, _worst(*tops) - 1.0 / 2**k)
-
     return SuccessBoundReport(
-        k=k,
-        m=m,
-        binomial_bound=bound,
         span_excess=span_excess,
         run_excess=run_excess,
-        projection_excess=projection_excess,
+        projection_excess=_worst(0.0, _worst(*tops) - 1.0 / 2**k),
     )
 
 
@@ -913,11 +921,6 @@ def distance_cases(rng: SeededRng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # suite driver
 
 
-def growth_ratios(reports: list[PotentialReport]) -> list[float]:
-    """Per-query potential growth factors from the reports of a run's states."""
-    return [after.value / before.value for before, after in zip(reports[:-1], reports[1:])]
-
-
 def _freeze(obj) -> None:
     """Make every array reachable through obj's dataclass fields, tuples, lists and dicts read-only."""
     if isinstance(obj, np.ndarray):
@@ -958,7 +961,7 @@ def _suite_cell(n: int, t: int, k: int) -> _SuiteCell:
     worst = 0.0
     for chain in chains.values():
         for level in chain[: (t - 1) // 2 + 1]:
-            worst = max(worst, float(np.abs(level.deflated_norms - level.closed_form_norm).max()))
+            worst = _worst(worst, float(np.abs(level.deflated_norms - level.closed_form_norm).max()))
     lines.append(CheckLine("deflated-norm closed form", worst <= ORTHO_TOL, worst, f"n={n} t={t}"))
 
     spread = 0.0
@@ -967,8 +970,8 @@ def _suite_cell(n: int, t: int, k: int) -> _SuiteCell:
         report = check_unitary_maps(chains, j)
         for check in report.checks:
             if check.present:
-                spread = max(spread, check.sv_spread, check.residual)
-        c11_err = max(c11_err, abs(report.c11 - 1.0))
+                spread = _worst(spread, check.sv_spread, check.residual)
+        c11_err = _worst(c11_err, abs(report.c11 - 1.0))
     lines.append(CheckLine("block maps scalar-times-isometry", spread <= ORTHO_TOL, spread, "over j < t/2"))
     lines.append(CheckLine("direct-copy map has unit constant", c11_err <= ORTHO_TOL, c11_err, ""))
 
@@ -1008,8 +1011,10 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     process builds them once per cell however many seeds it runs.  Each run
     draws its program from its own stream; the runs go through recast_run and
     potential_from_joint in stacks whose every depth holds at most the joint
-    states the size rule admits for one run.  The probability bounds of runs
-    0-2 read the column masses of the potential's product, kept for their stack.
+    states the size rule admits for one run; decay and growth are folded over
+    each stack's arrays.  The potential's product keeps the column masses of the
+    stack's runs among 0-2, which run_masses reduces to what their probability
+    bounds read; those bounds, at every m, are one call after the last stack.
     """
     if runs < 1 or depth < 1:
         raise InstanceError("runs and depth must be at least 1")
@@ -1021,30 +1026,23 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
 
     dim_a = (k * n + 1) * SUITE_WORKSPACE
     stack = max(1, RUN_JOINT_DIM_CAP // (dim_a * space.dim**k))
-    decay = 0.0
-    growth_max = 0.0
-    prob_worst = 0.0
+    decay = growth_max = 0.0
+    cases = []
     for start in range(0, runs, stack):
         idxs = range(start, min(start + stack, runs))
         programs = random_program([rng.spawn("program", idx) for idx in idxs], dim_a, depth)
         run = recast_run(programs, space, k, workspace_dim=SUITE_WORKSPACE)
-        keep = start < 3   # the stack holds a run whose bounds read the potential's column masses
-        columns = np.empty(run.states.shape) if keep else None
-        by_depth = [potential_from_joint(run.states[:, d], frame, columns[:, d] if keep else None)
-                    for d in range(depth + 1)]
-        for i, idx in enumerate(idxs):
-            reports = [row[i] for row in by_depth]
-            decay = _worst(decay, *(report.decay_excess for report in reports))
-            scaled = ((ratio - 1.0) * math.sqrt(t * n) for ratio in growth_ratios(reports))
-            growth_max = _worst(growth_max, *scaled)
-            if idx < 3:
-                one = replace(run, states=run.states[i : i + 1])
-                masses = run_masses(one, frame, columns[i])
-                for m in range(k + 1):
-                    bounds = success_probability_bounds(frame, one, m, rng.spawn("bounds", idx, m), masses)
-                    prob_worst = _worst(
-                        prob_worst, bounds.span_excess, bounds.run_excess, bounds.projection_excess
-                    )
+        # the column masses of the stack's runs among 0-2, for their probability bounds
+        kept = np.empty((len(range(start, min(idxs.stop, 3))), depth + 1, *run.states.shape[2:]))
+        by_depth = [potential_from_joint(run.states[:, d], frame, kept[:, d]) for d in range(depth + 1)]
+        values = np.column_stack([report.values for report in by_depth])
+        decay = _worst(decay, *(float(report.decay_excess.max()) for report in by_depth))
+        growth_max = _worst(growth_max, float(((values[:, 1:] / values[:, :-1] - 1.0) * math.sqrt(t * n)).max()))
+        for i, columns in enumerate(kept):
+            masses = run_masses(replace(run, states=run.states[i : i + 1]), frame, columns)
+            cases += [(masses, m, rng.spawn("bounds", start + i, m)) for m in range(k + 1)]
+    bounds = success_probability_bounds(frame, cases)
+    prob_worst = _worst(bounds.span_excess, bounds.run_excess, bounds.projection_excess)
     lines.append(CheckLine("potential tail decay along runs", decay <= BOUND_SLACK, decay, f"{runs} runs"))
     lines.append(
         CheckLine("probability bounds along runs", prob_worst <= BOUND_SLACK, prob_worst, "low-span, corrected, block")

@@ -19,7 +19,7 @@ from ineqlab.linsys import (
     classical_bounded_product,
 )
 from ineqlab.polylab import run_poly_suite, verify_lp
-from ineqlab.qsim import StreamDraws, TapeOracle, count_median, counting_window, grover_success, sv_run_grover
+from ineqlab.qsim import StreamDraws, TapeOracle, count_median, grover_success, sv_run_grover
 from ineqlab.subspace import (
     alpha_beta,
     build_input_space,
@@ -41,6 +41,8 @@ from ineqlab.sweep import (
     render_json,
     run_sweep,
 )
+
+from test_qsim import counting_window
 
 from fractions import Fraction
 

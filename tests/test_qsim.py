@@ -26,12 +26,16 @@ from ineqlab.qsim import (
     ae_outcome_pmf,
     collect_ones,
     count_median,
-    counting_window,
     fold_count_pmf,
     grover_search,
     sv_count_pmf,
     sv_run_grover,
 )
+
+
+def counting_window(n: int, w: int, M: int) -> float:
+    """Absolute error within which the M-point count estimate of w marked among n lands with mass >= 8/pi^2."""
+    return 2 * math.pi * math.sqrt(w * (n - w)) / M + math.pi**2 * n / M**2
 
 
 def make_oracle(values, target="x"):

@@ -32,13 +32,13 @@ from ineqlab.subspace import (
     decomposition_report,
     deflated_norm_closed_form,
     distance_cases,
-    growth_ratios,
     orthonormal_columns,
     orthonormality_residual,
     potential_from_joint,
     random_program,
     random_projective_measurement,
     recast_run,
+    run_masses,
     success_probability_bounds,
     variational_distance,
     verify_suite,
@@ -66,6 +66,44 @@ def reduced(phi):
 PSD_FLOOR = -1e-10   # smallest eigenvalue a reduced state may show in float64
 
 
+@dataclasses.dataclass(frozen=True)
+class StateReport:
+    """One state's potential report: the per-state reference for a row of a PotentialReport."""
+
+    masses: tuple[float, ...]
+    value: float
+    decay_excess: float
+
+    @property
+    def mass_sum(self):
+        return math.fsum(self.masses)
+
+
+def per_state_report(masses, params):
+    """The report on one state's level masses, with one np.dot and one tail sum
+    per difference count: the reference for the rows of _masses_report."""
+    value = float(np.dot(masses, params.weights))
+    qf = float(params.q)
+    excesses = []
+    for m in range(params.k + 1):
+        threshold = params.t * m / 2.0
+        tail = float(masses[math.ceil(threshold) :].sum())
+        excesses.append(tail - value * qf ** (-threshold))
+    return StateReport(masses=tuple(float(v) for v in masses), value=value,
+                       decay_excess=subspace._worst(0.0, *excesses))
+
+
+def report_rows(report):
+    """The rows of a PotentialReport as one StateReport per state."""
+    return [StateReport(tuple(map(float, masses)), float(value), float(excess))
+            for masses, value, excess in zip(report.masses, report.values, report.decay_excess)]
+
+
+def growth_ratios(values):
+    """Per-query potential growth factors from the potentials of a run's states."""
+    return [after / before for before, after in zip(values[:-1], values[1:])]
+
+
 def potential(rho, frame):
     """Level masses of a density matrix: the reference for potential_from_joint."""
     rotated = frame.columns.conj().T @ rho @ frame.columns
@@ -73,7 +111,7 @@ def potential(rho, frame):
     np.add.at(masses, frame.labels, np.real(np.diagonal(rotated)))
     if masses.min() < -1e-9:
         raise InstanceError("negative level mass")
-    return subspace._masses_report(np.clip(masses, 0.0, None), frame.params)
+    return per_state_report(np.clip(masses, 0.0, None), frame.params)
 
 
 def reference_classes(space, k):
@@ -579,11 +617,11 @@ class TestPotential:
     def test_joint_and_reduced_paths_agree(self):
         run = small_run(n=5, t=2, k=2, workspace=1, depth=3, seed=9)
         frame = build_level_frame(build_signed_decomposition(run.space), 2)
-        reports = potential_from_joint(run.states[0], frame)
-        assert len(reports) == run.states.shape[1]
-        for a, phi in zip(reports, run.states[0]):
+        report = potential_from_joint(run.states[0], frame)
+        assert report.masses.shape == (run.states.shape[1], len(frame.params.weights))
+        for a, phi in zip(report.masses, run.states[0]):
             b = potential(reduced(phi), frame)
-            assert max(abs(x - y) for x, y in zip(a.masses, b.masses)) < 1e-10
+            assert max(abs(x - y) for x, y in zip(a, b.masses)) < 1e-10
 
     def test_growth_ratios_along_idle_run_are_one(self):
         n, t, w = 4, 2, 2
@@ -591,7 +629,7 @@ class TestPotential:
         gate = np.eye(dim_a, dtype=complex)
         run = recast_run([[gate, gate]], build_input_space(n, t), 1, workspace_dim=w)
         frame = build_level_frame(build_signed_decomposition(run.space), 1)
-        for ratio in growth_ratios(potential_from_joint(run.states[0], frame)):
+        for ratio in growth_ratios(potential_from_joint(run.states[0], frame).values):
             assert abs(ratio - 1.0) < 1e-12
 
     def test_top_level_eigencase(self):
@@ -611,15 +649,17 @@ class TestPotential:
     def test_nan_mass_fails_the_decay_check(self, level):
         # Python's max(0.0, nan) is 0.0, so a plain fold would report no excess
         frame = build_level_frame(build_signed_decomposition(build_input_space(4, 2)), 2)
-        masses = np.full(len(frame.params.weights), 0.2)
-        masses[level] = np.nan
-        assert math.isnan(subspace._masses_report(masses, frame.params).decay_excess)
+        masses = np.full((3, len(frame.params.weights)), 0.2)
+        masses[1, level] = np.nan
+        decay = subspace._masses_report(masses, frame.params).decay_excess
+        assert math.isnan(decay[1])
+        assert decay[0] == decay[2] == per_state_report(masses[0], frame.params).decay_excess
 
     def test_seeded_runs_decay_property(self):
         for seed in range(8):
             run = small_run(n=4, t=2, k=1, depth=3, seed=seed)
             frame = build_level_frame(build_signed_decomposition(run.space), 1)
-            for report in potential_from_joint(run.states[0], frame):
+            for report in report_rows(potential_from_joint(run.states[0], frame)):
                 assert report.decay_excess <= BOUND_SLACK
                 assert abs(report.mass_sum - 1.0) <= BOUND_SLACK
 
@@ -662,17 +702,19 @@ def reference_bounds(frame, run, m, rng):
         diag = np.sum(np.abs(phi) ** 2, axis=0)
         for mask in masks:
             run_excess = max(run_excess, float(diag[mask].sum()) - corrected)
-    return span_excess, run_excess, per_trial_projection(frame, gen)
+    return span_excess, run_excess, max(0.0, max(per_trial_projection(frame, gen).values()) - 1.0 / 2**k)
 
 
 def per_trial_projection(frame, gen):
     """The projection check as one loop per trial: per factor one block pick, one
-    coefficient draw and one gemv, then one gemv and one dot per answer block."""
+    coefficient draw and one gemv, then one gemv and one dot per answer block.
+    Returns the largest squared projection per level tuple and answer, before
+    the 2^-k bound is taken off."""
     decomp, k = frame.decomp, frame.params.k
     signed_blocks = {("plus", j): decomp.plus[j] for j in range(decomp.space.t)}
     signed_blocks.update({("minus", j): decomp.minus[j] for j in range(decomp.space.t)})
     keys = sorted(signed_blocks.keys())
-    projection_excess = 0.0
+    tops = {}
     for _ in range(subspace.SAMPLE_TRIALS):
         factors, levels = [], []
         for _ in range(k):
@@ -682,15 +724,20 @@ def per_trial_projection(frame, gen):
             factors.append((cols @ (coeff / np.linalg.norm(coeff))).reshape(-1, 1))
             levels.append(j)
         psi = subspace._kron_columns(factors).ravel()
-        for block in frame.answer_blocks[tuple(levels)]:
+        for answer, block in enumerate(frame.answer_blocks[tuple(levels)]):
             proj = block.T @ psi
-            projection_excess = max(projection_excess, float(proj @ proj) - 1.0 / 2**k)
-    return projection_excess
+            key = (tuple(levels), answer)
+            tops[key] = max(tops.get(key, -math.inf), float(proj @ proj))
+    return tops
+
+
+EXCESSES = ("span_excess", "run_excess", "projection_excess")
 
 
 def per_trial_bounds(frame, run, m, rng):
-    """success_probability_bounds with its projection check as one loop per trial:
-    the reference the stacked check must match bit for bit."""
+    """One case of success_probability_bounds, as the call per (run, m) made it, with
+    its projection check as one loop per trial: the three excesses by name, the
+    reference the pooled check must match bit for bit."""
     k = frame.params.k
     bound = subspace._binomial_tail(k, m)
     gen = rng.stream
@@ -703,9 +750,18 @@ def per_trial_bounds(frame, run, m, rng):
     corrected = bound + 4.0 * np.sqrt(np.maximum(0.0, 1.0 - inside))
     probs = (np.abs(states) ** 2).sum(axis=1) @ frame.classes
     run_excess = max(0.0, float((probs - corrected[:, None]).max()))
-    return subspace.SuccessBoundReport(k=k, m=m, binomial_bound=bound, span_excess=span_excess,
-                                       run_excess=run_excess,
-                                       projection_excess=per_trial_projection(frame, gen))
+    projection_excess = max(0.0, max(per_trial_projection(frame, gen).values()) - 1.0 / 2**k)
+    return dict(zip(EXCESSES, (span_excess, run_excess, projection_excess)))
+
+
+def worst_of(per_case):
+    """Each excess's largest value over the per-case references, as float.hex."""
+    return {name: max(case[name] for case in per_case).hex() for name in EXCESSES}
+
+
+def excesses(report):
+    """A SuccessBoundReport's three excesses, as float.hex."""
+    return {name: getattr(report, name).hex() for name in EXCESSES}
 
 
 def per_step_program(rng, dim, depth):
@@ -741,31 +797,37 @@ def per_run_states(program, space, k, workspace_dim):
     return np.stack(states)
 
 
+def suite_run(frame, seed, idx, depth):
+    """Run idx of verify_suite at `seed`, drawn and recast one step at a time, as a stack of one."""
+    space, k = frame.decomp.space, frame.params.k
+    dim_a = (k * space.n + 1) * subspace.SUITE_WORKSPACE
+    program = per_step_program(SeededRng(seed).spawn("program", idx), dim_a, depth)
+    states = per_run_states(program, space, k, subspace.SUITE_WORKSPACE)
+    return subspace.RecastRun(space=space, k=k, query_slots=k * space.n + 1, states=states[None])
+
+
 def per_run_suite(n, t, k, seed, runs, depth):
-    """verify_suite with its runs drawn, recast and weighed one at a time:
-    its lines, and every run's states and potential reports."""
+    """verify_suite with its runs drawn, recast and weighed one at a time, and its
+    probability bounds one call per (run, m): its lines, and every run's states and
+    per-state potential reports."""
     rng = SeededRng(seed)
     cell = subspace._suite_cell(n, t, k)
     frame = cell.frame
-    space = frame.decomp.space
     lines = list(cell.structural)
-    dim_a = (k * n + 1) * subspace.SUITE_WORKSPACE
     decay = growth_max = prob_worst = 0.0
     all_states, all_reports = [], []
     for idx in range(runs):
-        program = per_step_program(rng.spawn("program", idx), dim_a, depth)
-        states = per_run_states(program, space, k, subspace.SUITE_WORKSPACE)
-        reports = potential_from_joint(states, frame)
-        all_states.append(states)
+        run = suite_run(frame, seed, idx, depth)
+        reports = [per_state_potential(phi, frame) for phi in run.states[0]]
+        all_states.append(run.states[0])
         all_reports.append(reports)
         decay = max(decay, *(report.decay_excess for report in reports))
-        for ratio in growth_ratios(reports):
+        for ratio in growth_ratios([report.value for report in reports]):
             growth_max = max(growth_max, (ratio - 1.0) * math.sqrt(t * n))
         if idx < 3:
-            run = subspace.RecastRun(space=space, k=k, query_slots=k * n + 1, states=states[None])
             for m in range(k + 1):
-                bounds = success_probability_bounds(frame, run, m, rng.spawn("bounds", idx, m))
-                prob_worst = max(prob_worst, bounds.span_excess, bounds.run_excess, bounds.projection_excess)
+                bounds = per_trial_bounds(frame, run, m, rng.spawn("bounds", idx, m))
+                prob_worst = max(prob_worst, *bounds.values())
     lines.append(CheckLine("potential tail decay along runs", decay <= BOUND_SLACK, decay,
                                     f"{runs} runs"))
     lines.append(CheckLine("probability bounds along runs", prob_worst <= BOUND_SLACK, prob_worst,
@@ -784,7 +846,7 @@ def per_state_potential(phi, frame):
     per_col = (np.abs(phi @ frame.columns) ** 2).sum(axis=0)
     masses = np.zeros(len(frame.params.weights))
     np.add.at(masses, frame.labels, per_col)
-    return subspace._masses_report(np.clip(masses, 0.0, None), frame.params)
+    return per_state_report(np.clip(masses, 0.0, None), frame.params)
 
 
 def hexed(report):
@@ -816,13 +878,13 @@ class TestStackedMatchesPerItem:
                 assert all(np.array_equal(a, b) for a, b in zip(programs[0], expect))
                 assert rng.stream.bit_generator.state == ref.stream.bit_generator.state
                 run = recast_run(programs, frame.decomp.space, k, workspace_dim=subspace.SUITE_WORKSPACE)
-                reports = potential_from_joint(run.states[0], frame)
-                assert [hexed(r) for r in reports] == [hexed(per_state_potential(phi, frame))
-                                                       for phi in run.states[0]]
+                report = potential_from_joint(run.states[0], frame)
+                assert [hexed(r) for r in report_rows(report)] == [hexed(per_state_potential(phi, frame))
+                                                                   for phi in run.states[0]]
                 for m in range(k + 1):
                     rng, ref = (SeededRng(seed).spawn("bounds", idx, m) for _ in range(2))
-                    assert (hexed(success_probability_bounds(frame, run, m, rng))
-                            == hexed(per_trial_bounds(frame, run, m, ref)))
+                    report = success_probability_bounds(frame, [(run_masses(run, frame), m, rng)])
+                    assert excesses(report) == worst_of([per_trial_bounds(frame, run, m, ref)])
                     assert rng.stream.bit_generator.state == ref.stream.bit_generator.state
 
 
@@ -854,48 +916,200 @@ class TestStackedMatchesPerItem:
         assert len(reports) == len(stacks) * (depth + 1)
         by_run = []
         for at, run in zip(range(0, len(reports), depth + 1), stacks):
-            by_run += [[hexed(row[i]) for row in reports[at : at + depth + 1]] for i in range(len(run.states))]
+            rows = [report_rows(report) for report in reports[at : at + depth + 1]]
+            by_run += [[hexed(row[i]) for row in rows] for i in range(len(run.states))]
         assert by_run == [[hexed(r) for r in run_reports] for run_reports in expect_reports]
         assert [hexed(line) for line in lines] == [hexed(line) for line in expect_lines]
+
+
+def pooled_calls(monkeypatch):
+    """Spy on verify_suite's bounds call: each call's cases, report and the cases'
+    Generator end states."""
+    calls = []
+    real = subspace.success_probability_bounds
+
+    def spy(frame, cases):
+        report = real(frame, cases)
+        calls.append((cases, report, [rng.stream.bit_generator.state for _, _, rng in cases]))
+        return report
+
+    monkeypatch.setattr(subspace, "success_probability_bounds", spy)
+    return calls
 
 
 class TestAlongRunCheck:
     """verify_suite's along-run check against its direct form, for runs 0-2 and
     every m: the run's states times the dense low-span blocks, then |.|^2 summed
-    per state, with every report field and the Generator's end state equal."""
+    per state, with the pooled report and every case's Generator end state equal
+    to the calls per (run, m)."""
 
     @pytest.mark.parametrize("n, t, k", [(4, 2, 1), (4, 2, 2), (5, 2, 2), (6, 2, 2), (4, 2, 3)])
     def test_matches_the_direct_product(self, n, t, k, monkeypatch):
-        seen = []
-        real = subspace.success_probability_bounds
-
-        def spy(frame, run, m, rng, masses):
-            report = real(frame, run, m, rng, masses)
-            seen.append((frame, run, m, masses, report, rng.stream.bit_generator.state))
-            return report
-
-        monkeypatch.setattr(subspace, "success_probability_bounds", spy)
-        dim_a, depth = (k * n + 1) * subspace.SUITE_WORKSPACE, 3
+        calls = pooled_calls(monkeypatch)
+        depth = 3
         # the bench's 9 runs; (4, 2, 3) takes stacks of one run, so 3 runs give runs 0-2 the same stacks
         runs = 9 if k < 3 else 3
         for seed in (0, 7919):
-            seen.clear()
+            calls.clear()
             verify_suite(n, t, k, seed=seed, runs=runs, depth=depth)
-            assert [m for _, _, m, *_ in seen] == list(range(k + 1)) * 3
-            for at, (frame, run, m, masses, report, end) in enumerate(seen):
-                idx = at // (k + 1)
-                program = per_step_program(SeededRng(seed).spawn("program", idx), dim_a, depth)
-                assert np.array_equal(run.states, per_run_states(program, frame.decomp.space, k,
-                                                                 subspace.SUITE_WORKSPACE)[None])
+            frame = subspace._suite_cell(n, t, k).frame
+            # one call per suite, over runs 0-2 at every m
+            assert len(calls) == 1
+            cases, report, ends = calls[0]
+            assert [m for _, m, _ in cases] == list(range(k + 1)) * 3
+            expect = []
+            for at, ((masses, m, _), end) in enumerate(zip(cases, ends)):
+                run = suite_run(frame, seed, at // (k + 1), depth)
+                states = run.states[0]
+                assert np.array_equal(masses.classes, (np.abs(states) ** 2).sum(axis=1) @ frame.classes)
                 # the excesses hide the low-span masses of states far from the
                 # bound, so every state's mass is compared too
                 low_cols = np.hstack([dense_minus(frame)[mp] for mp in range(m + 1)])
-                direct = (np.abs(np.concatenate(run.states) @ low_cols) ** 2).sum(axis=(1, 2))
-                low = np.concatenate([frame.minus[mp] for mp in range(m + 1)])
-                assert list(map(float.hex, masses.inside(low))) == list(map(float.hex, direct))
-                ref = SeededRng(seed).spawn("bounds", idx, m)
-                assert hexed(report) == hexed(per_trial_bounds(frame, run, m, ref))
+                direct = (np.abs(states @ low_cols) ** 2).sum(axis=(1, 2))
+                assert list(map(float.hex, masses.inside[m])) == list(map(float.hex, direct))
+                ref = SeededRng(seed).spawn("bounds", at // (k + 1), m)
+                expect.append(per_trial_bounds(frame, run, m, ref))
                 assert end == ref.stream.bit_generator.state
+            assert excesses(report) == worst_of(expect)
+
+
+def scaled_frame(frame, scale):
+    """frame with every answer block times `scale`, so each squared projection is scale^2 times as large."""
+    return dataclasses.replace(frame, answer_blocks={
+        js: [block * scale for block in blocks] for js, blocks in frame.answer_blocks.items()})
+
+
+class TestPooledBounds:
+    """verify_suite's one bounds call over runs 0-2 at every m, and its potentials,
+    against the calls per (run, m) and the reports per state: every excess, level
+    mass, potential and decay excess bit for bit, and every Generator end state.
+    The shifted variant lowers every binomial bound by 10 and scales the answer
+    blocks by 4 (exact in float64), so all three excesses are positive and each
+    carries the largest value over the cases, which a passing suite's 0.0 hides."""
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("seed", [0, 7919])
+    @pytest.mark.parametrize("n, t, k, runs", [(4, 2, 1, 9), (5, 2, 2, 10), (6, 2, 2, 9), (4, 2, 3, 2)])
+    def test_matches_the_per_case_calls(self, n, t, k, runs, seed, shifted, monkeypatch):
+        depth = 3
+        if shifted:
+            tail, cell = subspace._binomial_tail, subspace._suite_cell
+            monkeypatch.setattr(subspace, "_binomial_tail", lambda k, m: tail(k, m) - 10.0)
+            monkeypatch.setattr(subspace, "_suite_cell", lambda *key: dataclasses.replace(
+                cell(*key), frame=scaled_frame(cell(*key).frame, 4.0)))
+        frame = subspace._suite_cell(n, t, k).frame
+        potentials = []
+        real = subspace.potential_from_joint
+        monkeypatch.setattr(subspace, "potential_from_joint", lambda states, frame, kept: potentials.append(
+            (states, len(kept), real(states, frame, kept))) or potentials[-1][-1])
+        calls = pooled_calls(monkeypatch)
+        lines = verify_suite(n, t, k, seed=seed, runs=runs, depth=depth)
+        # the kept column masses are those of runs 0-2 only, at every depth
+        assert sum(kept for _, kept, _ in potentials) == min(runs, 3) * (depth + 1)
+        for states, _, report in potentials:
+            assert [hexed(r) for r in report_rows(report)] == [hexed(per_state_potential(phi, frame))
+                                                               for phi in states]
+        assert len(calls) == 1
+        cases, report, ends = calls[0]
+        assert [m for _, m, _ in cases] == list(range(k + 1)) * min(runs, 3)
+        expect = []
+        for at, ((_, m, _), end) in enumerate(zip(cases, ends)):
+            ref = SeededRng(seed).spawn("bounds", at // (k + 1), m)
+            expect.append(per_trial_bounds(frame, suite_run(frame, seed, at // (k + 1), depth), m, ref))
+            assert end == ref.stream.bit_generator.state
+        assert excesses(report) == worst_of(expect)
+        if shifted:
+            assert min(report.span_excess, report.run_excess, report.projection_excess) > 0.0
+        expect_lines, _, _ = per_run_suite(n, t, k, seed, runs, depth)
+        assert [hexed(line) for line in lines] == [hexed(line) for line in expect_lines]
+
+
+class TestOneViolation:
+    """One (run, m) case pushed over its bound, among runs 0-2 at every m, fails the
+    pooled line, which prints its excess, and the CLI exits 1: pooling must not
+    hide a single violation.  The span check is pushed by a binomial bound between
+    the two largest span masses at one m, the run check by one case's answer-class
+    masses, and the projection check by one answer-block column scaled so that
+    only the case with the largest squared projection onto it crosses 2^-k."""
+
+    CLI = ["subspace", "verify", "--n", "4", "--t", "2", "--k", "2", "--runs", "3"]   # seed 0
+
+    def fails(self, monkeypatch, capsys, field):
+        calls = pooled_calls(monkeypatch)
+        line = next(line for line in verify_suite(4, 2, 2, runs=3) if line.name == "probability bounds along runs")
+        (_, report, _), = calls
+        assert getattr(report, field) > BOUND_SLACK
+        assert all(getattr(report, name) <= BOUND_SLACK for name in EXCESSES if name != field)
+        assert not line.passed
+        assert line.residual == getattr(report, field)
+        capsys.readouterr()
+        assert main(self.CLI) == 1
+        assert "[FAIL] probability bounds along runs" in capsys.readouterr().out
+        return report
+
+    def test_span_check(self, monkeypatch, capsys):
+        frame = subspace._suite_cell(4, 2, 2).frame
+        tail = subspace._binomial_tail
+        # each case's largest answer-class mass at m = 1: its span excess over a zero bound
+        monkeypatch.setattr(subspace, "_binomial_tail", lambda k, m: 0.0)
+        tops = sorted(per_trial_bounds(frame, suite_run(frame, 0, idx, 3), 1, SeededRng(0).spawn("bounds", idx, 1))
+                      ["span_excess"] for idx in range(3))
+        assert tops[-1] > tops[-2] * (1 + 1e-9)
+        bound = (tops[-1] + tops[-2]) / 2
+        monkeypatch.setattr(subspace, "_binomial_tail", lambda k, m: bound if m == 1 else tail(k, m))
+        report = self.fails(monkeypatch, capsys, "span_excess")
+        assert report.span_excess == tops[-1] - bound
+
+    def test_run_check(self, monkeypatch, capsys):
+        real = subspace.success_probability_bounds
+        pushed = []
+
+        def push(frame, cases):
+            # run 1 at m = 1: its states' answer-class masses raised by 10, in this case only
+            masses, m, rng = cases[4]
+            pushed.append((frame, dataclasses.replace(masses, classes=masses.classes + 10.0), m))
+            return real(frame, [*cases[:4], (pushed[-1][1], m, rng), *cases[5:]])
+
+        monkeypatch.setattr(subspace, "success_probability_bounds", push)
+        report = self.fails(monkeypatch, capsys, "run_excess")
+        frame, masses, m = pushed[0]
+        assert m == 1
+        # the pooled excess is that one case's own
+        alone = real(frame, [(masses, m, SeededRng(0).spawn("bounds", 1, 1))])
+        assert alone.run_excess == report.run_excess
+
+    def test_projection_check(self, monkeypatch, capsys):
+        # a unit vector in a signed product block projects onto an answer block
+        # with squared norm exactly 2^-k, whatever the draws, so the push scales
+        # one column c of one answer block by s: a trial's squared projection
+        # becomes 2^-k + (s^2 - 1)(c . psi)^2, and s is chosen so that only the
+        # case with the largest (c . psi)^2 crosses 2^-k + BOUND_SLACK
+        cell = subspace._suite_cell(4, 2, 2)
+        frame = cell.frame
+        js, answer = (1, 1), 0
+
+        def column_scaled(scale):
+            blocks = dict(frame.answer_blocks)
+            block = blocks[js][answer].copy()
+            block[:, 0] *= scale
+            blocks[js] = [block if a == answer else b for a, b in enumerate(blocks[js])]
+            return dataclasses.replace(frame, answer_blocks=blocks)
+
+        # each case's largest (c . psi)^2, read at s = 2 from its stream after the span draws
+        along = []
+        for idx in range(3):
+            for m in range(3):
+                gen = SeededRng(0).spawn("bounds", idx, m).stream
+                gen.standard_normal((subspace.SAMPLE_TRIALS, sum(len(frame.minus[mp]) for mp in range(m + 1))))
+                tops = per_trial_projection(column_scaled(2.0), gen)
+                along += [(tops[(js, answer)] - 0.25) / 3.0] if (js, answer) in tops else []
+        second, top = sorted(along)[-2:]
+        assert top > second * 1.1
+        scale = math.sqrt(1.0 + BOUND_SLACK / math.sqrt(top * second))
+        monkeypatch.setattr(subspace, "_suite_cell",
+                            lambda *key: dataclasses.replace(cell, frame=column_scaled(scale)))
+        report = self.fails(monkeypatch, capsys, "projection_excess")
+        assert report.projection_excess < BOUND_SLACK * math.sqrt(top / second) * 1.01
 
 
 def dense_containment_residual(frame):
@@ -1024,7 +1238,7 @@ class TestSuccessBounds:
             run = dataclasses.replace(run, states=z)
         frame = frame_of(run)
         rng, ref_rng = rng_for("matrix", seed), rng_for("matrix", seed)
-        report = success_probability_bounds(frame, run, m, rng)
+        report = success_probability_bounds(frame, [(run_masses(run, frame), m, rng)])
         span, run_excess, projection = reference_bounds(frame, run, m, ref_rng)
         if shift:
             assert min(span, run_excess) > 0.0
@@ -1048,56 +1262,66 @@ class TestSuccessBounds:
             frame = dataclasses.replace(frame, answer_blocks={
                 js: [np.full_like(block, np.nan) for block in blocks] for js, blocks in frame.answer_blocks.items()
             })
-        report = success_probability_bounds(frame, run, 1, rng_for("bounds", 7))
+        report = success_probability_bounds(frame, [(run_masses(run, frame), 1, rng_for("bounds", 7))])
         assert math.isnan(getattr(report, field))
 
     def test_single_factor_bound_is_half(self):
         run = small_run(k=1, depth=3, seed=2)
-        report = success_probability_bounds(frame_of(run), run, 0, rng_for("bounds", 1))
-        assert report.binomial_bound == 0.5
+        frame = frame_of(run)
+        report = success_probability_bounds(frame, [(run_masses(run, frame), 0, rng_for("bounds", 1))])
+        assert subspace._binomial_tail(1, 0) == 0.5
         assert report.span_excess <= BOUND_SLACK
         assert report.run_excess <= BOUND_SLACK
         assert report.projection_excess <= BOUND_SLACK
 
     def test_two_factor_bound_is_quarter(self):
         run = small_run(n=4, t=2, k=2, workspace=1, depth=2, seed=3)
-        report = success_probability_bounds(frame_of(run), run, 0, rng_for("bounds", 2))
-        assert report.binomial_bound == 0.25
+        frame = frame_of(run)
+        report = success_probability_bounds(frame, [(run_masses(run, frame), 0, rng_for("bounds", 2))])
+        assert subspace._binomial_tail(2, 0) == 0.25
         assert max(report.span_excess, report.run_excess, report.projection_excess) <= BOUND_SLACK
 
     def test_binomial_tail_values(self):
         run = small_run(n=4, t=2, k=2, workspace=1, depth=1, seed=4)
         frame = frame_of(run)
-        bounds = [
-            success_probability_bounds(frame, run, m, rng_for("bounds", 3, m)).binomial_bound
-            for m in (0, 1, 2)
-        ]
-        assert bounds == [0.25, 0.75, 1.0]
+        masses = run_masses(run, frame)
+        report = success_probability_bounds(frame, [(masses, m, rng_for("bounds", 3, m)) for m in (0, 1, 2)])
+        assert [subspace._binomial_tail(2, m) for m in (0, 1, 2)] == [0.25, 0.75, 1.0]
+        assert max(report.span_excess, report.run_excess, report.projection_excess) <= BOUND_SLACK
 
     def test_all_m_pass_on_seeded_runs(self):
         for seed in range(3):
             run = small_run(k=1, depth=2, seed=seed + 20)
+            frame = frame_of(run)
             for m in (0, 1):
-                report = success_probability_bounds(frame_of(run), run, m, rng_for("b", seed, m))
+                report = success_probability_bounds(frame, [(run_masses(run, frame), m, rng_for("b", seed, m))])
                 assert max(report.span_excess, report.run_excess, report.projection_excess) <= BOUND_SLACK
 
     def test_m_out_of_range(self):
         run = small_run(k=1, depth=1)
-        with pytest.raises(InstanceError):
-            success_probability_bounds(frame_of(run), run, 2, rng_for("bounds", 4))
+        frame = frame_of(run)
+        masses = run_masses(run, frame)
+        for ms in ([2], [0, 1, 2], [-1, 0]):
+            gen = rng_for("bounds", 4)
+            state = gen.stream.bit_generator.state
+            with pytest.raises(InstanceError, match="0..k"):
+                success_probability_bounds(frame, [(masses, m, gen) for m in ms])
+            assert gen.stream.bit_generator.state == state
+        with pytest.raises(InstanceError, match="at least one case"):
+            success_probability_bounds(frame, [])
 
     def test_rejects_decomposition_of_another_cell(self):
         run = small_run(n=4, t=2, k=1, depth=1)
         for n, t in [(5, 2), (6, 3), (4, 1)]:
             other = build_level_frame(build_signed_decomposition(build_input_space(n, t)), 1)
             with pytest.raises(InstanceError, match="disagree"):
-                success_probability_bounds(other, run, 0, rng_for("bounds", 5))
+                success_probability_bounds(other, [(run_masses(run, other), 0, rng_for("bounds", 5))])
 
     def test_rejects_frame_of_another_k(self):
         run = small_run(n=4, t=2, k=1, depth=1)
         other = build_level_frame(build_signed_decomposition(run.space), 2)
         with pytest.raises(InstanceError, match="disagree"):
-            success_probability_bounds(other, run, 0, rng_for("bounds", 6))
+            success_probability_bounds(other, [(run_masses(run, other), 0, rng_for("bounds", 6))])
 
 
 # ---------------------------------------------------------------------------
@@ -1338,6 +1562,37 @@ class TestKronColumns:
 # suite driver
 
 
+def nan_after_the_first_eigensolve(monkeypatch):
+    """containment_residual's eigensolves after the first return NaN."""
+    real, calls = np.linalg.eigvalsh, []
+
+    def eigvalsh(a):
+        calls.append(a)
+        return real(a) if len(calls) == 1 else np.full(len(a), np.nan)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+
+def nan_in_the_last_map(field):
+    """check_unitary_maps reports `field` of its last map, (1, 1), as NaN, after the finite (0, 1) and (1, 0)."""
+    def patch(monkeypatch):
+        def maps(*args):
+            report = real(*args)
+            last = dataclasses.replace(report.checks[-1], **{field: math.nan})
+            return dataclasses.replace(report, checks=(*report.checks[:-1], last))
+
+        real = subspace.check_unitary_maps
+        monkeypatch.setattr(subspace, "check_unitary_maps", maps)
+    return patch
+
+
+def nan_in_the_last_closed_form(monkeypatch):
+    """The (1, 1) split family's closed-form norms are NaN, after the finite (0, 0), (0, 1) and (1, 0)."""
+    real = subspace.deflated_norm_closed_form
+    monkeypatch.setattr(subspace, "deflated_norm_closed_form",
+                        lambda n, t, j, a, b: math.nan if (a, b) == (1, 1) else real(n, t, j, a, b))
+
+
 class TestVerifySuite:
     def test_all_lines_pass_at_small_cell(self):
         lines = verify_suite(4, 2, 1, seed=1, runs=2, depth=2)
@@ -1431,7 +1686,7 @@ class TestVerifySuite:
 
         def potentials(states, frame, *column_masses):
             out = run_potential(states, frame, *column_masses)
-            reports.extend(out)
+            reports.extend(out.values)
             return out
 
         def recast(program, space, *args, **kwargs):
@@ -1474,6 +1729,24 @@ class TestVerifySuite:
         capsys.readouterr()
         assert main(["subspace", "verify", "--n", "4", "--t", "2", "--k", "1", "--runs", "2"]) == 1
         assert "[FAIL] potential tail decay along runs: residual=nan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, patch", [
+        pytest.param("deflated-norm closed form", nan_in_the_last_closed_form, id="deflated-norm"),
+        pytest.param("block maps scalar-times-isometry", nan_in_the_last_map("residual"), id="map-residual"),
+        pytest.param("direct-copy map has unit constant", nan_in_the_last_map("constant"), id="unit-constant"),
+        pytest.param("difference blocks sit in high levels", nan_after_the_first_eigensolve, id="containment"),
+    ])
+    def test_nan_structural_residual_fails_its_line(self, name, patch, monkeypatch, capsys):
+        # Python's max(0.0, nan) is 0.0, so a plain fold would print PASS
+        patch(monkeypatch)
+        lines = {line.name: line for line in verify_suite(4, 2, 2, runs=1, depth=1)}
+        assert not lines[name].passed
+        assert math.isnan(lines[name].residual)
+        assert sum(not line.passed for line in lines.values()) == 1
+        subspace._suite_cell.cache_clear()
+        capsys.readouterr()
+        assert main(["subspace", "verify", "--n", "4", "--t", "2", "--k", "2", "--runs", "1", "--depth", "1"]) == 1
+        assert f"[FAIL] {name}: residual=nan" in capsys.readouterr().out
 
     def test_nan_growth_ratio_is_reported(self, monkeypatch):
         # run 1's last state turns NaN, so its last growth ratio is NaN after run 0's
