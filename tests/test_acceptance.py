@@ -283,12 +283,12 @@ class TestSubspaceSuite:
         for _ in range(1000):
             dim = int(gen.integers(2, 33))
             parts = int(gen.integers(2, min(dim, 4) + 1))
-            (q,), (cuts,) = random_projective_measurement(gen, 1, dim, parts)
+            (basis,), (cuts,) = random_projective_measurement(gen, 1, dim, parts)
             psi = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
             psi /= np.linalg.norm(psi)
             phi = psi + 0.1 * (gen.standard_normal(dim) + 1j * gen.standard_normal(dim))
             phi /= np.linalg.norm(phi)
-            tv, bound = variational_distance(psi, phi, (q, cuts))
+            tv, bound = variational_distance(psi, phi, (basis, cuts))
             tv_excess = max(tv_excess, float(tv - bound))
 
         elapsed = time.time() - start

@@ -1328,9 +1328,8 @@ class TestSuccessBounds:
 # outcome-distribution distance
 
 
-def reference_distance_cases(seed):
-    """The distance line's draws replayed one case at a time: one projector list per case."""
-    gen = SeededRng(seed).stream
+def reference_distance_cases(gen):
+    """The distance line's draws replayed one case at a time from `gen`: one projector list per case."""
     dims = gen.integers(2, 17, size=200)
     out = [None] * 200
     for dim in sorted(set(dims.tolist())):
@@ -1383,18 +1382,21 @@ def reference_random_projective_measurement(gen, cases, dim, parts):
 class TestDistanceAgainstReference:
     @pytest.mark.parametrize("dim", range(2, 17))
     def test_same_draws_cuts_bases_and_distances(self, dim):
+        # the basis is the reference's stack before its QR, and measures in the reference's q
         for parts in range(1, min(3, dim) + 1):
-            gen, ref_gen = (rng_for("tv-ref", dim, parts).stream for _ in range(2))
-            q, cuts = random_projective_measurement(gen, 7, dim, parts)
+            gen, ref_gen, pre_gen = (rng_for("tv-ref", dim, parts).stream for _ in range(3))
+            basis, cuts = random_projective_measurement(gen, 7, dim, parts)
             ref_q, ref_cuts = reference_random_projective_measurement(ref_gen, 7, dim, parts)
             assert cuts.dtype == ref_cuts.dtype and np.array_equal(cuts, ref_cuts)
-            assert np.array_equal(q, ref_q)
+            pre = pre_gen.standard_normal((7, 2, dim, dim))
+            assert np.array_equal(basis, pre[:, 0] + 1j * pre[:, 1])
+            assert np.array_equal(np.linalg.qr(basis)[0], ref_q)
             assert gen.bit_generator.state == ref_gen.bit_generator.state
             z = gen.standard_normal((2, 7, dim)) + 1j * gen.standard_normal((2, 7, dim))
             psi, psi_prime = z / np.linalg.norm(z, axis=-1, keepdims=True)
             for case in (slice(None), 0):   # the batched stack and one unbatched case
-                got = variational_distance(psi[case], psi_prime[case], (q[case], cuts[case]))
-                want = reference_variational_distance(psi[case], psi_prime[case], (q[case], cuts[case]))
+                got = variational_distance(psi[case], psi_prime[case], (basis[case], cuts[case]))
+                want = reference_variational_distance(psi[case], psi_prime[case], (ref_q[case], cuts[case]))
                 for value, ref in zip(got, want):
                     assert value.shape == ref.shape
                     assert np.abs(value - ref).max() <= 1e-12
@@ -1402,7 +1404,7 @@ class TestDistanceAgainstReference:
     def test_same_refusals(self):
         psi = np.array([1.0, 0.0])
         bad = [
-            (np.sqrt(0.5) * np.eye(2), np.array([0, 2])),     # basis not unitary
+            (np.ones((2, 3)), np.array([0, 3])),                # basis not square
             (np.eye(2), np.array([0, 1])),                      # cuts stop short of dim
             (np.eye(2), np.array([1, 2])),                      # cuts start past 0
             (np.eye(2), np.array([0, 2, 1, 2])),                # cuts go back
@@ -1457,32 +1459,43 @@ class TestVariationalDistance:
             v2 = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
             psi, phi = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
             parts = int(gen.integers(2, min(5, dim) + 1))
-            (q,), (cuts,) = random_projective_measurement(rng.spawn("m").stream, 1, dim, parts)
-            tv, bound = variational_distance(psi, phi, (q, cuts))
+            (basis,), (cuts,) = random_projective_measurement(rng.spawn("m").stream, 1, dim, parts)
+            tv, bound = variational_distance(psi, phi, (basis, cuts))
             assert tv <= bound + 1e-12
 
     def test_rejects_non_measurements(self):
         psi = np.array([1.0, 0.0])
-        # parts that are not projectors, then parts that miss a direction
+        # a basis that misses a direction, one with a column too many, then cuts that stop short
         with pytest.raises(InstanceError):
-            variational_distance(psi, psi, (np.sqrt(0.5) * np.eye(2), np.array([0, 2])))
+            variational_distance(psi, psi, (np.eye(2)[:, :1], np.array([0, 1])))
         with pytest.raises(InstanceError):
-            variational_distance(psi, psi, (np.diag([1.0, 0.0]), np.array([0, 1, 2])))
+            variational_distance(psi, psi, (np.ones((2, 3)), np.array([0, 1, 3])))
         with pytest.raises(InstanceError):
             variational_distance(psi, psi, (np.eye(2), np.array([0, 1])))
 
     def test_measurement_resolves_identity(self):
-        (q,), (cuts,) = random_projective_measurement(rng_for("meas").stream, 1, 8, 3)
+        (basis,), (cuts,) = random_projective_measurement(rng_for("meas").stream, 1, 8, 3)
+        q = np.linalg.qr(basis)[0]
         total = sum(q[:, lo:hi] @ q[:, lo:hi].conj().T for lo, hi in zip(cuts[:-1], cuts[1:]))
         assert np.abs(total - np.eye(8)).max() < 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1, 7919])
     def test_batched_cases_match_the_per_case_loop(self, seed):
-        dims, tv, bound = distance_cases(SeededRng(seed))
-        ref_dims, ref_tv, ref_bound = zip(*reference_distance_cases(seed))
+        rng, ref_gen = SeededRng(seed), SeededRng(seed).stream
+        dims, tv, bound = distance_cases(rng)
+        ref_dims, ref_tv, ref_bound = zip(*reference_distance_cases(ref_gen))
         assert dims.tolist() == list(ref_dims)
         assert np.abs(tv - ref_tv).max() <= 1e-12
         assert np.abs(bound - ref_bound).max() <= 1e-12
+        assert rng.stream.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_raw_rows_are_the_last_columns_of_r(self):
+        # numpy's raw mode returns R transposed: rows dim and dim + 1 are mode "r"'s last two columns
+        basis, _ = random_projective_measurement(rng_for("raw").stream, 5, 6, 3)
+        z = rng_for("raw-states").stream.standard_normal((2, 5, 6, 2)).view(complex)
+        stacked = np.concatenate([basis, z[0], z[1]], axis=-1)
+        raw = np.linalg.qr(stacked, mode="raw")[0]
+        assert np.array_equal(raw[..., 6:, :], np.swapaxes(np.linalg.qr(stacked, mode="r")[..., 6:], -1, -2))
 
     def test_cuts_are_uniform_subsets(self):
         _, cuts = random_projective_measurement(rng_for("cuts").stream, 6000, 5, 3)
@@ -1519,13 +1532,14 @@ class TestVariationalDistance:
         assert len(dims) == 2
         assert not np.array_equal(dims[0], dims[1])
 
-    def test_stack_with_one_non_unitary_basis_is_rejected(self):
-        q, cuts = random_projective_measurement(rng_for("stack").stream, 4, 5, 3)
-        psi = np.tile(np.eye(5)[0], (4, 1))
-        variational_distance(psi, psi, (q, cuts))
-        q[2, :, 1] *= 1.0 + 1e-6
-        with pytest.raises(InstanceError, match="not unitary"):
-            variational_distance(psi, psi, (q, cuts))
+    def test_stack_with_one_non_unitary_basis_measures_in_its_own_q(self):
+        basis, cuts = random_projective_measurement(rng_for("stack").stream, 4, 5, 3)
+        z = rng_for("stack-states").stream.standard_normal((2, 4, 5, 2)).view(complex)[..., 0]
+        psi, psi_prime = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        basis[2, :, 1] *= 1.0 + 1e-6
+        tv, _ = variational_distance(psi, psi_prime, (basis, cuts))
+        ref_tv, _ = reference_variational_distance(psi, psi_prime, (np.linalg.qr(basis)[0], cuts))
+        assert np.abs(tv - ref_tv).max() <= 1e-12
 
     def test_distance_line_can_fail(self, monkeypatch):
         real = subspace.variational_distance
@@ -1539,6 +1553,23 @@ class TestVariationalDistance:
         line = next(line for line in lines if line.name == "outcome-distribution distance bound")
         assert not line.passed
         assert line.residual > 0.0
+
+    def test_nan_distance_fails_its_line(self, monkeypatch, capsys):
+        # a NaN tv among finite ones must not fold away: FAIL with residual nan, exit 1
+        real = subspace.variational_distance
+
+        def one_nan(*args):
+            tv, bound = real(*args)
+            tv[-1] = math.nan
+            return tv, bound
+
+        monkeypatch.setattr(subspace, "variational_distance", one_nan)
+        lines = verify_suite(4, 2, 1, seed=1, runs=1, depth=1)
+        line = next(line for line in lines if line.name == "outcome-distribution distance bound")
+        assert not line.passed
+        assert math.isnan(line.residual)
+        assert main(["subspace", "verify", "--n", "4", "--t", "2", "--k", "1", "--runs", "1", "--seed", "1"]) == 1
+        assert "[FAIL] outcome-distribution distance bound" in capsys.readouterr().out
 
 
 class TestKronColumns:
