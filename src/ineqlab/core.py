@@ -121,6 +121,21 @@ class CheckLine:
         return asdict(self)
 
 
+def _int64_array(values, name: str) -> np.ndarray:
+    """values as int64: a dtype that casts safely takes no extra pass, any other must hold whole numbers in range."""
+    arr = np.asarray(values)
+    if np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):   # a float out of range casts to garbage, which the check refuses
+            ints = arr.astype(np.int64)
+    except (OverflowError, TypeError, ValueError):   # an int past 64 bits, or an entry int() refuses
+        ints = None
+    if ints is None or not (ints == arr).all():
+        raise InstanceError(f"{name} entries must be whole numbers that fit 64-bit integers")
+    return ints
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Validated instance of the clamped matrix-vector product problem."""
@@ -131,12 +146,12 @@ class ProblemInstance:
     t: int
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.int64)
-        x = np.asarray(self.x, dtype=np.int64)
-        b = np.asarray(self.b, dtype=np.int64)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "b", b)
+        A, x, b = _int64_array(self.A, "A"), _int64_array(self.x, "x"), _int64_array(self.b, "b")
+        t = int(self.t) if isinstance(self.t, (float, np.floating)) and self.t.is_integer() else self.t
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise InstanceError(f"t must be a whole number, got {self.t!r}")
+        for name, value in (("A", A), ("x", x), ("b", b), ("t", int(t))):
+            object.__setattr__(self, name, value)
         n = A.shape[0] if A.ndim == 2 else 0
         if A.ndim != 2 or A.shape != (n, n) or n < 1:
             raise InstanceError("A must be a square N x N matrix with N >= 1")

@@ -1009,9 +1009,10 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     draws its program from its own stream; the runs go through recast_run and
     potential_from_joint in stacks whose every depth holds at most the joint
     states the size rule admits for one run; decay and growth are folded over
-    each stack's arrays.  The potential's product keeps the column masses of the
-    stack's runs among 0-2, which run_masses reduces to what their probability
-    bounds read; those bounds, at every m, are one call after the last stack.
+    each stack's arrays.  Every run starts in one state, so depth 0 is one call
+    per suite, whose row every run takes.  The products keep the column masses of
+    runs 0-2, which run_masses reduces to what their probability bounds read;
+    those bounds, at every m, are one call after the last stack.
     """
     if runs < 1 or depth < 1:
         raise InstanceError("runs and depth must be at least 1")
@@ -1031,8 +1032,12 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
         run = recast_run(programs, space, k, workspace_dim=SUITE_WORKSPACE)
         # the column masses of the stack's runs among 0-2, for their probability bounds
         kept = np.empty((len(range(start, min(idxs.stop, 3))), depth + 1, *run.states.shape[2:]))
-        by_depth = [potential_from_joint(run.states[:, d], frame, kept[:, d]) for d in range(depth + 1)]
-        values = np.column_stack([report.values for report in by_depth])
+        if start == 0:   # every run starts in this state: its product is made once per suite
+            origin_columns = np.empty((1, *run.states.shape[2:]))
+            origin = potential_from_joint(run.states[:1, 0], frame, origin_columns)
+        kept[:, 0] = origin_columns
+        by_depth = [origin] + [potential_from_joint(run.states[:, d], frame, kept[:, d]) for d in range(1, depth + 1)]
+        values = np.column_stack([np.broadcast_to(report.values, len(idxs)) for report in by_depth])
         decay = _worst(decay, *(float(report.decay_excess.max()) for report in by_depth))
         growth_max = _worst(growth_max, float(((values[:, 1:] / values[:, :-1] - 1.0) * math.sqrt(t * n)).max()))
         for i, columns in enumerate(kept):

@@ -90,6 +90,18 @@ class TestSolve:
         assert captured.out == ""
         assert "outside [0, 2^32)" in captured.err
 
+    @pytest.mark.parametrize("entry", ["100000000000000000000000", "9223372036854775808"])
+    def test_entry_past_int64_is_usage_error(self, tmp_path, capsys, entry):
+        # a bad input exits 2; exit 1 would mean a check failed
+        path = tmp_path / "huge.txt"
+        path.write_text(f"2 2\n{entry} 0\n0 1\n1 1\n1 1\n", encoding="utf-8")
+        code = main(["solve", "--instance", str(path), "--space", "8",
+                     "--mode", "exact", "--seed", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "A entries must be whole numbers that fit 64-bit integers" in captured.err
+
     def test_bad_mode_rejected_by_parser(self, instance_file):
         with pytest.raises(SystemExit) as info:
             main(["solve", "--instance", instance_file, "--space", "8",

@@ -18,6 +18,7 @@ from ineqlab.core import (
     matvec_min,
     parse_instance_text,
 )
+from ineqlab.linsys import bounded_matrix_product
 
 
 def _tiny():
@@ -126,6 +127,45 @@ class TestValidation:
         a = np.array([[2**62, 2**62], [0, 1]], dtype=np.int64)
         with pytest.raises(InstanceError, match="overflows"):
             ProblemInstance(a, np.array([1, 1]), np.array([1, 1]), t=1)
+
+    @pytest.mark.parametrize("t", [np.int64(2), np.uint8(2), 2.0, np.float64(2.0)])
+    def test_whole_t_is_stored_as_int_and_runs_the_product(self, t):
+        # value_bits calls int.bit_length, which numpy integers lack
+        inst = ProblemInstance(np.eye(2, dtype=np.int64), np.array([2, 1]), np.array([1, 2]), t)
+        assert type(inst.t) is int and inst.t == 2
+        result = bounded_matrix_product(inst, 2, "exact", np.random.default_rng(0))
+        assert result.y.tolist() == matvec_min(inst).tolist()
+
+    @pytest.mark.parametrize("t", [2.5, np.float64(1.5), float("nan"), float("inf"), "2", None, True])
+    def test_rejects_t_that_is_not_a_whole_number(self, t):
+        with pytest.raises(InstanceError, match="t must be a whole number"):
+            ProblemInstance(np.eye(2, dtype=np.int64), np.array([1, 1]), np.array([1, 1]), t)
+
+    @pytest.mark.parametrize("field", ["A", "x", "b"])
+    def test_rejects_fractional_entries(self, field):
+        # a plain int64 cast would truncate [[0.5, 1.7], ...] to [[0, 1], ...]
+        data = {"A": [[0, 1], [1, 0]], "x": [1, 1], "b": [1, 1]}
+        data[field] = {"A": [[0.5, 1.7], [0, 1]], "x": [1, 0.5], "b": [1.7, 1]}[field]
+        with pytest.raises(InstanceError, match=f"{field} entries must be whole numbers"):
+            ProblemInstance(data["A"], data["x"], data["b"], t=2)
+
+    @pytest.mark.parametrize("big", [10**23, 2**63, float(2**63), float("nan")])
+    def test_rejects_entries_past_int64(self, big):
+        # a plain int64 cast raises OverflowError on 10**23 and wraps 2**63 to a negative
+        with pytest.raises(InstanceError, match="fit 64-bit integers"):
+            ProblemInstance([[big, 0], [0, 1]], [1, 1], [1, 1], t=1)
+
+    def test_whole_entries_of_any_type_are_read_as_int64(self):
+        inst = ProblemInstance([[1.0, 0.0], [0.0, 2.0]], np.array([1, 1], dtype=np.uint64),
+                               [1, 0], t=np.int32(1))
+        assert inst.A.dtype == inst.x.dtype == inst.b.dtype == np.int64
+        assert inst.A.tolist() == [[1, 0], [0, 2]] and inst.x.tolist() == [1, 1]
+
+    def test_int64_arrays_are_kept_as_given(self):
+        # the fast path: an int64 array is neither copied nor scanned for whole numbers
+        a, x, b = np.eye(3, dtype=np.int64), np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64)
+        inst = ProblemInstance(a, x, b, t=1)
+        assert inst.A is a and inst.x is x and inst.b is b
 
 
 class TestLedger:

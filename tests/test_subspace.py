@@ -917,14 +917,72 @@ class TestStackedMatchesPerItem:
         expect_lines, expect_states, expect_reports = per_run_suite(n, t, k, seed, runs, depth)
         assert [len(run.states) for run in stacks] == [min(size, runs - start) for start in range(0, runs, size)]
         assert np.array_equal(np.concatenate([run.states for run in stacks]), np.stack(expect_states))
-        # one potential call per depth of each stack, each reporting on the stack's runs
-        assert len(reports) == len(stacks) * (depth + 1)
+        # one potential call on the start state, whose row every run takes at depth 0,
+        # then one call per later depth of each stack, each reporting on the stack's runs
+        assert len(reports) == 1 + len(stacks) * depth
+        start, = report_rows(reports[0])
         by_run = []
-        for at, run in zip(range(0, len(reports), depth + 1), stacks):
-            rows = [report_rows(report) for report in reports[at : at + depth + 1]]
-            by_run += [[hexed(row[i]) for row in rows] for i in range(len(run.states))]
+        for at, run in zip(range(1, len(reports), depth), stacks):
+            rows = [report_rows(report) for report in reports[at : at + depth]]
+            by_run += [[hexed(start)] + [hexed(row[i]) for row in rows] for i in range(len(run.states))]
         assert by_run == [[hexed(r) for r in run_reports] for run_reports in expect_reports]
         assert [hexed(line) for line in lines] == [hexed(line) for line in expect_lines]
+
+
+class TestStartStatePotential:
+    """verify_suite's one potential product for the start state, which every run
+    shares at depth 0: every run's depth-0 state is that state bit for bit, and the
+    report row and kept column masses every run takes are those of a
+    potential_from_joint call on that run's own depth-0 state, by float.hex."""
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    @pytest.mark.parametrize("n, t, k, runs, stacks", [
+        (4, 2, 1, 9, [9]), (5, 2, 2, 10, [6, 4]), (6, 2, 2, 9, [2, 2, 2, 2, 1]), (4, 2, 3, 2, [1, 1])])
+    def test_every_run_takes_the_start_state_product(self, n, t, k, runs, stacks, seed, monkeypatch):
+        depth = 3
+        frame = subspace._suite_cell(n, t, k).frame
+        seen, potentials, kept = [], [], {}
+        real_recast, real_potential, real_masses = subspace.recast_run, subspace.potential_from_joint, subspace.run_masses
+
+        def recast(*args, **kwargs):
+            seen.append(real_recast(*args, **kwargs))
+            return seen[-1]
+
+        def potential(states, frame, columns):
+            potentials.append((states, real_potential(states, frame, columns)))
+            return potentials[-1][1]
+
+        def masses(run, frame, columns):
+            # runs 0-2 in order: the column masses the suite kept for each, at every depth
+            kept[len(kept)] = columns.copy()
+            return real_masses(run, frame, columns)
+
+        monkeypatch.setattr(subspace, "recast_run", recast)
+        monkeypatch.setattr(subspace, "potential_from_joint", potential)
+        monkeypatch.setattr(subspace, "run_masses", masses)
+        lines = verify_suite(n, t, k, seed=seed, runs=runs, depth=depth)
+        assert all(line.passed for line in lines)
+        assert [len(run.states) for run in seen] == stacks
+        assert len(potentials) == 1 + len(stacks) * depth
+        start_states, start_report = potentials[0]
+        row, = report_rows(start_report)
+
+        space = frame.decomp.space
+        start = np.zeros(seen[0].states.shape[2:], dtype=complex)
+        start[0] = functools.reduce(np.kron, [space.psi_one] * k)
+        assert start_states.shape == (1, *start.shape)
+        assert np.array_equal(start_states[0], start)
+        states = np.concatenate([run.states[:, 0] for run in seen])
+        assert len(states) == runs
+        assert all(np.array_equal(phi, start) for phi in states)
+
+        assert sorted(kept) == list(range(min(runs, 3)))
+        for at, phi in enumerate(states):
+            columns = np.empty((1, *phi.shape))
+            own, = report_rows(real_potential(phi[None], frame, columns))
+            assert hexed(row) == hexed(own)
+            if at in kept:
+                assert list(map(float.hex, kept[at][0].ravel())) == list(map(float.hex, columns.ravel()))
 
 
 def pooled_calls(monkeypatch):
@@ -1009,8 +1067,9 @@ class TestPooledBounds:
             (states, len(kept), real(states, frame, kept))) or potentials[-1][-1])
         calls = pooled_calls(monkeypatch)
         lines = verify_suite(n, t, k, seed=seed, runs=runs, depth=depth)
-        # the kept column masses are those of runs 0-2 only, at every depth
-        assert sum(kept for _, kept, _ in potentials) == min(runs, 3) * (depth + 1)
+        # the kept column masses are the start state's once, then those of runs 0-2
+        # only, at every later depth
+        assert sum(kept for _, kept, _ in potentials) == 1 + min(runs, 3) * depth
         for states, _, report in potentials:
             assert [hexed(r) for r in report_rows(report)] == [hexed(per_state_potential(phi, frame))
                                                                for phi in states]
@@ -1726,8 +1785,8 @@ class TestVerifySuite:
             verify_suite(4, 2, 1, runs=runs, depth=depth)
 
     def test_suite_shares_its_input_space_and_potential_reports(self, monkeypatch):
-        # one InputSpace per suite, and one report per run state: the cell's runs
-        # fit one stack, so one potential call per depth reports on all of them
+        # one InputSpace per suite: the cell's runs fit one stack, so one potential
+        # call on the start state, then one call per later depth reports on all of them
         calls = {"space": 0, "potential": 0}
         spaces = set()
         reports = []
@@ -1757,15 +1816,15 @@ class TestVerifySuite:
         assert all(line.passed for line in lines)
         assert calls["space"] == 1
         assert len(spaces) == 1
-        assert calls["potential"] == depth + 1
-        assert len(reports) == runs * (depth + 1)
+        assert calls["potential"] == 1 + depth
+        assert len(reports) == 1 + runs * depth
         # a second suite at the same cell, at another seed, builds nothing:
         # its runs read the same InputSpace, and only the potentials are new
         assert all(line.passed for line in verify_suite(4, 2, 2, seed=1, runs=runs, depth=depth))
         assert calls["space"] == 1
         assert len(spaces) == 1
-        assert calls["potential"] == 2 * (depth + 1)
-        assert len(reports) == 2 * runs * (depth + 1)
+        assert calls["potential"] == 2 * (1 + depth)
+        assert len(reports) == 2 * (1 + runs * depth)
 
     def test_nan_states_fail_their_lines_and_exit_1(self, monkeypatch, capsys):
         # one run's last state turns NaN after the recast's own checks
