@@ -98,7 +98,7 @@ def _cmd_poly(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
         text = fh.read()
-    rows = rows_from_json(text) if args.path.endswith(".json") else rows_from_csv(text)
+    rows = rows_from_json(text) if args.path.lower().endswith(".json") else rows_from_csv(text)
     total = len(rows)
     correct = sum(1 for row in rows if row.correct)
     print(f"rows: {total}")

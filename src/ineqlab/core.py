@@ -13,7 +13,6 @@ space high-water mark in bits.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ def log2_ceil(v: int) -> int:
     """Bits needed to index v distinct values, at least 1."""
     if v <= 1:
         return 1
-    return int(math.ceil(math.log2(v)))
+    return (v - 1).bit_length()
 
 
 def value_bits(v: int) -> int:

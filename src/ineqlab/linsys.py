@@ -18,7 +18,6 @@ the respective cost envelopes.
 """
 from __future__ import annotations
 
-import bisect
 import contextlib
 import math
 import operator
@@ -116,11 +115,11 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
     below s_prime; a binary search then takes the longest length in the last
     bracket whose estimate is at most 2*s_prime, or the bracket's floor if
     none is.  Every probe is a median-of-reps count charged M*reps, with
-    M = ceil(sqrt(candidate length)).  An exact count draws nothing and returns the
-    window's total; as the tape's running sums ascend (values >= 0), two bisects decide
-    every exact probe, reach (the first length totalling at least s_prime) and keep (the
-    last totalling at most 2*s_prime), and exact probes are charged at once.  The tail is
-    the block if the range end is reached while sparse, unprobed if at most s_prime long.
+    M = ceil(sqrt(candidate length)).  An exact count draws nothing and returns the window's
+    total; as the cumulative sum of the remaining columns ascends (values >= 0), two searches
+    of it decide every exact probe, reach (the first length totalling at least s_prime) and
+    keep (the last totalling at most 2*s_prime), and exact probes are charged at once.  The
+    tail is the block if the range end is reached while sparse, unprobed if at most s_prime long.
     """
     _check_mode(mode)
     if reps < 1 or reps % 2 == 0:
@@ -132,10 +131,10 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
     if s_prime < 1:
         raise ValueError("row capacity must be at least 1")
     exact = mode == MODE_EXACT
-    if exact:
-        sums, at = tape._sums(), tape.offset + start
-        reach = bisect.bisect_left(sums, sums[at] + s_prime, at, at + remaining + 1) - at
-        keep = bisect.bisect_right(sums, sums[at] + 2 * s_prime, at, at + remaining + 1) - 1 - at
+    if exact:   # run[L - 1] totals the first L columns from start
+        run = tape.values[start:].cumsum()
+        reach = int(run.searchsorted(s_prime)) + 1
+        keep = int(run.searchsorted(2 * s_prime, side="right"))
 
     def estimate(length: int) -> float:
         return count_median(tape.window(start, start + length), math.ceil(math.sqrt(length)),

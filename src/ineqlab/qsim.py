@@ -86,13 +86,13 @@ class TapeOracle:
 
     def read_values(self, idx, tag: str = TAG_CLASSICAL) -> np.ndarray:
         """The one charged-read path: every index is checked to be an integer (a bool is not)
-        in range, then len(idx) charged at once.  A list or tuple is checked in Python."""
+        in range, then len(idx) charged at once.  A list or tuple is checked in Python and
+        read by take, which reads a tuple's positions, not axes."""
         if isinstance(idx, (list, tuple)):
             if not all(type(i) is int or isinstance(i, np.integer) for i in idx):
                 raise IndexError(f"tape indices {idx!r} are not all integers")
             inside = not idx or (min(idx) >= 0 and max(idx) < self.n)
-            bad = () if inside else [i for i in idx if not 0 <= i < self.n]
-            idx, count = list(idx), len(idx)   # a tuple would index axes, not positions
+            bad, count = () if inside else [i for i in idx if not 0 <= i < self.n], len(idx)
         else:
             idx = np.asarray(idx)
             if idx.size and idx.dtype.kind not in "iu":
@@ -103,7 +103,7 @@ class TapeOracle:
             raise IndexError(f"tape index {bad[0]} out of range")
         if count:   # an empty read adds no tag to the ledger
             self.ledger.charge(self.target, tag, count)
-        return self.values[idx]
+        return self.values.take(idx)
 
     # -- uncharged simulation internals --
 
@@ -111,8 +111,9 @@ class TapeOracle:
         return self.values > 0
 
     def _sums(self) -> list[int]:
-        """Running sums of the root tape, built once (a tape is not written once summed);
-        this tape totals sums[offset + n] - sums[offset]."""
+        """Running sums of the root tape, built once (a tape is not written once summed) for
+        the totals count_median reads: this tape totals sums[offset + n] - sums[offset].
+        Exact block sizing searches the cumulative sum of its remaining columns instead."""
         root = self.root or self
         if root._prefix is None:
             root._prefix = [0, *root.values.cumsum().tolist()]

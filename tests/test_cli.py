@@ -324,6 +324,16 @@ class TestReport:
         assert main(["report", "--in", str(out)]) == 0
         assert "rows: 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["rows.JSON", "rows.Json"])
+    def test_json_suffix_matched_in_any_case(self, tmp_path, capsys, name):
+        config = write_config(tmp_path)
+        out = tmp_path / name
+        assert main(["sweep", "--config", config, "--out", str(out), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "rows: 2" in captured.out and captured.err == ""
+
     def test_fit_grouped_by_mode_t_and_space(self, tmp_path, capsys):
         # t = 1 rows grow like N^1.5 and t = 2 rows like N^2; one fit over
         # both would blend the two exponents

@@ -15,6 +15,7 @@ from ineqlab.core import (
     TAG_COUNTING,
     TAG_GROVER,
     format_instance_text,
+    log2_ceil,
     matvec_min,
     parse_instance_text,
 )
@@ -166,6 +167,17 @@ class TestValidation:
         a, x, b = np.eye(3, dtype=np.int64), np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64)
         inst = ProblemInstance(a, x, b, t=1)
         assert inst.A is a and inst.x is x and inst.b is b
+
+
+class TestLog2Ceil:
+    def test_exact_around_every_power_of_two(self):
+        # a float log2 rounds 2**j + 1 down to 2**j from j = 53 on
+        assert log2_ceil(0) == log2_ceil(1) == 1
+        for j in range(81):
+            for v in (2**j - 1, 2**j, 2**j + 1):
+                want = max(1, next(b for b in range(82) if 2**b >= v))
+                assert log2_ceil(v) == want, (j, v)
+        assert (log2_ceil(2**53 + 1), log2_ceil(2**60 + 1)) == (54, 61)
 
 
 class TestLedger:

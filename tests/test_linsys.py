@@ -4,6 +4,7 @@ Frozen traces were derived by hand from the blocked-loop structure before
 implementation; statistical constants follow the calibration notes in tests
 that mention them.
 """
+import bisect
 import contextlib
 import itertools
 import math
@@ -356,9 +357,9 @@ def reach_and_keep(values, start, s_prime):
 
 
 class TestExactSizingEdges:
-    """Exact sizing decides its probes by two bisects on the running sums; these tapes put
-    reach (first length reaching s') and keep (last length within 2s') on the edges that an
-    off-by-one or a bisect_left / bisect_right swap would move."""
+    """Exact sizing decides its probes by two searches of the remaining columns' cumulative
+    sum; these tapes put reach (first length reaching s') and keep (last length within 2s')
+    on the edges that an off-by-one or a left / right search swap would move."""
 
     def check(self, values, start, s_prime, reps=3, pad=()):
         ours, ref = exact_pair(values, start, s_prime, reps, pad)
@@ -435,6 +436,70 @@ class TestExactSizingEdges:
                 for start in range(n):
                     for s_prime in (1, 2, 3):
                         self.check(values, start, s_prime, reps=1 + 4 * (sum(values) % 2))
+
+
+def bisected_block_length(tape, start, s_prime, reps):
+    """Exact sizing as it was when reach and keep came from two bisects of the root tape's
+    running sums (TapeOracle._sums): (length, counting charge)."""
+    remaining = tape.n - start
+    sums, at = tape._sums(), tape.offset + start
+    reach = bisect.bisect_left(sums, sums[at] + s_prime, at, at + remaining + 1) - at
+    keep = bisect.bisect_right(sums, sums[at] + 2 * s_prime, at, at + remaining + 1) - 1 - at
+    charged, lo, hi, k = 0, remaining, remaining, s_prime
+    while k < remaining:
+        k = min(2 * k, remaining)
+        charged += math.ceil(math.sqrt(k))
+        if k >= reach:
+            lo, hi = k // 2, k
+            break
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        charged += math.ceil(math.sqrt(mid))
+        if mid <= keep:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo, charged * reps
+
+
+class TestExactSizingFromColumnSums:
+    """Exact sizing searches the cumulative sum of the remaining columns; it must give the
+    lengths and counting charges that bisecting the root tape's running sums gave."""
+
+    @pytest.mark.parametrize("s_prime", (1, 2, 5))
+    def test_matches_bisected_running_sums(self, s_prime):
+        rng = rng_for("fbcols", s_prime)
+        tapes = [np.zeros(40, dtype=np.int64)]   # reach passes the end at every start
+        for density in (0.05, 0.3, 0.9):
+            n = int(rng.integers(20, 90))
+            tapes.append((rng.random(n) < density) * rng.integers(1, 2 * s_prime + 3, size=n))
+        tapes.append(np.concatenate([rng.integers(0, 4, size=20), np.zeros(30, dtype=np.int64)]))  # sparse tail
+        past_end = 0
+        for values in tapes:
+            pad = rng.integers(0, 5, size=int(rng.integers(1, 9)))
+            for start in range(values.size):
+                past_end += reach_and_keep(values, start, s_prime)[0] is None
+                for reps in (1, 3):
+                    ref = bisected_block_length(TapeOracle(values, QueryLedger(), "x"), start, s_prime, reps)
+                    for tape_pad in ((), pad):   # the tape alone, and a window at offset pad.size
+                        ledger = QueryLedger()
+                        root = TapeOracle(np.concatenate([tape_pad, values, tape_pad]), ledger, "x")
+                        tape = root.window(len(tape_pad), len(tape_pad) + values.size)
+                        length = find_block_length(tape, start, s_prime, MODE_EXACT, None, reps)
+                        assert set(ledger.by_subroutine) <= {TAG_COUNTING}, (s_prime, start, reps)
+                        got = (length, ledger.by_subroutine.get(TAG_COUNTING, 0))
+                        assert got == ref, (values.tolist(), start, s_prime, reps, len(tape_pad))
+        assert past_end > 40
+
+    @pytest.mark.parametrize("mode, reads_sums", ((MODE_EXACT, False), (MODE_COST, True)))
+    def test_running_sums_serve_cost_model_counts_only(self, mode, reads_sums, monkeypatch):
+        calls = []
+        real_sums = TapeOracle._sums
+        monkeypatch.setattr(TapeOracle, "_sums", lambda self: calls.append(self.n) or real_sums(self))
+        inst = random_instance(rng_for("nosums-inst"), 48, 2)
+        res = bounded_matrix_product(inst, 12, mode, rng_for("nosums-run", mode))
+        assert res.s_prime == 2 and res.ledger.by_subroutine[TAG_COUNTING] > 0
+        assert bool(calls) is reads_sums
 
 
 # ---------------------------------------------------------------------------

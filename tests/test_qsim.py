@@ -217,8 +217,9 @@ class TestTapeOracle:
 
     def test_empty_read_charges_nothing(self):
         oracle, ledger = make_oracle([0, 3])
-        out = oracle.read_values([])
-        assert out.size == 0 and out.dtype == np.int64
+        for idx in ([], (), np.array([], dtype=np.int64), np.array([])):
+            out = oracle.read_values(idx)
+            assert out.shape == (0,) and out.dtype == np.int64, idx
         assert ledger.total == 0
         assert ledger.by_subroutine == {}
 
@@ -232,7 +233,7 @@ class TestTapeOracle:
 
     @pytest.mark.parametrize("idx", (
         [1.7], [0, 1.0], [np.float64(1)], [True, False], [0, np.True_], ["1"], [None],
-        (1.7,), (True,), (1, True),
+        (1.7,), (True,), (1, True), [False], [np.False_], (np.True_, 0), [0, 1, 2, True],
         np.array([1.7]), np.array([True, False]), np.array([0, 1], dtype=object),
     ), ids=repr)
     def test_non_integer_index_refused_before_charging(self, idx):
@@ -244,16 +245,31 @@ class TestTapeOracle:
 
     def test_python_and_numpy_integers_read(self):
         oracle, ledger = make_oracle([4, 5, 6])
+        # a uint64 beside a signed int would promote to float64 as an index array
         for idx in ([2, 0], [np.int64(2), np.int32(0)], [np.uint8(2), 0], (2, 0),
+                    [np.uint64(2), 0], (np.uint64(2), np.int16(0)),
                     np.array([2, 0]), np.array([2, 0], dtype=np.uint16), np.array([2, 0], dtype=np.int8)):
             out = oracle.read_values(idx)
             assert out.tolist() == [6, 4] and out.dtype == np.int64, idx
-        assert ledger.by_subroutine == {TAG_CLASSICAL: 14}
+        assert ledger.by_subroutine == {TAG_CLASSICAL: 18}
+
+    def test_tuple_reads_positions_not_axes(self):
+        # as an index, (1,) would pick the scalar 5 and (1, 0) would ask a 1-D tape for two axes
+        oracle, ledger = make_oracle([4, 5, 6])
+        for idx, want in (((1,), [5]), ((1, 0), [5, 4]), ((2, 2, 1), [6, 6, 5])):
+            out = oracle.read_values(idx)
+            assert type(out) is np.ndarray and out.shape == (len(idx),) and out.tolist() == want, idx
+        assert ledger.by_subroutine == {TAG_CLASSICAL: 6}
 
     def test_out_of_range_message_names_the_first_bad_index(self):
         oracle, ledger = make_oracle([1, 0])
         for idx in ([0, 5, -1], (0, 5, -1), [np.int64(0), np.int64(5)], np.array([0, 5, -1])):
             with pytest.raises(IndexError, match=r"^tape index 5 out of range$"):
+                oracle.read_values(idx)
+        # in list order, not the order of min and max
+        for idx, first in (([1, -1, 5], -1), ([9, 0, -3], 9), ((1, 2, -8), 2), ([np.int64(-4), 9], -4),
+                           ([0, 2**70, -1], 2**70), (np.array([1, -1, 5]), -1), (np.array([9, 0, -3]), 9)):
+            with pytest.raises(IndexError, match=rf"^tape index {first} out of range$"):
                 oracle.read_values(idx)
         assert ledger.total == 0 and ledger.by_subroutine == {}
 
