@@ -13,6 +13,7 @@ space high-water mark in bits.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -27,6 +28,12 @@ TAG_CLASSICAL = "classical-read"
 
 class InstanceError(ValueError):
     """Raised when instance data violates the contract."""
+
+
+def _worst(*excesses: float) -> float:
+    """The largest excess, or NaN if any is NaN: Python's max drops a NaN that
+    follows a number, and a NaN excess must fail its line."""
+    return math.nan if any(math.isnan(v) for v in excesses) else max(excesses)
 
 
 def log2_ceil(v: int) -> int:

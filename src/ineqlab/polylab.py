@@ -20,12 +20,12 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import CheckLine, InstanceError
+from .core import CheckLine, InstanceError, _worst
 
 CHAIN_TOL = 1e-6
 IDENTITY_RTOL = 1e-10
@@ -85,12 +85,12 @@ def cheb_identity_residual() -> float:
         rec = chebyshev_eval(d, xs)
         clo = chebyshev_closed(d, xs)
         scale = np.maximum(1.0, np.abs(rec))
-        worst = max(worst, float(np.max(np.abs(rec - clo) / scale)))
+        worst = _worst(worst, float(np.max(np.abs(rec - clo) / scale)))
         rec_in = chebyshev_eval(d, inner)
         cos_in = chebyshev_cosine(d, inner)
         clo_in = chebyshev_closed(d, inner)
-        worst = max(worst, float(np.max(np.abs(rec_in - cos_in))))
-        worst = max(worst, float(np.max(np.abs(clo_in - cos_in))))
+        worst = _worst(worst, float(np.max(np.abs(rec_in - cos_in))))
+        worst = _worst(worst, float(np.max(np.abs(clo_in - cos_in))))
     return worst
 
 
@@ -101,7 +101,7 @@ def cheb_growth_grid(d_max: int = 50, mu_step: float = 0.01, mu_max: float = 2.0
     for d in range(d_max + 1):
         lhs = chebyshev_eval(d, 1.0 + mus)
         rhs = np.exp(2.0 * d * np.sqrt(2.0 * mus + mus * mus))
-        worst = max(worst, float(np.max(lhs - rhs)))
+        worst = _worst(worst, float(np.max(lhs - rhs)))
     return worst
 
 
@@ -543,7 +543,7 @@ def cr_probe(n_values=(16, 32, 64), d_factors=(1, 2, 3)) -> CrProbeReport:
     if per_n:
         slopes = sorted(s for _, s in per_n)
         med = slopes[len(slopes) // 2]
-        stability = max(abs(s - med) / med for _, s in per_n) if med > 0 else math.inf
+        stability = _worst(*(abs(s - med) / med for _, s in per_n)) if med > 0 else math.inf
     else:
         stability = math.inf
     return CrProbeReport(
@@ -635,14 +635,14 @@ def verify_cheb() -> tuple[list[CheckLine], list[dict]]:
     resid = cheb_identity_residual()
     lines.append(CheckLine("evaluation routes agree", resid <= IDENTITY_RTOL, resid, "recurrence/closed/cosine"))
 
-    end = max(abs(chebyshev_eval(d, 1.0) - 1.0) for d in range(0, 101, 10))
+    end = _worst(*(abs(chebyshev_eval(d, 1.0) - 1.0) for d in range(0, 101, 10)))
     lines.append(CheckLine("endpoint value is one", end <= 1e-12, end, "T_d(1)"))
 
     margin = cheb_growth_grid()
     lines.append(CheckLine("growth bound on the grid", margin <= 0.0, margin, "d <= 50, mu <= 2"))
 
     excess = cheb_dominance_excess()
-    worst = max(excess.values())
+    worst = _worst(*excess.values())
     lines.append(
         CheckLine(
             "dominance outside the interval",
@@ -707,17 +707,8 @@ def verify_lp(
     # independently of the witnesses, to the growth-extremal polynomials
     if chain_lps:
         probe = cr_probe(n_values=probe_n_values)
-        chain_worst = -math.inf
-        for lp in chain_lps.values():
-            chain = witness_chain_check(lp, 10, probe.a, probe.b)
-            chain_worst = max(
-                chain_worst,
-                chain.jump_margin,
-                chain.integer_cap_margin,
-                chain.real_cap_margin,
-                chain.extremal_margin,
-                chain.growth_margin,
-            )
+        chain_worst = _worst(*(margin for lp in chain_lps.values()
+                               for margin in astuple(witness_chain_check(lp, 10, probe.a, probe.b))))
         lines.append(
             CheckLine(
                 "proof chain on witnesses", chain_worst <= CHAIN_TOL, chain_worst, f"{len(chain_lps)} cells, E=10"
@@ -751,10 +742,16 @@ def verify_cr() -> tuple[list[CheckLine], list[dict]]:
     return lines, rows
 
 
+def _lowest(rates: dict) -> tuple[int, int, int]:
+    """The cell of the lowest rate, or of the first NaN rate: min alone drops a
+    NaN that follows a number, and a NaN rate must fail its line."""
+    return min(rates, key=lambda cell: (not math.isnan(rates[cell]), rates[cell]))
+
+
 def verify_blocks() -> tuple[list[CheckLine], list[dict]]:
     half = {cell: half_full_rate(*cell) for cell in BLOCKS_GRID}
     block = {cell: block_full_rate(*cell) for cell in BLOCKS_GRID}
-    half_cell, block_cell = min(half, key=half.get), min(block, key=block.get)
+    half_cell, block_cell = _lowest(half), _lowest(block)
     grid = f"minimum over {len(BLOCKS_GRID)} cells with 20t <= n"
     lines = [
         CheckLine(

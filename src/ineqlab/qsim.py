@@ -511,6 +511,8 @@ def count_median(oracle: TapeOracle, M: int, reps: int, mode: str,
         raise ValueError("reps must be odd and positive")
     if M < 1:
         raise ValueError("M must be positive")
+    if oracle.n < 1:
+        raise ValueError("range must be nonempty")
     if mode == MODE_SV:   # sv_count_pmf caps n*M
         if (oracle.values > 1).any():
             raise ValueError("statevector counting supports bit tapes only")

@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .core import CheckLine, InstanceError, SeededRng
+from .core import CheckLine, InstanceError, SeededRng, _worst
 
 ORTHO_TOL = 1e-9
 DEPENDENCE_TOL = 1e-8
@@ -262,29 +262,13 @@ def build_signed_decomposition(space: InputSpace) -> SignedDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Completeness and orthogonality diagnostics for a signed decomposition."""
-
-    dim_expected: int
-    dim_signed: int
-    dim_levels: int
-    ortho_residual: float        # Gram-vs-identity over all signed columns jointly
-    start_state_residual: float  # 1 - squared overlap of psi_one with plus(j=0)
-
-
-def decomposition_report(decomp: SignedDecomposition) -> DecompositionReport:
+def decomposition_report(decomp: SignedDecomposition) -> tuple[int, float]:
+    """The input-space dimensions the signed columns miss (the growth levels regroup
+    them), and the worst of their joint Gram-vs-identity residual and 1 - |plus[0]^T psi_one|^2."""
     space = decomp.space
     signed_cols = np.hstack(decomp.plus + decomp.minus)
-    level_cols = np.hstack(decomp.levels)
     proj = decomp.plus[0].T @ space.psi_one
-    return DecompositionReport(
-        dim_expected=space.dim,
-        dim_signed=signed_cols.shape[1],
-        dim_levels=level_cols.shape[1],
-        ortho_residual=orthonormality_residual(signed_cols),
-        start_state_residual=abs(1.0 - float(proj @ proj)),
-    )
+    return space.dim - signed_cols.shape[1], _worst(orthonormality_residual(signed_cols), abs(1.0 - float(proj @ proj)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +295,18 @@ def _kron_columns(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _kron_codes(parts: list[np.ndarray], base: int) -> np.ndarray:
-    """_kron_columns over one-copy column numbers: the product of columns c_1..c_k
-    is column sum_i c_i base^(k-i) of _kron_columns([one_copy] * k), base wide."""
-    out = parts[0]
-    for part in parts[1:]:
-        out = (out[:, None] * base + part[None, :]).ravel()
-    return out
+def _product_order(groups: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-fold products of one-copy columns in `groups`, ordered, and the group of each.
 
-
-def _product_blocks(blocks: list[np.ndarray], k: int, kron=_kron_columns) -> dict[int, np.ndarray]:
-    """Kronecker products of k factor blocks, grouped by the sum of the block indices.
-
-    Index tuples run in lexicographic order, so each group's columns keep that
-    order; the random draws over these columns depend on it.  With kron=_kron_codes
-    the blocks are one-copy column numbers and the products k-fold column numbers.
+    Product c_1..c_k is column sum_i c_i dim^(k-i) of _kron_columns([one_copy] * k),
+    in the group that sums its factors' groups.  One stable lexsort orders the
+    columns by group, then by the tuple of factor groups, then by column number;
+    the random draws over these columns depend on that order.
     """
-    grouped: dict[int, list[np.ndarray]] = {}
-    for idx in product(range(len(blocks)), repeat=k):
-        grouped.setdefault(sum(idx), []).append(kron([blocks[i] for i in idx]))
-    return {m: np.hstack(parts) for m, parts in sorted(grouped.items())}
+    per_copy = groups[np.indices((len(groups),) * k).reshape(k, -1)]   # (k, dim^k)
+    sums = per_copy.sum(axis=0)
+    order = np.lexsort((*per_copy[::-1], sums))
+    return order, sums[order]
 
 
 @dataclass(eq=False)
@@ -365,16 +341,13 @@ def build_level_frame(decomp: SignedDecomposition, k: int) -> LevelFrame:
     level_cols = np.hstack(decomp.levels)
     if level_cols.shape[0] != level_cols.shape[1]:
         raise InstanceError("growth levels do not fill the product space")
-    codes = functools.partial(_kron_codes, base=space.dim)
-    cuts = np.cumsum([block.shape[1] for block in decomp.levels])[:-1]
-    levels = _product_blocks(np.split(np.arange(space.dim), cuts), k, codes)
-    order = np.concatenate(list(levels.values()))
+    sizes = [block.shape[1] for block in decomp.levels]
+    order, labels = _product_order(np.repeat(np.arange(len(sizes)), sizes), k)
     columns = np.take(_kron_columns([level_cols] * k), order, axis=1)
-    labels = np.repeat(list(levels), [len(block) for block in levels.values()])
     at = np.empty_like(order)
     at[order] = np.arange(len(order))
     width = sum(block.shape[1] for block in decomp.plus)
-    sides = [np.arange(width), np.arange(width, space.dim)]
+    side_order, differences = _product_order((np.arange(space.dim) >= width).astype(np.intp), k)
     t = space.t
     q = Fraction(t + 1, t)
     top = decomp.top_level
@@ -387,7 +360,7 @@ def build_level_frame(decomp: SignedDecomposition, k: int) -> LevelFrame:
         decomp=decomp,
         columns=columns,
         labels=labels,
-        minus={m: at[block] for m, block in _product_blocks(sides, k, codes).items()},
+        minus={m: at[side_order[differences == m]] for m in range(k + 1)},
         classes=_kron_columns([one_copy] * k),
         answer_blocks={
             js: [_kron_columns([chains[a][j].fresh for j, a in zip(js, ans)]) for ans in answers]
@@ -417,29 +390,7 @@ def containment_residual(frame: LevelFrame) -> float:
 # map checks between split-family blocks
 
 
-@dataclass(frozen=True)
-class MapCheck:
-    a: int
-    b: int
-    present: bool
-    constant: float     # common singular value (0 when absent)
-    sv_spread: float    # max - min singular value
-    residual: float     # worst defect of the defining correspondence
-
-
-@dataclass(frozen=True)
-class UnitaryMapReport:
-    checks: tuple[MapCheck, ...]
-
-    @property
-    def c11(self) -> float:
-        for check in self.checks:
-            if (check.a, check.b) == (1, 1):
-                return check.constant
-        raise InstanceError("no (1,1) map in report")
-
-
-def check_unitary_maps(chains: dict[tuple[int, int], list[ChainLevel]], j: int) -> UnitaryMapReport:
+def check_unitary_maps(chains: dict[tuple[int, int], list[ChainLevel]], j: int) -> tuple[float, float]:
     """Verify that tuple-wise correspondence between split-family blocks is a
     scalar times an inner-product-preserving map.
 
@@ -447,33 +398,27 @@ def check_unitary_maps(chains: dict[tuple[int, int], list[ChainLevel]], j: int) 
     family is present at level j when its chain reaches j.  The map sends the
     deflated (0,0)-state of each tuple to the deflated (a,b)-state of the same
     tuple; assembled in orthonormal bases it must have all singular values
-    equal.
+    equal.  Returns two margins: the worst singular-value spread or defect of
+    the defining correspondence over the present maps, and |c11 - 1|, where the
+    constant c11 of the (1,1) map is its mean singular value (0 when absent).
     """
     if j >= len(chains[(0, 0)]):
         raise InstanceError("source block is empty at this level")
     source = chains[(0, 0)][j]
     coords_src = source.fresh.T @ source.deflated
-    checks: list[MapCheck] = []
+    spread = c11 = 0.0
     for a, b in ((0, 1), (1, 0), (1, 1)):
         if j >= len(chains[(a, b)]):
-            checks.append(MapCheck(a, b, False, 0.0, 0.0, 0.0))
             continue
         target = chains[(a, b)][j]
         coords_tgt = target.fresh.T @ target.deflated
         matrix = coords_tgt @ np.linalg.pinv(coords_src)
-        residual = float(np.abs(matrix @ coords_src - coords_tgt).max())
+        spread = _worst(spread, float(np.abs(matrix @ coords_src - coords_tgt).max()))
         svals = np.linalg.svd(matrix, compute_uv=False)
-        checks.append(
-            MapCheck(
-                a=a,
-                b=b,
-                present=True,
-                constant=float(svals.mean()) if svals.size else 0.0,
-                sv_spread=float(svals.max() - svals.min()) if svals.size else 0.0,
-                residual=residual,
-            )
-        )
-    return UnitaryMapReport(checks=tuple(checks))
+        if svals.size:
+            spread = _worst(spread, float(svals.max() - svals.min()))
+            c11 = float(svals.mean()) if (a, b) == (1, 1) else c11
+    return spread, abs(c11 - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +488,6 @@ class RecastRun:
 
     space: InputSpace
     k: int
-    query_slots: int
     states: np.ndarray      # (runs, depth + 1, dim_a, dim_i)
 
 
@@ -594,7 +538,7 @@ def recast_run(
     trace = np.vecdot(flat, flat).real
     for run, d in np.argwhere(~(np.abs(trace - 1.0) <= 1e-9))[:1]:
         raise InstanceError(f"run {run}: reduced state at depth {d} has trace {trace[run, d]}")
-    return RecastRun(space=space, k=k, query_slots=slots, states=states)
+    return RecastRun(space=space, k=k, states=states)
 
 
 def random_program(rngs, dim: int, depth: int) -> np.ndarray:
@@ -633,12 +577,6 @@ class PotentialReport:
     masses: np.ndarray         # (states, levels) mass per growth level
     values: np.ndarray         # (states,) masses weighted by q**level
     decay_excess: np.ndarray   # (states,) worst violation of the tail-decay inequality, at least 0
-
-
-def _worst(*excesses: float) -> float:
-    """The largest excess, or NaN if any is NaN: Python's max drops a NaN that
-    follows a number, and a NaN excess must fail its line."""
-    return math.nan if any(math.isnan(v) for v in excesses) else max(excesses)
 
 
 def _masses_report(masses: np.ndarray, params: PotentialParams) -> PotentialReport:
@@ -787,10 +725,9 @@ def success_probability_bounds(frame: LevelFrame, cases) -> SuccessBoundReport:
         raise InstanceError("need at least one case")
     if not all(0 <= m <= k for _, m, _ in cases):
         raise InstanceError("difference count m must be in 0..k")
-    signed_blocks = {("plus", j): decomp.plus[j] for j in range(space.t)}
-    signed_blocks.update({("minus", j): decomp.minus[j] for j in range(space.t)})
-    keys = sorted(signed_blocks.keys())
-    widths = [signed_blocks[key].shape[1] for key in keys]
+    # pick p is block p: the difference blocks, then the sum blocks, of level p mod t
+    signed_blocks = [*decomp.minus[: space.t], *decomp.plus]
+    widths = [block.shape[1] for block in signed_blocks]
 
     span_excess = run_excess = 0.0
     picks: list[int] = []
@@ -828,9 +765,9 @@ def success_probability_bounds(frame: LevelFrame, cases) -> SuccessBoundReport:
         at = np.flatnonzero(picks == pick)
         coeff = np.stack([draws[i] for i in at])
         unit = coeff / np.sqrt(coeff[:, None, :] @ coeff[:, :, None])[:, 0]
-        factors[at] = (signed_blocks[keys[pick]] @ unit[:, :, None])[:, :, 0]
+        factors[at] = (signed_blocks[pick] @ unit[:, :, None])[:, :, 0]
     factors = factors.reshape(trials, k, space.dim)
-    levels = np.array([j for _, j in keys])[picks].reshape(trials, k)
+    levels = (picks % space.t).reshape(trials, k)
     tops = []
     for js in set(map(tuple, levels.tolist())):
         at = np.flatnonzero((levels == js).all(axis=1))
@@ -961,14 +898,10 @@ def _suite_cell(n: int, t: int, k: int) -> _SuiteCell:
             worst = _worst(worst, float(np.abs(level.deflated_norms - level.closed_form_norm).max()))
     lines.append(CheckLine("deflated-norm closed form", worst <= ORTHO_TOL, worst, f"n={n} t={t}"))
 
-    spread = 0.0
-    c11_err = 0.0
+    spread = c11_err = 0.0
     for j in range((t - 1) // 2 + 1):
-        report = check_unitary_maps(chains, j)
-        for check in report.checks:
-            if check.present:
-                spread = _worst(spread, check.sv_spread, check.residual)
-        c11_err = _worst(c11_err, abs(report.c11 - 1.0))
+        margins = check_unitary_maps(chains, j)
+        spread, c11_err = _worst(spread, margins[0]), _worst(c11_err, margins[1])
     lines.append(CheckLine("block maps scalar-times-isometry", spread <= ORTHO_TOL, spread, "over j < t/2"))
     lines.append(CheckLine("direct-copy map has unit constant", c11_err <= ORTHO_TOL, c11_err, ""))
 
@@ -978,17 +911,9 @@ def _suite_cell(n: int, t: int, k: int) -> _SuiteCell:
     beta_excess = max(0.0, float(beta_sq) - 2 * t / n)
     lines.append(CheckLine("branch weight bound", beta_sq <= Fraction(2 * t, n), beta_excess, ""))
 
-    report = decomposition_report(decomp)
-    dim_err = abs(report.dim_signed - report.dim_expected) + abs(report.dim_levels - report.dim_expected)
-    ortho = max(report.ortho_residual, report.start_state_residual)
-    lines.append(
-        CheckLine(
-            "decomposition complete and orthogonal",
-            dim_err == 0 and ortho <= ORTHO_TOL,
-            ortho,
-            f"dims {report.dim_signed}/{report.dim_expected}",
-        )
-    )
+    missing, ortho = decomposition_report(decomp)
+    lines.append(CheckLine("decomposition complete and orthogonal", missing == 0 and ortho <= ORTHO_TOL, ortho,
+                           f"dims {space.dim - missing}/{space.dim}"))
 
     frame = build_level_frame(decomp, k)
     dominance = containment_residual(frame)

@@ -260,15 +260,12 @@ class TestSubspaceSuite:
                             worst_norm = max(worst_norm, float(
                                 np.abs(lvl.deflated_norms - lvl.closed_form_norm).max()))
                 for j in range((t - 1) // 2 + 1):
-                    report = check_unitary_maps(chains, j)
-                    worst_map = max(worst_map, max(
-                        (max(c.sv_spread, c.residual) for c in report.checks if c.present),
-                        default=0.0))
+                    worst_map = max(worst_map, check_unitary_maps(chains, j)[0])
                     ab = alpha_beta(n, t, j)
                     beta_ok = beta_ok and max(ab.beta_sq) <= Fraction(2 * t, n)
-                rep = decomposition_report(build_signed_decomposition(space))
-                assert rep.dim_signed == rep.dim_expected == rep.dim_levels
-                worst_decomp = max(worst_decomp, rep.ortho_residual, rep.start_state_residual)
+                missing, residual = decomposition_report(build_signed_decomposition(space))
+                assert missing == 0
+                worst_decomp = max(worst_decomp, residual)
 
         # potential decay, containment, probability bounds, distance bound
         # along random recast runs (9 runs x 7 cells = 63 runs), three copies at (4, 2)

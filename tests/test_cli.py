@@ -1,6 +1,9 @@
 """Tests for the command-line surface: output shapes and exit codes."""
+import dataclasses
 import functools
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +13,21 @@ from ineqlab import polylab, subspace
 from ineqlab.cli import main
 from ineqlab.core import SeededRng, save_instance
 from ineqlab.sweep import SweepRow, instance_regular, render_csv, render_json, rows_from_json
+
+
+def nan_on_call(attr, pick):
+    """polylab.attr returns NaN, shaped as its value, on each call whose (call number, *args) `pick` accepts."""
+    def patch(mp):
+        real, calls = getattr(polylab, attr), itertools.count(1)
+        mp.setattr(polylab, attr, lambda *args: real(*args) * math.nan if pick(next(calls), *args) else real(*args))
+    return patch
+
+
+def nan_on_the_second_chain_cell(mp):
+    """The second chain cell's jump margin is NaN, after the first cell's finite margins."""
+    real, calls = polylab.witness_chain_check, itertools.count(1)
+    mp.setattr(polylab, "witness_chain_check",
+               lambda *args: dataclasses.replace(real(*args), jump_margin=math.nan) if next(calls) == 2 else real(*args))
 
 
 @pytest.fixture()
@@ -289,6 +307,31 @@ class TestPolyVerify:
         out = capsys.readouterr().out
         assert "[FAIL] dominance outside the interval" in out
         assert out.count("[PASS]") == 3
+
+    @pytest.mark.parametrize("suite, name, patch", [
+        # each NaN follows finite values, where Python's max and min would drop it
+        pytest.param("cheb", "evaluation routes agree", nan_on_call("chebyshev_closed", lambda i, d, x: d == 100),
+                     id="routes"),
+        pytest.param("cheb", "endpoint value is one",
+                     nan_on_call("chebyshev_eval", lambda i, d, x: d == 100 and np.ndim(x) == 0), id="endpoint"),
+        pytest.param("cheb", "growth bound on the grid",
+                     nan_on_call("chebyshev_eval", lambda i, d, x: d == 50 and np.ndim(x) == 1), id="growth"),
+        pytest.param("cheb", "dominance outside the interval",
+                     nan_on_call("lagrange_basis", lambda i, nodes, x: len(nodes) == 13), id="dominance"),
+        pytest.param("lp", "proof chain on witnesses", nan_on_the_second_chain_cell, id="chain"),
+        pytest.param("cr", "fit stable across domain sizes",
+                     nan_on_call("_floored_slope", lambda i, us, vs: i == 4), id="stability"),
+        pytest.param("blocks", "half the blocks are full",
+                     nan_on_call("half_full_rate", lambda i, *cell: cell == polylab.BLOCKS_GRID[-1]), id="half"),
+        pytest.param("blocks", "single block fullness rate",
+                     nan_on_call("block_full_rate", lambda i, *cell: cell == polylab.BLOCKS_GRID[-1]), id="block"),
+    ])
+    def test_nan_fails_its_line(self, suite, name, patch, monkeypatch, capsys):
+        patch(monkeypatch)
+        assert main(["poly", "verify", "--suite", suite]) == 1
+        out = capsys.readouterr().out
+        assert f"[FAIL] {name}: residual=nan" in out
+        assert out.count("[FAIL]") == 1
 
     @pytest.mark.parametrize("floor, rate, name", [
         ("HALF_FULL_FLOOR", polylab.half_full_rate, "half the blocks are full"),

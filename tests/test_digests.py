@@ -13,9 +13,9 @@ eigensolves are large enough for OpenBLAS to split across threads:
 `subspace verify --n 6 --t 2 --k 2 --runs 3` prints a containment residual
 of 1.4018e-15 on one thread and 1.2745e-15 on two.  So a digest frozen at
 such a cell must pin the thread count; the subspace cells frozen in process
-are (4, 2, 1) and (4, 2, 2), and the two frozen where verify_suite splits its
-runs into stacks, (5, 2, 2) at 10 runs and (6, 2, 2) at 3, run in a
-subprocess with OPENBLAS_NUM_THREADS=1.
+are (4, 2, 1) and (4, 2, 2), and the three frozen where verify_suite splits its
+runs into stacks, (5, 2, 2) at 10 runs, (6, 2, 2) at 3 and (4, 2, 3) at 2, run
+in a subprocess with OPENBLAS_NUM_THREADS=1.
 """
 import dataclasses
 import hashlib
@@ -57,8 +57,10 @@ SUBSPACE_DIGESTS = {
 }
 
 # (n, t, k, runs) -> JSON digest on one BLAS thread: the runs split into stacks
-# of 6 and 4 at (5, 2, 2) and of 2 and 1 at (6, 2, 2)
+# of 6 and 4 at (5, 2, 2), of 2 and 1 at (6, 2, 2) and of 1 and 1 at (4, 2, 3),
+# the one frozen cell whose level frame orders products of three copies
 SPLIT_SUBSPACE_DIGESTS = {
+    (4, 2, 3, 2): "955b7c365557b892bcd788112f38583d5bb9359e6433220746d44258f28833b9",
     (5, 2, 2, 10): "46ab17b1f7b0a6f14ecbfce0a043dad30a7cec039916f29cfeb594790a375ff8",
     (6, 2, 2, 3): "b5b79a61d2344d3174d525df6ae10832c35a671ae45de5546d9bbb3f3ee2c6cb",
 }

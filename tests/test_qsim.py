@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lawcheck import ALPHA, chi2_pvalue, median_law
 
 from ineqlab import qsim
 from ineqlab.core import QueryLedger, SeededRng, TAG_CLASSICAL, TAG_COUNTING, TAG_GROVER
@@ -1125,6 +1126,30 @@ class TestCountMedian:
         with draws_for("mdet") as draws:
             b = count_median(make_oracle(values)[0], 8, 5, MODE_COST, draws)
         assert a == b
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_range_refused_before_any_charge(self, mode):
+        # an empty tape has no fraction to estimate: refused as an empty search range is
+        oracle, ledger = make_oracle([])
+        with draws_for("empty", mode) as draws, pytest.raises(ValueError, match="range must be nonempty"):
+            count_median(oracle, 4, 3, mode, draws)
+        assert ledger == QueryLedger()
+
+    @pytest.mark.parametrize("mode", [MODE_COST, MODE_SV])
+    def test_law_is_the_median_of_reps_law(self, mode):
+        # 3 marks among 8 at M = 8, median of 5: the folded estimate pmf is
+        # ae_outcome_pmf's in cost-model mode and the simulated one in statevector mode
+        values, M, reps = [1, 0, 0, 1, 1, 0, 0, 0], 8, 5
+        if mode == MODE_COST:
+            pmf = ae_outcome_pmf(3 / 8, M)
+        else:
+            pmf = fold_count_pmf(sv_count_pmf(np.array(values) > 0, M), M)
+        with draws_for("law", mode) as draws:
+            samples = [count_median(make_oracle(values)[0], M, reps, mode, draws) for _ in range(2000)]
+        support = 8 * pmf.values
+        assert chi2_pvalue(samples, support, median_law(pmf.probs, reps)) >= ALPHA
+        # the law of one draw is not the law of the median of five
+        assert chi2_pvalue(samples, support, pmf.probs) < ALPHA
 
 
 def per_rep_median(oracle, M, reps, mode, rng):

@@ -20,7 +20,6 @@ from ineqlab.subspace import (
     AlphaBeta,
     BOUND_SLACK,
     ORTHO_TOL,
-    _product_blocks,
     alpha_beta,
     build_input_space,
     build_level_frame,
@@ -112,6 +111,35 @@ def potential(rho, frame):
     if masses.min() < -1e-9:
         raise InstanceError("negative level mass")
     return per_state_report(np.clip(masses, 0.0, None), frame.params)
+
+
+def product_blocks(blocks, k):
+    """Kronecker products of k factor blocks, grouped by the sum of the block
+    indices, with the index tuples in lexicographic order: the dense reference
+    for the numbering of the level frame."""
+    grouped = {}
+    for idx in itertools.product(range(len(blocks)), repeat=k):
+        grouped.setdefault(sum(idx), []).append(subspace._kron_columns([blocks[i] for i in idx]))
+    return {m: np.hstack(parts) for m, parts in sorted(grouped.items())}
+
+
+def kron_codes(parts, base):
+    """_kron_columns over one-copy column numbers: the product of columns c_1..c_k
+    is column sum_i c_i base^(k-i) of _kron_columns([one_copy] * k), base wide."""
+    return functools.reduce(lambda out, part: (out[:, None] * base + part[None, :]).ravel(), parts)
+
+
+def map_singular_values(chains, j):
+    """Per present split family (a, b), the singular values of its map at level j:
+    the per-map view that check_unitary_maps folds into its two margins."""
+    source = chains[(0, 0)][j]
+    coords_src = source.fresh.T @ source.deflated
+    out = {}
+    for ab in ((0, 1), (1, 0), (1, 1)):
+        if j < len(chains[ab]):
+            coords_tgt = chains[ab][j].fresh.T @ chains[ab][j].deflated
+            out[ab] = np.linalg.svd(coords_tgt @ np.linalg.pinv(coords_src), compute_uv=False)
+    return out
 
 
 def reference_classes(space, k):
@@ -290,12 +318,11 @@ class TestSignedDecomposition:
         for n, t in [(4, 2), (6, 2), (6, 3), (8, 2)]:
             space = build_input_space(n, t)
             decomp = build_signed_decomposition(space)
-            report = decomposition_report(decomp)
-            assert report.dim_signed == space.dim
-            assert report.dim_levels == space.dim
-            assert report.ortho_residual <= ORTHO_TOL
-            # the start state lies in the level-0 phase-sum block
-            assert report.start_state_residual <= ORTHO_TOL
+            missing, residual = decomposition_report(decomp)
+            assert missing == 0
+            assert sum(b.shape[1] for b in decomp.levels) == space.dim
+            # orthonormal, and the start state lies in the level-0 phase-sum block
+            assert residual <= ORTHO_TOL
 
     def test_block_dimensions_frozen(self):
         space = build_input_space(4, 2)
@@ -343,17 +370,15 @@ class TestSignedDecomposition:
         assert len(minus[2]) == high * high
 
     def test_product_blocks_generic_in_k(self):
-        # the grouping must give C(k, m) lexicographic kron terms per group m
-        gen = rng_for("blocks").stream
-        sides = [gen.standard_normal((2, 1)), gen.standard_normal((2, 2))]
-        grouped = _product_blocks(sides, 3)
-        assert sorted(grouped) == [0, 1, 2, 3]
-        for m, cols in grouped.items():
-            assert cols.shape == (8, math.comb(3, m) * 2**m)
-        s, d = sides
-        expect = np.hstack([np.kron(np.kron(s, s), d), np.kron(np.kron(s, d), s),
-                            np.kron(np.kron(d, s), s)])
-        assert np.array_equal(grouped[1], expect)
+        # one sum column between two difference columns: group m holds C(3, m) 2^m
+        # products, with their group tuples in lexicographic order, which here is
+        # not the order of their column numbers
+        order, groups = subspace._product_order(np.array([1, 0, 1]), 3)
+        assert np.bincount(groups).tolist() == [math.comb(3, m) * 2**m for m in range(4)]
+        assert np.array_equal(np.sort(order), np.arange(27))
+        s, d = np.array([1]), np.array([0, 2])
+        codes = functools.partial(kron_codes, base=3)
+        assert np.array_equal(order[groups == 1], np.concatenate([codes([s, s, d]), codes([s, d, s]), codes([d, s, s])]))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_answer_classes_are_products_of_per_copy_masks(self, k):
@@ -389,36 +414,45 @@ class TestSignedDecomposition:
 
 class TestUnitaryMaps:
     def test_frozen_cell(self):
-        report = check_unitary_maps(build_split_chains(build_input_space(6, 2)), 1)
-        by_ab = {(c.a, c.b): c for c in report.checks}
+        chains = build_split_chains(build_input_space(6, 2))
+        spread, c11_err = check_unitary_maps(chains, 1)
+        assert spread <= ORTHO_TOL
+        assert c11_err <= ORTHO_TOL
+        svals = map_singular_values(chains, 1)
         # the weight-(t-1), split-1 family has no room for a pinned one at j=1
-        assert not by_ab[(0, 1)].present
-        assert by_ab[(1, 0)].present and by_ab[(1, 1)].present
-        for check in report.checks:
-            if check.present:
-                assert check.sv_spread <= ORTHO_TOL
-                assert check.residual <= ORTHO_TOL
-        assert abs(report.c11 - 1.0) <= ORTHO_TOL
+        assert sorted(svals) == [(1, 0), (1, 1)]
         # hand value: norm ratio sqrt(3/5) / sqrt(4/5)
-        assert abs(by_ab[(1, 0)].constant - math.sqrt(3 / 4)) < 1e-12
+        assert abs(svals[(1, 0)].mean() - math.sqrt(3 / 4)) < 1e-12
+        assert abs(svals[(1, 1)].mean() - 1.0) == c11_err
 
     def test_all_maps_scalar_isometry_grid(self):
         for n, t in [(6, 2), (8, 3), (10, 4)]:
             chains = build_split_chains(build_input_space(n, t))
             for j in range((t - 1) // 2 + 1):
-                report = check_unitary_maps(chains, j)
-                for check in report.checks:
-                    if check.present:
-                        assert check.sv_spread <= ORTHO_TOL
-                        assert check.residual <= ORTHO_TOL
-                assert abs(report.c11 - 1.0) <= ORTHO_TOL
+                spread, c11_err = check_unitary_maps(chains, j)
+                assert spread <= ORTHO_TOL
+                assert c11_err <= ORTHO_TOL
 
     def test_level_zero_constants_are_one(self):
         # at j=0 every family state is normalized, so all ratios are 1
-        report = check_unitary_maps(build_split_chains(build_input_space(8, 3)), 0)
-        for check in report.checks:
-            assert check.present
-            assert abs(check.constant - 1.0) < 1e-12
+        svals = map_singular_values(build_split_chains(build_input_space(8, 3)), 0)
+        assert sorted(svals) == [(0, 1), (1, 0), (1, 1)]
+        for values in svals.values():
+            assert abs(values.mean() - 1.0) < 1e-12
+
+    def test_nan_in_the_last_map_reaches_both_margins(self, monkeypatch):
+        # the (1, 1) map comes after the finite (0, 1) and (1, 0): Python's max would drop its NaN
+        real, calls = np.linalg.svd, []
+
+        def svd(a, **kwargs):
+            calls.append(a)
+            values = real(a, **kwargs)
+            return values if len(calls) < 3 else np.full_like(values, np.nan)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        spread, c11_err = check_unitary_maps(build_split_chains(build_input_space(8, 3)), 0)
+        assert len(calls) == 3
+        assert math.isnan(spread) and math.isnan(c11_err)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +591,8 @@ class TestRecastRun:
 
     def test_two_factor_run_dimensions(self):
         run = small_run(n=4, t=2, k=2, workspace=1, depth=2)
+        # the work register holds k n + 1 = 9 query slots of one dimension each
         assert run.states.shape == (1, 3, 9, 100)
-        assert run.query_slots == 9
 
     def test_rejects_bad_programs(self):
         with pytest.raises(InstanceError):
@@ -683,7 +717,7 @@ def dense_minus(frame):
     by their count of difference factors: the reference for LevelFrame.minus.
     Cached per frame, since the references read them once per run and m."""
     decomp = frame.decomp
-    return _product_blocks([np.hstack(decomp.plus), np.hstack(decomp.minus)], frame.params.k)
+    return product_blocks([np.hstack(decomp.plus), np.hstack(decomp.minus)], frame.params.k)
 
 
 def reference_bounds(frame, run, m, rng):
@@ -808,7 +842,7 @@ def suite_run(frame, seed, idx, depth):
     dim_a = (k * space.n + 1) * subspace.SUITE_WORKSPACE
     program = per_step_program(SeededRng(seed).spawn("program", idx), dim_a, depth)
     states = per_run_states(program, space, k, subspace.SUITE_WORKSPACE)
-    return subspace.RecastRun(space=space, k=k, query_slots=k * space.n + 1, states=states[None])
+    return subspace.RecastRun(space=space, k=k, states=states[None])
 
 
 def per_run_suite(n, t, k, seed, runs, depth):
@@ -1176,6 +1210,18 @@ class TestOneViolation:
         assert report.projection_excess < BOUND_SLACK * math.sqrt(top / second) * 1.01
 
 
+# cells at which the frame's numbering is checked against the dense products;
+# only at three copies can two group tuples with one sum interleave column numbers
+NUMBERING_CELLS = [(4, 2, 1), (5, 2, 2), (6, 2, 2), (4, 2, 3), (6, 3, 1), (6, 3, 2), (8, 3, 1)]
+
+
+def sum_only_order(groups, k):
+    """The frame's numbering without the group-tuple keys: one stable sort by group sum."""
+    per_copy = groups[np.indices((len(groups),) * k).reshape(k, -1)]
+    order = np.argsort(per_copy.sum(axis=0), kind="stable")
+    return order, per_copy.sum(axis=0)[order]
+
+
 def dense_containment_residual(frame):
     """containment_residual over the dense difference blocks."""
     worst = 0.0
@@ -1188,10 +1234,12 @@ def dense_containment_residual(frame):
 
 
 class TestDifferenceIndices:
-    """LevelFrame.minus as indices into frame.columns against the dense products of
-    the signed sides, which the frame no longer stores."""
+    """The frame's numbering, one lexsort over one-copy labels, against the grouped
+    products of the one-copy growth levels and signed sides, formed densely: the
+    growth-level columns and their labels, and LevelFrame.minus as indices into
+    frame.columns."""
 
-    @pytest.mark.parametrize("n, t, k", [(4, 2, 1), (5, 2, 2), (6, 2, 2), (4, 2, 3), (6, 3, 1), (6, 3, 2)])
+    @pytest.mark.parametrize("n, t, k", NUMBERING_CELLS)
     def test_gathers_equal_the_dense_blocks(self, n, t, k):
         decomp = build_signed_decomposition(build_input_space(n, t))
         frame = build_level_frame(decomp, k)
@@ -1201,9 +1249,17 @@ class TestDifferenceIndices:
             assert frame.minus[m].dtype == np.intp
             assert np.array_equal(np.take(frame.columns, frame.minus[m], axis=1), block)
         # the growth-level columns, gathered from one full product, are the per-level products
-        expect = np.hstack(list(_product_blocks(list(decomp.levels), k).values()))
-        assert np.array_equal(frame.columns, expect)
+        levels = product_blocks(list(decomp.levels), k)
+        assert np.array_equal(frame.columns, np.hstack(list(levels.values())))
+        assert np.array_equal(frame.labels, np.repeat(list(levels), [block.shape[1] for block in levels.values()]))
         assert containment_residual(frame).hex() == dense_containment_residual(frame).hex()
+
+    def test_numbering_without_group_tuples_fails_at_three_copies(self, monkeypatch):
+        monkeypatch.setattr(subspace, "_product_order", sum_only_order)
+        for n, t, k in NUMBERING_CELLS:
+            frame = build_level_frame(build_signed_decomposition(build_input_space(n, t)), k)
+            dense = np.hstack(list(product_blocks(list(frame.decomp.levels), k).values()))
+            assert np.array_equal(frame.columns, dense) == (k < 3)
 
     def test_swapped_indices_are_caught(self):
         frame = build_level_frame(build_signed_decomposition(build_input_space(4, 2)), 2)
@@ -1686,13 +1742,13 @@ def nan_after_the_first_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
 
 
-def nan_in_the_last_map(field):
-    """check_unitary_maps reports `field` of its last map, (1, 1), as NaN, after the finite (0, 1) and (1, 0)."""
+def nan_map_margin(which):
+    """check_unitary_maps returns its margin `which` (0: spread or residual, 1: unit constant) as NaN."""
     def patch(monkeypatch):
         def maps(*args):
-            report = real(*args)
-            last = dataclasses.replace(report.checks[-1], **{field: math.nan})
-            return dataclasses.replace(report, checks=(*report.checks[:-1], last))
+            margins = list(real(*args))
+            margins[which] = math.nan
+            return tuple(margins)
 
         real = subspace.check_unitary_maps
         monkeypatch.setattr(subspace, "check_unitary_maps", maps)
@@ -1704,6 +1760,17 @@ def nan_in_the_last_closed_form(monkeypatch):
     real = subspace.deflated_norm_closed_form
     monkeypatch.setattr(subspace, "deflated_norm_closed_form",
                         lambda n, t, j, a, b: math.nan if (a, b) == (1, 1) else real(n, t, j, a, b))
+
+
+def nan_start_state_overlap(monkeypatch):
+    """decomposition_report sees a NaN start state, so its start-state residual is NaN
+    after the finite Gram residual."""
+    def report(decomp):
+        space = dataclasses.replace(decomp.space, psi_one=np.full(decomp.space.dim, np.nan))
+        return real(dataclasses.replace(decomp, space=space))
+
+    real = subspace.decomposition_report
+    monkeypatch.setattr(subspace, "decomposition_report", report)
 
 
 class TestVerifySuite:
@@ -1750,11 +1817,11 @@ class TestVerifySuite:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_suite_builds_one_product_frame(self, k, monkeypatch):
-        # the growth levels and the signed sides: two product builds per
+        # the growth levels and the signed sides: two product orders per
         # suite, however many checks and runs read them
         builds = []
-        real = subspace._product_blocks
-        monkeypatch.setattr(subspace, "_product_blocks",
+        real = subspace._product_order
+        monkeypatch.setattr(subspace, "_product_order",
                             lambda *args: builds.append(1) or real(*args))
         lines = verify_suite(4, 2, k, runs=4, depth=2)
         assert all(line.passed for line in lines)
@@ -1845,9 +1912,10 @@ class TestVerifySuite:
 
     @pytest.mark.parametrize("name, patch", [
         pytest.param("deflated-norm closed form", nan_in_the_last_closed_form, id="deflated-norm"),
-        pytest.param("block maps scalar-times-isometry", nan_in_the_last_map("residual"), id="map-residual"),
-        pytest.param("direct-copy map has unit constant", nan_in_the_last_map("constant"), id="unit-constant"),
+        pytest.param("block maps scalar-times-isometry", nan_map_margin(0), id="map-residual"),
+        pytest.param("direct-copy map has unit constant", nan_map_margin(1), id="unit-constant"),
         pytest.param("difference blocks sit in high levels", nan_after_the_first_eigensolve, id="containment"),
+        pytest.param("decomposition complete and orthogonal", nan_start_state_overlap, id="decomposition"),
     ])
     def test_nan_structural_residual_fails_its_line(self, name, patch, monkeypatch, capsys):
         # Python's max(0.0, nan) is 0.0, so a plain fold would print PASS
