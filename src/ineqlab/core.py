@@ -127,6 +127,11 @@ class CheckLine:
         return asdict(self)
 
 
+def report_line(name: str, value: float, detail: str) -> CheckLine:
+    """A line that reports a value against no bound: it fails only when the value is NaN."""
+    return CheckLine(name, not math.isnan(value), value, detail)
+
+
 def _int64_array(values, name: str) -> np.ndarray:
     """values as int64: a dtype that casts safely takes no extra pass, any other must hold whole numbers in range."""
     arr = np.asarray(values)

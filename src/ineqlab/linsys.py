@@ -34,7 +34,7 @@ from .core import (
     matvec_min,
     value_bits,
 )
-from .qsim import MODE_EXACT, MODE_SV, MODES, StreamDraws, TapeOracle, collect_ones, count_median, _check_mode
+from .qsim import MODE_EXACT, MODE_SV, StreamDraws, TapeOracle, collect_ones, count_median, _check_mode
 
 SEARCH_WORKSPACE_SLACK = 8   # qubits beyond the index register per subroutine
 CLASSICAL_MODE = "classical"  # run mode of the classical baseline
@@ -114,12 +114,13 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
     Doubling from s_prime grows the candidate while its mass estimate stays
     below s_prime; a binary search then takes the longest length in the last
     bracket whose estimate is at most 2*s_prime, or the bracket's floor if
-    none is.  Every probe is a median-of-reps count charged M*reps, with
-    M = ceil(sqrt(candidate length)).  An exact count draws nothing and returns the window's
-    total; as the cumulative sum of the remaining columns ascends (values >= 0), two searches
-    of it decide every exact probe, reach (the first length totalling at least s_prime) and
-    keep (the last totalling at most 2*s_prime), and exact probes are charged at once.  The
-    tail is the block if the range end is reached while sparse, unprobed if at most s_prime long.
+    none is.  Every probe is a median-of-reps count charged M*reps, M = ceil(sqrt(length)),
+    all booked in one counting charge at the end.  run[L - 1] totals the first L remaining
+    columns: a cost-model probe is one count_median call on that total, a statevector probe
+    one on its window's bits.  An exact count is the total, and as run ascends (values >= 0),
+    two searches of it decide every exact probe: reach (the first length totalling at least
+    s_prime) and keep (the last totalling at most 2*s_prime).  The tail is the block if the
+    range end is reached while sparse, unprobed if at most s_prime long.
     """
     _check_mode(mode)
     if reps < 1 or reps % 2 == 0:
@@ -130,33 +131,35 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
         raise ValueError(f"no columns left at position {start}")
     if s_prime < 1:
         raise ValueError("row capacity must be at least 1")
+    run = tape.values[start:].cumsum()
     exact = mode == MODE_EXACT
-    if exact:   # run[L - 1] totals the first L columns from start
-        run = tape.values[start:].cumsum()
+    if exact:
         reach = int(run.searchsorted(s_prime)) + 1
         keep = int(run.searchsorted(2 * s_prime, side="right"))
 
-    def estimate(length: int) -> float:
-        return count_median(tape.window(start, start + length), math.ceil(math.sqrt(length)),
-                            reps, mode, draws)
+    def estimate(length: int, M: int) -> float:
+        marks = tape.values[start:start + length] if mode == MODE_SV else int(run[length - 1])
+        return count_median(marks, length, M, reps, mode, draws)
 
-    charged = 0   # M of every probe; only exact probes are booked here, count_median books its own
+    charged = 0   # M of every probe
     lo = hi = remaining   # sparse all the way to the end: the tail is the block
     k = s_prime
     while k < remaining:
         k = min(2 * k, remaining)
-        charged += math.ceil(math.sqrt(k))
-        if (k >= reach if exact else estimate(k) >= s_prime):
+        M = math.ceil(math.sqrt(k))
+        charged += M
+        if (k >= reach if exact else estimate(k, M) >= s_prime):
             lo, hi = k // 2, k
             break
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        charged += math.ceil(math.sqrt(mid))
-        if (mid <= keep if exact else estimate(mid) <= 2 * s_prime):
+        M = math.ceil(math.sqrt(mid))
+        charged += M
+        if (mid <= keep if exact else estimate(mid, M) <= 2 * s_prime):
             lo = mid
         else:
             hi = mid - 1
-    if exact and charged:   # the ledger keeps sums only, so one charge books every exact probe
+    if charged:   # the ledger keeps sums only, so one charge books every probe
         tape.charge(charged * reps, TAG_COUNTING)
     return lo
 

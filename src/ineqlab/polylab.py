@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CheckLine, InstanceError, _worst
+from .core import CheckLine, InstanceError, _worst, report_line
 
 CHAIN_TOL = 1e-6
 IDENTITY_RTOL = 1e-10
@@ -465,14 +465,14 @@ def shape_ratio(lp: PolyLP, E: int) -> float | None:
 
 
 def fit_shape_constant(lps) -> tuple[float, int]:
-    """Smallest single constant making the shape bound hold on every cell, E in {8, 10}."""
+    """Smallest single constant making the shape bound hold on every cell, E in {8, 10}; NaN if any ratio is."""
     best = -math.inf
     used = 0
     for lp in lps:
         for E in (8, 10):
             ratio = shape_ratio(lp, E)
             if ratio is not None:
-                best = max(best, ratio)
+                best = _worst(best, ratio)
                 used += 1
     if used == 0:
         raise InstanceError("no nonvacuous cells to fit")
@@ -700,7 +700,7 @@ def verify_lp(
     # c_fit is the largest ratio over these very cells, so no cell can exceed it
     c_fit, used = fit_shape_constant(solved.values())
     lines.append(
-        CheckLine("shape bound constant (report only)", True, c_fit, f"fitted c = {c_fit:.4f} over {used} cells")
+        report_line("shape bound constant (report only)", c_fit, f"fitted c = {c_fit:.4f} over {used} cells")
     )
 
     # proof chain on one witness per domain row, with growth constants fitted
@@ -725,12 +725,7 @@ def verify_lp(
 def verify_cr() -> tuple[list[CheckLine], list[dict]]:
     report = cr_probe()
     lines = [
-        CheckLine(
-            "interior growth constants (report only)",
-            True,
-            report.b,
-            f"a = {report.a:.4f}, b = {report.b:.4f}",
-        ),
+        report_line("interior growth constants (report only)", report.b, f"a = {report.a:.4f}, b = {report.b:.4f}"),
         CheckLine(
             "fit stable across domain sizes",
             report.stability <= 0.2,

@@ -16,7 +16,9 @@ sin^2(theta) = w/n, k iterations move the success mass to sin^2((2k+1) theta).
 Counting runs phase estimation on that iterate with an M-point grid; measuring
 y gives the estimate n * sin^2(pi y / M).  Closed-form outcome distributions
 below are exactly the distributions of those measurements; count_median
-draws all reps of a median from one (cached) law.  The subroutines draw only
+draws all reps of a median from one (cached) law, given a probe's total (or, in
+statevector mode, its window's bits) and length, and charges nothing: block
+sizing books its probes' queries.  The subroutines draw only
 through the product's one StreamDraws, which reads a PCG64 Generator's raw words
 in bulk and gives the values and stream state that Generator calls would give.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QueryLedger, TAG_CLASSICAL, TAG_COUNTING, TAG_GROVER
+from .core import QueryLedger, TAG_CLASSICAL, TAG_GROVER
 
 MODE_COST = "cost-model"
 MODE_SV = "statevector"
@@ -56,10 +58,9 @@ class TapeOracle:
     """Nonnegative integer tape with query charging.
 
     Search subroutines see the derived bit (value > 0); counting sees the
-    aggregate value.  Methods prefixed with an underscore inspect the tape
-    without charging: they exist so sampled modes can draw outcomes from the
-    correct distributions or read the totals exact counts return, and are never
-    used to shortcut an algorithm's decisions.
+    aggregate value.  _bits inspects the tape without charging: it exists so
+    statevector searches can simulate their attempts, and is never used to
+    shortcut an algorithm's decisions.
     """
 
     def __init__(self, values, ledger: QueryLedger, target: str = "x"):
@@ -69,16 +70,13 @@ class TapeOracle:
         self.n = self.values.size   # a tape is never resized
         self.ledger = ledger
         self.target = target
-        self.root, self.offset, self._prefix = None, 0, None   # a window reads its root tape's running sums
 
     def window(self, lo: int, hi: int) -> "TapeOracle":
         """Sub-range view sharing the ledger; indices become window-local."""
         if not 0 <= lo <= hi <= self.n:
             raise IndexError(f"window [{lo}, {hi}) out of range")
         view = object.__new__(TapeOracle)   # a slice of a checked tape needs no re-check
-        view.values, view.ledger, view.target = self.values[lo:hi], self.ledger, self.target
-        view.n = hi - lo
-        view.root, view.offset = self.root or self, self.offset + lo
+        view.values, view.ledger, view.target, view.n = self.values[lo:hi], self.ledger, self.target, hi - lo
         return view
 
     def charge(self, count: int, tag: str) -> None:
@@ -109,19 +107,6 @@ class TapeOracle:
 
     def _bits(self) -> np.ndarray:
         return self.values > 0
-
-    def _sums(self) -> list[int]:
-        """Running sums of the root tape, built once (a tape is not written once summed) for
-        the totals count_median reads: this tape totals sums[offset + n] - sums[offset].
-        Exact block sizing searches the cumulative sum of its remaining columns instead."""
-        root = self.root or self
-        if root._prefix is None:
-            root._prefix = [0, *root.values.cumsum().tolist()]
-        return root._prefix
-
-    def _total(self) -> int:
-        sums = self._sums()
-        return sums[self.offset + self.n] - sums[self.offset]
 
 
 @dataclass(frozen=True)
@@ -235,9 +220,12 @@ class StreamDraws:
 
     def median_uniform(self, reps: int) -> float:
         """Median of random(reps), odd reps: random() is (word >> 11) * 2**-53, monotone in the word."""
-        self.reserve(reps)
-        self.pos += reps
-        return (sorted(self.words[self.pos - reps:self.pos])[reps // 2] >> 11) * 2**-53
+        pos = self.pos + reps
+        if pos > len(self.words):
+            self.reserve(reps)
+            pos = self.pos + reps
+        self.pos = pos
+        return (sorted(self.words[pos - reps:pos])[reps // 2] >> 11) * 2**-53
 
     def close(self) -> None:
         bg = self.bit_generator
@@ -496,31 +484,31 @@ def _estimate_cdf(a: float, M: int) -> tuple[tuple[float, ...], tuple[float, ...
     return _estimate_law(ae_outcome_pmf(a, M))
 
 
-def count_median(oracle: TapeOracle, M: int, reps: int, mode: str,
-                 draws: StreamDraws) -> float:
-    """Median of reps estimates of the tape's aggregate value (odd reps; charges M*reps).
+def count_median(marks: int | np.ndarray, n: int, M: int, reps: int, mode: str, draws: StreamDraws) -> float:
+    """Median of reps M-point estimates of the aggregate of an n-column window (odd reps).
 
-    The estimate law, folded onto the representable estimates, is got once per
-    call, cached by (fraction, M) in cost-model mode, and looked up by bisect.
-    As the estimates ascend, the one at the median of reps uniforms is the
-    median of reps Generator.choice draws.  The aggregate is a mark fraction total/n
-    saturating at 1: an estimate is at most n, which only speeds up threshold stops.
+    marks is the window's total, or in statevector mode its 0/1 values; every argument is
+    checked before any draw, and the caller books the M*reps queries.  The estimate law,
+    folded onto the representable estimates, is got once per call, cached by (fraction, M)
+    in cost-model mode, and looked up by bisect.  As the estimates ascend, the one at the
+    median of reps uniforms is the median of reps Generator.choice draws.  The aggregate is
+    a mark fraction total/n saturating at 1: an estimate is at most n, which only speeds up
+    threshold stops.  An exact count draws nothing and returns the total.
     """
     _check_mode(mode)
     if reps < 1 or reps % 2 == 0:
         raise ValueError("reps must be odd and positive")
     if M < 1:
         raise ValueError("M must be positive")
-    if oracle.n < 1:
+    if n < 1:
         raise ValueError("range must be nonempty")
-    if mode == MODE_SV:   # sv_count_pmf caps n*M
-        if (oracle.values > 1).any():
-            raise ValueError("statevector counting supports bit tapes only")
-        values, cdf = _estimate_law(fold_count_pmf(sv_count_pmf(oracle.values > 0, M), M))
-    oracle.charge(M * reps, TAG_COUNTING)
-    total = oracle._total()
-    if mode == MODE_EXACT:
-        return float(total)
     if mode == MODE_COST:
-        values, cdf = _estimate_cdf(min(1.0, total / oracle.n), M)
-    return float(oracle.n * values[bisect.bisect_right(cdf, draws.median_uniform(reps))])
+        values, cdf = _estimate_cdf(min(1.0, marks / n), M)
+    elif mode == MODE_SV:   # sv_count_pmf caps n*M
+        bits = np.asarray(marks)
+        if bits.shape != (n,) or ((bits != 0) & (bits != 1)).any():
+            raise ValueError(f"statevector counting takes the {n} window bits (0/1) only")
+        values, cdf = _estimate_law(fold_count_pmf(sv_count_pmf(bits == 1, M), M))
+    else:
+        return float(marks)
+    return float(n * values[bisect.bisect_right(cdf, draws.median_uniform(reps))])

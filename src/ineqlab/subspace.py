@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .core import CheckLine, InstanceError, SeededRng, _worst
+from .core import CheckLine, InstanceError, SeededRng, _worst, report_line
 
 ORTHO_TOL = 1e-9
 DEPENDENCE_TOL = 1e-8
@@ -907,7 +907,7 @@ def _suite_cell(n: int, t: int, k: int) -> _SuiteCell:
 
     branches = [alpha_beta(n, t, j) for j in range((t - 1) // 2 + 1)]
     beta_sq = max(v for ab in branches for v in ab.beta_sq)
-    cross_scaled = max(0.0, *(ab.cross_scaled for ab in branches))
+    cross_scaled = _worst(0.0, *(ab.cross_scaled for ab in branches))
     beta_excess = max(0.0, float(beta_sq) - 2 * t / n)
     lines.append(CheckLine("branch weight bound", beta_sq <= Fraction(2 * t, n), beta_excess, ""))
 
@@ -922,7 +922,7 @@ def _suite_cell(n: int, t: int, k: int) -> _SuiteCell:
     return _SuiteCell(
         frame=frame,
         structural=tuple(lines),
-        cross_term=CheckLine("branch cross-term constant (report only)", True, cross_scaled, "scaled by sqrt(t n)"),
+        cross_term=report_line("branch cross-term constant (report only)", cross_scaled, "scaled by sqrt(t n)"),
     )
 
 
@@ -974,7 +974,7 @@ def verify_suite(n: int, t: int, k: int, seed: int = 0, runs: int = 10, depth: i
     lines.append(
         CheckLine("probability bounds along runs", prob_worst <= BOUND_SLACK, prob_worst, "low-span, corrected, block")
     )
-    lines.append(CheckLine("one-query growth constant (report only)", True, growth_max, "scaled by sqrt(t n)"))
+    lines.append(report_line("one-query growth constant (report only)", growth_max, "scaled by sqrt(t n)"))
     lines.append(cell.cross_term)
 
     _, tv, bound = distance_cases(rng.spawn("tv", n, t, k))

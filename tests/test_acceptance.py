@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from ineqlab.core import ProblemInstance, QueryLedger, SeededRng, matvec_min
+from ineqlab.core import ProblemInstance, SeededRng, matvec_min
 from ineqlab.linsys import (
     bounded_matrix_product,
     check_budget,
     classical_bounded_product,
 )
 from ineqlab.polylab import run_poly_suite, verify_lp
-from ineqlab.qsim import StreamDraws, TapeOracle, count_median, grover_success, sv_run_grover
+from ineqlab.qsim import StreamDraws, count_median, grover_success, sv_run_grover
 from ineqlab.subspace import (
     alpha_beta,
     build_input_space,
@@ -221,13 +221,10 @@ class TestSubroutineFidelity:
         freqs = []
         with contextlib.closing(StreamDraws(SeededRng(0).spawn("criterion-5").stream)) as draws:
             for n, w, M in ((16, 4, 8), (64, 16, 16), (100, 37, 20), (256, 25, 32)):
-                bits = np.zeros(n, dtype=np.int64)
-                bits[:w] = 1
                 window = counting_window(n, w, M)
                 hits = 0
                 for _ in range(10_000):
-                    oracle = TapeOracle(bits, QueryLedger())
-                    if abs(count_median(oracle, M, 1, "cost-model", draws) - w) <= window:
+                    if abs(count_median(w, n, M, 1, "cost-model", draws) - w) <= window:
                         hits += 1
                 freqs.append(hits / 10_000)
                 counting_ok = counting_ok and freqs[-1] >= floor

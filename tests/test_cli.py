@@ -30,6 +30,17 @@ def nan_on_the_second_chain_cell(mp):
                lambda *args: dataclasses.replace(real(*args), jump_margin=math.nan) if next(calls) == 2 else real(*args))
 
 
+def nan_on_the_second_shape_ratio(mp):
+    """The second nonvacuous shape ratio is NaN, after the first's finite one."""
+    real, ratios = polylab.shape_ratio, itertools.count(1)
+
+    def ratio(lp, E):
+        value = real(lp, E)
+        return math.nan if value is not None and next(ratios) == 2 else value
+
+    mp.setattr(polylab, "shape_ratio", ratio)
+
+
 @pytest.fixture()
 def instance_file(tmp_path):
     inst = instance_regular(SeededRng(3).spawn("demo").stream, 16, 2)
@@ -319,6 +330,9 @@ class TestPolyVerify:
         pytest.param("cheb", "dominance outside the interval",
                      nan_on_call("lagrange_basis", lambda i, nodes, x: len(nodes) == 13), id="dominance"),
         pytest.param("lp", "proof chain on witnesses", nan_on_the_second_chain_cell, id="chain"),
+        pytest.param("lp", "shape bound constant (report only)", nan_on_the_second_shape_ratio, id="shape"),
+        pytest.param("cr", "interior growth constants (report only)",
+                     nan_on_call("_floored_slope", lambda i, us, vs: i == 1), id="interior-growth"),
         pytest.param("cr", "fit stable across domain sizes",
                      nan_on_call("_floored_slope", lambda i, us, vs: i == 4), id="stability"),
         pytest.param("blocks", "half the blocks are full",

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from ineqlab import linsys
+from ineqlab import linsys, qsim
 from ineqlab.core import (
     InstanceError,
     ProblemInstance,
@@ -36,7 +36,18 @@ from ineqlab.linsys import (
     quantum_row_capacity,
     small_matrix_product,
 )
-from ineqlab.qsim import MODE_COST, MODE_EXACT, MODE_SV, MODES, StreamDraws, TapeOracle, collect_ones
+from ineqlab.qsim import (
+    MODE_COST,
+    MODE_EXACT,
+    MODE_SV,
+    MODES,
+    StreamDraws,
+    TapeOracle,
+    ae_outcome_pmf,
+    collect_ones,
+    fold_count_pmf,
+    sv_count_pmf,
+)
 from ineqlab.sweep import FAMILIES
 
 
@@ -256,15 +267,33 @@ class TestFindBlockLength:
         assert rng.bit_generator.state == state
 
 
+def window_count_median(window, M, reps, mode, draws):
+    """A probe as count_median made it before sizing read one running sum per block:
+    on a fresh window, whose total it read from the window's values and whose probe
+    it charged M*reps, drawing the median from the window's law by searchsorted."""
+    total = int(window.values.sum())
+    if mode == MODE_SV:
+        if (window.values > 1).any():
+            raise ValueError("statevector counting supports bit tapes only")
+        pmf = fold_count_pmf(sv_count_pmf(window.values > 0, M), M)
+    elif mode == MODE_COST:
+        pmf = ae_outcome_pmf(min(1.0, total / window.n), M)
+    window.charge(M * reps, TAG_COUNTING)
+    if mode == MODE_EXACT:
+        return float(total)
+    u = draws.median_uniform(reps)
+    return float(window.n * pmf.values[qsim._choice_cdf(pmf.probs).searchsorted(u, side="right")])
+
+
 def reference_block_length(tape, start, s_prime, mode, draws, reps):
-    """Block sizing as it was before exact probes read running sums: every
-    probe, in every mode, is one count_median call on a fresh window."""
+    """Block sizing as it was before any probe read running sums: every probe, in
+    every mode, is one window_count_median call on a fresh window."""
     n = tape.n
     remaining = n - start
 
     def probe(length):
         window = tape.window(start, start + length)
-        return linsys.count_median(window, math.ceil(math.sqrt(length)), reps, mode, draws)
+        return window_count_median(window, math.ceil(math.sqrt(length)), reps, mode, draws)
 
     k = s_prime
     while k < remaining:
@@ -304,7 +333,7 @@ class TestBlockLengthMatchesReference:
             assert results[0] == results[1], trial
 
     def test_exact_mode_window_of_a_tape(self):
-        # a window's running sums are its root's, read from the window's offset
+        # a window's running sum is taken over its own slice, not its root's columns
         for trial in range(40):
             values, start, s_prime, reps = random_sizing_case(rng_for("fbwin", trial))
             pad = rng_for("fbwin-pad", trial).integers(0, 4, size=7)
@@ -312,7 +341,6 @@ class TestBlockLengthMatchesReference:
             ledger, ref_ledger = QueryLedger(), QueryLedger()
             with draws_for("fbwin-draws") as draws:
                 root = TapeOracle(padded, ledger, "x")
-                root._total()   # the root's sums are built before the window is taken
                 length = find_block_length(root.window(7, 7 + values.size), start, s_prime,
                                            MODE_EXACT, draws, reps)
                 ref = reference_block_length(TapeOracle(values, ref_ledger, "x"), start, s_prime,
@@ -331,6 +359,109 @@ class TestBlockLengthMatchesReference:
                     length = sizer(TapeOracle(values, ledger, "x"), start, s_prime, MODE_COST, draws, reps)
                 results.append((length, ledger.by_subroutine, ledger.total, rng.bit_generator.state))
             assert results[0] == results[1], (seed, trial)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_statevector_same_length_charges_and_stream(self, seed):
+        # a statevector probe hands count_median its window's bits
+        for trial in range(20):
+            values, start, s_prime, reps = random_sizing_case(rng_for("fbsv", seed, trial))
+            values = (values > 0).astype(np.int64)
+            results = []
+            for sizer in (find_block_length, reference_block_length):
+                ledger = QueryLedger()
+                rng = rng_for("fbsv-draws", seed, trial)
+                with contextlib.closing(StreamDraws(rng)) as draws:
+                    length = sizer(TapeOracle(values, ledger, "x"), start, s_prime, MODE_SV, draws, reps)
+                    read = (draws.dropped + draws.pos, draws.half)
+                results.append((length, list(ledger.by_subroutine.items()), ledger.total, read,
+                                rng.bit_generator.state))
+            assert results[0] == results[1], (seed, trial)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_same_block_traces(self, mode, monkeypatch):
+        # one row group sized either way: the same y, block traces, ledger (tags in
+        # the order they were first charged) and reader position
+        probed = 0
+        for trial in range(16):
+            rng = rng_for("fbtrace", mode, trial)
+            m, n, t = int(rng.integers(1, 5)), int(rng.integers(1, 90)), int(rng.integers(1, 4))
+            A = (rng.random((m, n)) < rng.uniform(0.1, 0.9)) * rng.integers(1, t + 1, size=(m, n))
+            x = rng.integers(0, 2 if mode == MODE_SV else t + 1, size=n)
+            b = rng.integers(1, t + 3, size=m)
+            reps = int(rng.choice([1, 3, 5]))
+            results = []
+            for sizer in (find_block_length, reference_block_length):
+                monkeypatch.setattr(linsys, "find_block_length", sizer)
+                ledger, draws_rng = QueryLedger(), rng_for("fbtrace-draws", mode, trial)
+                with contextlib.closing(StreamDraws(draws_rng)) as draws:
+                    y, blocks = small_matrix_product(A, x, b, t, mode, draws, ledger, reps)
+                    read = (draws.dropped + draws.pos, draws.half)
+                results.append((y.tolist(), blocks, ledger, list(ledger.by_subroutine.items()), read,
+                                draws_rng.bit_generator.state))
+            assert results[0] == results[1], (mode, trial)
+            probed += sum(block.counting_queries > 0 for block in results[0][1])
+        assert probed > 16
+
+    @pytest.mark.parametrize("mode", (MODE_COST, MODE_EXACT))
+    def test_no_probe_builds_a_tape_oracle(self, mode, monkeypatch):
+        # a probe reads its total from its block's running sum: no tape or window is
+        # built while a block is sized, and a cost-model count is given a plain int
+        sizing, built, marks = [], [], []
+        real_init, real_window = TapeOracle.__init__, TapeOracle.window
+        real_sizer, real_count = linsys.find_block_length, linsys.count_median
+
+        def sizer(*args):
+            sizing.append(1)
+            try:
+                return real_sizer(*args)
+            finally:
+                sizing.pop()
+
+        monkeypatch.setattr(linsys, "find_block_length", sizer)
+        monkeypatch.setattr(linsys, "count_median", lambda total, *a: marks.append(type(total)) or real_count(total, *a))
+        monkeypatch.setattr(TapeOracle, "__init__", lambda self, *a: built.append(bool(sizing)) or real_init(self, *a))
+        monkeypatch.setattr(TapeOracle, "window", lambda self, *a: built.append(bool(sizing)) or real_window(self, *a))
+        inst = random_instance(rng_for("noprobe-inst"), 48, 2)
+        res = bounded_matrix_product(inst, 12, mode, rng_for("noprobe-run", mode))
+        assert res.s_prime == 2 and res.ledger.by_subroutine[TAG_COUNTING] > 0
+        assert built and not any(built)   # the tapes and search windows, all built between sizings
+        assert marks == [] if mode == MODE_EXACT else marks and set(marks) == {int}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_counting_charge_per_block(self, mode, monkeypatch):
+        # every sizing books its probes' M * reps in one counting charge, after its last
+        # probe; a sampled probe's M is the one count_median was given
+        sizings = []   # per sizing: [reps, its charges, its probes' M]
+        real_charge, real_sizer, real_count = QueryLedger.charge, linsys.find_block_length, linsys.count_median
+
+        def sizer(tape, start, s_prime, mode, draws, reps):
+            sizings.append([reps, [], []])
+            try:
+                return real_sizer(tape, start, s_prime, mode, draws, reps)
+            finally:
+                sizings[-1][0] = None   # closed: later charges are the search's and reads'
+
+        def charge(self, target, tag, count=1):
+            if sizings and sizings[-1][0] is not None:
+                sizings[-1][1].append((target, tag, count, len(sizings[-1][2])))
+            real_charge(self, target, tag, count)
+
+        monkeypatch.setattr(linsys, "find_block_length", sizer)
+        monkeypatch.setattr(QueryLedger, "charge", charge)
+        monkeypatch.setattr(linsys, "count_median",
+                            lambda marks, n, M, *a: sizings[-1][2].append(M) or real_count(marks, n, M, *a))
+        inst = random_instance(rng_for("onecharge-inst", mode), 48, 2, x_max=1 if mode == MODE_SV else None)
+        res = bounded_matrix_product(inst, 12, mode, rng_for("onecharge-run", mode))
+        traces = [block for group in res.group_traces for block in group]
+        assert len(traces) == len(sizings) and sum(1 for _, charges, _ in sizings if charges) > 10
+        for block, (_, charges, ms) in zip(traces, sizings):
+            assert len(charges) <= 1 and block.counting_queries == sum(c for _, _, c, _ in charges)
+            for target, tag, count, probes in charges:
+                reps = default_reps(48)
+                assert (target, tag) == ("x", TAG_COUNTING) and count % reps == 0 and probes == len(ms)
+                if mode != MODE_EXACT:
+                    assert count == reps * sum(ms)
+        assert res.ledger.by_subroutine[TAG_COUNTING] == sum(b.counting_queries for b in traces)
 
 
 def exact_pair(values, start, s_prime, reps=3, pad=()):
@@ -419,8 +550,8 @@ class TestExactSizingEdges:
             assert length == 10 - start and charges == {}
 
     def test_window_of_a_padded_root(self):
-        # the window reads its root's sums from its offset; heavy padding on both sides
-        # would move reach and keep if the offset were dropped or misplaced
+        # the window's running sum covers its own slice; heavy padding on both sides
+        # would move reach and keep if the sum reached into the root's columns
         for pad in ((9,), (1, 1, 1), (0, 4, 0, 4, 0)):
             for col in range(10):
                 for value in (1, 2, 3, 5):
@@ -439,12 +570,12 @@ class TestExactSizingEdges:
 
 
 def bisected_block_length(tape, start, s_prime, reps):
-    """Exact sizing as it was when reach and keep came from two bisects of the root tape's
-    running sums (TapeOracle._sums): (length, counting charge)."""
+    """Exact sizing as it was when reach and keep came from two bisects of the tape's
+    running sums [0, *cumsum(values)]: (length, counting charge)."""
     remaining = tape.n - start
-    sums, at = tape._sums(), tape.offset + start
-    reach = bisect.bisect_left(sums, sums[at] + s_prime, at, at + remaining + 1) - at
-    keep = bisect.bisect_right(sums, sums[at] + 2 * s_prime, at, at + remaining + 1) - 1 - at
+    sums = [0, *tape.values.cumsum().tolist()]
+    reach = bisect.bisect_left(sums, sums[start] + s_prime, start, tape.n + 1) - start
+    keep = bisect.bisect_right(sums, sums[start] + 2 * s_prime, start, tape.n + 1) - 1 - start
     charged, lo, hi, k = 0, remaining, remaining, s_prime
     while k < remaining:
         k = min(2 * k, remaining)
@@ -464,7 +595,7 @@ def bisected_block_length(tape, start, s_prime, reps):
 
 class TestExactSizingFromColumnSums:
     """Exact sizing searches the cumulative sum of the remaining columns; it must give the
-    lengths and counting charges that bisecting the root tape's running sums gave."""
+    lengths and counting charges that bisecting the tape's running sums gave."""
 
     @pytest.mark.parametrize("s_prime", (1, 2, 5))
     def test_matches_bisected_running_sums(self, s_prime):
@@ -490,16 +621,6 @@ class TestExactSizingFromColumnSums:
                         got = (length, ledger.by_subroutine.get(TAG_COUNTING, 0))
                         assert got == ref, (values.tolist(), start, s_prime, reps, len(tape_pad))
         assert past_end > 40
-
-    @pytest.mark.parametrize("mode, reads_sums", ((MODE_EXACT, False), (MODE_COST, True)))
-    def test_running_sums_serve_cost_model_counts_only(self, mode, reads_sums, monkeypatch):
-        calls = []
-        real_sums = TapeOracle._sums
-        monkeypatch.setattr(TapeOracle, "_sums", lambda self: calls.append(self.n) or real_sums(self))
-        inst = random_instance(rng_for("nosums-inst"), 48, 2)
-        res = bounded_matrix_product(inst, 12, mode, rng_for("nosums-run", mode))
-        assert res.s_prime == 2 and res.ledger.by_subroutine[TAG_COUNTING] > 0
-        assert bool(calls) is reads_sums
 
 
 # ---------------------------------------------------------------------------

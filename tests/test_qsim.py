@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lawcheck import ALPHA, chi2_pvalue, median_law
 
-from ineqlab import qsim
+from ineqlab import linsys, qsim
 from ineqlab.core import QueryLedger, SeededRng, TAG_CLASSICAL, TAG_COUNTING, TAG_GROVER
 from ineqlab.qsim import (
     MODE_COST,
@@ -283,24 +283,24 @@ class TestTapeOracle:
         win.charge(4, TAG_GROVER)
         assert ledger.queries_x == 6
 
-    def test_windows_of_windows_total_their_slice(self):
-        # a window is built without re-checking its parent; once the tape's running
-        # sums are built, every window, and every window of one of its windows,
-        # reads those same sums and totals exactly its slice
+    def test_windows_of_windows_slice_their_parent(self):
+        # a window is built without re-checking its parent: it holds a view of exactly
+        # its slice, the parent's ledger and target, and nothing else (no root, offset
+        # or cached sums), so a window of a window slices the window's view
         values = rng_for("windows").integers(0, 4, size=23)
         oracle, ledger = make_oracle(values)
-        assert oracle._total() == int(values.sum())
-        sums = oracle._sums()
+        assert set(vars(oracle)) == {"values", "n", "ledger", "target"}
         for lo in range(24):
             for hi in range(lo, 24):
                 win = oracle.window(lo, hi)
-                assert type(win) is TapeOracle and win.ledger is ledger and win.target == "x"
-                assert win.n == hi - lo and win._total() == int(values[lo:hi].sum()), (lo, hi)
-                assert win._sums() is sums
+                assert type(win) is TapeOracle and vars(win).keys() == vars(oracle).keys()
+                assert win.ledger is ledger and win.target == "x" and win.n == hi - lo
+                assert win.values.base is oracle.values and win.values.tolist() == values[lo:hi].tolist()
                 for a in range(hi - lo + 1):
                     for b in range(a, hi - lo + 1):
                         inner = win.window(a, b)
-                        assert inner._sums() is sums and inner._total() == int(values[lo + a:lo + b].sum())
+                        assert inner.n == b - a and inner.values.tolist() == values[lo + a:lo + b].tolist()
+                        assert np.shares_memory(inner.values, oracle.values) or inner.n == 0
         assert ledger.total == 0
 
     def test_length_is_fixed_at_construction(self, monkeypatch):
@@ -332,7 +332,6 @@ class TestTapeOracle:
 
     def test_uncharged_internals_do_not_touch_ledger(self):
         oracle, ledger = make_oracle([0, 1, 2, 0])
-        assert oracle._total() == 3
         assert list(np.flatnonzero(oracle._bits())) == [1, 2]
         masked, masked_ledger = make_oracle(zeroed(oracle.values, {1}))
         assert list(np.flatnonzero(masked._bits())) == [2]
@@ -782,21 +781,20 @@ class TestCollectOnes:
         assert len(searches) == 6  # five finds plus the closing empty probe
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_searches_never_read_stale_sums(self, mode, monkeypatch):
-        # nothing is written while a window is collected, even with the tape's sums
-        # built: every search takes the live weight, the window's support less the
-        # positions found before it, and the tape keeps its values and its sums
+    def test_searches_never_write_the_tape(self, mode, monkeypatch):
+        # nothing is written while a window is collected: every search takes the live
+        # weight, the window's support less the positions found before it, and the
+        # tape and the window keep their values
         seen = counted_searches(monkeypatch)
         values = [3, 1, 0, 2, 0, 0, 1, 5, 0, 1]
         oracle, _ = make_oracle(values)
-        assert oracle._total() == sum(values)
-        sums, win = oracle._sums(), oracle.window(1, 10)
+        win = oracle.window(1, 10)
         with draws_for("cstale", mode) as draws:
             found = collect_ones(win, mode, draws)
         assert len(seen) == len(found) + 1 and len(set(seen)) > 1
         live = [(win.n, int((zeroed(win.values, found[:i]) > 0).sum())) for i in range(len(found) + 1)]
         assert seen == live, seen
-        assert oracle.values.tolist() == values and oracle._sums() is sums and oracle._total() == sum(values)
+        assert oracle.values.tolist() == values and win.values.tolist() == values[1:]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_search_per_find_and_one_to_close(self, mode, monkeypatch):
@@ -1008,18 +1006,36 @@ class TestSvCountPmf:
             sv_count_pmf(np.zeros(1024, dtype=bool), 8)
 
 
+def probe_count(values, M, reps, mode, draws):
+    """count_median on a window of values, given as a sizing probe gives it: the
+    window's total, or in statevector mode its values."""
+    values = np.asarray(values, dtype=np.int64)
+    return count_median(values if mode == MODE_SV else int(values.sum()), values.size, M, reps, mode, draws)
+
+
+def sizing_charges(values, s_prime, reps, monkeypatch):
+    """(count_median calls, ledger charges) of one cost-model find_block_length from
+    column 0: a tape of zeros probes once, at its full length, and takes it all."""
+    calls, charges = [], []
+    real_count, real_charge = linsys.count_median, QueryLedger.charge
+    monkeypatch.setattr(linsys, "count_median", lambda *a: calls.append(a[1:4]) or real_count(*a))
+    monkeypatch.setattr(QueryLedger, "charge", lambda self, *a: charges.append(a) or real_charge(self, *a))
+    with draws_for("probe-charge", len(values), reps) as draws:
+        assert linsys.find_block_length(make_oracle(values)[0], 0, s_prime, MODE_COST, draws, reps) == len(values)
+    return calls, charges
+
+
 class TestCountEstimate:
-    def test_charges_m_queries_with_counting_tag(self):
-        oracle, ledger = make_oracle([1, 0, 1, 1])
-        with draws_for("charge") as draws:
-            count_median(oracle, 8, 1, MODE_COST, draws)
-        assert ledger.queries_x == 8
-        assert ledger.by_subroutine == {TAG_COUNTING: 8}
+    def test_charges_m_queries_with_counting_tag(self, monkeypatch):
+        # count_median charges nothing: the sizing books its one probe (n = 64, M = 8,
+        # one rep) as 8 counting queries on x
+        calls, charges = sizing_charges([0] * 64, 32, 1, monkeypatch)
+        assert calls == [(64, 8, 1)]
+        assert charges == [("x", TAG_COUNTING, 8)]
 
     def test_exact_mode_returns_true_total(self):
-        oracle, _ = make_oracle([0, 3, 2, 0])
         with draws_for("exact") as draws:
-            out = count_median(oracle, 4, 1, MODE_EXACT, draws)
+            out = probe_count([0, 3, 2, 0], 4, 1, MODE_EXACT, draws)
         assert out == 5.0
 
     def test_estimates_live_on_representable_grid(self):
@@ -1027,29 +1043,25 @@ class TestCountEstimate:
         values[:5] = 1
         grid = {round(16 * math.sin(math.pi * y / 8) ** 2, 9) for y in range(5)}
         for trial in range(40):
-            oracle, _ = make_oracle(values)
             with draws_for("grid", trial) as draws:
-                out = count_median(oracle, 8, 1, MODE_COST, draws)
+                out = probe_count(values, 8, 1, MODE_COST, draws)
             assert round(out, 9) in grid
 
     def test_zero_tape_estimates_zero_all_modes(self):
         for mode in MODES:
-            oracle, _ = make_oracle([0] * 8)
             with draws_for("zero", mode) as draws:
-                out = count_median(oracle, 4, 1, mode, draws)
+                out = probe_count([0] * 8, 4, 1, mode, draws)
             assert out == 0.0
 
     def test_saturating_value_tape_estimates_at_most_n(self):
         # aggregate 12 on a 4-tape saturates the mark fraction at 1
         values = [3, 3, 3, 3]
         for trial in range(20):
-            oracle, _ = make_oracle(values)
             with draws_for("sat", trial) as draws:
-                out = count_median(oracle, 8, 1, MODE_COST, draws)
+                out = probe_count(values, 8, 1, MODE_COST, draws)
             assert out <= 4.0 + 1e-12
-        oracle, _ = make_oracle(values)
         with draws_for("sat-x") as draws:
-            assert count_median(oracle, 8, 1, MODE_EXACT, draws) == 12.0
+            assert probe_count(values, 8, 1, MODE_EXACT, draws) == 12.0
 
     def test_statevector_agrees_with_cost_model_statistically(self):
         bits = np.zeros(16, dtype=np.int64)
@@ -1059,46 +1071,74 @@ class TestCountEstimate:
         for mode in (MODE_COST, MODE_SV):
             estimates = []
             for trial in range(trials):
-                oracle, _ = make_oracle(bits)
                 with draws_for("agree", mode, trial) as draws:
-                    estimates.append(count_median(oracle, 8, 1, mode, draws))
+                    estimates.append(probe_count(bits, 8, 1, mode, draws))
             sums[mode] = np.mean(estimates)
         assert abs(sums[MODE_COST] - sums[MODE_SV]) < 0.6
 
     def test_statevector_rejects_value_tapes(self):
-        oracle, ledger = make_oracle([2, 0])
-        with draws_for("rej") as draws, pytest.raises(ValueError):
-            count_median(oracle, 4, 1, MODE_SV, draws)
-        assert ledger.total == 0
+        rng = rng_for("rej")
+        state = rng.bit_generator.state
+        with contextlib.closing(qsim.StreamDraws(rng)) as draws, pytest.raises(ValueError, match="0/1"):
+            probe_count([2, 0], 4, 1, MODE_SV, draws)
+        assert rng.bit_generator.state == state
 
     def test_statevector_rejects_oversize_product(self):
-        oracle, ledger = make_oracle([1] * 1024)
-        with draws_for("rej2") as draws, pytest.raises(RangeTooLarge):
-            count_median(oracle, 8, 1, MODE_SV, draws)
-        assert ledger.total == 0
+        rng = rng_for("rej2")
+        state = rng.bit_generator.state
+        with contextlib.closing(qsim.StreamDraws(rng)) as draws, pytest.raises(RangeTooLarge):
+            probe_count([1] * 1024, 8, 1, MODE_SV, draws)
+        assert rng.bit_generator.state == state
+
+
+# every refusal: (marks, n, M, reps, mode); statevector marks are the window's values
+REFUSED_COUNTS = {
+    "length-0": (0, 0, 4, 3, MODE_COST),
+    "length-negative": (0, -2, 4, 3, MODE_COST),
+    "length-0-exact": (0, 0, 4, 3, MODE_EXACT),
+    "reps-even": (1, 4, 4, 2, MODE_COST),
+    "reps-0": (1, 4, 4, 0, MODE_COST),
+    "reps-negative": (1, 4, 4, -3, MODE_EXACT),
+    "M-0": (1, 4, 0, 3, MODE_COST),
+    "M-negative": (1, 4, -2, 3, MODE_SV),
+    "sv-value-2": (np.array([1, 2, 0, 1]), 4, 4, 3, MODE_SV),
+    "sv-negative": (np.array([1, -1, 0, 1]), 4, 4, 3, MODE_SV),
+    "sv-short-window": (np.array([1, 0, 1]), 4, 4, 3, MODE_SV),
+    "sv-total-not-bits": (2, 4, 4, 3, MODE_SV),
+}
 
 
 class TestCountMedian:
     def test_even_reps_rejected(self):
-        oracle, _ = make_oracle([1, 0])
         with draws_for("even") as draws:
             with pytest.raises(ValueError):
-                count_median(oracle, 4, 2, MODE_COST, draws)
+                probe_count([1, 0], 4, 2, MODE_COST, draws)
             with pytest.raises(ValueError):
-                count_median(oracle, 4, 0, MODE_COST, draws)
+                probe_count([1, 0], 4, 0, MODE_COST, draws)
 
-    def test_charges_m_times_reps(self):
-        oracle, ledger = make_oracle([1, 0, 1, 0])
-        with draws_for("mcharge") as draws:
-            count_median(oracle, 4, 5, MODE_COST, draws)
-        assert ledger.queries_x == 20
+    def test_charges_m_times_reps(self, monkeypatch):
+        # one probe of M = 4 at 5 reps: 20 queries, booked by the sizing in one charge
+        calls, charges = sizing_charges([0] * 16, 8, 5, monkeypatch)
+        assert calls == [(16, 4, 5)]
+        assert charges == [("x", TAG_COUNTING, 20)]
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_COUNTS))
+    def test_refused_before_any_draw(self, case):
+        marks, n, M, reps, mode = REFUSED_COUNTS[case]
+        rng = rng_for("refused", case)
+        state = rng.bit_generator.state
+        with contextlib.closing(qsim.StreamDraws(rng)) as draws:
+            with pytest.raises(ValueError):
+                count_median(marks, n, M, reps, mode, draws)
+            assert draws.pos == 0 and draws.words == []
+        assert rng.bit_generator.state == state
 
     def test_median_is_an_observed_estimate(self):
         values = np.zeros(16, dtype=np.int64)
         values[:7] = 1
         grid = {round(16 * math.sin(math.pi * y / 8) ** 2, 9) for y in range(5)}
         with draws_for("member") as draws:
-            out = count_median(make_oracle(values)[0], 8, 9, MODE_COST, draws)
+            out = probe_count(values, 8, 9, MODE_COST, draws)
         assert round(out, 9) in grid
 
     def test_out_of_window_rate_small(self):
@@ -1111,9 +1151,8 @@ class TestCountMedian:
         bad = 0
         trials = 2000
         for trial in range(trials):
-            oracle, _ = make_oracle(values)
             with draws_for("win", trial) as draws:
-                out = count_median(oracle, M, reps, MODE_COST, draws)
+                out = probe_count(values, M, reps, MODE_COST, draws)
             if abs(out - w) > window:
                 bad += 1
         assert bad / trials <= 0.05
@@ -1122,18 +1161,21 @@ class TestCountMedian:
         values = np.zeros(32, dtype=np.int64)
         values[:9] = 1
         with draws_for("mdet") as draws:
-            a = count_median(make_oracle(values)[0], 8, 5, MODE_COST, draws)
+            a = probe_count(values, 8, 5, MODE_COST, draws)
         with draws_for("mdet") as draws:
-            b = count_median(make_oracle(values)[0], 8, 5, MODE_COST, draws)
+            b = probe_count(values, 8, 5, MODE_COST, draws)
         assert a == b
 
     @pytest.mark.parametrize("mode", MODES)
     def test_empty_range_refused_before_any_charge(self, mode):
-        # an empty tape has no fraction to estimate: refused as an empty search range is
-        oracle, ledger = make_oracle([])
-        with draws_for("empty", mode) as draws, pytest.raises(ValueError, match="range must be nonempty"):
-            count_median(oracle, 4, 3, mode, draws)
-        assert ledger == QueryLedger()
+        # an empty window has no fraction to estimate: refused as an empty search range
+        # is, before any draw, so the sizing that would book the probe never does
+        rng = rng_for("empty", mode)
+        state = rng.bit_generator.state
+        with contextlib.closing(qsim.StreamDraws(rng)) as draws:
+            with pytest.raises(ValueError, match="range must be nonempty"):
+                probe_count([], 4, 3, mode, draws)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("mode", [MODE_COST, MODE_SV])
     def test_law_is_the_median_of_reps_law(self, mode):
@@ -1145,25 +1187,25 @@ class TestCountMedian:
         else:
             pmf = fold_count_pmf(sv_count_pmf(np.array(values) > 0, M), M)
         with draws_for("law", mode) as draws:
-            samples = [count_median(make_oracle(values)[0], M, reps, mode, draws) for _ in range(2000)]
+            samples = [probe_count(values, M, reps, mode, draws) for _ in range(2000)]
         support = 8 * pmf.values
         assert chi2_pvalue(samples, support, median_law(pmf.probs, reps)) >= ALPHA
         # the law of one draw is not the law of the median of five
         assert chi2_pvalue(samples, support, pmf.probs) < ALPHA
 
 
-def per_rep_median(oracle, M, reps, mode, rng):
+def per_rep_median(values, M, reps, mode, rng):
     """Reference median: one pmf and one rng.choice per repetition."""
-    n = oracle.n
-    total = int(oracle.values.sum())
+    values = np.asarray(values, dtype=np.int64)
+    n = values.size
+    total = int(values.sum())
     ws = []
     for _ in range(reps):
-        oracle.charge(M, TAG_COUNTING)
         if mode == MODE_EXACT:
             ws.append(float(total))
         else:
             if mode == MODE_SV:
-                pmf = fold_count_pmf(sv_count_pmf(oracle.values > 0, M), M)
+                pmf = fold_count_pmf(sv_count_pmf(values > 0, M), M)
             else:
                 pmf = ae_outcome_pmf(min(1.0, total / n), M)
             idx = int(rng.choice(pmf.values.size, p=pmf.probs / pmf.probs.sum()))
@@ -1217,7 +1259,7 @@ class TestEstimateLaw:
         try:
             for u in [0.0, *cdf[:-1].tolist(), math.nextafter(1.0, 0.0)]:
                 draws = type("FixedMedian", (), {"median_uniform": lambda self, reps: u})()
-                out = count_median(make_oracle([1, 0, 1, 0])[0], 4, 3, MODE_COST, draws)
+                out = count_median(2, 4, 4, 3, MODE_COST, draws)
                 assert out == 4 * law.values[cdf.searchsorted(u, side="right")], u
         finally:   # later tests must not read the stand-in law from the cache
             qsim._estimate_cdf.cache_clear()
@@ -1233,14 +1275,11 @@ class TestBatchedDraw:
         values = EQUIVALENCE_TAPES[tape]
         for M in range(1, 34):
             for reps in (1, 3, 9, 25):
-                oracle, ledger = make_oracle(values)
-                ref_oracle, ref_ledger = make_oracle(values)
                 rng, ref_rng = rng_for("batch", tape, M, reps), rng_for("batch", tape, M, reps)
                 with contextlib.closing(qsim.StreamDraws(rng)) as draws:
-                    out = count_median(oracle, M, reps, mode, draws)
-                expect = per_rep_median(ref_oracle, M, reps, mode, ref_rng)
+                    out = probe_count(values, M, reps, mode, draws)
+                expect = per_rep_median(values, M, reps, mode, ref_rng)
                 assert type(out) is float and out == expect, (M, reps)
-                assert ledger == ref_ledger
                 assert rng.random() == ref_rng.random(), (M, reps)
 
     def test_pmf_built_once_per_fraction_and_grid(self, monkeypatch):
@@ -1258,7 +1297,7 @@ class TestBatchedDraw:
             for values in tapes:
                 for M in (2, 5, 8):
                     with draws_for("once", trial) as draws:
-                        count_median(make_oracle(values)[0], M, 9, MODE_COST, draws)
+                        probe_count(values, M, 9, MODE_COST, draws)
         assert sorted(calls) == sorted({(a, M) for a in (0.25, 0.5, 1.0) for M in (2, 5, 8)})
 
     @pytest.mark.parametrize("probs", [[1.5, -0.5], [np.nan, 1.0]])
@@ -1268,4 +1307,4 @@ class TestBatchedDraw:
         monkeypatch.setattr(qsim, "ae_outcome_pmf", lambda a, M: bad)
         qsim._estimate_cdf.cache_clear()
         with draws_for("bad") as draws, pytest.raises(ValueError, match="probability vector"):
-            count_median(make_oracle([1, 0])[0], 2, 3, MODE_COST, draws)
+            count_median(1, 2, 2, 3, MODE_COST, draws)

@@ -1946,6 +1946,44 @@ class TestVerifySuite:
         lines = {line.name: line for line in verify_suite(4, 2, 1, runs=2)}
         assert math.isfinite(lines["one-query growth constant (report only)"].residual)
 
+    def test_nan_cross_term_fails_its_line_and_exits_1(self, monkeypatch, capsys):
+        # the cross term at j = 1 is NaN after the finite one at j = 0: Python's max
+        # would drop it and print PASS with the finite level
+        def nan_at_one(n, t, j):
+            ab = alpha_beta(n, t, j)
+            return dataclasses.replace(ab, cross_scaled=math.nan) if j == 1 else ab
+
+        monkeypatch.setattr(subspace, "alpha_beta", nan_at_one)
+        name = "branch cross-term constant (report only)"
+        lines = {line.name: line for line in verify_suite(6, 3, 1, runs=1, depth=1)}
+        assert not lines[name].passed and math.isnan(lines[name].residual)
+        assert [line.name for line in lines.values() if not line.passed] == [name]
+        subspace._suite_cell.cache_clear()
+        capsys.readouterr()
+        assert main(["subspace", "verify", "--n", "6", "--t", "3", "--k", "1", "--runs", "1", "--depth", "1"]) == 1
+        assert f"[FAIL] {name}: residual=nan" in capsys.readouterr().out
+
+    def test_nan_growth_fails_its_line_and_exits_1(self, monkeypatch, capsys):
+        # run 1's potential at depth 1 is NaN after run 0's finite one; its masses stay
+        # finite, so the growth line is the only one to fail
+        real, calls = subspace.potential_from_joint, itertools.count()
+
+        def potential(*args):
+            report = real(*args)
+            if next(calls) == 0:   # the shared start state
+                return report
+            return dataclasses.replace(report, values=np.where(np.arange(report.values.size) == 1, np.nan, report.values))
+
+        monkeypatch.setattr(subspace, "potential_from_joint", potential)
+        name = "one-query growth constant (report only)"
+        lines = {line.name: line for line in verify_suite(4, 2, 1, runs=2, depth=1)}
+        assert not lines[name].passed and math.isnan(lines[name].residual)
+        assert [line.name for line in lines.values() if not line.passed] == [name]
+        calls = itertools.count()
+        capsys.readouterr()
+        assert main(["subspace", "verify", "--n", "4", "--t", "2", "--k", "1", "--runs", "2", "--depth", "1"]) == 1
+        assert f"[FAIL] {name}: residual=nan" in capsys.readouterr().out
+
     def test_lines_serialize(self):
         lines = verify_suite(4, 2, 1, seed=1, runs=1, depth=1)
         for line in lines:
