@@ -184,33 +184,6 @@ class StreamDraws:
             if x * high & 0xFFFFFFFF >= threshold:
                 return x * high >> 32
 
-    def uint32s(self, count: int) -> np.ndarray:
-        """The next count values next_uint32 would serve, as uint64: a live high half
-        first, then the low and high halves of fresh words.  pos and half advance as
-        count below() calls that never reject would."""
-        live = int(count > 0 and self.half >= 0)
-        fresh = (count - live + 1) // 2
-        take = min(fresh, len(self.words) - self.pos)
-        words = np.array(self.words[self.pos:self.pos + take], dtype=np.uint64)
-        if take < fresh:   # past the fetched words: read the rest straight off the bit generator
-            words = np.concatenate([words, self.bit_generator.random_raw(fresh - take)])
-            self.dropped += len(self.words) + fresh - take
-            del self.words[:]
-            self.pos = 0
-        else:
-            self.pos += fresh
-        out = np.empty(live + 2 * fresh, dtype=np.uint64)
-        if live:
-            out[0] = self.half
-        out[live::2] = words & 0xFFFFFFFF
-        out[live + 1::2] = words >> 32
-        if fresh:   # the last word's high half is live unless it was served
-            last = int(words[-1] >> 32)
-            self.half = last if (count - live) % 2 else ~last
-        elif live:
-            self.half = ~self.half
-        return out[:count]
-
     def draw(self, high: int, pos: int, half: int, need: int) -> tuple[int, int, int]:
         """below(high) from a caller's locals (pos, half): value, new (pos, half), need words readable."""
         self.pos, self.half = pos, half

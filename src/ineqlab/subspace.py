@@ -717,7 +717,8 @@ def success_probability_bounds(frame: LevelFrame, cases) -> SuccessBoundReport:
     reads its stream as a call of its own would: the span coefficients, then
     the block draws.  Each m's low span is gathered once, and every case's
     floats are the ones a call per case makes, so each excess is the max of
-    the per-case excesses.
+    the per-case excesses.  Where the bound is at least 1 (m = k), (i) cannot
+    fail and its product is skipped, but its coefficients are still drawn.
     """
     decomp, k = frame.decomp, frame.params.k
     space = decomp.space
@@ -747,6 +748,8 @@ def success_probability_bounds(frame: LevelFrame, cases) -> SuccessBoundReport:
             # diagonal is the column mass of phi, its low-span mass |phi @ low_cols|^2
             corrected = bound + 4.0 * np.sqrt(np.maximum(0.0, 1.0 - masses.inside[m]))
             run_excess = _worst(run_excess, float((masses.classes - corrected[:, None]).max()))
+        if bound >= 1.0:   # (i) holds: no unit state has class mass above 1
+            continue
         # a stacked matmul: each case's own gemm
         psi = (coeffs / np.linalg.norm(coeffs, axis=2, keepdims=True)) @ np.take(frame.columns, low, axis=1).T
         span_excess = _worst(span_excess, float(((psi**2) @ frame.classes).max()) - bound)

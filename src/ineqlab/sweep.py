@@ -16,7 +16,7 @@ import numpy as np
 from .core import ProblemInstance, SeededRng
 from .linsys import (CLASSICAL_MODE, MatrixProductResult, bounded_matrix_product,
                      classical_bounded_product)
-from .qsim import MODES, StreamDraws
+from .qsim import MODES
 
 RUN_MODES = MODES + (CLASSICAL_MODE,)
 
@@ -30,41 +30,23 @@ REGULAR_ROW_NNZ = 12  # nonzeros per row of the row-regular family
 CONFIG_KEYS = ("N", "t", "S", "modes", "seeds", "family", "reps", "out")
 
 
-def _regular_rows(rng: np.random.Generator, A: np.ndarray, nnz: int) -> bool:
-    """Set in each row of A the nnz columns rng.choice(n, nnz, replace=False) would
-    draw, all rows decoded from one read of the stream; or return False, with A
-    untouched and the Generator as it was, when some draw fails Lemire's fast
-    accept and so might be rejected.
-
-    numpy's choice draws below(j + 1) for j = n - nnz .. n - 1 (Floyd's sample:
-    j is taken when the value is already in it), then below(i + 1) for
-    i = nnz - 1 .. 1 (a shuffle, which only reorders the row); a range of 1
-    draws nothing.  Every range is known up front.
-    """
-    n = len(A)
-    highs = np.array([h for h in (*range(n - nnz + 1, n + 1), *range(nnz, 1, -1)) if h > 1],
-                     dtype=np.uint64)
-    draws = StreamDraws(rng)
-    m = draws.uint32s(n * highs.size).reshape(n, highs.size) * highs
-    if ((m & 0xFFFFFFFF) < highs).any():   # the fast accept qsim's searches use
-        rng.bit_generator.state = draws.opened
-        return False
-    draws.close()
-    values, rows = (m >> 32).astype(np.int64), np.arange(n)
-    skip = int(nnz == n)   # Floyd's first range is then 1: its value is 0, drawn from nothing
-    for c, j in enumerate(range(n - nnz, n)):
-        v = values[:, c - skip] if j else 0
-        A[rows, np.where(A[rows, v] == 1, j, v)] = 1   # A's rows are Floyd's sets
-    return True
-
-
 def instance_regular(rng: np.random.Generator, n: int, t: int) -> ProblemInstance:
-    """Row-regular Boolean matrix, value-carrying x, varied bounds."""
+    """Row-regular Boolean matrix, value-carrying x, varied bounds.
+
+    Row u is the support rng.choice(n, nnz, replace=False) draws in a per-row
+    loop, all rows from one integers call.  choice draws integers(0, j + 1) for
+    j = n - nnz .. n - 1 (Floyd's sample: j is taken when the value is already
+    in it), then integers(0, i + 1) for i = nnz - 1 .. 1 (a shuffle, which only
+    reorders the row).  A broadcast int64 integers call draws each element, in
+    row-major order, by the same bounded routine, rejections included, and a
+    range of 1 draws nothing.
+    """
     A = np.zeros((n, n), dtype=np.int64)
     nnz = min(REGULAR_ROW_NNZ, n)
-    if not _regular_rows(rng, A, nnz):
-        for u in range(n):
-            A[u, rng.choice(n, size=nnz, replace=False)] = 1
+    highs = np.array([*range(n - nnz + 1, n + 1), *range(nnz, 1, -1)], dtype=np.int64)
+    values, rows = rng.integers(0, np.broadcast_to(highs, (n, highs.size))), np.arange(n)
+    for j, v in zip(range(n - nnz, n), values.T):
+        A[rows, np.where(A[rows, v] == 1, j, v)] = 1   # A's rows are Floyd's sets
     x = rng.integers(0, t + 1, size=n, dtype=np.int64)
     b = rng.integers(1, t + 1, size=n, dtype=np.int64)
     return ProblemInstance(A=A, x=x, b=b, t=t)

@@ -501,24 +501,6 @@ class TestStreamDraws:
                 draws.below(2**32 + 1)   # numpy bounds this range on its 64-bit path
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("live_half", [False, True])
-    def test_uint32s_serve_next_uint32_values(self, monkeypatch, live_half):
-        # integers(0, 2**32) is one next_uint32; reads of every parity, some within
-        # the fetched words and some past them, leave pos and half where below()
-        # would, so a below() after each read and the state at close agree
-        monkeypatch.setattr(qsim, "RAW_CHUNK", 8)
-        rng, ref = rng_for("uint32s", live_half), rng_for("uint32s", live_half)
-        if live_half:
-            rng.integers(0, 17)
-            ref.integers(0, 17)
-        with contextlib.closing(qsim.StreamDraws(rng)) as draws:
-            for step, count in enumerate([0, 1, 2, 3, 5, 0, 4, 7, 30, 1, 2, 9]):
-                got = draws.uint32s(count)
-                assert got.dtype == np.uint64 and got.shape == (count,), step
-                assert got.tolist() == [int(ref.integers(0, 2**32)) for _ in range(count)], step
-                assert draws.below(1000) == ref.integers(0, 1000), step
-        assert rng.bit_generator.state == ref.bit_generator.state
-
     def test_other_bit_generators_refused(self):
         rng = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(TypeError, match="PCG64"):

@@ -4,6 +4,7 @@ Closed-form expected values (dimensions, deflated norms, branch weights, map
 constants) were derived by hand from the falling-factorial formulas and
 binomial identities, then frozen here.
 """
+import copy
 import dataclasses
 import functools
 import itertools
@@ -1068,6 +1069,109 @@ class TestAlongRunCheck:
                 expect.append(per_trial_bounds(frame, run, m, ref))
                 assert end == ref.stream.bit_generator.state
             assert excesses(report) == worst_of(expect)
+
+
+def bounds_with_span_at_every_m(frame, cases):
+    """success_probability_bounds with the span product taken at every m, a bound
+    of 1 or more included, body otherwise unchanged: the reference its reports
+    must match bit for bit."""
+    decomp, k = frame.decomp, frame.params.k
+    space = decomp.space
+    if not cases:
+        raise InstanceError("need at least one case")
+    if not all(0 <= m <= k for _, m, _ in cases):
+        raise InstanceError("difference count m must be in 0..k")
+    # pick p is block p: the difference blocks, then the sum blocks, of level p mod t
+    signed_blocks = [*decomp.minus[: space.t], *decomp.plus]
+    widths = [block.shape[1] for block in signed_blocks]
+
+    span_excess = run_excess = 0.0
+    picks: list[int] = []
+    draws: list[np.ndarray] = []
+    for m in sorted({m for _, m, _ in cases}):
+        group = [(masses, rng.stream) for masses, mp, rng in cases if mp == m]
+        bound = subspace._binomial_tail(k, m)
+        low = subspace._low_span(frame, m)
+        # one coefficient row per sample, one stack of rows per case
+        coeffs = np.empty((len(group), subspace.SAMPLE_TRIALS, len(low)))
+        for row, (masses, gen) in zip(coeffs, group):
+            gen.standard_normal(out=row)
+            case_picks, case_draws = subspace._block_draws(gen, widths, subspace.SAMPLE_TRIALS * k)
+            picks += case_picks
+            draws += case_draws
+            # masses read straight off the joint pure states: the reduced state's
+            # diagonal is the column mass of phi, its low-span mass |phi @ low_cols|^2
+            corrected = bound + 4.0 * np.sqrt(np.maximum(0.0, 1.0 - masses.inside[m]))
+            run_excess = subspace._worst(run_excess, float((masses.classes - corrected[:, None]).max()))
+        # a stacked matmul: each case's own gemm
+        psi = (coeffs / np.linalg.norm(coeffs, axis=2, keepdims=True)) @ np.take(frame.columns, low, axis=1).T
+        span_excess = subspace._worst(span_excess, float(((psi**2) @ frame.classes).max()) - bound)
+
+    # the per-block projection claim applies where both sign blocks exist,
+    # which is every level below t (the level-t leftover block is itself a
+    # weight class, so its answer projection is trivially 0 or 1).  The draws
+    # are one block pick and one coefficient draw per trial and factor; the
+    # floats of every case's trials are pooled per signed block, then per level
+    # tuple, as stacked matmuls that make each trial's own dot and gemv (a gemm
+    # across trials would round differently), and max(x) - 2^-k is the max of x - 2^-k
+    picks = np.array(picks)
+    trials = len(picks) // k
+    factors = np.empty((len(picks), space.dim))
+    for pick in set(picks.tolist()):
+        at = np.flatnonzero(picks == pick)
+        coeff = np.stack([draws[i] for i in at])
+        unit = coeff / np.sqrt(coeff[:, None, :] @ coeff[:, :, None])[:, 0]
+        factors[at] = (signed_blocks[pick] @ unit[:, :, None])[:, :, 0]
+    factors = factors.reshape(trials, k, space.dim)
+    levels = (picks % space.t).reshape(trials, k)
+    tops = []
+    for js in set(map(tuple, levels.tolist())):
+        at = np.flatnonzero((levels == js).all(axis=1))
+        psi = factors[at, 0]
+        for i in range(1, k):
+            psi = (psi[:, :, None] * factors[at, i][:, None, :]).reshape(len(at), -1)
+        for block in frame.answer_blocks[js]:
+            proj = block.T @ psi[:, :, None]
+            tops.append(float((np.swapaxes(proj, 1, 2) @ proj).max()))
+    return subspace.SuccessBoundReport(
+        span_excess=span_excess,
+        run_excess=run_excess,
+        projection_excess=subspace._worst(0.0, subspace._worst(*tops) - 1.0 / 2**k),
+    )
+
+
+class TestVacuousSpanSkip:
+    """verify_suite's bounds call, which skips the span product where the bound
+    is at least 1, against the form that computes it at every m: every excess
+    bit for bit (as float.hex) and every case's Generator end state, at the
+    bench's cells and at (4, 2, 3).  A passing suite's span excess is 0.0 or a
+    rounding error; the lowered variant takes 10 off every bound, so every span
+    excess is positive and the one at m = k is computed again."""
+
+    @pytest.mark.parametrize("lowered", [False, True])
+    @pytest.mark.parametrize("seed", [0, 7919])
+    @pytest.mark.parametrize("n, t, k", [(4, 2, 1), (5, 2, 1), (6, 2, 1), (4, 2, 2), (5, 2, 2), (6, 2, 2),
+                                         (4, 2, 3)])
+    def test_matches_the_span_at_every_m(self, n, t, k, seed, lowered, monkeypatch):
+        if lowered:
+            tail = subspace._binomial_tail
+            monkeypatch.setattr(subspace, "_binomial_tail", lambda k, m: tail(k, m) - 10.0)
+        checked = []
+        real = subspace.success_probability_bounds
+
+        def spy(frame, cases):
+            ref_cases = [(masses, m, copy.deepcopy(rng)) for masses, m, rng in cases]
+            expect = bounds_with_span_at_every_m(frame, ref_cases)
+            report = real(frame, cases)
+            assert excesses(report) == excesses(expect)
+            assert [rng.stream.bit_generator.state for _, _, rng in cases] == \
+                [rng.stream.bit_generator.state for _, _, rng in ref_cases]
+            checked.append([m for _, m, _ in cases])
+            return report
+
+        monkeypatch.setattr(subspace, "success_probability_bounds", spy)
+        verify_suite(n, t, k, seed=seed, runs=9 if k < 3 else 3, depth=3)
+        assert checked == [list(range(k + 1)) * 3]   # m = k, the skipped span, among them
 
 
 def scaled_frame(frame, scale):

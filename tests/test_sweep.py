@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ineqlab import qsim, sweep
+from ineqlab import sweep
 from ineqlab.core import SeededRng, matvec_min
 from ineqlab.sweep import (
     CSV_HEADER,
@@ -66,10 +66,10 @@ class TestFamilies:
             inst = instance_hover_sqrt(rng, n, 2)
             assert int((inst.x > 0).sum()) == math.isqrt(n - 1) + 1
 
-    @pytest.mark.parametrize("n", [1, 2, 11, 12, 13, 16, 128])
+    @pytest.mark.parametrize("n", [1, 2, 11, 12, 13, 16, 128, 1024])
     @pytest.mark.parametrize("live_half", [False, True])
     def test_regular_rows_match_per_row_choice(self, n, live_half):
-        # the rows decoded in bulk are the supports of the per-row choice loop, and
+        # the rows drawn in one call are the supports of the per-row choice loop, and
         # x, b and the Generator's state afterwards are the same
         for seed in range(20):
             rng, ref = (SeededRng(seed).spawn("regular", n).stream for _ in range(2))
@@ -83,44 +83,24 @@ class TestFamilies:
             assert rng.bit_generator.state == ref.bit_generator.state, seed
             assert (inst.A.sum(axis=1) == min(n, sweep.REGULAR_ROW_NNZ)).all()
 
-    @pytest.mark.parametrize("live_half", [False, True])
-    def test_regular_rows_fall_back_on_a_flagged_draw(self, monkeypatch, live_half):
-        # a crafted 0 makes x * high = 0, which fails the fast accept: the bulk
-        # read leaves the Generator as it was opened and the per-row loop draws
-        real = qsim.StreamDraws.uint32s
-        crafted = []
-
-        def zero_one(self, count):
-            out = real(self, count)
-            out[count // 2] = 0
-            crafted.append(count)
-            return out
-
-        monkeypatch.setattr(qsim.StreamDraws, "uint32s", zero_one)
-        rng, ref = (SeededRng(5).spawn("fallback").stream for _ in range(2))
-        if live_half:
+    @pytest.mark.parametrize("halves", [0, 1, 2])
+    @pytest.mark.parametrize("highs", [[3 * 2**30 + 1] * 64, [1, 5, 1, 1, 2**32, 7, 1], [1], []])
+    def test_broadcast_integers_draw_as_scalar_calls(self, highs, halves):
+        # instance_regular rests on this numpy behaviour: a broadcast int64
+        # integers(0, highs) draws each element as the scalar integers(0, h) calls
+        # would in turn, from the same 32-bit buffer and with the same rejections,
+        # and a range of 1 draws nothing.  At h = 3 * 2**30 + 1 about a quarter
+        # of draws reject.  One 32-bit draw beforehand leaves a live high half
+        # buffered, two leave it spent
+        rng, ref = (SeededRng(9).spawn("broadcast", len(highs)).stream for _ in range(2))
+        for _ in range(halves):
             rng.integers(0, 17)
             ref.integers(0, 17)
-        inst = instance_regular(rng, 16, 2)
-        A, x, b = reference_regular(ref, 16, 2)
-        assert crafted == [16 * (12 + 11)]
-        assert np.array_equal(inst.A, A) and np.array_equal(inst.x, x) and np.array_equal(inst.b, b)
+        got = rng.integers(0, np.broadcast_to(np.array(highs, dtype=np.int64), (3, len(highs))))
+        expect = [[int(ref.integers(0, h)) for h in highs] for _ in range(3)]
+        assert got.dtype == np.int64 and got.tolist() == expect
         assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_flagged_stream_read_leaves_the_generator_as_opened(self):
-        # a draw of range r fails the fast accept with chance r / 2**32; at n = 4096
-        # the ranges of all rows sum to about 2e8, so about one seed in 20 flags one
-        n = 4096
-        for seed in range(100):
-            rng = SeededRng(seed).spawn("flagged").stream
-            opened = rng.bit_generator.state
-            A = np.zeros((n, n), dtype=np.uint8)
-            if not sweep._regular_rows(rng, A, sweep.REGULAR_ROW_NNZ):
-                break
-        else:
-            pytest.fail("no seed below 100 flags a draw")
-        assert rng.bit_generator.state == opened
-        assert not A.any()
+        assert ref.integers(0, 2**32) == rng.integers(0, 2**32)   # the buffered half agrees too
 
     def test_zero_family_is_empty(self):
         inst = instance_zero(SeededRng(13).stream, 8, 2)
