@@ -12,12 +12,21 @@ counters live at a time:
     read classically, and every open row's counter is bumped and clamped
     at its bound, closing rows that saturate.
 
+small_matrix_product runs that loop for one group, block by block; it serves
+the modes that draw, and is the reference for exact mode.  An exact count
+draws nothing and an exact window's searches draw by its length and weight
+alone, so in exact mode every group's blocks, finds and row closures follow
+from (A, x, b): the product plans them for all groups in lockstep, then
+replays them in (group, block) order, booking each block's charges and
+drawing its searches as the loop does.
+
 A classical baseline re-reads x once per row group and serves as the
 reference cost model.  check_budget compares measured query totals against
 the respective cost envelopes.
 """
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import operator
@@ -30,14 +39,17 @@ from .core import (
     ProblemInstance,
     QueryLedger,
     TAG_COUNTING,
+    TAG_GROVER,
     log2_ceil,
     matvec_min,
     value_bits,
 )
-from .qsim import MODE_EXACT, MODE_SV, StreamDraws, TapeOracle, collect_ones, count_median, _check_mode
+from .qsim import (MODE_EXACT, MODE_SV, StreamDraws, TapeOracle, collect_ones, count_median,
+                   _check_mode, _searches)
 
 SEARCH_WORKSPACE_SLACK = 8   # qubits beyond the index register per subroutine
 CLASSICAL_MODE = "classical"  # run mode of the classical baseline
+PLAN_CELLS = 2**16   # most cells of an exact-plan array: groups and rows are taken in chunks
 
 
 class SpaceTooSmall(ValueError):
@@ -230,10 +242,210 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
     return np.array(y, dtype=np.int64), tuple(blocks)
 
 
+def _row_slices(count: int, width: int) -> list[slice]:
+    """Consecutive slices of count rows, width cells each, within PLAN_CELLS cells a slice."""
+    step = max(1, PLAN_CELLS // max(1, width))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _or_into(out: np.ndarray, group: np.ndarray, rows: np.ndarray) -> None:
+    """out[g] |= the OR of the rows whose group is g: group ascends over consecutive groups,
+    each of which has a row."""
+    lo, hi = int(group[0]), int(group[-1]) + 1
+    out[lo:hi] |= np.logical_or.reduceat(rows, np.searchsorted(group, np.arange(lo, hi)), axis=0)
+
+
+def _exact_block(m: int, remaining: int, reach: int, keep: int) -> tuple[int, int]:
+    """find_block_length's exact doubling and bisection for one block: (length, its probes'
+    M summed), reach being the first length totalling at least m (remaining + 1 if none
+    does) and keep the last totalling at most 2m."""
+    probes, lo, hi, k = 0, remaining, remaining, m
+    while k < remaining:
+        k = min(2 * k, remaining)
+        probes += math.ceil(math.sqrt(k))
+        if k >= reach:
+            lo, hi = k // 2, k
+            break
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        probes += math.ceil(math.sqrt(mid))
+        if mid <= keep:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo, probes
+
+
+def _support_chunks(A: np.ndarray, x: np.ndarray, s_prime: int):
+    """Each row group's support, the columns where x and one of its rows are nonzero, in chunks
+    of consecutive groups: (first group, columns, entries per group), the columns in group then
+    column order and padded by one more, column N.  A chunk's entries, and its windows (2s' + 1
+    entries, widened up to a group's entries), stay within PLAN_CELLS cells; so does a slice of
+    groups read at once."""
+    n = x.size
+    groups, least = -(-n // s_prime), 2 * s_prime + 1
+    per_slice = max(1, PLAN_CELLS // (n + least))
+    first, parts, counts, widest = 0, [], [], least
+    for a in range(0, groups, per_slice):
+        b = min(a + per_slice, groups)
+        support = np.zeros((b - a, n), dtype=bool)
+        for i in range(s_prime):   # row i of every group at once
+            ith = A[a * s_prime + i:b * s_prime:s_prime] != 0
+            support[:len(ith)] |= ith
+        support &= x != 0
+        count = support.sum(1)
+        widest = max(widest, int(count.max()))
+        if parts and (b - first) * widest > PLAN_CELLS:
+            cols, parts = np.concatenate([*parts, [n]]), []
+            yield first, cols, np.concatenate(counts)
+            first, counts, widest = a, [], max(least, int(count.max()))
+        parts.append(np.flatnonzero(support) % n)
+        counts.append(count)
+    yield first, np.concatenate([*parts, [n]]), np.concatenate(counts)
+
+
+def _plan_chunk(A: np.ndarray, x: np.ndarray, bounds: np.ndarray, r0: int, s_prime: int,
+                support: np.ndarray, counts: np.ndarray):
+    """The blocks of a chunk of row groups (rows r0 on, with these bounds and support columns),
+    as small_matrix_product sizes and empties them in exact mode: the rows' y and each group's
+    blocks, a block being (start, length, its probes' M summed, found positions, rows closed,
+    open additions).
+
+    Each step sizes one block of every group with open rows.  It reads a window of the group's
+    support from the group's position: 2s' + 1 entries, each of mass 1 or more, doubled while
+    the open rows' sum over it neither passes 2m (m the group's rows) nor reaches the support's
+    end.  The window then holds every column of the block: a block reaching past the first sum
+    over 2m is at most m long.  Each round of windows reads A in two gathers: one over the
+    open rows and the windows marks the entries those rows hit, and one over the sized blocks'
+    entries gives each open row its block sum and nonzero count.
+    """
+    n, rows_in, gc = x.size, bounds.size, counts.size
+    pad, mass_of = support.size - 1, np.append(x[support[:-1]], 0)
+    bound, y = bounds.tolist(), [0] * rows_in
+    open_rows = [[r for r in range(lo, min(lo + s_prime, rows_in)) if bound[r] > 0]
+                 for lo in range(0, rows_in, s_prime)]
+    end = counts.cumsum().tolist()
+    ptr = [e - c for e, c in zip(end, counts.tolist())]   # each group's first entry at or past pos
+    pos, blocks = [0] * gc, [[] for _ in range(gc)]
+
+    def rows_of(groups):
+        """The open rows of groups, as rows of A, and each one's place in groups."""
+        rows, owner = [], []
+        for i, g in enumerate(groups):
+            rows += open_rows[g]
+            owner += [i] * len(open_rows[g])
+        return np.array(rows, dtype=np.int64) + r0, np.array(owner, dtype=np.intp)
+
+    step = [g for g in range(gc) if open_rows[g]]
+    while step:
+        todo, width = step, 2 * s_prime + 1
+        while todo:
+            at = np.array([ptr[g] for g in todo])[:, None] + np.arange(width)
+            at = np.where(at < np.array([end[g] for g in todo])[:, None], at, pad)
+            cols = support[at]
+            safe = np.minimum(cols, n - 1)
+            rows, owner = rows_of(todo)
+            marked = np.zeros(at.shape, dtype=bool)
+            for sl in _row_slices(rows.size, width):
+                _or_into(marked, owner[sl], A[rows[sl, None], safe[owner[sl]]] != 0)
+            mass = mass_of[at] * marked
+            wider, done = [], []
+            for i, (g, c, v) in enumerate(zip(todo, cols.tolist(), mass.tolist())):
+                p, mg = pos[g], min(s_prime, rows_in - g * s_prime)
+                remaining, total = n - p, 0
+                reach, keep = remaining + 1, remaining
+                for col, mass_k in zip(c, v):
+                    total += mass_k
+                    if reach > remaining and total >= mg:
+                        reach = col - p + 1
+                    if total > 2 * mg:
+                        keep = col - p
+                        break
+                else:
+                    if ptr[g] + width < end[g]:   # the sum may pass 2m further on
+                        wider.append(g)
+                        continue
+                length, probes = _exact_block(mg, remaining, reach, keep)
+                ahead = bisect.bisect_left(c, p + length)   # the block's entries, a prefix of the window
+                done.append((i, g, p, length, probes, ahead, [col for col, mass_k in zip(c[:ahead], v) if mass_k]))
+            if done:
+                # the open rows of these groups take their block sums and count their nonzeros in it
+                sel, groups, starts, lengths, probe_sums, aheads, founds = zip(*done)
+                sel, ahead = np.array(sel), np.array(aheads)
+                w = int(ahead.max())
+                inside = np.arange(w) < ahead[:, None]
+                weights = mass[sel, :w] * inside
+                rows, owner = rows_of(groups)
+                sums, hits = np.zeros(rows.size, dtype=np.int64), np.zeros(rows.size, dtype=np.int64)
+                for sl in _row_slices(rows.size, w):
+                    a = A[rows[sl, None], safe[sel[owner[sl]], :w]]
+                    sums[sl] = (a * weights[owner[sl]]).sum(1)
+                    hits[sl] = ((a != 0) & inside[owner[sl]]).sum(1)
+                sums, hits, k = sums.tolist(), hits.tolist(), 0
+                for g, p, length, pr, entries, found in zip(groups, starts, lengths, probe_sums, aheads, founds):
+                    still, closed, adds = [], 0, 0
+                    for r in open_rows[g]:
+                        total = y[r] + sums[k]
+                        if total >= bound[r]:
+                            y[r], closed = bound[r], closed + 1
+                        else:
+                            y[r], adds = total, adds + hits[k]
+                            still.append(r)
+                        k += 1
+                    blocks[g].append((p, length, pr, found, closed, adds))
+                    open_rows[g], ptr[g], pos[g] = still, ptr[g] + entries, p + length
+            if wider:   # no window needs more entries than the longest remaining support
+                width = min(2 * width, max(end[g] - ptr[g] for g in wider))
+            todo = wider
+        step = [g for g in step if open_rows[g] and pos[g] < n]
+    return np.array(y, dtype=np.int64), blocks
+
+
+def _exact_product(instance: ProblemInstance, s_prime: int, reps: int, draws: StreamDraws,
+                   ledger: QueryLedger) -> tuple[np.ndarray, list[tuple[BlockTrace, ...]]]:
+    """small_matrix_product over every row group in exact mode, planned before any search.
+
+    Exact sizing draws nothing, and an exact window's searches draw by its length and weight
+    alone, so the blocks, finds and row closures of every group follow from (A, x, b): they
+    are planned group chunk by chunk, and then replayed in (group, block) order, booking the
+    bounds read, the counting charge, the searches, the x read and the space record as the
+    loop books them, the searches drawing from draws.
+    """
+    n, vb, log_n = instance.n, value_bits(instance.t), log2_ceil(instance.n)
+    x_tape = TapeOracle(instance.x, ledger, "x")
+    b_tape = TapeOracle(instance.b, ledger, "b")
+    y, plans = np.zeros(n, dtype=np.int64), []
+    for first, support, counts in _support_chunks(instance.A, instance.x, s_prime):
+        r0, r1 = first * s_prime, min((first + counts.size) * s_prime, n)
+        y[r0:r1], chunk = _plan_chunk(instance.A, instance.x, instance.b[r0:r1], r0, s_prime, support, counts)
+        plans += chunk
+    traces = []
+    for lo, blocks in zip(range(0, n, s_prime), plans):
+        m = min(s_prime, n - lo)
+        b_tape.read_values(list(range(lo, lo + m)))
+        base_bits = m * (1 + 2 * vb) + 4 * log_n
+        ledger.record_space(base_bits)
+        group = []
+        for start, length, probes, found, rows_closed, open_adds in blocks:
+            if probes:
+                ledger.charge("x", TAG_COUNTING, probes * reps)
+            charged = _searches(length, [j - start for j in found], MODE_EXACT, draws, False)[1]
+            ledger.charge("x", TAG_GROVER, charged)
+            x_tape.read_values(found)
+            group.append(BlockTrace(start, length, len(found), rows_closed, open_adds, probes * reps, charged))
+            ledger.record_space(base_bits + log2_ceil(length) + SEARCH_WORKSPACE_SLACK + len(found) * log_n)
+        traces.append(tuple(group))
+    return y, traces
+
+
 def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,
                            rng: np.random.Generator,
                            reps: int | None = None) -> MatrixProductResult:
-    """Clamped product min(Ax, b) under a space budget of S bits, drawn through one StreamDraws."""
+    """Clamped product min(Ax, b) under a space budget of S bits, drawn through one StreamDraws.
+
+    Exact mode plans every group's blocks and then replays them (_exact_product); the modes
+    that draw run small_matrix_product group by group.
+    """
     _check_mode(mode)
     if mode == MODE_SV and (instance.x > 1).any():
         j = int(np.argmax(instance.x > 1))
@@ -241,14 +453,19 @@ def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,
     ledger = QueryLedger()
     n, t = instance.n, instance.t
     s_prime = quantum_row_capacity(n, S)
-    y = np.zeros(n, dtype=np.int64)
-    traces: list[tuple[BlockTrace, ...]] = []
+    reps = default_reps(n) if reps is None else reps
+    if reps < 1 or reps % 2 == 0:
+        raise ValueError("reps must be odd and positive")
     with contextlib.closing(StreamDraws(rng)) as draws:
-        for lo in range(0, n, s_prime):
-            hi = min(lo + s_prime, n)
-            y[lo:hi], blocks = small_matrix_product(instance.A[lo:hi], instance.x, instance.b[lo:hi],
-                                                    t, mode, draws, ledger, reps)
-            traces.append(blocks)
+        if mode == MODE_EXACT:
+            y, traces = _exact_product(instance, s_prime, reps, draws, ledger)
+        else:
+            y, traces = np.zeros(n, dtype=np.int64), []
+            for lo in range(0, n, s_prime):
+                hi = min(lo + s_prime, n)
+                y[lo:hi], blocks = small_matrix_product(instance.A[lo:hi], instance.x, instance.b[lo:hi],
+                                                        t, mode, draws, ledger, reps)
+                traces.append(blocks)
     correct = bool(np.array_equal(y, matvec_min(instance)))
     return MatrixProductResult(y=y, n=n, t=t, s_prime=s_prime,
                                correct=correct, ledger=ledger, group_traces=tuple(traces))

@@ -8,7 +8,10 @@ Modes:
     statevector  exact simulation of the actual iterate (small sizes only),
                  used to cross-validate the closed forms.
     exact        forced success: same control flow and charges as cost-model,
-                 but a valid 1-position is always returned when one exists.
+                 but a valid 1-position is always returned when one exists;
+                 a window's draws and charges then depend only on its length
+                 and weight, so an exact product plans its blocks first and
+                 replays their searches (see linsys).
 
 The search iterate acts on an n-element range: sign flip on marked positions
 followed by inversion about the uniform state.  With weight fraction
@@ -231,23 +234,22 @@ def _hit_thresholds(n: int, w: int) -> tuple[int, ...]:
     return tuple(math.ceil(grover_success(n, w, j) * 2**53) << 11 for j in range(caps))
 
 
-def _searches(oracle: TapeOracle, mode: str, draws: StreamDraws, once: bool) -> list[int]:
-    """grover_search run back to back, each search as if the positions found before
-    it were 0, until one reports NoSolution (or after the first, with once): the
-    found positions in discovery order.  The support is scanned once into an
-    ascending list, a find is popped from it at its drawn rank, and the charges of
-    all the searches are booked in one ledger charge when the last one ends.
+def _searches(n: int, ones: list[int], mode: str, draws: StreamDraws, once: bool,
+              bits: np.ndarray | None = None) -> tuple[list[int], int]:
+    """grover_search run back to back on an n-position window whose ascending support
+    is ones, each search as if the positions found before it were 0, until one
+    reports NoSolution (or after the first, with once): (the found positions in
+    discovery order, the queries all the searches charged).  A find is popped from
+    ones at its drawn rank; statevector attempts read and clear bits, the window's
+    bit tape.  In exact mode the draws depend only on (n, len(ones)).
     """
     _check_mode(mode)
-    n = oracle.n
     if n < 1:
         raise ValueError("range must be nonempty")
-    ones = oracle.values.nonzero()[0].tolist()   # the support (values >= 0), ascending: finds pop by rank
     budget = RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(n))
     highs = _attempt_highs(n, budget)
     need = 2 * budget + 2   # a search reads at most 2 words per attempt, unless Lemire rejects
     sv, forced = mode == MODE_SV, mode == MODE_EXACT
-    bits = oracle._bits() if sv else None   # statevector attempts read and clear the bit tape
     found, charged = [], 0
     # the attempts read the reserved words through locals, handed back even on a raise:
     # a below() or uniform-read method call per draw ran product-exact 12-16% slower
@@ -335,6 +337,13 @@ def _searches(oracle: TapeOracle, mode: str, draws: StreamDraws, once: bool) -> 
                 break
     finally:
         draws.pos, draws.half = pos, half
+    return found, charged
+
+
+def _oracle_searches(oracle: TapeOracle, mode: str, draws: StreamDraws, once: bool) -> list[int]:
+    """_searches on an oracle's window: its support scanned once, its charge booked at once."""
+    bits = oracle._bits() if mode == MODE_SV else None
+    found, charged = _searches(oracle.n, oracle.values.nonzero()[0].tolist(), mode, draws, once, bits)
     oracle.charge(charged, TAG_GROVER)
     return found
 
@@ -353,7 +362,7 @@ def grover_search(oracle: TapeOracle, mode: str, draws: StreamDraws) -> SearchOu
     sampled path ends empty-handed while a 1-position exists, a uniformly
     random valid position is returned anyway.
     """
-    found = _searches(oracle, mode, draws, once=True)
+    found = _oracle_searches(oracle, mode, draws, once=True)
     return SearchOutcome(found=found[0] if found else None)
 
 
@@ -363,7 +372,7 @@ def collect_ones(oracle: TapeOracle, mode: str, draws: StreamDraws) -> tuple[int
     one loop over the tape's support and booked in one charge.  In exact mode the
     result is exactly the support of the derived bit tape.
     """
-    return tuple(_searches(oracle, mode, draws, once=False))
+    return tuple(_oracle_searches(oracle, mode, draws, once=False))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ import bisect
 import contextlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ineqlab import linsys, qsim
 from ineqlab.core import (
+    INT64_MAX,
     InstanceError,
     ProblemInstance,
     QueryLedger,
@@ -25,6 +27,7 @@ from ineqlab.core import (
     matvec_min,
 )
 from ineqlab.linsys import (
+    BlockTrace,
     BudgetReport,
     SpaceTooSmall,
     bounded_matrix_product,
@@ -44,7 +47,6 @@ from ineqlab.qsim import (
     StreamDraws,
     TapeOracle,
     ae_outcome_pmf,
-    collect_ones,
     fold_count_pmf,
     sv_count_pmf,
 )
@@ -405,7 +407,9 @@ class TestBlockLengthMatchesReference:
     @pytest.mark.parametrize("mode", (MODE_COST, MODE_EXACT))
     def test_no_probe_builds_a_tape_oracle(self, mode, monkeypatch):
         # a probe reads its total from its block's running sum: no tape or window is
-        # built while a block is sized, and a cost-model count is given a plain int
+        # built while a block is sized, and a cost-model count is given a plain int;
+        # the exact plan sizes every block from running sums and searches each window
+        # by its length and support, so an exact product builds its x and b tapes only
         sizing, built, marks = [], [], []
         real_init, real_window = TapeOracle.__init__, TapeOracle.window
         real_sizer, real_count = linsys.find_block_length, linsys.count_median
@@ -419,48 +423,48 @@ class TestBlockLengthMatchesReference:
 
         monkeypatch.setattr(linsys, "find_block_length", sizer)
         monkeypatch.setattr(linsys, "count_median", lambda total, *a: marks.append(type(total)) or real_count(total, *a))
-        monkeypatch.setattr(TapeOracle, "__init__", lambda self, *a: built.append(bool(sizing)) or real_init(self, *a))
-        monkeypatch.setattr(TapeOracle, "window", lambda self, *a: built.append(bool(sizing)) or real_window(self, *a))
+        monkeypatch.setattr(TapeOracle, "__init__",
+                            lambda self, *a: built.append(("tape", bool(sizing))) or real_init(self, *a))
+        monkeypatch.setattr(TapeOracle, "window",
+                            lambda self, *a: built.append(("window", bool(sizing))) or real_window(self, *a))
         inst = random_instance(rng_for("noprobe-inst"), 48, 2)
         res = bounded_matrix_product(inst, 12, mode, rng_for("noprobe-run", mode))
         assert res.s_prime == 2 and res.ledger.by_subroutine[TAG_COUNTING] > 0
-        assert built and not any(built)   # the tapes and search windows, all built between sizings
-        assert marks == [] if mode == MODE_EXACT else marks and set(marks) == {int}
+        if mode == MODE_EXACT:
+            assert built == [("tape", False)] * 2 and marks == []
+        else:   # the tapes and search windows, all built between sizings
+            assert ("window", False) in built and not any(during for _, during in built)
+            assert marks and set(marks) == {int}
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_counting_charge_per_block(self, mode, monkeypatch):
-        # every sizing books its probes' M * reps in one counting charge, after its last
-        # probe; a sampled probe's M is the one count_median was given
-        sizings = []   # per sizing: [reps, its charges, its probes' M]
-        real_charge, real_sizer, real_count = QueryLedger.charge, linsys.find_block_length, linsys.count_median
-
-        def sizer(tape, start, s_prime, mode, draws, reps):
-            sizings.append([reps, [], []])
-            try:
-                return real_sizer(tape, start, s_prime, mode, draws, reps)
-            finally:
-                sizings[-1][0] = None   # closed: later charges are the search's and reads'
+        # every block books its probes' M * reps in one counting charge, before the one
+        # grover charge of its searches; a sampled probe's M is the one count_median was
+        # given, and an exact block, sized from running sums, gives count_median nothing
+        blocks = [[[], []]]   # per block: its counting charges, its probes' M
+        real_charge, real_count = QueryLedger.charge, linsys.count_median
 
         def charge(self, target, tag, count=1):
-            if sizings and sizings[-1][0] is not None:
-                sizings[-1][1].append((target, tag, count, len(sizings[-1][2])))
+            if tag == TAG_COUNTING:
+                blocks[-1][0].append((target, count))
+            elif tag == TAG_GROVER:
+                blocks.append([[], []])
             real_charge(self, target, tag, count)
 
-        monkeypatch.setattr(linsys, "find_block_length", sizer)
         monkeypatch.setattr(QueryLedger, "charge", charge)
         monkeypatch.setattr(linsys, "count_median",
-                            lambda marks, n, M, *a: sizings[-1][2].append(M) or real_count(marks, n, M, *a))
+                            lambda marks, n, M, *a: blocks[-1][1].append(M) or real_count(marks, n, M, *a))
         inst = random_instance(rng_for("onecharge-inst", mode), 48, 2, x_max=1 if mode == MODE_SV else None)
         res = bounded_matrix_product(inst, 12, mode, rng_for("onecharge-run", mode))
         traces = [block for group in res.group_traces for block in group]
-        assert len(traces) == len(sizings) and sum(1 for _, charges, _ in sizings if charges) > 10
-        for block, (_, charges, ms) in zip(traces, sizings):
-            assert len(charges) <= 1 and block.counting_queries == sum(c for _, _, c, _ in charges)
-            for target, tag, count, probes in charges:
-                reps = default_reps(48)
-                assert (target, tag) == ("x", TAG_COUNTING) and count % reps == 0 and probes == len(ms)
-                if mode != MODE_EXACT:
-                    assert count == reps * sum(ms)
+        assert blocks.pop() == [[], []]   # nothing is sized after the last search
+        assert len(traces) == len(blocks) and sum(1 for charges, _ in blocks if charges) > 10
+        reps = default_reps(48)
+        for block, (charges, ms) in zip(traces, blocks):
+            assert len(charges) <= 1 and block.counting_queries == sum(c for _, c in charges)
+            for target, count in charges:
+                assert target == "x" and count % reps == 0
+                assert count == reps * sum(ms) if mode != MODE_EXACT else ms == []
         assert res.ledger.by_subroutine[TAG_COUNTING] == sum(b.counting_queries for b in traces)
 
 
@@ -813,7 +817,7 @@ class TestBoundedMatrixProduct:
 # The next four rng.random() values and two integers(0, 2**32) after a product
 # (the second pair reads the 32-bit buffer), frozen from per-draw Generator
 # calls before the product read its stream in bulk: (x_max, after the product,
-# after a product whose third collect_ones call raised).
+# after a product whose third window's searches raised).
 STREAM_AFTER_PRODUCT = {
     MODE_EXACT: (None,
                  ([0.0014746769369509138, 0.5666564969231863, 0.45741978204150946, 0.18426791721213587],
@@ -849,22 +853,25 @@ class TestStreamAfterProduct:
     @pytest.mark.parametrize("mode", sorted(STREAM_AFTER_PRODUCT))
     def test_a_raising_product_closes_its_reader(self, mode, monkeypatch):
         # the reader is closed in a finally: the Generator is left where the
-        # draws made before the failure left it, not a fetched chunk ahead
+        # draws made before the failure left it, not a fetched chunk ahead.  The
+        # third window's searches raise before they draw, whether collect_ones runs
+        # them (the modes that draw) or the exact plan's replay does
         x_max, _, after_raise = STREAM_AFTER_PRODUCT[mode]
         inst = random_instance(rng_for("after-inst", mode), 64 if x_max is None else 32, 2, x_max)
-        calls = []
+        calls, real = [], qsim._searches
 
-        def collect_then_fail(*args):
+        def search_then_fail(*args):
             calls.append(1)
             if len(calls) == 3:
-                raise RuntimeError("third collect")
-            return collect_ones(*args)
+                raise RuntimeError("third search")
+            return real(*args)
 
-        monkeypatch.setattr(linsys, "collect_ones", collect_then_fail)
+        monkeypatch.setattr(qsim, "_searches", search_then_fail)
+        monkeypatch.setattr(linsys, "_searches", search_then_fail)
         rng = rng_for("after", mode)
-        with pytest.raises(RuntimeError, match="third collect"):
+        with pytest.raises(RuntimeError, match="third search"):
             bounded_matrix_product(inst, 8, mode, rng)
-        assert self.next_draws(rng) == after_raise
+        assert len(calls) == 3 and self.next_draws(rng) == after_raise
 
     def test_other_bit_generators_refused(self):
         inst = random_instance(rng_for("mt-inst"), 8, 2)
@@ -876,23 +883,170 @@ class TestOneReaderPerProduct:
     @pytest.mark.parametrize("mode", MODES)
     def test_each_product_opens_exactly_one_reader(self, mode, monkeypatch):
         # every search and counting draw of a product goes through the one reader
-        # it opens; the classical baseline draws nothing and opens none
-        opened = []
+        # it opens, the exact plan's replayed searches too; the classical baseline
+        # draws nothing and opens none
+        opened, searched = [], []
+        real = qsim._searches
 
         class CountingDraws(StreamDraws):
             def __init__(self, rng):
                 opened.append(rng)
                 super().__init__(rng)
 
+        def search(n, ones, mode, draws, *args):
+            searched.append(draws)
+            return real(n, ones, mode, draws, *args)
+
         monkeypatch.setattr(linsys, "StreamDraws", CountingDraws)
+        monkeypatch.setattr(qsim, "_searches", search)
+        monkeypatch.setattr(linsys, "_searches", search)
         inst = random_instance(rng_for("one-reader-inst", mode), 32, 2, 1 if mode == MODE_SV else None)
         rng = rng_for("one-reader", mode)
         res = bounded_matrix_product(inst, 8, mode, rng)
         assert opened == [rng]
+        assert len({id(draws) for draws in searched}) == 1 and type(searched[0]) is CountingDraws
         assert res.ledger.by_subroutine[TAG_COUNTING] > 0 and res.ledger.by_subroutine[TAG_GROVER] > 0
-        assert sum(len(blocks) for blocks in res.group_traces) > 1
+        assert len(searched) == sum(len(blocks) for blocks in res.group_traces) > 1
         classical_bounded_product(inst, 8)
         assert opened == [rng]
+
+
+def planned_product(instance, S, reps, draws, ledger):
+    """The exact product's plan and replay, on a caller's reader and ledger."""
+    return linsys._exact_product(instance, quantum_row_capacity(instance.n, S), reps, draws, ledger)
+
+
+def per_block_product(instance, S, reps, draws, ledger):
+    """The exact product as the per-block loop runs it: small_matrix_product group by
+    group, on one reader and one ledger."""
+    n, s_prime = instance.n, quantum_row_capacity(instance.n, S)
+    y, traces = np.zeros(n, dtype=np.int64), []
+    for lo in range(0, n, s_prime):
+        hi = min(lo + s_prime, n)
+        y[lo:hi], blocks = small_matrix_product(instance.A[lo:hi], instance.x, instance.b[lo:hi],
+                                                instance.t, MODE_EXACT, draws, ledger, reps)
+        traces.append(blocks)
+    return y, traces
+
+
+def both_exact_products(instance, S, reps, *key):
+    """For the plan and for the per-block loop, each on its own copy of one stream: y, the
+    block traces, the ledger and the order its tags were first charged, the reader's
+    position and buffered half, and the Generator's state once the reader is closed."""
+    out = []
+    for product in (planned_product, per_block_product):
+        ledger, rng = QueryLedger(), rng_for("plan-draws", *key)
+        with contextlib.closing(StreamDraws(rng)) as draws:
+            y, traces = product(instance, S, reps, draws, ledger)
+            read = (draws.dropped + draws.pos, draws.half)
+        out.append((y.tolist(), tuple(traces), ledger, list(ledger.by_subroutine), read,
+                    rng.bit_generator.state))
+    return out
+
+
+class TestExactPlanMatchesLoop:
+    """The exact product plans every group's blocks in lockstep and replays them; the
+    per-block loop of small_matrix_product is its reference, and every output, charge,
+    draw and trace must agree."""
+
+    @pytest.mark.parametrize("family", ("regular", "hover-sqrt", "uniform", "zero"))
+    def test_family_grid(self, family):
+        for n, S, t, seed in itertools.product((1, 2, 3, 7, 16, 64, 256), (1, 8, 16, 64), (1, 2, 3), (0, 1)):
+            if n == 256 and S < 64 and (seed, t if S > 1 else 2) != (0, 2):
+                continue   # s' = 1 or 2 at N = 256: every t at S = 1, one cell at S = 8 and 16
+            inst = FAMILIES[family](rng_for("plan-inst", family, n, t, seed), n, t)
+            reps = 1 + 2 * ((n + S + t + seed) % 3)
+            plan, loop = both_exact_products(inst, S, reps, family, n, S, t, seed)
+            assert plan == loop, (family, n, S, t, seed)
+
+    @pytest.mark.parametrize("cells", (1, 7, 64, 700))
+    def test_chunks_and_slices_of_any_size(self, cells, monkeypatch):
+        # tiny cell budgets put every group in its own chunk and every row in its own
+        # slice, or split a chunk's groups and a window's rows where they overflow
+        monkeypatch.setattr(linsys, "PLAN_CELLS", cells)
+        for trial in range(12):
+            rng = rng_for("plan-cells", cells, trial)
+            n, t = int(rng.integers(1, 48)), int(rng.integers(1, 4))
+            inst = random_instance(rng, n, t, density=rng.uniform(0.05, 0.9))
+            S = int(rng.integers(1, 6 * log2_ceil(n) + 1))
+            plan, loop = both_exact_products(inst, S, 3, "cells", cells, trial)
+            assert plan == loop, (cells, trial, n, S)
+
+    def test_x_all_zero(self):
+        inst = ProblemInstance(A=np.ones((9, 9), dtype=np.int64), x=np.zeros(9, dtype=np.int64),
+                               b=np.arange(9) % 3, t=2)
+        plan, loop = both_exact_products(inst, 7, 3, "x-zero")
+        assert plan == loop
+        # every group with an open row scans the whole tape as one empty block
+        assert all(blocks == (BlockTrace(0, 9, 0, 0, 0, blocks[0].counting_queries, blocks[0].grover_queries),)
+                   for blocks in plan[1] if blocks)
+
+    def test_every_b_zero(self):
+        inst = random_instance(rng_for("b-zero"), 12, 2)
+        inst = ProblemInstance(A=inst.A, x=inst.x, b=np.zeros(12, dtype=np.int64), t=2)
+        plan, loop = both_exact_products(inst, 8, 3, "b-zero")
+        assert plan == loop and plan[0] == [0] * 12 and plan[1] == ((),) * 6
+        assert plan[2].by_subroutine == {TAG_CLASSICAL: 12} and plan[4][0] == 0   # nothing drawn
+
+    def test_last_group_shorter_than_s_prime(self):
+        for n, S in ((7, 9), (10, 16), (11, 12), (13, 32)):
+            inst = random_instance(rng_for("short-last", n), n, 3)
+            assert n % quantum_row_capacity(n, S)
+            plan, loop = both_exact_products(inst, S, 5, "short-last", n)
+            assert plan == loop, (n, S)
+
+    def test_space_below_one_row_counter(self):
+        # S below ceil(log2 N): one row per group
+        inst = random_instance(rng_for("tiny-S"), 64, 2)
+        for S in range(1, log2_ceil(64)):
+            assert quantum_row_capacity(64, S) == 1
+            plan, loop = both_exact_products(inst, S, 3, "tiny-S", S)
+            assert plan == loop, S
+
+    def test_row_sums_at_the_int64_bound(self):
+        # row 0 reaches INT64_MAX = its bound at its last column, over several blocks
+        n, big = 8, INT64_MAX // 8
+        A = np.zeros((n, n), dtype=np.int64)
+        A[0] = big
+        A[0, -1] = INT64_MAX - 7 * big
+        A[1, ::3] = 5
+        inst = ProblemInstance(A=A, x=np.ones(n, dtype=np.int64), b=np.array([INT64_MAX] * 2 + [3] * 6),
+                               t=INT64_MAX)
+        plan, loop = both_exact_products(inst, 1, 3, "int64-bound")
+        assert plan == loop and plan[0][0] == INT64_MAX and len(plan[1][0]) > 2
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bad_reps_space_or_mode_refused_before_any_draw(self, mode, monkeypatch):
+        charges = []
+        monkeypatch.setattr(QueryLedger, "charge", lambda self, *args: charges.append(args))
+        inst = random_instance(rng_for("refuse-inst"), 16, 1, x_max=1)
+        zero_b = ProblemInstance(A=inst.A, x=inst.x, b=np.zeros(16, dtype=np.int64), t=1)
+        rng = rng_for("refuse", mode)
+        state = rng.bit_generator.state
+        for instance in (inst, zero_b):   # with no open row, too
+            for reps in (2, 0, -4):
+                with pytest.raises(ValueError, match="reps must be odd and positive"):
+                    bounded_matrix_product(instance, 8, mode, rng, reps)
+        with pytest.raises(SpaceTooSmall):
+            bounded_matrix_product(inst, 0, mode, rng)
+        with pytest.raises(ValueError, match="unknown mode"):
+            bounded_matrix_product(inst, 8, mode + "?", rng)
+        assert charges == [] and rng.bit_generator.state == state
+
+
+class TestExactPlanMemory:
+    @pytest.mark.parametrize("family", ("uniform", "hover-sqrt", "regular"))
+    def test_peak_below_half_of_A(self, family):
+        # the plan reads A in slices of rows, never whole, even when all 1,024 rows
+        # form one group (s' = N), whose windows are 2N + 1 entries wide
+        inst = FAMILIES[family](rng_for("plan-memory", family), 1024, 2)
+        tracemalloc.start()
+        try:
+            res = bounded_matrix_product(inst, 10 * 1024, MODE_EXACT, rng_for("plan-memory-run", family))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.s_prime == 1024 and res.correct and peak < inst.A.nbytes / 2, peak
 
 
 class TestSampledBlockMass:
