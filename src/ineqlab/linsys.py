@@ -5,9 +5,10 @@ a budget of S bits the algorithm keeps S' = max(1, floor(S / log2 N)) row
 counters live at a time:
 
   * rows are processed in groups of S';
-  * within a group, columns are scanned left to right in adaptive blocks,
-    sized by counting so each block carries roughly S'..2S' units of mass
-    of the masked tape v_j = [some open row has A[u,j] != 0] * x_j;
+  * within a group, columns are scanned left to right in adaptive blocks of
+    the masked tape v_j = [some open row has A[u,j] != 0] * x_j, each sized by
+    _block_length: double until a count reaches S', then bisect for the
+    longest length whose count stays within 2S';
   * search collects the nonzero positions of the block, their x values are
     read classically, and every open row's counter is bumped and clamped
     at its bound, closing rows that saturate.
@@ -119,61 +120,61 @@ def classical_bounded_product(instance: ProblemInstance, S: int) -> MatrixProduc
                                correct=correct, ledger=ledger, group_traces=())
 
 
-def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
-                      draws: StreamDraws, reps: int) -> int:
-    """Length of the next block [start, start+length) of the masked tape.
-
-    Doubling from s_prime grows the candidate while its mass estimate stays
-    below s_prime; a binary search then takes the longest length in the last
-    bracket whose estimate is at most 2*s_prime, or the bracket's floor if
-    none is.  Every probe is a median-of-reps count charged M*reps, M = ceil(sqrt(length)),
-    all booked in one counting charge at the end.  run[L - 1] totals the first L remaining
-    columns: a cost-model probe is one count_median call on that total, a statevector probe
-    one on its window's bits.  An exact count is the total, and as run ascends (values >= 0),
-    two searches of it decide every exact probe: reach (the first length totalling at least
-    s_prime) and keep (the last totalling at most 2*s_prime).  The tail is the block if the
-    range end is reached while sparse, unprobed if at most s_prime long.
-    """
-    _check_mode(mode)
-    if reps < 1 or reps % 2 == 0:
-        raise ValueError("reps must be odd and positive")
-    n = tape.n
-    remaining = n - start
-    if remaining <= 0:
-        raise ValueError(f"no columns left at position {start}")
-    if s_prime < 1:
-        raise ValueError("row capacity must be at least 1")
-    run = tape.values[start:].cumsum()
-    exact = mode == MODE_EXACT
-    if exact:
-        reach = int(run.searchsorted(s_prime)) + 1
-        keep = int(run.searchsorted(2 * s_prime, side="right"))
-
-    def estimate(length: int, M: int) -> float:
-        marks = tape.values[start:start + length] if mode == MODE_SV else int(run[length - 1])
-        return count_median(marks, length, M, reps, mode, draws)
-
-    charged = 0   # M of every probe
-    lo = hi = remaining   # sparse all the way to the end: the tail is the block
-    k = s_prime
+def _block_length(m: int, remaining: int, reaches, keeps) -> tuple[int, int]:
+    """The block rule for m open rows over the remaining columns: (length, its probes' M
+    summed), a probe of length L having M = ceil(sqrt(L)) = isqrt(L - 1) + 1.  Doubling from m
+    grows the candidate until reaches(L), its estimate being at least m; a binary search then
+    takes the longest length in the last bracket that keeps(L), its estimate at most 2m, or
+    the bracket's floor if none does.  If the range end is reached while sparse the tail is
+    the block, unprobed if at most m long."""
+    probes, lo, hi, k = 0, remaining, remaining, m
     while k < remaining:
         k = min(2 * k, remaining)
-        M = math.ceil(math.sqrt(k))
-        charged += M
-        if (k >= reach if exact else estimate(k, M) >= s_prime):
+        probes += math.isqrt(k - 1) + 1
+        if reaches(k):
             lo, hi = k // 2, k
             break
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        M = math.ceil(math.sqrt(mid))
-        charged += M
-        if (mid <= keep if exact else estimate(mid, M) <= 2 * s_prime):
+        probes += math.isqrt(mid - 1) + 1
+        if keeps(mid):
             lo = mid
         else:
             hi = mid - 1
-    if charged:   # the ledger keeps sums only, so one charge books every probe
-        tape.charge(charged * reps, TAG_COUNTING)
-    return lo
+    return lo, probes
+
+
+def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
+                      draws: StreamDraws, reps: int) -> int:
+    """Length of the next block [start, start+length) of the masked tape, by _block_length.
+
+    Every probe is a median-of-reps count of the first L remaining columns, charged M*reps,
+    all booked in one counting charge at the end.  A statevector probe counts its window's
+    bits; in the other modes run[L - 1] totals the window, which an exact count returns and
+    a cost-model count draws from.
+    """
+    _check_mode(mode)
+    if reps < 1 or reps % 2 == 0:
+        raise ValueError("reps must be odd and positive")
+    if not 0 <= start < tape.n:
+        raise ValueError(f"no columns left at position {start}")
+    if s_prime < 1:
+        raise ValueError("row capacity must be at least 1")
+    run, sv = tape.values[start:].cumsum(), mode == MODE_SV
+
+    # the two tests each make their probe's count, so a probe costs one Python frame
+    def reaches(k: int) -> bool:
+        return count_median(tape.values[start:start + k] if sv else int(run[k - 1]), k,
+                            math.isqrt(k - 1) + 1, reps, mode, draws) >= s_prime
+
+    def keeps(k: int) -> bool:
+        return count_median(tape.values[start:start + k] if sv else int(run[k - 1]), k,
+                            math.isqrt(k - 1) + 1, reps, mode, draws) <= 2 * s_prime
+
+    length, probes = _block_length(s_prime, run.size, reaches, keeps)
+    if probes:   # the ledger keeps sums only, so one charge books every probe
+        tape.charge(probes * reps, TAG_COUNTING)
+    return length
 
 
 def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray,
@@ -195,10 +196,13 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
     m, n = A_block.shape
     if m < 1:
         raise InstanceError("row block must hold at least one row")
+    b_block = np.asarray(b_block, dtype=np.int64)
+    if b_block.shape != (m,):
+        raise InstanceError(f"row block has {m} rows but its bounds have shape {b_block.shape}")
     if reps is None:
         reps = default_reps(n)
     x_tape = TapeOracle(x, ledger, "x")
-    b_tape = TapeOracle(np.asarray(b_block, dtype=np.int64), ledger, "b")
+    b_tape = TapeOracle(b_block, ledger, "b")
     # at most S' rows: the counters, bounds and open rows are plain ints and lists
     bounds = b_tape.read_values(list(range(m))).tolist()
     y = [0] * m
@@ -253,27 +257,6 @@ def _or_into(out: np.ndarray, group: np.ndarray, rows: np.ndarray) -> None:
     each of which has a row."""
     lo, hi = int(group[0]), int(group[-1]) + 1
     out[lo:hi] |= np.logical_or.reduceat(rows, np.searchsorted(group, np.arange(lo, hi)), axis=0)
-
-
-def _exact_block(m: int, remaining: int, reach: int, keep: int) -> tuple[int, int]:
-    """find_block_length's exact doubling and bisection for one block: (length, its probes'
-    M summed), reach being the first length totalling at least m (remaining + 1 if none
-    does) and keep the last totalling at most 2m."""
-    probes, lo, hi, k = 0, remaining, remaining, m
-    while k < remaining:
-        k = min(2 * k, remaining)
-        probes += math.ceil(math.sqrt(k))
-        if k >= reach:
-            lo, hi = k // 2, k
-            break
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        probes += math.ceil(math.sqrt(mid))
-        if mid <= keep:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo, probes
 
 
 def _support_chunks(A: np.ndarray, x: np.ndarray, s_prime: int):
@@ -365,7 +348,7 @@ def _plan_chunk(A: np.ndarray, x: np.ndarray, bounds: np.ndarray, r0: int, s_pri
                     if ptr[g] + width < end[g]:   # the sum may pass 2m further on
                         wider.append(g)
                         continue
-                length, probes = _exact_block(mg, remaining, reach, keep)
+                length, probes = _block_length(mg, remaining, reach.__le__, keep.__ge__)
                 ahead = bisect.bisect_left(c, p + length)   # the block's entries, a prefix of the window
                 done.append((i, g, p, length, probes, ahead, [col for col, mass_k in zip(c[:ahead], v) if mass_k]))
             if done:

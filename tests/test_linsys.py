@@ -188,6 +188,20 @@ class TestFindBlockLength:
         with draws_for("fb5") as draws, pytest.raises(ValueError):
             find_block_length(tape, 2, 1, MODE_EXACT, draws, reps=3)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_start_before_the_tape_refused_before_any_charge(self, mode):
+        # a negative start is refused as one past the end is, before any probe or draw
+        ledger = QueryLedger()
+        tape = TapeOracle(np.ones(8, dtype=np.int64), ledger, "x")
+        rng = rng_for("fbneg", mode)
+        state = rng.bit_generator.state
+        with contextlib.closing(StreamDraws(rng)) as draws:
+            for start in (-1, -3, -8, -9, 8, 9):
+                with pytest.raises(ValueError, match=f"^no columns left at position {start}$"):
+                    find_block_length(tape, start, 2, mode, draws, reps=3)
+        assert ledger.total == 0 and ledger.by_subroutine == {}
+        assert rng.bit_generator.state == state
+
     def test_exact_mode_mass_window_boolean_tapes(self):
         # with unit values the chosen block carries mass in [S', 2S']
         # unless the tape ran out
@@ -491,14 +505,33 @@ def reach_and_keep(values, start, s_prime):
     return (int(reached[0]) if reached.size else None), int(np.flatnonzero(totals <= 2 * s_prime)[-1])
 
 
-class TestExactSizingEdges:
-    """Exact sizing decides its probes by two searches of the remaining columns' cumulative
-    sum; these tapes put reach (first length reaching s') and keep (last length within 2s')
-    on the edges that an off-by-one or a left / right search swap would move."""
+def tape_products(values, s_prime, reps):
+    """The plan and the per-block loop (both_exact_products) on values as one exact product:
+    x = values, the first group s' all-ones rows (s' capped at the columns, which leaves the
+    tail unprobed either way) and every other row zero, b = t = the tape's total + 1, so no
+    row closes and the first group's blocks are sized over the whole tape."""
+    n = len(values)
+    s_prime = min(s_prime, n)
+    A = np.zeros((n, n), dtype=np.int64)
+    A[:s_prime] = 1
+    t = int(sum(values)) + 1
+    inst = ProblemInstance(A=A, x=np.asarray(values, dtype=np.int64), b=np.full(n, t), t=t)
+    return both_exact_products(inst, s_prime * log2_ceil(n), reps, "edge")
 
-    def check(self, values, start, s_prime, reps=3, pad=()):
+
+class TestExactSizingEdges:
+    """Exact sizing stops doubling at reach, the first length whose total reaches s', and
+    bisects down to keep, the last length whose total is within 2s'.  find_block_length
+    reads every total from the remaining columns' running sum, and the plan reads reach and
+    keep off each window of the group's support; these tapes put both on the edges that an
+    off-by-one would move, and run each from start through the plan as well."""
+
+    def check(self, values, start, s_prime, reps=3, pad=(), plan=True):
         ours, ref = exact_pair(values, start, s_prime, reps, pad)
         assert ours == ref, (values, start, s_prime, reps, pad)
+        if plan:
+            planned, loop = tape_products(values[start:], s_prime, reps)
+            assert planned == loop and planned[1][0][0].length == ours[0], (values, start, s_prime, reps)
         return ours
 
     def test_total_never_reaches_s_prime(self):
@@ -565,12 +598,13 @@ class TestExactSizingEdges:
                     self.check(values, col % 4, 2, pad=pad)
 
     def test_every_small_tape(self):
-        # every tape of up to 6 columns over {0, 1, 3}, every start, s' in 1..3 and reps 1 or 5
+        # every tape of up to 6 columns over {0, 1, 3}, every start, s' in 1..3 and reps 1 or 5;
+        # every suffix is itself a tape of the enumeration, so the plan runs from start 0 only
         for n in range(1, 7):
             for values in itertools.product((0, 1, 3), repeat=n):
                 for start in range(n):
                     for s_prime in (1, 2, 3):
-                        self.check(values, start, s_prime, reps=1 + 4 * (sum(values) % 2))
+                        self.check(values, start, s_prime, reps=1 + 4 * (sum(values) % 2), plan=start == 0)
 
 
 def bisected_block_length(tape, start, s_prime, reps):
@@ -598,8 +632,9 @@ def bisected_block_length(tape, start, s_prime, reps):
 
 
 class TestExactSizingFromColumnSums:
-    """Exact sizing searches the cumulative sum of the remaining columns; it must give the
-    lengths and counting charges that bisecting the tape's running sums gave."""
+    """Exact sizing compares each probe's total, read from the remaining columns' running
+    sum, with s' and 2s'; it must give the lengths and counting charges that bisecting the
+    tape's running sums for reach and keep gave."""
 
     @pytest.mark.parametrize("s_prime", (1, 2, 5))
     def test_matches_bisected_running_sums(self, s_prime):
@@ -686,6 +721,18 @@ class TestSmallMatrixProduct:
             small_matrix_product(A, x, b, 2, MODE_EXACT, draws, ledger)
         # one classical b read plus one classical x read per found position
         assert ledger.by_subroutine[TAG_CLASSICAL] == 1 + 2
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bounds", ([1, 1, 1], [1], [], [[1, 1]]))
+    def test_bounds_not_one_per_row_refused_before_any_charge(self, mode, bounds):
+        ledger = QueryLedger()
+        rng = rng_for("smb", mode)
+        state = rng.bit_generator.state
+        with contextlib.closing(StreamDraws(rng)) as draws, pytest.raises(InstanceError, match="2 rows"):
+            small_matrix_product(np.ones((2, 5), dtype=np.int64), np.ones(5, dtype=np.int64),
+                                 np.array(bounds, dtype=np.int64), 1, mode, draws, ledger, 3)
+        assert ledger.total == 0 and ledger.by_subroutine == {}
+        assert rng.bit_generator.state == state
 
     def test_shape_mismatch_rejected(self):
         with draws_for("smx") as draws, pytest.raises(Exception):
