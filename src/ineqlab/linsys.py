@@ -18,8 +18,9 @@ the modes that draw, and is the reference for exact mode.  An exact count
 draws nothing and an exact window's searches draw by its length and weight
 alone, so in exact mode every group's blocks, finds and row closures follow
 from (A, x, b): the product plans them for all groups in lockstep, then
-replays them in (group, block) order, booking each block's charges and
-drawing its searches as the loop does.
+replays their searches in (group, block) order, and books once per product
+the bounds read, one charge per tag, the x read and the space record that
+the loop books per group and block.
 
 A classical baseline re-reads x once per row group and serves as the
 reference cost model.  check_budget compares measured query totals against
@@ -35,18 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    InstanceError,
-    ProblemInstance,
-    QueryLedger,
-    TAG_COUNTING,
-    TAG_GROVER,
-    log2_ceil,
-    matvec_min,
-    value_bits,
-)
-from .qsim import (MODE_EXACT, MODE_SV, StreamDraws, TapeOracle, collect_ones, count_median,
-                   _check_mode, _searches)
+from .core import (InstanceError, ProblemInstance, QueryLedger, TAG_COUNTING, TAG_GROVER, log2_ceil,
+                   matvec_min, value_bits)
+from .qsim import (MODE_EXACT, MODE_SV, StreamDraws, TapeOracle, check_reps, collect_ones,
+                   count_median, _check_mode, _searches)
 
 SEARCH_WORKSPACE_SLACK = 8   # qubits beyond the index register per subroutine
 CLASSICAL_MODE = "classical"  # run mode of the classical baseline
@@ -62,18 +55,23 @@ def default_reps(n: int) -> int:
     return 2 * math.ceil(1.5 * log2_ceil(n)) + 1
 
 
-def quantum_row_capacity(n: int, S: int) -> int:
-    """Rows whose index bookkeeping fits the budget: max(1, S // log2 N)."""
+def _space_bits(S) -> int:
+    """A space budget as a Python int, refused unless a positive int or numpy integer (a bool or float is not)."""
+    if isinstance(S, bool) or not isinstance(S, (int, np.integer)):
+        raise InstanceError(f"space budget must be a whole number of bits, not {S!r}")
     if S < 1:
         raise SpaceTooSmall(f"space budget {S} < 1")
-    return max(1, min(n, S // log2_ceil(n)))
+    return int(S)
+
+
+def quantum_row_capacity(n: int, S: int) -> int:
+    """Rows whose index bookkeeping fits the budget: max(1, S // log2 N)."""
+    return max(1, min(n, _space_bits(S) // log2_ceil(n)))
 
 
 def classical_row_capacity(n: int, S: int, t: int) -> int:
     """Counter-width capacity of the classical baseline: S / log2(t+1)."""
-    if S < 1:
-        raise SpaceTooSmall(f"space budget {S} < 1")
-    return max(1, min(n, int(S / math.log2(t + 1))))
+    return max(1, min(n, int(_space_bits(S) / math.log2(t + 1))))
 
 
 @dataclass(frozen=True)
@@ -154,8 +152,7 @@ def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
     a cost-model count draws from.
     """
     _check_mode(mode)
-    if reps < 1 or reps % 2 == 0:
-        raise ValueError("reps must be odd and positive")
+    reps = check_reps(reps)
     if not 0 <= start < tape.n:
         raise ValueError(f"no columns left at position {start}")
     if s_prime < 1:
@@ -199,8 +196,7 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
     b_block = np.asarray(b_block, dtype=np.int64)
     if b_block.shape != (m,):
         raise InstanceError(f"row block has {m} rows but its bounds have shape {b_block.shape}")
-    if reps is None:
-        reps = default_reps(n)
+    reps = default_reps(n) if reps is None else reps
     x_tape = TapeOracle(x, ledger, "x")
     b_tape = TapeOracle(b_block, ledger, "b")
     # at most S' rows: the counters, bounds and open rows are plain ints and lists
@@ -390,34 +386,36 @@ def _exact_product(instance: ProblemInstance, s_prime: int, reps: int, draws: St
 
     Exact sizing draws nothing, and an exact window's searches draw by its length and weight
     alone, so the blocks, finds and row closures of every group follow from (A, x, b): they
-    are planned group chunk by chunk, and then replayed in (group, block) order, booking the
-    bounds read, the counting charge, the searches, the x read and the space record as the
-    loop books them, the searches drawing from draws.
+    are planned group chunk by chunk from one read of all N bounds, then their searches are
+    replayed in (group, block) order, drawing from draws.  A ledger keeps sums, tag order and
+    a high-water mark, so what the loop books per block is booked once per product: one
+    counting and one grover charge, in that order, one read of every found column of x,
+    and the largest space record.
     """
     n, vb, log_n = instance.n, value_bits(instance.t), log2_ceil(instance.n)
-    x_tape = TapeOracle(instance.x, ledger, "x")
-    b_tape = TapeOracle(instance.b, ledger, "b")
+    bounds = TapeOracle(instance.b, ledger, "b").read_values(np.arange(n))
     y, plans = np.zeros(n, dtype=np.int64), []
     for first, support, counts in _support_chunks(instance.A, instance.x, s_prime):
         r0, r1 = first * s_prime, min((first + counts.size) * s_prime, n)
-        y[r0:r1], chunk = _plan_chunk(instance.A, instance.x, instance.b[r0:r1], r0, s_prime, support, counts)
+        y[r0:r1], chunk = _plan_chunk(instance.A, instance.x, bounds[r0:r1], r0, s_prime, support, counts)
         plans += chunk
-    traces = []
+    traces, found_all, probes_all, grover, space = [], [], 0, 0, 0
     for lo, blocks in zip(range(0, n, s_prime), plans):
-        m = min(s_prime, n - lo)
-        b_tape.read_values(list(range(lo, lo + m)))
-        base_bits = m * (1 + 2 * vb) + 4 * log_n
-        ledger.record_space(base_bits)
-        group = []
+        base_bits, workspace, group = min(s_prime, n - lo) * (1 + 2 * vb) + 4 * log_n, 0, []
         for start, length, probes, found, rows_closed, open_adds in blocks:
-            if probes:
-                ledger.charge("x", TAG_COUNTING, probes * reps)
             charged = _searches(length, [j - start for j in found], MODE_EXACT, draws, False)[1]
-            ledger.charge("x", TAG_GROVER, charged)
-            x_tape.read_values(found)
             group.append(BlockTrace(start, length, len(found), rows_closed, open_adds, probes * reps, charged))
-            ledger.record_space(base_bits + log2_ceil(length) + SEARCH_WORKSPACE_SLACK + len(found) * log_n)
+            found_all += found
+            probes_all, grover = probes_all + probes, grover + charged
+            workspace = max(workspace, log2_ceil(length) + SEARCH_WORKSPACE_SLACK + len(found) * log_n)
         traces.append(tuple(group))
+        space = max(space, base_bits + workspace)
+    # counting first, as in the loop: a group's first block is unprobed only if s' >= N, where none is
+    for tag, count in ((TAG_COUNTING, probes_all * reps), (TAG_GROVER, grover)):
+        if count:
+            ledger.charge("x", tag, count)
+    TapeOracle(instance.x, ledger, "x").read_values(np.array(found_all, dtype=np.int64))
+    ledger.record_space(space)
     return y, traces
 
 
@@ -436,9 +434,7 @@ def bounded_matrix_product(instance: ProblemInstance, S: int, mode: str,
     ledger = QueryLedger()
     n, t = instance.n, instance.t
     s_prime = quantum_row_capacity(n, S)
-    reps = default_reps(n) if reps is None else reps
-    if reps < 1 or reps % 2 == 0:
-        raise ValueError("reps must be odd and positive")
+    reps = default_reps(n) if reps is None else check_reps(reps)
     with contextlib.closing(StreamDraws(rng)) as draws:
         if mode == MODE_EXACT:
             y, traces = _exact_product(instance, s_prime, reps, draws, ledger)
@@ -471,10 +467,6 @@ class BudgetReport:
     flagged: bool
 
 
-def _log2_at_least_one(n: int) -> float:
-    return max(1.0, math.log2(n))
-
-
 def check_budget(ledger: QueryLedger, n: int, t: int, S: int,
                  family: str) -> BudgetReport:
     """Ratio of measured total queries to the family's cost envelope.
@@ -490,7 +482,7 @@ def check_budget(ledger: QueryLedger, n: int, t: int, S: int,
     T = ledger.total
     if family == "quantum":
         usable = min(max(S, log2_ceil(n)), n * log2_ceil(n))
-        env = (n**1.5 * math.sqrt(t) * _log2_at_least_one(n)**2.5
+        env = (n**1.5 * math.sqrt(t) * max(1.0, math.log2(n))**2.5
                / math.sqrt(usable))
         cap = QUANTUM_RATIO_CAP
     elif family == "classical":

@@ -57,6 +57,15 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
+def check_reps(reps) -> int:
+    """reps as a Python int, refused unless an odd positive int or numpy integer (a bool or float is not)."""
+    if type(reps) is int and reps > 0 and reps & 1:   # not a bool; the quick test, as every probe checks reps
+        return reps
+    if isinstance(reps, np.integer) and reps > 0 and reps % 2:
+        return int(reps)
+    raise ValueError(f"reps must be odd and positive, an int or numpy integer, not {reps!r}")
+
+
 class TapeOracle:
     """Nonnegative integer tape with query charging.
 
@@ -478,8 +487,7 @@ def count_median(marks: int | np.ndarray, n: int, M: int, reps: int, mode: str, 
     threshold stops.  An exact count draws nothing and returns the total.
     """
     _check_mode(mode)
-    if reps < 1 or reps % 2 == 0:
-        raise ValueError("reps must be odd and positive")
+    check_reps(reps)
     if M < 1:
         raise ValueError("M must be positive")
     if n < 1:

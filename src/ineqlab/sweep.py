@@ -16,7 +16,7 @@ import numpy as np
 from .core import ProblemInstance, SeededRng
 from .linsys import (CLASSICAL_MODE, MatrixProductResult, bounded_matrix_product,
                      classical_bounded_product)
-from .qsim import MODES
+from .qsim import MODES, check_reps
 
 RUN_MODES = MODES + (CLASSICAL_MODE,)
 
@@ -132,8 +132,8 @@ class SweepConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.seeds < 0:
             raise ValueError("seeds must be nonnegative")
-        if self.reps is not None and (self.reps < 1 or self.reps % 2 == 0):
-            raise ValueError("reps must be odd and positive")
+        if self.reps is not None:
+            object.__setattr__(self, "reps", check_reps(self.reps))
         for n in self.n_values:
             if n < 1:
                 raise ValueError("N values must be positive")

@@ -89,6 +89,8 @@ TRACE_DIGESTS = {
     ("hover-sqrt", 64, 2, 16, "cost-model"): "dab05b68042c0f35d37c62f584c235909fa0c2f1b0ee21952d5ca6f8c387f328",
     ("regular", 128, 2, 32, "exact"): "41fbd7335d40eb2e6ca8d02963a072e1c9f8728ccaf91c8587645928054c077d",
     ("regular", 128, 2, 32, "cost-model"): "1ac3fe0c7e6d6e3f6b82fce16703d85130b5e37b5ec6e1237f37c050f288ea2f",
+    # s' = 1 at N = 1,024: the exact plan takes its row groups in 8 chunks
+    ("uniform", 1024, 2, 8, "exact"): "a1a4c6dce29443147e1b5c310abafc03ff49273f508c13d4bf2e4e008c5f0d05",
 }
 
 # the product-exact bench cell: hover-sqrt (256, 2, 16) in exact mode at reps 5

@@ -6,6 +6,7 @@ that mention them.
 """
 import bisect
 import contextlib
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -268,7 +269,7 @@ class TestFindBlockLength:
         assert a == b
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("reps", (2, 0, -4))
+    @pytest.mark.parametrize("reps", (2, 0, -4, 3.0, np.float64(5), True))
     def test_even_or_nonpositive_reps_refused_before_any_charge(self, mode, reps):
         # a short tail takes no probe, so the refusal must not wait for one
         ledger = QueryLedger()
@@ -452,9 +453,10 @@ class TestBlockLengthMatchesReference:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_counting_charge_per_block(self, mode, monkeypatch):
-        # every block books its probes' M * reps in one counting charge, before the one
-        # grover charge of its searches; a sampled probe's M is the one count_median was
-        # given, and an exact block, sized from running sums, gives count_median nothing
+        # a sampled block books its probes' M * reps in one counting charge, before the one
+        # grover charge of its searches, a probe's M being the one count_median was given;
+        # an exact block, sized from running sums, gives count_median nothing, and the exact
+        # product books every block's probes, and every search, in one charge per tag
         blocks = [[[], []]]   # per block: its counting charges, its probes' M
         real_charge, real_count = QueryLedger.charge, linsys.count_median
 
@@ -471,14 +473,18 @@ class TestBlockLengthMatchesReference:
         inst = random_instance(rng_for("onecharge-inst", mode), 48, 2, x_max=1 if mode == MODE_SV else None)
         res = bounded_matrix_product(inst, 12, mode, rng_for("onecharge-run", mode))
         traces = [block for group in res.group_traces for block in group]
-        assert blocks.pop() == [[], []]   # nothing is sized after the last search
-        assert len(traces) == len(blocks) and sum(1 for charges, _ in blocks if charges) > 10
         reps = default_reps(48)
-        for block, (charges, ms) in zip(traces, blocks):
-            assert len(charges) <= 1 and block.counting_queries == sum(c for _, c in charges)
-            for target, count in charges:
-                assert target == "x" and count % reps == 0
-                assert count == reps * sum(ms) if mode != MODE_EXACT else ms == []
+        if mode == MODE_EXACT:
+            assert all(ms == [] for _, ms in blocks) and sum(1 for b in traces if b.counting_queries) > 10
+            assert all(block.counting_queries % reps == 0 for block in traces)
+            assert res.ledger.by_subroutine[TAG_GROVER] == sum(b.grover_queries for b in traces)
+        else:
+            assert blocks.pop() == [[], []]   # nothing is sized after the last search
+            assert len(traces) == len(blocks) and sum(1 for charges, _ in blocks if charges) > 10
+            for block, (charges, ms) in zip(traces, blocks):
+                assert len(charges) <= 1 and block.counting_queries == sum(c for _, c in charges)
+                for target, count in charges:
+                    assert target == "x" and count % reps == 0 and count == reps * sum(ms)
         assert res.ledger.by_subroutine[TAG_COUNTING] == sum(b.counting_queries for b in traces)
 
 
@@ -1071,14 +1077,88 @@ class TestExactPlanMatchesLoop:
         rng = rng_for("refuse", mode)
         state = rng.bit_generator.state
         for instance in (inst, zero_b):   # with no open row, too
-            for reps in (2, 0, -4):
+            for reps in (2, 0, -4, 3.0, 2.5, np.float64(5), True):
                 with pytest.raises(ValueError, match="reps must be odd and positive"):
                     bounded_matrix_product(instance, 8, mode, rng, reps)
         with pytest.raises(SpaceTooSmall):
             bounded_matrix_product(inst, 0, mode, rng)
+        for S in (16.5, 16.0, np.float64(16), True):
+            with pytest.raises(InstanceError, match="whole number of bits"):
+                bounded_matrix_product(inst, S, mode, rng)
         with pytest.raises(ValueError, match="unknown mode"):
             bounded_matrix_product(inst, 8, mode + "?", rng)
         assert charges == [] and rng.bit_generator.state == state
+
+
+class TestReplayBooksPerProduct:
+    @pytest.mark.parametrize("n, S", ((64, 1), (48, 8), (40, 20)))
+    def test_two_reads_one_charge_per_tag_one_space_record(self, n, S, monkeypatch):
+        # a low cell budget splits the plan into chunks; however many groups and blocks
+        # they hold, the replay reads the bounds and the found x values once each, charges
+        # each (target, tag) once and records its space once, with the loop's ledger
+        monkeypatch.setattr(linsys, "PLAN_CELLS", 256)
+        calls = {"chunks": 0, "reads": 0, "space": 0, "charges": []}
+        real_chunk, real_read = linsys._plan_chunk, TapeOracle.read_values
+        real_charge, real_space = QueryLedger.charge, QueryLedger.record_space
+
+        def counted(key, real):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(linsys, "_plan_chunk", counted("chunks", real_chunk))
+        monkeypatch.setattr(TapeOracle, "read_values", counted("reads", real_read))
+        monkeypatch.setattr(QueryLedger, "record_space", counted("space", real_space))
+        monkeypatch.setattr(QueryLedger, "charge", lambda self, target, tag, count=1:
+                            calls["charges"].append((target, tag)) or real_charge(self, target, tag, count))
+        inst = random_instance(rng_for("per-product-inst", n, S), n, 2, density=0.3)
+        res = bounded_matrix_product(inst, S, MODE_EXACT, rng_for("per-product", n, S))
+        assert calls["chunks"] > 1 and len(res.group_traces) > 2 and res.correct
+        assert sum(map(len, res.group_traces)) > len(res.group_traces)
+        assert calls["reads"] == 2 and calls["space"] == 1
+        assert len(calls["charges"]) == len(set(calls["charges"])) == 4   # b and x reads, counting, grover
+        plan, loop = both_exact_products(inst, S, default_reps(n), "per-product", n, S)
+        assert plan == loop
+
+
+class TestWholeNumberArguments:
+    """reps and the space budget are refused unless of int or numpy integer type, and a numpy
+    integer runs as the Python int it equals."""
+
+    @pytest.mark.parametrize("mode", (MODE_COST, MODE_EXACT))
+    def test_numpy_reps_runs_as_int(self, mode):
+        inst = random_instance(rng_for("numpy-reps-inst"), 32, 2)
+        plain = bounded_matrix_product(inst, 10, mode, rng_for("numpy-reps", mode), 3)
+        res = bounded_matrix_product(inst, 10, mode, rng_for("numpy-reps", mode), np.int64(3))
+        assert res.ledger == plain.ledger and res.group_traces == plain.group_traces
+        assert all(type(v) is int for v in res.ledger.by_subroutine.values())
+        assert all(type(f) is int for group in res.group_traces for block in group
+                   for f in dataclasses.astuple(block))
+
+    @pytest.mark.parametrize("S", (16.5, 16.0, np.float64(16), True))
+    def test_float_or_bool_space_refused(self, S, monkeypatch):
+        # bounded_matrix_product refuses these before any draw (TestExactPlanMatchesLoop)
+        charges = []
+        monkeypatch.setattr(QueryLedger, "charge", lambda self, *args: charges.append(args))
+        inst = random_instance(rng_for("whole-space-inst"), 16, 2)
+        for capacity in (lambda: quantum_row_capacity(16, S), lambda: classical_row_capacity(16, S, 2),
+                         lambda: classical_bounded_product(inst, S)):
+            with pytest.raises(InstanceError, match="whole number of bits"):
+                capacity()
+        assert charges == []
+
+    def test_numpy_space_runs_as_int(self):
+        inst = random_instance(rng_for("numpy-space-inst"), 32, 2)
+        assert type(quantum_row_capacity(32, np.int64(16))) is int
+        assert type(classical_row_capacity(32, np.uint8(16), 2)) is int
+        plain, res = classical_bounded_product(inst, 16), classical_bounded_product(inst, np.int64(16))
+        assert type(res.s_prime) is int and res.ledger == plain.ledger and np.array_equal(res.y, plain.y)
+        for mode in (MODE_COST, MODE_EXACT):
+            plain = bounded_matrix_product(inst, 16, mode, rng_for("numpy-space", mode))
+            res = bounded_matrix_product(inst, np.int64(16), mode, rng_for("numpy-space", mode))
+            assert type(res.s_prime) is int and res.ledger == plain.ledger
+            assert res.group_traces == plain.group_traces and np.array_equal(res.y, plain.y)
 
 
 class TestExactPlanMemory:

@@ -1081,6 +1081,9 @@ REFUSED_COUNTS = {
     "reps-even": (1, 4, 4, 2, MODE_COST),
     "reps-0": (1, 4, 4, 0, MODE_COST),
     "reps-negative": (1, 4, 4, -3, MODE_EXACT),
+    "reps-float": (1, 4, 4, 3.0, MODE_COST),
+    "reps-float-exact": (1, 4, 4, 3.0, MODE_EXACT),
+    "reps-bool": (1, 4, 4, True, MODE_COST),
     "M-0": (1, 4, 0, 3, MODE_COST),
     "M-negative": (1, 4, -2, 3, MODE_SV),
     "sv-value-2": (np.array([1, 2, 0, 1]), 4, 4, 3, MODE_SV),

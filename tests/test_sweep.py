@@ -197,9 +197,21 @@ class TestSweepConfig:
             SweepConfig.from_dict({**base, "N": [0]})
         with pytest.raises(ValueError):
             SweepConfig.from_dict({**base, "t": [-1]})
-        for reps in (2, 0, -3):
-            with pytest.raises(ValueError, match="reps must be odd and positive"):
+        for reps in (2, 0, -3, True, 3.5):
+            with pytest.raises(ValueError, match="reps must be odd and positive|whole numbers"):
                 SweepConfig.from_dict({**base, "reps": reps})
+
+    def test_reps_taken_as_int(self):
+        # from_dict reads a whole JSON number as an int; the constructor refuses a float
+        # or bool and keeps a numpy integer as the int it equals
+        base = {"N": [8], "t": [1], "S": 4, "modes": ["exact"], "seeds": 1}
+        config = SweepConfig.from_dict({**base, "reps": 3.0})
+        assert type(config.reps) is int and config.reps == 3
+        fields = {f: getattr(config, f) for f in ("n_values", "t_values", "space_rule", "modes", "seeds")}
+        assert type(SweepConfig(**fields, reps=np.int64(5)).reps) is int
+        for reps in (3.0, True):
+            with pytest.raises(ValueError, match="reps must be odd and positive"):
+                SweepConfig(**fields, reps=reps)
 
     @pytest.mark.parametrize("space, message", [
         (16.9, "whole number"), (0.5, "whole number"),
