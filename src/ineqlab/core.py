@@ -132,6 +132,13 @@ def report_line(name: str, value: float, detail: str) -> CheckLine:
     return CheckLine(name, not math.isnan(value), value, detail)
 
 
+def whole_number(value, name: str, error: type[ValueError] = InstanceError) -> int:
+    """value as a Python int, refused with error unless an int or numpy integer (a bool or float is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be a whole number, not {value!r}")
+    return int(value)
+
+
 def _int64_array(values, name: str) -> np.ndarray:
     """values as int64: a dtype that casts safely takes no extra pass, any other must hold whole numbers in range."""
     arr = np.asarray(values)
@@ -159,9 +166,7 @@ class ProblemInstance:
     def __post_init__(self):
         A, x, b = _int64_array(self.A, "A"), _int64_array(self.x, "x"), _int64_array(self.b, "b")
         t = int(self.t) if isinstance(self.t, (float, np.floating)) and self.t.is_integer() else self.t
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-            raise InstanceError(f"t must be a whole number, got {self.t!r}")
-        for name, value in (("A", A), ("x", x), ("b", b), ("t", int(t))):
+        for name, value in (("A", A), ("x", x), ("b", b), ("t", whole_number(t, "t"))):
             object.__setattr__(self, name, value)
         n = A.shape[0] if A.ndim == 2 else 0
         if A.ndim != 2 or A.shape != (n, n) or n < 1:

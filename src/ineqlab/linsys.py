@@ -36,8 +36,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (InstanceError, ProblemInstance, QueryLedger, TAG_COUNTING, TAG_GROVER, log2_ceil,
-                   matvec_min, value_bits)
+from .core import (
+    InstanceError,
+    ProblemInstance,
+    QueryLedger,
+    TAG_COUNTING,
+    TAG_GROVER,
+    log2_ceil,
+    matvec_min,
+    value_bits,
+    whole_number,
+)
 from .qsim import (MODE_EXACT, MODE_SV, StreamDraws, TapeOracle, check_reps, collect_ones,
                    count_median, _check_mode, _searches)
 
@@ -56,12 +65,11 @@ def default_reps(n: int) -> int:
 
 
 def _space_bits(S) -> int:
-    """A space budget as a Python int, refused unless a positive int or numpy integer (a bool or float is not)."""
-    if isinstance(S, bool) or not isinstance(S, (int, np.integer)):
-        raise InstanceError(f"space budget must be a whole number of bits, not {S!r}")
+    """A space budget as a Python int: a whole number (core.whole_number) of at least one bit."""
+    S = whole_number(S, "space budget")
     if S < 1:
         raise SpaceTooSmall(f"space budget {S} < 1")
-    return int(S)
+    return S
 
 
 def quantum_row_capacity(n: int, S: int) -> int:
@@ -196,7 +204,8 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
     b_block = np.asarray(b_block, dtype=np.int64)
     if b_block.shape != (m,):
         raise InstanceError(f"row block has {m} rows but its bounds have shape {b_block.shape}")
-    reps = default_reps(n) if reps is None else reps
+    if reps is None:
+        reps = default_reps(n)
     x_tape = TapeOracle(x, ledger, "x")
     b_tape = TapeOracle(b_block, ledger, "b")
     # at most S' rows: the counters, bounds and open rows are plain ints and lists
@@ -467,6 +476,10 @@ class BudgetReport:
     flagged: bool
 
 
+def _log2_at_least_one(n: int) -> float:
+    return max(1.0, math.log2(n))
+
+
 def check_budget(ledger: QueryLedger, n: int, t: int, S: int,
                  family: str) -> BudgetReport:
     """Ratio of measured total queries to the family's cost envelope.
@@ -482,7 +495,7 @@ def check_budget(ledger: QueryLedger, n: int, t: int, S: int,
     T = ledger.total
     if family == "quantum":
         usable = min(max(S, log2_ceil(n)), n * log2_ceil(n))
-        env = (n**1.5 * math.sqrt(t) * max(1.0, math.log2(n))**2.5
+        env = (n**1.5 * math.sqrt(t) * _log2_at_least_one(n)**2.5
                / math.sqrt(usable))
         cap = QUANTUM_RATIO_CAP
     elif family == "classical":

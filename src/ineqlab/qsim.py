@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QueryLedger, TAG_CLASSICAL, TAG_GROVER
+from .core import QueryLedger, TAG_CLASSICAL, TAG_GROVER, whole_number
 
 MODE_COST = "cost-model"
 MODE_SV = "statevector"
@@ -58,12 +58,13 @@ def _check_mode(mode: str) -> None:
 
 
 def check_reps(reps) -> int:
-    """reps as a Python int, refused unless an odd positive int or numpy integer (a bool or float is not)."""
-    if type(reps) is int and reps > 0 and reps & 1:   # not a bool; the quick test, as every probe checks reps
+    """reps as a Python int, refused unless a whole number (core.whole_number), odd and positive."""
+    if type(reps) is int and reps > 0 and reps & 1:   # the quick test first, as every probe checks reps
         return reps
-    if isinstance(reps, np.integer) and reps > 0 and reps % 2:
-        return int(reps)
-    raise ValueError(f"reps must be odd and positive, an int or numpy integer, not {reps!r}")
+    reps = whole_number(reps, "reps", ValueError)
+    if reps < 1 or reps % 2 == 0:
+        raise ValueError("reps must be odd and positive")
+    return reps
 
 
 class TapeOracle:
@@ -487,7 +488,7 @@ def count_median(marks: int | np.ndarray, n: int, M: int, reps: int, mode: str, 
     threshold stops.  An exact count draws nothing and returns the total.
     """
     _check_mode(mode)
-    check_reps(reps)
+    reps = check_reps(reps)
     if M < 1:
         raise ValueError("M must be positive")
     if n < 1:

@@ -1118,6 +1118,16 @@ class TestCountMedian:
             assert draws.pos == 0 and draws.words == []
         assert rng.bit_generator.state == state
 
+    def test_numpy_reps_runs_as_int(self):
+        # a numpy integer reps draws as the Python int it equals, and leaves no numpy
+        # integer in the stream's position
+        outs = []
+        for reps in (3, np.int64(3)):
+            with draws_for("numpy-reps") as draws:
+                outs.append((count_median(5, 16, 4, reps, MODE_COST, draws), draws.pos))
+                assert type(draws.pos) is int
+        assert outs[0] == outs[1]
+
     def test_median_is_an_observed_estimate(self):
         values = np.zeros(16, dtype=np.int64)
         values[:7] = 1
