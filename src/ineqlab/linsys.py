@@ -18,9 +18,10 @@ the modes that draw, and is the reference for exact mode.  An exact count
 draws nothing and an exact window's searches draw by its length and weight
 alone, so in exact mode every group's blocks, finds and row closures follow
 from (A, x, b): the product plans them for all groups in lockstep, then
-replays their searches in (group, block) order, and books once per product
-the bounds read, one charge per tag, the x read and the space record that
-the loop books per group and block.
+replays their searches in (group, block) order.  Both paths size blocks with
+_block_length and search with qsim._searches on plain arrays, neither of
+which charges, and book through _book: the loop once per group, the plan
+once per product.
 
 A classical baseline re-reads x once per row group and serves as the
 reference cost model.  check_budget compares measured query totals against
@@ -47,8 +48,8 @@ from .core import (
     value_bits,
     whole_number,
 )
-from .qsim import (MODE_EXACT, MODE_SV, StreamDraws, TapeOracle, check_reps, collect_ones,
-                   count_median, _check_mode, _searches)
+from .qsim import (MODE_EXACT, MODE_SV, StreamDraws, TapeOracle, check_reps, count_median,
+                   _check_mode, _searches)
 
 SEARCH_WORKSPACE_SLACK = 8   # qubits beyond the index register per subroutine
 CLASSICAL_MODE = "classical"  # run mode of the classical baseline
@@ -150,50 +151,60 @@ def _block_length(m: int, remaining: int, reaches, keeps) -> tuple[int, int]:
     return lo, probes
 
 
-def find_block_length(tape: TapeOracle, start: int, s_prime: int, mode: str,
-                      draws: StreamDraws, reps: int) -> int:
-    """Length of the next block [start, start+length) of the masked tape, by _block_length.
+def find_block_length(values: np.ndarray, start: int, s_prime: int, mode: str,
+                      draws: StreamDraws, reps: int) -> tuple[int, int]:
+    """The next block [start, start+length) of the masked tape values, by _block_length:
+    (length, its probes' M summed).  Charges nothing: the caller books M*reps a probe.
 
-    Every probe is a median-of-reps count of the first L remaining columns, charged M*reps,
-    all booked in one counting charge at the end.  A statevector probe counts its window's
-    bits; in the other modes run[L - 1] totals the window, which an exact count returns and
-    a cost-model count draws from.
+    Every probe is a median-of-reps count of the first L remaining columns.  A statevector
+    probe counts its window's bits; in the other modes run[L - 1] totals the window, which an
+    exact count returns and a cost-model count draws from.
     """
     _check_mode(mode)
     reps = check_reps(reps)
-    if not 0 <= start < tape.n:
+    if not 0 <= start < len(values):
         raise ValueError(f"no columns left at position {start}")
     if s_prime < 1:
         raise ValueError("row capacity must be at least 1")
-    run, sv = tape.values[start:].cumsum(), mode == MODE_SV
+    run, sv = values[start:].cumsum(), mode == MODE_SV
 
     # the two tests each make their probe's count, so a probe costs one Python frame
     def reaches(k: int) -> bool:
-        return count_median(tape.values[start:start + k] if sv else int(run[k - 1]), k,
+        return count_median(values[start:start + k] if sv else int(run[k - 1]), k,
                             math.isqrt(k - 1) + 1, reps, mode, draws) >= s_prime
 
     def keeps(k: int) -> bool:
-        return count_median(tape.values[start:start + k] if sv else int(run[k - 1]), k,
+        return count_median(values[start:start + k] if sv else int(run[k - 1]), k,
                             math.isqrt(k - 1) + 1, reps, mode, draws) <= 2 * s_prime
 
-    length, probes = _block_length(s_prime, run.size, reaches, keeps)
-    if probes:   # the ledger keeps sums only, so one charge books every probe
-        tape.charge(probes * reps, TAG_COUNTING)
-    return length
+    return _block_length(s_prime, run.size, reaches, keeps)
+
+
+def _book(ledger: QueryLedger, x: np.ndarray, counting: int, grover: int, found: list[int],
+          space: int) -> None:
+    """Book a group's or a product's queries and space at once: the counting charge, then the
+    grover charge (a ledger keeps sums and the order tags were first charged), one read of
+    every found column of x, and the largest space record."""
+    for tag, count in ((TAG_COUNTING, counting), (TAG_GROVER, grover)):
+        if count:
+            ledger.charge("x", tag, count)
+    TapeOracle(x, ledger, "x").read_values(np.array(found, dtype=np.int64))
+    ledger.record_space(space)
 
 
 def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray,
                          t: int, mode: str, draws: StreamDraws,
-                         ledger: QueryLedger,
-                         reps: int | None = None) -> tuple[np.ndarray, tuple[BlockTrace, ...]]:
+                         ledger: QueryLedger, reps: int) -> tuple[np.ndarray, tuple[BlockTrace, ...]]:
     """Clamped product for one group of at most S' rows: (y_block, block traces).
 
     The group's open-row mask is frozen per block: the masked tape
     v_j = [any open row hits column j] * x_j is sized by counting, its
     support collected by search, and the x values of found positions read
-    classically before all open counters are bumped and clamped.
+    before all open counters are bumped and clamped.  The group reads its
+    bounds first and books the rest once, when its last block ends (_book).
     """
     _check_mode(mode)
+    reps = check_reps(reps)
     A_block = np.asarray(A_block, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     if A_block.ndim != 2 or A_block.shape[1] != x.size:
@@ -204,33 +215,27 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
     b_block = np.asarray(b_block, dtype=np.int64)
     if b_block.shape != (m,):
         raise InstanceError(f"row block has {m} rows but its bounds have shape {b_block.shape}")
-    if reps is None:
-        reps = default_reps(n)
-    x_tape = TapeOracle(x, ledger, "x")
-    b_tape = TapeOracle(b_block, ledger, "b")
     # at most S' rows: the counters, bounds and open rows are plain ints and lists
-    bounds = b_tape.read_values(list(range(m))).tolist()
+    bounds = TapeOracle(b_block, ledger, "b").read_values(list(range(m))).tolist()
     y = [0] * m
     open_rows = [i for i in range(m) if bounds[i] > 0]
-    vb = value_bits(t)
-    log_n = log2_ceil(n)
-    base_bits = m * (1 + 2 * vb) + 4 * log_n
-    ledger.record_space(base_bits)
+    log_n, sv = log2_ceil(n), mode == MODE_SV
+    base_bits = m * (1 + 2 * value_bits(t)) + 4 * log_n
     blocks: list[BlockTrace] = []
+    found_all, probes_all, grover, workspace = [], 0, 0, 0
     pos = 0
     closed_now = 1   # builds the first masked tape
     while pos < n and open_rows:
         if closed_now:   # the masked tape changes only when a block closes a row
             mask = (A_block[open_rows[0]] != 0 if len(open_rows) == 1
                     else np.logical_or.reduce(A_block.take(open_rows, axis=0)))
-            v_tape = TapeOracle(x * mask, ledger, "x")
-        before = ledger.total
-        length = find_block_length(v_tape, pos, m, mode, draws, reps)
-        sized = ledger.total
-        hits = collect_ones(v_tape.window(pos, pos + length), mode, draws)
-        searched = ledger.total
+            v = x * mask
+        length, probes = find_block_length(v, pos, m, mode, draws, reps)
+        window = v[pos:pos + length]
+        hits, charged = _searches(length, window.nonzero()[0].tolist(), mode, draws, False,
+                                  window > 0 if sv else None)
         found = sorted(pos + j for j in hits)
-        reads = x_tape.read_values(found).tolist()
+        reads = x.take(found).tolist()
         columns = A_block.take(found, axis=1).tolist()
         # contributions are >= 0, so closed rows stay at b; x > 0 where found, so nonzero A entries are additions
         still_open, open_adds = [], 0
@@ -242,12 +247,13 @@ def small_matrix_product(A_block: np.ndarray, x: np.ndarray, b_block: np.ndarray
         closed_now = len(open_rows) - len(still_open)
         blocks.append(BlockTrace(start=pos, length=length, found=len(found),
                                  rows_closed=closed_now, open_additions=open_adds,
-                                 counting_queries=sized - before,
-                                 grover_queries=searched - sized))
-        ledger.record_space(base_bits + log2_ceil(length)
-                            + SEARCH_WORKSPACE_SLACK + len(found) * log_n)
+                                 counting_queries=probes * reps, grover_queries=charged))
+        found_all += found
+        probes_all, grover = probes_all + probes, grover + charged
+        workspace = max(workspace, log2_ceil(length) + SEARCH_WORKSPACE_SLACK + len(found) * log_n)
         open_rows = still_open
         pos += length
+    _book(ledger, x, probes_all * reps, grover, found_all, base_bits + workspace)
     return np.array(y, dtype=np.int64), tuple(blocks)
 
 
@@ -397,9 +403,7 @@ def _exact_product(instance: ProblemInstance, s_prime: int, reps: int, draws: St
     alone, so the blocks, finds and row closures of every group follow from (A, x, b): they
     are planned group chunk by chunk from one read of all N bounds, then their searches are
     replayed in (group, block) order, drawing from draws.  A ledger keeps sums, tag order and
-    a high-water mark, so what the loop books per block is booked once per product: one
-    counting and one grover charge, in that order, one read of every found column of x,
-    and the largest space record.
+    a high-water mark, so what the loop books per group is booked once per product (_book).
     """
     n, vb, log_n = instance.n, value_bits(instance.t), log2_ceil(instance.n)
     bounds = TapeOracle(instance.b, ledger, "b").read_values(np.arange(n))
@@ -420,11 +424,8 @@ def _exact_product(instance: ProblemInstance, s_prime: int, reps: int, draws: St
         traces.append(tuple(group))
         space = max(space, base_bits + workspace)
     # counting first, as in the loop: a group's first block is unprobed only if s' >= N, where none is
-    for tag, count in ((TAG_COUNTING, probes_all * reps), (TAG_GROVER, grover)):
-        if count:
-            ledger.charge("x", tag, count)
-    TapeOracle(instance.x, ledger, "x").read_values(np.array(found_all, dtype=np.int64))
-    ledger.record_space(space)
+    # counted
+    _book(ledger, instance.x, probes_all * reps, grover, found_all, space)
     return y, traces
 
 
@@ -490,9 +491,10 @@ def check_budget(ledger: QueryLedger, n: int, t: int, S: int,
     U is the budget the rows can use: S clamped to [ceil(log2 N), N ceil(log2 N)]
     for quantum and to [log2(t+1), N log2(t+1)] for classical.  Below the lower
     edge the row capacity is already one row and past the upper one it holds
-    all N rows, so S beyond either edge changes nothing.
+    all N rows, so S beyond either edge changes nothing.  S follows the row
+    capacities' rule (_space_bits).
     """
-    T = ledger.total
+    T, S = ledger.total, _space_bits(S)
     if family == "quantum":
         usable = min(max(S, log2_ceil(n)), n * log2_ceil(n))
         env = (n**1.5 * math.sqrt(t) * _log2_at_least_one(n)**2.5

@@ -2,9 +2,9 @@
 
 Modes:
     cost-model   outcomes sampled from closed-form distributions, every oracle
-                 call charged to the ledger (a window's searches book the
-                 iterations and verification reads of their attempts at once);
-                 the workhorse.
+                 call counted (a window's searches return the iterations and
+                 verification reads of their attempts as one sum); the
+                 workhorse.
     statevector  exact simulation of the actual iterate (small sizes only),
                  used to cross-validate the closed forms.
     exact        forced success: same control flow and charges as cost-model,
@@ -20,8 +20,9 @@ Counting runs phase estimation on that iterate with an M-point grid; measuring
 y gives the estimate n * sin^2(pi y / M).  Closed-form outcome distributions
 below are exactly the distributions of those measurements; count_median
 draws all reps of a median from one (cached) law, given a probe's total (or, in
-statevector mode, its window's bits) and length, and charges nothing: block
-sizing books its probes' queries.  The subroutines draw only
+statevector mode, its window's bits) and length.  _searches and count_median
+take plain values and charge nothing: the product books their queries, and
+TapeOracle.read_values is the one charged read.  The subroutines draw only
 through the product's one StreamDraws, which reads a PCG64 Generator's raw words
 in bulk and gives the values and stream state that Generator calls would give.
 """
@@ -68,13 +69,7 @@ def check_reps(reps) -> int:
 
 
 class TapeOracle:
-    """Nonnegative integer tape with query charging.
-
-    Search subroutines see the derived bit (value > 0); counting sees the
-    aggregate value.  _bits inspects the tape without charging: it exists so
-    statevector searches can simulate their attempts, and is never used to
-    shortcut an algorithm's decisions.
-    """
+    """Nonnegative integer tape whose reads are charged to a ledger."""
 
     def __init__(self, values, ledger: QueryLedger, target: str = "x"):
         self.values = np.asarray(values, dtype=np.int64)
@@ -83,17 +78,6 @@ class TapeOracle:
         self.n = self.values.size   # a tape is never resized
         self.ledger = ledger
         self.target = target
-
-    def window(self, lo: int, hi: int) -> "TapeOracle":
-        """Sub-range view sharing the ledger; indices become window-local."""
-        if not 0 <= lo <= hi <= self.n:
-            raise IndexError(f"window [{lo}, {hi}) out of range")
-        view = object.__new__(TapeOracle)   # a slice of a checked tape needs no re-check
-        view.values, view.ledger, view.target, view.n = self.values[lo:hi], self.ledger, self.target, hi - lo
-        return view
-
-    def charge(self, count: int, tag: str) -> None:
-        self.ledger.charge(self.target, tag, count)
 
     def read_values(self, idx, tag: str = TAG_CLASSICAL) -> np.ndarray:
         """The one charged-read path: every index is checked to be an integer (a bool is not)
@@ -115,11 +99,6 @@ class TapeOracle:
         if count:   # an empty read adds no tag to the ledger
             self.ledger.charge(self.target, tag, count)
         return self.values.take(idx)
-
-    # -- uncharged simulation internals --
-
-    def _bits(self) -> np.ndarray:
-        return self.values > 0
 
 
 @dataclass(frozen=True)
@@ -350,14 +329,6 @@ def _searches(n: int, ones: list[int], mode: str, draws: StreamDraws, once: bool
     return found, charged
 
 
-def _oracle_searches(oracle: TapeOracle, mode: str, draws: StreamDraws, once: bool) -> list[int]:
-    """_searches on an oracle's window: its support scanned once, its charge booked at once."""
-    bits = oracle._bits() if mode == MODE_SV else None
-    found, charged = _searches(oracle.n, oracle.values.nonzero()[0].tolist(), mode, draws, once, bits)
-    oracle.charge(charged, TAG_GROVER)
-    return found
-
-
 def grover_search(oracle: TapeOracle, mode: str, draws: StreamDraws) -> SearchOutcome:
     """One search for a 1-position of the derived bit tape, of unknown weight.
 
@@ -372,17 +343,10 @@ def grover_search(oracle: TapeOracle, mode: str, draws: StreamDraws) -> SearchOu
     sampled path ends empty-handed while a 1-position exists, a uniformly
     random valid position is returned anyway.
     """
-    found = _oracle_searches(oracle, mode, draws, once=True)
+    bits = oracle.values > 0 if mode == MODE_SV else None
+    found, charged = _searches(oracle.n, oracle.values.nonzero()[0].tolist(), mode, draws, True, bits)
+    oracle.ledger.charge(oracle.target, TAG_GROVER, charged)
     return SearchOutcome(found=found[0] if found else None)
-
-
-def collect_ones(oracle: TapeOracle, mode: str, draws: StreamDraws) -> tuple[int, ...]:
-    """Found positions in discovery order, from repeated search with found positions
-    masked out until a search reports NoSolution (len(found) + 1 searches), run in
-    one loop over the tape's support and booked in one charge.  In exact mode the
-    result is exactly the support of the derived bit tape.
-    """
-    return tuple(_oracle_searches(oracle, mode, draws, once=False))
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,16 @@ class TestClassicalBaseline:
 
 
 def value_tape(values):
-    return TapeOracle(np.asarray(values, dtype=np.int64), QueryLedger(), "x")
+    return np.asarray(values, dtype=np.int64)
+
+
+def sizing_spy(monkeypatch):
+    """(the M of every count_median call, every ledger charge) from here on."""
+    ms, charges = [], []
+    real_count, real_charge = linsys.count_median, QueryLedger.charge
+    monkeypatch.setattr(linsys, "count_median", lambda marks, n, M, *a: ms.append(M) or real_count(marks, n, M, *a))
+    monkeypatch.setattr(QueryLedger, "charge", lambda self, *a: charges.append(a) or real_charge(self, *a))
+    return ms, charges
 
 
 class TestFindBlockLength:
@@ -167,22 +176,22 @@ class TestFindBlockLength:
         # binary search accepts the longest block with mass <= 8
         tape = value_tape([1] * 16)
         with draws_for("fb1") as draws:
-            assert find_block_length(tape, 0, 4, MODE_EXACT, draws, reps=3) == 8
+            assert find_block_length(tape, 0, 4, MODE_EXACT, draws, reps=3)[0] == 8
 
     def test_exact_range_end_variant(self):
         tape = value_tape([1] * 8)
         with draws_for("fb2") as draws:
-            assert find_block_length(tape, 0, 4, MODE_EXACT, draws, reps=3) == 8
+            assert find_block_length(tape, 0, 4, MODE_EXACT, draws, reps=3)[0] == 8
 
     def test_sparse_tail_takes_remaining_range(self):
         tape = value_tape([0] * 32)
         with draws_for("fb3") as draws:
-            assert find_block_length(tape, 5, 3, MODE_EXACT, draws, reps=3) == 27
+            assert find_block_length(tape, 5, 3, MODE_EXACT, draws, reps=3)[0] == 27
 
     def test_short_remainder_is_one_block(self):
         tape = value_tape([1, 1, 1, 1])
         with draws_for("fb4") as draws:
-            assert find_block_length(tape, 2, 5, MODE_EXACT, draws, reps=3) == 2
+            assert find_block_length(tape, 2, 5, MODE_EXACT, draws, reps=3) == (2, 0)
 
     def test_position_past_end_rejected(self):
         tape = value_tape([1, 1])
@@ -192,15 +201,13 @@ class TestFindBlockLength:
     @pytest.mark.parametrize("mode", MODES)
     def test_start_before_the_tape_refused_before_any_charge(self, mode):
         # a negative start is refused as one past the end is, before any probe or draw
-        ledger = QueryLedger()
-        tape = TapeOracle(np.ones(8, dtype=np.int64), ledger, "x")
+        tape = value_tape(np.ones(8))
         rng = rng_for("fbneg", mode)
         state = rng.bit_generator.state
         with contextlib.closing(StreamDraws(rng)) as draws:
             for start in (-1, -3, -8, -9, 8, 9):
                 with pytest.raises(ValueError, match=f"^no columns left at position {start}$"):
                     find_block_length(tape, start, 2, mode, draws, reps=3)
-        assert ledger.total == 0 and ledger.by_subroutine == {}
         assert rng.bit_generator.state == state
 
     def test_exact_mode_mass_window_boolean_tapes(self):
@@ -211,9 +218,8 @@ class TestFindBlockLength:
             n = int(rng.integers(8, 80))
             tape_vals = (rng.random(n) < 0.4).astype(np.int64)
             s_prime = int(rng.integers(1, 6))
-            tape = value_tape(tape_vals)
             with contextlib.closing(StreamDraws(rng)) as draws:
-                length = find_block_length(tape, 0, s_prime, MODE_EXACT, draws, reps=3)
+                length, _ = find_block_length(tape_vals, 0, s_prime, MODE_EXACT, draws, reps=3)
             c = int(tape_vals[:length].sum())
             assert c <= 2 * s_prime
             if length < n:  # range end not hit
@@ -227,38 +233,38 @@ class TestFindBlockLength:
             s_prime = int(rng.integers(1, 5))
             start = int(rng.integers(0, n))
             with contextlib.closing(StreamDraws(rng)) as draws:
-                length = find_block_length(value_tape(vals), start, s_prime, MODE_COST, draws, reps=3)
-            assert type(length) is int and length >= 1
+                length, probes = find_block_length(value_tape(vals), start, s_prime, MODE_COST, draws, reps=3)
+            assert type(length) is int and type(probes) is int and length >= 1
             assert start + length <= n
 
-    def test_probes_charge_counting_queries(self):
-        ledger = QueryLedger()
-        tape = TapeOracle(np.ones(64, dtype=np.int64), ledger, "x")
-        with draws_for("fbq") as draws:
-            find_block_length(tape, 0, 4, MODE_EXACT, draws, reps=3)
-        assert ledger.queries_x > 0
-        assert set(ledger.by_subroutine) == {TAG_COUNTING}
-        assert ledger.by_subroutine[TAG_COUNTING] % 3 == 0  # reps per probe
+    def test_probes_charge_counting_queries(self, monkeypatch):
+        # the sizing returns its probes' M summed, M being what each count_median call was
+        # given, and charges nothing: the product books M * reps a probe
+        ms, charges = sizing_spy(monkeypatch)
+        for mode in MODES:
+            ms.clear()
+            with draws_for("fbq", mode) as draws:
+                length, probes = find_block_length(value_tape(np.ones(64)), 0, 4, mode, draws, reps=3)
+            assert 0 < length < 64 and len(ms) > 1 and probes == sum(ms), mode
+        assert charges == []
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_short_tail_charges_no_probe(self, mode):
+    def test_short_tail_charges_no_probe(self, mode, monkeypatch):
         # at most s' columns left: the tail is the block without a counting call
-        ledger = QueryLedger()
-        tape = TapeOracle(np.ones(10, dtype=np.int64), ledger, "x")
+        ms, charges = sizing_spy(monkeypatch)
+        tape = value_tape(np.ones(10))
         with draws_for("fbt") as draws:
             for start, s_prime in ((6, 4), (6, 5), (9, 1)):
-                assert find_block_length(tape, start, s_prime, mode, draws, reps=3) == 10 - start
-        assert ledger.total == 0
+                assert find_block_length(tape, start, s_prime, mode, draws, reps=3) == (10 - start, 0)
+        assert ms == [] and charges == []
 
     def test_overflowing_bracket_takes_its_floor_without_a_probe(self):
         # s' = 2 and a mass of 9 at column 2: doubling probes 4 (mass 10, stops),
         # bisection probes 3 (mass 10 > 4); every bracket probe overflowed, so the
-        # block is the floor 2, after 2 probes of M = 2 at reps 3 = 12 queries
-        ledger = QueryLedger()
-        tape = TapeOracle(np.array([0, 1, 9, 0, 1, 0, 0, 0]), ledger, "x")
+        # block is the floor 2, after 2 probes of M = 2 (12 queries at reps 3)
+        tape = value_tape([0, 1, 9, 0, 1, 0, 0, 0])
         with draws_for("fbf") as draws:
-            assert find_block_length(tape, 0, 2, MODE_EXACT, draws, reps=3) == 2
-        assert ledger.by_subroutine == {TAG_COUNTING: 12}
+            assert find_block_length(tape, 0, 2, MODE_EXACT, draws, reps=3) == (2, 4)
 
     def test_deterministic_per_seed(self):
         vals = rng_for("fbd-data").integers(0, 2, size=50)
@@ -272,45 +278,45 @@ class TestFindBlockLength:
     @pytest.mark.parametrize("reps", (2, 0, -4, 3.0, np.float64(5), True))
     def test_even_or_nonpositive_reps_refused_before_any_charge(self, mode, reps):
         # a short tail takes no probe, so the refusal must not wait for one
-        ledger = QueryLedger()
-        tape = TapeOracle(np.ones(10, dtype=np.int64), ledger, "x")
+        tape = value_tape(np.ones(10))
         rng = rng_for("fbr", mode, reps)
         state = rng.bit_generator.state
         with contextlib.closing(StreamDraws(rng)) as draws:
             for start, s_prime in ((6, 4), (0, 2)):
                 with pytest.raises(ValueError, match="reps"):
                     find_block_length(tape, start, s_prime, mode, draws, reps)
-        assert ledger.total == 0 and ledger.by_subroutine == {}
         assert rng.bit_generator.state == state
 
 
 def window_count_median(window, M, reps, mode, draws):
     """A probe as count_median made it before sizing read one running sum per block:
-    on a fresh window, whose total it read from the window's values and whose probe
-    it charged M*reps, drawing the median from the window's law by searchsorted."""
-    total = int(window.values.sum())
+    on a fresh window, whose total it read from the window's values, drawing the median
+    from the window's law by searchsorted."""
+    total = int(window.sum())
     if mode == MODE_SV:
-        if (window.values > 1).any():
+        if (window > 1).any():
             raise ValueError("statevector counting supports bit tapes only")
-        pmf = fold_count_pmf(sv_count_pmf(window.values > 0, M), M)
+        pmf = fold_count_pmf(sv_count_pmf(window > 0, M), M)
     elif mode == MODE_COST:
-        pmf = ae_outcome_pmf(min(1.0, total / window.n), M)
-    window.charge(M * reps, TAG_COUNTING)
+        pmf = ae_outcome_pmf(min(1.0, total / window.size), M)
     if mode == MODE_EXACT:
         return float(total)
     u = draws.median_uniform(reps)
-    return float(window.n * pmf.values[qsim._choice_cdf(pmf.probs).searchsorted(u, side="right")])
+    return float(window.size * pmf.values[qsim._choice_cdf(pmf.probs).searchsorted(u, side="right")])
 
 
-def reference_block_length(tape, start, s_prime, mode, draws, reps):
+def reference_block_length(values, start, s_prime, mode, draws, reps):
     """Block sizing as it was before any probe read running sums: every probe, in
-    every mode, is one window_count_median call on a fresh window."""
-    n = tape.n
-    remaining = n - start
+    every mode, is one window_count_median call on a fresh window; (length, the
+    probes' M summed)."""
+    remaining = len(values) - start
+    probes = 0
 
     def probe(length):
-        window = tape.window(start, start + length)
-        return window_count_median(window, math.ceil(math.sqrt(length)), reps, mode, draws)
+        nonlocal probes
+        M = math.ceil(math.sqrt(length))
+        probes += M
+        return window_count_median(values[start:start + length], M, reps, mode, draws)
 
     k = s_prime
     while k < remaining:
@@ -318,7 +324,7 @@ def reference_block_length(tape, start, s_prime, mode, draws, reps):
         if probe(k) >= s_prime:
             break
     else:
-        return remaining
+        return remaining, probes
     lo, hi = k // 2, k
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -326,7 +332,7 @@ def reference_block_length(tape, start, s_prime, mode, draws, reps):
             lo = mid
         else:
             hi = mid - 1
-    return lo
+    return lo, probes
 
 
 def random_sizing_case(rng):
@@ -343,26 +349,20 @@ class TestBlockLengthMatchesReference:
             values, start, s_prime, reps = random_sizing_case(rng_for("fbref", trial))
             results = []
             for sizer in (find_block_length, reference_block_length):
-                ledger = QueryLedger()
                 with draws_for("fbref-draws", trial) as draws:
-                    length = sizer(TapeOracle(values, ledger, "x"), start, s_prime, MODE_EXACT, draws, reps)
-                results.append((length, ledger.by_subroutine, ledger.queries_x, ledger.queries_b))
+                    results.append(sizer(values, start, s_prime, MODE_EXACT, draws, reps))
             assert results[0] == results[1], trial
 
     def test_exact_mode_window_of_a_tape(self):
-        # a window's running sum is taken over its own slice, not its root's columns
+        # the running sum of a view is taken over its own slice, not its base's columns
         for trial in range(40):
             values, start, s_prime, reps = random_sizing_case(rng_for("fbwin", trial))
             pad = rng_for("fbwin-pad", trial).integers(0, 4, size=7)
             padded = np.concatenate([pad, values, pad])
-            ledger, ref_ledger = QueryLedger(), QueryLedger()
             with draws_for("fbwin-draws") as draws:
-                root = TapeOracle(padded, ledger, "x")
-                length = find_block_length(root.window(7, 7 + values.size), start, s_prime,
-                                           MODE_EXACT, draws, reps)
-                ref = reference_block_length(TapeOracle(values, ref_ledger, "x"), start, s_prime,
-                                             MODE_EXACT, draws, reps)
-            assert (length, ledger.by_subroutine) == (ref, ref_ledger.by_subroutine), trial
+                got = find_block_length(padded[7:7 + values.size], start, s_prime, MODE_EXACT, draws, reps)
+                ref = reference_block_length(values, start, s_prime, MODE_EXACT, draws, reps)
+            assert got == ref, trial
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cost_model_same_length_charges_and_stream(self, seed):
@@ -370,11 +370,10 @@ class TestBlockLengthMatchesReference:
             values, start, s_prime, reps = random_sizing_case(rng_for("fbcost", seed, trial))
             results = []
             for sizer in (find_block_length, reference_block_length):
-                ledger = QueryLedger()
                 rng = rng_for("fbcost-draws", seed, trial)
                 with contextlib.closing(StreamDraws(rng)) as draws:
-                    length = sizer(TapeOracle(values, ledger, "x"), start, s_prime, MODE_COST, draws, reps)
-                results.append((length, ledger.by_subroutine, ledger.total, rng.bit_generator.state))
+                    sized = sizer(values, start, s_prime, MODE_COST, draws, reps)
+                results.append((sized, rng.bit_generator.state))
             assert results[0] == results[1], (seed, trial)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -385,13 +384,11 @@ class TestBlockLengthMatchesReference:
             values = (values > 0).astype(np.int64)
             results = []
             for sizer in (find_block_length, reference_block_length):
-                ledger = QueryLedger()
                 rng = rng_for("fbsv-draws", seed, trial)
                 with contextlib.closing(StreamDraws(rng)) as draws:
-                    length = sizer(TapeOracle(values, ledger, "x"), start, s_prime, MODE_SV, draws, reps)
+                    sized = sizer(values, start, s_prime, MODE_SV, draws, reps)
                     read = (draws.dropped + draws.pos, draws.half)
-                results.append((length, list(ledger.by_subroutine.items()), ledger.total, read,
-                                rng.bit_generator.state))
+                results.append((sized, read, rng.bit_generator.state))
             assert results[0] == results[1], (seed, trial)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -421,12 +418,12 @@ class TestBlockLengthMatchesReference:
 
     @pytest.mark.parametrize("mode", (MODE_COST, MODE_EXACT))
     def test_no_probe_builds_a_tape_oracle(self, mode, monkeypatch):
-        # a probe reads its total from its block's running sum: no tape or window is
-        # built while a block is sized, and a cost-model count is given a plain int;
-        # the exact plan sizes every block from running sums and searches each window
-        # by its length and support, so an exact product builds its x and b tapes only
+        # a probe reads its total from its block's running sum, and a cost-model count is
+        # given a plain int; a product builds only the tapes it reads through: the per-block
+        # loop a b and an x tape per group (its bounds read and its booking), the exact
+        # plan one of each per product
         sizing, built, marks = [], [], []
-        real_init, real_window = TapeOracle.__init__, TapeOracle.window
+        real_init = TapeOracle.__init__
         real_sizer, real_count = linsys.find_block_length, linsys.count_median
 
         def sizer(*args):
@@ -439,69 +436,61 @@ class TestBlockLengthMatchesReference:
         monkeypatch.setattr(linsys, "find_block_length", sizer)
         monkeypatch.setattr(linsys, "count_median", lambda total, *a: marks.append(type(total)) or real_count(total, *a))
         monkeypatch.setattr(TapeOracle, "__init__",
-                            lambda self, *a: built.append(("tape", bool(sizing))) or real_init(self, *a))
-        monkeypatch.setattr(TapeOracle, "window",
-                            lambda self, *a: built.append(("window", bool(sizing))) or real_window(self, *a))
+                            lambda self, values, ledger, target: built.append((target, bool(sizing)))
+                            or real_init(self, values, ledger, target))
         inst = random_instance(rng_for("noprobe-inst"), 48, 2)
         res = bounded_matrix_product(inst, 12, mode, rng_for("noprobe-run", mode))
         assert res.s_prime == 2 and res.ledger.by_subroutine[TAG_COUNTING] > 0
+        groups = 1 if mode == MODE_EXACT else len(res.group_traces)
+        assert built == [("b", False), ("x", False)] * groups
         if mode == MODE_EXACT:
-            assert built == [("tape", False)] * 2 and marks == []
-        else:   # the tapes and search windows, all built between sizings
-            assert ("window", False) in built and not any(during for _, during in built)
+            assert marks == []
+        else:
             assert marks and set(marks) == {int}
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_counting_charge_per_block(self, mode, monkeypatch):
-        # a sampled block books its probes' M * reps in one counting charge, before the one
-        # grover charge of its searches, a probe's M being the one count_median was given;
-        # an exact block, sized from running sums, gives count_median nothing, and the exact
-        # product books every block's probes, and every search, in one charge per tag
-        blocks = [[[], []]]   # per block: its counting charges, its probes' M
+        # a sampled group books its blocks' probes, M * reps each with M the one count_median
+        # was given, in one counting charge after its last block; an exact block, sized from
+        # running sums, gives count_median nothing, and the exact product books every block's
+        # probes, and every search, in one charge per tag
+        groups = []   # per group, opened by its bounds read: its counting charges, its probes' M
         real_charge, real_count = QueryLedger.charge, linsys.count_median
 
         def charge(self, target, tag, count=1):
-            if tag == TAG_COUNTING:
-                blocks[-1][0].append((target, count))
-            elif tag == TAG_GROVER:
-                blocks.append([[], []])
+            if target == "b":
+                groups.append([[], []])
+            elif tag == TAG_COUNTING:
+                groups[-1][0].append(count)
             real_charge(self, target, tag, count)
 
         monkeypatch.setattr(QueryLedger, "charge", charge)
         monkeypatch.setattr(linsys, "count_median",
-                            lambda marks, n, M, *a: blocks[-1][1].append(M) or real_count(marks, n, M, *a))
+                            lambda marks, n, M, *a: groups[-1][1].append(M) or real_count(marks, n, M, *a))
         inst = random_instance(rng_for("onecharge-inst", mode), 48, 2, x_max=1 if mode == MODE_SV else None)
         res = bounded_matrix_product(inst, 12, mode, rng_for("onecharge-run", mode))
         traces = [block for group in res.group_traces for block in group]
         reps = default_reps(48)
         if mode == MODE_EXACT:
-            assert all(ms == [] for _, ms in blocks) and sum(1 for b in traces if b.counting_queries) > 10
+            assert len(groups) == 1 and groups[0][1] == [] and sum(1 for b in traces if b.counting_queries) > 10
             assert all(block.counting_queries % reps == 0 for block in traces)
             assert res.ledger.by_subroutine[TAG_GROVER] == sum(b.grover_queries for b in traces)
         else:
-            assert blocks.pop() == [[], []]   # nothing is sized after the last search
-            assert len(traces) == len(blocks) and sum(1 for charges, _ in blocks if charges) > 10
-            for block, (charges, ms) in zip(traces, blocks):
-                assert len(charges) <= 1 and block.counting_queries == sum(c for _, c in charges)
-                for target, count in charges:
-                    assert target == "x" and count % reps == 0 and count == reps * sum(ms)
+            assert len(groups) == len(res.group_traces) and sum(1 for charges, _ in groups if charges) > 10
+            for blocks, (charges, ms) in zip(res.group_traces, groups):
+                assert len(charges) <= 1 and sum(b.counting_queries for b in blocks) == sum(charges)
+                assert sum(charges) == reps * sum(ms)
         assert res.ledger.by_subroutine[TAG_COUNTING] == sum(b.counting_queries for b in traces)
 
 
 def exact_pair(values, start, s_prime, reps=3, pad=()):
-    """(length, by_subroutine) of find_block_length, on a window of values padded by
-    pad on both sides of its root, and of reference_block_length on values alone;
-    exact sizing draws nothing, so neither is given a reader."""
+    """find_block_length on a view of values padded by pad on both sides, and
+    reference_block_length on values alone: each (length, its probes' M summed); exact
+    sizing draws nothing, so neither is given a reader."""
     values, pad = np.asarray(values, dtype=np.int64), np.asarray(pad, dtype=np.int64)
-    out = []
-    for sizer, tape in ((find_block_length, np.concatenate([pad, values, pad])),
-                        (reference_block_length, values)):
-        ledger = QueryLedger()
-        oracle = TapeOracle(tape, ledger, "x")
-        if sizer is find_block_length:
-            oracle = oracle.window(pad.size, pad.size + values.size)
-        out.append((sizer(oracle, start, s_prime, MODE_EXACT, None, reps), ledger.by_subroutine))
-    return out
+    padded = np.concatenate([pad, values, pad])
+    return [find_block_length(padded[pad.size:pad.size + values.size], start, s_prime, MODE_EXACT, None, reps),
+            reference_block_length(values, start, s_prime, MODE_EXACT, None, reps)]
 
 
 def reach_and_keep(values, start, s_prime):
@@ -544,8 +533,8 @@ class TestExactSizingEdges:
         for values, start, s_prime in (([0] * 12, 0, 1), ([0, 1, 0, 0, 0, 0, 0, 0, 0, 0], 0, 2),
                                        ([5, 0, 0, 1, 0, 0, 0, 1, 0, 0], 1, 3)):
             assert reach_and_keep(np.array(values), start, s_prime)[0] is None
-            length, charges = self.check(values, start, s_prime)
-            assert length == len(values) - start and charges[TAG_COUNTING] > 0
+            length, probes = self.check(values, start, s_prime)
+            assert length == len(values) - start and probes > 0
 
     @pytest.mark.parametrize("s_prime", (1, 2, 3))
     def test_one_column_jumps_past_s_prime_or_twice_it(self, s_prime):
@@ -589,8 +578,8 @@ class TestExactSizingEdges:
 
     def test_s_prime_at_least_remaining_takes_the_tail_unprobed(self):
         for start, s_prime in ((6, 4), (6, 5), (9, 1), (0, 10), (0, 12)):
-            length, charges = self.check([3] * 10, start, s_prime)
-            assert length == 10 - start and charges == {}
+            length, probes = self.check([3] * 10, start, s_prime)
+            assert length == 10 - start and probes == 0
 
     def test_window_of_a_padded_root(self):
         # the window's running sum covers its own slice; heavy padding on both sides
@@ -613,13 +602,14 @@ class TestExactSizingEdges:
                         self.check(values, start, s_prime, reps=1 + 4 * (sum(values) % 2), plan=start == 0)
 
 
-def bisected_block_length(tape, start, s_prime, reps):
+def bisected_block_length(values, start, s_prime, reps):
     """Exact sizing as it was when reach and keep came from two bisects of the tape's
     running sums [0, *cumsum(values)]: (length, counting charge)."""
-    remaining = tape.n - start
-    sums = [0, *tape.values.cumsum().tolist()]
-    reach = bisect.bisect_left(sums, sums[start] + s_prime, start, tape.n + 1) - start
-    keep = bisect.bisect_right(sums, sums[start] + 2 * s_prime, start, tape.n + 1) - 1 - start
+    n = len(values)
+    remaining = n - start
+    sums = [0, *values.cumsum().tolist()]
+    reach = bisect.bisect_left(sums, sums[start] + s_prime, start, n + 1) - start
+    keep = bisect.bisect_right(sums, sums[start] + 2 * s_prime, start, n + 1) - 1 - start
     charged, lo, hi, k = 0, remaining, remaining, s_prime
     while k < remaining:
         k = min(2 * k, remaining)
@@ -656,14 +646,12 @@ class TestExactSizingFromColumnSums:
             for start in range(values.size):
                 past_end += reach_and_keep(values, start, s_prime)[0] is None
                 for reps in (1, 3):
-                    ref = bisected_block_length(TapeOracle(values, QueryLedger(), "x"), start, s_prime, reps)
-                    for tape_pad in ((), pad):   # the tape alone, and a window at offset pad.size
-                        ledger = QueryLedger()
-                        root = TapeOracle(np.concatenate([tape_pad, values, tape_pad]), ledger, "x")
-                        tape = root.window(len(tape_pad), len(tape_pad) + values.size)
-                        length = find_block_length(tape, start, s_prime, MODE_EXACT, None, reps)
-                        assert set(ledger.by_subroutine) <= {TAG_COUNTING}, (s_prime, start, reps)
-                        got = (length, ledger.by_subroutine.get(TAG_COUNTING, 0))
+                    ref = bisected_block_length(values, start, s_prime, reps)
+                    for tape_pad in ((), pad):   # the tape alone, and a view at offset pad.size
+                        padded = np.concatenate([tape_pad, values, tape_pad]).astype(np.int64)
+                        tape = padded[len(tape_pad):len(tape_pad) + values.size]
+                        length, probes = find_block_length(tape, start, s_prime, MODE_EXACT, None, reps)
+                        got = (length, probes * reps)
                         assert got == ref, (values.tolist(), start, s_prime, reps, len(tape_pad))
         assert past_end > 40
 
@@ -685,7 +673,7 @@ class TestSmallMatrixProduct:
             b = rng.integers(0, t + 1, size=m)
             ledger = QueryLedger()
             with contextlib.closing(StreamDraws(rng)) as draws:
-                y_block, _ = small_matrix_product(A, x, b, t, MODE_EXACT, draws, ledger)
+                y_block, _ = small_matrix_product(A, x, b, t, MODE_EXACT, draws, ledger, default_reps(n))
             ref = np.minimum(A @ x, b)
             assert np.array_equal(y_block, ref), trial
 
@@ -701,7 +689,7 @@ class TestSmallMatrixProduct:
                 b = rng.integers(1, t + 1, size=m)
                 ledger = QueryLedger()
                 with contextlib.closing(StreamDraws(rng)) as draws:
-                    _, blocks = small_matrix_product(A, x, b, t, mode, draws, ledger)
+                    _, blocks = small_matrix_product(A, x, b, t, mode, draws, ledger, default_reps(n))
                 assert sum(blk.length for blk in blocks) <= n
                 assert sum(blk.rows_closed for blk in blocks) <= m
                 assert sum(blk.open_additions for blk in blocks) <= t * m
@@ -712,7 +700,7 @@ class TestSmallMatrixProduct:
         with draws_for("smz") as draws:
             y_block, blocks = small_matrix_product(A, np.ones(10, dtype=np.int64),
                                                    np.zeros(3, dtype=np.int64), 2,
-                                                   MODE_EXACT, draws, ledger)
+                                                   MODE_EXACT, draws, ledger, 3)
         assert np.array_equal(y_block, np.zeros(3, dtype=np.int64))
         assert blocks == ()
         assert ledger.queries_b == 3
@@ -724,7 +712,7 @@ class TestSmallMatrixProduct:
         x = np.array([0, 1, 0, 0, 1, 0], dtype=np.int64)
         b = np.array([2], dtype=np.int64)
         with draws_for("smr") as draws:
-            small_matrix_product(A, x, b, 2, MODE_EXACT, draws, ledger)
+            small_matrix_product(A, x, b, 2, MODE_EXACT, draws, ledger, 3)
         # one classical b read plus one classical x read per found position
         assert ledger.by_subroutine[TAG_CLASSICAL] == 1 + 2
 
@@ -740,12 +728,56 @@ class TestSmallMatrixProduct:
         assert ledger.total == 0 and ledger.by_subroutine == {}
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bad_reps_or_mode_refused_before_anything_is_booked(self, mode):
+        # reps and mode are checked at entry: no bounds read, no space record, no draw,
+        # even for a group whose first block is a short tail that takes no probe
+        rng = rng_for("smreps", mode)
+        state = rng.bit_generator.state
+        with contextlib.closing(StreamDraws(rng)) as draws:
+            for n in (2, 10):
+                for reps, bad_mode in ((2, mode), (0, mode), (-3, mode), (3.0, mode), (True, mode), (3, mode + "?")):
+                    ledger = QueryLedger()
+                    with pytest.raises(ValueError, match="reps|unknown mode"):
+                        small_matrix_product(np.ones((2, n), dtype=np.int64), np.ones(n, dtype=np.int64),
+                                             np.full(2, 4, dtype=np.int64), 4, bad_mode, draws, ledger, reps)
+                    assert ledger == QueryLedger(), (n, reps, bad_mode)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_booking_per_group(self, mode, monkeypatch):
+        # however many blocks a group takes, it reads its bounds, then books one counting
+        # charge, one grover charge and one x read, in that order, and one space record;
+        # its block traces' counting and grover sums are those charges
+        calls, real_charge, real_space = [], QueryLedger.charge, QueryLedger.record_space
+        monkeypatch.setattr(QueryLedger, "charge", lambda self, target, tag, count=1:
+                            calls.append((target, tag, count)) or real_charge(self, target, tag, count))
+        monkeypatch.setattr(QueryLedger, "record_space", lambda self, bits:
+                            calls.append(("space",)) or real_space(self, bits))
+        blocks_seen = 0
+        for trial in range(6):
+            rng = rng_for("smbook", mode, trial)
+            m, n = int(rng.integers(1, 4)), int(rng.integers(24, 64))
+            A = (rng.random((m, n)) < 0.5).astype(np.int64)
+            x = rng.integers(0, 2 if mode == MODE_SV else 3, size=n)
+            x[0] = 1   # at least one find
+            A[:, 0] = 1
+            calls.clear()
+            with contextlib.closing(StreamDraws(rng)) as draws:
+                _, blocks = small_matrix_product(A, x, np.full(m, 3 * n), 2, mode, draws, QueryLedger(), 3)
+            counting = sum(blk.counting_queries for blk in blocks)
+            grover = sum(blk.grover_queries for blk in blocks)
+            assert calls == [("b", TAG_CLASSICAL, m), ("x", TAG_COUNTING, counting), ("x", TAG_GROVER, grover),
+                             ("x", TAG_CLASSICAL, sum(blk.found for blk in blocks)), ("space",)], (mode, trial)
+            blocks_seen += len(blocks)
+        assert blocks_seen > 12
+
     def test_shape_mismatch_rejected(self):
         with draws_for("smx") as draws, pytest.raises(Exception):
             small_matrix_product(np.ones((2, 5), dtype=np.int64),
                                  np.ones(4, dtype=np.int64),
                                  np.ones(2, dtype=np.int64), 1,
-                                 MODE_EXACT, draws, QueryLedger())
+                                 MODE_EXACT, draws, QueryLedger(), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +939,8 @@ class TestStreamAfterProduct:
     def test_a_raising_product_closes_its_reader(self, mode, monkeypatch):
         # the reader is closed in a finally: the Generator is left where the
         # draws made before the failure left it, not a fetched chunk ahead.  The
-        # third window's searches raise before they draw, whether collect_ones runs
-        # them (the modes that draw) or the exact plan's replay does
+        # third window's searches raise before they draw, whether the per-block loop
+        # runs them (the modes that draw) or the exact plan's replay does
         x_max, _, after_raise = STREAM_AFTER_PRODUCT[mode]
         inst = random_instance(rng_for("after-inst", mode), 64 if x_max is None else 32, 2, x_max)
         calls, real = [], qsim._searches
@@ -1190,9 +1222,8 @@ class TestSampledBlockMass:
                 rng = rng_for("kap", n, s_prime, trial)
                 density = rng.uniform(0.05, 0.9)
                 vals = (rng.random(n) < density).astype(np.int64) * rng.integers(1, 3)
-                tape = value_tape(vals)
                 with contextlib.closing(StreamDraws(rng)) as draws:
-                    length = find_block_length(tape, 0, s_prime, MODE_COST, draws, reps)
+                    length, _ = find_block_length(vals, 0, s_prime, MODE_COST, draws, reps)
                 c = int(vals[:length].sum())
                 if c > 2 * s_prime + 6 * math.sqrt(s_prime) + math.pi**2:
                     violations += 1
@@ -1311,6 +1342,17 @@ class TestCheckBudget:
         res = bounded_matrix_product(inst, 16, MODE_EXACT, rng_for("qz"))
         report = check_budget(res.ledger, 32, 2, 16, "quantum")
         assert not report.flagged
+
+    @pytest.mark.parametrize("family", ("quantum", "classical"))
+    @pytest.mark.parametrize("S", (True, 16.5, 16.0, np.float64(16), 0, -3), ids=repr)
+    def test_space_budget_follows_the_row_capacity_rule(self, family, S):
+        # check_budget takes S by the rule quantum_row_capacity and classical_row_capacity use
+        ledger = QueryLedger()
+        ledger.charge("x", TAG_CLASSICAL, 100)
+        error, message = (SpaceTooSmall, f"{S} < 1") if type(S) is int else (InstanceError, "must be a whole number")
+        with pytest.raises(error, match=f"^space budget {message}"):
+            check_budget(ledger, 16, 2, S, family)
+        assert check_budget(ledger, 16, 2, np.int64(16), family) == check_budget(ledger, 16, 2, 16, family)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ from ineqlab.qsim import (
     RangeTooLarge,
     TapeOracle,
     ae_outcome_pmf,
-    collect_ones,
     count_median,
     fold_count_pmf,
     grover_search,
@@ -44,14 +43,27 @@ def make_oracle(values, target="x"):
     return TapeOracle(np.asarray(values, dtype=np.int64), ledger, target), ledger
 
 
-def count_scans(oracle, scans):
-    """Make each nonzero() scan of the oracle's values (or of a slice of them) append to scans."""
+def count_scans(oracle, scans, builds=None):
+    """Make each nonzero() scan of the oracle's values (or of a slice of them) append to scans,
+    and each bit tape built from them by values > 0 append to builds."""
     class Scanned(np.ndarray):
         def nonzero(self):
             scans.append(1)
             return super().nonzero()
+
+        def __gt__(self, other):
+            if builds is not None:
+                builds.append(1)
+            return super().__gt__(other)
     oracle.values = oracle.values.view(Scanned)
     return oracle
+
+
+def search_args(values, mode, draws):
+    """Arguments of _searches for collecting a tape's ones, as the per-block loop gives them:
+    (n, ascending support, mode, draws, once=False, the bit tape in statevector mode)."""
+    values = np.asarray(values, dtype=np.int64)
+    return values.size, np.flatnonzero(values).tolist(), mode, draws, False, values > 0 if mode == MODE_SV else None
 
 
 def rng_for(*key):
@@ -170,7 +182,7 @@ def reference_grover_search(oracle, mode, rng):
     verification read, one query at a time, on the oracle's ledger; every draw
     is a Generator call."""
     n = oracle.n
-    bits = oracle._bits()
+    bits = oracle.values > 0
     ones = np.flatnonzero(bits)
     rest = np.flatnonzero(~bits)
     budget = qsim.RETRY_BUDGET_FACTOR * math.ceil(math.sqrt(n))
@@ -180,9 +192,9 @@ def reference_grover_search(oracle, mode, rng):
     while charged < budget:
         j = int(rng.integers(0, max(1, math.ceil(cap))))
         cap = min(cap * qsim.CAP_GROWTH, math.sqrt(n))
-        oracle.charge(j, TAG_GROVER)
+        oracle.ledger.charge(oracle.target, TAG_GROVER, j)
         idx = reference_sample_measurement(bits, ones, rest, j, mode, rng)
-        oracle.charge(1, TAG_GROVER)
+        oracle.ledger.charge(oracle.target, TAG_GROVER, 1)
         bit = int(oracle.values[idx] > 0)
         charged += j + 1
         if bit:
@@ -274,55 +286,17 @@ class TestTapeOracle:
                 oracle.read_values(idx)
         assert ledger.total == 0 and ledger.by_subroutine == {}
 
-    def test_window_shares_ledger_and_relabels_indices(self):
-        oracle, ledger = make_oracle([0, 0, 5, 0, 7])
-        win = oracle.window(2, 5)
-        assert win.n == 3
-        assert win.read_values([0, 2]).tolist() == [5, 7]
-        assert ledger.queries_x == 2
-        win.charge(4, TAG_GROVER)
-        assert ledger.queries_x == 6
-
-    def test_windows_of_windows_slice_their_parent(self):
-        # a window is built without re-checking its parent: it holds a view of exactly
-        # its slice, the parent's ledger and target, and nothing else (no root, offset
-        # or cached sums), so a window of a window slices the window's view
-        values = rng_for("windows").integers(0, 4, size=23)
-        oracle, ledger = make_oracle(values)
-        assert set(vars(oracle)) == {"values", "n", "ledger", "target"}
-        for lo in range(24):
-            for hi in range(lo, 24):
-                win = oracle.window(lo, hi)
-                assert type(win) is TapeOracle and vars(win).keys() == vars(oracle).keys()
-                assert win.ledger is ledger and win.target == "x" and win.n == hi - lo
-                assert win.values.base is oracle.values and win.values.tolist() == values[lo:hi].tolist()
-                for a in range(hi - lo + 1):
-                    for b in range(a, hi - lo + 1):
-                        inner = win.window(a, b)
-                        assert inner.n == b - a and inner.values.tolist() == values[lo + a:lo + b].tolist()
-                        assert np.shares_memory(inner.values, oracle.values) or inner.n == 0
-        assert ledger.total == 0
-
     def test_length_is_fixed_at_construction(self, monkeypatch):
-        # n is set once per tape: a tape, its windows and their windows each
-        # keep n == values.size, and every search of a collection runs on the
-        # collected window's n
+        # n is set once per tape and holds values.size; a tape holds its values, n, ledger
+        # and target and nothing else (no cached sums); every search of a collection runs
+        # on the collected window's n
         oracle, _ = make_oracle(np.arange(11) % 3)
-        win = oracle.window(2, 9)
-        inner = win.window(1, 5)
-        for tape, size in ((oracle, 11), (win, 7), (inner, 4), (inner.window(2, 2), 0)):
-            assert type(tape.n) is int and tape.n == tape.values.size == size
+        assert set(vars(oracle)) == {"values", "n", "ledger", "target"}
+        assert type(oracle.n) is int and oracle.n == oracle.values.size == 11
         seen = counted_searches(monkeypatch)
         with draws_for("live-n") as draws:
-            found = collect_ones(win, MODE_EXACT, draws)
-        assert len(seen) == len(found) + 1 and {n for n, _ in seen} == {win.values.size} == {7}
-
-    def test_window_bounds_checked(self):
-        oracle, _ = make_oracle([1, 2, 3])
-        with pytest.raises(IndexError):
-            oracle.window(1, 4)
-        with pytest.raises(IndexError):
-            oracle.window(-1, 2)
+            found, _ = qsim._searches(*search_args(oracle.values[2:9], MODE_EXACT, draws))
+        assert len(seen) == len(found) + 1 and {n for n, _ in seen} == {7}
 
     def test_target_b_charges_other_counter(self):
         oracle, ledger = make_oracle([2, 0], target="b")
@@ -330,13 +304,20 @@ class TestTapeOracle:
         assert ledger.queries_b == 1
         assert ledger.queries_x == 0
 
-    def test_uncharged_internals_do_not_touch_ledger(self):
+    def test_uncharged_internals_do_not_touch_ledger(self, monkeypatch):
+        # _searches is given a tape's support and (in statevector mode) bits, and returns the
+        # queries its searches charged without booking them; the tape keeps its values
+        charges, real_charge = [], QueryLedger.charge
+        monkeypatch.setattr(QueryLedger, "charge", lambda self, *a: charges.append(a) or real_charge(self, *a))
         oracle, ledger = make_oracle([0, 1, 2, 0])
-        assert list(np.flatnonzero(oracle._bits())) == [1, 2]
         masked, masked_ledger = make_oracle(zeroed(oracle.values, {1}))
-        assert list(np.flatnonzero(masked._bits())) == [2]
-        assert list(np.flatnonzero(oracle._bits())) == [1, 2]   # the copy was zeroed
-        assert ledger.total == 0 and masked_ledger.total == 0
+        for mode in MODES:
+            with draws_for("uncharged", mode) as draws:
+                found, charged = qsim._searches(*search_args(oracle.values, mode, draws))
+                assert qsim._searches(*search_args(masked.values, mode, draws))[1] > 0, mode
+            assert set(found) <= {1, 2} and charged > 0, mode
+        assert oracle.values.tolist() == [0, 1, 2, 0] and masked.values.tolist() == [0, 0, 2, 0]
+        assert charges == [] and ledger.total == 0 and masked_ledger.total == 0
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +632,7 @@ class TestGroverSearch:
         # others (they read the support off the values, which are >= 0), and
         # the attempts are booked in one ledger charge
         builds, scans, charges = [], [], []
-        real_bits, real_charge = TapeOracle._bits, QueryLedger.charge
-        monkeypatch.setattr(TapeOracle, "_bits", lambda self, *a: builds.append(1) or real_bits(self, *a))
+        real_charge = QueryLedger.charge
         monkeypatch.setattr(QueryLedger, "charge",
                             lambda self, *a: charges.append(a) or real_charge(self, *a))
         values = np.zeros(64, dtype=np.int64)
@@ -665,7 +645,7 @@ class TestGroverSearch:
             oracle, ledger = make_oracle(values)
             rng = rng_for("masks", mode)
             with contextlib.closing(qsim.StreamDraws(rng)) as draws:
-                out = grover_search(count_scans(oracle, scans), mode, draws)
+                out = grover_search(count_scans(oracle, scans, builds), mode, draws)
             assert out.found is None
             assert charges == [("x", TAG_GROVER, ledger.total)], mode
             assert len(builds) == (mode == MODE_SV) and len(scans) == 1, mode
@@ -679,19 +659,14 @@ class TestGroverSearch:
             assert rng.bit_generator.state == ref_rng.bit_generator.state, mode
             if mode != MODE_SV:
                 assert ref_rng.randoms > 5, mode
-        # a whole collection, len(found) + 1 searches, also scans the support once
-        # and books the attempts of all its searches in one charge
+        # a whole collection, len(found) + 1 searches, returns the attempts of all its
+        # searches as one sum and charges nothing: its caller books them
         values[[3, 23, 40]] = [1, 2, 1]
         for mode in MODES:
-            builds.clear()
-            scans.clear()
             charges.clear()
-            oracle, ledger = make_oracle(values)
             with draws_for("masks-collect", mode) as draws:
-                found = collect_ones(count_scans(oracle, scans), mode, draws)
-            assert found, mode
-            assert charges == [("x", TAG_GROVER, ledger.total)], mode
-            assert len(builds) == (mode == MODE_SV) and len(scans) == 1, mode
+                found, charged = qsim._searches(*search_args(values, mode, draws))
+            assert found and charged > 0 and charges == [], mode
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stream_matches_per_attempt_reference(self, mode):
@@ -754,12 +729,16 @@ class TestGroverSearch:
 
 
 class TestCollectOnes:
+    """Collecting a window's ones: _searches run until a search finds nothing (once=False), on
+    the window's length, ascending support and, in statevector mode, bit tape, as the
+    per-block loop calls it.  It returns the finds and the queries of all its searches."""
+
     def test_exact_mode_recovers_full_support(self, monkeypatch):
         searches = counted_searches(monkeypatch)
         values = [3, 1, 0, 2, 0, 0, 1, 5]
         with draws_for("cexact") as draws:
-            found = collect_ones(make_oracle(values)[0], MODE_EXACT, draws)
-        assert type(found) is tuple and frozenset(found) == {0, 1, 3, 6, 7}
+            found, _ = qsim._searches(*search_args(values, MODE_EXACT, draws))
+        assert type(found) is list and frozenset(found) == {0, 1, 3, 6, 7}
         assert len(searches) == 6  # five finds plus the closing empty probe
 
     @pytest.mark.parametrize("mode", MODES)
@@ -768,15 +747,14 @@ class TestCollectOnes:
         # weight, the window's support less the positions found before it, and the
         # tape and the window keep their values
         seen = counted_searches(monkeypatch)
-        values = [3, 1, 0, 2, 0, 0, 1, 5, 0, 1]
-        oracle, _ = make_oracle(values)
-        win = oracle.window(1, 10)
+        values = np.array([3, 1, 0, 2, 0, 0, 1, 5, 0, 1])
+        win = values[1:10]
         with draws_for("cstale", mode) as draws:
-            found = collect_ones(win, mode, draws)
+            found, _ = qsim._searches(*search_args(win, mode, draws))
         assert len(seen) == len(found) + 1 and len(set(seen)) > 1
-        live = [(win.n, int((zeroed(win.values, found[:i]) > 0).sum())) for i in range(len(found) + 1)]
+        live = [(win.size, int((zeroed(win, found[:i]) > 0).sum())) for i in range(len(found) + 1)]
         assert seen == live, seen
-        assert oracle.values.tolist() == values and win.values.tolist() == values[1:]
+        assert values.tolist() == [3, 1, 0, 2, 0, 0, 1, 5, 0, 1] and win.tolist() == values[1:].tolist()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_search_per_find_and_one_to_close(self, mode, monkeypatch):
@@ -788,7 +766,7 @@ class TestCollectOnes:
             values = np.where(gen.random(24) < 0.3, gen.integers(1, 4, size=24), 0)
             searches.clear()
             with draws_for("count-searches", mode, trial) as draws:
-                found = collect_ones(make_oracle(values)[0], mode, draws)
+                found, _ = qsim._searches(*search_args(values, mode, draws))
             assert len(searches) == len(found) + 1, trial
             weight = int((values > 0).sum())
             assert [w for _, w in searches] == [weight - i for i in range(len(found) + 1)], trial
@@ -797,7 +775,7 @@ class TestCollectOnes:
 
     def test_all_marks_tape_collects_everything(self):
         with draws_for("full") as draws:
-            found = collect_ones(make_oracle([1, 1, 1, 1])[0], MODE_EXACT, draws)
+            found, _ = qsim._searches(*search_args([1, 1, 1, 1], MODE_EXACT, draws))
         assert frozenset(found) == {0, 1, 2, 3}
 
     def test_empty_tape_is_single_probe(self, monkeypatch):
@@ -805,8 +783,8 @@ class TestCollectOnes:
         for mode in MODES:
             searches.clear()
             with draws_for("cempty", mode) as draws:
-                found = collect_ones(make_oracle([0] * 9)[0], mode, draws)
-            assert found == ()
+                found, charged = qsim._searches(*search_args([0] * 9, mode, draws))
+            assert found == [] and charged > 0
             assert len(searches) == 1
 
     def test_found_positions_distinct_and_marked(self):
@@ -815,7 +793,7 @@ class TestCollectOnes:
         values[list(support)] = 1
         for trial in range(25):
             with draws_for("dist", trial) as draws:
-                found = collect_ones(make_oracle(values)[0], MODE_COST, draws)
+                found, _ = qsim._searches(*search_args(values, MODE_COST, draws))
             assert len(set(found)) == len(found)
             assert set(found) <= support
 
@@ -826,7 +804,7 @@ class TestCollectOnes:
         complete = 0
         for trial in range(100):
             with draws_for("cstat", trial) as draws:
-                found = collect_ones(make_oracle(values)[0], MODE_COST, draws)
+                found, _ = qsim._searches(*search_args(values, MODE_COST, draws))
             if frozenset(found) == support:
                 complete += 1
         assert complete >= 90
@@ -834,33 +812,24 @@ class TestCollectOnes:
     def test_deterministic_given_seed(self):
         values = np.zeros(32, dtype=np.int64)
         values[[4, 5, 6]] = 1
-        (oracle_a, ledger_a), (oracle_b, ledger_b) = make_oracle(values), make_oracle(values)
         with draws_for("cdet") as draws:
-            a = collect_ones(oracle_a, MODE_COST, draws)
+            a = qsim._searches(*search_args(values, MODE_COST, draws))
         with draws_for("cdet") as draws:
-            b = collect_ones(oracle_b, MODE_COST, draws)
-        assert a == b and ledger_a == ledger_b
+            b = qsim._searches(*search_args(values, MODE_COST, draws))
+        assert a == b
 
-    def test_live_tape_matches_searches_with_exclusion_sets(self, monkeypatch):
-        # one support scan per collection (and one bit tape, in statevector mode
-        # only), and the same draws and charges as one search per find on a tape
-        # copy with the found positions zeroed
-        builds, scans = [], []
-        real_bits = TapeOracle._bits
-        monkeypatch.setattr(TapeOracle, "_bits", lambda self, *a: builds.append(1) or real_bits(self, *a))
+    def test_live_tape_matches_searches_with_exclusion_sets(self):
+        # the same draws and charges as one search per find on a tape copy with the found
+        # positions zeroed
         values = np.zeros(48, dtype=np.int64)
         values[[2, 3, 11, 30, 31, 44]] = [1, 2, 1, 3, 1, 1]
         for mode in MODES:
             for trial in range(5):
-                oracle, ledger = make_oracle(values)
-                builds.clear()
-                scans.clear()
                 with draws_for("live", mode, trial) as draws:
-                    res = collect_ones(count_scans(oracle, scans), mode, draws)
-                assert len(builds) == (mode == MODE_SV) and len(scans) == 1, mode
+                    found, charged = qsim._searches(*search_args(values, mode, draws))
                 outcomes, ref_ledger = searches_of_zeroed_copies(values, mode, ("live", mode, trial))
-                assert [*res, None] == outcomes
-                assert ledger == ref_ledger
+                assert [*found, None] == outcomes
+                assert ref_ledger.by_subroutine == {TAG_GROVER: charged} == {TAG_GROVER: ref_ledger.queries_x}
 
     @pytest.mark.parametrize("mode", [MODE_COST, MODE_EXACT])
     def test_matches_per_attempt_searches_of_zeroed_copies_draw_for_draw(self, mode, monkeypatch):
@@ -884,17 +853,16 @@ class TestCollectOnes:
                     fast, checked = crafted_reader(key, trial % 2), crafted_reader(key, trial % 2)
                     values = np.zeros(n, dtype=np.int64)
                     values[gen.permutation(n)[:weight]] = gen.integers(1, 4, size=weight)
-                    oracle, ledger = make_oracle(values)
                     highs.clear()
-                    found = collect_ones(oracle, mode, fast)
+                    found, charged = qsim._searches(*search_args(values, mode, fast))
                     if (n, weight) == (9, 0):
                         checked_empty_nine.update(highs)
                     ref_ledger, ref_found, rng = QueryLedger(), [], CheckedRng(checked)
                     while (hit := reference_grover_search(TapeOracle(zeroed(values, ref_found), ref_ledger),
                                                           mode, rng).found) is not None:
                         ref_found.append(hit)
-                    assert found == tuple(ref_found), key
-                    assert ledger == ref_ledger, key
+                    assert found == ref_found, key
+                    assert {TAG_GROVER: charged} == ref_ledger.by_subroutine == {TAG_GROVER: ref_ledger.total}, key
                     assert (fast.half, words_read(fast)) == (checked.half, words_read(checked)), key
         # with no 1-positions among 9, an attempt count (cap 3) and a missed index
         # (9 zeros) each took the checked path
@@ -996,20 +964,24 @@ def probe_count(values, M, reps, mode, draws):
 
 
 def sizing_charges(values, s_prime, reps, monkeypatch):
-    """(count_median calls, ledger charges) of one cost-model find_block_length from
-    column 0: a tape of zeros probes once, at its full length, and takes it all."""
+    """(count_median calls, counting charges) of one cost-model row group of s' all-ones rows
+    over the tape values: a tape of zeros probes once, at its full length, and is one block."""
     calls, charges = [], []
     real_count, real_charge = linsys.count_median, QueryLedger.charge
     monkeypatch.setattr(linsys, "count_median", lambda *a: calls.append(a[1:4]) or real_count(*a))
     monkeypatch.setattr(QueryLedger, "charge", lambda self, *a: charges.append(a) or real_charge(self, *a))
-    with draws_for("probe-charge", len(values), reps) as draws:
-        assert linsys.find_block_length(make_oracle(values)[0], 0, s_prime, MODE_COST, draws, reps) == len(values)
-    return calls, charges
+    n = len(values)
+    with draws_for("probe-charge", n, reps) as draws:
+        _, blocks = linsys.small_matrix_product(np.ones((s_prime, n), dtype=np.int64), values,
+                                                np.ones(s_prime, dtype=np.int64), 1, MODE_COST, draws,
+                                                QueryLedger(), reps)
+    assert [(blk.start, blk.length) for blk in blocks] == [(0, n)]
+    return calls, [charge for charge in charges if charge[1] == TAG_COUNTING]
 
 
 class TestCountEstimate:
     def test_charges_m_queries_with_counting_tag(self, monkeypatch):
-        # count_median charges nothing: the sizing books its one probe (n = 64, M = 8,
+        # count_median charges nothing: the group books its one probe (n = 64, M = 8,
         # one rep) as 8 counting queries on x
         calls, charges = sizing_charges([0] * 64, 32, 1, monkeypatch)
         assert calls == [(64, 8, 1)]
@@ -1102,7 +1074,7 @@ class TestCountMedian:
                 probe_count([1, 0], 4, 0, MODE_COST, draws)
 
     def test_charges_m_times_reps(self, monkeypatch):
-        # one probe of M = 4 at 5 reps: 20 queries, booked by the sizing in one charge
+        # one probe of M = 4 at 5 reps: 20 queries, booked by the group in one charge
         calls, charges = sizing_charges([0] * 16, 8, 5, monkeypatch)
         assert calls == [(16, 4, 5)]
         assert charges == [("x", TAG_COUNTING, 20)]
